@@ -116,28 +116,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def run_verify(config: RunConfig) -> tuple[int, list[ProtocolReport]]:
     """Run the configured sweep(s); exit status 0 iff everything verified."""
+    kwargs: dict[str, Any] = {"seed": config.seed, "branches": config.branches, "samples": config.samples}
+    if config.command == "demo":
+        kwargs.update(branches="sampled", samples=1)
+    qft_options = {"n": config.n, "m": config.m, "amortized": config.amortized, "workers": config.workers}
     if config.command == "report" or config.protocol == "all":
-        reports = verify_all(seed=config.seed, branches=config.branches, samples=config.samples)
+        reports = verify_all(**kwargs, **qft_options)
     elif config.protocol == "qft":
-        reports = [
-            verify_protocol(
-                "qft",
-                n=config.n,
-                m=config.m,
-                seed=config.seed,
-                branches=config.branches,
-                samples=config.samples,
-                amortized=config.amortized,
-                workers=config.workers,
-            )
-        ]
+        reports = [verify_protocol("qft", **kwargs, **qft_options)]
     else:
-        kwargs: dict[str, Any] = {"seed": config.seed, "branches": config.branches}
-        if config.command == "demo":
-            kwargs["branches"] = "sampled"
-            kwargs["samples"] = 1
-        else:
-            kwargs["samples"] = config.samples
         reports = [verify_protocol(config.protocol, **kwargs)]
     status = 0 if all(r.verified for r in reports) else 1
     return status, reports

@@ -109,7 +109,12 @@ ControlToken = MeasurementRecord | ClassicalMessage
 
 
 class Network:
-    """A set of nodes sharing one exact global state."""
+    """A set of nodes sharing one exact global state.
+
+    `state` is a StateVector whose amplitudes the network owns and mutates:
+    gates, measurements and setup helpers all write into that one buffer,
+    so a caller that needs the state as it was must copy the amplitudes.
+    """
 
     def __init__(
         self,
@@ -237,7 +242,7 @@ class Network:
             )
         idx = [self.global_index(t) for t in targets]
         self._account_round(idx)
-        self.state = qstate.apply_gate(self.state, gate, idx)
+        qstate.apply_gate_inplace(self.state, gate, idx)
 
     def measure(
         self,
@@ -249,34 +254,22 @@ class Network:
         Outcomes come from, in priority order: the `forced` argument, the
         queue loaded by force_outcomes(), or the network RNG.
         """
-        addr = self._checked_address(addr)
-        gidx = self.global_index(addr)
-        self._account_round([gidx])
-        if forced is None and self._forced:
-            forced = self._forced.popleft()
-        if forced is not None:
-            new_state, rec = qstate.measure(self.state, gidx, forced=forced)
-        else:
-            new_state, rec = qstate.measure(self.state, gidx, rng=self.rng)
-        self.state = new_state
-        record = MeasurementRecord(addr, rec.outcome, rec.probability)
-        self.records.append(record)
-        self.branch_probability *= rec.probability
-        return record
+        return self._measure(addr, forced, x_basis=False)
 
     def measure_x(self, addr: QubitAddress, forced: int | None = None) -> MeasurementRecord:
         """X-basis measurement (H then Z-measure) as one scheduling step."""
+        return self._measure(addr, forced, x_basis=True)
+
+    def _measure(self, addr: QubitAddress, forced: int | None, x_basis: bool) -> MeasurementRecord:
         addr = self._checked_address(addr)
         gidx = self.global_index(addr)
         self._account_round([gidx])
-        self.state = qstate.apply_gate(self.state, H, [gidx])
+        if x_basis:
+            qstate.apply_gate_inplace(self.state, H, [gidx])
         if forced is None and self._forced:
             forced = self._forced.popleft()
-        if forced is not None:
-            new_state, rec = qstate.measure(self.state, gidx, forced=forced)
-        else:
-            new_state, rec = qstate.measure(self.state, gidx, rng=self.rng)
-        self.state = new_state
+        rng = self.rng if forced is None else None
+        rec = qstate.measure_inplace(self.state, gidx, rng=rng, forced=forced)
         record = MeasurementRecord(addr, rec.outcome, rec.probability)
         self.records.append(record)
         self.branch_probability *= rec.probability
@@ -350,7 +343,7 @@ class Network:
         idx = [self.global_index(t) for t in targets]
         self._account_round(idx)
         if bit:
-            self.state = qstate.apply_gate(self.state, gate, idx)
+            qstate.apply_gate_inplace(self.state, gate, idx)
         return bool(bit)
 
     # ---- qubit movement ----------------------------------------------------
@@ -437,9 +430,9 @@ class Network:
         for a in addrs:
             if not self.qubit_is(a, 0):
                 raise PreconditionError(f"{a} must hold |0> before entanglement setup")
-        self.state = qstate.apply_gate(self.state, H, [idx[0]])
+        qstate.apply_gate_inplace(self.state, H, [idx[0]])
         for other in idx[1:]:
-            self.state = qstate.apply_gate(self.state, CNOT, [idx[0], other])
+            qstate.apply_gate_inplace(self.state, CNOT, [idx[0], other])
 
     def inject_state(self, addrs: Sequence[QubitAddress], amplitudes) -> None:
         """Overwrite the global state with a chosen input (setup only).
@@ -458,8 +451,10 @@ class Network:
         norm = np.linalg.norm(amps)
         if norm < qstate.ZERO_CUTOFF:
             raise ValueError("cannot inject the zero vector")
-        rest = np.zeros(2 ** (self.num_qubits - k), dtype=complex)
-        rest[0] = 1.0
-        tensor = np.outer(amps / norm, rest).reshape((2,) * self.num_qubits)
-        tensor = np.moveaxis(tensor, range(k), idx)
-        self.state = StateVector(self.num_qubits, np.ascontiguousarray(tensor.reshape(-1)))
+        psi = self.state.amplitudes.reshape((2,) * self.num_qubits)
+        psi[...] = 0
+        block: list = [0] * self.num_qubits
+        for i in idx:
+            block[i] = slice(None)
+        # the block's axes run in ascending global index; reorder the input's to match
+        psi[tuple(block)] = np.transpose((amps / norm).reshape((2,) * k), np.argsort(idx))

@@ -12,11 +12,13 @@ Teleportation is the two composed back to back over an EPR pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import qstate
 from .errors import EntanglementError
 from .gates import CNOT, X, Z
 from .network import ClassicalMessage, Network, QubitAddress
@@ -37,22 +39,16 @@ class CatGroup:
     message: ClassicalMessage
 
 
-def _member_rows(net: Network, addrs: Sequence[QubitAddress]) -> np.ndarray:
-    """Amplitudes grouped by the bit pattern of the given qubits.
+def _require_correlated(
+    net: Network, addrs: Sequence[QubitAddress], what: str
+) -> list[np.ndarray]:
+    """Check the qubits only ever read all-0 or all-1 together.
 
-    Row b holds the amplitude slice where the listed qubits read the bits
-    of b (first address = most significant).
+    Returns the amplitude slabs for every bit pattern of the qubits (first
+    address = most significant bit), as views of the network's state.
     """
-    idx = [net.global_index(a) for a in addrs]
-    tensor = net.state.amplitudes.reshape((2,) * net.num_qubits)
-    tensor = np.moveaxis(tensor, idx, range(len(idx)))
-    return tensor.reshape(2 ** len(idx), -1)
-
-
-def _require_correlated(net: Network, addrs: Sequence[QubitAddress], what: str) -> np.ndarray:
-    """Check the qubits only ever read all-0 or all-1 together."""
-    rows = _member_rows(net, addrs)
-    mixed = np.linalg.norm(rows[1:-1])
+    rows = qstate.pattern_slabs(net.state, [net.global_index(a) for a in addrs])
+    mixed = math.sqrt(sum(np.linalg.norm(row) ** 2 for row in rows[1:-1]))
     if mixed > ATOL:
         raise EntanglementError(
             f"{what} requires qubits {[str(a) for a in addrs]} to agree in the "

@@ -89,13 +89,19 @@ class ProtocolReport:
 
 
 class _Scope:
-    """Captures ledger, message, and state baselines for one protocol body."""
+    """Captures ledger, message, and state baselines for one protocol body.
 
-    def __init__(self, net: Network) -> None:
+    The network overwrites its state in place, so the state baseline is a
+    copy, and it is taken only when `check` says the oracle will read it.
+    """
+
+    def __init__(self, net: Network, check: bool) -> None:
         self.net = net
         self.snap = net.ledger.snapshot()
         self.msg_start = len(net.message_log)
-        self.pre_state = net.state
+        self.pre_state = (
+            qstate.StateVector(net.num_qubits, net.state.amplitudes.copy()) if check else None
+        )
 
     def report(self, name: str, *, rounds: int | None = None, **kwargs: Any) -> ProtocolReport:
         delta = self.net.ledger.delta_since(self.snap)
@@ -192,7 +198,7 @@ def establish_epr_exchange(
     for addr in (keep_a, move_a, keep_b, move_b):
         if not net.qubit_is(addr, 0):
             raise PreconditionError(f"channel qubit {addr} must be |0> before entangling")
-    scope = _Scope(net)
+    scope = _Scope(net, False)
     with net.parallel_round():
         net.local_apply(H, [keep_a])
         net.local_apply(H, [keep_b])
@@ -268,7 +274,7 @@ def nonlocal_cnot(
     if control.node == target.node:
         raise ValueError(f"{control} and {target} share a node; apply a local CNOT")
     e_c, e_t = _resolve_epr(net, control.node, target.node, epr, auto_establish)
-    scope = _Scope(net)
+    scope = _Scope(net, check)
     group = cat_entangler(net, control, (e_c, e_t), tag=tag)
     member = group.members[1]
     net.local_apply(CNOT, [member, target])
@@ -318,7 +324,7 @@ def nonlocal_controlled_sequence(
     for _, tg in seq:
         if e_t in tg:
             raise ValueError(f"{e_t} is reserved as the shared control line")
-    scope = _Scope(net)
+    scope = _Scope(net, check)
     group = cat_entangler(net, control, (e_c, e_t), tag=tag)
     member = group.members[1]
     controlled = [(make_controlled(ControlledSpec(1, g)), tg) for g, tg in seq]
@@ -387,7 +393,7 @@ def parallel_distributed_control(
         if member.node != node:
             raise ValueError(f"cat member {member} does not sit on part node {node}")
 
-    scope = _Scope(net)
+    scope = _Scope(net, check)
     group = cat_entangler(net, control, cat, tag=tag)
     members = group.members[1:]
     controlled = [
@@ -468,7 +474,7 @@ def distributed_em(
             net.preshare_epr(a, b)
             pair_for[(c, t)] = (a, b)
 
-    scope = _Scope(net)
+    scope = _Scope(net, check)
     net.local_apply(H, [regs[0]])
     for stage in schedule:
         for c, t in stage:
@@ -528,7 +534,7 @@ def teleport_with_reset(
         )
     if not net.qubit_is(empty, 0):
         raise PreconditionError(f"landing slot {empty} must hold |0>")
-    scope = _Scope(net)
+    scope = _Scope(net, check)
     r1, r2 = teleport(net, source, (e_src, e_dst), tag=tag)
     net.local_apply(SWAP, [e_dst, empty])
     reset_channel_qubits(net, [r1, r2])
@@ -570,7 +576,7 @@ def distributed_swap(
     chans_b = [
         q for q in net.addresses(b.node, CHANNEL) if q != b and net.qubit_is(q, 0)
     ]
-    scope = _Scope(net)
+    scope = _Scope(net, check)
     if len(chans_a) >= 2 and len(chans_b) >= 2:
         ea0, ea1 = chans_a[:2]
         eb0, eb1 = chans_b[:2]
@@ -669,7 +675,7 @@ def nonlocal_multi_control(
                 f"the gate instead (see decompose_multi_control_x)"
             )
 
-    scope = _Scope(net)
+    scope = _Scope(net, check)
     line_for: dict[QubitAddress, QubitAddress] = {c: c for c in controls}
     shares: list[tuple[QubitAddress, QubitAddress, QubitAddress]] = []
     for ctrl, anc in zip(remote, ancillas):
@@ -738,7 +744,7 @@ def decompose_multi_control_x(
     nodes = {q.node for q in six}
 
     if len(nodes) == 1:
-        scope = _Scope(net)
+        scope = _Scope(net, check)
         net.local_apply(TOFFOLI, [c1, c2, ancilla])
         net.local_apply(C3X, [c3, c4, ancilla, target])
         net.local_apply(TOFFOLI, [c1, c2, ancilla])
@@ -752,7 +758,7 @@ def decompose_multi_control_x(
     ):
         top, bottom = c1.node, target.node
         e_top, e_bot = _resolve_epr(net, top, bottom, epr, auto_establish)
-        scope = _Scope(net)
+        scope = _Scope(net, check)
         net.local_apply(TOFFOLI, [c1, c2, e_top])
         r1 = net.measure(e_top)
         net.ledger.ebits_consumed += 1  # the pair is used up carrying the AND value

@@ -182,7 +182,8 @@ def qft_distributed(
             raise CapacityError(f"{name} needs 2 channel qubits (rotation + swap buffers)")
     addr = [net.reg(node_list[i // plan.k], i % plan.k) for i in range(plan.n)]
 
-    pre_state = net.state
+    # the network mutates its state, so the oracle's starting point is a copy
+    pre_state = StateVector(net.num_qubits, net.state.amplitudes.copy()) if check else None
     start = net.ledger.snapshot()
     msg_start = len(net.message_log)
     distributions_used = 0

@@ -9,12 +9,23 @@ Conventions used everywhere in this package:
 * States are always kept normalized; comparisons use a 1e-10 tolerance and
   amplitudes below 1e-12 count as exactly zero when validating forced
   measurement outcomes.
+
+Kernels work on the (2,)*n view of the amplitudes. Fixing the target qubits
+to the bits of a gate row selects a slab of that view (a strided block of
+2^(n-a) amplitudes), so a permutation gate copies the slabs it moves, a
+diagonal gate scales the slabs whose phase is not 1, and a one-qubit gate
+mixes its two slabs; wider general gates contract through tensordot. No
+array of 2^n indices or phases is ever built. Each kernel has two entry
+points: apply_gate/measure return a new state and leave their input alone,
+while apply_gate_inplace/measure_inplace overwrite the state's own buffer
+(the form a Network uses on the global state it owns). pattern_slabs hands
+the same slabs out as views, for checks that read amplitudes by pattern.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -24,19 +35,19 @@ from .errors import ImpossibleBranchError
 ATOL = 1e-10
 ZERO_CUTOFF = 1e-12
 
-_gate_uids = itertools.count()
-
 
 class GateMatrix:
     """A unitary acting on a fixed number of qubits.
 
     The matrix is validated (square, power-of-two dimension, unitary within
     1e-10) and frozen at construction. Instances are classified once as
-    permutation / diagonal / general so repeated applications can take a
-    cheap path.
+    permutation / diagonal / general, and what the kernel needs for that
+    kind is precomputed: the (destination, source) row pairs a permutation
+    moves, the (row, phase) pairs of a diagonal whose phase is not 1, and
+    the (2,)*2a tensor of the matrix.
     """
 
-    __slots__ = ("matrix", "arity", "uid", "kind", "perm_source", "diag")
+    __slots__ = ("matrix", "arity", "kind", "tensor", "moves", "phases")
 
     def __init__(self, matrix) -> None:
         m = np.array(matrix, dtype=complex)
@@ -51,25 +62,25 @@ class GateMatrix:
         m.setflags(write=False)
         self.matrix = m
         self.arity = arity
-        self.uid = next(_gate_uids)
+        self.tensor = m.reshape((2,) * (2 * arity))
         self._classify()
 
     def _classify(self) -> None:
         m = self.matrix
         dim = m.shape[0]
-        self.perm_source = None
-        self.diag = None
+        self.moves: tuple[tuple[int, int], ...] = ()
+        self.phases: tuple[tuple[int, complex], ...] = ()
         nonzero_rows = m.nonzero()[0]
         if len(nonzero_rows) == dim and np.all((m == 0) | (m == 1)):
             # exactly one 1 per column: out[row] <- in[col]
             rows, cols = m.nonzero()
-            source = np.empty(dim, dtype=np.intp)
-            source[rows] = cols
             self.kind = "permutation"
-            self.perm_source = source
+            self.moves = tuple((int(r), int(c)) for r, c in zip(rows, cols) if r != c)
         elif np.count_nonzero(m - np.diag(np.diagonal(m))) == 0:
             self.kind = "diagonal"
-            self.diag = np.ascontiguousarray(np.diagonal(m))
+            self.phases = tuple(
+                (row, complex(phase)) for row, phase in enumerate(np.diagonal(m)) if phase != 1
+            )
         else:
             self.kind = "general"
 
@@ -79,13 +90,17 @@ class GateMatrix:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized amplitudes over 2**num_qubits basis states."""
+    """Normalized amplitudes over 2**num_qubits basis states.
+
+    The amplitudes are kept C-contiguous, so `amplitudes.reshape((2,) * n)`
+    is a view and the in-place kernels write through it.
+    """
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
@@ -137,78 +152,140 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
 
 
 def _check_targets(state: StateVector, targets: Sequence[int], arity: int) -> tuple:
-    targets = tuple(int(t) for t in targets)
+    targets = tuple(map(int, targets))
     if len(targets) != arity:
         raise ValueError(f"gate acts on {arity} qubits, got targets {targets}")
-    if len(set(targets)) != len(targets):
+    if len(set(targets)) != arity:
         raise ValueError(f"duplicate target qubits: {targets}")
-    for t in targets:
-        if not 0 <= t < state.num_qubits:
-            raise ValueError(f"target {t} out of range for {state.num_qubits} qubits")
+    if targets and (min(targets) < 0 or max(targets) >= state.num_qubits):
+        bad = next(t for t in targets if not 0 <= t < state.num_qubits)
+        raise ValueError(f"target {bad} out of range for {state.num_qubits} qubits")
     return targets
 
 
-# Cached application plans keyed by (gate uid, num_qubits, targets). Gates are
-# immutable and few, so this stays small and makes repeated protocol runs and
-# exhaustive branch sweeps cheap.
-_APPLY_CACHE: dict[tuple, tuple] = {}
+# Keyed by (n, targets) only, so a sweep that repeats the same gate placements
+# on fresh networks reuses its entries instead of adding new ones.
+@lru_cache(maxsize=4096)
+def _slabs(n: int, targets: tuple) -> tuple:
+    """Index into the (2,)*n view of the slab for every gate row, in row order.
+
+    Row r fixes the targets to the bits of r (first target = most
+    significant bit) and leaves every other axis whole. The trailing
+    Ellipsis keeps the result a view even when every axis is a target.
+    """
+    a = len(targets)
+    out = []
+    for row in range(2**a):
+        idx: list = [slice(None)] * n
+        for j, t in enumerate(targets):
+            idx[t] = (row >> (a - 1 - j)) & 1
+        out.append((*idx, Ellipsis))
+    return tuple(out)
 
 
-def _apply_plan(gate: GateMatrix, n: int, targets: tuple) -> tuple:
-    key = (gate.uid, n, targets)
-    plan = _APPLY_CACHE.get(key)
-    if plan is not None:
-        return plan
-    dim = 2**n
-    shifts = np.array([n - 1 - t for t in targets], dtype=np.intp)
-    idx = np.arange(dim, dtype=np.intp)
-    sub = np.zeros(dim, dtype=np.intp)
-    a = gate.arity
-    for j, sh in enumerate(shifts):
-        sub |= ((idx >> sh) & 1) << (a - 1 - j)
+def _apply(amps: np.ndarray, n: int, gate: GateMatrix, targets: tuple) -> None:
+    """Overwrite the contiguous amplitude buffer `amps` with gate @ amps."""
+    if gate.kind == "general":
+        a = gate.arity
+        if a > 1:
+            psi = amps.reshape((2,) * n)
+            res = np.tensordot(gate.tensor, psi, axes=(tuple(range(a, 2 * a)), targets))
+            psi[...] = np.moveaxis(res, tuple(range(a)), targets)
+        elif targets[0] == n - 1:
+            # the two slabs of the last qubit interleave pair by pair
+            pairs = amps.reshape(-1, 2)
+            pairs[...] = pairs @ gate.matrix.T
+        else:
+            # axis 1 of this view separates the target's two slabs, so one
+            # matmul applies the 2x2 matrix to every pair of amplitudes
+            split = amps.reshape(2 ** targets[0], 2, -1)
+            split[...] = gate.matrix @ split
+        return
+    psi = amps.reshape((2,) * n)
+    slab = _slabs(n, targets)
     if gate.kind == "permutation":
-        src_sub = gate.perm_source[sub]
-        src = idx.copy()
-        for j, sh in enumerate(shifts):
-            bit = (src_sub >> (a - 1 - j)) & 1
-            src = (src & ~(1 << sh)) | (bit << sh)
-        plan = ("permutation", src)
-    elif gate.kind == "diagonal":
-        plan = ("diagonal", gate.diag[sub])
+        # every source is saved before any destination is written, so cycles
+        # of any length come out right
+        saved = [psi[slab[src]].copy() for _, src in gate.moves]
+        for (dst, _), block in zip(gate.moves, saved):
+            psi[slab[dst]] = block
     else:
-        plan = ("general", np.ascontiguousarray(gate.matrix.reshape((2,) * (2 * a))))
-    _APPLY_CACHE[key] = plan
-    return plan
+        for row, phase in gate.phases:
+            block = psi[slab[row]]
+            block *= phase
 
 
 def apply_gate(state: StateVector, gate: GateMatrix, targets: Sequence[int]) -> StateVector:
     """Apply `gate` to the listed qubits; returns a new state.
 
-    The first listed target is the gate's most significant wire.
+    The first listed target is the gate's most significant wire. The input
+    state is left untouched.
     """
     targets = _check_targets(state, targets, gate.arity)
-    n = state.num_qubits
-    kind, payload = _apply_plan(gate, n, targets)
-    amps = state.amplitudes
-    if kind == "permutation":
-        out = amps[payload]
-    elif kind == "diagonal":
-        out = amps * payload
+    out = state.amplitudes.copy()
+    _apply(out, state.num_qubits, gate, targets)
+    return StateVector(state.num_qubits, out)
+
+
+def apply_gate_inplace(state: StateVector, gate: GateMatrix, targets: Sequence[int]) -> None:
+    """Apply `gate` to the listed qubits, overwriting the state's amplitudes."""
+    targets = _check_targets(state, targets, gate.arity)
+    _apply(state.amplitudes, state.num_qubits, gate, targets)
+
+
+def pattern_slabs(state: StateVector, qubits: Sequence[int]) -> list[np.ndarray]:
+    """The amplitudes grouped by the bit pattern of `qubits`, without copying.
+
+    Entry b is a view of the slab where the listed qubits read the bits of b
+    (first listed qubit = most significant bit).
+    """
+    qubits = _check_targets(state, qubits, len(qubits))
+    psi = state.amplitudes.reshape((2,) * state.num_qubits)
+    return [psi[idx] for idx in _slabs(state.num_qubits, qubits)]
+
+
+def _weight(amps: np.ndarray, qubit: int, bit: int) -> float:
+    """Probability that `qubit` reads `bit`.
+
+    One reduction over the float64 view of the slab where the qubit reads
+    `bit` sums the squared real and imaginary parts, so no squared copy of
+    the slab is built.
+    """
+    f = amps.view(np.float64).reshape(2**qubit, 2, -1)[:, bit, :]
+    return float(np.einsum("ij,ij->", f, f))
+
+
+def _collapse(
+    amps: np.ndarray,
+    n: int,
+    qubit: int,
+    rng: np.random.Generator | None,
+    forced: int | None,
+) -> MeasurementRecord:
+    """Measure `qubit` of the buffer `amps` in place and return the record."""
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    if (rng is None) == (forced is None):
+        raise ValueError("supply exactly one of rng= or forced=")
+    # per-outcome weights summed from their own slices: renormalizing by the
+    # kept slice's weight leaves the state with unit norm exactly, whereas
+    # 1 - p_other would let rounding drift compound over many measurements
+    if forced is not None:
+        outcome = int(forced)
+        if outcome not in (0, 1):
+            raise ValueError(f"forced outcome must be 0 or 1, got {forced}")
     else:
-        psi = amps.reshape((2,) * n)
-        a = gate.arity
-        res = np.tensordot(payload, psi, axes=(tuple(range(a, 2 * a)), targets))
-        res = np.moveaxis(res, tuple(range(a)), targets)
-        out = np.ascontiguousarray(res).reshape(-1)
-    return StateVector(n, out)
-
-
-def _bit_probability(state: StateVector, qubit: int) -> float:
-    """Probability that `qubit` reads 1."""
-    n = state.num_qubits
-    view = state.amplitudes.reshape(2**qubit, 2, -1)
-    ones = view[:, 1, :]
-    return float(np.sum(ones.real**2 + ones.imag**2))
+        outcome = int(rng.random() < _weight(amps, qubit, 1))
+    p = _weight(amps, qubit, outcome)
+    if p < ZERO_CUTOFF:
+        raise ImpossibleBranchError(
+            f"outcome {outcome} on qubit {qubit} has probability {p:.3e}"
+        )
+    split = amps.reshape(2**qubit, 2, -1)
+    split[:, 1 - outcome, :] = 0
+    kept = split[:, outcome, :]
+    kept /= np.sqrt(p)
+    return MeasurementRecord(qubit, outcome, p)
 
 
 def measure(
@@ -218,38 +295,29 @@ def measure(
     rng: np.random.Generator | None = None,
     forced: int | None = None,
 ) -> tuple[StateVector, MeasurementRecord]:
-    """Projective Z measurement of one qubit.
+    """Projective Z measurement of one qubit; returns the post-measurement state.
 
     Exactly one of `rng` / `forced` must be given: sampled outcomes come from
     the generator, forced outcomes select a branch for deterministic
     enumeration. Forcing an outcome whose probability is below 1e-12 raises
-    ImpossibleBranchError.
+    ImpossibleBranchError. The input state is left untouched.
     """
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    if (rng is None) == (forced is None):
-        raise ValueError("supply exactly one of rng= or forced=")
-    split = state.amplitudes.reshape(2**qubit, 2, -1)
-    # per-outcome weights summed from their own slices: renormalizing by the
-    # kept slice's weight leaves the state with unit norm exactly, whereas
-    # 1 - p_other would let rounding drift compound over many measurements
-    weights = np.sum(split.real**2 + split.imag**2, axis=(0, 2))
-    if forced is not None:
-        outcome = int(forced)
-        if outcome not in (0, 1):
-            raise ValueError(f"forced outcome must be 0 or 1, got {forced}")
-    else:
-        outcome = int(rng.random() < weights[1])
-    p = float(weights[outcome])
-    if p < ZERO_CUTOFF:
-        raise ImpossibleBranchError(
-            f"outcome {outcome} on qubit {qubit} has probability {p:.3e}"
-        )
     new = state.amplitudes.copy()
-    view = new.reshape(2**qubit, 2, -1)
-    view[:, 1 - outcome, :] = 0
-    new /= np.sqrt(p)
-    return StateVector(state.num_qubits, new), MeasurementRecord(qubit, outcome, p)
+    rec = _collapse(new, state.num_qubits, qubit, rng, forced)
+    return StateVector(state.num_qubits, new), rec
+
+
+def measure_inplace(
+    state: StateVector,
+    qubit: int,
+    *,
+    rng: np.random.Generator | None = None,
+    forced: int | None = None,
+) -> MeasurementRecord:
+    """measure(), but the state's own amplitudes collapse: the discarded half
+    is zeroed and the kept half rescaled, without copying the vector. On
+    ImpossibleBranchError the state is unchanged."""
+    return _collapse(state.amplitudes, state.num_qubits, qubit, rng, forced)
 
 
 def fidelity_up_to_global_phase(a: StateVector, b: StateVector) -> float:
@@ -267,9 +335,7 @@ def partial_state_check(state: StateVector, qubit: int, expected: int) -> bool:
         raise ValueError(f"expected bit must be 0 or 1, got {expected}")
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    p1 = _bit_probability(state, qubit)
-    wrong = p1 if expected == 0 else 1.0 - p1
-    return wrong <= ATOL
+    return _weight(state.amplitudes, qubit, 1 - expected) <= ATOL
 
 
 def reduced_density_matrix(state: StateVector, keep: Sequence[int]) -> np.ndarray:

@@ -813,6 +813,18 @@ def verify_protocol(name: str, **kwargs: Any) -> ProtocolReport:
 
 
 def verify_all(
-    *, seed: int = 0, branches: str = "exhaustive", samples: int = 200
+    *,
+    seed: int = 0,
+    branches: str = "exhaustive",
+    samples: int = 200,
+    n: int = 4,
+    m: int = 2,
+    amortized: bool = False,
+    workers: int = 1,
 ) -> list[ProtocolReport]:
-    return [fn(seed=seed, branches=branches, samples=samples) for fn in VERIFIERS.values()]
+    """Run every verifier; n, m, amortized and workers go to the qft sweep only."""
+    qft_options = {"n": n, "m": m, "amortized": amortized, "workers": workers}
+    return [
+        fn(seed=seed, branches=branches, samples=samples, **(qft_options if name == "qft" else {}))
+        for name, fn in VERIFIERS.items()
+    ]

@@ -136,3 +136,34 @@ def test_console_entry_point_byte_identical():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip().startswith(b"[")
+
+
+def test_demo_qft_runs_one_branch():
+    config = config_from_args(build_parser().parse_args(["demo", "qft", "--seed", "2"]))
+    status, (report,) = run_verify(config)
+    assert status == 0
+    assert report.branches_tested == 1
+
+
+@pytest.mark.parametrize("command", [["report"], ["verify", "all"]])
+def test_sweep_of_everything_passes_qft_options(command, monkeypatch, capsys):
+    """Regression: report and verify all dropped --n, --m and --workers, so
+    the qft sweep silently ran its 4-qubit, 2-machine default."""
+    from catnet import verify
+
+    seen = {}
+
+    def recorder(name):
+        def run(**kwargs):
+            seen[name] = kwargs
+            return ProtocolReport(name=name, ledger=ResourceLedger(), rounds=0, verified=True)
+
+        return run
+
+    monkeypatch.setattr(verify, "VERIFIERS", {name: recorder(name) for name in verify.VERIFIERS})
+    argv = [*command, "--n", "6", "--m", "3", "--workers", "2", "--branches", "sampled", "--samples", "5"]
+    code, _, _ = run_main(argv, capsys)
+    assert code == 0
+    common = {"seed": 0, "branches": "sampled", "samples": 5}
+    assert seen["qft"] == {**common, "n": 6, "m": 3, "amortized": False, "workers": 2}
+    assert seen["teleport"] == common

@@ -342,12 +342,54 @@ def test_inject_state_msb_order():
     want[0b0010] = 0.6
     want[0b1010] = 0.8j
     assert np.allclose(net.state.amplitudes, want)
+    # listing the addresses the other way round transposes the input
+    net.inject_state([net.reg("B"), net.reg("A")], [0, 0, 0.6, 0.8j])
+    assert np.allclose(net.state.amplitudes, want)
+    # a 3-cycle of the address order: amplitude index bits read (q2, q0, q1)
+    net = Network([("A", 3, 0)])
+    amps = np.arange(1, 9) / np.linalg.norm(np.arange(1, 9))
+    net.inject_state([net.reg("A", 2), net.reg("A", 0), net.reg("A", 1)], amps)
+    for b0, b1, b2 in np.ndindex(2, 2, 2):
+        assert np.isclose(net.state.amplitudes[4 * b0 + 2 * b1 + b2], amps[4 * b2 + 2 * b0 + b1])
 
 
 def test_inject_state_normalizes():
     net = Network([("A", 1, 0)])
     net.inject_state([net.reg("A")], [3, 4])
     assert np.allclose(net.state.amplitudes, [0.6, 0.8])
+
+
+# ---- the state buffer -------------------------------------------------------------
+
+
+def test_operations_write_into_one_buffer():
+    net = Network([("A", 2, 1), ("B", 1, 1)], seed=0)
+    buffer = net.state.amplitudes
+    net.inject_state([net.reg("A", 0)], [0.6, 0.8])
+    net.local_apply(H, [net.reg("A", 1)])
+    net.preshare_epr(net.chan("A"), net.chan("B"))
+    rec = net.measure(net.chan("A"), forced=1)
+    net.classically_controlled_apply(rec, X, net.chan("A"))
+    net.measure_x(net.reg("A", 1), forced=0)
+    assert net.state.amplitudes is buffer
+    assert net.qubit_is(net.chan("A"), 0) and net.qubit_is(net.chan("B"), 1)
+    assert abs(np.linalg.norm(buffer) - 1.0) < 1e-12
+
+
+def test_scope_snapshot_only_when_checking():
+    from catnet.protocols import _Scope
+
+    net = Network([("A", 2, 0)])
+    net.local_apply(H, [net.reg("A", 0)])
+    start = net.state.amplitudes.copy()
+    checked, unchecked = _Scope(net, True), _Scope(net, False)
+    assert unchecked.pre_state is None
+    net.local_apply(CNOT, [net.reg("A", 0), net.reg("A", 1)])
+    net.local_apply(Z, [net.reg("A", 1)])
+    assert np.array_equal(checked.pre_state.amplitudes, start)
+    ideal = [(CNOT, [net.reg("A", 0), net.reg("A", 1)]), (Z, [net.reg("A", 1)])]
+    assert checked.oracle_infidelity(ideal) < 1e-12
+    assert np.array_equal(checked.pre_state.amplitudes, start)
 
 
 # ---- ledger ---------------------------------------------------------------------

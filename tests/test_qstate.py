@@ -2,7 +2,7 @@
 
 The gate-application oracle here builds the full 2^n x 2^n operator with a
 kron product plus an explicit basis-relabeling permutation, sharing no code
-with apply_gate's tensor contraction.
+with the slab kernels or their tensor contraction.
 """
 
 import numpy as np
@@ -12,22 +12,40 @@ from hypothesis import strategies as st
 
 from catnet import qstate
 from catnet.errors import ImpossibleBranchError
-from catnet.gates import CNOT, H, SWAP, TOFFOLI, X, Z, make_rk
+from catnet.gates import CNOT, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
 from catnet.qstate import (
     ATOL,
     GateMatrix,
     StateVector,
     apply_gate,
+    apply_gate_inplace,
     basis_state,
     fidelity_up_to_global_phase,
     from_amplitudes,
     measure,
+    measure_inplace,
     partial_state_check,
+    pattern_slabs,
     random_state,
     reduced_density_matrix,
 )
 
 SQRT2_INV = 1 / np.sqrt(2)
+
+# |00> -> |01> -> |10> -> |00>, |11> fixed: a permutation with a 3-cycle
+CYCLE3 = GateMatrix(np.eye(4)[:, [1, 2, 0, 3]])
+# several non-unit phases, one of them not a root of unity of small order
+PHASES = GateMatrix(np.diag([1, 1j, -1, np.exp(0.3j)]))
+C4X = make_controlled(ControlledSpec(4, X))
+
+
+def _random_unitary(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+RANDOM_2Q = GateMatrix(_random_unitary(4, 3))
 
 
 def embed_oracle(matrix: np.ndarray, n: int, targets: list[int]) -> np.ndarray:
@@ -134,13 +152,25 @@ def test_apply_gate_bad_targets():
     (TOFFOLI, [0, 2, 1], 3),
     (TOFFOLI, [4, 1, 2], 5),
     (make_rk(2), [1], 2),
+    (X, [0], 1),
+    (H, [1], 4),
+    (H, [0], 1),
+    (make_rk(3), [0], 1),
+    (CYCLE3, [2, 0], 3),
+    (CYCLE3, [1, 3], 4),
+    (PHASES, [3, 1], 4),
+    (C4X, [5, 0, 3, 1, 6], 7),
+    (RANDOM_2Q, [2, 0], 3),
 ])
 def test_apply_matches_kron_oracle(gate, targets, n):
+    """Both entry points of every kernel kind agree with the kron oracle."""
     rng = np.random.default_rng(17)
     state = random_state(n, rng)
-    got = apply_gate(state, gate, targets).amplitudes
     want = embed_oracle(gate.matrix, n, targets) @ state.amplitudes
+    got = apply_gate(state, gate, targets).amplitudes
     assert np.max(np.abs(got - want)) < 1e-12
+    apply_gate_inplace(state, gate, targets)
+    assert np.max(np.abs(state.amplitudes - want)) < 1e-12
 
 
 @given(st.integers(0, 10_000), st.integers(2, 5))
@@ -165,6 +195,61 @@ def test_unitaries_preserve_norm(seed):
     for gate, t in [(H, [0]), (CNOT, [1, 2]), (TOFFOLI, [0, 1, 2]), (make_rk(4), [2])]:
         state = apply_gate(state, gate, t)
     assert abs(state.norm() - 1.0) < 1e-12
+
+
+def test_pure_entry_points_leave_input_untouched():
+    rng = np.random.default_rng(23)
+    state = random_state(4, rng)
+    before = state.amplitudes.copy()
+    for gate, targets in [(X, [2]), (CYCLE3, [3, 0]), (PHASES, [1, 2]), (H, [3]), (RANDOM_2Q, [0, 2])]:
+        apply_gate(state, gate, targets)
+    for outcome in (0, 1):
+        measure(state, 1, forced=outcome)
+    measure(state, 3, rng=rng)
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_measure_inplace_collapses_own_buffer():
+    bell = apply_gate(apply_gate(basis_state(2), H, [0]), CNOT, [0, 1])
+    buffer = bell.amplitudes
+    rec = measure_inplace(bell, 1, forced=1)
+    assert bell.amplitudes is buffer
+    assert rec.outcome == 1 and abs(rec.probability - 0.5) < 1e-12
+    assert np.allclose(buffer, basis_state(2, 0b11).amplitudes)
+    # a refused branch leaves the buffer as it was
+    with pytest.raises(ImpossibleBranchError):
+        measure_inplace(bell, 0, forced=0)
+    assert np.allclose(buffer, basis_state(2, 0b11).amplitudes)
+
+
+def test_pattern_slabs_are_ordered_views():
+    state = random_state(3, np.random.default_rng(29))
+    slabs = pattern_slabs(state, [2, 0])
+    # entry 0b10 is qubit 2 = 1, qubit 0 = 0: basis indices 0b001 and 0b011
+    assert np.array_equal(slabs[0b10], state.amplitudes[[0b001, 0b011]])
+    slabs[0b10][...] = 0
+    assert state.amplitudes[0b001] == 0 and state.amplitudes[0b011] == 0
+
+
+def _memo_sizes() -> dict[str, int]:
+    sizes = {}
+    for name, obj in vars(qstate).items():
+        if hasattr(obj, "cache_info"):
+            sizes[name] = obj.cache_info().currsize
+        elif isinstance(obj, (dict, list, set)) and not name.startswith("__"):
+            sizes[name] = len(obj)
+    return sizes
+
+
+def test_memos_do_not_grow_with_branches():
+    """Regression: gate plans were cached per gate object, and every branch
+    builds fresh controlled gates, so the cache grew with each branch."""
+    from catnet.verify import verify_protocol
+
+    verify_protocol("qft", branches="sampled", samples=16)
+    after_16 = _memo_sizes()
+    verify_protocol("qft", branches="sampled", samples=256)
+    assert _memo_sizes() == after_16
 
 
 # ---- measurement ------------------------------------------------------------
