@@ -7,6 +7,7 @@ bits, and communication rounds.
 """
 
 from .errors import (
+    BranchDivergenceError,
     CannotResetError,
     CapacityError,
     CatnetError,
@@ -50,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ATOL",
+    "BranchDivergenceError",
     "CHANNEL",
     "CNOT",
     "CZ",

@@ -34,11 +34,10 @@ class RunConfig:
     protocol: str = "all"
     seed: int = 0
     branches: str = "exhaustive"
-    samples: int = 200
+    samples: int | None = None
     n: int = 4
     m: int = 2
     amortized: bool = False
-    workers: int = 1
     output: str | None = None
     format: str = "json"
 
@@ -59,8 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="forced-branch enumeration mode (default: exhaustive, "
             "except the qft sweep which defaults to sampled)",
         )
-        p.add_argument("--samples", type=int, default=200, help="runs per case in sampled mode")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers for exhaustive qft")
+        p.add_argument(
+            "--samples",
+            type=int,
+            default=None,
+            help="runs per case in sampled mode (default: each protocol's own count)",
+        )
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
@@ -108,7 +111,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         n=getattr(args, "n", 4),
         m=getattr(args, "m", 2),
         amortized=getattr(args, "amortized", False),
-        workers=args.workers,
         output=args.output,
         format=args.format,
     )
@@ -116,10 +118,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def run_verify(config: RunConfig) -> tuple[int, list[ProtocolReport]]:
     """Run the configured sweep(s); exit status 0 iff everything verified."""
-    kwargs: dict[str, Any] = {"seed": config.seed, "branches": config.branches, "samples": config.samples}
+    kwargs: dict[str, Any] = {"seed": config.seed, "branches": config.branches}
+    if config.samples is not None:
+        kwargs["samples"] = config.samples
     if config.command == "demo":
         kwargs.update(branches="sampled", samples=1)
-    qft_options = {"n": config.n, "m": config.m, "amortized": config.amortized, "workers": config.workers}
+    qft_options = {"n": config.n, "m": config.m, "amortized": config.amortized}
     if config.command == "report" or config.protocol == "all":
         reports = verify_all(**kwargs, **qft_options)
     elif config.protocol == "qft":

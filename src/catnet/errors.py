@@ -30,6 +30,16 @@ class ImpossibleBranchError(CatnetError):
     """A forced measurement outcome has (near-)zero probability."""
 
 
+class BranchDivergenceError(CatnetError):
+    """A probe of a state split into branch rows gave different answers on
+    different rows.
+
+    Protocol structure (which qubits are free, which hold a cat state) must
+    not depend on measurement outcomes; a probe whose answer does depend on
+    them cannot steer one run that carries many branches.
+    """
+
+
 class PreconditionError(CatnetError):
     """A protocol input was not in its required state."""
 

@@ -1,5 +1,5 @@
 """Gate constructors: fixed gates, controlled wrappers, phase rotations, and
-the local cat/GHZ preparation circuits in their two shapes.
+the cat/GHZ preparation schedules in their two shapes.
 """
 
 from __future__ import annotations
@@ -7,11 +7,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
-
 import numpy as np
 
-from .qstate import GateMatrix, StateVector, apply_gate, partial_state_check
+from .qstate import GateMatrix
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -50,14 +48,24 @@ def make_controlled(spec: ControlledSpec) -> GateMatrix:
 
     The result is the identity on the full space except that the final block
     (all controls 1) equals the base matrix. num_controls=0 returns a gate
-    equal to the base itself.
+    equal to the base itself. Equal specs (same control count, same base
+    matrix) return the same GateMatrix object.
     """
     if spec.num_controls < 0:
         raise ValueError(f"num_controls must be >= 0, got {spec.num_controls}")
-    base = spec.base.matrix
-    dim = base.shape[0] * 2**spec.num_controls
+    return _controlled(spec.num_controls, spec.base.matrix.tobytes())
+
+
+# Keyed by content, so the gates a protocol wraps afresh on every call are
+# built and validated once; bounded, so a stream of distinct gates cannot
+# grow it without limit.
+@lru_cache(maxsize=256)
+def _controlled(num_controls: int, base_bytes: bytes) -> GateMatrix:
+    base = np.frombuffer(base_bytes, dtype=complex)
+    side = math.isqrt(base.size)
+    dim = side * 2**num_controls
     out = np.eye(dim, dtype=complex)
-    out[-base.shape[0]:, -base.shape[0]:] = base
+    out[-side:, -side:] = base.reshape(side, side)
     return GateMatrix(out)
 
 
@@ -95,23 +103,3 @@ def em_schedule(m: int, shape: str) -> list[list[tuple[int, int]]]:
         entangled += fresh
     return rounds
 
-
-def local_entangle_em(
-    state: StateVector, qubits: Sequence[int], shape: str = "linear"
-) -> tuple[StateVector, int]:
-    """Entangle `qubits` (all required |0>) into (|0..0> + |1..1>)/sqrt(2).
-
-    Returns the new state and the circuit depth counted in CNOT rounds
-    (the initial H is excluded): m-1 for linear, ceil(log2(m)) for
-    binary-tree.
-    """
-    qubits = [int(q) for q in qubits]
-    rounds = em_schedule(len(qubits), shape)
-    for q in qubits:
-        if not partial_state_check(state, q, 0):
-            raise ValueError(f"qubit {q} must be |0> before cat preparation")
-    state = apply_gate(state, H, [qubits[0]])
-    for rnd in rounds:
-        for src, dst in rnd:
-            state = apply_gate(state, CNOT, [qubits[src], qubits[dst]])
-    return state, len(rounds)

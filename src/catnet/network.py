@@ -9,6 +9,13 @@ rounds) are maintained by the operations themselves.
 
 Each node owns a register pool (long-lived data qubits) and a channel pool
 (communication qubits). All slots start occupied by |0> qubits.
+
+One run can carry many measurement branches as rows of the state (see
+split_outcomes). Gates, ledger and rounds are shared by every row; outcomes,
+message bits and branch probabilities become per-row arrays, a classically
+controlled gate fires only on the rows whose control bits XOR to 1, and a
+probe of the state must answer alike on every row or raise
+BranchDivergenceError.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import numpy as np
 
 from . import qstate
 from .errors import (
+    BranchDivergenceError,
     CapacityError,
     CausalityError,
     LocalityError,
@@ -53,18 +61,20 @@ class QubitAddress:
 
 @dataclass(frozen=True)
 class ClassicalMessage:
-    """A classical bit in flight: sender, recipients, payload, label."""
+    """A classical bit in flight: sender, recipients, payload, label.
+
+    On a network split into branch rows the payload may be one bit per row.
+    """
 
     sender: str
     to: tuple[str, ...]
-    bit: int
+    bit: int | np.ndarray
     tag: str
 
     def __post_init__(self) -> None:
         to = (self.to,) if isinstance(self.to, str) else tuple(self.to)
         object.__setattr__(self, "to", to)
-        if self.bit not in (0, 1):
-            raise ValueError(f"message bit must be 0 or 1, got {self.bit}")
+        object.__setattr__(self, "bit", qstate._bits(self.bit, "message bit"))
 
 
 @dataclass
@@ -108,12 +118,32 @@ class NodeSpec:
 ControlToken = MeasurementRecord | ClassicalMessage
 
 
+def _one_answer(answer: bool | np.ndarray, what: str, addrs: Sequence[object] = ()) -> bool:
+    """The answer of a probe: a bool, or per-row answers that must all agree.
+
+    The error names `what` (followed by `addrs`, if given) when they do not.
+    """
+    if not isinstance(answer, np.ndarray):
+        return bool(answer)
+    if answer.all():
+        return True
+    if not answer.any():
+        return False
+    if addrs:
+        what = f"{what} {[str(a) for a in addrs]}"
+    raise BranchDivergenceError(
+        f"{what} holds on {int(answer.sum())} of {answer.size} branch rows; "
+        f"protocol structure must not depend on measurement outcomes"
+    )
+
+
 class Network:
     """A set of nodes sharing one exact global state.
 
     `state` is a StateVector whose amplitudes the network owns and mutates:
     gates, measurements and setup helpers all write into that one buffer,
     so a caller that needs the state as it was must copy the amplitudes.
+    A split measurement replaces the buffer with one of twice the rows.
     """
 
     def __init__(
@@ -144,8 +174,12 @@ class Network:
         self.message_log: list[ClassicalMessage] = []
         self.records: list[MeasurementRecord] = []
         self.rng = np.random.default_rng(seed)
-        self.branch_probability = 1.0
+        # a float, or one probability per row once the state is split
+        self.branch_probability: float | np.ndarray = 1.0
         self._forced: collections.deque[int] = collections.deque()
+        self._splits = 0
+        # ids of the records and messages made here, for causality checks
+        self._token_ids: set[int] = set()
         self._in_round = False
         self._round_touched: set[int] = set()
 
@@ -171,12 +205,6 @@ class Network:
             return self.ownership[addr]
         except KeyError:
             raise ValueError(f"no qubit currently held at {addr}") from None
-
-    def owner_of(self, gidx: int) -> QubitAddress:
-        for addr, g in self.ownership.items():
-            if g == gidx:
-                return addr
-        raise ValueError(f"global index {gidx} is unowned")
 
     def addresses(self, node: str | None = None, pool: str | None = None) -> list[QubitAddress]:
         out = [
@@ -268,11 +296,17 @@ class Network:
             qstate.apply_gate_inplace(self.state, H, [gidx])
         if forced is None and self._forced:
             forced = self._forced.popleft()
-        rng = self.rng if forced is None else None
-        rec = qstate.measure_inplace(self.state, gidx, rng=rng, forced=forced)
+        if forced is None and self._splits:
+            self.state, rec = qstate.measure_split(self.state, gidx)
+            self._splits -= 1
+            self.branch_probability = np.repeat(self.branch_probability, 2) * rec.probability
+        else:
+            rng = self.rng if forced is None else None
+            rec = qstate.measure_inplace(self.state, gidx, rng=rng, forced=forced)
+            self.branch_probability = self.branch_probability * rec.probability
         record = MeasurementRecord(addr, rec.outcome, rec.probability)
         self.records.append(record)
-        self.branch_probability *= rec.probability
+        self._token_ids.add(id(record))
         return record
 
     def force_outcomes(self, bits: Iterable[int]) -> None:
@@ -281,6 +315,37 @@ class Network:
             if b not in (0, 1):
                 raise ValueError(f"forced outcomes must be bits, got {b}")
             self._forced.append(int(b))
+
+    def split_outcomes(self, count: int) -> None:
+        """Let the next `count` measurements that the forced queue does not
+        cover take both outcomes.
+
+        Each such measurement turns row r of the state into rows 2r
+        (outcome 0) and 2r+1 (outcome 1), so after k splits the rows are
+        the 2^k branches in order, the first split outcome the most
+        significant bit of the row index.
+        """
+        if count < 0:
+            raise ValueError(f"split count must be >= 0, got {count}")
+        self._splits += int(count)
+
+    @property
+    def rows(self) -> int:
+        """Branch rows the state carries: 1 until a measurement splits it."""
+        return self.state.rows
+
+    @property
+    def pending_outcomes(self) -> int:
+        """Forced outcomes queued but not yet consumed."""
+        return len(self._forced)
+
+    def row_bits(self, bits: int | np.ndarray) -> int | np.ndarray:
+        """A bit, or per-row bits recorded when the state had fewer rows,
+        as they read on the current rows (every later split repeats a
+        row's bit on both of its children)."""
+        if isinstance(bits, np.ndarray):
+            return np.repeat(bits, self.rows // len(bits))
+        return bits
 
     # ---- classical communication ------------------------------------------
 
@@ -293,12 +358,17 @@ class Network:
                 raise ValueError(f"unknown recipient {dest!r}")
         self._account_round([])
         self.message_log.append(msg)
+        self._token_ids.add(id(msg))
         self.ledger.cbits_sent += sum(1 for dest in msg.to if dest != msg.sender)
         return msg
 
-    def _token_bit_at(self, token: ControlToken, node: str) -> int:
+    def knows(self, token: ControlToken) -> bool:
+        """True when the record or message was made by this network."""
+        return id(token) in self._token_ids
+
+    def _token_bit_at(self, token: ControlToken, node: str) -> int | np.ndarray:
         if isinstance(token, MeasurementRecord):
-            if not any(token is r for r in self.records):
+            if not self.knows(token):
                 raise CausalityError("measurement record does not belong to this network")
             if token.address.node != node:
                 raise CausalityError(
@@ -306,7 +376,7 @@ class Network:
                 )
             return token.outcome
         if isinstance(token, ClassicalMessage):
-            if not any(token is m for m in self.message_log):
+            if not self.knows(token):
                 raise CausalityError("message was never sent on this network")
             if node != token.sender and node not in token.to:
                 raise CausalityError(
@@ -320,13 +390,15 @@ class Network:
         controls: ControlToken | Sequence[ControlToken],
         gate: GateMatrix,
         targets: QubitAddress | Sequence[QubitAddress],
-    ) -> bool:
+    ) -> bool | np.ndarray:
         """Apply `gate` iff the XOR of the control bits is 1.
 
         Every control bit must be available at the target node: measured
         there, or delivered there by a logged message. The scheduling round
         is charged whether or not the gate fires, so costs do not depend on
-        measurement outcomes. Returns True when the gate was applied.
+        measurement outcomes. Returns True when the gate was applied; with
+        per-row control bits, the gate fires on the rows whose XOR is 1 and
+        the return value is that row mask.
         """
         if isinstance(targets, QubitAddress):
             targets = [targets]
@@ -339,12 +411,19 @@ class Network:
             controls = [controls]
         bit = 0
         for token in controls:
-            bit ^= self._token_bit_at(token, node)
+            bit = bit ^ self.row_bits(self._token_bit_at(token, node))
         idx = [self.global_index(t) for t in targets]
         self._account_round(idx)
-        if bit:
+        if not isinstance(bit, np.ndarray):
+            if bit:
+                qstate.apply_gate_inplace(self.state, gate, idx)
+            return bool(bit)
+        fire = bit == 1
+        if fire.all():
             qstate.apply_gate_inplace(self.state, gate, idx)
-        return bool(bit)
+        elif fire.any():
+            qstate.apply_gate_inplace(self.state, gate, idx, rows=fire)
+        return fire
 
     # ---- qubit movement ----------------------------------------------------
 
@@ -398,9 +477,15 @@ class Network:
 
     # ---- state inspection ---------------------------------------------------
 
-    def qubit_is(self, addr: QubitAddress, bit: int) -> bool:
-        """True when the qubit at addr reads `bit` with probability 1."""
-        return qstate.partial_state_check(self.state, self.global_index(addr), bit)
+    def qubit_is(self, addr: QubitAddress, bit: int | np.ndarray) -> bool:
+        """True when the qubit at addr reads `bit` with probability 1.
+
+        `bit` may be per-row bits (a measurement outcome, say). On a split
+        state every row must give the same answer, or the probe raises
+        BranchDivergenceError.
+        """
+        answer = qstate.partial_state_check(self.state, self.global_index(addr), self.row_bits(bit))
+        return _one_answer(answer, "the expected bit on", [addr])
 
     def last_record(self, addr: QubitAddress) -> MeasurementRecord | None:
         for rec in reversed(self.records):
@@ -451,10 +536,11 @@ class Network:
         norm = np.linalg.norm(amps)
         if norm < qstate.ZERO_CUTOFF:
             raise ValueError("cannot inject the zero vector")
-        psi = self.state.amplitudes.reshape((2,) * self.num_qubits)
+        psi = qstate._qubit_view(self.state.amplitudes, self.num_qubits)
         psi[...] = 0
         block: list = [0] * self.num_qubits
         for i in idx:
             block[i] = slice(None)
-        # the block's axes run in ascending global index; reorder the input's to match
-        psi[tuple(block)] = np.transpose((amps / norm).reshape((2,) * k), np.argsort(idx))
+        # the block's axes run in ascending global index; reorder the input's
+        # to match (every row of a split state receives the same input)
+        psi[(Ellipsis, *block)] = np.transpose((amps / norm).reshape((2,) * k), np.argsort(idx))

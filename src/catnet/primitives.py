@@ -12,7 +12,6 @@ Teleportation is the two composed back to back over an EPR pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 from . import qstate
 from .errors import EntanglementError
 from .gates import CNOT, X, Z
-from .network import ClassicalMessage, Network, QubitAddress
+from .network import ClassicalMessage, Network, QubitAddress, _one_answer
 from .qstate import ATOL, MeasurementRecord
 
 
@@ -45,22 +44,25 @@ def _require_correlated(
     """Check the qubits only ever read all-0 or all-1 together.
 
     Returns the amplitude slabs for every bit pattern of the qubits (first
-    address = most significant bit), as views of the network's state.
+    address = most significant bit), as views of the network's state. On a
+    split state the check is made per row, and rows that disagree raise
+    BranchDivergenceError.
     """
-    rows = qstate.pattern_slabs(net.state, [net.global_index(a) for a in addrs])
-    mixed = math.sqrt(sum(np.linalg.norm(row) ** 2 for row in rows[1:-1]))
-    if mixed > ATOL:
+    slabs = qstate.pattern_slabs(net.state, [net.global_index(a) for a in addrs])
+    mixed = np.sqrt(sum(qstate.row_weights(slab, net.rows) for slab in slabs[1:-1]))
+    if _one_answer(mixed > ATOL, "a mix of patterns on", addrs):
         raise EntanglementError(
             f"{what} requires qubits {[str(a) for a in addrs]} to agree in the "
-            f"classical basis; mixed patterns carry weight {mixed:.3e}"
+            f"classical basis; mixed patterns carry weight {mixed.max():.3e}"
         )
-    return rows
+    return slabs
 
 
 def _require_fresh_cat(net: Network, addrs: Sequence[QubitAddress]) -> None:
     """Check the qubits hold (|0..0> + |1..1>)/sqrt(2), nothing else attached."""
-    rows = _require_correlated(net, addrs, "the entangler")
-    if np.linalg.norm(rows[0] - rows[-1]) > ATOL:
+    slabs = _require_correlated(net, addrs, "the entangler")
+    differ = np.sqrt(qstate.row_weights(slabs[0] - slabs[-1], net.rows)) > ATOL
+    if _one_answer(differ, "a broken cat state on", addrs):
         raise EntanglementError(
             f"qubits {[str(a) for a in addrs]} are not in a fresh shared cat state "
             f"(the all-0 and all-1 branches differ)"
@@ -153,10 +155,10 @@ def cat_shrink(
     with net.parallel_round():
         records = [net.measure_x(d) for d in dropped]
 
-    node_parity: dict[str, int] = {}
+    node_parity: dict[str, int | np.ndarray] = {}
     for rec in records:
         node = rec.address.node
-        node_parity[node] = node_parity.get(node, 0) ^ rec.outcome
+        node_parity[node] = node_parity.get(node, 0) ^ net.row_bits(rec.outcome)
 
     controls: list[ClassicalMessage | MeasurementRecord] = [
         rec for rec in records if rec.address.node == fix.node

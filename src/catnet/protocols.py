@@ -121,7 +121,9 @@ class _Scope:
         """Distance from the ideal-gate result on all non-excluded qubits.
 
         Excluded qubits are the protocol's consumables; everything else must
-        carry exactly the state the ideal gates would have produced.
+        carry exactly the state the ideal gates would have produced. On a
+        split network each row is compared with the ideal result of the row
+        it descends from, and the worst row counts.
         """
         net = self.net
         expected = self.pre_state
@@ -131,7 +133,15 @@ class _Scope:
         keep = [i for i in range(net.num_qubits) if i not in skip]
         rho_e = qstate.reduced_density_matrix(expected, keep)
         rho_a = qstate.reduced_density_matrix(net.state, keep)
-        overlap = float(np.trace(rho_a @ rho_e).real)
+        if rho_a.ndim == 2 and rho_e.ndim == 2:
+            overlap = float(np.trace(rho_a @ rho_e).real)
+        else:
+            # trace(a @ e) per row, as the sum of a * e^T over both indices
+            size = rho_a.shape[-1] ** 2
+            a, e = qstate._aligned(
+                rho_a.reshape(-1, size), rho_e.swapaxes(-1, -2).reshape(-1, size)
+            )
+            overlap = float(np.min(np.einsum("ri,ri->r", a, e).real))
         return max(0.0, 1.0 - overlap)
 
 
@@ -235,7 +245,7 @@ def reset_channel_qubits(
     for rec in records:
         if rec is None:
             raise CannotResetError("no measurement record available for reset")
-        if not any(rec is r for r in net.records):
+        if not net.knows(rec):
             raise CannotResetError("measurement record does not belong to this network")
         if not net.qubit_is(rec.address, rec.outcome):
             raise CannotResetError(

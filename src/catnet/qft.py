@@ -246,7 +246,8 @@ def qft_distributed(
         expected = qstate.apply_gate(
             pre_state, _qft_gate(plan.n), [net.global_index(a) for a in addr]
         )
-        fid = qstate.fidelity_up_to_global_phase(net.state, expected)
+        # on a split network the worst branch row counts
+        fid = float(np.min(qstate.fidelity_up_to_global_phase(net.state, expected)))
         infid = max(0.0, 1.0 - fid)
         verified = infid <= ATOL
     return ProtocolReport(

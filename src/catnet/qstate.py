@@ -20,6 +20,14 @@ points: apply_gate/measure return a new state and leave their input alone,
 while apply_gate_inplace/measure_inplace overwrite the state's own buffer
 (the form a Network uses on the global state it owns). pattern_slabs hands
 the same slabs out as views, for checks that read amplitudes by pattern.
+
+A state may carry a leading branch axis: a (rows, 2^n) array holding one
+normalized vector per measurement branch, which is the deferred-measurement
+picture with the branch bits as extra leading qubits that no gate touches.
+Every kernel acts on all rows at once (apply_gate_inplace can be limited to
+a subset of rows), measure_split turns each row into its two outcome rows,
+and the probes return one answer per row. An unsplit state keeps a 1-D
+vector and scalar answers.
 """
 
 from __future__ import annotations
@@ -92,8 +100,10 @@ class GateMatrix:
 class StateVector:
     """Normalized amplitudes over 2**num_qubits basis states.
 
-    The amplitudes are kept C-contiguous, so `amplitudes.reshape((2,) * n)`
-    is a view and the in-place kernels write through it.
+    The amplitudes are a vector of 2^n entries, or a (rows, 2^n) array for a
+    state split into branch rows. They are kept C-contiguous, so reshaping
+    them onto (2,) * n axes is a view and the in-place kernels write
+    through it.
     """
 
     num_qubits: int
@@ -101,14 +111,21 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
-            )
+        dim = 2**self.num_qubits
+        if amps.shape != (dim,) and not (amps.ndim == 2 and amps.shape[1] == dim and len(amps)):
+            raise ValueError(f"expected {dim} amplitudes (per row), got shape {amps.shape}")
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    @property
+    def rows(self) -> int:
+        """Branch rows carried: 1 for an unsplit state."""
+        return 1 if self.amplitudes.ndim == 1 else len(self.amplitudes)
+
+    def norm(self):
+        """The norm: a float, or one per row for a split state."""
+        if self.amplitudes.ndim == 1:
+            return float(np.linalg.norm(self.amplitudes))
+        return np.linalg.norm(self.amplitudes, axis=1)
 
 
 @dataclass(frozen=True)
@@ -120,8 +137,8 @@ class MeasurementRecord:
     """
 
     address: object
-    outcome: int
-    probability: float
+    outcome: int | np.ndarray
+    probability: float | np.ndarray
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
@@ -131,18 +148,6 @@ def basis_state(num_qubits: int, index: int = 0) -> StateVector:
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)
-
-
-def from_amplitudes(amps: Sequence[complex]) -> StateVector:
-    """Build a state from raw amplitudes, normalizing them."""
-    arr = np.asarray(amps, dtype=complex)
-    n = arr.size.bit_length() - 1
-    if 2**n != arr.size:
-        raise ValueError(f"amplitude count {arr.size} is not a power of two")
-    nrm = np.linalg.norm(arr)
-    if nrm < ZERO_CUTOFF:
-        raise ValueError("cannot normalize an all-zero amplitude vector")
-    return StateVector(n, arr / nrm)
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
@@ -163,15 +168,21 @@ def _check_targets(state: StateVector, targets: Sequence[int], arity: int) -> tu
     return targets
 
 
+def _qubit_view(amps: np.ndarray, n: int) -> np.ndarray:
+    """The amplitudes on (2,)*n axes, after the row axis of a split state."""
+    return amps.reshape(amps.shape[:-1] + (2,) * n)
+
+
 # Keyed by (n, targets) only, so a sweep that repeats the same gate placements
 # on fresh networks reuses its entries instead of adding new ones.
 @lru_cache(maxsize=4096)
 def _slabs(n: int, targets: tuple) -> tuple:
-    """Index into the (2,)*n view of the slab for every gate row, in row order.
+    """Index into the qubit view of the slab for every gate row, in row order.
 
     Row r fixes the targets to the bits of r (first target = most
-    significant bit) and leaves every other axis whole. The trailing
-    Ellipsis keeps the result a view even when every axis is a target.
+    significant bit) and leaves every other axis whole. The leading
+    Ellipsis spans the row axis of a split state and keeps the result a
+    view even when every qubit is a target.
     """
     a = len(targets)
     out = []
@@ -179,18 +190,20 @@ def _slabs(n: int, targets: tuple) -> tuple:
         idx: list = [slice(None)] * n
         for j, t in enumerate(targets):
             idx[t] = (row >> (a - 1 - j)) & 1
-        out.append((*idx, Ellipsis))
+        out.append((Ellipsis, *idx))
     return tuple(out)
 
 
 def _apply(amps: np.ndarray, n: int, gate: GateMatrix, targets: tuple) -> None:
-    """Overwrite the contiguous amplitude buffer `amps` with gate @ amps."""
+    """Overwrite the contiguous amplitude buffer `amps` with gate @ amps,
+    on every row of a split state."""
     if gate.kind == "general":
         a = gate.arity
         if a > 1:
-            psi = amps.reshape((2,) * n)
-            res = np.tensordot(gate.tensor, psi, axes=(tuple(range(a, 2 * a)), targets))
-            psi[...] = np.moveaxis(res, tuple(range(a)), targets)
+            psi = _qubit_view(amps, n)
+            axes = tuple(t + amps.ndim - 1 for t in targets)
+            res = np.tensordot(gate.tensor, psi, axes=(tuple(range(a, 2 * a)), axes))
+            psi[...] = np.moveaxis(res, tuple(range(a)), axes)
         elif targets[0] == n - 1:
             # the two slabs of the last qubit interleave pair by pair
             pairs = amps.reshape(-1, 2)
@@ -198,10 +211,10 @@ def _apply(amps: np.ndarray, n: int, gate: GateMatrix, targets: tuple) -> None:
         else:
             # axis 1 of this view separates the target's two slabs, so one
             # matmul applies the 2x2 matrix to every pair of amplitudes
-            split = amps.reshape(2 ** targets[0], 2, -1)
+            split = amps.reshape(-1, 2, 2 ** (n - 1 - targets[0]))
             split[...] = gate.matrix @ split
         return
-    psi = amps.reshape((2,) * n)
+    psi = _qubit_view(amps, n)
     slab = _slabs(n, targets)
     if gate.kind == "permutation":
         # every source is saved before any destination is written, so cycles
@@ -227,32 +240,61 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets: Sequence[int]) -> 
     return StateVector(state.num_qubits, out)
 
 
-def apply_gate_inplace(state: StateVector, gate: GateMatrix, targets: Sequence[int]) -> None:
-    """Apply `gate` to the listed qubits, overwriting the state's amplitudes."""
+def apply_gate_inplace(
+    state: StateVector,
+    gate: GateMatrix,
+    targets: Sequence[int],
+    rows: np.ndarray | None = None,
+) -> None:
+    """Apply `gate` to the listed qubits, overwriting the state's amplitudes.
+
+    `rows`, a boolean mask over the rows of a split state, limits the gate
+    to those rows; the others are left as they are.
+    """
     targets = _check_targets(state, targets, gate.arity)
-    _apply(state.amplitudes, state.num_qubits, gate, targets)
+    if rows is None:
+        _apply(state.amplitudes, state.num_qubits, gate, targets)
+        return
+    sub = state.amplitudes[rows]
+    _apply(sub, state.num_qubits, gate, targets)
+    state.amplitudes[rows] = sub
 
 
 def pattern_slabs(state: StateVector, qubits: Sequence[int]) -> list[np.ndarray]:
     """The amplitudes grouped by the bit pattern of `qubits`, without copying.
 
     Entry b is a view of the slab where the listed qubits read the bits of b
-    (first listed qubit = most significant bit).
+    (first listed qubit = most significant bit); a split state's slabs keep
+    the row axis first.
     """
     qubits = _check_targets(state, qubits, len(qubits))
-    psi = state.amplitudes.reshape((2,) * state.num_qubits)
+    psi = _qubit_view(state.amplitudes, state.num_qubits)
     return [psi[idx] for idx in _slabs(state.num_qubits, qubits)]
 
 
-def _weight(amps: np.ndarray, qubit: int, bit: int) -> float:
-    """Probability that `qubit` reads `bit`.
+def row_weights(block: np.ndarray, rows: int) -> float | np.ndarray:
+    """Squared norm of `block` (a state or one of its slabs, the row axis
+    first when rows > 1): a float for one row, else one value per row."""
+    if rows == 1:
+        return float(np.linalg.norm(block)) ** 2
+    flat = block.reshape(rows, -1)
+    return np.einsum("ri,ri->r", flat.real, flat.real) + np.einsum("ri,ri->r", flat.imag, flat.imag)
+
+
+def _weight(amps: np.ndarray, n: int, qubit: int, bit: int) -> float | np.ndarray:
+    """Probability that `qubit` reads `bit`: a float for an unsplit buffer,
+    else one value per row.
 
     One reduction over the float64 view of the slab where the qubit reads
     `bit` sums the squared real and imaginary parts, so no squared copy of
     the slab is built.
     """
-    f = amps.view(np.float64).reshape(2**qubit, 2, -1)[:, bit, :]
-    return float(np.einsum("ij,ij->", f, f))
+    f = amps.view(np.float64)
+    if amps.ndim == 1:
+        f = f.reshape(2**qubit, 2, -1)[:, bit, :]
+        return float(np.einsum("ij,ij->", f, f))
+    f = f.reshape(len(amps), 2**qubit, 2, -1)[:, :, bit, :]
+    return np.einsum("rjk,rjk->r", f, f)
 
 
 def _collapse(
@@ -260,32 +302,66 @@ def _collapse(
     n: int,
     qubit: int,
     rng: np.random.Generator | None,
-    forced: int | None,
+    forced: int | np.ndarray | None,
 ) -> MeasurementRecord:
-    """Measure `qubit` of the buffer `amps` in place and return the record."""
+    """Measure `qubit` of the buffer `amps` in place and return the record.
+
+    On a split buffer the outcome and its probability are per row: a forced
+    outcome may be one bit for every row or one bit per row, and the
+    generator draws once per row.
+    """
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     if (rng is None) == (forced is None):
         raise ValueError("supply exactly one of rng= or forced=")
+    split = amps.ndim == 2
     # per-outcome weights summed from their own slices: renormalizing by the
     # kept slice's weight leaves the state with unit norm exactly, whereas
     # 1 - p_other would let rounding drift compound over many measurements
-    if forced is not None:
-        outcome = int(forced)
-        if outcome not in (0, 1):
-            raise ValueError(f"forced outcome must be 0 or 1, got {forced}")
+    if forced is None:
+        if split:
+            forced = (rng.random(len(amps)) < _weight(amps, n, qubit, 1)).astype(np.int64)
+        else:
+            forced = int(rng.random() < _weight(amps, n, qubit, 1))
+    outcome = _bits(forced, "forced outcome")
+    if isinstance(outcome, np.ndarray) and (outcome == outcome[0]).all():
+        outcome = int(outcome[0])
+    if isinstance(outcome, int):
+        p = _weight(amps, n, qubit, outcome)
     else:
-        outcome = int(rng.random() < _weight(amps, qubit, 1))
-    p = _weight(amps, qubit, outcome)
-    if p < ZERO_CUTOFF:
+        p = np.where(outcome == 1, _weight(amps, n, qubit, 1), _weight(amps, n, qubit, 0))
+    # scalar arithmetic for an unsplit buffer: numpy calls on a single value
+    # cost more than the collapse of a small state
+    least = p.min() if split else p
+    if least < ZERO_CUTOFF:
         raise ImpossibleBranchError(
-            f"outcome {outcome} on qubit {qubit} has probability {p:.3e}"
+            f"outcome {outcome} on qubit {qubit} has probability {least:.3e}"
         )
-    split = amps.reshape(2**qubit, 2, -1)
-    split[:, 1 - outcome, :] = 0
-    kept = split[:, outcome, :]
-    kept /= np.sqrt(p)
+    scale = np.sqrt(p)[:, None, None] if split else np.sqrt(p)
+    halves = amps.reshape(-1, 2**qubit, 2, 2 ** (n - 1 - qubit))
+    if isinstance(outcome, int):
+        halves[:, :, 1 - outcome, :] = 0
+        kept = halves[:, :, outcome, :]
+        kept /= scale
+    else:
+        halves[outcome == 0, :, 1, :] = 0
+        halves[outcome == 1, :, 0, :] = 0
+        halves /= scale[..., None]
     return MeasurementRecord(qubit, outcome, p)
+
+
+def _bits(value, what: str) -> int | np.ndarray:
+    """A bit as an int, or per-row bits as an int64 array; anything else raises."""
+    if isinstance(value, np.ndarray):
+        if value.ndim == 0:
+            return _bits(value.item(), what)
+        bits = value.astype(np.int64)
+        if not ((bits == 0) | (bits == 1)).all() or not np.array_equal(bits, value):
+            raise ValueError(f"{what} must be 0 or 1, got {value}")
+        return bits
+    if value not in (0, 1):
+        raise ValueError(f"{what} must be 0 or 1, got {value}")
+    return int(value)
 
 
 def measure(
@@ -320,33 +396,89 @@ def measure_inplace(
     return _collapse(state.amplitudes, state.num_qubits, qubit, rng, forced)
 
 
-def fidelity_up_to_global_phase(a: StateVector, b: StateVector) -> float:
-    """|<a|b>| for normalized pure states; 1 means equal up to global phase."""
+def measure_split(state: StateVector, qubit: int) -> tuple[StateVector, MeasurementRecord]:
+    """Z-measure `qubit` on every row and keep both outcomes.
+
+    Row r of the input becomes row 2r (outcome 0) and row 2r+1 (outcome 1)
+    of a new state, each renormalized by its own weight; the record holds
+    the per-row outcomes and probabilities. Any branch of probability below
+    1e-12 raises ImpossibleBranchError. The input state is left untouched.
+    """
+    n = state.num_qubits
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    amps = state.amplitudes.reshape(-1, 2**n)
+    rows = len(amps)
+    p = np.stack([_weight(amps, n, qubit, 0), _weight(amps, n, qubit, 1)], axis=1).reshape(-1)
+    if (p < ZERO_CUTOFF).any():
+        raise ImpossibleBranchError(
+            f"a branch of the split on qubit {qubit} has probability {p.min():.3e}"
+        )
+    src = amps.reshape(rows, 2**qubit, 2, -1)
+    new = np.zeros((rows, 2) + src.shape[1:], dtype=complex)
+    for bit in (0, 1):
+        new[:, bit, :, bit, :] = src[:, :, bit, :]
+    new = new.reshape(2 * rows, 2**n)
+    new /= np.sqrt(p)[:, None]
+    return StateVector(n, new), MeasurementRecord(qubit, np.tile([0, 1], rows), p)
+
+
+def _aligned(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays of per-row values (amplitudes, say) as (rows, size)
+    arrays with equal row counts.
+
+    The one with fewer rows belongs to an ancestor of the other's state:
+    each of its rows stands for the consecutive block of rows it split into.
+    """
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    rows = max(len(a), len(b))
+    return np.repeat(a, rows // len(a), axis=0), np.repeat(b, rows // len(b), axis=0)
+
+
+def fidelity_up_to_global_phase(a: StateVector, b: StateVector):
+    """|<a|b>| for normalized pure states; 1 means equal up to global phase.
+
+    For split states the overlap is taken row by row (a state with fewer
+    rows stands in for each row that descends from it), one value per row.
+    """
     if a.num_qubits != b.num_qubits:
         raise ValueError(
             f"state sizes differ: {a.num_qubits} vs {b.num_qubits} qubits"
         )
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
+    if a.amplitudes.ndim == b.amplitudes.ndim == 1:
+        return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
+    x, y = _aligned(a.amplitudes, b.amplitudes)
+    return np.abs(np.einsum("ri,ri->r", x.conj(), y))
 
 
-def partial_state_check(state: StateVector, qubit: int, expected: int) -> bool:
-    """True when `qubit` is |expected> with probability 1 within 1e-10."""
-    if expected not in (0, 1):
-        raise ValueError(f"expected bit must be 0 or 1, got {expected}")
+def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarray):
+    """True when `qubit` is |expected> with probability 1 within 1e-10.
+
+    A split state gives one answer per row, and `expected` may then hold
+    one bit per row.
+    """
+    expected = _bits(expected, "expected bit")
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    return _weight(state.amplitudes, qubit, 1 - expected) <= ATOL
+    amps, n = state.amplitudes, state.num_qubits
+    if isinstance(expected, np.ndarray):
+        wrong = np.where(expected == 1, _weight(amps, n, qubit, 0), _weight(amps, n, qubit, 1))
+    else:
+        wrong = _weight(amps, n, qubit, 1 - expected)
+    return wrong <= ATOL
 
 
 def reduced_density_matrix(state: StateVector, keep: Sequence[int]) -> np.ndarray:
     """Density matrix of the listed qubits with everything else traced out.
 
-    Row/column indices follow the order of `keep` (first listed = MSB).
+    Row/column indices follow the order of `keep` (first listed = MSB). A
+    split state gives a stack of matrices, one per row.
     """
     keep = tuple(int(q) for q in keep)
     keep = _check_targets(state, keep, len(keep))
     n = state.num_qubits
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = np.moveaxis(psi, keep, tuple(range(len(keep))))
-    m = psi.reshape(2 ** len(keep), -1)
-    return m @ m.conj().T
+    lead = state.amplitudes.ndim - 1
+    psi = _qubit_view(state.amplitudes, n)
+    psi = np.moveaxis(psi, [k + lead for k in keep], range(lead, lead + len(keep)))
+    m = psi.reshape(state.amplitudes.shape[:-1] + (2 ** len(keep), -1))
+    return m @ m.conj().swapaxes(-1, -2)

@@ -2,9 +2,12 @@
 
 Each verifier builds fresh networks, drives one protocol through every
 forced measurement branch (or a seeded sample of branches), and folds the
-runs into a single ProtocolReport: worst-case infidelity, resource-count
-constancy across branches, branch probabilities summing to one, and
-protocol-specific postconditions (channel hygiene, restored ancillas).
+runs into a single ProtocolReport. The transform sweep carries many
+branches per run as rows of a split state (see Network.split_outcomes); the
+others run one branch per network. The report covers worst-case
+infidelity, resource-count constancy across branches, branch probabilities
+summing to one, and protocol-specific postconditions (channel hygiene,
+restored ancillas).
 
 Where the protocols check themselves against reduced-density-matrix
 oracles, the verifiers add a second, independently computed route: ideal
@@ -15,7 +18,6 @@ results compared.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -40,7 +42,7 @@ from .protocols import (
     teleport_with_reset,
 )
 from .qstate import ATOL
-from .qft import build_qft_plan, qft_distributed
+from .qft import _qft_gate, build_qft_plan, qft_distributed
 
 PROB_TOL = 1e-9
 
@@ -58,11 +60,6 @@ def _branches(num_bits: int, mode: str, samples: int, seed: int):
             yield None, seed + 7919 * i + 13
     else:
         raise ValueError(f"branches must be 'exhaustive' or 'sampled', got {mode!r}")
-
-
-def _random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return vec / np.linalg.norm(vec)
 
 
 def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,8 +128,15 @@ class _Sweep:
         if not condition:
             self.fail(label, **info)
 
-    def add(self, report: ProtocolReport, *, section: str = "", label: str = "") -> None:
-        self.branches += 1
+    def add(
+        self, report: ProtocolReport, *, section: str = "", label: str = "", rows: int = 1
+    ) -> None:
+        """Fold in one run, which carried `rows` branches.
+
+        The merged message log is the first single-branch run's; a run over
+        many rows has per-row message bits.
+        """
+        self.branches += rows
         if report.max_infidelity is not None:
             self.max_infidelity = max(self.max_infidelity, report.max_infidelity)
         if report.verified is False:
@@ -141,7 +145,7 @@ class _Sweep:
         sec = self.sections.get(section)
         if sec is None:
             self.sections[section] = {"ledger": led, "rounds": report.rounds}
-            if not self.messages:
+            if not self.messages and rows == 1:
                 self.messages = list(report.messages)
         elif sec["ledger"] != led or sec["rounds"] != report.rounds:
             self.fail(label, ledger=led, first_seen=sec["ledger"])
@@ -191,8 +195,8 @@ def _check_zero(net: Network, sweep: _Sweep, addrs: Iterable[QubitAddress], labe
 
 
 def _check_drained(net: Network, sweep: _Sweep, label: str) -> None:
-    if net._forced:
-        sweep.fail(label, unconsumed_forced_bits=len(net._forced))
+    if net.pending_outcomes:
+        sweep.fail(label, unconsumed_forced_bits=net.pending_outcomes)
 
 
 # ---- individual protocol verifiers -------------------------------------------
@@ -201,7 +205,7 @@ def _check_drained(net: Network, sweep: _Sweep, label: str) -> None:
 def verify_nonlocal_cnot(*, seed: int = 0, branches: str = "exhaustive", samples: int = 40) -> ProtocolReport:
     """Criterion: CNOT across nodes matches the plain gate, costing (1, 2)."""
     rng = np.random.default_rng(seed)
-    inputs = [_random_state(4, rng) for _ in range(10)]
+    inputs = [qstate.random_state(2, rng).amplitudes for _ in range(10)]
     cnot_mat = CNOT.matrix
     sweep = _Sweep("nonlocal-cnot")
     per_input = max(1, samples // len(inputs))
@@ -233,7 +237,7 @@ def verify_nonlocal_cnot(*, seed: int = 0, branches: str = "exhaustive", samples
 def verify_teleport(*, seed: int = 0, branches: str = "exhaustive", samples: int = 40) -> ProtocolReport:
     """Criterion: delivery fidelity 1, source freed, ping-pong reuses slots."""
     rng = np.random.default_rng(seed)
-    inputs = [_random_state(2, rng) for _ in range(10)]
+    inputs = [qstate.random_state(1, rng).amplitudes for _ in range(10)]
     sweep = _Sweep("teleport")
     per_input = max(1, samples // len(inputs))
     for i, amps in enumerate(inputs):
@@ -282,7 +286,7 @@ def verify_teleport(*, seed: int = 0, branches: str = "exhaustive", samples: int
 def verify_cat_roundtrip(*, seed: int = 0, branches: str = "exhaustive", samples: int = 60) -> ProtocolReport:
     """Criterion: entangle then disentangle restores the control on any member."""
     rng = np.random.default_rng(seed)
-    inputs = [_random_state(2, rng) for _ in range(5)]
+    inputs = [qstate.random_state(1, rng).amplitudes for _ in range(5)]
     sweep = _Sweep("cat-roundtrip")
     for size in (2, 3, 4):
         spec = [("N0", 1, 1)] + [(f"N{j}", 0, 1) for j in range(1, size)]
@@ -371,7 +375,7 @@ def verify_ghz(*, seed: int = 0, branches: str = "exhaustive", samples: int = 64
 def verify_refresh(*, seed: int = 0, branches: str = "exhaustive", samples: int = 32) -> ProtocolReport:
     """Criterion: establish, use, reset, re-establish, use again."""
     rng = np.random.default_rng(seed)
-    inputs = [_random_state(4, rng) for _ in range(2)]
+    inputs = [qstate.random_state(2, rng).amplitudes for _ in range(2)]
     cnot_mat = CNOT.matrix
     sweep = _Sweep("refresh")
     per_input = max(1, samples // len(inputs))
@@ -409,7 +413,7 @@ def verify_refresh(*, seed: int = 0, branches: str = "exhaustive", samples: int 
 def verify_distributed_swap(*, seed: int = 0, branches: str = "exhaustive", samples: int = 32) -> ProtocolReport:
     """Criterion: states exchanged over 16 branches at (2 ebits, 4 cbits)."""
     rng = np.random.default_rng(seed)
-    inputs = [_random_state(4, rng) for _ in range(5)]
+    inputs = [qstate.random_state(2, rng).amplitudes for _ in range(5)]
     swap_mat = SWAP.matrix
     sweep = _Sweep("distributed-swap")
     per_input = max(1, samples // len(inputs))
@@ -442,7 +446,7 @@ def verify_distributed_swap(*, seed: int = 0, branches: str = "exhaustive", samp
 def verify_multi_control(*, seed: int = 0, branches: str = "exhaustive", samples: int = 32) -> ProtocolReport:
     """Criterion: Toffoli with both controls remote costs (2, 4)."""
     rng = np.random.default_rng(seed)
-    inputs = [_random_state(8, rng) for _ in range(5)]
+    inputs = [qstate.random_state(3, rng).amplitudes for _ in range(5)]
     toffoli_full = TOFFOLI.matrix
     sweep = _Sweep("multi-control")
     per_input = max(1, samples // len(inputs))
@@ -521,7 +525,7 @@ def verify_decompose_c4x(*, seed: int = 0, branches: str = "exhaustive", samples
     rng = np.random.default_rng(seed)
     c4x_i = _embed(C4X.matrix, 6, [0, 1, 2, 3, 5])
     for i in range(3):
-        amps = _random_state(64, rng)
+        amps = qstate.random_state(6, rng).amplitudes
         for bits, run_seed in _branches(2, branches, per_case, seed + 1000 + i):
             net = Network([("TOP", 3, 1), ("BOT", 3, 1)], seed=run_seed)
             c1, c2, anc = net.reg("TOP", 0), net.reg("TOP", 1), net.reg("TOP", 2)
@@ -545,7 +549,7 @@ def verify_amortized(*, seed: int = 0, branches: str = "exhaustive", samples: in
     per_case = max(1, samples // 4)
     for k in (1, 2, 5, 10):
         for i in range(3):
-            amps = _random_state(8, rng)
+            amps = qstate.random_state(3, rng).amplitudes
             total_p = 0.0
             for bits, run_seed in _branches(2, branches, per_case, seed + k * 31 + i):
                 net = Network([("A", 1, 1), ("B", 2, 1)], seed=run_seed)
@@ -587,7 +591,7 @@ def verify_parallel_control(*, seed: int = 0, branches: str = "exhaustive", samp
     sweep = _Sweep("parallel-control")
     per_case = max(1, samples // 3)
     for i in range(3):
-        amps = _random_state(256, rng)
+        amps = qstate.random_state(8, rng).amplitudes
         total_p = 0.0
         for bits, run_seed in _branches(4, branches, per_case, seed + i):
             net = Network(
@@ -631,65 +635,30 @@ def verify_parallel_control(*, seed: int = 0, branches: str = "exhaustive", samp
 # ---- distributed QFT -----------------------------------------------------------
 
 
-def _qft_single_branch(
-    n: int,
-    m: int,
+# The most amplitudes, over all branch rows, that one exhaustive-sweep run
+# holds: 64 rows of the 256-amplitude network of the 4-qubit, 2-machine
+# transform. Wider networks split fewer measurements per run.
+QFT_CHUNK_AMPLITUDES = 2**14
+
+
+def _qft_run(
+    plan,
     amortized: bool,
     amps: np.ndarray,
-    bits: tuple[int, ...] | None,
     run_seed: int,
-):
-    """One full distributed-transform run; returns the pieces to aggregate."""
-    plan = build_qft_plan(n, m)
-    spec = [(f"M{i}", plan.k, 2) for i in range(m)]
+    prefix: Sequence[int] = (),
+    split: int = 0,
+) -> tuple[Network, ProtocolReport]:
+    """One distributed-transform run: force `prefix`, split the next `split`
+    measurements into branch rows, and draw any others from the RNG."""
+    spec = [(f"M{i}", plan.k, 2) for i in range(plan.m)]
     net = Network(spec, seed=run_seed)
-    regs = [net.reg(f"M{i // plan.k}", i % plan.k) for i in range(n)]
+    regs = [net.reg(f"M{i // plan.k}", i % plan.k) for i in range(plan.n)]
     net.inject_state(regs, amps)
-    if bits is not None:
-        net.force_outcomes(bits)
-    rep = qft_distributed(net, plan, amortized=amortized)
-    leftovers = len(net._forced)
-    channels_clean = all(net.qubit_is(a, 0) for a in net.addresses(pool=CHANNEL))
-    return rep, net.branch_probability, leftovers, channels_clean
-
-
-def _qft_chunk(args: tuple) -> dict[str, Any]:
-    """Worker task: run a contiguous range of forced branches."""
-    n, m, amortized, amps, num_bits, start, stop, seed = args
-    max_infid = 0.0
-    prob = 0.0
-    ledger: dict | None = None
-    rounds = None
-    constant = True
-    failures: list[dict[str, Any]] = []
-    for value in range(start, stop):
-        bits = tuple((value >> (num_bits - 1 - i)) & 1 for i in range(num_bits))
-        rep, p, leftovers, clean = _qft_single_branch(n, m, amortized, amps, bits, seed)
-        infid = rep.max_infidelity or 0.0
-        max_infid = max(max_infid, infid)
-        prob += p
-        if rep.verified is False and len(failures) < 4:
-            failures.append({"case": f"branch{value:0{num_bits}b}", "infidelity": infid})
-        if leftovers or not clean:
-            constant = False
-            if len(failures) < 4:
-                failures.append(
-                    {"case": f"branch{value:0{num_bits}b}", "leftover_bits": leftovers, "channels_clean": clean}
-                )
-        led = rep.ledger.as_dict()
-        if ledger is None:
-            ledger, rounds = led, rep.rounds
-        elif led != ledger or rep.rounds != rounds:
-            constant = False
-    return {
-        "max_infidelity": max_infid,
-        "probability": prob,
-        "ledger": ledger,
-        "rounds": rounds,
-        "constant": constant,
-        "failures": failures,
-        "count": stop - start,
-    }
+    net.force_outcomes(prefix)
+    net.split_outcomes(split)
+    rep = qft_distributed(net, plan, amortized=amortized, check=False)
+    return net, rep
 
 
 def verify_qft(
@@ -700,13 +669,19 @@ def verify_qft(
     branches: str = "exhaustive",
     samples: int = 200,
     amortized: bool = False,
-    workers: int = 1,
 ) -> ProtocolReport:
     """Criterion: the distributed transform matches the defining matrix.
 
     Checks the closed-form gate counts, sweeps branches (exhaustively or by
     seeded sampling), and pins the rotation-stage ledger to the non-local
     gate count (or to the distribution count in amortized mode).
+
+    The exhaustive sweep carries many branches per run: each run forces a
+    prefix of the outcomes and splits the remaining measurements into
+    branch rows, as many as fit in QFT_CHUNK_AMPLITUDES, so runs and rows
+    together visit the branches in order. Every row is checked on its own
+    against the defining matrix applied to the input, for clean channels,
+    and for its probability.
     """
     plan = build_qft_plan(n, m)
     sweep = _Sweep("qft")
@@ -727,53 +702,59 @@ def verify_qft(
         actual=plan.nonlocal_controlled,
     )
     rng = np.random.default_rng(seed)
-    amps = _random_state(2**n, rng)
+    amps = qstate.random_state(n, rng).amplitudes
     num_bits = (
         2 * (plan.amortized_distributions if amortized else plan.nonlocal_controlled)
         + 4 * plan.cross_swaps
     )
     expected_ebits = plan.amortized_distributions if amortized else plan.nonlocal_controlled
 
+    # independent of the protocol: the defining matrix applied to the input
+    ideal = Network([(f"M{i}", plan.k, 2) for i in range(m)])
+    regs = [ideal.reg(f"M{i // plan.k}", i % plan.k) for i in range(n)]
+    ideal.inject_state(regs, amps)
+    expected = qstate.apply_gate(
+        ideal.state, _qft_gate(n), [ideal.global_index(a) for a in regs]
+    ).amplitudes
+
     if branches == "exhaustive":
-        total = 2**num_bits
-        if workers > 1:
-            step = (total + workers - 1) // workers
-            tasks = [
-                (n, m, amortized, amps, num_bits, lo, min(lo + step, total), seed)
-                for lo in range(0, total, step)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(_qft_chunk, tasks))
-        else:
-            chunks = [_qft_chunk((n, m, amortized, amps, num_bits, 0, total, seed))]
-        prob = 0.0
-        base = None
-        for c in chunks:
-            sweep.branches += c["count"]
-            sweep.max_infidelity = max(sweep.max_infidelity, c["max_infidelity"])
-            prob += c["probability"]
-            for f in c["failures"]:
-                sweep.fail(f.pop("case"), **f)
-            if c["max_infidelity"] > ATOL:
-                sweep.fail("branch-infidelity", infidelity=c["max_infidelity"])
-            if not c["constant"]:
-                sweep.fail("ledger-constancy")
-            if base is None:
-                base = c
-            elif c["ledger"] != base["ledger"] or c["rounds"] != base["rounds"]:
-                sweep.fail("ledger-constancy-across-chunks")
-        sweep.check_probability(prob, "branch-probabilities")
-        if base is not None and base["ledger"] is not None:
-            sweep.sections[""] = {"ledger": base["ledger"], "rounds": base["rounds"]}
+        budget = QFT_CHUNK_AMPLITUDES.bit_length() - 1
+        split = min(num_bits, max(0, budget - ideal.num_qubits))
+        prefix_bits = num_bits - split
+        runs = [
+            (tuple((c >> (prefix_bits - 1 - i)) & 1 for i in range(prefix_bits)), seed)
+            for c in range(2**prefix_bits)
+        ]
+    elif branches == "sampled":
+        split = 0
+        runs = [((), seed + 7919 * i + 13) for i in range(samples)]
     else:
-        for i in range(samples):
-            rep, p, leftovers, clean = _qft_single_branch(
-                n, m, amortized, amps, None, seed + 7919 * i + 13
-            )
-            label = f"sample{i}"
-            sweep.add(rep, label=label)
-            sweep.require(leftovers == 0, label, leftover_bits=leftovers)
-            sweep.require(clean, label, channels_clean=clean)
+        raise ValueError(f"branches must be 'exhaustive' or 'sampled', got {branches!r}")
+
+    total_p = 0.0
+    for c, (prefix, run_seed) in enumerate(runs):
+        net, rep = _qft_run(plan, amortized, amps, run_seed, prefix, split)
+        rows = net.rows
+        if branches == "exhaustive":
+            labels = [f"branch{(c << split) + r:0{num_bits}b}" for r in range(rows)]
+            run_label = f"{labels[0]}..{labels[-1]}"
+        else:
+            run_label = f"sample{c}"
+            labels = [run_label]
+        sweep.add(rep, label=run_label, rows=rows)
+        sweep.require(rows == 2**split, run_label, rows=rows, expected_rows=2**split)
+        sweep.require(not net.pending_outcomes, run_label, leftover_bits=net.pending_outcomes)
+        state = net.state.amplitudes.reshape(rows, -1)
+        infidelity = [max(0.0, 1.0 - abs(np.vdot(row, expected))) for row in state]
+        clean = np.ones(rows, dtype=bool)
+        for a in net.addresses(pool=CHANNEL):
+            clean &= qstate.partial_state_check(net.state, net.global_index(a), 0)
+        for r in range(rows):
+            sweep.observe(infidelity[r], labels[r])
+            sweep.require(bool(clean[r]), labels[r], channels_clean=False)
+        total_p += float(np.sum(net.branch_probability))
+    if branches == "exhaustive":
+        sweep.check_probability(total_p, "branch-probabilities")
 
     sweep.expect("", ebits=expected_ebits, cbits=2 * expected_ebits, qubits_transported=0)
     details = {
@@ -816,15 +797,20 @@ def verify_all(
     *,
     seed: int = 0,
     branches: str = "exhaustive",
-    samples: int = 200,
+    samples: int | None = None,
     n: int = 4,
     m: int = 2,
     amortized: bool = False,
-    workers: int = 1,
 ) -> list[ProtocolReport]:
-    """Run every verifier; n, m, amortized and workers go to the qft sweep only."""
-    qft_options = {"n": n, "m": m, "amortized": amortized, "workers": workers}
+    """Run every verifier; n, m and amortized go to the qft sweep only.
+
+    `samples`, when given, sets every verifier's sample count; by default
+    each keeps its own.
+    """
+    common: dict[str, Any] = {"seed": seed, "branches": branches}
+    if samples is not None:
+        common["samples"] = samples
+    qft_options = {"n": n, "m": m, "amortized": amortized}
     return [
-        fn(seed=seed, branches=branches, samples=samples, **(qft_options if name == "qft" else {}))
-        for name, fn in VERIFIERS.items()
+        fn(**common, **(qft_options if name == "qft" else {})) for name, fn in VERIFIERS.items()
     ]

@@ -1,0 +1,254 @@
+"""The branch axis: one run carrying many measurement branches as rows.
+
+Every batched run here is checked against the same protocol run once per
+branch with all outcomes forced, which is the path the rows replace.
+"""
+
+import numpy as np
+import pytest
+
+from catnet import qstate, verify
+from catnet.errors import BranchDivergenceError, ImpossibleBranchError
+from catnet.gates import CNOT, H, X
+from catnet.network import CHANNEL, REGISTER, Network
+from catnet.primitives import _require_fresh_cat, cat_entangler
+from catnet.protocols import (
+    distributed_swap,
+    nonlocal_cnot,
+    reset_channel_qubits,
+    teleport_with_reset,
+)
+from catnet.qft import build_qft_plan, qft_distributed
+
+TOL = 1e-12
+
+
+def at_row(value, rows, r):
+    """A record or probability value as it reads on row r of `rows` rows."""
+    if isinstance(value, np.ndarray):
+        return np.repeat(value, rows // len(value))[r]
+    return value
+
+
+def assert_row_matches(batched, single, r):
+    """Row r of a batched run equals a per-branch run: state, probability, records."""
+    rows = batched.rows
+    assert single.rows == 1
+    assert np.max(np.abs(batched.state.amplitudes[r] - single.state.amplitudes)) < TOL
+    assert abs(batched.branch_probability[r] - single.branch_probability) < TOL
+    assert len(batched.records) == len(single.records)
+    for rb, rs in zip(batched.records, single.records):
+        assert rb.address == rs.address
+        assert at_row(rb.outcome, rows, r) == rs.outcome
+        assert abs(at_row(rb.probability, rows, r) - rs.probability) < TOL
+
+
+def branch_bits(prefix, split, r):
+    return [*prefix, *((r >> (split - 1 - i)) & 1 for i in range(split))]
+
+
+def run_qft(prefix, split, amps):
+    plan = build_qft_plan(4, 2)
+    net = Network([("M0", 2, 2), ("M1", 2, 2)], seed=0)
+    net.inject_state([net.reg("M0", 0), net.reg("M0", 1), net.reg("M1", 0), net.reg("M1", 1)], amps)
+    net.force_outcomes(prefix)
+    net.split_outcomes(split)
+    rep = qft_distributed(net, plan, amortized=True)
+    return net, rep
+
+
+def test_batched_qft_rows_match_forced_branches():
+    amps = qstate.random_state(4, np.random.default_rng(5)).amplitudes
+    prefix = (1, 0, 0, 1, 0, 1)
+    batched, rep = run_qft(prefix, 6, amps)
+    assert batched.rows == 64 and batched.state.amplitudes.shape == (64, 256)
+    assert rep.verified and rep.max_infidelity < 1e-10
+    for r in (0, 5, 22, 41, 63):
+        single, single_rep = run_qft(branch_bits(prefix, 6, r), 0, amps)
+        assert_row_matches(batched, single, r)
+        assert single_rep.ledger == rep.ledger and single_rep.rounds == rep.rounds
+
+
+def _cnot(net):
+    net.inject_state([net.reg("A"), net.reg("B")], [0.1, 0.7j, 0.5, -0.5])
+    return nonlocal_cnot(net, net.reg("A"), net.reg("B"), auto_establish=True)
+
+
+def _teleport(net):
+    net.inject_state([net.reg("A")], [0.6, 0.8j])
+    net.preshare_epr(net.chan("A"), net.chan("B"))
+    return teleport_with_reset(net, net.reg("A"), (net.chan("A"), net.chan("B")), net.reg("B"))
+
+
+def _swap(net):
+    net.inject_state([net.reg("A"), net.reg("B")], [0.1, 0.7j, 0.5, -0.5])
+    return distributed_swap(net, net.reg("A"), net.reg("B"))
+
+
+@pytest.mark.parametrize(
+    "protocol,spec,measurements",
+    [
+        (_cnot, [("A", 1, 1), ("B", 1, 1)], 2),
+        (_teleport, [("A", 1, 1), ("B", 1, 1)], 2),
+        (_swap, [("A", 1, 2), ("B", 1, 2)], 4),
+    ],
+)
+def test_split_protocols_match_forced_branches(protocol, spec, measurements):
+    """Every measurement split: each row is one branch, the oracle checks
+    every row, and resets and free-slot scans see one answer on all rows."""
+    batched = Network(spec, seed=0)
+    batched.split_outcomes(measurements)
+    rep = protocol(batched)
+    assert batched.rows == 2**measurements
+    assert rep.verified and rep.max_infidelity < 1e-10
+    assert abs(np.sum(batched.branch_probability) - 1.0) < 1e-12
+    for r in range(batched.rows):
+        single = Network(spec, seed=0)
+        single.force_outcomes(branch_bits((), measurements, r))
+        single_rep = protocol(single)
+        assert_row_matches(batched, single, r)
+        assert single_rep.ledger == rep.ledger
+
+
+def split_plus(spec=(("A", 2, 1), ("B", 1, 1))):
+    """A network whose register A[0] was |+> and is now split-measured:
+    row 0 holds |0> there, row 1 holds |1>."""
+    net = Network(list(spec), seed=0)
+    net.local_apply(H, [net.reg("A")])
+    net.split_outcomes(1)
+    rec = net.measure(net.reg("A"))
+    assert net.rows == 2
+    assert np.array_equal(rec.outcome, [0, 1])
+    assert np.allclose(rec.probability, [0.5, 0.5])
+    return net, rec
+
+
+def test_probes_answer_once_for_all_rows():
+    net, rec = split_plus()
+    assert net.qubit_is(net.reg("A", 1), 0) is True
+    assert net.qubit_is(net.reg("A"), rec.outcome) is True
+    assert net.free_slots("B") == [0]
+
+
+def test_divergent_probe_raises():
+    net, rec = split_plus()
+    with pytest.raises(BranchDivergenceError):
+        net.qubit_is(net.reg("A"), 0)
+    with pytest.raises(BranchDivergenceError):
+        net.free_slots("A", REGISTER)
+
+
+def test_divergent_cat_check_raises():
+    net, _ = split_plus()
+    net.preshare_epr(net.chan("A"), net.chan("B"))
+    _require_fresh_cat(net, [net.chan("A"), net.chan("B")])
+    # on row 1 only, the pair picks up a flip: the cat is fresh on one row alone
+    net.local_apply(CNOT, [net.reg("A"), net.chan("A")])
+    with pytest.raises(BranchDivergenceError):
+        cat_entangler(net, net.reg("A", 1), [net.chan("A"), net.chan("B")])
+
+
+def test_divergent_reset_precondition_raises():
+    net, rec = split_plus()
+    net.local_apply(X, [net.reg("A", 1)])
+    flip = net.measure(net.reg("A", 1))  # reads 1 on every row
+    # rec XOR flip is 1 on row 0 only, so A[0] leaves its recorded |0> there alone
+    net.classically_controlled_apply([rec, flip], X, net.reg("A"))
+    with pytest.raises(BranchDivergenceError):
+        reset_channel_qubits(net, [rec])
+
+
+def test_controlled_apply_fires_per_row():
+    net, rec = split_plus()
+    fired = net.classically_controlled_apply(rec, X, net.reg("A", 1))
+    assert np.array_equal(fired, [False, True])
+    assert net.qubit_is(net.reg("A", 1), rec.outcome)
+    reset_channel_qubits(net, [rec])
+    assert net.qubit_is(net.reg("A"), 0)
+
+
+def test_later_splits_repeat_earlier_bits():
+    net, first = split_plus()
+    net.local_apply(H, [net.reg("A", 1)])
+    net.split_outcomes(1)
+    second = net.measure(net.reg("A", 1))
+    assert net.rows == 4
+    assert np.array_equal(net.row_bits(first.outcome), [0, 0, 1, 1])
+    assert np.array_equal(second.outcome, [0, 1, 0, 1])
+    assert np.allclose(net.branch_probability, 0.25)
+
+
+def test_forced_queue_comes_before_the_split():
+    net = Network([("A", 2, 0)], seed=0)
+    net.local_apply(H, [net.reg("A", 0)])
+    net.local_apply(H, [net.reg("A", 1)])
+    net.force_outcomes([1])
+    net.split_outcomes(1)
+    assert net.measure(net.reg("A", 0)).outcome == 1
+    assert net.rows == 1
+    assert np.array_equal(net.measure(net.reg("A", 1)).outcome, [0, 1])
+    assert net.pending_outcomes == 0
+
+
+def test_impossible_split_branch_raises():
+    net = Network([("A", 1, 0)])
+    net.split_outcomes(1)
+    with pytest.raises(ImpossibleBranchError):
+        net.measure(net.reg("A"))
+    assert net.rows == 1
+
+
+def test_unsplit_surface_is_scalar():
+    net = Network([("A", 1, 1), ("B", 1, 1)], seed=3)
+    rep = nonlocal_cnot(net, net.reg("A"), net.reg("B"), auto_establish=True)
+    assert net.state.amplitudes.shape == (16,)
+    assert isinstance(net.branch_probability, float)
+    assert all(isinstance(r.outcome, int) and isinstance(r.probability, float) for r in net.records)
+    assert all(isinstance(m.bit, int) for m in rep.messages)
+    assert isinstance(net.qubit_is(net.reg("B"), 0), bool)
+
+
+def test_qft_sweep_runs_stay_within_the_chunk_budget(monkeypatch):
+    sizes = []
+    run = verify._qft_run
+
+    def recording(*args, **kwargs):
+        net, rep = run(*args, **kwargs)
+        sizes.append(net.state.amplitudes.size)
+        return net, rep
+
+    monkeypatch.setattr(verify, "_qft_run", recording)
+    rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
+    assert rep.verified and rep.branches_tested == 4096
+    assert sizes == [verify.QFT_CHUNK_AMPLITUDES] * 64
+    sizes.clear()
+    rep = verify.verify_qft(n=2, m=2, branches="exhaustive")
+    assert rep.verified and rep.branches_tested == 2 ** rep.details["measurements_per_branch"]
+    assert max(sizes) <= verify.QFT_CHUNK_AMPLITUDES
+
+
+def test_qft_sweep_reports_failing_rows_by_branch(monkeypatch):
+    """A wrong row is reported under the label the per-branch sweep used."""
+    run = verify._qft_run
+
+    def corrupting(*args, **kwargs):
+        net, rep = run(*args, **kwargs)
+        if net.rows > 1 and args[4][:6] == (0, 0, 0, 0, 0, 1):
+            net.state.amplitudes[5] = np.roll(net.state.amplitudes[5], 1)
+        return net, rep
+
+    monkeypatch.setattr(verify, "_qft_run", corrupting)
+    rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
+    assert rep.verified is False
+    cases = {f["case"] for f in rep.details["failures"]}
+    assert f"branch{(1 << 6) + 5:012b}" in cases
+
+
+def test_channels_checked_per_row():
+    net, rec = split_plus()
+    clean = qstate.partial_state_check(net.state, net.global_index(net.chan("A")), 0)
+    assert np.array_equal(clean, [True, True])
+    net.classically_controlled_apply(rec, X, net.chan("A"))
+    clean = qstate.partial_state_check(net.state, net.global_index(net.chan("A")), 0)
+    assert np.array_equal(clean, [True, False])
+    assert net.addresses(pool=CHANNEL) == [net.chan("A"), net.chan("B")]

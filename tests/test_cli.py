@@ -147,8 +147,8 @@ def test_demo_qft_runs_one_branch():
 
 @pytest.mark.parametrize("command", [["report"], ["verify", "all"]])
 def test_sweep_of_everything_passes_qft_options(command, monkeypatch, capsys):
-    """Regression: report and verify all dropped --n, --m and --workers, so
-    the qft sweep silently ran its 4-qubit, 2-machine default."""
+    """Regression: report and verify all dropped --n and --m, so the qft
+    sweep silently ran its 4-qubit, 2-machine default."""
     from catnet import verify
 
     seen = {}
@@ -161,9 +161,39 @@ def test_sweep_of_everything_passes_qft_options(command, monkeypatch, capsys):
         return run
 
     monkeypatch.setattr(verify, "VERIFIERS", {name: recorder(name) for name in verify.VERIFIERS})
-    argv = [*command, "--n", "6", "--m", "3", "--workers", "2", "--branches", "sampled", "--samples", "5"]
+    argv = [*command, "--n", "6", "--m", "3", "--branches", "sampled", "--samples", "5"]
     code, _, _ = run_main(argv, capsys)
     assert code == 0
     common = {"seed": 0, "branches": "sampled", "samples": 5}
-    assert seen["qft"] == {**common, "n": 6, "m": 3, "amortized": False, "workers": 2}
+    assert seen["qft"] == {**common, "n": 6, "m": 3, "amortized": False}
     assert seen["teleport"] == common
+
+
+@pytest.mark.parametrize("command", [["report"], ["verify", "all"]])
+def test_sweep_of_everything_keeps_each_sample_count(command, monkeypatch, capsys):
+    """Regression: without --samples, every verifier was handed 200 samples
+    instead of running its own default count."""
+    from catnet import verify
+
+    seen = {}
+
+    def recorder(name):
+        def run(**kwargs):
+            seen[name] = kwargs
+            return ProtocolReport(name=name, ledger=ResourceLedger(), rounds=0, verified=True)
+
+        return run
+
+    monkeypatch.setattr(verify, "VERIFIERS", {name: recorder(name) for name in verify.VERIFIERS})
+    code, _, _ = run_main([*command, "--branches", "sampled"], capsys)
+    assert code == 0
+    assert set(seen) == set(verify.VERIFIERS)
+    assert all("samples" not in kwargs for kwargs in seen.values())
+    assert seen["teleport"] == {"seed": 0, "branches": "sampled"}
+
+
+def test_workers_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "qft", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err

@@ -15,11 +15,10 @@ from catnet.gates import (
     Z,
     ControlledSpec,
     em_schedule,
-    local_entangle_em,
     make_controlled,
     make_rk,
 )
-from catnet.qstate import apply_gate, basis_state
+from catnet.qstate import GateMatrix, apply_gate, basis_state
 
 SQRT2_INV = 1 / np.sqrt(2)
 
@@ -134,15 +133,31 @@ def test_schedule_rejects_unknown_shape():
 
 
 @pytest.mark.parametrize("shape,m,depth", [("linear", 5, 4), ("binary-tree", 5, 3), ("binary-tree", 8, 3)])
-def test_local_entangle_em(shape, m, depth):
-    state, rounds = local_entangle_em(basis_state(m), range(m), shape)
+def test_em_schedule_prepares_cat(shape, m, depth):
+    """H on wire 0, then the schedule's CNOT rounds, gives the cat state."""
+    schedule = em_schedule(m, shape)
+    state = apply_gate(basis_state(m), H, [0])
+    for stage in schedule:
+        for src, dst in stage:
+            state = apply_gate(state, CNOT, [src, dst])
     want = np.zeros(2**m, dtype=complex)
     want[0] = want[-1] = SQRT2_INV
     assert np.allclose(state.amplitudes, want)
-    assert rounds == depth
+    assert len(schedule) == depth
 
 
-def test_local_entangle_em_requires_zeros():
-    dirty = apply_gate(basis_state(3), X, [1])
-    with pytest.raises(ValueError):
-        local_entangle_em(dirty, [0, 1, 2])
+def test_make_controlled_returns_one_object_per_content():
+    first = make_controlled(ControlledSpec(1, make_rk(3)))
+    # a separately built base with equal matrix content
+    again = make_controlled(ControlledSpec(1, GateMatrix(make_rk(3).matrix.copy())))
+    assert again is first
+    assert make_controlled(ControlledSpec(2, make_rk(3))) is not first
+
+
+def test_make_controlled_cache_is_bounded():
+    from catnet.gates import _controlled
+
+    limit = _controlled.cache_info().maxsize
+    for k in range(limit + 20):
+        make_controlled(ControlledSpec(1, GateMatrix(np.diag([1.0, np.exp(1j * k / 7)]))))
+    assert _controlled.cache_info().currsize == limit

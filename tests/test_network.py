@@ -33,7 +33,6 @@ def test_global_index_layout():
     assert net.global_index(net.reg("B", 0)) == 3
     assert net.global_index(net.chan("B", 1)) == 5
     assert net.num_qubits == 6
-    assert net.owner_of(3) == net.reg("B")
 
 
 def test_address_validation():
@@ -251,6 +250,16 @@ def test_controlled_apply_rejects_foreign_message():
     msg = net.send_cbit(ClassicalMessage("A", "B", rec.outcome, "fix"))
     with pytest.raises(CausalityError):
         net.classically_controlled_apply([msg], X, [net.reg("C")])
+
+
+def test_controlled_apply_rejects_foreign_record():
+    """A record equal in content but made by another network is not usable."""
+    nets = [Network([("A", 2, 0)], seed=0) for _ in range(2)]
+    recs = [net.measure(net.reg("A", 0)) for net in nets]
+    assert recs[0] == recs[1]
+    nets[0].classically_controlled_apply(recs[0], X, [nets[0].reg("A", 1)])
+    with pytest.raises(CausalityError):
+        nets[0].classically_controlled_apply(recs[1], X, [nets[0].reg("A", 1)])
 
 
 def test_controlled_apply_rejects_unlogged_message():

@@ -117,6 +117,16 @@ def test_reset_requires_a_record():
         reset_channel_qubits(net, [None])
 
 
+def test_reset_rejects_foreign_record():
+    """A record equal in content but made by another network cannot reset."""
+    nets = [Network([("A", 1, 1)], seed=0) for _ in range(2)]
+    recs = [net.measure(net.chan("A")) for net in nets]
+    assert recs[0] == recs[1]
+    with pytest.raises(CannotResetError):
+        reset_channel_qubits(nets[0], [recs[1]])
+    assert reset_channel_qubits(nets[0], [recs[0]]) == [nets[0].chan("A")]
+
+
 def test_reset_rejects_stale_record():
     """No-deletion: a qubit that moved on since its measurement cannot be
     erased by bookkeeping."""

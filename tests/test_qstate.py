@@ -21,7 +21,6 @@ from catnet.qstate import (
     apply_gate_inplace,
     basis_state,
     fidelity_up_to_global_phase,
-    from_amplitudes,
     measure,
     measure_inplace,
     partial_state_check,
@@ -77,15 +76,6 @@ def test_basis_state_bounds():
     assert np.allclose(basis_state(3, 5).amplitudes[5], 1.0)
     with pytest.raises(ValueError):
         basis_state(2, 4)
-
-
-def test_from_amplitudes_normalizes():
-    s = from_amplitudes([3, 0, 0, 4])
-    assert np.allclose(s.amplitudes, [0.6, 0, 0, 0.8])
-    with pytest.raises(ValueError):
-        from_amplitudes([1, 2, 3])  # not a power of two
-    with pytest.raises(ValueError):
-        from_amplitudes([0, 0])
 
 
 def test_statevector_shape_checked():
