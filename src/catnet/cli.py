@@ -49,28 +49,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, sweep: bool = True) -> None:
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument(
-            "--branches",
-            choices=["exhaustive", "sampled"],
-            default=None,
-            help="forced-branch enumeration mode (default: exhaustive, "
-            "except the qft sweep which defaults to sampled)",
-        )
-        p.add_argument(
-            "--samples",
-            type=int,
-            default=None,
-            help="runs per case in sampled mode (default: each protocol's own count)",
-        )
+        if sweep:
+            p.add_argument(
+                "--branches",
+                choices=["exhaustive", "sampled"],
+                default=None,
+                help="forced-branch enumeration mode (default: exhaustive, "
+                "except the qft sweep which defaults to sampled)",
+            )
+            p.add_argument(
+                "--samples",
+                type=int,
+                default=None,
+                help="runs per case in sampled mode, at least 1 (default: each protocol's own count)",
+            )
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run one protocol's verification sweep")
     p_verify.add_argument("protocol", choices=PROTOCOLS + ["all"])
-    p_verify.add_argument("--n", type=int, default=4, help="qubits (qft only)")
-    p_verify.add_argument("--m", type=int, default=2, help="machines (qft only)")
+    p_verify.add_argument("--n", type=int, default=None, help="qubits (qft only, default 4)")
+    p_verify.add_argument("--m", type=int, default=None, help="machines (qft only, default 2)")
     p_verify.add_argument("--amortized", action="store_true", help="qft only")
     common(p_verify)
 
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--n", type=int, default=4)
     p_demo.add_argument("--m", type=int, default=2)
     p_demo.add_argument("--amortized", action="store_true")
-    common(p_demo)
+    common(p_demo, sweep=False)
 
     p_qft = sub.add_parser("qft", help="distributed Fourier transform sweep")
     p_qft.add_argument("--n", type=int, default=4, help="total qubits (multiple of --m)")
@@ -96,20 +97,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run the arguments ask for; ValueError for a flag that would do nothing."""
     protocol = getattr(args, "protocol", "qft" if args.command == "qft" else "all")
-    branches = args.branches
+    branches = getattr(args, "branches", None)
     if branches is None:
         # the 4-qubit transform already has 2^16 forced branches; keep the
         # default invocation quick and leave the full sweep opt-in
         branches = "sampled" if protocol == "qft" and args.command != "report" else "exhaustive"
+    samples = getattr(args, "samples", None)
+    if samples is not None and samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
+    if samples is not None and branches == "exhaustive":
+        raise ValueError("--samples applies to sampled branches only; add --branches sampled")
+    n, m = getattr(args, "n", None), getattr(args, "m", None)
+    if args.command == "verify" and protocol not in ("qft", "all"):
+        if n is not None or m is not None or args.amortized:
+            raise ValueError(f"--n, --m and --amortized apply to the qft sweep only, not {protocol}")
     return RunConfig(
         command=args.command,
         protocol=protocol,
         seed=args.seed,
         branches=branches,
-        samples=args.samples,
-        n=getattr(args, "n", 4),
-        m=getattr(args, "m", 2),
+        samples=samples,
+        n=4 if n is None else n,
+        m=2 if m is None else m,
         amortized=getattr(args, "amortized", False),
         output=args.output,
         format=args.format,
@@ -202,7 +213,10 @@ def _demo_trace(report: ProtocolReport) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = config_from_args(args)
+    try:
+        config = config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         status, reports = run_verify(config)
     except ValueError as exc:

@@ -3,11 +3,11 @@
 Every operation here mutates the network in place and returns a
 ProtocolReport carrying the resource delta (ebits, cbits, transports,
 rounds) plus, when check=True, the outcome of an independent oracle
-comparison: the protocol's effect on the surviving qubits is compared,
-via reduced density matrices, against the ideal gate applied to the
-pre-protocol state. Consumed helper qubits (measured channel qubits,
-released ancillas) are excluded from that comparison and are instead
-required to end in known classical states.
+comparison: the protocol's effect on the surviving qubits is compared
+with the ideal gate applied to the pre-protocol state, through the overlap
+tr(rho_actual rho_ideal) of their reduced states. Consumed helper qubits
+(measured channel qubits, released ancillas) are excluded from that
+comparison and are instead required to end in known classical states.
 
 Entanglement policy: protocols consume pre-established EPR pairs. Callers
 either pass them in, enable the auto flag (which writes fresh pairs onto
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Sequence
-
-import numpy as np
 
 from . import qstate
 from .errors import (
@@ -123,7 +121,10 @@ class _Scope:
         Excluded qubits are the protocol's consumables; everything else must
         carry exactly the state the ideal gates would have produced. On a
         split network each row is compared with the ideal result of the row
-        it descends from, and the worst row counts.
+        it descends from, and the worst row counts. The overlap
+        tr(rho_actual rho_ideal) is computed as ||E^dagger A||^2 from the
+        states reshaped to (kept, excluded) matrices, without forming either
+        density matrix.
         """
         net = self.net
         expected = self.pre_state
@@ -131,17 +132,9 @@ class _Scope:
             expected = qstate.apply_gate(expected, gate, [net.global_index(a) for a in addrs])
         skip = {net.global_index(a) for a in exclude}
         keep = [i for i in range(net.num_qubits) if i not in skip]
-        rho_e = qstate.reduced_density_matrix(expected, keep)
-        rho_a = qstate.reduced_density_matrix(net.state, keep)
-        if rho_a.ndim == 2 and rho_e.ndim == 2:
-            overlap = float(np.trace(rho_a @ rho_e).real)
-        else:
-            # trace(a @ e) per row, as the sum of a * e^T over both indices
-            size = rho_a.shape[-1] ** 2
-            a, e = qstate._aligned(
-                rho_a.reshape(-1, size), rho_e.swapaxes(-1, -2).reshape(-1, size)
-            )
-            overlap = float(np.min(np.einsum("ri,ri->r", a, e).real))
+        overlap = float(
+            qstate.overlap(qstate.bipartition(net.state, keep), qstate.bipartition(expected, keep)).min()
+        )
         return max(0.0, 1.0 - overlap)
 
 

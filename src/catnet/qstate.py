@@ -468,17 +468,37 @@ def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarr
     return wrong <= ATOL
 
 
+def bipartition(state: StateVector, keep: Sequence[int]) -> np.ndarray:
+    """The amplitudes as a (rows, 2^len(keep), 2^rest) array: the listed
+    qubits (first listed = MSB) index the middle axis and every other qubit
+    the last. An unsplit state has one row."""
+    keep = _check_targets(state, keep, len(keep))
+    n = state.num_qubits
+    psi = _qubit_view(state.amplitudes.reshape(-1, 2**n), n)
+    psi = np.moveaxis(psi, [k + 1 for k in keep], range(1, len(keep) + 1))
+    return psi.reshape(len(psi), 2 ** len(keep), -1)
+
+
+def overlap(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """tr(rho_a rho_e) for every row of `actual`, one value per row.
+
+    Both arguments are bipartition() blocks over the same kept qubits and
+    rho_x = x x^dagger is the kept qubits' reduced state. The trace equals
+    ||e^dagger a||^2 (Frobenius), so neither density matrix is formed.
+    `expected` may have fewer rows: each stands for the consecutive block of
+    rows of `actual` that descends from it.
+    """
+    a = actual.reshape(len(expected), -1, *actual.shape[1:])
+    m = expected.conj().swapaxes(-1, -2)[:, None] @ a
+    return (np.square(m.real) + np.square(m.imag)).sum(axis=(-1, -2)).reshape(-1)
+
+
 def reduced_density_matrix(state: StateVector, keep: Sequence[int]) -> np.ndarray:
     """Density matrix of the listed qubits with everything else traced out.
 
     Row/column indices follow the order of `keep` (first listed = MSB). A
     split state gives a stack of matrices, one per row.
     """
-    keep = tuple(int(q) for q in keep)
-    keep = _check_targets(state, keep, len(keep))
-    n = state.num_qubits
-    lead = state.amplitudes.ndim - 1
-    psi = _qubit_view(state.amplitudes, n)
-    psi = np.moveaxis(psi, [k + lead for k in keep], range(lead, lead + len(keep)))
-    m = psi.reshape(state.amplitudes.shape[:-1] + (2 ** len(keep), -1))
-    return m @ m.conj().swapaxes(-1, -2)
+    m = bipartition(state, keep)
+    rho = m @ m.conj().swapaxes(-1, -2)
+    return rho if state.amplitudes.ndim == 2 else rho[0]

@@ -1,30 +1,31 @@
 """Branch-enumeration verification harness.
 
-Each verifier builds fresh networks, drives one protocol through every
-forced measurement branch (or a seeded sample of branches), and folds the
-runs into a single ProtocolReport. The transform sweep carries many
-branches per run as rows of a split state (see Network.split_outcomes); the
-others run one branch per network. The report covers worst-case
-infidelity, resource-count constancy across branches, branch probabilities
-summing to one, and protocol-specific postconditions (channel hygiene,
-restored ancillas).
+Every verifier is a table of Case records run by one driver. A case holds a
+node layout, measurement count, inputs, protocol call, the ideal over the
+logical qubits and the qubits that must end in |0>. An
+exhaustive sweep forces a prefix of the outcomes and splits the rest into
+branch rows (Network.split_outcomes), in runs of at most CHUNK_AMPLITUDES
+amplitudes, so runs and rows visit the branches in order; a sampled sweep
+makes unsplit runs that draw every outcome from the RNG. Each row is checked
+against the ideal and for its |0> qubits, each input for branch
+probabilities summing to one, and each section for one ledger in every run.
 
-Where the protocols check themselves against reduced-density-matrix
-oracles, the verifiers add a second, independently computed route: ideal
-gate matrices are embedded into the full space by explicit basis-index
-arithmetic (no shared code with the simulator's gate application) and the
-results compared.
+The ideal shares no code with the simulator's gate application: gates are
+embedded by explicit basis-index arithmetic (_embed) and applied to the
+input as plain matrix products. The protocols' own oracles are a second
+route, folded in through their reports.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import qstate
 from .gates import CNOT, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
-from .network import CHANNEL, Network, QubitAddress, ResourceLedger
+from .network import CHANNEL, REGISTER, Network, QubitAddress
 from .primitives import cat_entangler, cat_shrink
 from .protocols import (
     C4X,
@@ -42,24 +43,17 @@ from .protocols import (
     teleport_with_reset,
 )
 from .qstate import ATOL
-from .qft import _qft_gate, build_qft_plan, qft_distributed
+from .qft import build_qft_plan, qft_distributed, qft_matrix
 
 PROB_TOL = 1e-9
 
+# The most amplitudes, over all branch rows, that one exhaustive-sweep run
+# holds: 64 rows of the 256-amplitude network of the 4-qubit, 2-machine
+# transform. Wider networks split fewer measurements per run.
+CHUNK_AMPLITUDES = 2**14
+
 
 # ---- shared machinery ----------------------------------------------------
-
-
-def _branches(num_bits: int, mode: str, samples: int, seed: int):
-    """Yield (forced bit tuple | None, run seed) pairs for one sweep."""
-    if mode == "exhaustive":
-        for value in range(2**num_bits):
-            yield tuple((value >> (num_bits - 1 - i)) & 1 for i in range(num_bits)), seed
-    elif mode == "sampled":
-        for i in range(samples):
-            yield None, seed + 7919 * i + 13
-    else:
-        raise ValueError(f"branches must be 'exhaustive' or 'sampled', got {mode!r}")
 
 
 def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -94,15 +88,28 @@ def _embed(matrix: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _marginal_infidelity(net: Network, addrs: Sequence[QubitAddress], expected: np.ndarray) -> float:
-    """1 - <expected| rho |expected> on the reduced state of the addresses."""
-    rho = qstate.reduced_density_matrix(net.state, [net.global_index(a) for a in addrs])
-    overlap = float(np.real(expected.conj() @ rho @ expected))
-    return max(0.0, 1.0 - overlap)
+def _reg(node: str, slot: int = 0) -> QubitAddress:
+    return QubitAddress(node, REGISTER, slot)
+
+
+def _chan(node: str, slot: int = 0) -> QubitAddress:
+    return QubitAddress(node, CHANNEL, slot)
+
+
+def _channels(spec: Sequence[tuple[str, int, int]]) -> list[QubitAddress]:
+    return sorted(_chan(node, s) for node, _, channels in spec for s in range(channels))
+
+
+def _inputs(rng: np.random.Generator, qubits: int, count: int, seed: int, prefix: str = "input") -> list:
+    return [(f"{prefix}{i}", seed + i, qstate.random_state(qubits, rng).amplitudes) for i in range(count)]
+
+
+def _bits(value: int, width: int) -> tuple[int, ...]:
+    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
 class _Sweep:
-    """Aggregates per-branch runs into one merged report."""
+    """Aggregates runs into one merged report."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -110,7 +117,7 @@ class _Sweep:
         self.max_infidelity = 0.0
         self.ok = True
         self.failures: list[dict[str, Any]] = []
-        self.sections: dict[str, dict[str, Any]] = {}
+        self.sections: dict[str, ProtocolReport] = {}
         self.messages: list = []
 
     def fail(self, label: str, **info: Any) -> None:
@@ -118,468 +125,366 @@ class _Sweep:
         if len(self.failures) < 8:
             self.failures.append({"case": label, **info})
 
-    def observe(self, infidelity: float, label: str) -> None:
-        infidelity = float(infidelity)
-        self.max_infidelity = max(self.max_infidelity, infidelity)
-        if infidelity > ATOL:
-            self.fail(label, infidelity=infidelity)
-
     def require(self, condition: bool, label: str, **info: Any) -> None:
         if not condition:
             self.fail(label, **info)
 
-    def add(
-        self, report: ProtocolReport, *, section: str = "", label: str = "", rows: int = 1
-    ) -> None:
-        """Fold in one run, which carried `rows` branches.
+    def add(self, report: ProtocolReport, *, section: str = "", label: str = "", rows: int = 1) -> None:
+        """Fold in one report of a run that carried `rows` branches.
 
-        The merged message log is the first single-branch run's; a run over
-        many rows has per-row message bits.
+        The first report of a section sets the ledger and rounds every later
+        one must repeat. The merged message log is row 0 of the first run
+        that logged messages, its bits as ints.
         """
         self.branches += rows
         if report.max_infidelity is not None:
             self.max_infidelity = max(self.max_infidelity, report.max_infidelity)
         if report.verified is False:
             self.fail(label, infidelity=report.max_infidelity, ledger=report.ledger.as_dict())
-        led = report.ledger.as_dict()
-        sec = self.sections.get(section)
-        if sec is None:
-            self.sections[section] = {"ledger": led, "rounds": report.rounds}
-            if not self.messages and rows == 1:
-                self.messages = list(report.messages)
-        elif sec["ledger"] != led or sec["rounds"] != report.rounds:
-            self.fail(label, ledger=led, first_seen=sec["ledger"])
-
-    def expect(self, section: str, label: str = "", *, rounds: int | None = None, **fields: int) -> None:
-        sec = self.sections.get(section)
-        if sec is None:
-            self.fail(label or section, missing_section=section)
-            return
-        for key, val in fields.items():
-            if sec["ledger"].get(key) != val:
-                self.fail(label or section, field=key, actual=sec["ledger"].get(key), expected=val)
-        if rounds is not None and sec["rounds"] != rounds:
-            self.fail(label or section, field="rounds", actual=sec["rounds"], expected=rounds)
-
-    def check_probability(self, total: float, label: str) -> None:
-        if abs(total - 1.0) > PROB_TOL:
-            self.fail(label, probability_sum=total)
-
-    def result(self, *, section: str | None = None, details: dict | None = None) -> ProtocolReport:
-        if section is not None and section in self.sections:
-            first = self.sections[section]
-        else:
-            first = next(
-                iter(self.sections.values()),
-                {"ledger": ResourceLedger().as_dict(), "rounds": 0},
-            )
-        led = first["ledger"]
-        return ProtocolReport(
-            name=self.name,
-            ledger=ResourceLedger(
-                led["ebits"], led["cbits"], led["qubits_transported"], led["rounds"]
-            ),
-            rounds=first["rounds"],
-            branches_tested=self.branches,
-            verified=self.ok,
-            max_infidelity=self.max_infidelity,
-            details={"failures": self.failures, **(details or {})},
-            messages=self.messages,
-        )
+        first = self.sections.setdefault(section, report)
+        if first.ledger != report.ledger or first.rounds != report.rounds:
+            self.fail(label, ledger=report.ledger.as_dict(), first_seen=first.ledger.as_dict())
+        if first is report and not self.messages:
+            self.messages = [replace(m, bit=int(np.ravel(m.bit)[0])) for m in report.messages]
 
 
-def _check_zero(net: Network, sweep: _Sweep, addrs: Iterable[QubitAddress], label: str) -> None:
-    for a in addrs:
-        if not net.qubit_is(a, 0):
-            sweep.fail(label, not_reset=str(a))
+# ---- the case table and its driver ----------------------------------------
 
 
-def _check_drained(net: Network, sweep: _Sweep, label: str) -> None:
-    if net.pending_outcomes:
-        sweep.fail(label, unconsumed_forced_bits=net.pending_outcomes)
+@dataclass
+class Case:
+    """Runs of a sweep that share a node layout and a protocol call.
+
+    Each input is (label, seed, amplitudes): the amplitudes go onto
+    `inject` (default: `logical`), or None starts from |0...0>. `run`
+    performs the protocol on the prepared network and returns its
+    (section, report) pairs. `ideal` is a matrix over the logical qubits,
+    applied to each input, or, for inputs without amplitudes, the expected
+    vector. `measurements` is how many outcomes a sweep enumerates; a case
+    with none makes one run per input and draws any outcomes from the RNG.
+    `samples` is the runs per input in sampled mode, and `details` lists
+    report details that must hold the given values.
+    """
+
+    spec: list[tuple[str, int, int]]
+    measurements: int
+    inputs: list[tuple[str, int, np.ndarray | None]]
+    run: Callable[[Network], list[tuple[str, ProtocolReport]]]
+    logical: list[QubitAddress]
+    ideal: np.ndarray
+    samples: int = 1
+    inject: list[QubitAddress] | None = None
+    zero: list[QubitAddress] = field(default_factory=list)
+    details: dict[str, Any] = field(default_factory=dict)
+
+    def row_label(self, label: str, bits: tuple[int, ...] | None, sample: int) -> str:
+        """The failure label of one row: `bits` are its outcomes in an
+        exhaustive sweep, None in sample number `sample`."""
+        return f"{label}:branch{bits}" if self.measurements else label
+
+
+class _QftCase(Case):
+    def row_label(self, label: str, bits: tuple[int, ...] | None, sample: int) -> str:
+        return f"sample{sample}" if bits is None else "branch" + "".join(map(str, bits))
+
+
+def _split(case: Case) -> int:
+    """Measurements one exhaustive run splits into rows, within CHUNK_AMPLITUDES."""
+    qubits = sum(r + c for _, r, c in case.spec)
+    return min(case.measurements, max(0, CHUNK_AMPLITUDES.bit_length() - 1 - qubits))
+
+
+def _run(case: Case, amps: np.ndarray | None, prefix: Sequence[int], split: int, seed: int) -> tuple[Network, list]:
+    """One run of a case: force `prefix`, split the next `split` measurements
+    into branch rows, and draw any others from the RNG."""
+    net = Network(case.spec, seed=seed)
+    if amps is not None:
+        net.inject_state(case.logical if case.inject is None else case.inject, amps)
+    net.force_outcomes(prefix)
+    net.split_outcomes(split)
+    return net, case.run(net)
+
+
+def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
+    """Run every input of `case` through its branches into `sweep`."""
+    if branches == "exhaustive":
+        split = _split(case)
+        prefix_bits = case.measurements - split
+        plan = [(_bits(c, prefix_bits), 0) for c in range(2**prefix_bits)]
+    elif branches == "sampled":
+        split = 0
+        offsets = [7919 * i + 13 for i in range(case.samples)] if case.measurements else [0]
+        plan = [((), offset) for offset in offsets]
+    else:
+        raise ValueError(f"branches must be 'exhaustive' or 'sampled', got {branches!r}")
+    for label, seed, amps in case.inputs:
+        expected = case.ideal if amps is None else case.ideal @ amps
+        total_p = 0.0
+        for c, (prefix, offset) in enumerate(plan):
+            net, pairs = _run(case, amps, prefix, split, seed + offset)
+            rows = net.rows
+
+            def row_label(r: int) -> str:
+                bits = None if branches == "sampled" else _bits((c << split) + int(r), case.measurements)
+                return case.row_label(label, bits, c)
+
+            run_label = row_label(0) if rows == 1 else f"{row_label(0)}..{row_label(rows - 1)}"
+            for section, rep in pairs:
+                sweep.add(rep, section=section, label=run_label, rows=rows)
+                for key, want in case.details.items():
+                    sweep.require(rep.details[key] == want, run_label, **{key: rep.details[key]})
+            leftover = net.pending_outcomes
+            sweep.require(rows == 2**split and not leftover, run_label, rows=rows, unconsumed_forced_bits=leftover)
+            # 1 - <e|rho|e> on the logical qubits, per row: e is pure, so the
+            # overlap is ||e^dagger A||^2 and no density matrix is formed
+            block = qstate.bipartition(net.state, [net.global_index(a) for a in case.logical])
+            infidelity = np.maximum(0.0, 1.0 - qstate.overlap(block, expected.reshape(1, -1, 1)))
+            sweep.max_infidelity = max(sweep.max_infidelity, float(infidelity.max()))
+            clean = {
+                str(a): np.atleast_1d(qstate.partial_state_check(net.state, net.global_index(a), 0))
+                for a in case.zero
+            }
+            # only rows with a failure pay for a label
+            for r in np.flatnonzero(~np.logical_and.reduce([infidelity <= ATOL, *clean.values()])):
+                sweep.require(infidelity[r] <= ATOL, row_label(r), infidelity=float(infidelity[r]))
+                for a, ok in clean.items():
+                    sweep.require(bool(ok[r]), row_label(r), not_reset=a)
+            total_p += float(np.sum(net.branch_probability))
+        if branches == "exhaustive" and case.measurements:
+            sweep.require(abs(total_p - 1.0) <= PROB_TOL, label, probability_sum=total_p)
+
+
+def _verify(
+    sweep: _Sweep, cases: Sequence[Case], branches: str, expect: dict, *, section: str = "", details: dict
+) -> ProtocolReport:
+    """Drive the cases into `sweep`, check each section's ledger fields (and
+    rounds) against `expect`, and merge everything into one report whose
+    ledger and rounds are those of `section`."""
+    for case in cases:
+        _drive(sweep, case, branches)
+    for sec, fields in expect.items():
+        first = sweep.sections.get(sec)
+        if first is None:
+            sweep.fail(sec, missing_section=sec)
+            continue
+        actual = {**first.ledger.as_dict(), "rounds": first.rounds}
+        for key, want in fields.items():
+            sweep.require(actual[key] == want, sec, field=key, actual=actual[key], expected=want)
+    first = sweep.sections[section]
+    return ProtocolReport(
+        sweep.name, first.ledger, first.rounds, sweep.branches, sweep.ok, sweep.max_infidelity,
+        {"failures": sweep.failures, **details}, sweep.messages,
+    )
 
 
 # ---- individual protocol verifiers -------------------------------------------
 
+_PAIR = [("A", 1, 1), ("B", 1, 1)]
+_WIDE_PAIR = [("A", 1, 2), ("B", 1, 2)]
+
 
 def verify_nonlocal_cnot(*, seed: int = 0, branches: str = "exhaustive", samples: int = 40) -> ProtocolReport:
     """Criterion: CNOT across nodes matches the plain gate, costing (1, 2)."""
-    rng = np.random.default_rng(seed)
-    inputs = [qstate.random_state(2, rng).amplitudes for _ in range(10)]
-    cnot_mat = CNOT.matrix
-    sweep = _Sweep("nonlocal-cnot")
+    inputs = _inputs(np.random.default_rng(seed), 2, 10, seed)
+    chans = _channels(_PAIR)
+
+    def run(net: Network) -> list:
+        rep = nonlocal_cnot(net, _reg("A"), _reg("B"), auto_establish=True)
+        reset_channel_qubits(net, [net.last_record(ch) for ch in chans])
+        return [("", rep)]
+
     per_input = max(1, samples // len(inputs))
-    for i, amps in enumerate(inputs):
-        total_p = 0.0
-        exhaustive = branches == "exhaustive"
-        for bits, run_seed in _branches(2, branches, per_input, seed + i):
-            net = Network([("A", 1, 1), ("B", 1, 1)], seed=run_seed)
-            ctrl, tgt = net.reg("A"), net.reg("B")
-            net.inject_state([ctrl, tgt], amps)
-            if bits is not None:
-                net.force_outcomes(bits)
-            label = f"input{i}:branch{bits}"
-            rep = nonlocal_cnot(net, ctrl, tgt, auto_establish=True)
-            sweep.add(rep, label=label)
-            sweep.observe(_marginal_infidelity(net, [ctrl, tgt], cnot_mat @ amps), label)
-            total_p += net.branch_probability
-            reset_channel_qubits(
-                net, [net.last_record(net.chan("A")), net.last_record(net.chan("B"))]
-            )
-            _check_zero(net, sweep, [net.chan("A"), net.chan("B")], label)
-            _check_drained(net, sweep, label)
-        if exhaustive:
-            sweep.check_probability(total_p, f"input{i}")
-    sweep.expect("", ebits=1, cbits=2, qubits_transported=0)
-    return sweep.result(details={"inputs": len(inputs)})
+    case = Case(_PAIR, 2, inputs, run, [_reg("A"), _reg("B")], CNOT.matrix, per_input, zero=chans)
+    expect = {"": {"ebits": 1, "cbits": 2, "qubits_transported": 0}}
+    return _verify(_Sweep("nonlocal-cnot"), [case], branches, expect, details={"inputs": len(inputs)})
 
 
 def verify_teleport(*, seed: int = 0, branches: str = "exhaustive", samples: int = 40) -> ProtocolReport:
     """Criterion: delivery fidelity 1, source freed, ping-pong reuses slots."""
-    rng = np.random.default_rng(seed)
-    inputs = [qstate.random_state(1, rng).amplitudes for _ in range(10)]
-    sweep = _Sweep("teleport")
-    per_input = max(1, samples // len(inputs))
-    for i, amps in enumerate(inputs):
-        total_p = 0.0
-        for bits, run_seed in _branches(2, branches, per_input, seed + i):
-            net = Network([("A", 1, 1), ("B", 1, 1)], seed=run_seed)
-            src, dst = net.reg("A"), net.reg("B")
-            net.inject_state([src], amps)
-            net.preshare_epr(net.chan("A"), net.chan("B"))
-            if bits is not None:
-                net.force_outcomes(bits)
-            label = f"input{i}:branch{bits}"
-            rep = teleport_with_reset(net, src, (net.chan("A"), net.chan("B")), dst)
-            sweep.add(rep, label=label)
-            sweep.observe(_marginal_infidelity(net, [dst], amps), label)
-            _check_zero(net, sweep, [src, net.chan("A"), net.chan("B")], label)
-            total_p += net.branch_probability
-            _check_drained(net, sweep, label)
-        if branches == "exhaustive":
-            sweep.check_probability(total_p, f"input{i}")
-    sweep.expect("", ebits=1, cbits=2)
+    inputs = _inputs(np.random.default_rng(seed), 1, 10, seed)
+    src, dst = _reg("A"), _reg("B")
+    there, back = (_chan("A"), _chan("B")), (_chan("B"), _chan("A"))
+
+    def one_way(net: Network) -> list:
+        net.preshare_epr(*there)
+        return [("", teleport_with_reset(net, src, there, dst))]
 
     # ping-pong: A -> B then B -> A over the channel slots freed by the resets
-    pong = inputs[0]
-    total_p = 0.0
-    for bits, run_seed in _branches(4, branches, per_input, seed + 101):
-        net = Network([("A", 1, 1), ("B", 1, 1)], seed=run_seed)
-        src, dst = net.reg("A"), net.reg("B")
-        net.inject_state([src], pong)
-        if bits is not None:
-            net.force_outcomes(bits)
-        label = f"ping-pong:branch{bits}"
-        net.preshare_epr(net.chan("A"), net.chan("B"))
-        teleport_with_reset(net, src, (net.chan("A"), net.chan("B")), dst)
-        net.preshare_epr(net.chan("B"), net.chan("A"))
-        rep = teleport_with_reset(net, dst, (net.chan("B"), net.chan("A")), src)
-        sweep.add(rep, section="pong", label=label)
-        sweep.observe(_marginal_infidelity(net, [src], pong), label)
-        _check_zero(net, sweep, [dst, net.chan("A"), net.chan("B")], label)
-        total_p += net.branch_probability
-    if branches == "exhaustive":
-        sweep.check_probability(total_p, "ping-pong")
-    return sweep.result(section="", details={"inputs": len(inputs), "ping_pong_branches": 16})
+    def ping_pong(net: Network) -> list:
+        one_way(net)
+        net.preshare_epr(*back)
+        return [("pong", teleport_with_reset(net, dst, back, src))]
+
+    per_input = max(1, samples // len(inputs))
+    pong = [("ping-pong", seed + 101, inputs[0][2])]
+    cases = [
+        Case(_PAIR, 2, inputs, one_way, [dst], np.eye(2), per_input, inject=[src], zero=[src, *there]),
+        Case(_PAIR, 4, pong, ping_pong, [src], np.eye(2), per_input, zero=[dst, *there]),
+    ]
+    details = {"inputs": len(inputs), "ping_pong_branches": 16}
+    return _verify(_Sweep("teleport"), cases, branches, {"": {"ebits": 1, "cbits": 2}}, details=details)
 
 
 def verify_cat_roundtrip(*, seed: int = 0, branches: str = "exhaustive", samples: int = 60) -> ProtocolReport:
     """Criterion: entangle then disentangle restores the control on any member."""
     rng = np.random.default_rng(seed)
-    inputs = [qstate.random_state(1, rng).amplitudes for _ in range(5)]
-    sweep = _Sweep("cat-roundtrip")
+    amps = [qstate.random_state(1, rng).amplitudes for _ in range(5)]
+    cases, expect = [], {}
     for size in (2, 3, 4):
         spec = [("N0", 1, 1)] + [(f"N{j}", 0, 1) for j in range(1, size)]
-        per_case = max(1, samples // (len(inputs) * size * 3))
-        for keep_idx in range(size):
-            for i, amps in enumerate(inputs):
-                total_p = 0.0
-                for bits, run_seed in _branches(size, branches, per_case, seed + i):
-                    net = Network(spec, seed=run_seed)
-                    control = net.reg("N0")
-                    cat = [net.chan(f"N{j}") for j in range(size)]
-                    net.inject_state([control], amps)
-                    net.preshare_cat(cat)
-                    if bits is not None:
-                        net.force_outcomes(bits)
-                    label = f"m{size}:keep{keep_idx}:input{i}:branch{bits}"
-                    snap = net.ledger.snapshot()
-                    group = cat_entangler(net, control, cat)
-                    keep = group.members[keep_idx]
-                    cat_shrink(net, group.members, keep)
-                    delta = net.ledger.delta_since(snap)
-                    sweep.add(
-                        ProtocolReport("roundtrip", delta, delta.rounds),
-                        section=f"m{size}",
-                        label=label,
-                    )
-                    sweep.observe(_marginal_infidelity(net, [keep], amps), label)
-                    total_p += net.branch_probability
-                    _check_drained(net, sweep, label)
-                if branches == "exhaustive":
-                    sweep.check_probability(total_p, f"m{size}:keep{keep_idx}:input{i}")
-        sweep.expect(f"m{size}", ebits=size - 1, cbits=2 * (size - 1))
-    return sweep.result(section="m2", details={"cat_sizes": [2, 3, 4]})
+        members = [_reg("N0")] + [_chan(f"N{j}") for j in range(1, size)]
+        per_case = max(1, samples // (len(amps) * size * 3))
+        for keep in range(size):
+            # entangle N0's register into a cat over every node, then shrink it onto member `keep`
+            def run(net: Network, size=size, keep=keep) -> list:
+                cat = [_chan(f"N{j}") for j in range(size)]
+                net.preshare_cat(cat)
+                snap = net.ledger.snapshot()
+                group = cat_entangler(net, _reg("N0"), cat)
+                cat_shrink(net, group.members, group.members[keep])
+                delta = net.ledger.delta_since(snap)
+                return [(f"m{size}", ProtocolReport("roundtrip", delta, delta.rounds))]
+
+            inputs = [(f"m{size}:keep{keep}:input{i}", seed + i, a) for i, a in enumerate(amps)]
+            cases.append(Case(spec, size, inputs, run, [members[keep]], np.eye(2), per_case, inject=[_reg("N0")]))
+        expect[f"m{size}"] = {"ebits": size - 1, "cbits": 2 * (size - 1)}
+    details = {"cat_sizes": [2, 3, 4]}
+    return _verify(_Sweep("cat-roundtrip"), cases, branches, expect, section="m2", details=details)
 
 
 def verify_ghz(*, seed: int = 0, branches: str = "exhaustive", samples: int = 64) -> ProtocolReport:
-    """Criterion: the shared cat state grows with m-1 ebits; tree depth wins."""
-    sweep = _Sweep("ghz")
-    for shape, expected_rounds in (("linear", lambda m: m - 1), ("binary-tree", lambda m: int(np.ceil(np.log2(m))))):
-        for m in (2, 3, 4, 5):
-            req = em_channel_requirements(m, shape)
-            spec = [(f"N{i}", 1, max(1, req[i])) for i in range(m)]
-            names = [s[0] for s in spec]
-            num_meas = 2 * (m - 1)
-            per_case = max(1, samples // 8)
-            total_p = 0.0
-            section = f"{shape}:m{m}"
-            for bits, run_seed in _branches(num_meas, branches, per_case, seed + m):
-                net = Network(spec, seed=run_seed)
-                if bits is not None:
-                    net.force_outcomes(bits)
-                label = f"{section}:branch{bits}"
-                rep = distributed_em(net, names, shape)
-                sweep.add(rep, section=section, label=label)
-                regs = [net.reg(n) for n in names]
-                cat = np.zeros(2**m, dtype=complex)
-                cat[0] = cat[-1] = 1 / np.sqrt(2)
-                sweep.observe(_marginal_infidelity(net, regs, cat), label)
-                _check_zero(net, sweep, net.addresses(pool=CHANNEL), label)
-                total_p += net.branch_probability
-                _check_drained(net, sweep, label)
-            if branches == "exhaustive":
-                sweep.check_probability(total_p, section)
-            sweep.expect(section, ebits=m - 1, qubits_transported=0, rounds=expected_rounds(m))
+    """Criterion: the shared cat state grows with m-1 ebits; tree depth wins.
 
-    # m=8 depth comparison: one sampled branch per shape. The expected full
-    # state has exactly two nonzero amplitudes (all registers 0 / all 1,
-    # channels reset), so the overlap needs only two entries of the vector.
-    for shape, want_rounds in (("linear", 7), ("binary-tree", 3)):
-        req = em_channel_requirements(8, shape)
-        spec = [(f"N{i}", 1, max(1, req[i])) for i in range(8)]
-        names = [s[0] for s in spec]
-        net = Network(spec, seed=seed + 997)
-        rep = distributed_em(net, names, shape, check=False)
-        label = f"m8:{shape}"
-        sweep.add(rep, section=label, label=label)
-        sweep.expect(label, ebits=7, rounds=want_rounds)
-        total = net.state.num_qubits
-        ones = sum(1 << (total - 1 - net.global_index(net.reg(n))) for n in names)
-        overlap = (net.state.amplitudes[0] + net.state.amplitudes[ones]) / np.sqrt(2)
-        sweep.observe(max(0.0, 1.0 - abs(overlap) ** 2), label)
-        _check_zero(net, sweep, net.addresses(pool=CHANNEL), label)
-    return sweep.result(section="linear:m2", details={"shapes": ["linear", "binary-tree"]})
+    The m=8 depth comparison enumerates no outcomes: one RNG run per shape.
+    """
+    shapes = ("linear", "binary-tree")
+    cases, expect = [], {}
+    for shape, m in [(s, m) for s in shapes for m in (2, 3, 4, 5)] + [(s, 8) for s in shapes]:
+        spec = [(f"N{i}", 1, max(1, r)) for i, r in enumerate(em_channel_requirements(m, shape))]
+        names = [node for node, _, _ in spec]
+        section = f"{shape}:m{m}" if m < 8 else f"m8:{shape}"
+        cat = np.zeros(2**m, dtype=complex)
+        cat[0] = cat[-1] = 1 / np.sqrt(2)
+
+        def run(net: Network, names=names, shape=shape, section=section, m=m) -> list:
+            return [(section, distributed_em(net, names, shape, check=m < 8))]
+
+        inputs = [(section, seed + (m if m < 8 else 997), None)]
+        measurements = 2 * (m - 1) if m < 8 else 0
+        regs = [_reg(n) for n in names]
+        cases.append(Case(spec, measurements, inputs, run, regs, cat, max(1, samples // 8), zero=_channels(spec)))
+        rounds = m - 1 if shape == "linear" else int(np.ceil(np.log2(m)))
+        expect[section] = {"ebits": m - 1, "qubits_transported": 0, "rounds": rounds}
+    return _verify(_Sweep("ghz"), cases, branches, expect, section="linear:m2", details={"shapes": list(shapes)})
 
 
 def verify_refresh(*, seed: int = 0, branches: str = "exhaustive", samples: int = 32) -> ProtocolReport:
     """Criterion: establish, use, reset, re-establish, use again."""
-    rng = np.random.default_rng(seed)
-    inputs = [qstate.random_state(2, rng).amplitudes for _ in range(2)]
-    cnot_mat = CNOT.matrix
-    sweep = _Sweep("refresh")
+    inputs = _inputs(np.random.default_rng(seed), 2, 2, seed)
+    a, b = _reg("A"), _reg("B")
+    channels = _channels(_WIDE_PAIR)
+
+    def run(net: Network) -> list:
+        out = []
+        for _cycle in range(2):
+            # establishing needs all four channels in |0>, so it also checks
+            # the previous cycle's reset
+            pairs, est = establish_epr_exchange(net, "A", "B")
+            out.append(("establish", est))
+            out.append(("gate", nonlocal_cnot(net, a, b, epr=pairs[0])))
+            out.append(("gate", nonlocal_cnot(net, a, b, epr=(pairs[1][1], pairs[1][0]))))
+            reset_channel_qubits(net, [net.last_record(ch) for ch in channels])
+        return out
+
+    four_cnots = np.linalg.matrix_power(CNOT.matrix, 4)
     per_input = max(1, samples // len(inputs))
-    for i, amps in enumerate(inputs):
-        total_p = 0.0
-        for bits, run_seed in _branches(8, branches, per_input, seed + i):
-            net = Network([("A", 1, 2), ("B", 1, 2)], seed=run_seed)
-            a, b = net.reg("A"), net.reg("B")
-            channels = [net.chan("A", 0), net.chan("A", 1), net.chan("B", 0), net.chan("B", 1)]
-            net.inject_state([a, b], amps)
-            if bits is not None:
-                net.force_outcomes(bits)
-            label = f"input{i}:branch{bits}"
-            expected = amps
-            for cycle in range(2):
-                pairs, est = establish_epr_exchange(net, "A", "B")
-                sweep.add(est, section="establish", label=f"{label}:cycle{cycle}")
-                rep1 = nonlocal_cnot(net, a, b, epr=pairs[0])
-                sweep.add(rep1, section="gate", label=f"{label}:cycle{cycle}:gate0")
-                rep2 = nonlocal_cnot(net, a, b, epr=(pairs[1][1], pairs[1][0]))
-                sweep.add(rep2, section="gate", label=f"{label}:cycle{cycle}:gate1")
-                expected = cnot_mat @ (cnot_mat @ expected)
-                reset_channel_qubits(net, [net.last_record(ch) for ch in channels])
-                _check_zero(net, sweep, channels, f"{label}:cycle{cycle}")
-            sweep.observe(_marginal_infidelity(net, [a, b], expected), label)
-            total_p += net.branch_probability
-            _check_drained(net, sweep, label)
-        if branches == "exhaustive":
-            sweep.check_probability(total_p, f"input{i}")
-    sweep.expect("gate", ebits=1, cbits=2, qubits_transported=0)
-    sweep.expect("establish", ebits=0, cbits=0, qubits_transported=2)
-    return sweep.result(section="gate", details={"cycles": 2, "gates_per_cycle": 2})
+    case = Case(_WIDE_PAIR, 8, inputs, run, [a, b], four_cnots, per_input, zero=channels)
+    expect = {"gate": {"ebits": 1, "cbits": 2, "qubits_transported": 0}}
+    expect["establish"] = {"ebits": 0, "cbits": 0, "qubits_transported": 2}
+    details = {"cycles": 2, "gates_per_cycle": 2}
+    return _verify(_Sweep("refresh"), [case], branches, expect, section="gate", details=details)
 
 
 def verify_distributed_swap(*, seed: int = 0, branches: str = "exhaustive", samples: int = 32) -> ProtocolReport:
     """Criterion: states exchanged over 16 branches at (2 ebits, 4 cbits)."""
-    rng = np.random.default_rng(seed)
-    inputs = [qstate.random_state(2, rng).amplitudes for _ in range(5)]
-    swap_mat = SWAP.matrix
-    sweep = _Sweep("distributed-swap")
-    per_input = max(1, samples // len(inputs))
-    for i, amps in enumerate(inputs):
-        total_p = 0.0
-        for bits, run_seed in _branches(4, branches, per_input, seed + i):
-            net = Network([("A", 1, 2), ("B", 1, 2)], seed=run_seed)
-            a, b = net.reg("A"), net.reg("B")
-            net.inject_state([a, b], amps)
-            if bits is not None:
-                net.force_outcomes(bits)
-            label = f"input{i}:branch{bits}"
-            rep = distributed_swap(net, a, b)
-            sweep.add(rep, label=label)
-            sweep.require(
-                rep.details["register_buffers_used"] == 0,
-                label,
-                register_buffers=rep.details["register_buffers_used"],
-            )
-            sweep.observe(_marginal_infidelity(net, [a, b], swap_mat @ amps), label)
-            _check_zero(net, sweep, net.addresses(pool=CHANNEL), label)
-            total_p += net.branch_probability
-            _check_drained(net, sweep, label)
-        if branches == "exhaustive":
-            sweep.check_probability(total_p, f"input{i}")
-    sweep.expect("", ebits=2, cbits=4, qubits_transported=0)
-    return sweep.result(details={"inputs": len(inputs)})
+    inputs = _inputs(np.random.default_rng(seed), 2, 5, seed)
+    a, b = _reg("A"), _reg("B")
+    case = Case(
+        _WIDE_PAIR, 4, inputs, lambda net: [("", distributed_swap(net, a, b))], [a, b], SWAP.matrix,
+        max(1, samples // len(inputs)), zero=_channels(_WIDE_PAIR), details={"register_buffers_used": 0},
+    )
+    expect = {"": {"ebits": 2, "cbits": 4, "qubits_transported": 0}}
+    return _verify(_Sweep("distributed-swap"), [case], branches, expect, details={"inputs": len(inputs)})
 
 
 def verify_multi_control(*, seed: int = 0, branches: str = "exhaustive", samples: int = 32) -> ProtocolReport:
     """Criterion: Toffoli with both controls remote costs (2, 4)."""
-    rng = np.random.default_rng(seed)
-    inputs = [qstate.random_state(3, rng).amplitudes for _ in range(5)]
-    toffoli_full = TOFFOLI.matrix
-    sweep = _Sweep("multi-control")
-    per_input = max(1, samples // len(inputs))
-    for i, amps in enumerate(inputs):
-        total_p = 0.0
-        for bits, run_seed in _branches(4, branches, per_input, seed + i):
-            net = Network([("C1", 1, 1), ("C2", 1, 1), ("T", 3, 1)], seed=run_seed)
-            c1, c2, t = net.reg("C1"), net.reg("C2"), net.reg("T", 0)
-            ancillas = [net.reg("T", 1), net.reg("T", 2)]
-            net.inject_state([c1, c2, t], amps)
-            if bits is not None:
-                net.force_outcomes(bits)
-            label = f"input{i}:branch{bits}"
-            rep = nonlocal_multi_control(net, [c1, c2], X, t)
-            sweep.add(rep, label=label)
-            sweep.observe(_marginal_infidelity(net, [c1, c2, t], toffoli_full @ amps), label)
-            _check_zero(net, sweep, ancillas, label)
-            _check_zero(net, sweep, net.addresses(pool=CHANNEL), label)
-            total_p += net.branch_probability
-            _check_drained(net, sweep, label)
-        if branches == "exhaustive":
-            sweep.check_probability(total_p, f"input{i}")
-    sweep.expect("", ebits=2, cbits=4)
-    return sweep.result(details={"inputs": len(inputs)})
+    inputs = _inputs(np.random.default_rng(seed), 3, 5, seed)
+    spec = [("C1", 1, 1), ("C2", 1, 1), ("T", 3, 1)]
+    c1, c2, t = _reg("C1"), _reg("C2"), _reg("T", 0)
+    ancillas = [_reg("T", 1), _reg("T", 2)]
+    case = Case(
+        spec, 4, inputs, lambda net: [("", nonlocal_multi_control(net, [c1, c2], X, t))], [c1, c2, t],
+        TOFFOLI.matrix, max(1, samples // len(inputs)), zero=[*ancillas, *_channels(spec)],
+    )
+    expect = {"": {"ebits": 2, "cbits": 4}}
+    return _verify(_Sweep("multi-control"), [case], branches, expect, details={"inputs": len(inputs)})
 
 
 def verify_decompose_c4x(*, seed: int = 0, branches: str = "exhaustive", samples: int = 16) -> ProtocolReport:
-    """Criterion: 64-state equality with the direct 4-control X, both layouts."""
-    sweep = _Sweep("decompose-c4x")
+    """Criterion: 64-state equality with the direct 4-control X, both layouts.
+
+    The monolithic layout measures nothing, so each basis state is one run.
+    """
     # qubit order everywhere: c1 c2 c3 c4 ancilla target
-    def expected_index(basis: int) -> int:
-        controls_on = (basis >> 2) == 0b1111
-        return basis ^ 1 if controls_on else basis
+    c4x = _embed(C4X.matrix, 6, [0, 1, 2, 3, 5])
+    basis = np.eye(64)
+    mono = [_reg("M", j) for j in range(6)]
+    mono_inputs = [(f"monolithic:basis{b:06b}", seed, basis[b]) for b in range(64)]
+    # the distributed layout takes the basis states and a few superposed inputs
+    spec = [("TOP", 3, 1), ("BOT", 3, 1)]
+    order = [_reg("TOP", 0), _reg("TOP", 1), _reg("BOT", 0), _reg("BOT", 1), _reg("TOP", 2), _reg("BOT", 2)]
+    inputs = [(f"distributed:basis{b:06b}", seed + b, basis[b]) for b in range(64)]
+    inputs += _inputs(np.random.default_rng(seed), 6, 3, seed + 1000, "distributed:random")
 
-    for basis in range(64):
-        net = Network([("M", 6, 0)])
-        qubits = [net.reg("M", j) for j in range(6)]
-        vec = np.zeros(64)
-        vec[basis] = 1.0
-        net.inject_state(qubits, vec)
-        label = f"monolithic:basis{basis:06b}"
-        rep = decompose_multi_control_x(net, qubits[:4], qubits[4], qubits[5])
-        sweep.add(rep, section="monolithic", label=label)
-        want = np.zeros(64)
-        want[expected_index(basis)] = 1.0
-        sweep.observe(_marginal_infidelity(net, qubits, want), label)
-    sweep.expect("monolithic", ebits=0, cbits=0)
+    def run(section: str, qubits: list[QubitAddress]) -> Callable[[Network], list]:
+        return lambda net: [(section, decompose_multi_control_x(net, qubits[:4], *qubits[4:]))]
 
-    per_case = max(1, samples // 4)
-    for basis in range(64):
-        total_p = 0.0
-        for bits, run_seed in _branches(2, branches, per_case, seed + basis):
-            net = Network([("TOP", 3, 1), ("BOT", 3, 1)], seed=run_seed)
-            c1, c2, anc = net.reg("TOP", 0), net.reg("TOP", 1), net.reg("TOP", 2)
-            c3, c4, tgt = net.reg("BOT", 0), net.reg("BOT", 1), net.reg("BOT", 2)
-            order = [c1, c2, c3, c4, anc, tgt]
-            vec = np.zeros(64)
-            vec[basis] = 1.0
-            net.inject_state(order, vec)
-            if bits is not None:
-                net.force_outcomes(bits)
-            label = f"distributed:basis{basis:06b}:branch{bits}"
-            rep = decompose_multi_control_x(net, [c1, c2, c3, c4], anc, tgt)
-            sweep.add(rep, section="distributed", label=label)
-            want = np.zeros(64)
-            want[expected_index(basis)] = 1.0
-            sweep.observe(_marginal_infidelity(net, order, want), label)
-            _check_zero(net, sweep, net.addresses(pool=CHANNEL), label)
-            total_p += net.branch_probability
-            _check_drained(net, sweep, label)
-        if branches == "exhaustive":
-            sweep.check_probability(total_p, f"distributed:basis{basis}")
-    sweep.expect("distributed", ebits=1, cbits=2)
-
-    # a few superposed inputs through the distributed layout
-    rng = np.random.default_rng(seed)
-    c4x_i = _embed(C4X.matrix, 6, [0, 1, 2, 3, 5])
-    for i in range(3):
-        amps = qstate.random_state(6, rng).amplitudes
-        for bits, run_seed in _branches(2, branches, per_case, seed + 1000 + i):
-            net = Network([("TOP", 3, 1), ("BOT", 3, 1)], seed=run_seed)
-            c1, c2, anc = net.reg("TOP", 0), net.reg("TOP", 1), net.reg("TOP", 2)
-            c3, c4, tgt = net.reg("BOT", 0), net.reg("BOT", 1), net.reg("BOT", 2)
-            order = [c1, c2, c3, c4, anc, tgt]
-            net.inject_state(order, amps)
-            if bits is not None:
-                net.force_outcomes(bits)
-            label = f"distributed:random{i}:branch{bits}"
-            rep = decompose_multi_control_x(net, [c1, c2, c3, c4], anc, tgt)
-            sweep.add(rep, section="distributed", label=label)
-            sweep.observe(_marginal_infidelity(net, order, c4x_i @ amps), label)
-    return sweep.result(section="distributed", details={"basis_states": 64})
+    cases = [
+        Case([("M", 6, 0)], 0, mono_inputs, run("monolithic", mono), mono, c4x),
+        Case(spec, 2, inputs, run("distributed", order), order, c4x, max(1, samples // 4), zero=_channels(spec)),
+    ]
+    expect = {"monolithic": {"ebits": 0, "cbits": 0}, "distributed": {"ebits": 1, "cbits": 2}}
+    details = {"basis_states": 64}
+    return _verify(_Sweep("decompose-c4x"), cases, branches, expect, section="distributed", details=details)
 
 
 def verify_amortized(*, seed: int = 0, branches: str = "exhaustive", samples: int = 16) -> ProtocolReport:
     """Criterion: a k-gate controlled run costs (1, 2) for k in {1, 2, 5, 10}."""
     rng = np.random.default_rng(seed)
     singles = [H, make_rk(2), X, Z]
-    sweep = _Sweep("amortized")
-    per_case = max(1, samples // 4)
+    ctrl, b0, b1 = _reg("A"), _reg("B", 0), _reg("B", 1)
+    cases, expect = [], {}
     for k in (1, 2, 5, 10):
-        for i in range(3):
-            amps = qstate.random_state(3, rng).amplitudes
-            total_p = 0.0
-            for bits, run_seed in _branches(2, branches, per_case, seed + k * 31 + i):
-                net = Network([("A", 1, 1), ("B", 2, 1)], seed=run_seed)
-                ctrl = net.reg("A")
-                b0, b1 = net.reg("B", 0), net.reg("B", 1)
-                gates = []
-                for j in range(k):
-                    if j % 3 == 2:
-                        gates.append((CNOT, [b0, b1]))
-                    else:
-                        gates.append((singles[j % len(singles)], [b0 if j % 2 == 0 else b1]))
-                net.inject_state([ctrl, b0, b1], amps)
-                if bits is not None:
-                    net.force_outcomes(bits)
-                label = f"k{k}:input{i}:branch{bits}"
-                rep = nonlocal_controlled_sequence(net, ctrl, gates, auto_establish=True)
-                sweep.add(rep, section=f"k{k}", label=label)
-                # independent route: embed each controlled constituent explicitly
-                ideal = np.eye(8, dtype=complex)
-                index = {ctrl: 0, b0: 1, b1: 2}
-                for g, tg in gates:
-                    cg = make_controlled(ControlledSpec(1, g))
-                    ideal = _embed(cg.matrix, 3, [0] + [index[t] for t in tg]) @ ideal
-                sweep.observe(_marginal_infidelity(net, [ctrl, b0, b1], ideal @ amps), label)
-                total_p += net.branch_probability
-                _check_drained(net, sweep, label)
-            if branches == "exhaustive":
-                sweep.check_probability(total_p, f"k{k}:input{i}")
-        sweep.expect(f"k{k}", ebits=1, cbits=2)
-    return sweep.result(section="k10", details={"gate_counts": [1, 2, 5, 10]})
+        gates = [
+            (CNOT, [b0, b1]) if j % 3 == 2 else (singles[j % len(singles)], [b0 if j % 2 == 0 else b1])
+            for j in range(k)
+        ]
+        # independent route: embed each controlled constituent explicitly
+        ideal = np.eye(8, dtype=complex)
+        index = {ctrl: 0, b0: 1, b1: 2}
+        for g, tg in gates:
+            cg = make_controlled(ControlledSpec(1, g))
+            ideal = _embed(cg.matrix, 3, [0] + [index[t] for t in tg]) @ ideal
+
+        def run(net: Network, gates=gates, k=k) -> list:
+            return [(f"k{k}", nonlocal_controlled_sequence(net, ctrl, gates, auto_establish=True))]
+
+        inputs = _inputs(rng, 3, 3, seed + k * 31, f"k{k}:input")
+        cases.append(Case([("A", 1, 1), ("B", 2, 1)], 2, inputs, run, [ctrl, b0, b1], ideal, max(1, samples // 4)))
+        expect[f"k{k}"] = {"ebits": 1, "cbits": 2}
+    details = {"gate_counts": [1, 2, 5, 10]}
+    return _verify(_Sweep("amortized"), cases, branches, expect, section="k10", details=details)
 
 
 def verify_parallel_control(*, seed: int = 0, branches: str = "exhaustive", samples: int = 16) -> ProtocolReport:
@@ -588,181 +493,59 @@ def verify_parallel_control(*, seed: int = 0, branches: str = "exhaustive", samp
     u1 = _random_unitary(4, rng)
     u2 = _random_unitary(8, rng)
     u3 = _random_unitary(4, rng)
-    sweep = _Sweep("parallel-control")
-    per_case = max(1, samples // 3)
-    for i in range(3):
-        amps = qstate.random_state(8, rng).amplitudes
-        total_p = 0.0
-        for bits, run_seed in _branches(4, branches, per_case, seed + i):
-            net = Network(
-                [("C", 1, 1), ("P1", 2, 1), ("P2", 3, 1), ("P3", 2, 1)], seed=run_seed
-            )
-            ctrl = net.reg("C")
-            t1 = [net.reg("P1", j) for j in range(2)]
-            t2 = [net.reg("P2", j) for j in range(3)]
-            t3 = [net.reg("P3", j) for j in range(2)]
-            logical = [ctrl, *t1, *t2, *t3]
-            net.inject_state(logical, amps)
-            if bits is not None:
-                net.force_outcomes(bits)
-            label = f"input{i}:branch{bits}"
-            rep = parallel_distributed_control(
-                net,
-                ctrl,
-                [
-                    ("P1", qstate.GateMatrix(u1), t1),
-                    ("P2", qstate.GateMatrix(u2), t2),
-                    ("P3", qstate.GateMatrix(u3), t3),
-                ],
-                auto_establish=True,
-            )
-            sweep.add(rep, label=label)
-            sweep.require(rep.details["controlled_rounds"] == 1, label, rounds=rep.details)
-            on = np.zeros((2, 2))
-            on[1, 1] = 1.0
-            off = np.eye(2) - on
-            joint = np.kron(np.kron(u1, u2), u3)
-            controlled_ideal = np.kron(off, np.eye(128)) + np.kron(on, joint)
-            sweep.observe(_marginal_infidelity(net, logical, controlled_ideal @ amps), label)
-            total_p += net.branch_probability
-            _check_drained(net, sweep, label)
-        if branches == "exhaustive":
-            sweep.check_probability(total_p, f"input{i}")
-    sweep.expect("", ebits=3, cbits=6)
-    return sweep.result(details={"parts": 3, "split": [2, 3, 2]})
-
-
-# ---- distributed QFT -----------------------------------------------------------
-
-
-# The most amplitudes, over all branch rows, that one exhaustive-sweep run
-# holds: 64 rows of the 256-amplitude network of the 4-qubit, 2-machine
-# transform. Wider networks split fewer measurements per run.
-QFT_CHUNK_AMPLITUDES = 2**14
-
-
-def _qft_run(
-    plan,
-    amortized: bool,
-    amps: np.ndarray,
-    run_seed: int,
-    prefix: Sequence[int] = (),
-    split: int = 0,
-) -> tuple[Network, ProtocolReport]:
-    """One distributed-transform run: force `prefix`, split the next `split`
-    measurements into branch rows, and draw any others from the RNG."""
-    spec = [(f"M{i}", plan.k, 2) for i in range(plan.m)]
-    net = Network(spec, seed=run_seed)
-    regs = [net.reg(f"M{i // plan.k}", i % plan.k) for i in range(plan.n)]
-    net.inject_state(regs, amps)
-    net.force_outcomes(prefix)
-    net.split_outcomes(split)
-    rep = qft_distributed(net, plan, amortized=amortized, check=False)
-    return net, rep
+    inputs = _inputs(rng, 8, 3, seed)
+    ctrl = _reg("C")
+    t1 = [_reg("P1", j) for j in range(2)]
+    t2 = [_reg("P2", j) for j in range(3)]
+    t3 = [_reg("P3", j) for j in range(2)]
+    parts = [(f"P{j + 1}", qstate.GateMatrix(u), t) for j, (u, t) in enumerate([(u1, t1), (u2, t2), (u3, t3)])]
+    on = np.diag([0.0, 1.0])
+    controlled_ideal = np.kron(np.eye(2) - on, np.eye(128)) + np.kron(on, np.kron(np.kron(u1, u2), u3))
+    case = Case(
+        [("C", 1, 1), ("P1", 2, 1), ("P2", 3, 1), ("P3", 2, 1)], 4, inputs,
+        lambda net: [("", parallel_distributed_control(net, ctrl, parts, auto_establish=True))],
+        [ctrl, *t1, *t2, *t3], controlled_ideal, max(1, samples // len(inputs)), details={"controlled_rounds": 1},
+    )
+    expect = {"": {"ebits": 3, "cbits": 6}}
+    return _verify(_Sweep("parallel-control"), [case], branches, expect, details={"parts": 3, "split": [2, 3, 2]})
 
 
 def verify_qft(
-    *,
-    n: int = 4,
-    m: int = 2,
-    seed: int = 0,
-    branches: str = "exhaustive",
-    samples: int = 200,
+    *, n: int = 4, m: int = 2, seed: int = 0, branches: str = "exhaustive", samples: int = 200,
     amortized: bool = False,
 ) -> ProtocolReport:
     """Criterion: the distributed transform matches the defining matrix.
 
     Checks the closed-form gate counts, sweeps branches (exhaustively or by
     seeded sampling), and pins the rotation-stage ledger to the non-local
-    gate count (or to the distribution count in amortized mode).
-
-    The exhaustive sweep carries many branches per run: each run forces a
-    prefix of the outcomes and splits the remaining measurements into
-    branch rows, as many as fit in QFT_CHUNK_AMPLITUDES, so runs and rows
-    together visit the branches in order. Every row is checked on its own
-    against the defining matrix applied to the input, for clean channels,
-    and for its probability.
+    gate count (or to the distribution count in amortized mode). Rows are
+    labelled by their outcome bits, branch000001000101 say.
     """
     plan = build_qft_plan(n, m)
     sweep = _Sweep("qft")
     k = n // m
-    sweep.require(
-        plan.total_controlled == n * (n - 1) // 2,
-        "counts:total",
-        actual=plan.total_controlled,
-    )
-    sweep.require(
-        plan.local_controlled == m * k * (k - 1) // 2,
-        "counts:local",
-        actual=plan.local_controlled,
-    )
-    sweep.require(
-        plan.nonlocal_controlled == n * (n - 1) // 2 - (k - 1) * n // 2,
-        "counts:nonlocal",
-        actual=plan.nonlocal_controlled,
-    )
-    rng = np.random.default_rng(seed)
-    amps = qstate.random_state(n, rng).amplitudes
-    num_bits = (
-        2 * (plan.amortized_distributions if amortized else plan.nonlocal_controlled)
-        + 4 * plan.cross_swaps
-    )
-    expected_ebits = plan.amortized_distributions if amortized else plan.nonlocal_controlled
+    counts = [
+        ("counts:total", plan.total_controlled, n * (n - 1) // 2),
+        ("counts:local", plan.local_controlled, m * k * (k - 1) // 2),
+        ("counts:nonlocal", plan.nonlocal_controlled, n * (n - 1) // 2 - (k - 1) * n // 2),
+    ]
+    for label, actual, want in counts:
+        sweep.require(actual == want, label, actual=actual)
+    amps = qstate.random_state(n, np.random.default_rng(seed)).amplitudes
+    ebits = plan.amortized_distributions if amortized else plan.nonlocal_controlled
+    num_bits = 2 * ebits + 4 * plan.cross_swaps
+    spec = [(f"M{i}", k, 2) for i in range(m)]
+    regs = [_reg(f"M{i // k}", i % k) for i in range(n)]
 
-    # independent of the protocol: the defining matrix applied to the input
-    ideal = Network([(f"M{i}", plan.k, 2) for i in range(m)])
-    regs = [ideal.reg(f"M{i // plan.k}", i % plan.k) for i in range(n)]
-    ideal.inject_state(regs, amps)
-    expected = qstate.apply_gate(
-        ideal.state, _qft_gate(n), [ideal.global_index(a) for a in regs]
-    ).amplitudes
+    def run(net: Network) -> list:
+        # the sweep's own oracle stands in for the transform's built-in check
+        return [("", qft_distributed(net, plan, amortized=amortized, check=False))]
 
-    if branches == "exhaustive":
-        budget = QFT_CHUNK_AMPLITUDES.bit_length() - 1
-        split = min(num_bits, max(0, budget - ideal.num_qubits))
-        prefix_bits = num_bits - split
-        runs = [
-            (tuple((c >> (prefix_bits - 1 - i)) & 1 for i in range(prefix_bits)), seed)
-            for c in range(2**prefix_bits)
-        ]
-    elif branches == "sampled":
-        split = 0
-        runs = [((), seed + 7919 * i + 13) for i in range(samples)]
-    else:
-        raise ValueError(f"branches must be 'exhaustive' or 'sampled', got {branches!r}")
-
-    total_p = 0.0
-    for c, (prefix, run_seed) in enumerate(runs):
-        net, rep = _qft_run(plan, amortized, amps, run_seed, prefix, split)
-        rows = net.rows
-        if branches == "exhaustive":
-            labels = [f"branch{(c << split) + r:0{num_bits}b}" for r in range(rows)]
-            run_label = f"{labels[0]}..{labels[-1]}"
-        else:
-            run_label = f"sample{c}"
-            labels = [run_label]
-        sweep.add(rep, label=run_label, rows=rows)
-        sweep.require(rows == 2**split, run_label, rows=rows, expected_rows=2**split)
-        sweep.require(not net.pending_outcomes, run_label, leftover_bits=net.pending_outcomes)
-        state = net.state.amplitudes.reshape(rows, -1)
-        infidelity = [max(0.0, 1.0 - abs(np.vdot(row, expected))) for row in state]
-        clean = np.ones(rows, dtype=bool)
-        for a in net.addresses(pool=CHANNEL):
-            clean &= qstate.partial_state_check(net.state, net.global_index(a), 0)
-        for r in range(rows):
-            sweep.observe(infidelity[r], labels[r])
-            sweep.require(bool(clean[r]), labels[r], channels_clean=False)
-        total_p += float(np.sum(net.branch_probability))
-    if branches == "exhaustive":
-        sweep.check_probability(total_p, "branch-probabilities")
-
-    sweep.expect("", ebits=expected_ebits, cbits=2 * expected_ebits, qubits_transported=0)
-    details = {
-        "plan": plan.to_dict(),
-        "amortized": amortized,
-        "measurements_per_branch": num_bits,
-    }
-    return sweep.result(details=details)
+    inputs = [("branch-probabilities", seed, amps)]
+    case = _QftCase(spec, num_bits, inputs, run, regs, qft_matrix(n), samples, zero=_channels(spec))
+    expect = {"": {"ebits": ebits, "cbits": 2 * ebits, "qubits_transported": 0}}
+    details = {"plan": plan.to_dict(), "amortized": amortized, "measurements_per_branch": num_bits}
+    return _verify(sweep, [case], branches, expect, details=details)
 
 
 # ---- registry -------------------------------------------------------------------

@@ -4,10 +4,13 @@ Every batched run here is checked against the same protocol run once per
 branch with all outcomes forced, which is the path the rows replace.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from catnet import qstate, verify
+from catnet.cli import emit_report
 from catnet.errors import BranchDivergenceError, ImpossibleBranchError
 from catnet.gates import CNOT, H, X
 from catnet.network import CHANNEL, REGISTER, Network
@@ -208,40 +211,104 @@ def test_unsplit_surface_is_scalar():
     assert isinstance(net.qubit_is(net.reg("B"), 0), bool)
 
 
-def test_qft_sweep_runs_stay_within_the_chunk_budget(monkeypatch):
-    sizes = []
-    run = verify._qft_run
+def verifier_tables():
+    """Every case of every verifier's table, as the verifiers hand them over."""
+    tables = {}
+    mp = pytest.MonkeyPatch()
+    mp.setattr(verify, "_verify", lambda sweep, cases, *args, **kwargs: tables.setdefault(sweep.name, cases))
+    try:
+        for fn in verify.VERIFIERS.values():
+            fn(seed=0)
+    finally:
+        mp.undo()
+    return tables
 
-    def recording(*args, **kwargs):
-        net, rep = run(*args, **kwargs)
-        sizes.append(net.state.amplitudes.size)
-        return net, rep
 
-    monkeypatch.setattr(verify, "_qft_run", recording)
+# cases that enumerate no outcomes make one unsplit run, so there is nothing to cross-check
+SPLIT_CASES = [
+    pytest.param(case, id=f"{name}:{case.inputs[-1][0]}")
+    for name, cases in verifier_tables().items()
+    for case in cases
+    if case.measurements
+]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_every_case_splits_like_forced_branches(case):
+    """A run of the driver's own split, on a fixed prefix, against single
+    forced-branch runs of sampled rows: state, probability, records, ledger."""
+    _, seed, amps = case.inputs[-1]
+    split = verify._split(case)
+    prefix = tuple(i % 2 for i in range(case.measurements - split))
+    batched, pairs = verify._run(case, amps, prefix, split, seed)
+    assert split > 0 and batched.rows == 2**split and batched.pending_outcomes == 0
+    for r in sorted({0, 1, batched.rows // 2, batched.rows - 1}):
+        single, single_pairs = verify._run(case, amps, branch_bits(prefix, split, r), 0, seed)
+        assert_row_matches(batched, single, r)
+        assert single.ledger == batched.ledger
+        assert [(s, p.ledger, p.rounds) for s, p in single_pairs] == [(s, p.ledger, p.rounds) for s, p in pairs]
+
+
+def record_runs(monkeypatch, edit=lambda case, net, prefix, seed: None):
+    """Make verify._run log (rows, amplitudes) of every run, after `edit`."""
+    runs = []
+    run = verify._run
+
+    def recording(case, amps, prefix, split, seed):
+        net, pairs = run(case, amps, prefix, split, seed)
+        edit(case, net, prefix, seed)
+        runs.append((net.rows, net.state.amplitudes.size))
+        return net, pairs
+
+    monkeypatch.setattr(verify, "_run", recording)
+    return runs
+
+
+def test_sweep_runs_stay_within_the_chunk_budget(monkeypatch):
+    runs = record_runs(monkeypatch)
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
     assert rep.verified and rep.branches_tested == 4096
-    assert sizes == [verify.QFT_CHUNK_AMPLITUDES] * 64
-    sizes.clear()
+    assert runs == [(64, verify.CHUNK_AMPLITUDES)] * 64
+    runs.clear()
     rep = verify.verify_qft(n=2, m=2, branches="exhaustive")
     assert rep.verified and rep.branches_tested == 2 ** rep.details["measurements_per_branch"]
-    assert max(sizes) <= verify.QFT_CHUNK_AMPLITUDES
+    assert max(size for _, size in runs) <= verify.CHUNK_AMPLITUDES
+    for name, fn in verify.VERIFIERS.items():
+        if name != "qft":
+            runs.clear()
+            rep = fn(seed=0, branches="exhaustive")
+            assert rep.verified, name
+            # only the unsplit runs of cases that enumerate nothing (ghz m=8) may be wider
+            assert all(size <= verify.CHUNK_AMPLITUDES or rows == 1 for rows, size in runs), name
+            assert len(runs) < rep.branches_tested, name  # not one network per branch
 
 
-def test_qft_sweep_reports_failing_rows_by_branch(monkeypatch):
+def test_sweep_reports_failing_rows_by_branch(monkeypatch):
     """A wrong row is reported under the label the per-branch sweep used."""
-    run = verify._qft_run
 
-    def corrupting(*args, **kwargs):
-        net, rep = run(*args, **kwargs)
-        if net.rows > 1 and args[4][:6] == (0, 0, 0, 0, 0, 1):
+    def corrupting(case, net, prefix, seed):
+        # row 5 of the qft run forced to 000001, and of distributed-swap's input3 (seed 0 + 3)
+        if net.rows > 1 and (prefix == (0, 0, 0, 0, 0, 1) or (not prefix and seed == 3)):
             net.state.amplitudes[5] = np.roll(net.state.amplitudes[5], 1)
-        return net, rep
 
-    monkeypatch.setattr(verify, "_qft_run", corrupting)
+    record_runs(monkeypatch, corrupting)
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
     assert rep.verified is False
     cases = {f["case"] for f in rep.details["failures"]}
     assert f"branch{(1 << 6) + 5:012b}" in cases
+    rep = verify.verify_distributed_swap(seed=0, branches="exhaustive")
+    assert rep.verified is False
+    assert {f["case"] for f in rep.details["failures"]} == {"input3:branch(0, 1, 0, 1)"}
+
+
+def test_message_log_is_row_zero_of_the_first_run():
+    rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
+    single = Network([("M0", 2, 2), ("M1", 2, 2)], seed=0)
+    single.force_outcomes([0] * 12)
+    zero_branch = qft_distributed(single, build_qft_plan(4, 2), amortized=True, check=False)
+    assert rep.messages and all(type(m.bit) is int for m in rep.messages)
+    assert [(m.tag, m.bit) for m in rep.messages] == [(m.tag, m.bit) for m in zero_branch.messages]
+    assert json.loads(emit_report([rep]))[0]["message_log"][0]["bit"] == 0
 
 
 def test_channels_checked_per_row():

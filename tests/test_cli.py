@@ -197,3 +197,41 @@ def test_workers_flag_is_rejected(capsys):
         main(["verify", "qft", "--workers", "2"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "teleport", "--branches", "sampled", "--samples", "-3"],
+        ["verify", "qft", "--samples", "0"],
+    ],
+)
+def test_samples_below_one_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--samples must be at least 1" in capsys.readouterr().err
+
+
+def test_samples_with_exhaustive_branches_exit_2(capsys):
+    """Regression: the exhaustive sweep silently ignored --samples."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "teleport", "--samples", "7"])
+    assert exc.value.code == 2
+    assert "--branches sampled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--branches", "sampled"], ["--samples", "2"]])
+def test_demo_rejects_sweep_flags(flags, capsys):
+    """Regression: demo accepted --branches and --samples and then overrode them."""
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "teleport", *flags])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [["--n", "4"], ["--m", "2"], ["--amortized"]])
+def test_qft_options_rejected_for_other_protocols(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "teleport", *flags])
+    assert exc.value.code == 2
+    assert "qft sweep only" in capsys.readouterr().err

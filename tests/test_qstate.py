@@ -343,3 +343,22 @@ def test_reduced_density_matrix_keeps_order():
     # qubit 0 is |1>, qubit 1 is |+>: orders 10,11 vs 01,11
     assert np.allclose(probs01, [0, 0, 0.5, 0.5])
     assert np.allclose(probs10, [0, 0.5, 0, 0.5])
+
+
+@pytest.mark.parametrize("keep", [[0, 1, 2, 3, 4], [3, 1], [4], [2, 0, 4]])
+def test_overlap_matches_density_matrix_trace(keep):
+    """tr(rho_a rho_e) without density matrices, per row of a split state whose
+    ancestor stands in for each pair of rows."""
+    rng = np.random.default_rng(11)
+    ancestor = random_state(5, rng)
+    split = StateVector(5, np.stack([random_state(5, rng).amplitudes for _ in range(4)]))
+    got = qstate.overlap(qstate.bipartition(split, keep), qstate.bipartition(ancestor, keep))
+    rho_e = reduced_density_matrix(ancestor, keep)
+    want = [np.trace(rho_a @ rho_e).real for rho_a in reduced_density_matrix(split, keep)]
+    assert got.shape == (4,)
+    assert np.allclose(got, want, atol=1e-12)
+    half = StateVector(5, np.stack([random_state(5, rng).amplitudes for _ in range(2)]))
+    got = qstate.overlap(qstate.bipartition(split, keep), qstate.bipartition(half, keep))
+    rho_half = reduced_density_matrix(half, keep)
+    want = [np.trace(rho_a @ rho_half[r // 2]).real for r, rho_a in enumerate(reduced_density_matrix(split, keep))]
+    assert np.allclose(got, want, atol=1e-12)
