@@ -77,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="one random-branch run with its message trace")
     p_demo.add_argument("protocol", choices=PROTOCOLS)
-    p_demo.add_argument("--n", type=int, default=4)
-    p_demo.add_argument("--m", type=int, default=2)
-    p_demo.add_argument("--amortized", action="store_true")
+    p_demo.add_argument("--n", type=int, default=None, help="qubits (qft only, default 4)")
+    p_demo.add_argument("--m", type=int, default=None, help="machines (qft only, default 2)")
+    p_demo.add_argument("--amortized", action="store_true", help="qft only")
     common(p_demo, sweep=False)
 
     p_qft = sub.add_parser("qft", help="distributed Fourier transform sweep")
@@ -110,7 +110,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if samples is not None and branches == "exhaustive":
         raise ValueError("--samples applies to sampled branches only; add --branches sampled")
     n, m = getattr(args, "n", None), getattr(args, "m", None)
-    if args.command == "verify" and protocol not in ("qft", "all"):
+    if args.command in ("verify", "demo") and protocol not in ("qft", "all"):
         if n is not None or m is not None or args.amortized:
             raise ValueError(f"--n, --m and --amortized apply to the qft sweep only, not {protocol}")
     return RunConfig(

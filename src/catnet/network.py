@@ -270,7 +270,7 @@ class Network:
             )
         idx = [self.global_index(t) for t in targets]
         self._account_round(idx)
-        qstate.apply_gate_inplace(self.state, gate, idx)
+        qstate.apply_gate(self.state, gate, idx)
 
     def measure(
         self,
@@ -293,7 +293,7 @@ class Network:
         gidx = self.global_index(addr)
         self._account_round([gidx])
         if x_basis:
-            qstate.apply_gate_inplace(self.state, H, [gidx])
+            qstate.apply_gate(self.state, H, [gidx])
         if forced is None and self._forced:
             forced = self._forced.popleft()
         if forced is None and self._splits:
@@ -302,7 +302,7 @@ class Network:
             self.branch_probability = np.repeat(self.branch_probability, 2) * rec.probability
         else:
             rng = self.rng if forced is None else None
-            rec = qstate.measure_inplace(self.state, gidx, rng=rng, forced=forced)
+            rec = qstate.measure(self.state, gidx, rng=rng, forced=forced)
             self.branch_probability = self.branch_probability * rec.probability
         record = MeasurementRecord(addr, rec.outcome, rec.probability)
         self.records.append(record)
@@ -416,13 +416,13 @@ class Network:
         self._account_round(idx)
         if not isinstance(bit, np.ndarray):
             if bit:
-                qstate.apply_gate_inplace(self.state, gate, idx)
+                qstate.apply_gate(self.state, gate, idx)
             return bool(bit)
         fire = bit == 1
         if fire.all():
-            qstate.apply_gate_inplace(self.state, gate, idx)
+            qstate.apply_gate(self.state, gate, idx)
         elif fire.any():
-            qstate.apply_gate_inplace(self.state, gate, idx, rows=fire)
+            qstate.apply_gate(self.state, gate, idx, rows=fire)
         return fire
 
     # ---- qubit movement ----------------------------------------------------
@@ -515,9 +515,9 @@ class Network:
         for a in addrs:
             if not self.qubit_is(a, 0):
                 raise PreconditionError(f"{a} must hold |0> before entanglement setup")
-        qstate.apply_gate_inplace(self.state, H, [idx[0]])
+        qstate.apply_gate(self.state, H, [idx[0]])
         for other in idx[1:]:
-            qstate.apply_gate_inplace(self.state, CNOT, [idx[0], other])
+            qstate.apply_gate(self.state, CNOT, [idx[0], other])
 
     def inject_state(self, addrs: Sequence[QubitAddress], amplitudes) -> None:
         """Overwrite the global state with a chosen input (setup only).

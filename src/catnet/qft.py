@@ -25,12 +25,13 @@ from .gates import H, SWAP, ControlledSpec, make_controlled, make_rk
 from .network import Network, QubitAddress
 from .protocols import (
     ProtocolReport,
-    _free_zero_channel,
+    _fresh_epr,
+    _Scope,
     distributed_swap,
     nonlocal_controlled_sequence,
     reset_channel_qubits,
 )
-from .qstate import ATOL, GateMatrix, StateVector
+from .qstate import GateMatrix, StateVector
 
 
 def qft_matrix(n: int) -> np.ndarray:
@@ -59,10 +60,11 @@ def _controlled_rk_inv(order: int) -> GateMatrix:
 
 
 def qft_local(state: StateVector, qubits: Sequence[int], *, inverse: bool = False) -> StateVector:
-    """Apply the transform circuit to the listed qubits of an n-qubit state.
+    """The transform circuit applied to the listed qubits of an n-qubit state.
 
     qubits[0] is the most significant position of the transformed value.
-    With inverse=True the adjoint circuit runs instead.
+    With inverse=True the adjoint circuit runs instead. Returns a new state
+    and leaves the input alone.
     """
     qubits = [int(q) for q in qubits]
     if len(set(qubits)) != len(qubits):
@@ -80,9 +82,10 @@ def qft_local(state: StateVector, qubits: Sequence[int], *, inverse: bool = Fals
         ops.append((SWAP, SWAP, [qubits[i], qubits[n - 1 - i]]))
     if inverse:
         ops = [(adj, gate, targets) for gate, adj, targets in reversed(ops)]
+    out = StateVector(state.num_qubits, state.amplitudes.copy())
     for gate, _, targets in ops:
-        state = qstate.apply_gate(state, gate, targets)
-    return state
+        qstate.apply_gate(out, gate, targets)
+    return out
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,8 @@ def qft_distributed(
     net: Network,
     plan: QftPlan,
     *,
-    nodes: Sequence[str] | None = None,
     amortized: bool = False,
     check: bool = True,
-    tag: str = "qft",
 ) -> ProtocolReport:
     """Run the planned transform on a network, one node per machine.
 
@@ -170,9 +171,9 @@ def qft_distributed(
     instead (the phase gates commute, so regrouping them control by control
     is an identity rewrite). The report's ledger covers the rotation stage
     only; the reversal swaps are tallied separately under
-    details["swap_ledger"].
+    details["swap_ledger"]. Machine i runs on the network's i-th node.
     """
-    node_list = list(net.nodes) if nodes is None else [str(x) for x in nodes]
+    node_list = list(net.nodes)
     if len(node_list) != plan.m:
         raise ValueError(f"plan wants {plan.m} machines, got {len(node_list)} nodes")
     for name in node_list:
@@ -182,26 +183,21 @@ def qft_distributed(
             raise CapacityError(f"{name} needs 2 channel qubits (rotation + swap buffers)")
     addr = [net.reg(node_list[i // plan.k], i % plan.k) for i in range(plan.n)]
 
-    # the network mutates its state, so the oracle's starting point is a copy
-    pre_state = StateVector(net.num_qubits, net.state.amplitudes.copy()) if check else None
-    start = net.ledger.snapshot()
-    msg_start = len(net.message_log)
+    scope = _Scope(net, check)
     distributions_used = 0
 
     def run_remote(control_q: int, gates: list[tuple[int, int]]) -> None:
         nonlocal distributions_used
         ctrl = addr[control_q]
         target_node = addr[gates[0][1]].node
-        e_c = _free_zero_channel(net, ctrl.node)
-        e_t = _free_zero_channel(net, target_node, exclude=(e_c,))
-        net.preshare_epr(e_c, e_t)
+        e_c, e_t = _fresh_epr(net, ctrl.node, target_node)
         nonlocal_controlled_sequence(
             net,
             ctrl,
             [(make_rk(order), addr[t]) for order, t in gates],
             epr=(e_c, e_t),
             check=False,
-            tag=f"{tag}:c{control_q}",
+            tag=f"qft:c{control_q}",
         )
         reset_channel_qubits(net, [net.last_record(e_c), net.last_record(e_t)])
         distributions_used += 1
@@ -230,38 +226,27 @@ def qft_distributed(
                 run_remote(c, gates)
             net.local_apply(H, [addr[c]])
 
-    gate_ledger = net.ledger.delta_since(start)
+    gate_ledger = net.ledger.delta_since(scope.snap)
     swap_start = net.ledger.snapshot()
     for i, j in plan.swaps:
         if addr[i].node == addr[j].node:
             net.local_apply(SWAP, [addr[i], addr[j]])
         else:
-            distributed_swap(net, addr[i], addr[j], check=False, tag=f"{tag}:swap{i}-{j}")
+            distributed_swap(net, addr[i], addr[j], check=False, tag=f"qft:swap{i}-{j}")
     swap_ledger = net.ledger.delta_since(swap_start)
-    total_ledger = net.ledger.delta_since(start)
 
-    verified = None
-    infid = None
-    if check:
-        expected = qstate.apply_gate(
-            pre_state, _qft_gate(plan.n), [net.global_index(a) for a in addr]
-        )
-        # on a split network the worst branch row counts
-        fid = float(np.min(qstate.fidelity_up_to_global_phase(net.state, expected)))
-        infid = max(0.0, 1.0 - fid)
-        verified = infid <= ATOL
-    return ProtocolReport(
-        name="distributed-qft",
-        ledger=gate_ledger,
-        rounds=total_ledger.rounds,
-        verified=verified,
-        max_infidelity=infid,
+    report = scope.report(
+        "distributed-qft",
+        [(_qft_gate(plan.n), addr)],
         details={
             "plan": plan.to_dict(),
             "amortized": amortized,
             "distributions_used": distributions_used,
             "swap_ledger": swap_ledger.as_dict(),
-            "total_ledger": total_ledger.as_dict(),
         },
-        messages=list(net.message_log[msg_start:]),
     )
+    # the scope's ledger covers the whole run: it becomes the total, and the
+    # report's own ledger is the rotation stage
+    report.details["total_ledger"] = report.ledger.as_dict()
+    report.ledger = gate_ledger
+    return report

@@ -15,17 +15,17 @@ to the bits of a gate row selects a slab of that view (a strided block of
 2^(n-a) amplitudes), so a permutation gate copies the slabs it moves, a
 diagonal gate scales the slabs whose phase is not 1, and a one-qubit gate
 mixes its two slabs; wider general gates contract through tensordot. No
-array of 2^n indices or phases is ever built. Each kernel has two entry
-points: apply_gate/measure return a new state and leave their input alone,
-while apply_gate_inplace/measure_inplace overwrite the state's own buffer
-(the form a Network uses on the global state it owns). pattern_slabs hands
-the same slabs out as views, for checks that read amplitudes by pattern.
+array of 2^n indices or phases is ever built. apply_gate and measure
+overwrite the state's own buffer (a Network owns its global state and
+changes it in place); a caller that needs the earlier state copies it
+first. pattern_slabs hands the same slabs out as views, for checks that
+read amplitudes by pattern.
 
 A state may carry a leading branch axis: a (rows, 2^n) array holding one
 normalized vector per measurement branch, which is the deferred-measurement
 picture with the branch bits as extra leading qubits that no gate touches.
-Every kernel acts on all rows at once (apply_gate_inplace can be limited to
-a subset of rows), measure_split turns each row into its two outcome rows,
+Every kernel acts on all rows at once (apply_gate can be limited to a
+subset of rows), measure_split turns each row into its two outcome rows,
 and the probes return one answer per row. An unsplit state keeps a 1-D
 vector and scalar answers.
 """
@@ -228,19 +228,7 @@ def _apply(amps: np.ndarray, n: int, gate: GateMatrix, targets: tuple) -> None:
             block *= phase
 
 
-def apply_gate(state: StateVector, gate: GateMatrix, targets: Sequence[int]) -> StateVector:
-    """Apply `gate` to the listed qubits; returns a new state.
-
-    The first listed target is the gate's most significant wire. The input
-    state is left untouched.
-    """
-    targets = _check_targets(state, targets, gate.arity)
-    out = state.amplitudes.copy()
-    _apply(out, state.num_qubits, gate, targets)
-    return StateVector(state.num_qubits, out)
-
-
-def apply_gate_inplace(
+def apply_gate(
     state: StateVector,
     gate: GateMatrix,
     targets: Sequence[int],
@@ -248,8 +236,9 @@ def apply_gate_inplace(
 ) -> None:
     """Apply `gate` to the listed qubits, overwriting the state's amplitudes.
 
-    `rows`, a boolean mask over the rows of a split state, limits the gate
-    to those rows; the others are left as they are.
+    The first listed target is the gate's most significant wire. `rows`, a
+    boolean mask over the rows of a split state, limits the gate to those
+    rows; the others are left as they are.
     """
     targets = _check_targets(state, targets, gate.arity)
     if rows is None:
@@ -297,19 +286,41 @@ def _weight(amps: np.ndarray, n: int, qubit: int, bit: int) -> float | np.ndarra
     return np.einsum("rjk,rjk->r", f, f)
 
 
-def _collapse(
-    amps: np.ndarray,
-    n: int,
-    qubit: int,
-    rng: np.random.Generator | None,
-    forced: int | np.ndarray | None,
-) -> MeasurementRecord:
-    """Measure `qubit` of the buffer `amps` in place and return the record.
+def _bits(value, what: str) -> int | np.ndarray:
+    """A bit as an int, or per-row bits as an int64 array; anything else raises."""
+    if isinstance(value, np.ndarray):
+        if value.ndim == 0:
+            return _bits(value.item(), what)
+        bits = value.astype(np.int64)
+        if not ((bits == 0) | (bits == 1)).all() or not np.array_equal(bits, value):
+            raise ValueError(f"{what} must be 0 or 1, got {value}")
+        return bits
+    if value not in (0, 1):
+        raise ValueError(f"{what} must be 0 or 1, got {value}")
+    return int(value)
 
-    On a split buffer the outcome and its probability are per row: a forced
+
+def measure(
+    state: StateVector,
+    qubit: int,
+    *,
+    rng: np.random.Generator | None = None,
+    forced: int | np.ndarray | None = None,
+) -> MeasurementRecord:
+    """Projective Z measurement of one qubit, collapsing the state in place.
+
+    Exactly one of `rng` / `forced` must be given: sampled outcomes come from
+    the generator, forced outcomes select a branch for deterministic
+    enumeration. The discarded half of the amplitudes is zeroed and the kept
+    half rescaled, without copying the vector. Forcing an outcome whose
+    probability is below 1e-12 raises ImpossibleBranchError and leaves the
+    state unchanged.
+
+    On a split state the outcome and its probability are per row: a forced
     outcome may be one bit for every row or one bit per row, and the
     generator draws once per row.
     """
+    amps, n = state.amplitudes, state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     if (rng is None) == (forced is None):
@@ -350,52 +361,6 @@ def _collapse(
     return MeasurementRecord(qubit, outcome, p)
 
 
-def _bits(value, what: str) -> int | np.ndarray:
-    """A bit as an int, or per-row bits as an int64 array; anything else raises."""
-    if isinstance(value, np.ndarray):
-        if value.ndim == 0:
-            return _bits(value.item(), what)
-        bits = value.astype(np.int64)
-        if not ((bits == 0) | (bits == 1)).all() or not np.array_equal(bits, value):
-            raise ValueError(f"{what} must be 0 or 1, got {value}")
-        return bits
-    if value not in (0, 1):
-        raise ValueError(f"{what} must be 0 or 1, got {value}")
-    return int(value)
-
-
-def measure(
-    state: StateVector,
-    qubit: int,
-    *,
-    rng: np.random.Generator | None = None,
-    forced: int | None = None,
-) -> tuple[StateVector, MeasurementRecord]:
-    """Projective Z measurement of one qubit; returns the post-measurement state.
-
-    Exactly one of `rng` / `forced` must be given: sampled outcomes come from
-    the generator, forced outcomes select a branch for deterministic
-    enumeration. Forcing an outcome whose probability is below 1e-12 raises
-    ImpossibleBranchError. The input state is left untouched.
-    """
-    new = state.amplitudes.copy()
-    rec = _collapse(new, state.num_qubits, qubit, rng, forced)
-    return StateVector(state.num_qubits, new), rec
-
-
-def measure_inplace(
-    state: StateVector,
-    qubit: int,
-    *,
-    rng: np.random.Generator | None = None,
-    forced: int | None = None,
-) -> MeasurementRecord:
-    """measure(), but the state's own amplitudes collapse: the discarded half
-    is zeroed and the kept half rescaled, without copying the vector. On
-    ImpossibleBranchError the state is unchanged."""
-    return _collapse(state.amplitudes, state.num_qubits, qubit, rng, forced)
-
-
 def measure_split(state: StateVector, qubit: int) -> tuple[StateVector, MeasurementRecord]:
     """Z-measure `qubit` on every row and keep both outcomes.
 
@@ -421,34 +386,6 @@ def measure_split(state: StateVector, qubit: int) -> tuple[StateVector, Measurem
     new = new.reshape(2 * rows, 2**n)
     new /= np.sqrt(p)[:, None]
     return StateVector(n, new), MeasurementRecord(qubit, np.tile([0, 1], rows), p)
-
-
-def _aligned(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two arrays of per-row values (amplitudes, say) as (rows, size)
-    arrays with equal row counts.
-
-    The one with fewer rows belongs to an ancestor of the other's state:
-    each of its rows stands for the consecutive block of rows it split into.
-    """
-    a, b = np.atleast_2d(a), np.atleast_2d(b)
-    rows = max(len(a), len(b))
-    return np.repeat(a, rows // len(a), axis=0), np.repeat(b, rows // len(b), axis=0)
-
-
-def fidelity_up_to_global_phase(a: StateVector, b: StateVector):
-    """|<a|b>| for normalized pure states; 1 means equal up to global phase.
-
-    For split states the overlap is taken row by row (a state with fewer
-    rows stands in for each row that descends from it), one value per row.
-    """
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"state sizes differ: {a.num_qubits} vs {b.num_qubits} qubits"
-        )
-    if a.amplitudes.ndim == b.amplitudes.ndim == 1:
-        return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
-    x, y = _aligned(a.amplitudes, b.amplitudes)
-    return np.abs(np.einsum("ri,ri->r", x.conj(), y))
 
 
 def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarray):

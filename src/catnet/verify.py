@@ -180,7 +180,9 @@ class Case:
     def row_label(self, label: str, bits: tuple[int, ...] | None, sample: int) -> str:
         """The failure label of one row: `bits` are its outcomes in an
         exhaustive sweep, None in sample number `sample`."""
-        return f"{label}:branch{bits}" if self.measurements else label
+        if not self.measurements:
+            return label
+        return f"{label}:sample{sample}" if bits is None else f"{label}:branch{bits}"
 
 
 class _QftCase(Case):
@@ -503,7 +505,7 @@ def verify_parallel_control(*, seed: int = 0, branches: str = "exhaustive", samp
     controlled_ideal = np.kron(np.eye(2) - on, np.eye(128)) + np.kron(on, np.kron(np.kron(u1, u2), u3))
     case = Case(
         [("C", 1, 1), ("P1", 2, 1), ("P2", 3, 1), ("P3", 2, 1)], 4, inputs,
-        lambda net: [("", parallel_distributed_control(net, ctrl, parts, auto_establish=True))],
+        lambda net: [("", parallel_distributed_control(net, ctrl, parts))],
         [ctrl, *t1, *t2, *t3], controlled_ideal, max(1, samples // len(inputs)), details={"controlled_rounds": 1},
     )
     expect = {"": {"ebits": 3, "cbits": 6}}

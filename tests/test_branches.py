@@ -290,6 +290,9 @@ def test_sweep_reports_failing_rows_by_branch(monkeypatch):
         # row 5 of the qft run forced to 000001, and of distributed-swap's input3 (seed 0 + 3)
         if net.rows > 1 and (prefix == (0, 0, 0, 0, 0, 1) or (not prefix and seed == 3)):
             net.state.amplitudes[5] = np.roll(net.state.amplitudes[5], 1)
+        # the unsplit run of sample 5 of distributed-swap's input3 in a sampled sweep
+        if net.rows == 1 and seed == 3 + 7919 * 5 + 13:
+            net.state.amplitudes[:] = np.roll(net.state.amplitudes, 1)
 
     record_runs(monkeypatch, corrupting)
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
@@ -299,6 +302,9 @@ def test_sweep_reports_failing_rows_by_branch(monkeypatch):
     rep = verify.verify_distributed_swap(seed=0, branches="exhaustive")
     assert rep.verified is False
     assert {f["case"] for f in rep.details["failures"]} == {"input3:branch(0, 1, 0, 1)"}
+    rep = verify.verify_distributed_swap(seed=0, branches="sampled")
+    assert rep.verified is False
+    assert {f["case"] for f in rep.details["failures"]} == {"input3:sample5"}
 
 
 def test_message_log_is_row_zero_of_the_first_run():

@@ -229,9 +229,11 @@ def test_demo_rejects_sweep_flags(flags, capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flags", [["--n", "4"], ["--m", "2"], ["--amortized"]])
+@pytest.mark.parametrize("flags", [["--n", "4"], ["--m", "2"], ["--amortized"], ["--n", "6", "--amortized"]])
 def test_qft_options_rejected_for_other_protocols(flags, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "teleport", *flags])
-    assert exc.value.code == 2
-    assert "qft sweep only" in capsys.readouterr().err
+    """Regression: demo accepted --n, --m and --amortized for any protocol and ignored them."""
+    for command in ("verify", "demo"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "teleport", *flags])
+        assert exc.value.code == 2
+        assert "qft sweep only" in capsys.readouterr().err

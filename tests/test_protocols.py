@@ -1,5 +1,7 @@
 """Composite protocol contracts: ledgers, oracles, hygiene, integration."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from catnet.protocols import (
     reset_channel_qubits,
     teleport_with_reset,
 )
+from catnet.verify import verify_protocol
 
 SQRT2_INV = 1 / np.sqrt(2)
 
@@ -296,7 +299,6 @@ def test_parallel_control_three_parts():
             ("P2", qstate.GateMatrix(u2), t2),
             ("P3", qstate.GateMatrix(u3), t3),
         ],
-        auto_establish=True,
     )
     assert rep.verified
     assert rep.details["controlled_rounds"] == 1
@@ -312,11 +314,26 @@ def test_parallel_control_idle_when_control_zero():
         net,
         net.reg("C"),
         [("P1", X, [net.reg("P1")]), ("P2", X, [net.reg("P2")])],
-        auto_establish=True,
     )
     assert rep.verified
     assert net.qubit_is(net.reg("P1"), 0)
     assert net.qubit_is(net.reg("P2"), 0)
+
+
+def test_parallel_control_reports_measured_controlled_rounds(monkeypatch):
+    """Regression: controlled_rounds was a literal 1, so verify parallel-control
+    could not fail on it. Without batching each of the three parts takes its
+    own round."""
+
+    @contextmanager
+    def unbatched(self):
+        yield self
+
+    monkeypatch.setattr(Network, "parallel_round", unbatched)
+    rep = verify_protocol("parallel-control")
+    assert rep.verified is False
+    assert rep.details["failures"]
+    assert all(f["controlled_rounds"] == 3 for f in rep.details["failures"])
 
 
 def test_parallel_control_rejects_duplicate_nodes():
@@ -326,7 +343,6 @@ def test_parallel_control_rejects_duplicate_nodes():
             net,
             net.reg("C"),
             [("P1", X, [net.reg("P1", 0)]), ("P1", X, [net.reg("P1", 1)])],
-            auto_establish=True,
         )
 
 
