@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="runs per case in sampled mode, at least 1 (default: each protocol's own count)",
             )
-        p.add_argument("--format", choices=["json", "text"], default="json")
+            p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run one protocol's verification sweep")
@@ -123,7 +123,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         m=2 if m is None else m,
         amortized=getattr(args, "amortized", False),
         output=args.output,
-        format=args.format,
+        format=getattr(args, "format", "json"),
     )
 
 

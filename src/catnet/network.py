@@ -140,10 +140,10 @@ def _one_answer(answer: bool | np.ndarray, what: str, addrs: Sequence[object] = 
 class Network:
     """A set of nodes sharing one exact global state.
 
-    `state` is a StateVector whose amplitudes the network owns and mutates:
-    gates, measurements and setup helpers all write into that one buffer,
-    so a caller that needs the state as it was must copy the amplitudes.
-    A split measurement replaces the buffer with one of twice the rows.
+    `state` is a StateVector that the network owns and mutates: gates,
+    measurements and setup helpers all change that one state in place, so
+    a caller that needs the state as it was must copy it. A split
+    measurement replaces it with a state of twice the rows.
     """
 
     def __init__(
@@ -173,7 +173,8 @@ class Network:
         self.ledger = ResourceLedger()
         self.message_log: list[ClassicalMessage] = []
         self.records: list[MeasurementRecord] = []
-        self.rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rng: np.random.Generator | None = None
         # a float, or one probability per row once the state is split
         self.branch_probability: float | np.ndarray = 1.0
         self._forced: collections.deque[int] = collections.deque()
@@ -182,6 +183,14 @@ class Network:
         self._token_ids: set[int] = set()
         self._in_round = False
         self._round_touched: set[int] = set()
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator of sampled outcomes, made on the first draw, so a
+        run whose outcomes are all forced or split never loads numpy.random."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng
 
     # ---- addressing -----------------------------------------------------
 
@@ -536,11 +545,10 @@ class Network:
         norm = np.linalg.norm(amps)
         if norm < qstate.ZERO_CUTOFF:
             raise ValueError("cannot inject the zero vector")
-        psi = qstate._qubit_view(self.state.amplitudes, self.num_qubits)
-        psi[...] = 0
-        block: list = [0] * self.num_qubits
-        for i in idx:
-            block[i] = slice(None)
-        # the block's axes run in ascending global index; reorder the input's
-        # to match (every row of a split state receives the same input)
-        psi[(Ellipsis, *block)] = np.transpose((amps / norm).reshape((2,) * k), np.argsort(idx))
+        # the live block's axes run in ascending global index; reorder the
+        # input's to match (every row of a split state receives the same input)
+        block = np.transpose((amps / norm).reshape((2,) * k), np.argsort(idx)).reshape(-1)
+        if self.state.block.ndim == 2:
+            block = np.tile(block, (self.rows, 1))
+        zeros = {q: 0 for q in range(self.num_qubits) if q not in idx}
+        self.state = StateVector(self.num_qubits, block, zeros)

@@ -101,9 +101,7 @@ class _Scope:
         self.net = net
         self.snap = net.ledger.snapshot()
         self.msg_start = len(net.message_log)
-        self.pre_state = (
-            qstate.StateVector(net.num_qubits, net.state.amplitudes.copy()) if check else None
-        )
+        self.pre_state = net.state.copy() if check else None
 
     def report(
         self,
@@ -149,7 +147,7 @@ class _Scope:
         density matrix.
         """
         net = self.net
-        expected = qstate.StateVector(net.num_qubits, self.pre_state.amplitudes.copy())
+        expected = self.pre_state.copy()
         for gate, addrs in ideal:
             qstate.apply_gate(expected, gate, [net.global_index(a) for a in addrs])
         skip = {net.global_index(a) for a in exclude}
@@ -210,8 +208,6 @@ def establish_epr_exchange(
     node_a: str,
     node_b: str,
     *,
-    slots_a: tuple[int, int] = (0, 1),
-    slots_b: tuple[int, int] = (0, 1),
     check: bool = True,
 ) -> tuple[list[tuple[QubitAddress, QubitAddress]], ProtocolReport]:
     """Create two EPR pairs between two nodes with one crossing shipment.
@@ -219,15 +215,17 @@ def establish_epr_exchange(
     Each node entangles a stay-home channel qubit with a traveler, then the
     travelers trade places: two qubits shipped, two shared pairs gained.
     Returns the pairs as (qubit at node_a, qubit at node_b) address tuples.
-    All four channel qubits must start in |0>.
+    Each node uses its first two channel qubits in |0>; a node with fewer
+    raises PreconditionError.
     """
     if node_a == node_b:
         raise ValueError("entanglement establishment needs two distinct nodes")
-    keep_a, move_a = net.chan(node_a, slots_a[0]), net.chan(node_a, slots_a[1])
-    keep_b, move_b = net.chan(node_b, slots_b[0]), net.chan(node_b, slots_b[1])
-    for addr in (keep_a, move_a, keep_b, move_b):
-        if not net.qubit_is(addr, 0):
-            raise PreconditionError(f"channel qubit {addr} must be |0> before entangling")
+    try:
+        keep_a, keep_b = _free_zero_channel(net, node_a), _free_zero_channel(net, node_b)
+        move_a = _free_zero_channel(net, node_a, exclude=(keep_a,))
+        move_b = _free_zero_channel(net, node_b, exclude=(keep_b,))
+    except ResourceError as err:
+        raise PreconditionError(f"entangling needs two |0> channel qubits per node: {err}") from None
     scope = _Scope(net, check)
     with net.parallel_round():
         net.local_apply(H, [keep_a])

@@ -82,7 +82,7 @@ def qft_local(state: StateVector, qubits: Sequence[int], *, inverse: bool = Fals
         ops.append((SWAP, SWAP, [qubits[i], qubits[n - 1 - i]]))
     if inverse:
         ops = [(adj, gate, targets) for gate, adj, targets in reversed(ops)]
-    out = StateVector(state.num_qubits, state.amplitudes.copy())
+    out = state.copy()
     for gate, _, targets in ops:
         qstate.apply_gate(out, gate, targets)
     return out

@@ -10,28 +10,40 @@ Conventions used everywhere in this package:
   amplitudes below 1e-12 count as exactly zero when validating forced
   measurement outcomes.
 
-Kernels work on the (2,)*n view of the amplitudes. Fixing the target qubits
-to the bits of a gate row selects a slab of that view (a strided block of
-2^(n-a) amplitudes), so a permutation gate copies the slabs it moves, a
-diagonal gate scales the slabs whose phase is not 1, and a one-qubit gate
-mixes its two slabs; wider general gates contract through tensordot. No
-array of 2^n indices or phases is ever built. apply_gate and measure
-overwrite the state's own buffer (a Network owns its global state and
-changes it in place); a caller that needs the earlier state copies it
-first. pattern_slabs hands the same slabs out as views, for checks that
-read amplitudes by pattern.
+A state keeps amplitudes for its live qubits only. Every other qubit is
+fixed: it sits in a computational-basis state, recorded as one bit, and the
+state is that basis state times the live block. Only two things make a
+qubit fixed: a measurement, which keeps the outcome's half of the block
+and drops the qubit's axis, and basis_state, which starts every qubit
+fixed. A permutation gate on fixed qubits only rewrites their bits and a
+diagonal one only scales the block by a phase; any other gate first
+re-inserts the axes of its fixed targets. No amplitude is ever inspected
+to decide that a qubit could be fixed, so the gate path runs no
+separability test. Probes of a fixed qubit compare bits.
 
-A state may carry a leading branch axis: a (rows, 2^n) array holding one
+Kernels work on the (2,)*L view of the live block, one axis per live qubit
+in ascending qubit order. Fixing the target axes to the bits of a gate row
+selects a slab of that view, so a permutation gate copies the slabs it
+moves, a diagonal gate scales the slabs whose phase is not 1, and a
+one-qubit gate mixes its two slabs; wider general gates contract through
+tensordot. apply_gate and measure overwrite the state's own block (a
+Network owns its global state and changes it in place); a caller that needs
+the earlier state copies it first. pattern_slabs hands the same slabs out
+as views, for checks that read amplitudes by pattern.
+
+A state may carry a leading branch axis: a (rows, 2^L) block holding one
 normalized vector per measurement branch, which is the deferred-measurement
 picture with the branch bits as extra leading qubits that no gate touches.
-Every kernel acts on all rows at once (apply_gate can be limited to a
-subset of rows), measure_split turns each row into its two outcome rows,
-and the probes return one answer per row. An unsplit state keeps a 1-D
-vector and scalar answers.
+A fixed qubit then holds one bit per row. Every kernel acts on all rows at
+once (apply_gate can be limited to a subset of rows), measure_split turns
+each row into its two outcome rows, and the probes return one answer per
+row. An unsplit state keeps a 1-D block and scalar answers.
 """
 
 from __future__ import annotations
 
+import mmap
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -49,13 +61,14 @@ class GateMatrix:
 
     The matrix is validated (square, power-of-two dimension, unitary within
     1e-10) and frozen at construction. Instances are classified once as
-    permutation / diagonal / general, and what the kernel needs for that
+    permutation / diagonal / general, and what the kernels need for that
     kind is precomputed: the (destination, source) row pairs a permutation
-    moves, the (row, phase) pairs of a diagonal whose phase is not 1, and
-    the (2,)*2a tensor of the matrix.
+    moves and the row each source row goes to, the (row, phase) pairs of a
+    diagonal whose phase is not 1 and its whole diagonal, and the (2,)*2a
+    tensor of the matrix.
     """
 
-    __slots__ = ("matrix", "arity", "kind", "tensor", "moves", "phases")
+    __slots__ = ("matrix", "arity", "kind", "tensor", "moves", "image", "phases", "diagonal")
 
     def __init__(self, matrix) -> None:
         m = np.array(matrix, dtype=complex)
@@ -78,16 +91,20 @@ class GateMatrix:
         dim = m.shape[0]
         self.moves: tuple[tuple[int, int], ...] = ()
         self.phases: tuple[tuple[int, complex], ...] = ()
+        self.image = self.diagonal = None
         nonzero_rows = m.nonzero()[0]
         if len(nonzero_rows) == dim and np.all((m == 0) | (m == 1)):
             # exactly one 1 per column: out[row] <- in[col]
             rows, cols = m.nonzero()
             self.kind = "permutation"
             self.moves = tuple((int(r), int(c)) for r, c in zip(rows, cols) if r != c)
+            self.image = np.empty(dim, dtype=np.int64)
+            self.image[cols] = rows
         elif np.count_nonzero(m - np.diag(np.diagonal(m))) == 0:
             self.kind = "diagonal"
+            self.diagonal = np.diagonal(m)
             self.phases = tuple(
-                (row, complex(phase)) for row, phase in enumerate(np.diagonal(m)) if phase != 1
+                (row, complex(phase)) for row, phase in enumerate(self.diagonal) if phase != 1
             )
         else:
             self.kind = "general"
@@ -96,36 +113,78 @@ class GateMatrix:
         return f"GateMatrix(arity={self.arity}, kind={self.kind})"
 
 
-@dataclass(frozen=True)
 class StateVector:
-    """Normalized amplitudes over 2**num_qubits basis states.
+    """Normalized amplitudes over 2**num_qubits basis states, kept as a
+    block over the live qubits and one recorded bit per fixed qubit.
 
-    The amplitudes are a vector of 2^n entries, or a (rows, 2^n) array for a
-    state split into branch rows. They are kept C-contiguous, so reshaping
-    them onto (2,) * n axes is a view and the in-place kernels write
-    through it.
+    `fixed` maps each fixed qubit to its bit: an int, or an int64 array of
+    one bit per row on a split state. Every other qubit is live, and
+    `block` holds their 2^L amplitudes (a 1-D vector, or a (rows, 2^L)
+    array for a state split into branch rows), axes in ascending qubit
+    order. The block is kept C-contiguous, so reshaping it onto (2,) * L
+    axes is a view and the in-place kernels write through it.
+    StateVector(n, amplitudes) wraps a dense vector: every qubit live.
+    `high_water` is the most amplitudes the block has held, over all rows.
     """
 
-    num_qubits: int
-    amplitudes: np.ndarray
+    __slots__ = ("num_qubits", "block", "fixed", "live", "high_water")
 
-    def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        dim = 2**self.num_qubits
-        if amps.shape != (dim,) and not (amps.ndim == 2 and amps.shape[1] == dim and len(amps)):
-            raise ValueError(f"expected {dim} amplitudes (per row), got shape {amps.shape}")
-        object.__setattr__(self, "amplitudes", amps)
+    def __init__(self, num_qubits: int, amplitudes, fixed: dict | None = None) -> None:
+        n = int(num_qubits)
+        fixed = dict(fixed or {})
+        block = np.ascontiguousarray(amplitudes, dtype=complex)
+        if not block.flags.writeable:
+            block = block.copy()
+        live = [q for q in range(n) if q not in fixed]
+        dim = 2 ** len(live)
+        if block.shape != (dim,) and not (block.ndim == 2 and block.shape[1] == dim and len(block)):
+            raise ValueError(f"expected {dim} amplitudes (per row), got shape {block.shape}")
+        self.num_qubits = n
+        self.block = block
+        self.fixed = fixed
+        self.live = live
+        self.high_water = block.size
 
     @property
     def rows(self) -> int:
         """Branch rows carried: 1 for an unsplit state."""
-        return 1 if self.amplitudes.ndim == 1 else len(self.amplitudes)
+        return 1 if self.block.ndim == 1 else len(self.block)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense 2^n amplitudes (per row on a split state), built on
+        demand and read-only: kernels change the state, never this array.
+
+        The array starts zeroed, so only the pages of the live block's
+        entries are ever written.
+        """
+        n, block, live = self.num_qubits, self.block, self.live
+        rows = block.reshape(-1, block.shape[-1])
+        j = np.arange(rows.shape[1])
+        index = np.zeros_like(j)
+        for k, q in enumerate(live):
+            index |= ((j >> (len(live) - 1 - k)) & 1) << (n - 1 - q)
+        offset = sum((np.asarray(b, dtype=np.int64) << (n - 1 - q) for q, b in self.fixed.items()), 0)
+        # np.zeros asks for transparent huge pages from 4 MB up, so each
+        # scattered write below would fault in and zero a whole 2 MB page;
+        # an anonymous mmap is zero-filled and faults in 4 KB pages
+        dense = np.frombuffer(mmap.mmap(-1, 16 * len(rows) * 2**n), dtype=complex).reshape(len(rows), 2**n)
+        row_offset = np.broadcast_to(offset, (len(rows),))[:, None]
+        dense[np.arange(len(rows))[:, None], row_offset + index] = rows
+        out = dense if block.ndim == 2 else dense[0]
+        out.setflags(write=False)
+        return out
 
     def norm(self):
         """The norm: a float, or one per row for a split state."""
-        if self.amplitudes.ndim == 1:
-            return float(np.linalg.norm(self.amplitudes))
-        return np.linalg.norm(self.amplitudes, axis=1)
+        if self.block.ndim == 1:
+            return float(np.linalg.norm(self.block))
+        return np.linalg.norm(self.block, axis=1)
+
+    def copy(self) -> "StateVector":
+        """An independent state equal to this one."""
+        bits = {q: b.copy() if isinstance(b, np.ndarray) else b for q, b in self.fixed.items()}
+        return StateVector(self.num_qubits, self.block.copy(), bits)
 
 
 @dataclass(frozen=True)
@@ -142,12 +201,12 @@ class MeasurementRecord:
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
-    """|index> on num_qubits wires, index read with qubit 0 as MSB."""
+    """|index> on num_qubits wires, index read with qubit 0 as MSB: every
+    qubit fixed, so the live block is the single amplitude 1."""
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+    bits = {q: (index >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)}
+    return StateVector(num_qubits, np.ones(1, dtype=complex), bits)
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
@@ -173,6 +232,27 @@ def _qubit_view(amps: np.ndarray, n: int) -> np.ndarray:
     return amps.reshape(amps.shape[:-1] + (2,) * n)
 
 
+def _with_axes(state: StateVector, qubits: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """The block with an axis re-inserted for each listed qubit that is
+    fixed, each row's amplitudes in the slot of that row's bit, and the live
+    qubits that result. The state itself is left alone; with nothing to
+    insert its own block comes back."""
+    block, live = state.block, list(state.live)
+    for q in sorted(q for q in qubits if q in state.fixed):
+        bit = state.fixed[q]
+        k = bisect_left(live, q)
+        src = block.reshape(block.shape[:-1] + (2**k, 1, -1))
+        new = np.zeros(src.shape[:-2] + (2, src.shape[-1]), dtype=complex)
+        if isinstance(bit, np.ndarray):
+            for b in (0, 1):
+                new[bit == b, :, b] = src[bit == b, :, 0]
+        else:
+            new[..., bit, :] = src[..., 0, :]
+        block = new.reshape(block.shape[:-1] + (-1,))
+        live.insert(k, q)
+    return block, live
+
+
 # Keyed by (n, targets) only, so a sweep that repeats the same gate placements
 # on fresh networks reuses its entries instead of adding new ones.
 @lru_cache(maxsize=4096)
@@ -195,8 +275,8 @@ def _slabs(n: int, targets: tuple) -> tuple:
 
 
 def _apply(amps: np.ndarray, n: int, gate: GateMatrix, targets: tuple) -> None:
-    """Overwrite the contiguous amplitude buffer `amps` with gate @ amps,
-    on every row of a split state."""
+    """Overwrite the contiguous n-axis block `amps` with gate @ amps, on
+    every row of a split state; `targets` are axis positions."""
     if gate.kind == "general":
         a = gate.arity
         if a > 1:
@@ -228,37 +308,78 @@ def _apply(amps: np.ndarray, n: int, gate: GateMatrix, targets: tuple) -> None:
             block *= phase
 
 
+def _apply_fixed(state: StateVector, gate: GateMatrix, targets: tuple, rows: np.ndarray | None) -> None:
+    """A permutation or diagonal gate whose targets are all fixed: the
+    targets' bits (per row where they differ) pick the gate row, so a
+    permutation rewrites the bits and a diagonal scales the block."""
+    fixed, a = state.fixed, gate.arity
+    pattern = 0
+    for t in targets:
+        pattern = (pattern << 1) | fixed[t]
+    if gate.kind == "permutation":
+        image = gate.image[pattern]
+        for j, t in enumerate(targets):
+            bit = (image >> (a - 1 - j)) & 1
+            if rows is not None:
+                bit = np.where(rows, bit, fixed[t])
+            fixed[t] = bit.astype(np.int64) if bit.ndim else int(bit)
+        return
+    phase = gate.diagonal[pattern]
+    if rows is not None:
+        phase = np.where(rows, phase, 1)
+    if phase.ndim:
+        state.block *= phase[:, None]
+    elif phase != 1:
+        state.block *= phase
+
+
 def apply_gate(
     state: StateVector,
     gate: GateMatrix,
     targets: Sequence[int],
     rows: np.ndarray | None = None,
 ) -> None:
-    """Apply `gate` to the listed qubits, overwriting the state's amplitudes.
+    """Apply `gate` to the listed qubits, overwriting the state in place.
 
     The first listed target is the gate's most significant wire. `rows`, a
     boolean mask over the rows of a split state, limits the gate to those
-    rows; the others are left as they are.
+    rows; the others are left as they are. A permutation or diagonal gate
+    on fixed qubits only touches their bits or the block's phase; any other
+    gate makes its fixed targets live first.
     """
     targets = _check_targets(state, targets, gate.arity)
-    if rows is None:
-        _apply(state.amplitudes, state.num_qubits, gate, targets)
+    fixed_targets = [t for t in targets if t in state.fixed]
+    if gate.kind != "general" and len(fixed_targets) == len(targets):
+        _apply_fixed(state, gate, targets, rows)
         return
-    sub = state.amplitudes[rows]
-    _apply(sub, state.num_qubits, gate, targets)
-    state.amplitudes[rows] = sub
+    if fixed_targets:
+        state.block, state.live = _with_axes(state, fixed_targets)
+        state.high_water = max(state.high_water, state.block.size)
+        for t in fixed_targets:
+            del state.fixed[t]
+    live = state.live
+    axes = tuple(bisect_left(live, t) for t in targets)
+    if rows is None:
+        _apply(state.block, len(live), gate, axes)
+        return
+    sub = state.block[rows]
+    _apply(sub, len(live), gate, axes)
+    state.block[rows] = sub
 
 
 def pattern_slabs(state: StateVector, qubits: Sequence[int]) -> list[np.ndarray]:
-    """The amplitudes grouped by the bit pattern of `qubits`, without copying.
+    """The amplitudes grouped by the bit pattern of `qubits`.
 
-    Entry b is a view of the slab where the listed qubits read the bits of b
-    (first listed qubit = most significant bit); a split state's slabs keep
-    the row axis first.
+    Entry b is the slab where the listed qubits read the bits of b (first
+    listed qubit = most significant bit), over the live qubits not listed;
+    a split state's slabs keep the row axis first. Slabs are views of the
+    state's block when every listed qubit is live.
     """
     qubits = _check_targets(state, qubits, len(qubits))
-    psi = _qubit_view(state.amplitudes, state.num_qubits)
-    return [psi[idx] for idx in _slabs(state.num_qubits, qubits)]
+    block, live = _with_axes(state, qubits)
+    psi = _qubit_view(block, len(live))
+    axes = tuple(bisect_left(live, q) for q in qubits)
+    return [psi[idx] for idx in _slabs(len(live), axes)]
 
 
 def row_weights(block: np.ndarray, rows: int) -> float | np.ndarray:
@@ -270,20 +391,32 @@ def row_weights(block: np.ndarray, rows: int) -> float | np.ndarray:
     return np.einsum("ri,ri->r", flat.real, flat.real) + np.einsum("ri,ri->r", flat.imag, flat.imag)
 
 
-def _weight(amps: np.ndarray, n: int, qubit: int, bit: int) -> float | np.ndarray:
-    """Probability that `qubit` reads `bit`: a float for an unsplit buffer,
+def _weight(state: StateVector, qubit: int, bit: int) -> float | np.ndarray:
+    """Probability that `qubit` reads `bit`: a float for an unsplit state,
     else one value per row.
 
-    One reduction over the float64 view of the slab where the qubit reads
-    `bit` sums the squared real and imaginary parts, so no squared copy of
-    the slab is built.
+    A fixed qubit reads its own bit with probability exactly 1. For a live
+    qubit one reduction over the float64 view of the block sums the squared
+    real and imaginary parts where the qubit reads `bit`, so no squared
+    copy is built. The last axis interleaves its two slabs amplitude by
+    amplitude; its weight comes from column sums over wide contiguous rows
+    instead, which read the block once without a two-element inner loop.
     """
-    f = amps.view(np.float64)
-    if amps.ndim == 1:
-        f = f.reshape(2**qubit, 2, -1)[:, bit, :]
-        return float(np.einsum("ij,ij->", f, f))
-    f = f.reshape(len(amps), 2**qubit, 2, -1)[:, :, bit, :]
-    return np.einsum("rjk,rjk->r", f, f)
+    amps = state.block
+    split = amps.ndim == 2
+    if qubit in state.fixed:
+        hit = state.fixed[qubit] == bit
+        return np.broadcast_to(hit, (len(amps),)).astype(np.float64) if split else float(hit)
+    k, n = bisect_left(state.live, qubit), len(state.live)
+    f = amps.view(np.float64).reshape(len(amps) if split else 1, -1)
+    if k == n - 1:
+        wide = f.reshape(len(f), -1, min(1024, f.shape[1]))
+        cols = np.einsum("rij,rij->rj", wide, wide)
+        w = cols.reshape(len(f), -1, 2, 2)[:, :, bit, :].sum(axis=(1, 2))
+    else:
+        half = f.reshape(len(f), 2**k, 2, -1)[:, :, bit, :]
+        w = np.einsum("rjk,rjk->r", half, half)
+    return w if split else float(w[0])
 
 
 def _bits(value, what: str) -> int | np.ndarray:
@@ -311,53 +444,56 @@ def measure(
 
     Exactly one of `rng` / `forced` must be given: sampled outcomes come from
     the generator, forced outcomes select a branch for deterministic
-    enumeration. The discarded half of the amplitudes is zeroed and the kept
-    half rescaled, without copying the vector. Forcing an outcome whose
-    probability is below 1e-12 raises ImpossibleBranchError and leaves the
-    state unchanged.
+    enumeration. The kept half of the block, rescaled, becomes the new
+    block and the qubit becomes fixed at its outcome. Forcing an outcome
+    whose probability is below 1e-12 raises ImpossibleBranchError and
+    leaves the state unchanged.
 
     On a split state the outcome and its probability are per row: a forced
     outcome may be one bit for every row or one bit per row, and the
     generator draws once per row.
     """
-    amps, n = state.amplitudes, state.num_qubits
+    n = state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     if (rng is None) == (forced is None):
         raise ValueError("supply exactly one of rng= or forced=")
+    amps = state.block
     split = amps.ndim == 2
     # per-outcome weights summed from their own slices: renormalizing by the
     # kept slice's weight leaves the state with unit norm exactly, whereas
     # 1 - p_other would let rounding drift compound over many measurements
     if forced is None:
         if split:
-            forced = (rng.random(len(amps)) < _weight(amps, n, qubit, 1)).astype(np.int64)
+            forced = (rng.random(len(amps)) < _weight(state, qubit, 1)).astype(np.int64)
         else:
-            forced = int(rng.random() < _weight(amps, n, qubit, 1))
+            forced = int(rng.random() < _weight(state, qubit, 1))
     outcome = _bits(forced, "forced outcome")
     if isinstance(outcome, np.ndarray) and (outcome == outcome[0]).all():
         outcome = int(outcome[0])
     if isinstance(outcome, int):
-        p = _weight(amps, n, qubit, outcome)
+        p = _weight(state, qubit, outcome)
     else:
-        p = np.where(outcome == 1, _weight(amps, n, qubit, 1), _weight(amps, n, qubit, 0))
-    # scalar arithmetic for an unsplit buffer: numpy calls on a single value
+        p = np.where(outcome == 1, _weight(state, qubit, 1), _weight(state, qubit, 0))
+    # scalar arithmetic for an unsplit block: numpy calls on a single value
     # cost more than the collapse of a small state
     least = p.min() if split else p
     if least < ZERO_CUTOFF:
         raise ImpossibleBranchError(
             f"outcome {outcome} on qubit {qubit} has probability {least:.3e}"
         )
-    scale = np.sqrt(p)[:, None, None] if split else np.sqrt(p)
-    halves = amps.reshape(-1, 2**qubit, 2, 2 ** (n - 1 - qubit))
+    if qubit in state.fixed:
+        return MeasurementRecord(qubit, outcome, p)
+    k = bisect_left(state.live, qubit)
+    halves = amps.reshape(-1, 2**k, 2, 2 ** (len(state.live) - 1 - k))
     if isinstance(outcome, int):
-        halves[:, :, 1 - outcome, :] = 0
-        kept = halves[:, :, outcome, :]
-        kept /= scale
+        kept = halves[:, :, outcome, :] / (np.sqrt(p)[:, None, None] if split else np.sqrt(p))
     else:
-        halves[outcome == 0, :, 1, :] = 0
-        halves[outcome == 1, :, 0, :] = 0
-        halves /= scale[..., None]
+        kept = np.where((outcome == 1)[:, None, None], halves[:, :, 1, :], halves[:, :, 0, :])
+        kept /= np.sqrt(p)[:, None, None]
+    state.block = kept.reshape(amps.shape[:-1] + (-1,))
+    state.live.remove(qubit)
+    state.fixed[qubit] = outcome
     return MeasurementRecord(qubit, outcome, p)
 
 
@@ -365,54 +501,62 @@ def measure_split(state: StateVector, qubit: int) -> tuple[StateVector, Measurem
     """Z-measure `qubit` on every row and keep both outcomes.
 
     Row r of the input becomes row 2r (outcome 0) and row 2r+1 (outcome 1)
-    of a new state, each renormalized by its own weight; the record holds
-    the per-row outcomes and probabilities. Any branch of probability below
-    1e-12 raises ImpossibleBranchError. The input state is left untouched.
+    of a new state, each renormalized by its own weight, and the qubit
+    becomes fixed at the row's outcome, so the block keeps its size. The
+    record holds the per-row outcomes and probabilities. Any branch of
+    probability below 1e-12 raises ImpossibleBranchError. The input state
+    is left untouched.
     """
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    amps = state.amplitudes.reshape(-1, 2**n)
-    rows = len(amps)
-    p = np.stack([_weight(amps, n, qubit, 0), _weight(amps, n, qubit, 1)], axis=1).reshape(-1)
+    rows = state.rows
+    p = np.stack(
+        [np.atleast_1d(_weight(state, qubit, 0)), np.atleast_1d(_weight(state, qubit, 1))], axis=1
+    ).reshape(-1)
     if (p < ZERO_CUTOFF).any():
         raise ImpossibleBranchError(
             f"a branch of the split on qubit {qubit} has probability {p.min():.3e}"
         )
-    src = amps.reshape(rows, 2**qubit, 2, -1)
-    new = np.zeros((rows, 2) + src.shape[1:], dtype=complex)
-    for bit in (0, 1):
-        new[:, bit, :, bit, :] = src[:, :, bit, :]
-    new = new.reshape(2 * rows, 2**n)
+    k = bisect_left(state.live, qubit)
+    src = state.block.reshape(rows, 2**k, 2, -1)
+    new = np.ascontiguousarray(src.swapaxes(1, 2)).reshape(2 * rows, -1)
     new /= np.sqrt(p)[:, None]
-    return StateVector(n, new), MeasurementRecord(qubit, np.tile([0, 1], rows), p)
+    bits = {q: np.repeat(b, 2) if isinstance(b, np.ndarray) else b for q, b in state.fixed.items()}
+    bits[qubit] = np.tile(np.array([0, 1], dtype=np.int64), rows)
+    out = StateVector(n, new, bits)
+    out.high_water = state.high_water
+    return out, MeasurementRecord(qubit, bits[qubit], p)
 
 
 def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarray):
     """True when `qubit` is |expected> with probability 1 within 1e-10.
 
     A split state gives one answer per row, and `expected` may then hold
-    one bit per row.
+    one bit per row. On a fixed qubit this compares bits.
     """
     expected = _bits(expected, "expected bit")
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    amps, n = state.amplitudes, state.num_qubits
     if isinstance(expected, np.ndarray):
-        wrong = np.where(expected == 1, _weight(amps, n, qubit, 0), _weight(amps, n, qubit, 1))
+        wrong = np.where(expected == 1, _weight(state, qubit, 0), _weight(state, qubit, 1))
     else:
-        wrong = _weight(amps, n, qubit, 1 - expected)
+        wrong = _weight(state, qubit, 1 - expected)
     return wrong <= ATOL
 
 
 def bipartition(state: StateVector, keep: Sequence[int]) -> np.ndarray:
-    """The amplitudes as a (rows, 2^len(keep), 2^rest) array: the listed
-    qubits (first listed = MSB) index the middle axis and every other qubit
-    the last. An unsplit state has one row."""
+    """The amplitudes as a (rows, 2^len(keep), rest) array: the listed
+    qubits (first listed = MSB) index the middle axis and the live qubits
+    not listed the last. An unsplit state has one row.
+
+    A fixed qubit that is not listed is a factor of norm 1, so it is left
+    out; `rest` is then smaller than 2^(n - len(keep)).
+    """
     keep = _check_targets(state, keep, len(keep))
-    n = state.num_qubits
-    psi = _qubit_view(state.amplitudes.reshape(-1, 2**n), n)
-    psi = np.moveaxis(psi, [k + 1 for k in keep], range(1, len(keep) + 1))
+    block, live = _with_axes(state, keep)
+    psi = _qubit_view(block.reshape(-1, block.shape[-1]), len(live))
+    psi = np.moveaxis(psi, [bisect_left(live, k) + 1 for k in keep], range(1, len(keep) + 1))
     return psi.reshape(len(psi), 2 ** len(keep), -1)
 
 
@@ -438,4 +582,4 @@ def reduced_density_matrix(state: StateVector, keep: Sequence[int]) -> np.ndarra
     """
     m = bipartition(state, keep)
     rho = m @ m.conj().swapaxes(-1, -2)
-    return rho if state.amplitudes.ndim == 2 else rho[0]
+    return rho if state.block.ndim == 2 else rho[0]

@@ -49,7 +49,7 @@ PROB_TOL = 1e-9
 
 # The most amplitudes, over all branch rows, that one exhaustive-sweep run
 # holds: 64 rows of the 256-amplitude network of the 4-qubit, 2-machine
-# transform. Wider networks split fewer measurements per run.
+# transform. Runs of networks with more live qubits split fewer measurements.
 CHUNK_AMPLITUDES = 2**14
 
 
@@ -191,7 +191,8 @@ class _QftCase(Case):
 
 
 def _split(case: Case) -> int:
-    """Measurements one exhaustive run splits into rows, within CHUNK_AMPLITUDES."""
+    """Measurements the first exhaustive run splits into rows: as many as
+    CHUNK_AMPLITUDES leaves room for with every qubit live."""
     qubits = sum(r + c for _, r, c in case.spec)
     return min(case.measurements, max(0, CHUNK_AMPLITUDES.bit_length() - 1 - qubits))
 
@@ -208,27 +209,38 @@ def _run(case: Case, amps: np.ndarray | None, prefix: Sequence[int], split: int,
 
 
 def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
-    """Run every input of `case` through its branches into `sweep`."""
-    if branches == "exhaustive":
-        split = _split(case)
-        prefix_bits = case.measurements - split
-        plan = [(_bits(c, prefix_bits), 0) for c in range(2**prefix_bits)]
+    """Run every input of `case` through its branches into `sweep`.
+
+    An exhaustive sweep visits the branches in order, each run a block of
+    2^split consecutive branches that starts at a multiple of its size. The
+    first run splits _split(case) measurements; each later one as many as
+    the previous run's largest live block leaves room for within
+    CHUNK_AMPLITUDES. The protocols' corrections are Pauli gates, which keep
+    fixed qubits fixed, so which qubits are live does not depend on the
+    outcomes.
+    """
+    exhaustive = branches == "exhaustive"
+    if exhaustive:
+        count = 2**case.measurements
     elif branches == "sampled":
-        split = 0
-        offsets = [7919 * i + 13 for i in range(case.samples)] if case.measurements else [0]
-        plan = [((), offset) for offset in offsets]
+        count = case.samples if case.measurements else 1
     else:
         raise ValueError(f"branches must be 'exhaustive' or 'sampled', got {branches!r}")
     for label, seed, amps in case.inputs:
         expected = case.ideal if amps is None else case.ideal @ amps
         total_p = 0.0
-        for c, (prefix, offset) in enumerate(plan):
-            net, pairs = _run(case, amps, prefix, split, seed + offset)
+        start, split = 0, _split(case) if exhaustive else 0
+        while start < count:
+            if exhaustive:
+                prefix, run_seed = _bits(start >> split, case.measurements - split), seed
+            else:
+                prefix, run_seed = (), seed + (7919 * start + 13 if case.measurements else 0)
+            net, pairs = _run(case, amps, prefix, split, run_seed)
             rows = net.rows
 
             def row_label(r: int) -> str:
-                bits = None if branches == "sampled" else _bits((c << split) + int(r), case.measurements)
-                return case.row_label(label, bits, c)
+                bits = _bits(start + int(r), case.measurements) if exhaustive else None
+                return case.row_label(label, bits, start)
 
             run_label = row_label(0) if rows == 1 else f"{row_label(0)}..{row_label(rows - 1)}"
             for section, rep in pairs:
@@ -252,7 +264,12 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
                 for a, ok in clean.items():
                     sweep.require(bool(ok[r]), row_label(r), not_reset=a)
             total_p += float(np.sum(net.branch_probability))
-        if branches == "exhaustive" and case.measurements:
+            start += 2**split
+            if exhaustive and start < count:
+                # each split doubles the rows, so at most doubles the block
+                room = int(np.floor(np.log2(CHUNK_AMPLITUDES / net.state.high_water)))
+                split = max(0, min(split + room, (start & -start).bit_length() - 1))
+        if exhaustive and case.measurements:
             sweep.require(abs(total_p - 1.0) <= PROB_TOL, label, probability_sum=total_p)
 
 

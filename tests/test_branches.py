@@ -250,14 +250,14 @@ def test_every_case_splits_like_forced_branches(case):
 
 
 def record_runs(monkeypatch, edit=lambda case, net, prefix, seed: None):
-    """Make verify._run log (rows, amplitudes) of every run, after `edit`."""
+    """Make verify._run log (rows, largest live block) of every run, after `edit`."""
     runs = []
     run = verify._run
 
     def recording(case, amps, prefix, split, seed):
         net, pairs = run(case, amps, prefix, split, seed)
         edit(case, net, prefix, seed)
-        runs.append((net.rows, net.state.amplitudes.size))
+        runs.append((net.rows, net.state.high_water))
         return net, pairs
 
     monkeypatch.setattr(verify, "_run", recording)
@@ -268,7 +268,10 @@ def test_sweep_runs_stay_within_the_chunk_budget(monkeypatch):
     runs = record_runs(monkeypatch)
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
     assert rep.verified and rep.branches_tested == 4096
-    assert runs == [(64, verify.CHUNK_AMPLITUDES)] * 64
+    # the first runs split the 6 measurements that fit with all 8 qubits
+    # live; measured qubits leave the block, so later runs widen to the
+    # budget, each starting at a multiple of its own size
+    assert runs == [(64, 2**12), (64, 2**12), (128, 2**13)] + [(256, verify.CHUNK_AMPLITUDES)] * 15
     runs.clear()
     rep = verify.verify_qft(n=2, m=2, branches="exhaustive")
     assert rep.verified and rep.branches_tested == 2 ** rep.details["measurements_per_branch"]
@@ -289,10 +292,10 @@ def test_sweep_reports_failing_rows_by_branch(monkeypatch):
     def corrupting(case, net, prefix, seed):
         # row 5 of the qft run forced to 000001, and of distributed-swap's input3 (seed 0 + 3)
         if net.rows > 1 and (prefix == (0, 0, 0, 0, 0, 1) or (not prefix and seed == 3)):
-            net.state.amplitudes[5] = np.roll(net.state.amplitudes[5], 1)
+            net.state.block[5] = np.roll(net.state.block[5], 1)
         # the unsplit run of sample 5 of distributed-swap's input3 in a sampled sweep
         if net.rows == 1 and seed == 3 + 7919 * 5 + 13:
-            net.state.amplitudes[:] = np.roll(net.state.amplitudes, 1)
+            net.state.block[:] = np.roll(net.state.block, 1)
 
     record_runs(monkeypatch, corrupting)
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")

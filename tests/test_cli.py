@@ -221,9 +221,12 @@ def test_samples_with_exhaustive_branches_exit_2(capsys):
     assert "--branches sampled" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--branches", "sampled"], ["--samples", "2"]])
+@pytest.mark.parametrize(
+    "flags", [["--branches", "sampled"], ["--samples", "2"], ["--format", "json"], ["--format", "text"]]
+)
 def test_demo_rejects_sweep_flags(flags, capsys):
-    """Regression: demo accepted --branches and --samples and then overrode them."""
+    """Regression: demo accepted --branches and --samples and then overrode
+    them, and accepted --format and printed its text trace anyway."""
     with pytest.raises(SystemExit) as exc:
         main(["demo", "teleport", *flags])
     assert exc.value.code == 2

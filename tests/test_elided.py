@@ -1,0 +1,161 @@
+"""The live/fixed split of a state: only live qubits hold amplitude axes.
+
+A state built from basis_state starts with every qubit fixed and runs each
+kernel on whichever path its qubits call for: bit updates, phase scaling,
+re-inserted axes or the slab kernels. The reference is the same state kept
+dense: it is rebuilt with every qubit live before each operation, so every
+operation on it runs the slab kernels over all 2^n amplitudes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from catnet import network, protocols, qstate
+from catnet.errors import ImpossibleBranchError
+from catnet.gates import CNOT, CZ, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
+from catnet.qstate import GateMatrix, StateVector, apply_gate, basis_state, measure, measure_split
+
+N = 4
+TOL = 1e-12
+MAX_ROWS = 8
+# weighted toward splits and masked gates, so most sequences reach per-row bits
+OPS = ["gate", "masked", "masked", "forced", "forced", "rng", "split", "split", "probe"]
+
+
+def _unitary(dim: int, seed: int) -> GateMatrix:
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return GateMatrix(q)
+
+
+GATES = {
+    1: [X, Z, make_rk(3), H, _unitary(2, 1)],
+    2: [CNOT, SWAP, GateMatrix(np.eye(4)[:, [1, 2, 0, 3]]), CZ, GateMatrix(np.diag([1, 1j, -1, np.exp(0.3j)])), _unitary(4, 2)],
+    3: [TOFFOLI, make_controlled(ControlledSpec(2, Z)), _unitary(8, 3)],
+}
+
+
+def dense(state: StateVector) -> StateVector:
+    """The same state with every qubit live."""
+    return StateVector(state.num_qubits, state.amplitudes)
+
+
+def agree(a, b) -> bool:
+    return np.max(np.abs(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))) <= TOL
+
+
+def projected(before: np.ndarray, qubit: int, outcome) -> np.ndarray:
+    """Dense rows `before` projected onto `outcome` of `qubit` (per row when
+    an array) and renormalized: the measurement oracle."""
+    reads = (np.arange(2**N) >> (N - 1 - qubit)) & 1
+    kept = np.where(reads == np.reshape(outcome, (-1, 1)), before, 0)
+    return kept / np.linalg.norm(kept, axis=1, keepdims=True)
+
+
+def both(fn, elided: StateVector, ref: StateVector):
+    """fn on each state: both results, or ImpossibleBranchError from both."""
+    out = []
+    for state in (elided, ref):
+        try:
+            out.append(fn(state))
+        except ImpossibleBranchError:
+            out.append(ImpossibleBranchError)
+    assert (out[0] is ImpossibleBranchError) == (out[1] is ImpossibleBranchError)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_elided_state_matches_dense_copy(data):
+    elided = basis_state(N, data.draw(st.integers(0, 2**N - 1)))
+    for _ in range(data.draw(st.integers(1, 20))):
+        ref = dense(elided)
+        op = data.draw(st.sampled_from(OPS))
+        qubits = data.draw(st.permutations(range(N)))
+        if op in ("forced", "rng", "probe") and elided.fixed and data.draw(st.booleans()):
+            qubits = [data.draw(st.sampled_from(sorted(elided.fixed)))]
+        if op in ("gate", "masked"):
+            arity = data.draw(st.integers(1, 3))
+            gate = data.draw(st.sampled_from(GATES[arity]))
+            rows = None
+            if op == "masked" and elided.rows > 1:
+                rows = np.array(data.draw(st.lists(st.booleans(), min_size=elided.rows, max_size=elided.rows)))
+            for state in (elided, ref):
+                apply_gate(state, gate, qubits[:arity], rows=rows)
+        elif op in ("forced", "rng"):
+            seed = data.draw(st.integers(0, 2**16))
+            forced = data.draw(st.integers(0, 1))
+            if elided.rows > 1 and data.draw(st.booleans()):
+                forced = np.array(data.draw(st.lists(st.integers(0, 1), min_size=elided.rows, max_size=elided.rows)))
+                if isinstance(elided.fixed.get(qubits[0]), np.ndarray) and data.draw(st.booleans()):
+                    forced = elided.fixed[qubits[0]].copy()  # the recorded bits: every row possible
+
+            def measure_one(state):
+                if op == "forced":
+                    return measure(state, qubits[0], forced=forced)
+                return measure(state, qubits[0], rng=np.random.default_rng(seed))
+
+            before = elided.amplitudes.reshape(elided.rows, -1)
+            recs = both(measure_one, elided, ref)
+            if recs[0] is not ImpossibleBranchError:
+                assert np.array_equal(recs[0].outcome, recs[1].outcome)
+                assert agree(recs[0].probability, recs[1].probability)
+                assert agree(elided.amplitudes.reshape(elided.rows, -1), projected(before, qubits[0], recs[0].outcome))
+        elif op == "split":
+            if elided.rows * 2 > MAX_ROWS:
+                continue
+            out = both(lambda s: measure_split(s, qubits[0]), elided, ref)
+            if out[0] is ImpossibleBranchError:
+                continue
+            (elided, rec), (ref, ref_rec) = out
+            assert np.array_equal(rec.outcome, ref_rec.outcome) and agree(rec.probability, ref_rec.probability)
+        else:
+            bit = data.draw(st.integers(0, 1))
+            got, want = (qstate.partial_state_check(s, qubits[0], bit) for s in (elided, ref))
+            assert np.array_equal(got, want)
+        assert elided.rows == ref.rows
+        assert agree(elided.amplitudes, ref.amplitudes)
+        assert np.allclose(elided.norm(), 1.0, atol=TOL)
+
+
+def test_amplitudes_are_a_read_only_snapshot():
+    state = basis_state(3, 0b101)
+    apply_gate(state, H, [1])
+    amps = state.amplitudes
+    with pytest.raises(ValueError):
+        amps[0] = 1
+    assert state.live == [1] and state.fixed == {0: 1, 2: 1}
+    assert np.allclose(amps, np.eye(8)[[0b101, 0b111]].sum(axis=0) / np.sqrt(2))
+
+
+def test_fixed_qubits_change_only_their_bits():
+    state = basis_state(3, 0b100)
+    apply_gate(state, CNOT, [0, 2])
+    apply_gate(state, Z, [2])
+    assert state.block.shape == (1,) and state.fixed == {0: 1, 1: 0, 2: 1}
+    assert np.allclose(state.block, [-1])
+    assert qstate.partial_state_check(state, 2, 1)
+
+
+@pytest.mark.parametrize("shape", ["linear", "binary-tree"])
+def test_ghz_build_peaks_at_15_live_qubits(shape, monkeypatch):
+    """The 8-node build holds its 7 pairs (14 channel qubits) at once, plus
+    one register while a stage runs: 15 of 22 qubits, never more."""
+    peak = []
+    apply = qstate.apply_gate
+
+    def counting(state, gate, targets, rows=None):
+        apply(state, gate, targets, rows)
+        peak.append(len(state.live))
+
+    monkeypatch.setattr(qstate, "apply_gate", counting)
+    names = [f"N{i}" for i in range(8)]
+    req = protocols.em_channel_requirements(8, shape)
+    net = network.Network([(name, 1, r) for name, r in zip(names, req)], seed=3)
+    protocols.distributed_em(net, names, shape, check=False)
+    assert net.num_qubits == 22
+    assert max(peak) <= 15
+    assert net.state.live == [net.global_index(net.reg(name)) for name in names]
+    assert net.state.block.size == 2**8

@@ -1,5 +1,8 @@
 """Execution-model contracts: locality, rounds, messages, transport."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,23 @@ def test_seeded_runs_are_reproducible():
             net.local_apply(H, [net.reg("A", slot)])
         outcomes.append([net.measure(net.reg("A", s)).outcome for s in range(4)])
     assert outcomes[0] == outcomes[1]
+
+
+def test_forced_run_never_loads_numpy_random():
+    """The sampling generator is made on the first unforced draw only."""
+    script = (
+        "import sys\n"
+        "from catnet.gates import H\n"
+        "from catnet.network import Network\n"
+        "net = Network([('A', 2, 0)], seed=5)\n"
+        "net.local_apply(H, [net.reg('A')])\n"
+        "net.force_outcomes([1])\n"
+        "net.measure(net.reg('A'))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_measure_x_is_one_round():
@@ -372,17 +392,23 @@ def test_inject_state_normalizes():
 
 
 def test_operations_write_into_one_buffer():
+    """Every operation changes the network's one state in place; measured
+    qubits leave the live block."""
     net = Network([("A", 2, 1), ("B", 1, 1)], seed=0)
-    buffer = net.state.amplitudes
     net.inject_state([net.reg("A", 0)], [0.6, 0.8])
+    state = net.state
+    assert state.live == [0] and state.block.shape == (2,)
     net.local_apply(H, [net.reg("A", 1)])
     net.preshare_epr(net.chan("A"), net.chan("B"))
+    assert state.live == [0, 1, 2, 4]
     rec = net.measure(net.chan("A"), forced=1)
     net.classically_controlled_apply(rec, X, net.chan("A"))
     net.measure_x(net.reg("A", 1), forced=0)
-    assert net.state.amplitudes is buffer
+    assert net.state is state
+    # A's channel and second register are fixed; B's channel is |1> but live
+    assert state.live == [0, 4] and state.fixed == {1: 0, 2: 0, 3: 0}
     assert net.qubit_is(net.chan("A"), 0) and net.qubit_is(net.chan("B"), 1)
-    assert abs(np.linalg.norm(buffer) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(state.block) - 1.0) < 1e-12
 
 
 def test_scope_snapshot_only_when_checking():

@@ -86,10 +86,12 @@ def test_establish_creates_two_pairs():
 def test_establish_rate_one_pair_per_transport():
     """Repeating over fresh slots: 2k pairs for 2k transports."""
     net = Network([("A", 0, 4), ("B", 0, 4)], seed=0)
-    establish_epr_exchange(net, "A", "B", slots_a=(0, 1), slots_b=(0, 1))
-    pairs, _ = establish_epr_exchange(net, "A", "B", slots_a=(2, 3), slots_b=(2, 3))
+    establish_epr_exchange(net, "A", "B")
+    pairs, _ = establish_epr_exchange(net, "A", "B")
     assert net.ledger.qubits_transported == 4
     assert len(pairs) == 2
+    # the first call holds slots 0 and 1, so the second lands on 2 and 3
+    assert pairs == [(net.chan("A", 2), net.chan("B", 3)), (net.chan("B", 2), net.chan("A", 3))]
 
 
 def test_establish_requires_clean_channels():

@@ -194,15 +194,17 @@ def test_unitaries_preserve_norm(seed):
 
 def test_measure_inplace_collapses_own_buffer():
     bell = bell_pair()
-    buffer = bell.amplitudes
     rec = measure(bell, 1, forced=1)
-    assert bell.amplitudes is buffer
     assert rec.outcome == 1 and abs(rec.probability - 0.5) < 1e-12
-    assert np.allclose(buffer, basis_state(2, 0b11).amplitudes)
-    # a refused branch leaves the buffer as it was
+    # the measured qubit's axis is dropped and its outcome recorded
+    assert bell.fixed == {1: 1} and bell.block.shape == (2,)
+    assert np.allclose(bell.amplitudes, basis_state(2, 0b11).amplitudes)
+    # a refused branch leaves the state as it was
+    block = bell.block
     with pytest.raises(ImpossibleBranchError):
         measure(bell, 0, forced=0)
-    assert np.allclose(buffer, basis_state(2, 0b11).amplitudes)
+    assert bell.block is block and bell.fixed == {1: 1}
+    assert np.allclose(bell.amplitudes, basis_state(2, 0b11).amplitudes)
 
 
 def test_pattern_slabs_are_ordered_views():
