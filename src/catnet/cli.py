@@ -15,6 +15,7 @@ aligned text table.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -42,7 +43,9 @@ class RunConfig:
     format: str = "json"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="catnet",
         description="Verify entanglement-mediated distributed gate protocols.",

@@ -533,22 +533,31 @@ class Network:
 
         The listed qubits receive the given joint amplitudes (first address
         = most significant bit); every other qubit is |0>. Normalizes.
+
+        A (R, 2^k) stack of R > 1 inputs, on an unsplit network, makes row i
+        hold input i, normalized on its own; after s splits input i's
+        branches are rows i * 2^s to (i + 1) * 2^s - 1.
         """
         addrs = [self._checked_address(a) for a in addrs]
         idx = [self.global_index(a) for a in addrs]
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate addresses in input preparation")
         k = len(idx)
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if amps.shape[0] != 2**k:
-            raise ValueError(f"expected {2**k} amplitudes for {k} qubits, got {amps.shape[0]}")
-        norm = np.linalg.norm(amps)
-        if norm < qstate.ZERO_CUTOFF:
+        amps = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
+        if amps.ndim != 2 or amps.shape[1] != 2**k:
+            raise ValueError(f"expected {2**k} amplitudes (per input) for {k} qubits, got shape {amps.shape}")
+        norm = np.array([np.linalg.norm(a) for a in amps])  # as one input alone, to the last bit
+        if norm.min() < qstate.ZERO_CUTOFF:
             raise ValueError("cannot inject the zero vector")
         # the live block's axes run in ascending global index; reorder the
-        # input's to match (every row of a split state receives the same input)
-        block = np.transpose((amps / norm).reshape((2,) * k), np.argsort(idx)).reshape(-1)
-        if self.state.block.ndim == 2:
-            block = np.tile(block, (self.rows, 1))
+        # input's to match (every row of a split state receives one input)
+        axes = (0, *(1 + np.argsort(idx)))
+        block = np.transpose((amps / norm[:, None]).reshape((-1,) + (2,) * k), axes).reshape(len(amps), -1)
+        if len(block) == 1:
+            block = np.tile(block, (self.rows, 1)) if self.rows > 1 else block[0]
+        elif self.rows > 1:
+            raise ValueError("a stack of inputs needs an unsplit network")
+        else:
+            self.branch_probability = np.ones(len(block))
         zeros = {q: 0 for q in range(self.num_qubits) if q not in idx}
         self.state = StateVector(self.num_qubits, block, zeros)

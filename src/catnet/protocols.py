@@ -453,6 +453,7 @@ def distributed_em(
                 f"{shape!r} but has {net.nodes[name].channels}"
             )
 
+    scope = _Scope(net, check)  # before the pairs: the oracle's baseline holds them as |0>
     next_slot = {n: 0 for n in nodes}
     pair_for: dict[tuple[int, int], tuple[QubitAddress, QubitAddress]] = {}
     for stage in schedule:
@@ -464,7 +465,6 @@ def distributed_em(
             net.preshare_epr(a, b)
             pair_for[(c, t)] = (a, b)
 
-    scope = _Scope(net, check)
     net.local_apply(H, [regs[0]])
     for stage in schedule:
         for c, t in stage:

@@ -2,11 +2,13 @@
 
 Every verifier is a table of Case records run by one driver. A case holds a
 node layout, measurement count, inputs, protocol call, the ideal over the
-logical qubits and the qubits that must end in |0>. An
-exhaustive sweep forces a prefix of the outcomes and splits the rest into
-branch rows (Network.split_outcomes), in runs of at most CHUNK_AMPLITUDES
-amplitudes, so runs and rows visit the branches in order; a sampled sweep
-makes unsplit runs that draw every outcome from the RNG. Each row is checked
+logical qubits and the qubits that must end in |0>. An exhaustive sweep
+walks the case's input x branch positions in order, in runs of at most
+CHUNK_AMPLITUDES amplitudes: a run forces a prefix of one input's outcomes
+and splits the rest into branch rows (Network.split_outcomes), or carries
+several whole inputs as rows (a stack for Network.inject_state) and splits
+every outcome. A sampled sweep makes unsplit runs that draw every outcome
+from the RNG, one per input and sample. Each row is checked
 against the ideal and for its |0> qubits, each input for branch
 probabilities summing to one, and each section for one ledger in every run.
 
@@ -161,9 +163,10 @@ class Case:
     (section, report) pairs. `ideal` is a matrix over the logical qubits,
     applied to each input, or, for inputs without amplitudes, the expected
     vector. `measurements` is how many outcomes a sweep enumerates; a case
-    with none makes one run per input and draws any outcomes from the RNG.
-    `samples` is the runs per input in sampled mode, and `details` lists
-    report details that must hold the given values.
+    with none has one position per input, and a run of one such input
+    draws any outcomes from the RNG. `samples` is the runs per input in
+    sampled mode, and `details` lists report details that must hold the
+    given values.
     """
 
     spec: list[tuple[str, int, int]]
@@ -191,14 +194,17 @@ class _QftCase(Case):
 
 
 def _split(case: Case) -> int:
-    """Measurements the first exhaustive run splits into rows: as many as
-    CHUNK_AMPLITUDES leaves room for with every qubit live."""
+    """log2 of the positions the first exhaustive run holds: as many of the
+    case's input x branch positions as CHUNK_AMPLITUDES leaves room for
+    with every qubit live."""
     qubits = sum(r + c for _, r, c in case.spec)
-    return min(case.measurements, max(0, CHUNK_AMPLITUDES.bit_length() - 1 - qubits))
+    positions = case.measurements + (len(case.inputs) - 1).bit_length()
+    return min(positions, max(0, CHUNK_AMPLITUDES.bit_length() - 1 - qubits))
 
 
 def _run(case: Case, amps: np.ndarray | None, prefix: Sequence[int], split: int, seed: int) -> tuple[Network, list]:
-    """One run of a case: force `prefix`, split the next `split` measurements
+    """One run of a case: inject `amps` (one input, or a stack of inputs
+    that become rows), force `prefix`, split the next `split` measurements
     into branch rows, and draw any others from the RNG."""
     net = Network(case.spec, seed=seed)
     if amps is not None:
@@ -211,66 +217,76 @@ def _run(case: Case, amps: np.ndarray | None, prefix: Sequence[int], split: int,
 def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     """Run every input of `case` through its branches into `sweep`.
 
-    An exhaustive sweep visits the branches in order, each run a block of
-    2^split consecutive branches that starts at a multiple of its size. The
-    first run splits _split(case) measurements; each later one as many as
-    the previous run's largest live block leaves room for within
-    CHUNK_AMPLITUDES. The protocols' corrections are Pauli gates, which keep
-    fixed qubits fixed, so which qubits are live does not depend on the
-    outcomes.
+    The runs walk the positions input * 2^M + branch (M measurements) in
+    order, each a block of 2^s positions that starts at a multiple of its
+    size; the last may hold fewer. With s <= M a run forces a prefix of one
+    input's outcomes and splits s measurements; with s > M it carries
+    2^(s-M) whole inputs as rows and splits all M. Row r is position start
+    + r. The first run holds 2^_split(case) positions, each later one as
+    many as the previous run's largest live block leaves room for within
+    CHUNK_AMPLITUDES: the protocols' corrections are Pauli gates, which keep
+    fixed qubits fixed, so the live qubits depend on neither outcome nor
+    input. A sampled sweep makes one unsplit run per input and sample; only
+    a run of one input may draw outcomes from the RNG.
     """
-    exhaustive = branches == "exhaustive"
+    exhaustive, m = branches == "exhaustive", case.measurements
     if exhaustive:
-        count = 2**case.measurements
+        per = 2**m
     elif branches == "sampled":
-        count = case.samples if case.measurements else 1
+        per = case.samples if m else 1
     else:
         raise ValueError(f"branches must be 'exhaustive' or 'sampled', got {branches!r}")
-    for label, seed, amps in case.inputs:
-        expected = case.ideal if amps is None else case.ideal @ amps
-        total_p = 0.0
-        start, split = 0, _split(case) if exhaustive else 0
-        while start < count:
-            if exhaustive:
-                prefix, run_seed = _bits(start >> split, case.measurements - split), seed
-            else:
-                prefix, run_seed = (), seed + (7919 * start + 13 if case.measurements else 0)
-            net, pairs = _run(case, amps, prefix, split, run_seed)
-            rows = net.rows
+    count = per * len(case.inputs)
+    total_p = np.zeros(len(case.inputs))
+    start, size = 0, _split(case) if exhaustive else 0
+    while start < count:
+        stop, split = min(start + 2**size, count), min(size, m)
+        inputs = case.inputs[start // per : (stop - 1) // per + 1]
+        if exhaustive:
+            prefix, seed = _bits(start % per >> split, m - split), inputs[0][1]
+        else:
+            prefix, seed = (), inputs[0][1] + (7919 * (start % per) + 13 if m else 0)
+        amps = None if inputs[0][2] is None else np.stack([a for _, _, a in inputs])
+        net, pairs = _run(case, amps, prefix, split, seed)
+        rows = net.rows
 
-            def row_label(r: int) -> str:
-                bits = _bits(start + int(r), case.measurements) if exhaustive else None
-                return case.row_label(label, bits, start)
+        def row_label(r: int) -> str:
+            p = start + int(r)
+            return case.row_label(case.inputs[p // per][0], _bits(p % per, m) if exhaustive else None, p % per)
 
-            run_label = row_label(0) if rows == 1 else f"{row_label(0)}..{row_label(rows - 1)}"
-            for section, rep in pairs:
-                sweep.add(rep, section=section, label=run_label, rows=rows)
-                for key, want in case.details.items():
-                    sweep.require(rep.details[key] == want, run_label, **{key: rep.details[key]})
-            leftover = net.pending_outcomes
-            sweep.require(rows == 2**split and not leftover, run_label, rows=rows, unconsumed_forced_bits=leftover)
-            # 1 - <e|rho|e> on the logical qubits, per row: e is pure, so the
-            # overlap is ||e^dagger A||^2 and no density matrix is formed
-            block = qstate.bipartition(net.state, [net.global_index(a) for a in case.logical])
-            infidelity = np.maximum(0.0, 1.0 - qstate.overlap(block, expected.reshape(1, -1, 1)))
-            sweep.max_infidelity = max(sweep.max_infidelity, float(infidelity.max()))
-            clean = {
-                str(a): np.atleast_1d(qstate.partial_state_check(net.state, net.global_index(a), 0))
-                for a in case.zero
-            }
-            # only rows with a failure pay for a label
-            for r in np.flatnonzero(~np.logical_and.reduce([infidelity <= ATOL, *clean.values()])):
-                sweep.require(infidelity[r] <= ATOL, row_label(r), infidelity=float(infidelity[r]))
-                for a, ok in clean.items():
-                    sweep.require(bool(ok[r]), row_label(r), not_reset=a)
-            total_p += float(np.sum(net.branch_probability))
-            start += 2**split
-            if exhaustive and start < count:
-                # each split doubles the rows, so at most doubles the block
-                room = int(np.floor(np.log2(CHUNK_AMPLITUDES / net.state.high_water)))
-                split = max(0, min(split + room, (start & -start).bit_length() - 1))
-        if exhaustive and case.measurements:
-            sweep.require(abs(total_p - 1.0) <= PROB_TOL, label, probability_sum=total_p)
+        run_label = row_label(0) if rows == 1 else f"{row_label(0)}..{row_label(rows - 1)}"
+        for section, rep in pairs:
+            sweep.add(rep, section=section, label=run_label, rows=rows)
+            for key, want in case.details.items():
+                sweep.require(rep.details[key] == want, run_label, **{key: rep.details[key]})
+        leftover = net.pending_outcomes
+        sweep.require(rows == stop - start and not leftover, run_label, rows=rows, unconsumed_forced_bits=leftover)
+        sweep.require(len(inputs) == 1 or net._rng is None, run_label, drew_outcomes=True)
+        # 1 - <e|rho|e> on the logical qubits, per row: e is pure, so the
+        # overlap is ||e^dagger A||^2 and no density matrix is formed
+        expected = case.ideal if amps is None else np.stack([case.ideal @ a for a in amps])
+        block = qstate.bipartition(net.state, [net.global_index(a) for a in case.logical])
+        infidelity = np.maximum(0.0, 1.0 - qstate.overlap(block, expected.reshape(len(inputs), -1, 1)))
+        sweep.max_infidelity = max(sweep.max_infidelity, float(infidelity.max()))
+        clean = {
+            str(a): np.atleast_1d(qstate.partial_state_check(net.state, net.global_index(a), 0))
+            for a in case.zero
+        }
+        # only rows with a failure pay for a label
+        for r in np.flatnonzero(~np.logical_and.reduce([infidelity <= ATOL, *clean.values()])):
+            sweep.require(infidelity[r] <= ATOL, row_label(r), infidelity=float(infidelity[r]))
+            for a, ok in clean.items():
+                sweep.require(bool(ok[r]), row_label(r), not_reset=a)
+        weights = np.broadcast_to(net.branch_probability, rows)
+        total_p += np.bincount((start + np.arange(rows)) // per, weights, len(total_p))
+        start = stop
+        if exhaustive and start < count:
+            # each split or input doubles the rows, so at most doubles the block
+            room = int(np.floor(np.log2(CHUNK_AMPLITUDES / net.state.high_water)))
+            size = max(0, min(size + room, (start & -start).bit_length() - 1))
+    if exhaustive and m:
+        for (label, _, _), p in zip(case.inputs, total_p):
+            sweep.require(abs(p - 1.0) <= PROB_TOL, label, probability_sum=float(p))
 
 
 def _verify(
@@ -374,7 +390,8 @@ def verify_cat_roundtrip(*, seed: int = 0, branches: str = "exhaustive", samples
 def verify_ghz(*, seed: int = 0, branches: str = "exhaustive", samples: int = 64) -> ProtocolReport:
     """Criterion: the shared cat state grows with m-1 ebits; tree depth wins.
 
-    The m=8 depth comparison enumerates no outcomes: one RNG run per shape.
+    The m=8 depth comparison enumerates no outcomes: one RNG run per shape,
+    which the protocol's own oracle checks too.
     """
     shapes = ("linear", "binary-tree")
     cases, expect = [], {}
@@ -385,8 +402,8 @@ def verify_ghz(*, seed: int = 0, branches: str = "exhaustive", samples: int = 64
         cat = np.zeros(2**m, dtype=complex)
         cat[0] = cat[-1] = 1 / np.sqrt(2)
 
-        def run(net: Network, names=names, shape=shape, section=section, m=m) -> list:
-            return [(section, distributed_em(net, names, shape, check=m < 8))]
+        def run(net: Network, names=names, shape=shape, section=section) -> list:
+            return [(section, distributed_em(net, names, shape))]
 
         inputs = [(section, seed + (m if m < 8 else 997), None)]
         measurements = 2 * (m - 1) if m < 8 else 0
@@ -453,7 +470,8 @@ def verify_multi_control(*, seed: int = 0, branches: str = "exhaustive", samples
 def verify_decompose_c4x(*, seed: int = 0, branches: str = "exhaustive", samples: int = 16) -> ProtocolReport:
     """Criterion: 64-state equality with the direct 4-control X, both layouts.
 
-    The monolithic layout measures nothing, so each basis state is one run.
+    The monolithic layout measures nothing, so its 64 basis states are the
+    rows of one run.
     """
     # qubit order everywhere: c1 c2 c3 c4 ancilla target
     c4x = _embed(C4X.matrix, 6, [0, 1, 2, 3, 5])

@@ -13,7 +13,7 @@ from catnet import qstate, verify
 from catnet.cli import emit_report
 from catnet.errors import BranchDivergenceError, ImpossibleBranchError
 from catnet.gates import CNOT, H, X
-from catnet.network import CHANNEL, REGISTER, Network
+from catnet.network import CHANNEL, REGISTER, Network, QubitAddress
 from catnet.primitives import _require_fresh_cat, cat_entangler
 from catnet.protocols import (
     distributed_swap,
@@ -233,20 +233,37 @@ SPLIT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case", SPLIT_CASES)
-def test_every_case_splits_like_forced_branches(case):
-    """A run of the driver's own split, on a fixed prefix, against single
-    forced-branch runs of sampled rows: state, probability, records, ledger."""
-    _, seed, amps = case.inputs[-1]
-    split = verify._split(case)
-    prefix = tuple(i % 2 for i in range(case.measurements - split))
-    batched, pairs = verify._run(case, amps, prefix, split, seed)
-    assert split > 0 and batched.rows == 2**split and batched.pending_outcomes == 0
-    for r in sorted({0, 1, batched.rows // 2, batched.rows - 1}):
-        single, single_pairs = verify._run(case, amps, branch_bits(prefix, split, r), 0, seed)
+def assert_rows_match_forced_runs(case, batched, pairs, singles):
+    """Each row r of a sweep run equals the single-input run singles[r]
+    with every outcome forced: state, probability, records, ledger."""
+    for r, (amps, bits, seed) in singles.items():
+        single, single_pairs = verify._run(case, amps, bits, 0, seed)
         assert_row_matches(batched, single, r)
         assert single.ledger == batched.ledger
         assert [(s, p.ledger, p.rounds) for s, p in single_pairs] == [(s, p.ledger, p.rounds) for s, p in pairs]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_every_case_splits_like_forced_branches(case):
+    """Runs as the sweep makes them, against single forced-branch runs of
+    sampled rows: one input split on a fixed prefix, then (for cases of
+    several inputs) a stack of three inputs carried as rows, every
+    measurement split, so input i's branch b is row i * 2^M + b."""
+    m = case.measurements
+    _, seed, amps = case.inputs[-1]
+    split = min(verify._split(case), m)
+    prefix = tuple(i % 2 for i in range(m - split))
+    batched, pairs = verify._run(case, amps, prefix, split, seed)
+    assert split > 0 and batched.rows == 2**split and batched.pending_outcomes == 0
+    rows = sorted({0, 1, batched.rows // 2, batched.rows - 1})
+    assert_rows_match_forced_runs(case, batched, pairs, {r: (amps, branch_bits(prefix, split, r), seed) for r in rows})
+    stack = case.inputs[-3:]
+    if len(stack) > 1:
+        batched, pairs = verify._run(case, np.stack([a for _, _, a in stack]), (), m, stack[0][1])
+        assert batched.rows == len(stack) * 2**m and batched.pending_outcomes == 0
+        rows = [i * 2**m + b for i in range(len(stack)) for b in sorted({0, 1, 2**m - 1})]
+        singles = {r: (stack[r >> m][2], branch_bits((), m, r % 2**m), stack[r >> m][1]) for r in rows}
+        assert_rows_match_forced_runs(case, batched, pairs, singles)
 
 
 def record_runs(monkeypatch, edit=lambda case, net, prefix, seed: None):
@@ -276,6 +293,7 @@ def test_sweep_runs_stay_within_the_chunk_budget(monkeypatch):
     rep = verify.verify_qft(n=2, m=2, branches="exhaustive")
     assert rep.verified and rep.branches_tested == 2 ** rep.details["measurements_per_branch"]
     assert max(size for _, size in runs) <= verify.CHUNK_AMPLITUDES
+    small = 0
     for name, fn in verify.VERIFIERS.items():
         if name != "qft":
             runs.clear()
@@ -284,15 +302,23 @@ def test_sweep_runs_stay_within_the_chunk_budget(monkeypatch):
             # only the unsplit runs of cases that enumerate nothing (ghz m=8) may be wider
             assert all(size <= verify.CHUNK_AMPLITUDES or rows == 1 for rows, size in runs), name
             assert len(runs) < rep.branches_tested, name  # not one network per branch
+            small += len(runs) if name != "ghz" else 0
+            # inputs ride the rows: the 64 + 67 inputs of decompose-c4x take a few runs, not 131
+            assert name != "decompose-c4x" or len(runs) <= 8
+    assert small <= 40  # the nine small verifiers, 230 runs with one run per input
 
 
 def test_sweep_reports_failing_rows_by_branch(monkeypatch):
     """A wrong row is reported under the label the per-branch sweep used."""
 
     def corrupting(case, net, prefix, seed):
-        # row 5 of the qft run forced to 000001, and of distributed-swap's input3 (seed 0 + 3)
-        if net.rows > 1 and (prefix == (0, 0, 0, 0, 0, 1) or (not prefix and seed == 3)):
+        # row 5 of the qft run forced to 000001
+        if net.rows > 1 and prefix == (0, 0, 0, 0, 0, 1):
             net.state.block[5] = np.roll(net.state.block[5], 1)
+        # distributed-swap's exhaustive sweep is one run of its five inputs
+        # as 5 x 16 rows: row 3 * 16 + 5 is input3's branch 0101
+        if net.rows == 5 * 16 and not prefix:
+            net.state.block[3 * 16 + 5] = np.roll(net.state.block[3 * 16 + 5], 1)
         # the unsplit run of sample 5 of distributed-swap's input3 in a sampled sweep
         if net.rows == 1 and seed == 3 + 7919 * 5 + 13:
             net.state.block[:] = np.roll(net.state.block, 1)
@@ -308,6 +334,39 @@ def test_sweep_reports_failing_rows_by_branch(monkeypatch):
     rep = verify.verify_distributed_swap(seed=0, branches="sampled")
     assert rep.verified is False
     assert {f["case"] for f in rep.details["failures"]} == {"input3:sample5"}
+
+
+def test_probability_failure_names_its_input_only(monkeypatch):
+    """Probabilities are summed per input, so a run of several inputs
+    reports a wrong sum under the one input whose rows carry it."""
+
+    def inflating(case, net, prefix, seed):
+        if net.rows == 5 * 16:
+            net.branch_probability[3 * 16 : 4 * 16] *= 2
+
+    record_runs(monkeypatch, inflating)
+    rep = verify.verify_distributed_swap(seed=0, branches="exhaustive")
+    assert rep.verified is False
+    (failure,) = rep.details["failures"]
+    assert failure["case"] == "input3" and abs(failure["probability_sum"] - 2.0) < 1e-9
+
+
+def test_run_of_several_inputs_must_not_draw():
+    """Inputs that share a run share its RNG, so a drawn outcome there is
+    reported: here a case declares no measurements but makes one."""
+
+    def run(net):
+        net.measure(net.reg("A"))
+        return []
+
+    inputs = [("input0", 0, np.array([1.0, 0.0])), ("input1", 1, np.array([0.0, 1.0]))]
+    case = verify.Case([("A", 1, 0)], 0, inputs, run, [QubitAddress("A", REGISTER, 0)], np.eye(2))
+    sweep = verify._Sweep("draws")
+    verify._drive(sweep, case, "exhaustive")
+    assert sweep.failures == [{"case": "input0..input1", "drew_outcomes": True}]
+    sweep = verify._Sweep("draws")
+    verify._drive(sweep, case, "sampled")
+    assert sweep.ok  # one run per input, each with its own seed
 
 
 def test_message_log_is_row_zero_of_the_first_run():

@@ -240,3 +240,19 @@ def test_qft_options_rejected_for_other_protocols(flags, capsys):
             main([command, "teleport", *flags])
         assert exc.value.code == 2
         assert "qft sweep only" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    """A rejected call leaves nothing behind in the shared parser: the next
+    valid call prints what it prints in a fresh process."""
+    argv = ["verify", "nonlocal-cnot", *FAST]
+    _, first, _ = run_main(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "teleport", "--samples", "7"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, again, _ = run_main(argv, capsys)
+    assert code == 0 and again == first
+    assert build_parser() is build_parser()
+    fresh = subprocess.run([sys.executable, "-m", "catnet.cli", *argv], capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0 and fresh.stdout == first

@@ -159,3 +159,41 @@ def test_ghz_build_peaks_at_15_live_qubits(shape, monkeypatch):
     assert max(peak) <= 15
     assert net.state.live == [net.global_index(net.reg(name)) for name in names]
     assert net.state.block.size == 2**8
+
+
+@pytest.mark.parametrize("shape", ["linear", "binary-tree"])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_ghz_oracle_stays_within_15_live_qubits(shape, corrupt, monkeypatch):
+    """The protocol's own oracle on the 8-node build: its baseline is taken
+    before the pairs are shared, so the expected state never holds them
+    live, and a stray H on a register still fails the check."""
+    sizes = []
+    bipartition = qstate.bipartition
+
+    def recording(state, keep):
+        sizes.append(state.high_water)
+        return bipartition(state, keep)
+
+    monkeypatch.setattr(qstate, "bipartition", recording)
+    names = [f"N{i}" for i in range(8)]
+    req = protocols.em_channel_requirements(8, shape)
+    net = network.Network([(name, 1, r) for name, r in zip(names, req)], seed=3)
+    if corrupt:
+        reset, calls = protocols.reset_channel_qubits, []
+
+        def reset_then_flip(net, records):
+            out = reset(net, records)
+            calls.append(records)
+            if len(calls) == 7:  # after the last edge
+                net.local_apply(H, [net.reg(names[-1])])
+            return out
+
+        monkeypatch.setattr(protocols, "reset_channel_qubits", reset_then_flip)
+    rep = protocols.distributed_em(net, names, shape, check=True)
+    assert rep.ledger.ebits_consumed == 7 and rep.ledger.cbits_sent == 14
+    assert len(sizes) == 2 and max(sizes) <= 2**15
+    if corrupt:
+        # H on one member of the finished cat leaves a state orthogonal to it
+        assert rep.verified is False and abs(rep.max_infidelity - 1.0) < 1e-9
+    else:
+        assert rep.verified is True and rep.max_infidelity < 1e-10

@@ -388,6 +388,41 @@ def test_inject_state_normalizes():
     assert np.allclose(net.state.amplitudes, [0.6, 0.8])
 
 
+def test_inject_state_stack_makes_one_row_per_input():
+    net = Network([("A", 1, 1), ("B", 1, 0)])
+    stack = [[3, 4j, 0, 0], [0, 0, 0, 2], [1, 1, 1, 1]]
+    net.inject_state([net.reg("A"), net.reg("B")], stack)
+    assert net.rows == 3 and net.state.block.shape == (3, 4)
+    assert np.allclose(net.state.norm(), 1.0)
+    assert np.array_equal(net.branch_probability, np.ones(3))
+    # qubit order (A reg, A chan, B reg): the channel qubit stays |0>
+    assert np.allclose(net.state.amplitudes[0, [0b000, 0b001]], [0.6, 0.8j])
+    assert np.allclose(net.state.amplitudes[1, 0b101], 1.0)
+    assert np.allclose(net.state.amplitudes[2, [0, 1, 4, 5]], 0.5)
+    with pytest.raises(ValueError, match="unsplit"):
+        net.inject_state([net.reg("A"), net.reg("B")], stack)
+    # a stack of one is a single input: the state stays unsplit
+    net = Network([("A", 1, 1), ("B", 1, 0)])
+    net.inject_state([net.reg("A"), net.reg("B")], [[3, 4j, 0, 0]])
+    assert net.rows == 1 and net.state.block.ndim == 1 and net.branch_probability == 1.0
+    with pytest.raises(ValueError, match="zero vector"):
+        net.inject_state([net.reg("A"), net.reg("B")], [[1, 0, 0, 0], [0, 0, 0, 0]])
+
+
+def test_split_rows_descend_from_their_input():
+    """After k splits, input i's branches are rows i * 2^k ... (i + 1) * 2^k - 1."""
+    net = Network([("A", 2, 0)])
+    net.inject_state([net.reg("A", 0), net.reg("A", 1)], [[1, 1, 1, 1], [1, 1j, -1, 1], [1, 2, 3, 4]])
+    net.split_outcomes(2)
+    first, second = net.measure(net.reg("A", 0)), net.measure(net.reg("A", 1))
+    assert net.rows == 12
+    assert np.array_equal(net.row_bits(first.outcome), np.tile([0, 0, 1, 1], 3))
+    assert np.array_equal(second.outcome, np.tile([0, 1], 6))
+    # each row holds its input's basis state at its branch, with that state's weight
+    assert np.allclose(net.branch_probability, [0.25] * 8 + [1 / 30, 4 / 30, 9 / 30, 16 / 30])
+    assert np.allclose(np.abs(net.state.block[:, 0]), 1.0)
+
+
 # ---- the state buffer -------------------------------------------------------------
 
 
