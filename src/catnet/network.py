@@ -532,12 +532,16 @@ class Network:
         """Overwrite the global state with a chosen input (setup only).
 
         The listed qubits receive the given joint amplitudes (first address
-        = most significant bit); every other qubit is |0>. Normalizes.
+        = most significant bit); every other qubit is |0>. Normalizes. The
+        network must be unsplit: its rows' probabilities and records would
+        not describe the new state.
 
-        A (R, 2^k) stack of R > 1 inputs, on an unsplit network, makes row i
-        hold input i, normalized on its own; after s splits input i's
-        branches are rows i * 2^s to (i + 1) * 2^s - 1.
+        A (R, 2^k) stack of R > 1 inputs makes row i hold input i,
+        normalized on its own; after s splits input i's branches are rows
+        i * 2^s to (i + 1) * 2^s - 1.
         """
+        if self.rows > 1:
+            raise ValueError("inject_state needs an unsplit network")
         addrs = [self._checked_address(a) for a in addrs]
         idx = [self.global_index(a) for a in addrs]
         if len(set(idx)) != len(idx):
@@ -550,13 +554,11 @@ class Network:
         if norm.min() < qstate.ZERO_CUTOFF:
             raise ValueError("cannot inject the zero vector")
         # the live block's axes run in ascending global index; reorder the
-        # input's to match (every row of a split state receives one input)
+        # input's to match (one row per input of a stack)
         axes = (0, *(1 + np.argsort(idx)))
         block = np.transpose((amps / norm[:, None]).reshape((-1,) + (2,) * k), axes).reshape(len(amps), -1)
         if len(block) == 1:
-            block = np.tile(block, (self.rows, 1)) if self.rows > 1 else block[0]
-        elif self.rows > 1:
-            raise ValueError("a stack of inputs needs an unsplit network")
+            block = block[0]
         else:
             self.branch_probability = np.ones(len(block))
         zeros = {q: 0 for q in range(self.num_qubits) if q not in idx}

@@ -15,11 +15,15 @@ fixed: it sits in a computational-basis state, recorded as one bit, and the
 state is that basis state times the live block. Only two things make a
 qubit fixed: a measurement, which keeps the outcome's half of the block
 and drops the qubit's axis, and basis_state, which starts every qubit
-fixed. A permutation gate on fixed qubits only rewrites their bits and a
-diagonal one only scales the block by a phase; any other gate first
-re-inserts the axes of its fixed targets. No amplitude is ever inspected
-to decide that a qubit could be fixed, so the gate path runs no
-separability test. Probes of a fixed qubit compare bits.
+fixed. A diagonal gate on fixed qubits only scales the block by a phase. A
+permutation gate keeps as many of its targets fixed as it has fixed
+targets whenever the gate itself says which output wires stay constant
+(_fixed_rule): a SWAP of a live and a fixed qubit renames an axis, a CNOT
+with a fixed control is an X on the rows whose control reads 1, and a
+permutation on fixed qubits only rewrites their bits. Any other gate first
+re-inserts the axes of its fixed targets. The live set thus depends on
+which qubits are fixed, never on their bits or on any amplitude, so the
+gate path runs no separability test. Probes of a fixed qubit compare bits.
 
 Kernels work on the (2,)*L view of the live block, one axis per live qubit
 in ascending qubit order. Fixing the target axes to the bits of a gate row
@@ -65,10 +69,11 @@ class GateMatrix:
     kind is precomputed: the (destination, source) row pairs a permutation
     moves and the row each source row goes to, the (row, phase) pairs of a
     diagonal whose phase is not 1 and its whole diagonal, and the (2,)*2a
-    tensor of the matrix.
+    tensor of the matrix. `rules` memoizes a permutation's fixed rules
+    (_fixed_rule), one per set of fixed wire positions.
     """
 
-    __slots__ = ("matrix", "arity", "kind", "tensor", "moves", "image", "phases", "diagonal")
+    __slots__ = ("matrix", "arity", "kind", "tensor", "moves", "image", "phases", "diagonal", "rules")
 
     def __init__(self, matrix) -> None:
         m = np.array(matrix, dtype=complex)
@@ -84,6 +89,7 @@ class GateMatrix:
         self.matrix = m
         self.arity = arity
         self.tensor = m.reshape((2,) * (2 * arity))
+        self.rules: dict[tuple, tuple | None] = {}
         self._classify()
 
     def _classify(self) -> None:
@@ -294,36 +300,118 @@ def _apply(amps: np.ndarray, n: int, gate: GateMatrix, targets: tuple) -> None:
             split = amps.reshape(-1, 2, 2 ** (n - 1 - targets[0]))
             split[...] = gate.matrix @ split
         return
+    if gate.kind == "permutation":
+        _move(amps, n, gate.moves, targets)
+        return
     psi = _qubit_view(amps, n)
     slab = _slabs(n, targets)
-    if gate.kind == "permutation":
-        # every source is saved before any destination is written, so cycles
-        # of any length come out right
-        saved = [psi[slab[src]].copy() for _, src in gate.moves]
-        for (dst, _), block in zip(gate.moves, saved):
-            psi[slab[dst]] = block
-    else:
-        for row, phase in gate.phases:
-            block = psi[slab[row]]
-            block *= phase
+    for row, phase in gate.phases:
+        block = psi[slab[row]]
+        block *= phase
 
 
-def _apply_fixed(state: StateVector, gate: GateMatrix, targets: tuple, rows: np.ndarray | None) -> None:
-    """A permutation or diagonal gate whose targets are all fixed: the
-    targets' bits (per row where they differ) pick the gate row, so a
-    permutation rewrites the bits and a diagonal scales the block."""
-    fixed, a = state.fixed, gate.arity
+def _move(amps: np.ndarray, n: int, moves: tuple, targets: tuple) -> None:
+    """Copy the slab of each (destination, source) gate row pair of a
+    permutation within the n-axis block `amps`; `targets` are axis
+    positions."""
+    psi = _qubit_view(amps, n)
+    slab = _slabs(n, targets)
+    # every source is saved before any destination is written, so cycles
+    # of any length come out right
+    saved = [psi[slab[src]].copy() for _, src in moves]
+    for (dst, _), block in zip(moves, saved):
+        psi[slab[dst]] = block
+
+
+def _fixed_rule(gate: GateMatrix, fpos: tuple) -> tuple | None:
+    """How a permutation gate whose wires at positions `fpos` are fixed
+    keeps as many qubits fixed, or None when it cannot.
+
+    For each pattern of bits on the fixed wires, the gate maps the inputs
+    that vary the other (live) wires onto outputs, and some output wires
+    read the same bit on all of them. When those constant wires are the
+    same for every pattern and as many as `fpos`, the rule is (const, bits,
+    moves): the constant wires, their bits per pattern (a (2^f, f) array,
+    patterns read first wire = most significant bit), and per pattern the
+    (destination, source) slab moves that take the live input wires onto
+    the remaining output wires, both in ascending wire order. The rule
+    depends on which wires are fixed only, never on their bits. It is
+    derived once per `fpos` and kept on the gate: at most 2^arity entries.
+    """
+    if fpos in gate.rules:
+        return gate.rules[fpos]
+    a = gate.arity
+    lpos = [j for j in range(a) if j not in fpos]
+    # every input index, by (pattern, live value)
+    index = np.arange(2**a).reshape((2,) * a).transpose([*fpos, *lpos]).reshape(2 ** len(fpos), -1)
+    out = (gate.image[index][..., None] >> np.arange(a - 1, -1, -1)) & 1  # (pattern, live value, wire)
+    constant = (out == out[:, :1]).all(axis=1)
+    rule = None
+    if (constant == constant[0]).all() and constant[0].sum() == len(fpos):
+        const = tuple(int(w) for w in np.flatnonzero(constant[0]))
+        rest = [w for w in range(a) if w not in const]
+        weights = 1 << np.arange(len(rest) - 1, -1, -1, dtype=np.int64)
+        image = out[:, :, rest] @ weights  # live output value per (pattern, live value)
+        moves = tuple(tuple((int(d), s) for s, d in enumerate(row) if d != s) for row in image)
+        rule = (const, out[:, 0, list(const)], moves)
+    gate.rules[fpos] = rule
+    return rule
+
+
+def _relabel(state: StateVector, targets: tuple, fpos: tuple, rule: tuple, rows: np.ndarray | None) -> None:
+    """A permutation gate by its fixed rule: each row's pattern of fixed
+    bits moves the live target slabs by that pattern's live map, the
+    constant wires' qubits take their bits, and the live target axes are
+    renamed to the other targets' qubits, then put back in qubit order."""
+    const, bits, moves = rule
+    fixed, live = state.fixed, state.live
+    pattern = 0
+    for j in fpos:
+        pattern = (pattern << 1) | fixed[targets[j]]
+    old = [t for j, t in enumerate(targets) if j not in fpos]
+    axes = tuple(bisect_left(live, t) for t in old)
+    for p, live_map in enumerate(moves):
+        # a bool, or a mask of the rows whose pattern is p
+        hit = pattern == p if rows is None else (pattern == p) & rows
+        if not live_map or not np.any(hit):
+            continue
+        if np.ndim(hit) == 0:
+            _move(state.block, len(live), live_map, axes)
+        else:
+            sub = state.block[hit]
+            _move(sub, len(live), live_map, axes)
+            state.block[hit] = sub
+    new_bits = bits[pattern]
+    for k, j in enumerate(const):
+        bit = new_bits[..., k]
+        if rows is not None:
+            bit = np.where(rows, bit, fixed[targets[j]])
+        fixed[targets[j]] = bit.astype(np.int64) if bit.ndim else int(bit)
+    new = [t for j, t in enumerate(targets) if j not in const]
+    if new == old:
+        return
+    for j in fpos:
+        if j not in const:
+            del fixed[targets[j]]
+    axis = {q: k for k, q in enumerate(live)}
+    moved = [axis.pop(t) for t in old]
+    axis.update(zip(new, moved))
+    order = sorted(axis)
+    source = [axis[q] for q in order]
+    if source != sorted(source):
+        block = state.block
+        lead = block.ndim - 1
+        psi = np.transpose(_qubit_view(block, len(live)), [*range(lead), *(lead + k for k in source)])
+        state.block = np.ascontiguousarray(psi).reshape(block.shape)
+    state.live = order
+
+
+def _scale_fixed(state: StateVector, gate: GateMatrix, targets: tuple, rows: np.ndarray | None) -> None:
+    """A diagonal gate whose targets are all fixed: the targets' bits (per
+    row where they differ) pick the phase that scales the block."""
     pattern = 0
     for t in targets:
-        pattern = (pattern << 1) | fixed[t]
-    if gate.kind == "permutation":
-        image = gate.image[pattern]
-        for j, t in enumerate(targets):
-            bit = (image >> (a - 1 - j)) & 1
-            if rows is not None:
-                bit = np.where(rows, bit, fixed[t])
-            fixed[t] = bit.astype(np.int64) if bit.ndim else int(bit)
-        return
+        pattern = (pattern << 1) | state.fixed[t]
     phase = gate.diagonal[pattern]
     if rows is not None:
         phase = np.where(rows, phase, 1)
@@ -343,16 +431,26 @@ def apply_gate(
 
     The first listed target is the gate's most significant wire. `rows`, a
     boolean mask over the rows of a split state, limits the gate to those
-    rows; the others are left as they are. A permutation or diagonal gate
-    on fixed qubits only touches their bits or the block's phase; any other
-    gate makes its fixed targets live first.
+    rows; the others are left as they are. A diagonal gate on fixed qubits
+    only scales the block. A permutation gate with fixed targets keeps as
+    many qubits fixed when its fixed rule allows (see _fixed_rule; under a
+    `rows` mask only when the same qubits stay fixed): a SWAP of a live and
+    a fixed qubit renames an axis, a CNOT with a fixed control is an X on
+    the rows where the control reads 1. Any other gate makes its fixed
+    targets live first.
     """
     targets = _check_targets(state, targets, gate.arity)
-    fixed_targets = [t for t in targets if t in state.fixed]
-    if gate.kind != "general" and len(fixed_targets) == len(targets):
-        _apply_fixed(state, gate, targets, rows)
+    fpos = tuple(j for j, t in enumerate(targets) if t in state.fixed)
+    if fpos and gate.kind == "diagonal" and len(fpos) == len(targets):
+        _scale_fixed(state, gate, targets, rows)
         return
-    if fixed_targets:
+    if fpos and gate.kind == "permutation":
+        rule = _fixed_rule(gate, fpos)
+        if rule is not None and (rows is None or rule[0] == fpos):
+            _relabel(state, targets, fpos, rule, rows)
+            return
+    if fpos:
+        fixed_targets = [targets[j] for j in fpos]
         state.block, state.live = _with_axes(state, fixed_targets)
         state.high_water = max(state.high_water, state.block.size)
         for t in fixed_targets:

@@ -50,8 +50,9 @@ from .qft import build_qft_plan, qft_distributed, qft_matrix
 PROB_TOL = 1e-9
 
 # The most amplitudes, over all branch rows, that one exhaustive-sweep run
-# holds: 64 rows of the 256-amplitude network of the 4-qubit, 2-machine
-# transform. Runs of networks with more live qubits split fewer measurements.
+# holds: 64 rows of a 256-amplitude network with every qubit live, which
+# the 4-qubit, 2-machine transform is when it starts. Runs of networks with
+# more live qubits split fewer measurements.
 CHUNK_AMPLITUDES = 2**14
 
 
@@ -224,10 +225,13 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     2^(s-M) whole inputs as rows and splits all M. Row r is position start
     + r. The first run holds 2^_split(case) positions, each later one as
     many as the previous run's largest live block leaves room for within
-    CHUNK_AMPLITUDES: the protocols' corrections are Pauli gates, which keep
-    fixed qubits fixed, so the live qubits depend on neither outcome nor
-    input. A sampled sweep makes one unsplit run per input and sample; only
-    a run of one input may draw outcomes from the RNG.
+    CHUNK_AMPLITUDES. That block is the same for every run: which qubits a
+    gate leaves live depends only on which of its targets are fixed, never
+    on their bits (qstate._fixed_rule), and the protocols' classically
+    controlled corrections are Pauli gates, which keep fixed qubits fixed,
+    so the live qubits depend on neither outcome nor input. A sampled sweep
+    makes one unsplit run per input and sample; only a run of one input may
+    draw outcomes from the RNG.
     """
     exhaustive, m = branches == "exhaustive", case.measurements
     if exhaustive:

@@ -286,9 +286,14 @@ def test_sweep_runs_stay_within_the_chunk_budget(monkeypatch):
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
     assert rep.verified and rep.branches_tested == 4096
     # the first runs split the 6 measurements that fit with all 8 qubits
-    # live; measured qubits leave the block, so later runs widen to the
-    # budget, each starting at a multiple of its own size
-    assert runs == [(64, 2**12), (64, 2**12), (128, 2**13)] + [(256, verify.CHUNK_AMPLITUDES)] * 15
+    # live; measured qubits leave the block and the swaps that follow each
+    # teleport leave the vacated channel qubits fixed, so later runs widen
+    # to the budget, each starting at a multiple of its own size
+    assert runs == [(64, 2**10), (64, 2**10), (128, 2**11), (256, 2**12), (512, 2**13)] + [(1024, 2**14)] * 3
+    runs.clear()
+    rep = verify.verify_qft(n=4, m=2, branches="exhaustive")
+    assert rep.verified and rep.branches_tested == 2**16
+    assert len(runs) <= 70 and max(size for _, size in runs) <= verify.CHUNK_AMPLITUDES
     runs.clear()
     rep = verify.verify_qft(n=2, m=2, branches="exhaustive")
     assert rep.verified and rep.branches_tested == 2 ** rep.details["measurements_per_branch"]

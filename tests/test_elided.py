@@ -21,7 +21,7 @@ N = 4
 TOL = 1e-12
 MAX_ROWS = 8
 # weighted toward splits and masked gates, so most sequences reach per-row bits
-OPS = ["gate", "masked", "masked", "forced", "forced", "rng", "split", "split", "probe"]
+OPS = ["gate", "masked", "masked", "permutation", "permutation", "forced", "forced", "rng", "split", "split", "probe"]
 
 
 def _unitary(dim: int, seed: int) -> GateMatrix:
@@ -66,23 +66,60 @@ def both(fn, elided: StateVector, ref: StateVector):
     return out
 
 
+def flipped(state: StateVector) -> StateVector:
+    """A copy whose fixed qubits read the other bit: which qubits are live
+    after any operation must not depend on those bits."""
+    out = state.copy()
+    out.fixed = {q: 1 - b for q, b in out.fixed.items()}
+    return out
+
+
+def permutation_gate(data, arity: int) -> GateMatrix:
+    """SWAP, CNOT, Toffoli or a random permutation of the basis states."""
+    named = {2: [SWAP, CNOT], 3: [TOFFOLI]}[arity]
+    if data.draw(st.booleans()):
+        return data.draw(st.sampled_from(named))
+    return GateMatrix(np.eye(2**arity)[:, data.draw(st.permutations(range(2**arity)))])
+
+
+def mixed_targets(data, state: StateVector, arity: int) -> list[int]:
+    """`arity` distinct qubits, one fixed (per-row bits preferred) and one
+    live among them when the state has both, in a drawn order."""
+    fixed, live = sorted(state.fixed), list(state.live)
+    per_row = [q for q in fixed if isinstance(state.fixed[q], np.ndarray)]
+    if per_row and data.draw(st.integers(0, 3)):
+        fixed = per_row
+    first = [data.draw(st.sampled_from(fixed)), data.draw(st.sampled_from(live))] if fixed and live else []
+    rest = [q for q in data.draw(st.permutations(range(N))) if q not in first]
+    return data.draw(st.permutations((first + rest)[:arity]))
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_elided_state_matches_dense_copy(data):
-    elided = basis_state(N, data.draw(st.integers(0, 2**N - 1)))
+    if data.draw(st.booleans()):
+        elided = basis_state(N, data.draw(st.integers(0, 2**N - 1)))
+    else:  # every qubit live, so splits and measurements fix them per row
+        elided = qstate.random_state(N, np.random.default_rng(data.draw(st.integers(0, 2**16))))
     for _ in range(data.draw(st.integers(1, 20))):
         ref = dense(elided)
+        other = flipped(elided)
         op = data.draw(st.sampled_from(OPS))
         qubits = data.draw(st.permutations(range(N)))
         if op in ("forced", "rng", "probe") and elided.fixed and data.draw(st.booleans()):
             qubits = [data.draw(st.sampled_from(sorted(elided.fixed)))]
-        if op in ("gate", "masked"):
-            arity = data.draw(st.integers(1, 3))
-            gate = data.draw(st.sampled_from(GATES[arity]))
+        if op in ("gate", "masked", "permutation"):
+            if op == "permutation":
+                arity = data.draw(st.integers(2, 3))
+                gate = permutation_gate(data, arity)
+                qubits = mixed_targets(data, elided, arity)
+            else:
+                arity = data.draw(st.integers(1, 3))
+                gate = data.draw(st.sampled_from(GATES[arity]))
             rows = None
-            if op == "masked" and elided.rows > 1:
+            if op != "gate" and elided.rows > 1 and data.draw(st.booleans()):
                 rows = np.array(data.draw(st.lists(st.booleans(), min_size=elided.rows, max_size=elided.rows)))
-            for state in (elided, ref):
+            for state in (elided, ref, other):
                 apply_gate(state, gate, qubits[:arity], rows=rows)
         elif op in ("forced", "rng"):
             seed = data.draw(st.integers(0, 2**16))
@@ -103,6 +140,7 @@ def test_elided_state_matches_dense_copy(data):
                 assert np.array_equal(recs[0].outcome, recs[1].outcome)
                 assert agree(recs[0].probability, recs[1].probability)
                 assert agree(elided.amplitudes.reshape(elided.rows, -1), projected(before, qubits[0], recs[0].outcome))
+                measure(other, qubits[0], rng=np.random.default_rng(seed))  # an outcome it can take
         elif op == "split":
             if elided.rows * 2 > MAX_ROWS:
                 continue
@@ -111,6 +149,10 @@ def test_elided_state_matches_dense_copy(data):
                 continue
             (elided, rec), (ref, ref_rec) = out
             assert np.array_equal(rec.outcome, ref_rec.outcome) and agree(rec.probability, ref_rec.probability)
+            try:
+                other, _ = measure_split(other, qubits[0])
+            except ImpossibleBranchError:  # its amplitudes may differ; its live set may not
+                other = elided
         else:
             bit = data.draw(st.integers(0, 1))
             got, want = (qstate.partial_state_check(s, qubits[0], bit) for s in (elided, ref))
@@ -118,6 +160,7 @@ def test_elided_state_matches_dense_copy(data):
         assert elided.rows == ref.rows
         assert agree(elided.amplitudes, ref.amplitudes)
         assert np.allclose(elided.norm(), 1.0, atol=TOL)
+        assert other.live == elided.live
 
 
 def test_amplitudes_are_a_read_only_snapshot():
@@ -197,3 +240,38 @@ def test_ghz_oracle_stays_within_15_live_qubits(shape, corrupt, monkeypatch):
         assert rep.verified is False and abs(rep.max_infidelity - 1.0) < 1e-9
     else:
         assert rep.verified is True and rep.max_infidelity < 1e-10
+
+
+def _fixed_at_zero(net: network.Network, addrs) -> bool:
+    return all(
+        net.global_index(a) in net.state.fixed and not np.any(net.state.fixed[net.global_index(a)]) for a in addrs
+    )
+
+
+@pytest.mark.parametrize("layout", [[("A", 1, 2), ("B", 1, 2)], [("A", 2, 1), ("B", 1, 1)]])
+def test_distributed_swap_leaves_its_channels_fixed(layout):
+    """The closing SWAP moves each carried state into its measured register
+    slot by renaming an axis, so the vacated channel qubits (and a buffer
+    register) are fixed at 0 on every branch row, never live."""
+    net = network.Network(layout, seed=0)
+    a, b = net.reg("A"), net.reg("B")
+    net.inject_state([a, b], qstate.random_state(2, np.random.default_rng(1)).amplitudes)
+    net.split_outcomes(4)
+    rep = protocols.distributed_swap(net, a, b)
+    assert rep.verified and net.rows == 16
+    assert net.state.live == sorted([net.global_index(a), net.global_index(b)])
+    idle = [q for q in net.addresses() if q not in (a, b)]
+    assert _fixed_at_zero(net, idle)
+    assert net.state.high_water <= 16 * 2**4
+
+
+def test_teleport_with_reset_leaves_its_channels_fixed():
+    net = network.Network([("A", 1, 1), ("B", 1, 1)], seed=0)
+    src, dst = net.reg("A"), net.reg("B")
+    net.inject_state([src], [0.6, 0.8j])
+    net.preshare_epr(net.chan("A"), net.chan("B"))
+    net.split_outcomes(2)
+    rep = protocols.teleport_with_reset(net, src, (net.chan("A"), net.chan("B")), dst)
+    assert rep.verified and net.rows == 4
+    assert net.state.live == [net.global_index(dst)]
+    assert _fixed_at_zero(net, [src, net.chan("A"), net.chan("B")])

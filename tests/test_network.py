@@ -409,6 +409,19 @@ def test_inject_state_stack_makes_one_row_per_input():
         net.inject_state([net.reg("A"), net.reg("B")], [[1, 0, 0, 0], [0, 0, 0, 0]])
 
 
+def test_inject_state_needs_an_unsplit_network():
+    """One input injected after a split would keep the split's stale branch
+    probabilities and per-row records, so it is refused like a stack."""
+    net = Network([("A", 1, 1)])
+    net.local_apply(H, [net.reg("A")])
+    net.split_outcomes(1)
+    net.measure(net.reg("A"))
+    assert net.rows == 2
+    with pytest.raises(ValueError, match="unsplit"):
+        net.inject_state([net.reg("A")], [0.6, 0.8])
+    assert net.rows == 2 and np.allclose(net.branch_probability, 0.5)
+
+
 def test_split_rows_descend_from_their_input():
     """After k splits, input i's branches are rows i * 2^k ... (i + 1) * 2^k - 1."""
     net = Network([("A", 2, 0)])

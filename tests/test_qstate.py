@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catnet import qstate
+from catnet import gates, qstate
 from catnet.errors import ImpossibleBranchError
 from catnet.gates import CNOT, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
 from catnet.qstate import (
@@ -223,6 +223,11 @@ def _memo_sizes() -> dict[str, int]:
             sizes[name] = obj.cache_info().currsize
         elif isinstance(obj, (dict, list, set)) and not name.startswith("__"):
             sizes[name] = len(obj)
+    # the fixed rules live on each gate, one per set of fixed wire positions
+    for name, obj in vars(gates).items():
+        if isinstance(obj, GateMatrix):
+            assert len(obj.rules) < 2**obj.arity
+            sizes[f"{name}.rules"] = len(obj.rules)
     return sizes
 
 
