@@ -28,7 +28,7 @@ from .network import (
     QubitAddress,
     ResourceLedger,
 )
-from .primitives import CatGroup, cat_disentangler, cat_entangler, cat_shrink, teleport
+from .primitives import CatGroup, cat_entangler, cat_shrink, teleport
 from .protocols import (
     ProtocolReport,
     decompose_multi_control_x,
@@ -85,7 +85,6 @@ __all__ = [
     "X",
     "Z",
     "build_qft_plan",
-    "cat_disentangler",
     "cat_entangler",
     "cat_shrink",
     "decompose_multi_control_x",

@@ -2,10 +2,11 @@
 
 A Network owns one global state vector spanning every qubit of every node,
 but the operation surface only permits what distributed hardware could do:
-gates act on qubits of a single node, qubits move between nodes only via
-transport, and classical bits are usable at a node only after being measured
-there or received in a message. Resource counters (ebits, cbits, transports,
-rounds) are maintained by the operations themselves.
+gates act on qubits of a single node, qubits move between nodes only as
+channel qubits traded in an exchange, and classical bits are usable at a
+node only after being measured there or received in a message. Resource
+counters (ebits, cbits, transports, rounds) are maintained by the
+operations themselves.
 
 Each node owns a register pool (long-lived data qubits) and a channel pool
 (communication qubits). All slots start occupied by |0> qubits.
@@ -23,14 +24,13 @@ from __future__ import annotations
 import collections
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
 from . import qstate
 from .errors import (
     BranchDivergenceError,
-    CapacityError,
     CausalityError,
     LocalityError,
     PoolError,
@@ -223,16 +223,21 @@ class Network:
         ]
         return sorted(out)
 
-    def free_slots(self, node: str, pool: str = CHANNEL) -> list[int]:
-        """Slots whose qubit sits idle in |0>, available as fresh carriers."""
-        spec = self.nodes[node]
-        cap = spec.registers if pool == REGISTER else spec.channels
-        return [
-            s
-            for s in range(cap)
-            if QubitAddress(node, pool, s) in self.ownership
-            and self.qubit_is(QubitAddress(node, pool, s), 0)
-        ]
+    def free_qubits(
+        self, node: str, pool: str, count: int, exclude: Collection[QubitAddress] = ()
+    ) -> list[QubitAddress]:
+        """Up to `count` qubits of the pool that sit idle in |0>, in slot order.
+
+        Addresses in `exclude` are skipped without a probe, and the search
+        stops probing once `count` are found. Every probe is a qubit_is, so
+        on a split state a qubit that is |0> on some rows only raises
+        BranchDivergenceError.
+        """
+        found: list[QubitAddress] = []
+        for addr in self.addresses(node, pool):
+            if len(found) < count and addr not in exclude and self.qubit_is(addr, 0):
+                found.append(addr)
+        return found
 
     # ---- round accounting ------------------------------------------------
 
@@ -435,33 +440,6 @@ class Network:
         return fire
 
     # ---- qubit movement ----------------------------------------------------
-
-    def transport_qubit(self, addr: QubitAddress, to_node: str) -> QubitAddress:
-        """Physically move a channel qubit to another node's channel pool.
-
-        The destination must have a free slot (a channel qubit idling in
-        |0>); the payload and that idle carrier trade addresses, so the
-        state vector is untouched and only the labeling moves. One
-        transport is charged; the returning empty carrier is not.
-        """
-        addr = self._checked_address(addr)
-        if addr.pool != CHANNEL:
-            raise PoolError(f"only channel qubits travel; {addr} is a register qubit")
-        if to_node not in self.nodes:
-            raise ValueError(f"unknown node {to_node!r}")
-        if to_node == addr.node:
-            raise ValueError(f"{addr} is already at {to_node}")
-        free = self.free_slots(to_node, CHANNEL)
-        if not free:
-            raise CapacityError(f"channel pool of {to_node} is full")
-        new_addr = QubitAddress(to_node, CHANNEL, free[0])
-        self.ownership[addr], self.ownership[new_addr] = (
-            self.ownership[new_addr],
-            self.ownership[addr],
-        )
-        self.ledger.qubits_transported += 1
-        self._account_round([])
-        return new_addr
 
     def exchange_channel_qubits(
         self, addr_a: QubitAddress, addr_b: QubitAddress

@@ -3,7 +3,7 @@
 Two operations carry all non-local behaviour in this package. The entangler
 splices a control qubit into a shared cat state, so that several nodes hold
 qubits that act as copies of the control for classical-basis purposes. The
-shrink step (disentangler) releases members from such a group with X-basis
+disentangler (cat_shrink) releases members from such a group with X-basis
 measurements and a single conditional phase fix, leaving the survivor(s)
 carrying the original amplitudes.
 
@@ -124,11 +124,14 @@ def cat_shrink(
     *,
     tag: str = "shrink",
 ) -> list[MeasurementRecord]:
-    """Release group members, leaving `keep` with the original amplitudes.
+    """The paper's cat-disentangler: release group members, leaving `keep`
+    with the original amplitudes.
 
-    The dropped qubits are measured in the X basis in one round; each node
-    that measured sends the parity of its outcomes to the survivor's node,
-    and a single conditional Z there repairs the sign. Only classical-basis
+    cat_shrink(net, group.members, control) undoes cat_entangler's fan-out;
+    any member, or several, may survive instead. The dropped qubits are
+    measured in the X basis in one round; each node that measured sends
+    the parity of its outcomes to the survivor's node, and a single
+    conditional Z there repairs the sign. Only classical-basis
     agreement across `members` is needed, so this works even while the
     group is entangled with outside qubits.
 
@@ -174,23 +177,6 @@ def cat_shrink(
                 )
     net.classically_controlled_apply(controls, Z, fix)
     return records
-
-
-def cat_disentangler(
-    net: Network,
-    group: CatGroup,
-    keep: QubitAddress | Sequence[QubitAddress] | None = None,
-    *,
-    tag: str = "shrink",
-) -> list[MeasurementRecord]:
-    """Shrink an entangled group created by cat_entangler.
-
-    By default the original control survives and every spliced-in member is
-    released, undoing the entangler's fan-out.
-    """
-    if keep is None:
-        keep = group.members[0]
-    return cat_shrink(net, group.members, keep, tag=tag)
 
 
 def teleport(

@@ -11,12 +11,13 @@ reduced states. Consumed helper qubits (measured channel qubits, released
 ancillas) are excluded from that comparison.
 
 Entanglement policy: protocols consume pre-established EPR pairs. The
-non-local CNOT and the controlled sequence take a pair from the caller or,
-with the auto flag, write a fresh one onto free channel qubits as a
-stand-in for earlier distribution, charging nothing until consumption;
-parallel control, multi-control and the C4X decomposition always write
-their own. establish_epr_exchange is the in-model establishment that
-actually ships qubits.
+non-local CNOT and the controlled sequence take a pair from the caller;
+without one they, like parallel control, multi-control and the C4X
+decomposition, write a fresh pair (or cat) onto the first |0> channel
+qubit of each node that Network.free_qubits finds, as a stand-in for
+earlier distribution, charging nothing until consumption.
+establish_epr_exchange is the in-model establishment that actually ships
+qubits.
 """
 
 from __future__ import annotations
@@ -158,46 +159,28 @@ class _Scope:
         return max(0.0, 1.0 - overlap)
 
 
-def _free_zero_channel(
-    net: Network, node: str, exclude: Sequence[QubitAddress] = ()
-) -> QubitAddress:
-    """First channel qubit on `node` that holds |0> and is not reserved."""
-    for addr in net.addresses(node, CHANNEL):
-        if addr in exclude:
-            continue
-        if net.qubit_is(addr, 0):
-            return addr
-    raise ResourceError(f"no |0> channel qubit available on {node}")
-
-
 def _resolve_epr(
-    net: Network,
-    node_a: str,
-    node_b: str,
-    epr: tuple[QubitAddress, QubitAddress] | None,
-    auto_establish: bool,
+    net: Network, node_a: str, node_b: str, epr: tuple[QubitAddress, QubitAddress] | None
 ) -> tuple[QubitAddress, QubitAddress]:
-    if epr is not None:
-        e_a, e_b = epr
-        if e_a.node != node_a or e_b.node != node_b:
-            raise ValueError(
-                f"EPR pair ({e_a}, {e_b}) does not span nodes {node_a} and {node_b}"
-            )
-        return e_a, e_b
-    if not auto_establish:
-        raise ResourceError(
-            f"no EPR pair between {node_a} and {node_b}; pass epr=... or set "
-            f"auto_establish=True"
-        )
-    return _fresh_epr(net, node_a, node_b)
+    e_a, e_b = _fresh_cat(net, [node_a, node_b]) if epr is None else epr
+    if e_a.node != node_a or e_b.node != node_b:
+        raise ValueError(f"EPR pair ({e_a}, {e_b}) does not span nodes {node_a} and {node_b}")
+    return e_a, e_b
 
 
-def _fresh_epr(net: Network, node_a: str, node_b: str) -> tuple[QubitAddress, QubitAddress]:
-    """Write an EPR pair onto the first free |0> channel qubit of each node."""
-    a = _free_zero_channel(net, node_a)
-    b = _free_zero_channel(net, node_b, exclude=(a,))
-    net.preshare_epr(a, b)
-    return a, b
+def _fresh_cat(
+    net: Network, nodes: Sequence[str], exclude: Sequence[QubitAddress] = ()
+) -> list[QubitAddress]:
+    """Write a cat state (an EPR pair for two nodes) onto the first |0>
+    channel qubit of each node outside `exclude`."""
+    cat: list[QubitAddress] = []
+    for node in nodes:
+        found = net.free_qubits(node, CHANNEL, 1, [*exclude, *cat])
+        if not found:
+            raise ResourceError(f"no |0> channel qubit available on {node}")
+        cat += found
+    net.preshare_cat(cat)
+    return cat
 
 
 # ---- entanglement lifecycle -------------------------------------------------
@@ -220,12 +203,12 @@ def establish_epr_exchange(
     """
     if node_a == node_b:
         raise ValueError("entanglement establishment needs two distinct nodes")
-    try:
-        keep_a, keep_b = _free_zero_channel(net, node_a), _free_zero_channel(net, node_b)
-        move_a = _free_zero_channel(net, node_a, exclude=(keep_a,))
-        move_b = _free_zero_channel(net, node_b, exclude=(keep_b,))
-    except ResourceError as err:
-        raise PreconditionError(f"entangling needs two |0> channel qubits per node: {err}") from None
+    found = []
+    for node in (node_a, node_b):
+        found.append(net.free_qubits(node, CHANNEL, 2))
+        if len(found[-1]) < 2:
+            raise PreconditionError(f"entangling needs two |0> channel qubits per node; {node} has fewer")
+    (keep_a, move_a), (keep_b, move_b) = found
     scope = _Scope(net, check)
     with net.parallel_round():
         net.local_apply(H, [keep_a])
@@ -282,19 +265,19 @@ def nonlocal_cnot(
     target: QubitAddress,
     *,
     epr: tuple[QubitAddress, QubitAddress] | None = None,
-    auto_establish: bool = False,
     check: bool = True,
 ) -> ProtocolReport:
     """CNOT between qubits on different nodes over one shared EPR pair.
 
-    The control is spliced into the pair, the remote half drives a local
-    CNOT, and the splice is undone; the control line ends restored on its
-    home node. Costs exactly 1 ebit and 2 cbits. Both pair qubits end
-    measured, so reset_channel_qubits can reclaim them.
+    The control is spliced into the pair (`epr`, or a fresh one), the
+    remote half drives a local CNOT, and the splice is undone; the control
+    line ends restored on its home node. Costs exactly 1 ebit and 2 cbits.
+    Both pair qubits end measured, so reset_channel_qubits can reclaim
+    them.
     """
     if control.node == target.node:
         raise ValueError(f"{control} and {target} share a node; apply a local CNOT")
-    e_c, e_t = _resolve_epr(net, control.node, target.node, epr, auto_establish)
+    e_c, e_t = _resolve_epr(net, control.node, target.node, epr)
     scope = _Scope(net, check)
     group = cat_entangler(net, control, (e_c, e_t), tag="nl-cnot")
     member = group.members[1]
@@ -314,7 +297,6 @@ def nonlocal_controlled_sequence(
     gates: Sequence[tuple[Any, QubitAddress | Sequence[QubitAddress]]],
     *,
     epr: tuple[QubitAddress, QubitAddress] | None = None,
-    auto_establish: bool = False,
     check: bool = True,
     tag: str = "nl-seq",
 ) -> ProtocolReport:
@@ -336,7 +318,7 @@ def nonlocal_controlled_sequence(
     remote = nodes.pop()
     if remote == control.node:
         raise ValueError("targets sit with the control; apply the controlled gates directly")
-    e_c, e_t = _resolve_epr(net, control.node, remote, epr, auto_establish)
+    e_c, e_t = _resolve_epr(net, control.node, remote, epr)
     for _, tg in seq:
         if e_t in tg:
             raise ValueError(f"{e_t} is reserved as the shared control line")
@@ -384,11 +366,7 @@ def parallel_distributed_control(
     if len(set(part_nodes)) != len(part_nodes):
         raise ValueError("each part must sit on its own node (merge same-node parts)")
 
-    cat = [_free_zero_channel(net, control.node)]
-    for node in part_nodes:
-        cat.append(_free_zero_channel(net, node, exclude=cat))
-    net.preshare_cat(cat)
-
+    cat = _fresh_cat(net, [control.node, *part_nodes])
     scope = _Scope(net, check)
     group = cat_entangler(net, control, cat, tag="par-ctrl")
     members = group.members[1:]
@@ -548,16 +526,12 @@ def distributed_swap(
     """
     if a.node == b.node:
         raise ValueError(f"{a} and {b} share a node; apply a local swap")
-    chans_a = [
-        q for q in net.addresses(a.node, CHANNEL) if q != a and net.qubit_is(q, 0)
-    ]
-    chans_b = [
-        q for q in net.addresses(b.node, CHANNEL) if q != b and net.qubit_is(q, 0)
-    ]
+    chans_a = net.free_qubits(a.node, CHANNEL, 2, [a])
+    chans_b = net.free_qubits(b.node, CHANNEL, 2, [b])
     scope = _Scope(net, check)
-    if len(chans_a) >= 2 and len(chans_b) >= 2:
-        ea0, ea1 = chans_a[:2]
-        eb0, eb1 = chans_b[:2]
+    if len(chans_a) == len(chans_b) == 2:
+        ea0, ea1 = chans_a
+        eb0, eb1 = chans_b
         net.preshare_epr(eb1, ea1)
         net.preshare_epr(ea0, eb0)
         r1b, r2b = teleport(net, b, (eb1, ea1), tag=f"{tag}:b-to-a")
@@ -570,17 +544,13 @@ def distributed_swap(
         buffers_used = 0
         exclude = [ea0, ea1, eb0, eb1]
     elif chans_a and chans_b:
-        buffer = None
-        for q in net.addresses(a.node, REGISTER):
-            if q != a and net.qubit_is(q, 0):
-                buffer = q
-                break
-        if buffer is None:
+        found = net.free_qubits(a.node, REGISTER, 1, [a])
+        if not found:
             raise CapacityError(
                 f"distributed swap needs 2 free channel qubits per node, or 1 per "
                 f"node plus an empty register qubit on {a.node}"
             )
-        ea, eb = chans_a[0], chans_b[0]
+        buffer, ea, eb = found[0], chans_a[0], chans_b[0]
         net.preshare_epr(eb, ea)
         r1b, r2b = teleport(net, b, (eb, ea), tag=f"{tag}:b-to-a")
         reset_channel_qubits(net, [r1b, r2b])
@@ -620,10 +590,12 @@ def nonlocal_multi_control(
 
     Every remote control is shared onto the target node through an EPR
     pair, then immediately swapped off the channel qubit onto a spare |0>
-    register qubit so one channel slot serves all of them. The multi-
-    controlled gate runs locally, the shares are reclaimed, and ancillas
-    and channel qubits are reset. Costs 1 ebit + 2 cbits per remote
-    control.
+    register qubit so one channel slot on the target node serves all of
+    them. On a control's node the consumed channel qubit stays held until
+    its reset, so two remote controls there need two channel qubits. The
+    multi-controlled gate runs locally, the shares are reclaimed, and
+    ancillas and channel qubits are reset. Costs 1 ebit + 2 cbits per
+    remote control.
     """
     controls = list(controls)
     if not controls:
@@ -633,26 +605,19 @@ def nonlocal_multi_control(
     t_node = target.node
     remote = [c for c in controls if c.node != t_node]
 
-    ancillas: list[QubitAddress] = []
-    if remote:
-        reserved = {target, *controls}
-        for q in net.addresses(t_node, REGISTER):
-            if q not in reserved and net.qubit_is(q, 0):
-                ancillas.append(q)
-            if len(ancillas) == len(remote):
-                break
-        if len(ancillas) < len(remote):
-            raise CapacityError(
-                f"{t_node} has {len(ancillas)} spare |0> register qubits but "
-                f"{len(remote)} distributed controls need one each; decompose "
-                f"the gate instead (see decompose_multi_control_x)"
-            )
+    ancillas = net.free_qubits(t_node, REGISTER, len(remote), {target, *controls})
+    if len(ancillas) < len(remote):
+        raise CapacityError(
+            f"{t_node} has {len(ancillas)} spare |0> register qubits but "
+            f"{len(remote)} distributed controls need one each; decompose "
+            f"the gate instead (see decompose_multi_control_x)"
+        )
 
     scope = _Scope(net, check)
     line_for: dict[QubitAddress, QubitAddress] = {c: c for c in controls}
     shares: list[tuple[QubitAddress, QubitAddress, QubitAddress]] = []
     for ctrl, anc in zip(remote, ancillas):
-        e_c, e_t = _fresh_epr(net, ctrl.node, t_node)
+        e_c, e_t = _fresh_cat(net, [ctrl.node, t_node], [e_c for _, _, e_c in shares])
         cat_entangler(net, ctrl, (e_c, e_t), tag=f"mctrl:{ctrl.node}")
         net.local_apply(SWAP, [e_t, anc])
         line_for[ctrl] = anc
@@ -720,7 +685,7 @@ def decompose_multi_control_x(
         and c3.node == c4.node == target.node
     ):
         top, bottom = c1.node, target.node
-        e_top, e_bot = _fresh_epr(net, top, bottom)
+        e_top, e_bot = _fresh_cat(net, [top, bottom])
         scope = _Scope(net, check)
         net.local_apply(TOFFOLI, [c1, c2, e_top])
         r1 = net.measure(e_top)

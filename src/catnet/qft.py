@@ -25,7 +25,7 @@ from .gates import H, SWAP, ControlledSpec, make_controlled, make_rk
 from .network import Network, QubitAddress
 from .protocols import (
     ProtocolReport,
-    _fresh_epr,
+    _fresh_cat,
     _Scope,
     distributed_swap,
     nonlocal_controlled_sequence,
@@ -190,7 +190,7 @@ def qft_distributed(
         nonlocal distributions_used
         ctrl = addr[control_q]
         target_node = addr[gates[0][1]].node
-        e_c, e_t = _fresh_epr(net, ctrl.node, target_node)
+        e_c, e_t = _fresh_cat(net, [ctrl.node, target_node])
         nonlocal_controlled_sequence(
             net,
             ctrl,

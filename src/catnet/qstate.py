@@ -671,13 +671,3 @@ def overlap(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
     m = expected.conj().swapaxes(-1, -2)[:, None] @ a
     return (np.square(m.real) + np.square(m.imag)).sum(axis=(-1, -2)).reshape(-1)
 
-
-def reduced_density_matrix(state: StateVector, keep: Sequence[int]) -> np.ndarray:
-    """Density matrix of the listed qubits with everything else traced out.
-
-    Row/column indices follow the order of `keep` (first listed = MSB). A
-    split state gives a stack of matrices, one per row.
-    """
-    m = bipartition(state, keep)
-    rho = m @ m.conj().swapaxes(-1, -2)
-    return rho if state.block.ndim == 2 else rho[0]

@@ -181,17 +181,19 @@ class Case:
     zero: list[QubitAddress] = field(default_factory=list)
     details: dict[str, Any] = field(default_factory=dict)
 
-    def row_label(self, label: str, bits: tuple[int, ...] | None, sample: int) -> str:
-        """The failure label of one row: `bits` are its outcomes in an
-        exhaustive sweep, None in sample number `sample`."""
-        if not self.measurements:
-            return label
-        return f"{label}:sample{sample}" if bits is None else f"{label}:branch{bits}"
 
-
-class _QftCase(Case):
-    def row_label(self, label: str, bits: tuple[int, ...] | None, sample: int) -> str:
-        return f"sample{sample}" if bits is None else "branch" + "".join(map(str, bits))
+def _row_label(sweep: _Sweep, case: Case, per: int, exhaustive: bool, p: int) -> str:
+    """The failure label of position p, input p // per's branch (or sample)
+    p % per: `input3:branch(0, 1, 0, 1)` or `input3:sample5`, the input's
+    label alone for a case that enumerates no outcomes, and for the qft
+    sweep's one input the bits alone, `branch000001000101` or `sample5`."""
+    label, b = case.inputs[p // per][0], p % per
+    if not case.measurements:
+        return label
+    bits = _bits(b, case.measurements)
+    if sweep.name == "qft":
+        return "branch" + "".join(map(str, bits)) if exhaustive else f"sample{b}"
+    return f"{label}:branch{bits}" if exhaustive else f"{label}:sample{b}"
 
 
 def _split(case: Case) -> int:
@@ -253,12 +255,8 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
         amps = None if inputs[0][2] is None else np.stack([a for _, _, a in inputs])
         net, pairs = _run(case, amps, prefix, split, seed)
         rows = net.rows
-
-        def row_label(r: int) -> str:
-            p = start + int(r)
-            return case.row_label(case.inputs[p // per][0], _bits(p % per, m) if exhaustive else None, p % per)
-
-        run_label = row_label(0) if rows == 1 else f"{row_label(0)}..{row_label(rows - 1)}"
+        first, last = (_row_label(sweep, case, per, exhaustive, start + r) for r in (0, rows - 1))
+        run_label = first if rows == 1 else f"{first}..{last}"
         for section, rep in pairs:
             sweep.add(rep, section=section, label=run_label, rows=rows)
             for key, want in case.details.items():
@@ -278,9 +276,10 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
         }
         # only rows with a failure pay for a label
         for r in np.flatnonzero(~np.logical_and.reduce([infidelity <= ATOL, *clean.values()])):
-            sweep.require(infidelity[r] <= ATOL, row_label(r), infidelity=float(infidelity[r]))
+            label = _row_label(sweep, case, per, exhaustive, start + int(r))
+            sweep.require(infidelity[r] <= ATOL, label, infidelity=float(infidelity[r]))
             for a, ok in clean.items():
-                sweep.require(bool(ok[r]), row_label(r), not_reset=a)
+                sweep.require(bool(ok[r]), label, not_reset=a)
         weights = np.broadcast_to(net.branch_probability, rows)
         total_p += np.bincount((start + np.arange(rows)) // per, weights, len(total_p))
         start = stop
@@ -328,7 +327,7 @@ def verify_nonlocal_cnot(*, seed: int = 0, branches: str = "exhaustive", samples
     chans = _channels(_PAIR)
 
     def run(net: Network) -> list:
-        rep = nonlocal_cnot(net, _reg("A"), _reg("B"), auto_establish=True)
+        rep = nonlocal_cnot(net, _reg("A"), _reg("B"))
         reset_channel_qubits(net, [net.last_record(ch) for ch in chans])
         return [("", rep)]
 
@@ -519,7 +518,7 @@ def verify_amortized(*, seed: int = 0, branches: str = "exhaustive", samples: in
             ideal = _embed(cg.matrix, 3, [0] + [index[t] for t in tg]) @ ideal
 
         def run(net: Network, gates=gates, k=k) -> list:
-            return [(f"k{k}", nonlocal_controlled_sequence(net, ctrl, gates, auto_establish=True))]
+            return [(f"k{k}", nonlocal_controlled_sequence(net, ctrl, gates))]
 
         inputs = _inputs(rng, 3, 3, seed + k * 31, f"k{k}:input")
         cases.append(Case([("A", 1, 1), ("B", 2, 1)], 2, inputs, run, [ctrl, b0, b1], ideal, max(1, samples // 4)))
@@ -583,7 +582,7 @@ def verify_qft(
         return [("", qft_distributed(net, plan, amortized=amortized, check=False))]
 
     inputs = [("branch-probabilities", seed, amps)]
-    case = _QftCase(spec, num_bits, inputs, run, regs, qft_matrix(n), samples, zero=_channels(spec))
+    case = Case(spec, num_bits, inputs, run, regs, qft_matrix(n), samples, zero=_channels(spec))
     expect = {"": {"ebits": ebits, "cbits": 2 * ebits, "qubits_transported": 0}}
     details = {"plan": plan.to_dict(), "amortized": amortized, "measurements_per_branch": num_bits}
     return _verify(sweep, [case], branches, expect, details=details)

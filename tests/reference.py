@@ -1,0 +1,20 @@
+"""Reference helpers the tests share.
+
+They read a state only through its dense amplitudes, so they share no code
+with the kernels and views they check.
+"""
+
+
+def reduced_density_matrix(state, keep):
+    """Density matrix of the qubits `keep` with every other qubit traced out.
+
+    Row/column indices follow the order of `keep` (first listed = MSB). A
+    split state gives a stack of matrices, one per row.
+    """
+    amps = state.amplitudes
+    n = state.num_qubits
+    rest = [q for q in range(n) if q not in keep]
+    psi = amps.reshape((-1,) + (2,) * n).transpose([0, *(1 + q for q in keep), *(1 + q for q in rest)])
+    psi = psi.reshape(len(psi), 2 ** len(keep), -1)
+    rho = psi @ psi.conj().swapaxes(-1, -2)
+    return rho if amps.ndim == 2 else rho[0]

@@ -74,7 +74,7 @@ def test_batched_qft_rows_match_forced_branches():
 
 def _cnot(net):
     net.inject_state([net.reg("A"), net.reg("B")], [0.1, 0.7j, 0.5, -0.5])
-    return nonlocal_cnot(net, net.reg("A"), net.reg("B"), auto_establish=True)
+    return nonlocal_cnot(net, net.reg("A"), net.reg("B"))
 
 
 def _teleport(net):
@@ -98,7 +98,7 @@ def _swap(net):
 )
 def test_split_protocols_match_forced_branches(protocol, spec, measurements):
     """Every measurement split: each row is one branch, the oracle checks
-    every row, and resets and free-slot scans see one answer on all rows."""
+    every row, and resets and free-qubit lookups see one answer on all rows."""
     batched = Network(spec, seed=0)
     batched.split_outcomes(measurements)
     rep = protocol(batched)
@@ -130,7 +130,9 @@ def test_probes_answer_once_for_all_rows():
     net, rec = split_plus()
     assert net.qubit_is(net.reg("A", 1), 0) is True
     assert net.qubit_is(net.reg("A"), rec.outcome) is True
-    assert net.free_slots("B") == [0]
+    assert net.free_qubits("B", CHANNEL, 2) == [net.chan("B")]
+    # an excluded qubit is skipped before it is probed
+    assert net.free_qubits("A", REGISTER, 1, [net.reg("A")]) == [net.reg("A", 1)]
 
 
 def test_divergent_probe_raises():
@@ -138,7 +140,7 @@ def test_divergent_probe_raises():
     with pytest.raises(BranchDivergenceError):
         net.qubit_is(net.reg("A"), 0)
     with pytest.raises(BranchDivergenceError):
-        net.free_slots("A", REGISTER)
+        net.free_qubits("A", REGISTER, 1)
 
 
 def test_divergent_cat_check_raises():
@@ -203,7 +205,7 @@ def test_impossible_split_branch_raises():
 
 def test_unsplit_surface_is_scalar():
     net = Network([("A", 1, 1), ("B", 1, 1)], seed=3)
-    rep = nonlocal_cnot(net, net.reg("A"), net.reg("B"), auto_establish=True)
+    rep = nonlocal_cnot(net, net.reg("A"), net.reg("B"))
     assert net.state.amplitudes.shape == (16,)
     assert isinstance(net.branch_probability, float)
     assert all(isinstance(r.outcome, int) and isinstance(r.probability, float) for r in net.records)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from catnet.errors import (
-    CapacityError,
     CausalityError,
     ImpossibleBranchError,
     LocalityError,
@@ -289,39 +288,7 @@ def test_controlled_apply_rejects_unlogged_message():
         net.classically_controlled_apply([fake], X, [net.reg("B")])
 
 
-# ---- transport -------------------------------------------------------------------
-
-
-def test_transport_moves_ownership():
-    """Moving a payload trades addresses with an idle |0> carrier at the
-    destination; the state vector itself is untouched."""
-    net = Network([("A", 1, 1), ("B", 1, 2)])
-    net.local_apply(X, [net.chan("A")])
-    before = net.state.amplitudes.copy()
-    moved = net.transport_qubit(net.chan("A"), "B")
-    assert moved.node == "B" and moved.pool == CHANNEL
-    assert net.qubit_is(moved, 1)
-    assert net.qubit_is(net.chan("A"), 0)  # the returned empty carrier
-    assert net.ledger.qubits_transported == 1
-    assert np.array_equal(net.state.amplitudes, before)
-
-
-def test_transport_round_trip_counts_two():
-    net = Network([("A", 1, 1), ("B", 1, 1)])
-    net.local_apply(X, [net.chan("A")])
-    at_b = net.transport_qubit(net.chan("A"), "B")
-    back = net.transport_qubit(at_b, "A")
-    assert net.ledger.qubits_transported == 2
-    assert net.qubit_is(back, 1)
-
-
-def test_transport_rejects_registers_and_full_pools():
-    net = Network([("A", 1, 1), ("B", 1, 1)])
-    with pytest.raises(PoolError):
-        net.transport_qubit(net.reg("A"), "B")
-    net.local_apply(X, [net.chan("B")])  # B's only channel qubit is now busy
-    with pytest.raises(CapacityError):
-        net.transport_qubit(net.chan("A"), "B")
+# ---- exchange ---------------------------------------------------------------------
 
 
 def test_exchange_swaps_slots():
@@ -333,6 +300,15 @@ def test_exchange_swaps_slots():
     assert net.qubit_is(new_b, 0)
     assert net.ledger.qubits_transported == 2
     assert net.ledger.rounds == 2  # the X and one crossing shipment
+
+
+def test_exchange_rejects_registers():
+    net = two_nodes()
+    with pytest.raises(PoolError):
+        net.exchange_channel_qubits(net.reg("A"), net.chan("B"))
+    with pytest.raises(PoolError):
+        net.exchange_channel_qubits(net.chan("A"), net.reg("B"))
+    assert net.ledger.qubits_transported == 0
 
 
 # ---- bootstrap helpers ----------------------------------------------------------

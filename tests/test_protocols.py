@@ -30,6 +30,7 @@ from catnet.protocols import (
     teleport_with_reset,
 )
 from catnet.verify import verify_protocol
+from reference import reduced_density_matrix
 
 SQRT2_INV = 1 / np.sqrt(2)
 
@@ -56,7 +57,7 @@ def embed(matrix, n, targets):
 
 
 def marginal_fidelity(net, addrs, expected):
-    rho = qstate.reduced_density_matrix(net.state, [net.global_index(a) for a in addrs])
+    rho = reduced_density_matrix(net.state, [net.global_index(a) for a in addrs])
     expected = np.asarray(expected, dtype=complex)
     expected = expected / np.linalg.norm(expected)
     return float(np.real(expected.conj() @ rho @ expected))
@@ -171,7 +172,7 @@ def test_nonlocal_cnot_frozen_amplitudes():
         ctrl, tgt = net.reg("A"), net.reg("B")
         net.inject_state([ctrl], np.array([0.6, 0.8]))
         net.force_outcomes([(branch >> 1) & 1, branch & 1])
-        rep = nonlocal_cnot(net, ctrl, tgt, auto_establish=True)
+        rep = nonlocal_cnot(net, ctrl, tgt)
         assert rep.verified
         assert marginal_fidelity(net, [ctrl, tgt], [0.6, 0, 0, 0.8]) > 1 - 1e-10
 
@@ -181,21 +182,24 @@ def test_nonlocal_cnot_basis_example():
     ctrl, tgt = net.reg("A"), net.reg("B")
     net.local_apply(X, [ctrl])
     net.local_apply(X, [tgt])
-    nonlocal_cnot(net, ctrl, tgt, auto_establish=True)
+    nonlocal_cnot(net, ctrl, tgt)
     assert net.qubit_is(ctrl, 1)
     assert net.qubit_is(tgt, 0)
 
 
 def test_nonlocal_cnot_ledger_exact():
     net = Network([("A", 1, 1), ("B", 1, 1)], seed=0)
-    rep = nonlocal_cnot(net, net.reg("A"), net.reg("B"), auto_establish=True)
+    rep = nonlocal_cnot(net, net.reg("A"), net.reg("B"))
     led = rep.ledger.as_dict()
     assert (led["ebits"], led["cbits"], led["qubits_transported"]) == (1, 2, 0)
 
 
 def test_nonlocal_cnot_needs_entanglement():
+    """Without a pair given, one is written onto a |0> channel qubit of each
+    node; a node whose channel qubit is busy has none to give."""
     net = Network([("A", 1, 1), ("B", 1, 1)])
-    with pytest.raises(ResourceError):
+    net.local_apply(X, [net.chan("B")])
+    with pytest.raises(ResourceError, match="on B"):
         nonlocal_cnot(net, net.reg("A"), net.reg("B"))
 
 
@@ -224,7 +228,6 @@ def test_controlled_sequence_matches_product_oracle():
             net,
             ctrl,
             [(u1, [b0]), (u2, [b1]), (CNOT, [b0, b1])],
-            auto_establish=True,
         )
         assert rep.verified
         assert rep.details["gate_count"] == 3
@@ -242,9 +245,7 @@ def test_identity_sequence_still_costs_the_distribution():
 
     net = Network([("A", 1, 1), ("B", 1, 1)], seed=0)
     ctrl, tgt = net.reg("A"), net.reg("B")
-    rep = nonlocal_controlled_sequence(
-        net, ctrl, [(IDENTITY, [tgt]), (IDENTITY, [tgt])], auto_establish=True
-    )
+    rep = nonlocal_controlled_sequence(net, ctrl, [(IDENTITY, [tgt]), (IDENTITY, [tgt])])
     led = rep.ledger.as_dict()
     assert (led["ebits"], led["cbits"]) == (1, 2)
     assert net.qubit_is(tgt, 0)
@@ -274,7 +275,7 @@ def test_amortized_cost_is_flat(k):
         else:
             gates.append((make_rk(2 + j % 3), [b0 if j % 2 == 0 else b1]))
     net.inject_state([ctrl, b0, b1], qstate.random_state(3, rng).amplitudes)
-    rep = nonlocal_controlled_sequence(net, ctrl, gates, auto_establish=True)
+    rep = nonlocal_controlled_sequence(net, ctrl, gates)
     assert rep.verified
     led = rep.ledger.as_dict()
     assert (led["ebits"], led["cbits"]) == (1, 2)
@@ -465,6 +466,22 @@ def test_distributed_swap_fallback_uses_register_buffer():
     assert net.qubit_is(b, 1)
 
 
+def test_distributed_swap_takes_only_the_channels_it_needs():
+    """A third channel qubit on A, split-measured from |+> so it reads a
+    different bit on each row, is never probed: the swap needs two."""
+    net = Network([("A", 1, 3), ("B", 1, 2)], seed=0)
+    a, b = net.reg("A"), net.reg("B")
+    net.inject_state([a, b], [0.1, 0.7j, 0.5, -0.5])
+    net.local_apply(H, [net.chan("A", 2)])
+    net.split_outcomes(5)
+    spare = net.measure(net.chan("A", 2))
+    rep = distributed_swap(net, a, b)
+    assert net.rows == 32
+    assert rep.verified and rep.details["register_buffers_used"] == 0
+    assert (rep.ledger.ebits_consumed, rep.ledger.cbits_sent) == (2, 4)
+    assert net.qubit_is(net.chan("A", 2), spare.outcome)
+
+
 def test_distributed_swap_capacity_error():
     net = Network([("A", 1, 1), ("B", 1, 1)])
     with pytest.raises(CapacityError):
@@ -498,6 +515,39 @@ def test_multi_control_all_ones_applies_base():
         net.local_apply(X, [q])
     nonlocal_multi_control(net, [c1, c2], X, t)
     assert net.qubit_is(t, 1)
+
+
+def two_controls_on_one_node(channels):
+    net = Network([("C", 2, channels), ("T", 3, 1)], seed=0)
+    controls = [net.reg("C", 0), net.reg("C", 1)]
+    net.inject_state([*controls, net.reg("T")], qstate.random_state(3, np.random.default_rng(3)).amplitudes)
+    return net, controls
+
+
+def test_multi_control_gives_each_share_its_own_channel():
+    """Two remote controls on one node: the second share must not re-take
+    the channel qubit the first consumed, whatever that qubit read."""
+    net, controls = two_controls_on_one_node(2)
+    net.split_outcomes(4)
+    rep = nonlocal_multi_control(net, controls, X, net.reg("T"))
+    assert net.rows == 16
+    assert rep.verified
+    assert (rep.ledger.ebits_consumed, rep.ledger.cbits_sent) == (2, 4)
+    for addr in [net.reg("T", 1), net.reg("T", 2), *net.addresses(pool=CHANNEL)]:
+        assert net.qubit_is(addr, 0)
+
+
+@pytest.mark.parametrize("outcomes", [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], None])
+def test_multi_control_needs_a_channel_per_share(outcomes):
+    """With one channel qubit on the controls' node the second share has
+    none, on every outcome of the first (None: both split into rows)."""
+    net, controls = two_controls_on_one_node(1)
+    if outcomes is None:
+        net.split_outcomes(4)
+    else:
+        net.force_outcomes(outcomes)
+    with pytest.raises(ResourceError, match="on C"):
+        nonlocal_multi_control(net, controls, X, net.reg("T"))
 
 
 def test_multi_control_capacity_suggests_decomposition():

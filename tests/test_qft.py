@@ -10,6 +10,7 @@ from catnet import qstate
 from catnet.errors import CapacityError
 from catnet.network import Network
 from catnet.qft import build_qft_plan, qft_distributed, qft_local, qft_matrix
+from reference import reduced_density_matrix
 
 
 def dft_sum_oracle(n):
@@ -155,7 +156,7 @@ def test_distributed_4_over_2_matches_matrix():
     led = rep.ledger.as_dict()
     assert (led["ebits"], led["cbits"], led["qubits_transported"]) == (4, 8, 0)
     assert rep.details["distributions_used"] == 4
-    got = qstate.reduced_density_matrix(net.state, [net.global_index(a) for a in addrs])
+    got = reduced_density_matrix(net.state, [net.global_index(a) for a in addrs])
     want = qft_matrix(4) @ amps
     assert float(np.real(want.conj() @ got @ want)) > 1 - 1e-10
 
@@ -185,7 +186,7 @@ def test_distributed_basis_state_phases():
     addrs = [net.reg(f"M{i // 2}", i % 2) for i in range(4)]
     net.inject_state(addrs, np.eye(16)[13])
     qft_distributed(net, plan)
-    got = qstate.reduced_density_matrix(net.state, [net.global_index(a) for a in addrs])
+    got = reduced_density_matrix(net.state, [net.global_index(a) for a in addrs])
     want = np.exp(2j * np.pi * 13 * np.arange(16) / 16) / 4.0
     assert float(np.real(want.conj() @ got @ want)) > 1 - 1e-10
 

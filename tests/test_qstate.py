@@ -23,8 +23,8 @@ from catnet.qstate import (
     partial_state_check,
     pattern_slabs,
     random_state,
-    reduced_density_matrix,
 )
+from reference import reduced_density_matrix
 
 SQRT2_INV = 1 / np.sqrt(2)
 
