@@ -1,12 +1,12 @@
 """Multi-node execution layer.
 
-A Network owns one global state vector spanning every qubit of every node,
-but the operation surface only permits what distributed hardware could do:
-gates act on qubits of a single node, qubits move between nodes only as
-channel qubits traded in an exchange, and classical bits are usable at a
-node only after being measured there or received in a message. Resource
-counters (ebits, cbits, transports, rounds) are maintained by the
-operations themselves.
+A Network owns one global state spanning every qubit of every node (a
+product of independent blocks, see qstate), but the operation surface only
+permits what distributed hardware could do: gates act on qubits of a
+single node, qubits move between nodes only as channel qubits traded in
+an exchange, and classical bits are usable at a node only after being
+measured there or received in a message. Resource counters (ebits, cbits,
+transports, rounds) are maintained by the operations themselves.
 
 Each node owns a register pool (long-lived data qubits) and a channel pool
 (communication qubits). All slots start occupied by |0> qubits.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import collections
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
@@ -492,7 +492,12 @@ class Network:
         self.preshare_cat([addr_a, addr_b])
 
     def preshare_cat(self, addrs: Sequence[QubitAddress]) -> None:
-        """Write (|0..0> + |1..1>)/sqrt(2) onto the listed |0> qubits."""
+        """Write (|0..0> + |1..1>)/sqrt(2) onto the listed |0> qubits.
+
+        Qubits fixed at |0> (never touched, or measured and reset) become
+        a block of their own, apart from the rest of the state until a
+        gate joins them to it.
+        """
         addrs = [self._checked_address(a) for a in addrs]
         if len(addrs) < 2:
             raise ValueError("a shared cat state needs at least 2 qubits")
@@ -510,9 +515,9 @@ class Network:
         """Overwrite the global state with a chosen input (setup only).
 
         The listed qubits receive the given joint amplitudes (first address
-        = most significant bit); every other qubit is |0>. Normalizes. The
-        network must be unsplit: its rows' probabilities and records would
-        not describe the new state.
+        = most significant bit) as the state's one block; every other qubit
+        is fixed at |0>. Normalizes. The network must be unsplit: its rows'
+        probabilities and records would not describe the new state.
 
         A (R, 2^k) stack of R > 1 inputs makes row i hold input i,
         normalized on its own; after s splits input i's branches are rows
@@ -531,7 +536,7 @@ class Network:
         norm = np.array([np.linalg.norm(a) for a in amps])  # as one input alone, to the last bit
         if norm.min() < qstate.ZERO_CUTOFF:
             raise ValueError("cannot inject the zero vector")
-        # the live block's axes run in ascending global index; reorder the
+        # a block's axes run in ascending global index; reorder the
         # input's to match (one row per input of a stack)
         axes = (0, *(1 + np.argsort(idx)))
         block = np.transpose((amps / norm[:, None]).reshape((-1,) + (2,) * k), axes).reshape(len(amps), -1)

@@ -49,7 +49,7 @@ def _require_correlated(
     BranchDivergenceError.
     """
     slabs = qstate.pattern_slabs(net.state, [net.global_index(a) for a in addrs])
-    mixed = np.sqrt(sum(qstate.row_weights(slab, net.rows) for slab in slabs[1:-1]))
+    mixed = np.sqrt(sum(qstate.row_weights(slab) for slab in slabs[1:-1]))
     if _one_answer(mixed > ATOL, "a mix of patterns on", addrs):
         raise EntanglementError(
             f"{what} requires qubits {[str(a) for a in addrs]} to agree in the "
@@ -61,7 +61,7 @@ def _require_correlated(
 def _require_fresh_cat(net: Network, addrs: Sequence[QubitAddress]) -> None:
     """Check the qubits hold (|0..0> + |1..1>)/sqrt(2), nothing else attached."""
     slabs = _require_correlated(net, addrs, "the entangler")
-    differ = np.sqrt(qstate.row_weights(slabs[0] - slabs[-1], net.rows)) > ATOL
+    differ = np.sqrt(qstate.row_weights(slabs[0] - slabs[-1])) > ATOL
     if _one_answer(differ, "a broken cat state on", addrs):
         raise EntanglementError(
             f"qubits {[str(a) for a in addrs]} are not in a fresh shared cat state "

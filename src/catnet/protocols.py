@@ -22,6 +22,7 @@ qubits.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -592,10 +593,11 @@ def nonlocal_multi_control(
     pair, then immediately swapped off the channel qubit onto a spare |0>
     register qubit so one channel slot on the target node serves all of
     them. On a control's node the consumed channel qubit stays held until
-    its reset, so two remote controls there need two channel qubits. The
-    multi-controlled gate runs locally, the shares are reclaimed, and
-    ancillas and channel qubits are reset. Costs 1 ebit + 2 cbits per
-    remote control.
+    its reset, so two remote controls there need two channel qubits. Both
+    the ancillas and these channel qubits are counted before any gate
+    runs. The multi-controlled gate runs locally, the shares are
+    reclaimed, and ancillas and channel qubits are reset. Costs 1 ebit + 2
+    cbits per remote control.
     """
     controls = list(controls)
     if not controls:
@@ -612,6 +614,14 @@ def nonlocal_multi_control(
             f"{len(remote)} distributed controls need one each; decompose "
             f"the gate instead (see decompose_multi_control_x)"
         )
+    # one channel qubit per remote control on its node, one on the target's
+    need = collections.Counter(c.node for c in remote)
+    if remote:
+        need[t_node] += 1
+    for node, count in need.items():
+        free = len(net.free_qubits(node, CHANNEL, count))
+        if free < count:
+            raise ResourceError(f"{count} |0> channel qubits needed on {node} for the shares, {free} available")
 
     scope = _Scope(net, check)
     line_for: dict[QubitAddress, QubitAddress] = {c: c for c in controls}

@@ -22,7 +22,7 @@ import numpy as np
 from . import qstate
 from .errors import CapacityError
 from .gates import H, SWAP, ControlledSpec, make_controlled, make_rk
-from .network import Network, QubitAddress
+from .network import Network
 from .protocols import (
     ProtocolReport,
     _fresh_cat,

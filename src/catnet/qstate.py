@@ -10,38 +10,50 @@ Conventions used everywhere in this package:
   amplitudes below 1e-12 count as exactly zero when validating forced
   measurement outcomes.
 
-A state keeps amplitudes for its live qubits only. Every other qubit is
-fixed: it sits in a computational-basis state, recorded as one bit, and the
-state is that basis state times the live block. Only two things make a
-qubit fixed: a measurement, which keeps the outcome's half of the block
-and drops the qubit's axis, and basis_state, which starts every qubit
-fixed. A diagonal gate on fixed qubits only scales the block by a phase. A
+A state is a product of blocks. Each block holds the amplitudes of its
+own live qubits (axes in ascending qubit order) with a leading row axis,
+and every qubit in no block is fixed: it sits in a computational-basis
+state, recorded as one bit. Qubits enter a block only through a gate and
+leave it only through a measurement, which keeps the outcome's half,
+renormalized, and drops the qubit's axis; basis_state starts every qubit
+fixed. A gate whose targets lie in several blocks first merges them by an
+outer product, and a fixed target it cannot keep fixed joins the merged
+block at its recorded bit; a gate on fixed qubits alone starts a block of
+its own. A diagonal gate on fixed qubits only scales a block by a phase. A
 permutation gate keeps as many of its targets fixed as it has fixed
 targets whenever the gate itself says which output wires stay constant
 (_fixed_rule): a SWAP of a live and a fixed qubit renames an axis, a CNOT
 with a fixed control is an X on the rows whose control reads 1, and a
-permutation on fixed qubits only rewrites their bits. Any other gate first
-re-inserts the axes of its fixed targets. The live set thus depends on
-which qubits are fixed, never on their bits or on any amplitude, so the
-gate path runs no separability test. Probes of a fixed qubit compare bits.
+permutation on fixed qubits only rewrites their bits. Which qubits are live
+and how they group into blocks thus depends on which qubits are fixed,
+never on their bits or on any amplitude, so the gate path runs no
+separability test and no decomposition. Probes of a fixed qubit compare
+bits, and probes of live qubits read the merged block of the qubits they
+name: every other block is a factor of norm 1.
 
-Kernels work on the (2,)*L view of the live block, one axis per live qubit
-in ascending qubit order. Fixing the target axes to the bits of a gate row
-selects a slab of that view, so a permutation gate copies the slabs it
-moves, a diagonal gate scales the slabs whose phase is not 1, and a
-one-qubit gate mixes its two slabs; wider general gates contract through
-tensordot. apply_gate and measure overwrite the state's own block (a
-Network owns its global state and changes it in place); a caller that needs
-the earlier state copies it first. pattern_slabs hands the same slabs out
-as views, for checks that read amplitudes by pattern.
+Kernels work on the (2,)*L view of a block, one axis per live qubit in
+ascending qubit order, after its row axis. Fixing the target axes to the
+bits of a gate row selects a slab of that view, so a permutation gate
+copies the slabs it moves, a diagonal gate scales the slabs whose phase is
+not 1, and a one-qubit gate mixes its two slabs; wider general gates
+contract through tensordot. apply_gate and measure overwrite the state's
+own blocks (a Network owns its global state and changes it in place); a
+caller that needs the earlier state copies it first. pattern_slabs hands
+the same slabs out as views, for checks that read amplitudes by pattern.
 
-A state may carry a leading branch axis: a (rows, 2^L) block holding one
-normalized vector per measurement branch, which is the deferred-measurement
-picture with the branch bits as extra leading qubits that no gate touches.
-A fixed qubit then holds one bit per row. Every kernel acts on all rows at
-once (apply_gate can be limited to a subset of rows), measure_split turns
-each row into its two outcome rows, and the probes return one answer per
-row. An unsplit state keeps a 1-D block and scalar answers.
+A state may carry R branch rows: one normalized vector per measurement
+branch, which is the deferred-measurement picture with the branch bits as
+extra leading qubits that no gate touches. A block holds 1 or R_b rows,
+and each of its rows stands for R/R_b consecutive rows of the state (the
+descent rule of overlap and Network.row_bits), so a split measurement
+doubles the rows of the block it measures and leaves every other block as
+it is. A block is repeated up to more rows only when something per row
+reaches it: a merge with a block of more rows, a row mask, a per-row bit
+or a per-row outcome. A fixed qubit holds one bit, or one per state row.
+Every kernel acts on all rows at once (apply_gate can be limited to a
+subset of rows), measure_split turns each row into its two outcome rows,
+and the probes return one answer per row. An unsplit state (R = 1) gives
+scalar answers.
 """
 
 from __future__ import annotations
@@ -119,53 +131,79 @@ class GateMatrix:
         return f"GateMatrix(arity={self.arity}, kind={self.kind})"
 
 
-class StateVector:
-    """Normalized amplitudes over 2**num_qubits basis states, kept as a
-    block over the live qubits and one recorded bit per fixed qubit.
+class Block:
+    """One factor of a state: the amplitudes of its live qubits, row by row.
 
-    `fixed` maps each fixed qubit to its bit: an int, or an int64 array of
-    one bit per row on a split state. Every other qubit is live, and
-    `block` holds their 2^L amplitudes (a 1-D vector, or a (rows, 2^L)
-    array for a state split into branch rows), axes in ascending qubit
-    order. The block is kept C-contiguous, so reshaping it onto (2,) * L
-    axes is a view and the in-place kernels write through it.
-    StateVector(n, amplitudes) wraps a dense vector: every qubit live.
-    `high_water` is the most amplitudes the block has held, over all rows.
+    `qubits` lists them in ascending order and `amps` is a C-contiguous
+    (rows, 2^L) array, each row's axes in that order, so reshaping it onto
+    (2,) * L axes is a view and the in-place kernels write through it. Each
+    row is normalized and stands for R/rows consecutive rows of a state of
+    R rows.
     """
 
-    __slots__ = ("num_qubits", "block", "fixed", "live", "high_water")
+    __slots__ = ("amps", "qubits")
+
+    def __init__(self, amps: np.ndarray, qubits: list[int]) -> None:
+        self.amps = amps
+        self.qubits = qubits
+
+    @property
+    def rows(self) -> int:
+        return len(self.amps)
+
+
+class StateVector:
+    """Normalized amplitudes over 2**num_qubits basis states (per row on a
+    split state), kept as a product of blocks and one recorded bit per
+    fixed qubit.
+
+    `blocks` are the factors (see Block); no qubit lies in two. A block
+    without qubits carries a phase per row, and exists only while no other
+    block is left to carry it. `fixed` maps each qubit in no block to its
+    bit: an int, or an int64 array of one bit per row. `rows` is R, 1 for
+    an unsplit state. StateVector(n, amplitudes) wraps a dense vector, or a
+    (rows, 2^L) stack, as one block of every qubit not in `fixed`.
+
+    `high_water` is the most amplitudes the blocks have held at one time,
+    summed over blocks and their rows: the memory a sweep sizes its runs
+    by. `largest_block` is the most amplitudes one block has held.
+    """
+
+    __slots__ = ("num_qubits", "rows", "blocks", "fixed", "high_water", "largest_block")
 
     def __init__(self, num_qubits: int, amplitudes, fixed: dict | None = None) -> None:
         n = int(num_qubits)
         fixed = dict(fixed or {})
-        block = np.ascontiguousarray(amplitudes, dtype=complex)
-        if not block.flags.writeable:
-            block = block.copy()
-        live = [q for q in range(n) if q not in fixed]
-        dim = 2 ** len(live)
-        if block.shape != (dim,) and not (block.ndim == 2 and block.shape[1] == dim and len(block)):
-            raise ValueError(f"expected {dim} amplitudes (per row), got shape {block.shape}")
+        amps = np.ascontiguousarray(amplitudes, dtype=complex)
+        if not amps.flags.writeable:
+            amps = amps.copy()
+        qubits = [q for q in range(n) if q not in fixed]
+        dim = 2 ** len(qubits)
+        if amps.shape != (dim,) and not (amps.ndim == 2 and amps.shape[1] == dim and len(amps)):
+            raise ValueError(f"expected {dim} amplitudes (per row), got shape {amps.shape}")
         self.num_qubits = n
-        self.block = block
+        self.rows = 1 if amps.ndim == 1 else len(amps)
+        self.blocks = [Block(amps.reshape(self.rows, dim), qubits)]
         self.fixed = fixed
-        self.live = live
-        self.high_water = block.size
+        self.high_water = self.largest_block = amps.size
 
     @property
-    def rows(self) -> int:
-        """Branch rows carried: 1 for an unsplit state."""
-        return 1 if self.block.ndim == 1 else len(self.block)
+    def live(self) -> list[int]:
+        """Every qubit held in a block, ascending."""
+        return sorted(q for b in self.blocks for q in b.qubits)
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The dense 2^n amplitudes (per row on a split state), built on
-        demand and read-only: kernels change the state, never this array.
+        """The dense 2^n amplitudes (per row on a split state): the blocks
+        multiplied out, built on demand and read-only, since kernels change
+        the state, never this array.
 
-        The array starts zeroed, so only the pages of the live block's
-        entries are ever written.
+        The array starts zeroed, so only the pages of the live entries are
+        ever written.
         """
-        n, block, live = self.num_qubits, self.block, self.live
-        rows = block.reshape(-1, block.shape[-1])
+        n, count = self.num_qubits, self.rows
+        whole = _product(self.blocks)
+        rows, live = _stretch(whole.amps, count), whole.qubits
         j = np.arange(rows.shape[1])
         index = np.zeros_like(j)
         for k, q in enumerate(live):
@@ -174,23 +212,27 @@ class StateVector:
         # np.zeros asks for transparent huge pages from 4 MB up, so each
         # scattered write below would fault in and zero a whole 2 MB page;
         # an anonymous mmap is zero-filled and faults in 4 KB pages
-        dense = np.frombuffer(mmap.mmap(-1, 16 * len(rows) * 2**n), dtype=complex).reshape(len(rows), 2**n)
-        row_offset = np.broadcast_to(offset, (len(rows),))[:, None]
-        dense[np.arange(len(rows))[:, None], row_offset + index] = rows
-        out = dense if block.ndim == 2 else dense[0]
+        dense = np.frombuffer(mmap.mmap(-1, 16 * count * 2**n), dtype=complex).reshape(count, 2**n)
+        row_offset = np.broadcast_to(offset, (count,))[:, None]
+        dense[np.arange(count)[:, None], row_offset + index] = rows
+        out = dense if count > 1 else dense[0]
         out.setflags(write=False)
         return out
 
     def norm(self):
         """The norm: a float, or one per row for a split state."""
-        if self.block.ndim == 1:
-            return float(np.linalg.norm(self.block))
-        return np.linalg.norm(self.block, axis=1)
+        norms = np.prod([_stretch(np.linalg.norm(b.amps, axis=1), self.rows) for b in self.blocks], axis=0)
+        return float(norms[0]) if self.rows == 1 else norms
 
     def copy(self) -> "StateVector":
         """An independent state equal to this one."""
-        bits = {q: b.copy() if isinstance(b, np.ndarray) else b for q, b in self.fixed.items()}
-        return StateVector(self.num_qubits, self.block.copy(), bits)
+        out = StateVector.__new__(StateVector)
+        out.num_qubits, out.rows = self.num_qubits, self.rows
+        out.blocks = [Block(b.amps.copy(), list(b.qubits)) for b in self.blocks]
+        out.fixed = {q: b.copy() if isinstance(b, np.ndarray) else b for q, b in self.fixed.items()}
+        out.high_water = out.largest_block = 0
+        _note(out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -208,7 +250,7 @@ class MeasurementRecord:
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
     """|index> on num_qubits wires, index read with qubit 0 as MSB: every
-    qubit fixed, so the live block is the single amplitude 1."""
+    qubit fixed, so the one block holds no qubit and the amplitude 1."""
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     bits = {q: (index >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)}
@@ -238,25 +280,137 @@ def _qubit_view(amps: np.ndarray, n: int) -> np.ndarray:
     return amps.reshape(amps.shape[:-1] + (2,) * n)
 
 
-def _with_axes(state: StateVector, qubits: Sequence[int]) -> tuple[np.ndarray, list[int]]:
-    """The block with an axis re-inserted for each listed qubit that is
-    fixed, each row's amplitudes in the slot of that row's bit, and the live
-    qubits that result. The state itself is left alone; with nothing to
-    insert its own block comes back."""
-    block, live = state.block, list(state.live)
-    for q in sorted(q for q in qubits if q in state.fixed):
-        bit = state.fixed[q]
-        k = bisect_left(live, q)
-        src = block.reshape(block.shape[:-1] + (2**k, 1, -1))
-        new = np.zeros(src.shape[:-2] + (2, src.shape[-1]), dtype=complex)
-        if isinstance(bit, np.ndarray):
-            for b in (0, 1):
-                new[bit == b, :, b] = src[bit == b, :, 0]
+def _stretch(amps: np.ndarray, rows: int) -> np.ndarray:
+    """`amps` (row axis first) with each row repeated for the consecutive
+    rows it stands for out of `rows`."""
+    return amps if len(amps) == rows else np.repeat(amps, rows // len(amps), axis=0)
+
+
+def _note(state: StateVector) -> None:
+    """Raise the state's high-water marks to what its blocks hold now."""
+    total = largest = 0
+    for b in state.blocks:
+        total += b.amps.size
+        largest = max(largest, b.amps.size)
+    state.high_water = max(state.high_water, total)
+    state.largest_block = max(state.largest_block, largest)
+
+
+def _widen(state: StateVector, block: Block) -> None:
+    """Repeat a block's rows up to the state's, for something that differs
+    from row to row: a mask, a bit or an outcome."""
+    if block.rows < state.rows:
+        block.amps = _stretch(block.amps, state.rows)
+        _note(state)
+
+
+def _block_of(state: StateVector, qubit: int) -> Block:
+    """The block holding a live qubit."""
+    for block in state.blocks:
+        if qubit in block.qubits:
+            return block
+    raise ValueError(f"qubit {qubit} is fixed")
+
+
+def _product(blocks: Sequence[Block]) -> Block:
+    """The blocks multiplied out into one, axes in ascending qubit order.
+
+    The rows follow the block with the most: a block with fewer repeats
+    each row for the consecutive rows it stands for. A single block comes
+    back as itself, so its amplitudes stay views.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    if not blocks:
+        return Block(np.ones((1, 1), dtype=complex), [])
+    rows = max(b.rows for b in blocks)
+    # a single row broadcasts over the others without a repeat
+    fit = [b.amps if b.rows == 1 else _stretch(b.amps, rows) for b in blocks]
+    amps, qubits = fit[0], list(blocks[0].qubits)
+    for b, x in zip(blocks[1:], fit[1:]):
+        amps = (amps[:, :, None] * x[:, None, :]).reshape(max(len(amps), len(x)), -1)
+        qubits += b.qubits
+    if qubits != sorted(qubits):
+        order = sorted(range(len(qubits)), key=qubits.__getitem__)
+        psi = np.transpose(_qubit_view(amps, len(qubits)), [0, *(1 + k for k in order)])
+        amps = np.ascontiguousarray(psi).reshape(len(amps), -1)
+    return Block(amps, sorted(qubits))
+
+
+def _insert(block: Block, qubit: int, bit: int | np.ndarray, rows: int) -> Block:
+    """`block` times the fixed `qubit` at its bit: a new block with an axis
+    for the qubit, each row's amplitudes in the slot of that row's bit (a
+    per-row bit first repeats the block up to the state's `rows`)."""
+    per_row = isinstance(bit, np.ndarray)
+    amps = _stretch(block.amps, rows) if per_row else block.amps
+    k = bisect_left(block.qubits, qubit)
+    src = amps.reshape(len(amps), 2**k, 1, -1)
+    new = np.zeros((len(amps), 2**k, 2, src.shape[-1]), dtype=complex)
+    if per_row:
+        for b in (0, 1):
+            new[bit == b, :, b] = src[bit == b, :, 0]
+    else:
+        new[:, :, bit] = src[:, :, 0]
+    return Block(new.reshape(len(amps), -1), [*block.qubits[:k], qubit, *block.qubits[k:]])
+
+
+def _locate(state: StateVector, qubits: Sequence[int]) -> tuple[list[Block], list[int]]:
+    """The blocks that hold the listed live qubits, each once, and the
+    listed fixed qubits."""
+    held: list[Block] = []
+    fixed: list[int] = []
+    for q in qubits:
+        if q in state.fixed:
+            fixed.append(q)
         else:
-            new[..., bit, :] = src[..., 0, :]
-        block = new.reshape(block.shape[:-1] + (-1,))
-        live.insert(k, q)
-    return block, live
+            block = _block_of(state, q)
+            if block not in held:
+                held.append(block)
+    return held, fixed
+
+
+def _merged(state: StateVector, held: list[Block], fixed: list[int]) -> Block:
+    """The `held` blocks multiplied out, with each `fixed` qubit inserted
+    at its bit. The state is left as it was, so a probe reads this block
+    alone: every other block is a factor of norm 1."""
+    block = _product(held)
+    for q in fixed:
+        block = _insert(block, q, state.fixed[q], state.rows)
+    return block
+
+
+def _gather(state: StateVector, qubits: Sequence[int]) -> Block:
+    """The state's one block holding every listed qubit.
+
+    The blocks they lie in are merged, and each listed fixed qubit joins
+    at its bit and leaves `fixed`. Fixed qubits alone start a block of
+    their own, or fill the block without qubits when the state has one,
+    so its phase carries over.
+    """
+    held, fixed = _locate(state, qubits)
+    if not fixed and len(held) == 1:
+        return held[0]
+    if not held:
+        held = [b for b in state.blocks if not b.qubits]
+    block = _merged(state, held, fixed)
+    for b in held:
+        state.blocks.remove(b)
+    for q in fixed:
+        del state.fixed[q]
+    state.blocks.append(block)
+    _note(state)
+    return block
+
+
+def _absorb(state: StateVector, factor: Block) -> None:
+    """Multiply a block without qubits (a phase per row) into the smallest
+    block with at least as many rows, or else into the smallest block. A
+    phase that is the same on every row counts as one row."""
+    if (factor.amps == factor.amps[0]).all():
+        factor = Block(factor.amps[:1], [])
+    host = min(state.blocks, key=lambda b: (b.rows < factor.rows, b.amps.size))
+    state.blocks[state.blocks.index(host)] = _product([host, factor])
+    _note(state)
 
 
 # Keyed by (n, targets) only, so a sweep that repeats the same gate placements
@@ -360,65 +514,63 @@ def _fixed_rule(gate: GateMatrix, fpos: tuple) -> tuple | None:
 
 def _relabel(state: StateVector, targets: tuple, fpos: tuple, rule: tuple, rows: np.ndarray | None) -> None:
     """A permutation gate by its fixed rule: each row's pattern of fixed
-    bits moves the live target slabs by that pattern's live map, the
-    constant wires' qubits take their bits, and the live target axes are
-    renamed to the other targets' qubits, then put back in qubit order."""
+    bits moves the live target slabs by that pattern's live map (in the
+    one block the live targets are merged into), the constant wires' qubits
+    take their bits, and the live target axes are renamed to the other
+    targets' qubits, then put back in qubit order."""
     const, bits, moves = rule
-    fixed, live = state.fixed, state.live
+    fixed = state.fixed
     pattern = 0
     for j in fpos:
         pattern = (pattern << 1) | fixed[targets[j]]
     old = [t for j, t in enumerate(targets) if j not in fpos]
-    axes = tuple(bisect_left(live, t) for t in old)
+    block = _gather(state, old) if old else None
     for p, live_map in enumerate(moves):
         # a bool, or a mask of the rows whose pattern is p
         hit = pattern == p if rows is None else (pattern == p) & rows
         if not live_map or not np.any(hit):
             continue
-        if np.ndim(hit) == 0:
-            _move(state.block, len(live), live_map, axes)
+        axes = tuple(bisect_left(block.qubits, t) for t in old)
+        if hit is True or hit.all():
+            _move(block.amps, len(block.qubits), live_map, axes)
         else:
-            sub = state.block[hit]
-            _move(sub, len(live), live_map, axes)
-            state.block[hit] = sub
+            _widen(state, block)
+            sub = block.amps[hit]
+            _move(sub, len(block.qubits), live_map, axes)
+            block.amps[hit] = sub
     new_bits = bits[pattern]
     for k, j in enumerate(const):
         bit = new_bits[..., k]
         if rows is not None:
             bit = np.where(rows, bit, fixed[targets[j]])
-        fixed[targets[j]] = bit.astype(np.int64) if bit.ndim else int(bit)
+        # bits that agree on every row are kept as one bit
+        fixed[targets[j]] = int(bit.flat[0]) if (bit == bit.flat[0]).all() else bit.astype(np.int64)
     new = [t for j, t in enumerate(targets) if j not in const]
     if new == old:
         return
     for j in fpos:
         if j not in const:
             del fixed[targets[j]]
-    axis = {q: k for k, q in enumerate(live)}
+    axis = {q: k for k, q in enumerate(block.qubits)}
     moved = [axis.pop(t) for t in old]
     axis.update(zip(new, moved))
     order = sorted(axis)
     source = [axis[q] for q in order]
     if source != sorted(source):
-        block = state.block
-        lead = block.ndim - 1
-        psi = np.transpose(_qubit_view(block, len(live)), [*range(lead), *(lead + k for k in source)])
-        state.block = np.ascontiguousarray(psi).reshape(block.shape)
-    state.live = order
+        psi = np.transpose(_qubit_view(block.amps, len(order)), [0, *(1 + k for k in source)])
+        block.amps = np.ascontiguousarray(psi).reshape(block.amps.shape)
+    block.qubits = order
 
 
 def _scale_fixed(state: StateVector, gate: GateMatrix, targets: tuple, rows: np.ndarray | None) -> None:
     """A diagonal gate whose targets are all fixed: the targets' bits (per
-    row where they differ) pick the phase that scales the block."""
+    row where they differ) pick the phase that scales a block."""
     pattern = 0
     for t in targets:
         pattern = (pattern << 1) | state.fixed[t]
-    phase = gate.diagonal[pattern]
-    if rows is not None:
-        phase = np.where(rows, phase, 1)
-    if phase.ndim:
-        state.block *= phase[:, None]
-    elif phase != 1:
-        state.block *= phase
+    phase = np.atleast_1d(gate.diagonal[pattern] if rows is None else np.where(rows, gate.diagonal[pattern], 1))
+    if (phase != 1).any():
+        _absorb(state, Block(phase[:, None].astype(complex), []))
 
 
 def apply_gate(
@@ -432,12 +584,12 @@ def apply_gate(
     The first listed target is the gate's most significant wire. `rows`, a
     boolean mask over the rows of a split state, limits the gate to those
     rows; the others are left as they are. A diagonal gate on fixed qubits
-    only scales the block. A permutation gate with fixed targets keeps as
+    only scales a block. A permutation gate with fixed targets keeps as
     many qubits fixed when its fixed rule allows (see _fixed_rule; under a
     `rows` mask only when the same qubits stay fixed): a SWAP of a live and
     a fixed qubit renames an axis, a CNOT with a fixed control is an X on
-    the rows where the control reads 1. Any other gate makes its fixed
-    targets live first.
+    the rows where the control reads 1. Any other gate merges the blocks
+    of its targets into one, which its fixed targets join.
     """
     targets = _check_targets(state, targets, gate.arity)
     fpos = tuple(j for j, t in enumerate(targets) if t in state.fixed)
@@ -449,72 +601,71 @@ def apply_gate(
         if rule is not None and (rows is None or rule[0] == fpos):
             _relabel(state, targets, fpos, rule, rows)
             return
-    if fpos:
-        fixed_targets = [targets[j] for j in fpos]
-        state.block, state.live = _with_axes(state, fixed_targets)
-        state.high_water = max(state.high_water, state.block.size)
-        for t in fixed_targets:
-            del state.fixed[t]
-    live = state.live
-    axes = tuple(bisect_left(live, t) for t in targets)
+    block = _gather(state, targets)
+    axes = tuple(bisect_left(block.qubits, t) for t in targets)
     if rows is None:
-        _apply(state.block, len(live), gate, axes)
+        _apply(block.amps, len(block.qubits), gate, axes)
         return
-    sub = state.block[rows]
-    _apply(sub, len(live), gate, axes)
-    state.block[rows] = sub
+    _widen(state, block)
+    sub = block.amps[rows]
+    _apply(sub, len(block.qubits), gate, axes)
+    block.amps[rows] = sub
 
 
 def pattern_slabs(state: StateVector, qubits: Sequence[int]) -> list[np.ndarray]:
     """The amplitudes grouped by the bit pattern of `qubits`.
 
     Entry b is the slab where the listed qubits read the bits of b (first
-    listed qubit = most significant bit), over the live qubits not listed;
-    a split state's slabs keep the row axis first. Slabs are views of the
-    state's block when every listed qubit is live.
+    listed qubit = most significant bit), over the other qubits of the
+    merged block of the listed ones; every other block is a factor of norm
+    1 and left out. Each slab keeps that block's row axis first, so one of
+    its rows stands for consecutive rows of a split state. Slabs are views
+    of the state's block when the listed qubits are all live in one block.
     """
     qubits = _check_targets(state, qubits, len(qubits))
-    block, live = _with_axes(state, qubits)
-    psi = _qubit_view(block, len(live))
-    axes = tuple(bisect_left(live, q) for q in qubits)
-    return [psi[idx] for idx in _slabs(len(live), axes)]
+    block = _merged(state, *_locate(state, qubits))
+    axes = tuple(bisect_left(block.qubits, q) for q in qubits)
+    psi = _qubit_view(block.amps, len(block.qubits))
+    return [psi[idx] for idx in _slabs(len(block.qubits), axes)]
 
 
-def row_weights(block: np.ndarray, rows: int) -> float | np.ndarray:
-    """Squared norm of `block` (a state or one of its slabs, the row axis
-    first when rows > 1): a float for one row, else one value per row."""
-    if rows == 1:
-        return float(np.linalg.norm(block)) ** 2
-    flat = block.reshape(rows, -1)
-    return np.einsum("ri,ri->r", flat.real, flat.real) + np.einsum("ri,ri->r", flat.imag, flat.imag)
+def row_weights(slab: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of `slab` (a block or one of its slabs,
+    the row axis first)."""
+    flat = np.ascontiguousarray(slab).view(np.float64).reshape(len(slab), -1)
+    return np.einsum("ri,ri->r", flat, flat)
+
+
+def _block_weight(block: Block, qubit: int, bit: int) -> np.ndarray:
+    """Probability that a qubit of `block` reads `bit`, one value per row
+    of the block.
+
+    One reduction over the float64 view of the block sums the squared real
+    and imaginary parts where the qubit reads `bit`, so no squared copy is
+    built. The last axis interleaves its two slabs amplitude by amplitude;
+    its weight comes from column sums over wide contiguous rows instead,
+    which read the block once without a two-element inner loop.
+    """
+    k, n = bisect_left(block.qubits, qubit), len(block.qubits)
+    f = block.amps.view(np.float64)
+    if k == n - 1:
+        wide = f.reshape(len(f), -1, min(1024, f.shape[1]))
+        cols = np.einsum("rij,rij->rj", wide, wide)
+        return cols.reshape(len(f), -1, 2, 2)[:, :, bit, :].sum(axis=(1, 2))
+    half = f.reshape(len(f), 2**k, 2, -1)[:, :, bit, :]
+    return np.einsum("rjk,rjk->r", half, half)
 
 
 def _weight(state: StateVector, qubit: int, bit: int) -> float | np.ndarray:
     """Probability that `qubit` reads `bit`: a float for an unsplit state,
-    else one value per row.
-
-    A fixed qubit reads its own bit with probability exactly 1. For a live
-    qubit one reduction over the float64 view of the block sums the squared
-    real and imaginary parts where the qubit reads `bit`, so no squared
-    copy is built. The last axis interleaves its two slabs amplitude by
-    amplitude; its weight comes from column sums over wide contiguous rows
-    instead, which read the block once without a two-element inner loop.
-    """
-    amps = state.block
-    split = amps.ndim == 2
+    else one value per row. A fixed qubit reads its own bit with
+    probability exactly 1; a live one is read from its block alone, since
+    every other block has norm 1."""
     if qubit in state.fixed:
         hit = state.fixed[qubit] == bit
-        return np.broadcast_to(hit, (len(amps),)).astype(np.float64) if split else float(hit)
-    k, n = bisect_left(state.live, qubit), len(state.live)
-    f = amps.view(np.float64).reshape(len(amps) if split else 1, -1)
-    if k == n - 1:
-        wide = f.reshape(len(f), -1, min(1024, f.shape[1]))
-        cols = np.einsum("rij,rij->rj", wide, wide)
-        w = cols.reshape(len(f), -1, 2, 2)[:, :, bit, :].sum(axis=(1, 2))
-    else:
-        half = f.reshape(len(f), 2**k, 2, -1)[:, :, bit, :]
-        w = np.einsum("rjk,rjk->r", half, half)
-    return w if split else float(w[0])
+        return np.broadcast_to(hit, (state.rows,)).astype(np.float64) if state.rows > 1 else float(hit)
+    w = _block_weight(_block_of(state, qubit), qubit, bit)
+    return _stretch(w, state.rows) if state.rows > 1 else float(w[0])
 
 
 def _bits(value, what: str) -> int | np.ndarray:
@@ -531,6 +682,18 @@ def _bits(value, what: str) -> int | np.ndarray:
     return int(value)
 
 
+def _drop(state: StateVector, block: Block, qubit: int, amps: np.ndarray, outcome: int | np.ndarray) -> None:
+    """Give `block` the amplitudes `amps`, which no longer have `qubit`'s
+    axis, and record the qubit as fixed at `outcome`. A block left without
+    qubits is multiplied into another, if there is one."""
+    block.amps = amps
+    block.qubits.remove(qubit)
+    state.fixed[qubit] = outcome
+    if not block.qubits and len(state.blocks) > 1:
+        state.blocks.remove(block)
+        _absorb(state, block)
+
+
 def measure(
     state: StateVector,
     qubit: int,
@@ -542,7 +705,7 @@ def measure(
 
     Exactly one of `rng` / `forced` must be given: sampled outcomes come from
     the generator, forced outcomes select a branch for deterministic
-    enumeration. The kept half of the block, rescaled, becomes the new
+    enumeration. The kept half of the qubit's block, rescaled, replaces the
     block and the qubit becomes fixed at its outcome. Forcing an outcome
     whose probability is below 1e-12 raises ImpossibleBranchError and
     leaves the state unchanged.
@@ -556,54 +719,61 @@ def measure(
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     if (rng is None) == (forced is None):
         raise ValueError("supply exactly one of rng= or forced=")
-    amps = state.block
-    split = amps.ndim == 2
+    split = state.rows > 1
     # per-outcome weights summed from their own slices: renormalizing by the
     # kept slice's weight leaves the state with unit norm exactly, whereas
     # 1 - p_other would let rounding drift compound over many measurements
     if forced is None:
         if split:
-            forced = (rng.random(len(amps)) < _weight(state, qubit, 1)).astype(np.int64)
+            forced = (rng.random(state.rows) < _weight(state, qubit, 1)).astype(np.int64)
         else:
             forced = int(rng.random() < _weight(state, qubit, 1))
     outcome = _bits(forced, "forced outcome")
     if isinstance(outcome, np.ndarray) and (outcome == outcome[0]).all():
         outcome = int(outcome[0])
-    if isinstance(outcome, int):
-        p = _weight(state, qubit, outcome)
-    else:
-        p = np.where(outcome == 1, _weight(state, qubit, 1), _weight(state, qubit, 0))
-    # scalar arithmetic for an unsplit block: numpy calls on a single value
-    # cost more than the collapse of a small state
-    least = p.min() if split else p
-    if least < ZERO_CUTOFF:
-        raise ImpossibleBranchError(
-            f"outcome {outcome} on qubit {qubit} has probability {least:.3e}"
-        )
     if qubit in state.fixed:
+        if isinstance(outcome, int):
+            p = _weight(state, qubit, outcome)
+        else:
+            p = np.where(outcome == 1, _weight(state, qubit, 1), _weight(state, qubit, 0))
+        _require_possible(p, outcome, qubit)
         return MeasurementRecord(qubit, outcome, p)
-    k = bisect_left(state.live, qubit)
-    halves = amps.reshape(-1, 2**k, 2, 2 ** (len(state.live) - 1 - k))
+    # the weights per row of the qubit's block: every other block has norm 1
+    block = _block_of(state, qubit)
     if isinstance(outcome, int):
-        kept = halves[:, :, outcome, :] / (np.sqrt(p)[:, None, None] if split else np.sqrt(p))
+        p = _block_weight(block, qubit, outcome)
+    else:
+        _widen(state, block)
+        p = np.where(outcome == 1, _block_weight(block, qubit, 1), _block_weight(block, qubit, 0))
+    _require_possible(p, outcome, qubit)
+    k = bisect_left(block.qubits, qubit)
+    halves = block.amps.reshape(block.rows, 2**k, 2, -1)
+    if isinstance(outcome, int):
+        kept = halves[:, :, outcome, :] / np.sqrt(p)[:, None, None]
     else:
         kept = np.where((outcome == 1)[:, None, None], halves[:, :, 1, :], halves[:, :, 0, :])
         kept /= np.sqrt(p)[:, None, None]
-    state.block = kept.reshape(amps.shape[:-1] + (-1,))
-    state.live.remove(qubit)
-    state.fixed[qubit] = outcome
-    return MeasurementRecord(qubit, outcome, p)
+    _drop(state, block, qubit, kept.reshape(block.rows, -1), outcome)
+    return MeasurementRecord(qubit, outcome, _stretch(p, state.rows) if split else float(p[0]))
+
+
+def _require_possible(p: float | np.ndarray, outcome: int | np.ndarray, qubit: int) -> None:
+    """Refuse an outcome whose probability (on some row) is below 1e-12."""
+    least = np.min(p)
+    if least < ZERO_CUTOFF:
+        raise ImpossibleBranchError(f"outcome {outcome} on qubit {qubit} has probability {least:.3e}")
 
 
 def measure_split(state: StateVector, qubit: int) -> tuple[StateVector, MeasurementRecord]:
     """Z-measure `qubit` on every row and keep both outcomes.
 
     Row r of the input becomes row 2r (outcome 0) and row 2r+1 (outcome 1)
-    of a new state, each renormalized by its own weight, and the qubit
-    becomes fixed at the row's outcome, so the block keeps its size. The
-    record holds the per-row outcomes and probabilities. Any branch of
-    probability below 1e-12 raises ImpossibleBranchError. The input state
-    is left untouched.
+    of a new state. The qubit's block takes the input's rows, then splits
+    each into its two outcome halves, each renormalized by its own weight,
+    and the qubit becomes fixed at the row's outcome, so the block keeps
+    its size per row; every other block keeps its rows. The record holds
+    the per-row outcomes and probabilities. Any branch of probability below
+    1e-12 raises ImpossibleBranchError. The input state is left untouched.
     """
     n = state.num_qubits
     if not 0 <= qubit < n:
@@ -616,15 +786,20 @@ def measure_split(state: StateVector, qubit: int) -> tuple[StateVector, Measurem
         raise ImpossibleBranchError(
             f"a branch of the split on qubit {qubit} has probability {p.min():.3e}"
         )
-    k = bisect_left(state.live, qubit)
-    src = state.block.reshape(rows, 2**k, 2, -1)
+    old = _block_of(state, qubit)
+    k = bisect_left(old.qubits, qubit)
+    src = _stretch(old.amps, rows).reshape(rows, 2**k, 2, -1)
     new = np.ascontiguousarray(src.swapaxes(1, 2)).reshape(2 * rows, -1)
     new /= np.sqrt(p)[:, None]
-    bits = {q: np.repeat(b, 2) if isinstance(b, np.ndarray) else b for q, b in state.fixed.items()}
-    bits[qubit] = np.tile(np.array([0, 1], dtype=np.int64), rows)
-    out = StateVector(n, new, bits)
-    out.high_water = state.high_water
-    return out, MeasurementRecord(qubit, bits[qubit], p)
+    block = Block(new, list(old.qubits))
+    out = StateVector.__new__(StateVector)
+    out.num_qubits, out.rows = n, 2 * rows
+    out.blocks = [block if b is old else Block(b.amps.copy(), list(b.qubits)) for b in state.blocks]
+    out.fixed = {q: np.repeat(b, 2) if isinstance(b, np.ndarray) else b for q, b in state.fixed.items()}
+    out.high_water, out.largest_block = state.high_water, state.largest_block
+    _drop(out, block, qubit, new, np.tile(np.array([0, 1], dtype=np.int64), rows))
+    _note(out)
+    return out, MeasurementRecord(qubit, out.fixed[qubit], p)
 
 
 def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarray):
@@ -645,16 +820,17 @@ def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarr
 
 def bipartition(state: StateVector, keep: Sequence[int]) -> np.ndarray:
     """The amplitudes as a (rows, 2^len(keep), rest) array: the listed
-    qubits (first listed = MSB) index the middle axis and the live qubits
-    not listed the last. An unsplit state has one row.
+    qubits (first listed = MSB) index the middle axis and the other
+    qubits of their merged block the last, one entry per row of the state.
 
-    A fixed qubit that is not listed is a factor of norm 1, so it is left
-    out; `rest` is then smaller than 2^(n - len(keep)).
+    Every block that holds no listed qubit, and every fixed qubit not
+    listed, is a factor of norm 1, so it is left out; `rest` is then
+    smaller than 2^(n - len(keep)).
     """
     keep = _check_targets(state, keep, len(keep))
-    block, live = _with_axes(state, keep)
-    psi = _qubit_view(block.reshape(-1, block.shape[-1]), len(live))
-    psi = np.moveaxis(psi, [bisect_left(live, k) + 1 for k in keep], range(1, len(keep) + 1))
+    block = _merged(state, *_locate(state, keep))
+    psi = _qubit_view(_stretch(block.amps, state.rows), len(block.qubits))
+    psi = np.moveaxis(psi, [bisect_left(block.qubits, k) + 1 for k in keep], range(1, len(keep) + 1))
     return psi.reshape(len(psi), 2 ** len(keep), -1)
 
 
@@ -670,4 +846,3 @@ def overlap(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
     a = actual.reshape(len(expected), -1, *actual.shape[1:])
     m = expected.conj().swapaxes(-1, -2)[:, None] @ a
     return (np.square(m.real) + np.square(m.imag)).sum(axis=(-1, -2)).reshape(-1)
-

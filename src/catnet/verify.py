@@ -226,9 +226,10 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     input's outcomes and splits s measurements; with s > M it carries
     2^(s-M) whole inputs as rows and splits all M. Row r is position start
     + r. The first run holds 2^_split(case) positions, each later one as
-    many as the previous run's largest live block leaves room for within
-    CHUNK_AMPLITUDES. That block is the same for every run: which qubits a
-    gate leaves live depends only on which of its targets are fixed, never
+    many as the previous run's high_water (the most amplitudes its blocks
+    held at once) leaves room for within CHUNK_AMPLITUDES. The blocks are
+    the same for every run: which qubits a gate leaves live, and which
+    blocks it merges, depends only on which of its targets are fixed, never
     on their bits (qstate._fixed_rule), and the protocols' classically
     controlled corrections are Pauli gates, which keep fixed qubits fixed,
     so the live qubits depend on neither outcome nor input. A sampled sweep
@@ -284,7 +285,7 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
         total_p += np.bincount((start + np.arange(rows)) // per, weights, len(total_p))
         start = stop
         if exhaustive and start < count:
-            # each split or input doubles the rows, so at most doubles the block
+            # each split or input doubles the rows, so at most doubles what the blocks hold
             room = int(np.floor(np.log2(CHUNK_AMPLITUDES / net.state.high_water)))
             size = max(0, min(size + room, (start & -start).bit_length() - 1))
     if exhaustive and m:

@@ -269,7 +269,7 @@ def test_every_case_splits_like_forced_branches(case):
 
 
 def record_runs(monkeypatch, edit=lambda case, net, prefix, seed: None):
-    """Make verify._run log (rows, largest live block) of every run, after `edit`."""
+    """Make verify._run log (rows, most amplitudes held at once) of every run, after `edit`."""
     runs = []
     run = verify._run
 
@@ -320,15 +320,16 @@ def test_sweep_reports_failing_rows_by_branch(monkeypatch):
 
     def corrupting(case, net, prefix, seed):
         # row 5 of the qft run forced to 000001
+        block = next(b for b in net.state.blocks if net.global_index(case.logical[0]) in b.qubits)
         if net.rows > 1 and prefix == (0, 0, 0, 0, 0, 1):
-            net.state.block[5] = np.roll(net.state.block[5], 1)
+            block.amps[5] = np.roll(block.amps[5], 1)
         # distributed-swap's exhaustive sweep is one run of its five inputs
         # as 5 x 16 rows: row 3 * 16 + 5 is input3's branch 0101
         if net.rows == 5 * 16 and not prefix:
-            net.state.block[3 * 16 + 5] = np.roll(net.state.block[3 * 16 + 5], 1)
+            block.amps[3 * 16 + 5] = np.roll(block.amps[3 * 16 + 5], 1)
         # the unsplit run of sample 5 of distributed-swap's input3 in a sampled sweep
         if net.rows == 1 and seed == 3 + 7919 * 5 + 13:
-            net.state.block[:] = np.roll(net.state.block, 1)
+            block.amps[0] = np.roll(block.amps[0], 1)
 
     record_runs(monkeypatch, corrupting)
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")

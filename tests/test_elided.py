@@ -1,10 +1,11 @@
-"""The live/fixed split of a state: only live qubits hold amplitude axes.
+"""The factored state: live qubits in blocks, every other qubit fixed.
 
 A state built from basis_state starts with every qubit fixed and runs each
 kernel on whichever path its qubits call for: bit updates, phase scaling,
-re-inserted axes or the slab kernels. The reference is the same state kept
-dense: it is rebuilt with every qubit live before each operation, so every
-operation on it runs the slab kernels over all 2^n amplitudes.
+re-inserted axes, merged blocks, repeated rows or the slab kernels. The
+reference is the same state kept dense: it is rebuilt as one block of
+every qubit before each operation, so every operation on it runs the slab
+kernels over all 2^n amplitudes.
 """
 
 import numpy as np
@@ -16,12 +17,16 @@ from catnet import network, protocols, qstate
 from catnet.errors import ImpossibleBranchError
 from catnet.gates import CNOT, CZ, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
 from catnet.qstate import GateMatrix, StateVector, apply_gate, basis_state, measure, measure_split
+from reference import reduced_density_matrix
 
-N = 4
+N = 5
 TOL = 1e-12
 MAX_ROWS = 8
 # weighted toward splits and masked gates, so most sequences reach per-row bits
-OPS = ["gate", "masked", "masked", "permutation", "permutation", "forced", "forced", "rng", "split", "split", "probe"]
+OPS = [
+    "gate", "masked", "masked", "permutation", "permutation", "forced", "forced", "rng", "split", "split", "probe",
+    "pair", "span",
+]
 
 
 def _unitary(dim: int, seed: int) -> GateMatrix:
@@ -94,13 +99,72 @@ def mixed_targets(data, state: StateVector, arity: int) -> list[int]:
     return data.draw(st.permutations((first + rest)[:arity]))
 
 
+def block_holding(state: StateVector, qubit: int):
+    return next((b for b in state.blocks if qubit in b.qubits), None)
+
+
+def block_targets(data, state: StateVector, arity: int) -> list[int]:
+    """`arity` distinct qubits: one from each of two blocks when the state
+    has two that hold qubits, else from a block with fewer rows than the
+    state when there is one, then the rest in a drawn order."""
+    held = [b for b in state.blocks if b.qubits]
+    if len(held) > 1 and data.draw(st.booleans()):
+        a, b = data.draw(st.permutations(held))[:2]
+        first = [data.draw(st.sampled_from(a.qubits)), data.draw(st.sampled_from(b.qubits))]
+    else:
+        short = [b for b in held if b.rows < state.rows]
+        first = data.draw(st.permutations(short[0].qubits)) if short else []
+    rest = [q for q in data.draw(st.permutations(range(N))) if q not in first]
+    return data.draw(st.permutations((first + rest)[:arity]))
+
+
+def check_blocks(state: StateVector) -> None:
+    """The product structure: disjoint ascending blocks whose rows divide
+    the state's, each row of norm 1, a block without qubits only when it
+    is the only block, and high-water marks that cover what is held."""
+    qubits = [q for b in state.blocks for q in b.qubits]
+    assert sorted(qubits + list(state.fixed)) == list(range(N))
+    for b in state.blocks:
+        assert b.qubits == sorted(b.qubits) and b.amps.shape[1] == 2 ** len(b.qubits)
+        assert state.rows % b.rows == 0 and b.amps.flags.c_contiguous
+        assert np.allclose(np.linalg.norm(b.amps, axis=1), 1.0, atol=TOL)
+    assert all(b.qubits for b in state.blocks) or len(state.blocks) == 1
+    sizes = [b.amps.size for b in state.blocks]
+    assert state.high_water >= sum(sizes) and state.largest_block >= max(sizes)
+
+
+def check_probes(data, elided: StateVector, ref: StateVector) -> None:
+    """bipartition/overlap and pattern_slabs on a drawn set of qubits,
+    against the dense reference."""
+    keep = data.draw(st.permutations(range(N)))[: data.draw(st.integers(1, N))]
+    rho = np.reshape(reduced_density_matrix(ref, keep), (ref.rows, 2 ** len(keep), 2 ** len(keep)))
+    purity = np.trace(rho @ rho, axis1=1, axis2=2).real
+    mine, dense_keep = qstate.bipartition(elided, keep), qstate.bipartition(ref, keep)
+    assert len(mine) == elided.rows
+    assert agree(qstate.overlap(mine, mine), purity)
+    assert agree(qstate.overlap(mine, dense_keep), purity)
+    probs = np.abs(ref.amplitudes.reshape(ref.rows, -1)) ** 2
+    index = np.arange(2**N)
+    for pattern, slab in enumerate(qstate.pattern_slabs(elided, keep)):
+        bits = [(pattern >> (len(keep) - 1 - j)) & 1 for j in range(len(keep))]
+        reads = np.all([(index >> (N - 1 - q)) & 1 == bit for q, bit in zip(keep, bits)], axis=0)
+        weight = np.repeat(qstate.row_weights(slab), ref.rows // len(slab))
+        assert agree(weight, probs[:, reads].sum(axis=1))
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_elided_state_matches_dense_copy(data):
-    if data.draw(st.booleans()):
-        elided = basis_state(N, data.draw(st.integers(0, 2**N - 1)))
-    else:  # every qubit live, so splits and measurements fix them per row
+    start = data.draw(st.sampled_from(["basis", "dense", "blocks"]))
+    if start == "dense":  # every qubit live, so splits and measurements fix them per row
         elided = qstate.random_state(N, np.random.default_rng(data.draw(st.integers(0, 2**16))))
+    else:
+        elided = basis_state(N, data.draw(st.integers(0, 2**N - 1)))
+    if start == "blocks":  # a random unitary on each group of a partition: one block per group
+        order = data.draw(st.permutations(range(N)))
+        for group in (order[:1], order[1:3], order[3:]):
+            apply_gate(elided, _unitary(2 ** len(group), data.draw(st.integers(0, 2**16))), group)
+        assert len(elided.blocks) == 3
     for _ in range(data.draw(st.integers(1, 20))):
         ref = dense(elided)
         other = flipped(elided)
@@ -108,16 +172,32 @@ def test_elided_state_matches_dense_copy(data):
         qubits = data.draw(st.permutations(range(N)))
         if op in ("forced", "rng", "probe") and elided.fixed and data.draw(st.booleans()):
             qubits = [data.draw(st.sampled_from(sorted(elided.fixed)))]
-        if op in ("gate", "masked", "permutation"):
+        if op == "pair":
+            # a pair or cat written onto fixed qubits (at |0> when there are
+            # two): a block of its own, on one row unless a bit is per row
+            zeros = [q for q, b in elided.fixed.items() if isinstance(b, int) and b == 0]
+            pool = zeros if len(zeros) > 1 else sorted(elided.fixed)
+            if len(pool) < 2:
+                continue
+            cat = data.draw(st.permutations(pool))[: data.draw(st.integers(2, min(3, len(pool))))]
+            for state in (elided, ref, other):
+                apply_gate(state, H, [cat[0]])
+                for q in cat[1:]:
+                    apply_gate(state, CNOT, [cat[0], q])
+            assert [block_holding(elided, q) for q in cat[1:]] == [block_holding(elided, cat[0])] * (len(cat) - 1)
+            assert len(block_holding(elided, cat[0]).qubits) == len(cat)
+        elif op in ("gate", "masked", "permutation", "span"):
             if op == "permutation":
                 arity = data.draw(st.integers(2, 3))
                 gate = permutation_gate(data, arity)
                 qubits = mixed_targets(data, elided, arity)
             else:
-                arity = data.draw(st.integers(1, 3))
+                arity = data.draw(st.integers(1 if op != "span" else 2, 3))
                 gate = data.draw(st.sampled_from(GATES[arity]))
+                if op != "gate":
+                    qubits = block_targets(data, elided, arity)
             rows = None
-            if op != "gate" and elided.rows > 1 and data.draw(st.booleans()):
+            if op in ("masked", "permutation") and elided.rows > 1 and data.draw(st.booleans()):
                 rows = np.array(data.draw(st.lists(st.booleans(), min_size=elided.rows, max_size=elided.rows)))
             for state in (elided, ref, other):
                 apply_gate(state, gate, qubits[:arity], rows=rows)
@@ -144,23 +224,34 @@ def test_elided_state_matches_dense_copy(data):
         elif op == "split":
             if elided.rows * 2 > MAX_ROWS:
                 continue
+            measured = block_holding(elided, qubits[0]) or elided.blocks[0]
+            untouched = [(list(b.qubits), b.amps.copy()) for b in elided.blocks if b is not measured]
             out = both(lambda s: measure_split(s, qubits[0]), elided, ref)
             if out[0] is ImpossibleBranchError:
                 continue
             (elided, rec), (ref, ref_rec) = out
             assert np.array_equal(rec.outcome, ref_rec.outcome) and agree(rec.probability, ref_rec.probability)
+            # only the measured block takes the new rows; the others keep
+            # theirs (unless the measured block, left empty, joined one)
+            if len(measured.qubits) > 1:
+                rest = [q for q in measured.qubits if q != qubits[0]]
+                assert [(b.qubits, b.amps.tolist()) for b in elided.blocks if b.qubits != rest] == [
+                    (q, a.tolist()) for q, a in untouched
+                ]
             try:
                 other, _ = measure_split(other, qubits[0])
-            except ImpossibleBranchError:  # its amplitudes may differ; its live set may not
+            except ImpossibleBranchError:  # its amplitudes may differ; its blocks may not
                 other = elided
         else:
             bit = data.draw(st.integers(0, 1))
             got, want = (qstate.partial_state_check(s, qubits[0], bit) for s in (elided, ref))
             assert np.array_equal(got, want)
+            check_probes(data, elided, ref)
         assert elided.rows == ref.rows
         assert agree(elided.amplitudes, ref.amplitudes)
         assert np.allclose(elided.norm(), 1.0, atol=TOL)
-        assert other.live == elided.live
+        check_blocks(elided)
+        assert [b.qubits for b in other.blocks] == [b.qubits for b in elided.blocks]
 
 
 def test_amplitudes_are_a_read_only_snapshot():
@@ -177,15 +268,18 @@ def test_fixed_qubits_change_only_their_bits():
     state = basis_state(3, 0b100)
     apply_gate(state, CNOT, [0, 2])
     apply_gate(state, Z, [2])
-    assert state.block.shape == (1,) and state.fixed == {0: 1, 1: 0, 2: 1}
-    assert np.allclose(state.block, [-1])
+    # one block without qubits carries the phase
+    assert [b.qubits for b in state.blocks] == [[]] and state.fixed == {0: 1, 1: 0, 2: 1}
+    assert np.allclose(state.blocks[0].amps, [[-1]])
     assert qstate.partial_state_check(state, 2, 1)
 
 
 @pytest.mark.parametrize("shape", ["linear", "binary-tree"])
 def test_ghz_build_peaks_at_15_live_qubits(shape, monkeypatch):
     """The 8-node build holds its 7 pairs (14 channel qubits) at once, plus
-    one register while a stage runs: 15 of 22 qubits, never more."""
+    one register while a stage runs: 15 of 22 qubits, never more. Each pair
+    is a block of its own until its entangler joins it to the registers'
+    cat, so no block ever holds more than m + 2 = 10 qubits."""
     peak = []
     apply = qstate.apply_gate
 
@@ -200,8 +294,9 @@ def test_ghz_build_peaks_at_15_live_qubits(shape, monkeypatch):
     protocols.distributed_em(net, names, shape, check=False)
     assert net.num_qubits == 22
     assert max(peak) <= 15
-    assert net.state.live == [net.global_index(net.reg(name)) for name in names]
-    assert net.state.block.size == 2**8
+    assert net.state.largest_block <= 2**10
+    assert [b.qubits for b in net.state.blocks] == [[net.global_index(net.reg(name)) for name in names]]
+    assert net.state.blocks[0].amps.size == 2**8
 
 
 @pytest.mark.parametrize("shape", ["linear", "binary-tree"])
@@ -214,7 +309,7 @@ def test_ghz_oracle_stays_within_15_live_qubits(shape, corrupt, monkeypatch):
     bipartition = qstate.bipartition
 
     def recording(state, keep):
-        sizes.append(state.high_water)
+        sizes.append(state.largest_block)
         return bipartition(state, keep)
 
     monkeypatch.setattr(qstate, "bipartition", recording)
@@ -234,12 +329,28 @@ def test_ghz_oracle_stays_within_15_live_qubits(shape, corrupt, monkeypatch):
         monkeypatch.setattr(protocols, "reset_channel_qubits", reset_then_flip)
     rep = protocols.distributed_em(net, names, shape, check=True)
     assert rep.ledger.ebits_consumed == 7 and rep.ledger.cbits_sent == 14
-    assert len(sizes) == 2 and max(sizes) <= 2**15
+    assert len(sizes) == 2 and max(sizes) <= 2**10
     if corrupt:
         # H on one member of the finished cat leaves a state orthogonal to it
         assert rep.verified is False and abs(rep.max_infidelity - 1.0) < 1e-9
     else:
         assert rep.verified is True and rep.max_infidelity < 1e-10
+
+
+@pytest.mark.parametrize("shape,rounds", [("linear", 15), ("binary-tree", 4)])
+def test_sixteen_node_ghz_build_verifies(shape, rounds):
+    """46 qubits are far past a joint vector (2^46 amplitudes), but each
+    pair stays a block of its own until its entangler runs, so no block
+    holds more than m + 2 = 18 qubits, and the oracle checks the build."""
+    names = [f"N{i}" for i in range(16)]
+    req = protocols.em_channel_requirements(16, shape)
+    net = network.Network([(name, 1, r) for name, r in zip(names, req)], seed=5)
+    rep = protocols.distributed_em(net, names, shape, check=True)
+    assert net.num_qubits == 46
+    assert rep.verified is True and rep.max_infidelity < 1e-10
+    assert rep.ledger.ebits_consumed == 15 and rep.ledger.cbits_sent == 30
+    assert rep.rounds == rounds
+    assert net.state.largest_block <= 2**18
 
 
 def _fixed_at_zero(net: network.Network, addrs) -> bool:

@@ -368,7 +368,7 @@ def test_inject_state_stack_makes_one_row_per_input():
     net = Network([("A", 1, 1), ("B", 1, 0)])
     stack = [[3, 4j, 0, 0], [0, 0, 0, 2], [1, 1, 1, 1]]
     net.inject_state([net.reg("A"), net.reg("B")], stack)
-    assert net.rows == 3 and net.state.block.shape == (3, 4)
+    assert net.rows == 3 and [(b.qubits, b.amps.shape) for b in net.state.blocks] == [([0, 2], (3, 4))]
     assert np.allclose(net.state.norm(), 1.0)
     assert np.array_equal(net.branch_probability, np.ones(3))
     # qubit order (A reg, A chan, B reg): the channel qubit stays |0>
@@ -380,7 +380,7 @@ def test_inject_state_stack_makes_one_row_per_input():
     # a stack of one is a single input: the state stays unsplit
     net = Network([("A", 1, 1), ("B", 1, 0)])
     net.inject_state([net.reg("A"), net.reg("B")], [[3, 4j, 0, 0]])
-    assert net.rows == 1 and net.state.block.ndim == 1 and net.branch_probability == 1.0
+    assert net.rows == 1 and net.state.blocks[0].amps.shape == (1, 4) and net.branch_probability == 1.0
     with pytest.raises(ValueError, match="zero vector"):
         net.inject_state([net.reg("A"), net.reg("B")], [[1, 0, 0, 0], [0, 0, 0, 0]])
 
@@ -409,7 +409,9 @@ def test_split_rows_descend_from_their_input():
     assert np.array_equal(second.outcome, np.tile([0, 1], 6))
     # each row holds its input's basis state at its branch, with that state's weight
     assert np.allclose(net.branch_probability, [0.25] * 8 + [1 / 30, 4 / 30, 9 / 30, 16 / 30])
-    assert np.allclose(np.abs(net.state.block[:, 0]), 1.0)
+    # both qubits measured: one block without qubits keeps each row's phase
+    [block] = net.state.blocks
+    assert block.qubits == [] and np.allclose(np.abs(block.amps[:, 0]), 1.0)
 
 
 # ---- the state buffer -------------------------------------------------------------
@@ -417,22 +419,23 @@ def test_split_rows_descend_from_their_input():
 
 def test_operations_write_into_one_buffer():
     """Every operation changes the network's one state in place; measured
-    qubits leave the live block."""
+    qubits leave their blocks, and a pair stays a block of its own until a
+    gate joins it to another."""
     net = Network([("A", 2, 1), ("B", 1, 1)], seed=0)
     net.inject_state([net.reg("A", 0)], [0.6, 0.8])
     state = net.state
-    assert state.live == [0] and state.block.shape == (2,)
+    assert [(b.qubits, b.amps.shape) for b in state.blocks] == [([0], (1, 2))]
     net.local_apply(H, [net.reg("A", 1)])
     net.preshare_epr(net.chan("A"), net.chan("B"))
-    assert state.live == [0, 1, 2, 4]
+    assert [b.qubits for b in state.blocks] == [[0], [1], [2, 4]]
     rec = net.measure(net.chan("A"), forced=1)
     net.classically_controlled_apply(rec, X, net.chan("A"))
     net.measure_x(net.reg("A", 1), forced=0)
     assert net.state is state
     # A's channel and second register are fixed; B's channel is |1> but live
-    assert state.live == [0, 4] and state.fixed == {1: 0, 2: 0, 3: 0}
+    assert [b.qubits for b in state.blocks] == [[0], [4]] and state.fixed == {1: 0, 2: 0, 3: 0}
     assert net.qubit_is(net.chan("A"), 0) and net.qubit_is(net.chan("B"), 1)
-    assert abs(np.linalg.norm(state.block) - 1.0) < 1e-12
+    assert abs(state.norm() - 1.0) < 1e-12
 
 
 def test_scope_snapshot_only_when_checking():

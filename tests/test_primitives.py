@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from catnet import qstate
-from catnet.errors import EntanglementError, LocalityError
+from catnet.errors import EntanglementError
 from catnet.gates import CNOT, X
-from catnet.network import CHANNEL, Network
+from catnet.network import Network
 from catnet.primitives import cat_entangler, cat_shrink, teleport
 from reference import reduced_density_matrix
 

@@ -13,7 +13,7 @@ from catnet.errors import (
     PreconditionError,
     ResourceError,
 )
-from catnet.gates import CNOT, H, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
+from catnet.gates import CNOT, H, TOFFOLI, X, ControlledSpec, make_controlled, make_rk
 from catnet.network import CHANNEL, Network
 from catnet.protocols import (
     C4X,
@@ -548,6 +548,17 @@ def test_multi_control_needs_a_channel_per_share(outcomes):
         net.force_outcomes(outcomes)
     with pytest.raises(ResourceError, match="on C"):
         nonlocal_multi_control(net, controls, X, net.reg("T"))
+
+
+def test_multi_control_short_of_channels_fails_before_any_gate():
+    """Both controls on C with one channel qubit there: the shortage is
+    found before the first share is written, so nothing is charged or
+    measured."""
+    net, controls = two_controls_on_one_node(1)
+    with pytest.raises(ResourceError, match="on C"):
+        nonlocal_multi_control(net, controls, X, net.reg("T"))
+    assert net.ledger.as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
+    assert net.records == [] and net.message_log == []
 
 
 def test_multi_control_capacity_suggests_decomposition():

@@ -14,7 +14,6 @@ from catnet import gates, qstate
 from catnet.errors import ImpossibleBranchError
 from catnet.gates import CNOT, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
 from catnet.qstate import (
-    ATOL,
     GateMatrix,
     StateVector,
     apply_gate,
@@ -197,21 +196,22 @@ def test_measure_inplace_collapses_own_buffer():
     rec = measure(bell, 1, forced=1)
     assert rec.outcome == 1 and abs(rec.probability - 0.5) < 1e-12
     # the measured qubit's axis is dropped and its outcome recorded
-    assert bell.fixed == {1: 1} and bell.block.shape == (2,)
+    assert bell.fixed == {1: 1} and [(b.qubits, b.amps.shape) for b in bell.blocks] == [([0], (1, 2))]
     assert np.allclose(bell.amplitudes, basis_state(2, 0b11).amplitudes)
     # a refused branch leaves the state as it was
-    block = bell.block
+    amps = bell.blocks[0].amps
     with pytest.raises(ImpossibleBranchError):
         measure(bell, 0, forced=0)
-    assert bell.block is block and bell.fixed == {1: 1}
+    assert bell.blocks[0].amps is amps and bell.fixed == {1: 1}
     assert np.allclose(bell.amplitudes, basis_state(2, 0b11).amplitudes)
 
 
 def test_pattern_slabs_are_ordered_views():
     state = random_state(3, np.random.default_rng(29))
     slabs = pattern_slabs(state, [2, 0])
-    # entry 0b10 is qubit 2 = 1, qubit 0 = 0: basis indices 0b001 and 0b011
-    assert np.array_equal(slabs[0b10], state.amplitudes[[0b001, 0b011]])
+    # entry 0b10 is qubit 2 = 1, qubit 0 = 0: basis indices 0b001 and 0b011,
+    # after the block's one row
+    assert np.array_equal(slabs[0b10], state.amplitudes[None, [0b001, 0b011]])
     slabs[0b10][...] = 0
     assert state.amplitudes[0b001] == 0 and state.amplitudes[0b011] == 0
 
