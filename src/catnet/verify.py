@@ -7,10 +7,14 @@ walks the case's input x branch positions in order, in runs of at most
 CHUNK_AMPLITUDES amplitudes: a run forces a prefix of one input's outcomes
 and splits the rest into branch rows (Network.split_outcomes), or carries
 several whole inputs as rows (a stack for Network.inject_state) and splits
-every outcome. A sampled sweep makes unsplit runs that draw every outcome
-from the RNG, one per input and sample. Each row is checked
-against the ideal and for its |0> qubits, each input for branch
-probabilities summing to one, and each section for one ledger in every run.
+every outcome. Runs are sized for throughput: a run pays a few ms of
+per-op overhead and a row a few us, so the 4,096 branches of the amortized
+4-qubit, 2-machine transform are one run. A case of more than
+MAX_POSITIONS positions is refused before any run. A sampled sweep makes
+unsplit runs that draw every outcome from the RNG, one per input and
+sample. Each row is checked against the ideal and for its |0> qubits, each
+input for branch probabilities summing to one, and each section for one
+ledger in every run.
 
 The ideal shares no code with the simulator's gate application: gates are
 embedded by explicit basis-index arithmetic (_embed) and applied to the
@@ -50,10 +54,21 @@ from .qft import build_qft_plan, qft_distributed, qft_matrix
 PROB_TOL = 1e-9
 
 # The most amplitudes, over all branch rows, that one exhaustive-sweep run
-# holds: 64 rows of a 256-amplitude network with every qubit live, which
-# the 4-qubit, 2-machine transform is when it starts. Runs of networks with
-# more live qubits split fewer measurements.
-CHUNK_AMPLITUDES = 2**14
+# holds (16 MiB of complex128): 4,096 rows of a 256-amplitude network with
+# every qubit live, which the 4-qubit, 2-machine transform is when it
+# starts. Runs of networks with more live qubits split fewer measurements.
+# Per-op overhead makes a run cost the same few ms whatever its rows, and a
+# row only us (the amortized 4/2 protocol: 6.1 ms for 64 rows, 9.7 ms for
+# 1,024, 20.8 ms for 4,096), so fewer, wider runs win, at the cost of
+# resident memory. Measured on a 2-core box, budgets of 2^14, 2^16, 2^18
+# and 2^20 take the 65,536-branch 4/2 sweep to 68, 20, 8 and 5 runs,
+# 0.82, 0.45, 0.35 and 0.31 s, and 38, 42, 57 and 65 MB peak RSS; only
+# 2^20 makes the amortized 4/2 sweep one run.
+CHUNK_AMPLITUDES = 2**20
+
+# The most input x branch positions an exhaustive sweep walks: 256 times
+# the 4/2 sweep, over a minute at its rate. A wider case must be sampled.
+MAX_POSITIONS = 2**24
 
 
 # ---- shared machinery ----------------------------------------------------
@@ -234,7 +249,8 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     controlled corrections are Pauli gates, which keep fixed qubits fixed,
     so the live qubits depend on neither outcome nor input. A sampled sweep
     makes one unsplit run per input and sample; only a run of one input may
-    draw outcomes from the RNG.
+    draw outcomes from the RNG. An exhaustive case of more than
+    MAX_POSITIONS positions raises ValueError before any run.
     """
     exhaustive, m = branches == "exhaustive", case.measurements
     if exhaustive:
@@ -244,6 +260,11 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     else:
         raise ValueError(f"branches must be 'exhaustive' or 'sampled', got {branches!r}")
     count = per * len(case.inputs)
+    if exhaustive and count > MAX_POSITIONS:
+        raise ValueError(
+            f"an exhaustive sweep of {count} input x branch positions exceeds {MAX_POSITIONS};"
+            " use branches='sampled' (--branches sampled)"
+        )
     total_p = np.zeros(len(case.inputs))
     start, size = 0, _split(case) if exhaustive else 0
     while start < count:
@@ -394,15 +415,15 @@ def verify_cat_roundtrip(*, seed: int = 0, branches: str = "exhaustive", samples
 def verify_ghz(*, seed: int = 0, branches: str = "exhaustive", samples: int = 64) -> ProtocolReport:
     """Criterion: the shared cat state grows with m-1 ebits; tree depth wins.
 
-    The m=8 depth comparison enumerates no outcomes: one RNG run per shape,
-    which the protocol's own oracle checks too.
+    The m = 8, 12 and 16 depth comparisons enumerate no outcomes: one RNG
+    run per shape, which the protocol's own oracle checks too.
     """
     shapes = ("linear", "binary-tree")
     cases, expect = [], {}
-    for shape, m in [(s, m) for s in shapes for m in (2, 3, 4, 5)] + [(s, 8) for s in shapes]:
+    for shape, m in [(s, m) for s in shapes for m in (2, 3, 4, 5)] + [(s, m) for m in (8, 12, 16) for s in shapes]:
         spec = [(f"N{i}", 1, max(1, r)) for i, r in enumerate(em_channel_requirements(m, shape))]
         names = [node for node, _, _ in spec]
-        section = f"{shape}:m{m}" if m < 8 else f"m8:{shape}"
+        section = f"{shape}:m{m}" if m < 8 else f"m{m}:{shape}"
         cat = np.zeros(2**m, dtype=complex)
         cat[0] = cat[-1] = 1 / np.sqrt(2)
 

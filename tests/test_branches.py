@@ -5,6 +5,7 @@ branch with all outcomes forced, which is the path the rows replace.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,15 +288,18 @@ def test_sweep_runs_stay_within_the_chunk_budget(monkeypatch):
     runs = record_runs(monkeypatch)
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
     assert rep.verified and rep.branches_tested == 4096
-    # the first runs split the 6 measurements that fit with all 8 qubits
-    # live; measured qubits leave the block and the swaps that follow each
-    # teleport leave the vacated channel qubits fixed, so later runs widen
-    # to the budget, each starting at a multiple of its own size
-    assert runs == [(64, 2**10), (64, 2**10), (128, 2**11), (256, 2**12), (512, 2**13)] + [(1024, 2**14)] * 3
+    # the first run splits the 12 measurements that fit with all 8 qubits
+    # live, which is every one: the whole sweep is one run
+    assert runs == [(4096, 2**16)]
     runs.clear()
     rep = verify.verify_qft(n=4, m=2, branches="exhaustive")
     assert rep.verified and rep.branches_tested == 2**16
-    assert len(runs) <= 70 and max(size for _, size in runs) <= verify.CHUNK_AMPLITUDES
+    # the first run splits the 12 of 16 measurements that fit with all 8
+    # qubits live; measured qubits leave the block and the swaps that follow
+    # each teleport leave the vacated channel qubits fixed, so a run of 16
+    # amplitudes a row leaves room for 2^16 rows, but each run starts at a
+    # multiple of its own size, so the rest double from 4096 to the end
+    assert runs == [(4096, 2**16), (4096, 2**16), (8192, 2**17), (16384, 2**18), (32768, 2**19)]
     runs.clear()
     rep = verify.verify_qft(n=2, m=2, branches="exhaustive")
     assert rep.verified and rep.branches_tested == 2 ** rep.details["measurements_per_branch"]
@@ -306,23 +310,51 @@ def test_sweep_runs_stay_within_the_chunk_budget(monkeypatch):
             runs.clear()
             rep = fn(seed=0, branches="exhaustive")
             assert rep.verified, name
-            # only the unsplit runs of cases that enumerate nothing (ghz m=8) may be wider
+            # only the unsplit runs of cases that enumerate nothing (ghz m=8, 12, 16) may be wider
             assert all(size <= verify.CHUNK_AMPLITUDES or rows == 1 for rows, size in runs), name
             assert len(runs) < rep.branches_tested, name  # not one network per branch
             small += len(runs) if name != "ghz" else 0
             # inputs ride the rows: the 64 + 67 inputs of decompose-c4x take a few runs, not 131
             assert name != "decompose-c4x" or len(runs) <= 8
-    assert small <= 40  # the nine small verifiers, 230 runs with one run per input
+    assert small == 22  # the nine small verifiers, 230 runs with one run per input
+
+
+def test_sweep_memory_stays_within_the_chunk_budget(monkeypatch):
+    """The 65,536-branch sweep allocates at most twice the budget's bytes at
+    once, and no run's blocks ever hold more than the budget."""
+    runs = record_runs(monkeypatch)
+    tracemalloc.start()
+    try:
+        rep = verify.verify_qft(n=4, m=2, branches="exhaustive")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.verified and rep.branches_tested == 2**16
+    assert peak <= 2 * 16 * verify.CHUNK_AMPLITUDES
+    assert all(size <= verify.CHUNK_AMPLITUDES for _, size in runs)
+
+
+def test_ghz_sweep_compares_depths_up_to_sixteen_nodes(monkeypatch):
+    """After the enumerated sections, one unsplit run per shape at m = 8, 12 and 16."""
+    runs = []
+    record_runs(monkeypatch, lambda case, net, prefix, seed: runs.append((len(net.nodes), net.rows)))
+    rep = verify.verify_ghz(seed=0, branches="exhaustive")
+    assert rep.verified and rep.branches_tested == 682 + 4
+    assert runs[-6:] == [(8, 1), (8, 1), (12, 1), (12, 1), (16, 1), (16, 1)]
 
 
 def test_sweep_reports_failing_rows_by_branch(monkeypatch):
     """A wrong row is reported under the label the per-branch sweep used."""
 
     def corrupting(case, net, prefix, seed):
-        # row 5 of the qft run forced to 000001
+        # the row of the amortized qft sweep's 12 measurements that holds
+        # position (1 << 6) + 5, in whichever run holds it
         block = next(b for b in net.state.blocks if net.global_index(case.logical[0]) in b.qubits)
-        if net.rows > 1 and prefix == (0, 0, 0, 0, 0, 1):
-            block.amps[5] = np.roll(block.amps[5], 1)
+        if case.measurements == 12:
+            start = int("".join(map(str, prefix)), 2) << (12 - len(prefix)) if prefix else 0
+            r = (1 << 6) + 5 - start
+            if 0 <= r < net.rows:
+                block.amps[r] = np.roll(block.amps[r], 1)
         # distributed-swap's exhaustive sweep is one run of its five inputs
         # as 5 x 16 rows: row 3 * 16 + 5 is input3's branch 0101
         if net.rows == 5 * 16 and not prefix:

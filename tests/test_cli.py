@@ -57,6 +57,20 @@ def test_qft_bad_split_exits_2(capsys):
     assert "must divide" in err
 
 
+def test_exhaustive_sweep_too_wide_exits_2(capsys, monkeypatch):
+    """2^32 branches would run for hours: refused before any run, pointing at sampling."""
+    import catnet.verify as verify
+
+    def no_runs(*args):
+        raise AssertionError("a run was built")
+
+    monkeypatch.setattr(verify, "_run", no_runs)
+    code, out, err = run_main(["verify", "qft", "--n", "6", "--m", "3", "--branches", "exhaustive"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--branches sampled" in err
+
+
 def test_unknown_protocol_rejected_by_parser():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
