@@ -101,6 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run the arguments ask for; ValueError for a flag that would do nothing."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     protocol = getattr(args, "protocol", "qft" if args.command == "qft" else "all")
     branches = getattr(args, "branches", None)
     if branches is None:

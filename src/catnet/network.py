@@ -13,10 +13,10 @@ Each node owns a register pool (long-lived data qubits) and a channel pool
 
 One run can carry many measurement branches as rows of the state (see
 split_outcomes). Gates, ledger and rounds are shared by every row; outcomes,
-message bits and branch probabilities become per-row arrays, a classically
-controlled gate fires only on the rows whose control bits XOR to 1, and a
-probe of the state must answer alike on every row or raise
-BranchDivergenceError.
+message bits and branch probabilities become per-row values (arrays over
+the state's row axes, see qstate), a classically controlled gate fires only
+on the rows whose control bits XOR to 1, and a probe of the state must
+answer alike on every row or raise BranchDivergenceError.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class QubitAddress:
 class ClassicalMessage:
     """A classical bit in flight: sender, recipients, payload, label.
 
-    On a network split into branch rows the payload may be one bit per row.
+    On a network split into branch rows the payload may be a per-row value.
     """
 
     sender: str
@@ -142,8 +142,8 @@ class Network:
 
     `state` is a StateVector that the network owns and mutates: gates,
     measurements and setup helpers all change that one state in place, so
-    a caller that needs the state as it was must copy it. A split
-    measurement replaces it with a state of twice the rows.
+    a caller that needs the state as it was must copy it; a split
+    measurement doubles its rows.
     """
 
     def __init__(
@@ -175,7 +175,7 @@ class Network:
         self.records: list[MeasurementRecord] = []
         self._seed = seed
         self._rng: np.random.Generator | None = None
-        # a float, or one probability per row once the state is split
+        # a float, or a per-row value once the state is split
         self.branch_probability: float | np.ndarray = 1.0
         self._forced: collections.deque[int] = collections.deque()
         self._splits = 0
@@ -311,13 +311,12 @@ class Network:
         if forced is None and self._forced:
             forced = self._forced.popleft()
         if forced is None and self._splits:
-            self.state, rec = qstate.measure_split(self.state, gidx)
+            rec = qstate.measure_split(self.state, gidx)
             self._splits -= 1
-            self.branch_probability = np.repeat(self.branch_probability, 2) * rec.probability
         else:
             rng = self.rng if forced is None else None
             rec = qstate.measure(self.state, gidx, rng=rng, forced=forced)
-            self.branch_probability = self.branch_probability * rec.probability
+        self.branch_probability = self.branch_probability * rec.probability
         record = MeasurementRecord(addr, rec.outcome, rec.probability)
         self.records.append(record)
         self._token_ids.add(id(record))
@@ -337,7 +336,10 @@ class Network:
         Each such measurement turns row r of the state into rows 2r
         (outcome 0) and 2r+1 (outcome 1), so after k splits the rows are
         the 2^k branches in order, the first split outcome the most
-        significant bit of the row index.
+        significant bit of the row index. The rows are stored as a grid
+        with one axis per split (see qstate): only the measured block gains
+        the new axis, and a correction that makes a block's two outcome
+        halves bitwise equal stores them once again.
         """
         if count < 0:
             raise ValueError(f"split count must be >= 0, got {count}")
@@ -353,13 +355,12 @@ class Network:
         """Forced outcomes queued but not yet consumed."""
         return len(self._forced)
 
-    def row_bits(self, bits: int | np.ndarray) -> int | np.ndarray:
-        """A bit, or per-row bits recorded when the state had fewer rows,
-        as they read on the current rows (every later split repeats a
-        row's bit on both of its children)."""
-        if isinstance(bits, np.ndarray):
-            return np.repeat(bits, self.rows // len(bits))
-        return bits
+    def row_bits(self, bits: int | np.ndarray) -> np.ndarray:
+        """A bit, or per-row bits (an outcome, a message bit, a fired
+        mask), recorded at any earlier point of the run, as one bit per
+        current row in row order: every later split repeats a row's bit on
+        both of its children."""
+        return self.state.per_row(bits)
 
     # ---- classical communication ------------------------------------------
 
@@ -412,7 +413,7 @@ class Network:
         is charged whether or not the gate fires, so costs do not depend on
         measurement outcomes. Returns True when the gate was applied; with
         per-row control bits, the gate fires on the rows whose XOR is 1 and
-        the return value is that row mask.
+        the return value is that per-row mask.
         """
         if isinstance(targets, QubitAddress):
             targets = [targets]
@@ -425,15 +426,14 @@ class Network:
             controls = [controls]
         bit = 0
         for token in controls:
-            bit = bit ^ self.row_bits(self._token_bit_at(token, node))
+            bit = bit ^ self._token_bit_at(token, node)
         idx = [self.global_index(t) for t in targets]
         self._account_round(idx)
-        if not isinstance(bit, np.ndarray):
-            if bit:
-                qstate.apply_gate(self.state, gate, idx)
-            return bool(bit)
         fire = bit == 1
-        if fire.all():
+        if not isinstance(fire, np.ndarray):
+            if fire:
+                qstate.apply_gate(self.state, gate, idx)
+        elif fire.all():
             qstate.apply_gate(self.state, gate, idx)
         elif fire.any():
             qstate.apply_gate(self.state, gate, idx, rows=fire)
@@ -471,7 +471,7 @@ class Network:
         state every row must give the same answer, or the probe raises
         BranchDivergenceError.
         """
-        answer = qstate.partial_state_check(self.state, self.global_index(addr), self.row_bits(bit))
+        answer = qstate.partial_state_check(self.state, self.global_index(addr), bit)
         return _one_answer(answer, "the expected bit on", [addr])
 
     def last_record(self, addr: QubitAddress) -> MeasurementRecord | None:

@@ -161,7 +161,7 @@ def cat_shrink(
     node_parity: dict[str, int | np.ndarray] = {}
     for rec in records:
         node = rec.address.node
-        node_parity[node] = node_parity.get(node, 0) ^ net.row_bits(rec.outcome)
+        node_parity[node] = node_parity.get(node, 0) ^ rec.outcome
 
     controls: list[ClassicalMessage | MeasurementRecord] = [
         rec for rec in records if rec.address.node == fix.node

@@ -43,21 +43,27 @@ the same slabs out as views, for checks that read amplitudes by pattern.
 
 A state may carry R branch rows: one normalized vector per measurement
 branch, which is the deferred-measurement picture with the branch bits as
-extra leading qubits that no gate touches. A block holds 1 or R_b rows,
-and each of its rows stands for R/R_b consecutive rows of the state (the
-descent rule of overlap and Network.row_bits), so a split measurement
-doubles the rows of the block it measures and leaves every other block as
-it is. A block is repeated up to more rows only when something per row
-reaches it: a merge with a block of more rows, a row mask, a per-row bit
-or a per-row outcome. A fixed qubit holds one bit, or one per state row.
-Every kernel acts on all rows at once (apply_gate can be limited to a
-subset of rows), measure_split turns each row into its two outcome rows,
-and the probes return one answer per row. An unsplit state (R = 1) gives
-scalar answers.
+extra leading qubits that no gate touches. The rows form a grid, one axis
+per split (the newest first) and a last axis over the inputs of a stack,
+and row r is the C-order position in (input, b1, ..., bk), the first
+split's outcome b1 the most significant branch bit. A per-row value (the
+rows of a block, a fixed bit, an outcome, a weight, a row mask) is an array
+over the grid's trailing axes with size 1 along every axis it does not
+vary along, so numpy broadcasting lines up a value made before a split
+with the rows after it, and one that varies along no axis is a scalar. A
+split adds an axis to the measured block only, and a row-masked gate cuts
+the block to one slice along each axis of the mask whose slices come out
+bitwise equal, so the rows a protocol's corrections make equal are stored
+once. Every kernel acts on all stored rows at once (apply_gate can be
+limited to a subset of rows), measure_split turns each row into its two
+outcome rows, and the probes answer once per stored row;
+StateVector.per_row lays a value out with one entry per row. An unsplit
+state (R = 1) gives scalar answers.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -135,10 +141,11 @@ class Block:
     """One factor of a state: the amplitudes of its live qubits, row by row.
 
     `qubits` lists them in ascending order and `amps` is a C-contiguous
-    (rows, 2^L) array, each row's axes in that order, so reshaping it onto
-    (2,) * L axes is a view and the in-place kernels write through it. Each
-    row is normalized and stands for R/rows consecutive rows of a state of
-    R rows.
+    array of the block's stored rows over the row grid's trailing axes
+    (see the module docstring), then 2^L amplitudes, each row's axes in
+    qubit order, so reshaping it onto (2,) * L axes is a view and the
+    in-place kernels write through it. Each stored row is normalized and
+    stands for every state row it broadcasts to.
     """
 
     __slots__ = ("amps", "qubits")
@@ -149,7 +156,8 @@ class Block:
 
     @property
     def rows(self) -> int:
-        return len(self.amps)
+        """The rows the block stores."""
+        return self.amps.size // self.amps.shape[-1]
 
 
 class StateVector:
@@ -160,16 +168,19 @@ class StateVector:
     `blocks` are the factors (see Block); no qubit lies in two. A block
     without qubits carries a phase per row, and exists only while no other
     block is left to carry it. `fixed` maps each qubit in no block to its
-    bit: an int, or an int64 array of one bit per row. `rows` is R, 1 for
-    an unsplit state. StateVector(n, amplitudes) wraps a dense vector, or a
-    (rows, 2^L) stack, as one block of every qubit not in `fixed`.
+    bit: an int, or an int64 per-row value. `grid` holds the sizes of the
+    row axes, newest split first, and `rows` is R, their product: 1 for an
+    unsplit state. StateVector(n, amplitudes) wraps a dense vector, or a
+    (rows, 2^L) stack of inputs, as one block of every qubit not in `fixed`.
 
-    `high_water` is the most amplitudes the blocks have held at one time,
-    summed over blocks and their rows: the memory a sweep sizes its runs
-    by. `largest_block` is the most amplitudes one block has held.
+    `high_water` is the most amplitudes the blocks would have held at one
+    time with a row of each per state row, summed over blocks: the memory a
+    sweep sizes its runs by, which holds however many rows coincide.
+    `largest_block` is the most one block would have held that way, and
+    `stored_peak` the most amplitudes the blocks have actually stored.
     """
 
-    __slots__ = ("num_qubits", "rows", "blocks", "fixed", "high_water", "largest_block")
+    __slots__ = ("num_qubits", "grid", "blocks", "fixed", "high_water", "largest_block", "_stored_peak")
 
     def __init__(self, num_qubits: int, amplitudes, fixed: dict | None = None) -> None:
         n = int(num_qubits)
@@ -182,15 +193,29 @@ class StateVector:
         if amps.shape != (dim,) and not (amps.ndim == 2 and amps.shape[1] == dim and len(amps)):
             raise ValueError(f"expected {dim} amplitudes (per row), got shape {amps.shape}")
         self.num_qubits = n
-        self.rows = 1 if amps.ndim == 1 else len(amps)
-        self.blocks = [Block(amps.reshape(self.rows, dim), qubits)]
+        self.grid = (1 if amps.ndim == 1 else len(amps),)
+        self.blocks = [Block(amps.reshape(self.grid[0], dim), qubits)]
         self.fixed = fixed
-        self.high_water = self.largest_block = amps.size
+        self.high_water = self.largest_block = self._stored_peak = amps.size
+
+    @property
+    def rows(self) -> int:
+        """R: one row per branch (and input of a stack)."""
+        return math.prod(self.grid)
+
+    @property
+    def stored_peak(self) -> int:
+        """The most amplitudes the blocks have stored at one time."""
+        return self._stored_peak
 
     @property
     def live(self) -> list[int]:
         """Every qubit held in a block, ascending."""
         return sorted(q for b in self.blocks for q in b.qubits)
+
+    def per_row(self, value) -> np.ndarray:
+        """A per-row value of this state with one entry per row, in row order."""
+        return _flat_rows(self.grid, value)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -203,7 +228,7 @@ class StateVector:
         """
         n, count = self.num_qubits, self.rows
         whole = _product(self.blocks)
-        rows, live = _stretch(whole.amps, count), whole.qubits
+        rows, live = _flat_rows(self.grid, whole.amps, 1), whole.qubits
         j = np.arange(rows.shape[1])
         index = np.zeros_like(j)
         for k, q in enumerate(live):
@@ -213,24 +238,23 @@ class StateVector:
         # scattered write below would fault in and zero a whole 2 MB page;
         # an anonymous mmap is zero-filled and faults in 4 KB pages
         dense = np.frombuffer(mmap.mmap(-1, 16 * count * 2**n), dtype=complex).reshape(count, 2**n)
-        row_offset = np.broadcast_to(offset, (count,))[:, None]
-        dense[np.arange(count)[:, None], row_offset + index] = rows
+        dense[np.arange(count)[:, None], self.per_row(offset)[:, None] + index] = rows
         out = dense if count > 1 else dense[0]
         out.setflags(write=False)
         return out
 
     def norm(self):
         """The norm: a float, or one per row for a split state."""
-        norms = np.prod([_stretch(np.linalg.norm(b.amps, axis=1), self.rows) for b in self.blocks], axis=0)
+        norms = np.prod([self.per_row(np.linalg.norm(b.amps, axis=-1)) for b in self.blocks], axis=0)
         return float(norms[0]) if self.rows == 1 else norms
 
     def copy(self) -> "StateVector":
         """An independent state equal to this one."""
         out = StateVector.__new__(StateVector)
-        out.num_qubits, out.rows = self.num_qubits, self.rows
+        out.num_qubits, out.grid = self.num_qubits, self.grid
         out.blocks = [Block(b.amps.copy(), list(b.qubits)) for b in self.blocks]
         out.fixed = {q: b.copy() if isinstance(b, np.ndarray) else b for q, b in self.fixed.items()}
-        out.high_water = out.largest_block = 0
+        out.high_water = out.largest_block = out._stored_peak = 0
         _note(out)
         return out
 
@@ -276,32 +300,72 @@ def _check_targets(state: StateVector, targets: Sequence[int], arity: int) -> tu
 
 
 def _qubit_view(amps: np.ndarray, n: int) -> np.ndarray:
-    """The amplitudes on (2,)*n axes, after the row axis of a split state."""
+    """The amplitudes on (2,)*n axes, after the row axes."""
     return amps.reshape(amps.shape[:-1] + (2,) * n)
 
 
-def _stretch(amps: np.ndarray, rows: int) -> np.ndarray:
-    """`amps` (row axis first) with each row repeated for the consecutive
-    rows it stands for out of `rows`."""
-    return amps if len(amps) == rows else np.repeat(amps, rows // len(amps), axis=0)
+def _flat_rows(grid: tuple, value, tail: int = 0) -> np.ndarray:
+    """The per-row `value`, whose last `tail` axes are not row axes, with one
+    entry per row of a state of row axes `grid`, in row order."""
+    value = np.asarray(value)
+    full = np.broadcast_to(value, grid + value.shape[value.ndim - tail :])
+    order = [*range(len(grid) - 1, -1, -1), *range(len(grid), full.ndim)]
+    return full.transpose(order).reshape((-1,) + full.shape[len(grid) :])
+
+
+def _compact(value):
+    """A per-row value cut to one slice along each row axis it does not
+    vary along, and a Python scalar once it varies along none."""
+    value = np.asarray(value)
+    if value.size > 1:
+        value = _cut(value, range(value.ndim))
+    return value.item() if value.size == 1 else value
+
+
+def _cut(a: np.ndarray, axes) -> np.ndarray:
+    """`a` cut to its first slice along each of the listed axes whose slices
+    are all bitwise equal."""
+    for ax in axes:
+        if a.shape[ax] > 1:
+            first = a[(slice(None),) * ax + (slice(0, 1),)]
+            if (a == first).all():
+                a = first
+    return a
 
 
 def _note(state: StateVector) -> None:
     """Raise the state's high-water marks to what its blocks hold now."""
-    total = largest = 0
+    width = widest = stored = 0
     for b in state.blocks:
-        total += b.amps.size
-        largest = max(largest, b.amps.size)
-    state.high_water = max(state.high_water, total)
-    state.largest_block = max(state.largest_block, largest)
+        width += b.amps.shape[-1]
+        widest = max(widest, b.amps.shape[-1])
+        stored += b.amps.size
+    rows = state.rows
+    state.high_water = max(state.high_water, rows * width)
+    state.largest_block = max(state.largest_block, rows * widest)
+    state._stored_peak = max(state._stored_peak, stored)
 
 
-def _widen(state: StateVector, block: Block) -> None:
-    """Repeat a block's rows up to the state's, for something that differs
-    from row to row: a mask, a bit or an outcome."""
-    if block.rows < state.rows:
-        block.amps = _stretch(block.amps, state.rows)
+def _on_rows(state: StateVector, block: Block, rows: np.ndarray, kernel) -> None:
+    """Run `kernel` in place on the block's amplitudes of the rows that the
+    per-row mask `rows` selects, first giving the block a stored row per
+    combination of the axes either varies along. Along each axis of the
+    mask, the block is then cut to one slice where its slices came out
+    bitwise equal, as they do once a correction makes branches agree."""
+    lead = np.broadcast_shapes(block.amps.shape[:-1], rows.shape)
+    shape = lead + block.amps.shape[-1:]
+    if math.prod(lead) == block.rows:
+        amps = block.amps.reshape(shape)
+    else:
+        amps = np.broadcast_to(block.amps, shape).copy()
+        block.amps = amps
         _note(state)
+    hit = np.broadcast_to(rows, lead)
+    sub = amps[hit]
+    kernel(sub)
+    amps[hit] = sub
+    axes = [len(lead) - rows.ndim + ax for ax, size in enumerate(rows.shape) if size > 1]
+    block.amps = np.ascontiguousarray(_cut(amps, axes))
 
 
 def _block_of(state: StateVector, qubit: int) -> Block:
@@ -315,43 +379,40 @@ def _block_of(state: StateVector, qubit: int) -> Block:
 def _product(blocks: Sequence[Block]) -> Block:
     """The blocks multiplied out into one, axes in ascending qubit order.
 
-    The rows follow the block with the most: a block with fewer repeats
-    each row for the consecutive rows it stands for. A single block comes
+    The stored rows broadcast against each other: the product varies along
+    every row axis one of the blocks varies along. A single block comes
     back as itself, so its amplitudes stay views.
     """
     if len(blocks) == 1:
         return blocks[0]
     if not blocks:
         return Block(np.ones((1, 1), dtype=complex), [])
-    rows = max(b.rows for b in blocks)
-    # a single row broadcasts over the others without a repeat
-    fit = [b.amps if b.rows == 1 else _stretch(b.amps, rows) for b in blocks]
-    amps, qubits = fit[0], list(blocks[0].qubits)
-    for b, x in zip(blocks[1:], fit[1:]):
-        amps = (amps[:, :, None] * x[:, None, :]).reshape(max(len(amps), len(x)), -1)
+    amps, qubits = blocks[0].amps, list(blocks[0].qubits)
+    for b in blocks[1:]:
+        # in C order: a ufunc lays out its result after its operands' strides
+        amps = np.multiply(amps[..., :, None], b.amps[..., None, :], order="C")
+        amps = amps.reshape(amps.shape[:-2] + (-1,))
         qubits += b.qubits
     if qubits != sorted(qubits):
+        lead = amps.ndim - 1
         order = sorted(range(len(qubits)), key=qubits.__getitem__)
-        psi = np.transpose(_qubit_view(amps, len(qubits)), [0, *(1 + k for k in order)])
-        amps = np.ascontiguousarray(psi).reshape(len(amps), -1)
+        psi = np.transpose(_qubit_view(amps, len(qubits)), [*range(lead), *(lead + k for k in order)])
+        amps = np.ascontiguousarray(psi).reshape(amps.shape)
     return Block(amps, sorted(qubits))
 
 
-def _insert(block: Block, qubit: int, bit: int | np.ndarray, rows: int) -> Block:
+def _insert(block: Block, qubit: int, bit) -> Block:
     """`block` times the fixed `qubit` at its bit: a new block with an axis
-    for the qubit, each row's amplitudes in the slot of that row's bit (a
-    per-row bit first repeats the block up to the state's `rows`)."""
-    per_row = isinstance(bit, np.ndarray)
-    amps = _stretch(block.amps, rows) if per_row else block.amps
+    for the qubit, each row's amplitudes in the slot of that row's bit (the
+    rows broadcast against a per-row bit)."""
     k = bisect_left(block.qubits, qubit)
-    src = amps.reshape(len(amps), 2**k, 1, -1)
-    new = np.zeros((len(amps), 2**k, 2, src.shape[-1]), dtype=complex)
-    if per_row:
-        for b in (0, 1):
-            new[bit == b, :, b] = src[bit == b, :, 0]
+    src = block.amps.reshape(block.amps.shape[:-1] + (2**k, 1, -1))
+    if isinstance(bit, np.ndarray):
+        new = np.ascontiguousarray(np.where(np.arange(2)[:, None] == bit[..., None, None, None], src, 0))
     else:
-        new[:, :, bit] = src[:, :, 0]
-    return Block(new.reshape(len(amps), -1), [*block.qubits[:k], qubit, *block.qubits[k:]])
+        new = np.zeros(src.shape[:-2] + (2, src.shape[-1]), dtype=complex)
+        new[..., bit, :] = src[..., 0, :]
+    return Block(new.reshape(new.shape[:-3] + (-1,)), [*block.qubits[:k], qubit, *block.qubits[k:]])
 
 
 def _locate(state: StateVector, qubits: Sequence[int]) -> tuple[list[Block], list[int]]:
@@ -375,7 +436,7 @@ def _merged(state: StateVector, held: list[Block], fixed: list[int]) -> Block:
     alone: every other block is a factor of norm 1."""
     block = _product(held)
     for q in fixed:
-        block = _insert(block, q, state.fixed[q], state.rows)
+        block = _insert(block, q, state.fixed[q])
     return block
 
 
@@ -404,11 +465,14 @@ def _gather(state: StateVector, qubits: Sequence[int]) -> Block:
 
 def _absorb(state: StateVector, factor: Block) -> None:
     """Multiply a block without qubits (a phase per row) into the smallest
-    block with at least as many rows, or else into the smallest block. A
-    phase that is the same on every row counts as one row."""
-    if (factor.amps == factor.amps[0]).all():
-        factor = Block(factor.amps[:1], [])
-    host = min(state.blocks, key=lambda b: (b.rows < factor.rows, b.amps.size))
+    block whose stored rows it does not add to, or else into the smallest
+    block. The phase is first cut along the axes it does not vary along."""
+    factor = Block(_cut(factor.amps, range(factor.amps.ndim - 1)), [])
+
+    def grows(b: Block) -> bool:
+        return math.prod(np.broadcast_shapes(b.amps.shape[:-1], factor.amps.shape[:-1])) > b.rows
+
+    host = min(state.blocks, key=lambda b: (grows(b), b.amps.size))
     state.blocks[state.blocks.index(host)] = _product([host, factor])
     _note(state)
 
@@ -534,17 +598,13 @@ def _relabel(state: StateVector, targets: tuple, fpos: tuple, rule: tuple, rows:
         if hit is True or hit.all():
             _move(block.amps, len(block.qubits), live_map, axes)
         else:
-            _widen(state, block)
-            sub = block.amps[hit]
-            _move(sub, len(block.qubits), live_map, axes)
-            block.amps[hit] = sub
+            _on_rows(state, block, hit, lambda sub: _move(sub, len(block.qubits), live_map, axes))
     new_bits = bits[pattern]
     for k, j in enumerate(const):
         bit = new_bits[..., k]
         if rows is not None:
             bit = np.where(rows, bit, fixed[targets[j]])
-        # bits that agree on every row are kept as one bit
-        fixed[targets[j]] = int(bit.flat[0]) if (bit == bit.flat[0]).all() else bit.astype(np.int64)
+        fixed[targets[j]] = _compact(bit)
     new = [t for j, t in enumerate(targets) if j not in const]
     if new == old:
         return
@@ -557,7 +617,8 @@ def _relabel(state: StateVector, targets: tuple, fpos: tuple, rule: tuple, rows:
     order = sorted(axis)
     source = [axis[q] for q in order]
     if source != sorted(source):
-        psi = np.transpose(_qubit_view(block.amps, len(order)), [0, *(1 + k for k in source)])
+        lead = block.amps.ndim - 1
+        psi = np.transpose(_qubit_view(block.amps, len(order)), [*range(lead), *(lead + k for k in source)])
         block.amps = np.ascontiguousarray(psi).reshape(block.amps.shape)
     block.qubits = order
 
@@ -570,7 +631,7 @@ def _scale_fixed(state: StateVector, gate: GateMatrix, targets: tuple, rows: np.
         pattern = (pattern << 1) | state.fixed[t]
     phase = np.atleast_1d(gate.diagonal[pattern] if rows is None else np.where(rows, gate.diagonal[pattern], 1))
     if (phase != 1).any():
-        _absorb(state, Block(phase[:, None].astype(complex), []))
+        _absorb(state, Block(phase[..., None].astype(complex), []))
 
 
 def apply_gate(
@@ -582,8 +643,8 @@ def apply_gate(
     """Apply `gate` to the listed qubits, overwriting the state in place.
 
     The first listed target is the gate's most significant wire. `rows`, a
-    boolean mask over the rows of a split state, limits the gate to those
-    rows; the others are left as they are. A diagonal gate on fixed qubits
+    boolean per-row value of a split state, limits the gate to the rows it
+    marks; the others are left as they are. A diagonal gate on fixed qubits
     only scales a block. A permutation gate with fixed targets keeps as
     many qubits fixed when its fixed rule allows (see _fixed_rule; under a
     `rows` mask only when the same qubits stay fixed): a SWAP of a live and
@@ -605,11 +666,8 @@ def apply_gate(
     axes = tuple(bisect_left(block.qubits, t) for t in targets)
     if rows is None:
         _apply(block.amps, len(block.qubits), gate, axes)
-        return
-    _widen(state, block)
-    sub = block.amps[rows]
-    _apply(sub, len(block.qubits), gate, axes)
-    block.amps[rows] = sub
+    else:
+        _on_rows(state, block, rows, lambda sub: _apply(sub, len(block.qubits), gate, axes))
 
 
 def pattern_slabs(state: StateVector, qubits: Sequence[int]) -> list[np.ndarray]:
@@ -618,27 +676,28 @@ def pattern_slabs(state: StateVector, qubits: Sequence[int]) -> list[np.ndarray]
     Entry b is the slab where the listed qubits read the bits of b (first
     listed qubit = most significant bit), over the other qubits of the
     merged block of the listed ones; every other block is a factor of norm
-    1 and left out. Each slab keeps that block's row axis first, so one of
-    its rows stands for consecutive rows of a split state. Slabs are views
-    of the state's block when the listed qubits are all live in one block.
+    1 and left out. Each slab has one leading axis over that block's stored
+    rows, each of which stands for every state row it broadcasts to. Slabs
+    are views of the state's block when the listed qubits are all live in
+    one block.
     """
     qubits = _check_targets(state, qubits, len(qubits))
     block = _merged(state, *_locate(state, qubits))
     axes = tuple(bisect_left(block.qubits, q) for q in qubits)
-    psi = _qubit_view(block.amps, len(block.qubits))
+    psi = _qubit_view(block.amps.reshape(-1, block.amps.shape[-1]), len(block.qubits))
     return [psi[idx] for idx in _slabs(len(block.qubits), axes)]
 
 
 def row_weights(slab: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of `slab` (a block or one of its slabs,
-    the row axis first)."""
+    """Squared norm of each row of `slab` (a pattern_slabs slab, the row
+    axis first)."""
     flat = np.ascontiguousarray(slab).view(np.float64).reshape(len(slab), -1)
     return np.einsum("ri,ri->r", flat, flat)
 
 
 def _block_weight(block: Block, qubit: int, bit: int) -> np.ndarray:
-    """Probability that a qubit of `block` reads `bit`, one value per row
-    of the block.
+    """Probability that a qubit of `block` reads `bit`, one value per
+    stored row of the block, over its row axes.
 
     One reduction over the float64 view of the block sums the squared real
     and imaginary parts where the qubit reads `bit`, so no squared copy is
@@ -647,36 +706,34 @@ def _block_weight(block: Block, qubit: int, bit: int) -> np.ndarray:
     which read the block once without a two-element inner loop.
     """
     k, n = bisect_left(block.qubits, qubit), len(block.qubits)
-    f = block.amps.view(np.float64)
+    f = block.amps.view(np.float64).reshape(block.rows, -1)
     if k == n - 1:
         wide = f.reshape(len(f), -1, min(1024, f.shape[1]))
         cols = np.einsum("rij,rij->rj", wide, wide)
-        return cols.reshape(len(f), -1, 2, 2)[:, :, bit, :].sum(axis=(1, 2))
-    half = f.reshape(len(f), 2**k, 2, -1)[:, :, bit, :]
-    return np.einsum("rjk,rjk->r", half, half)
+        w = cols.reshape(len(f), -1, 2, 2)[:, :, bit, :].sum(axis=(1, 2))
+    else:
+        half = f.reshape(len(f), 2**k, 2, -1)[:, :, bit, :]
+        w = np.einsum("rjk,rjk->r", half, half)
+    return w.reshape(block.amps.shape[:-1])
 
 
-def _weight(state: StateVector, qubit: int, bit: int) -> float | np.ndarray:
-    """Probability that `qubit` reads `bit`: a float for an unsplit state,
-    else one value per row. A fixed qubit reads its own bit with
-    probability exactly 1; a live one is read from its block alone, since
-    every other block has norm 1."""
+def _weight(state: StateVector, qubit: int, bit: int) -> np.ndarray:
+    """Probability that `qubit` reads `bit`, per row. A fixed qubit reads
+    its own bit with probability exactly 1; a live one is read from its
+    block alone, since every other block has norm 1."""
     if qubit in state.fixed:
-        hit = state.fixed[qubit] == bit
-        return np.broadcast_to(hit, (state.rows,)).astype(np.float64) if state.rows > 1 else float(hit)
-    w = _block_weight(_block_of(state, qubit), qubit, bit)
-    return _stretch(w, state.rows) if state.rows > 1 else float(w[0])
+        return np.asarray(state.fixed[qubit] == bit, dtype=np.float64)
+    return _block_weight(_block_of(state, qubit), qubit, bit)
 
 
 def _bits(value, what: str) -> int | np.ndarray:
-    """A bit as an int, or per-row bits as an int64 array; anything else raises."""
+    """A bit as an int, or per-row bits as a compact int64 array (see
+    _compact); anything else raises."""
     if isinstance(value, np.ndarray):
-        if value.ndim == 0:
-            return _bits(value.item(), what)
         bits = value.astype(np.int64)
         if not ((bits == 0) | (bits == 1)).all() or not np.array_equal(bits, value):
             raise ValueError(f"{what} must be 0 or 1, got {value}")
-        return bits
+        return _compact(bits)
     if value not in (0, 1):
         raise ValueError(f"{what} must be 0 or 1, got {value}")
     return int(value)
@@ -710,51 +767,42 @@ def measure(
     whose probability is below 1e-12 raises ImpossibleBranchError and
     leaves the state unchanged.
 
-    On a split state the outcome and its probability are per row: a forced
-    outcome may be one bit for every row or one bit per row, and the
-    generator draws once per row.
+    On a split state the outcome and its probability are per-row values: a
+    forced outcome may be one bit for every row or a per-row value, and the
+    generator draws once per row, in row order.
     """
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     if (rng is None) == (forced is None):
         raise ValueError("supply exactly one of rng= or forced=")
-    split = state.rows > 1
     # per-outcome weights summed from their own slices: renormalizing by the
     # kept slice's weight leaves the state with unit norm exactly, whereas
     # 1 - p_other would let rounding drift compound over many measurements
     if forced is None:
-        if split:
-            forced = (rng.random(state.rows) < _weight(state, qubit, 1)).astype(np.int64)
-        else:
-            forced = int(rng.random() < _weight(state, qubit, 1))
+        forced = rng.random(state.grid[::-1]).T < _weight(state, qubit, 1)
     outcome = _bits(forced, "forced outcome")
-    if isinstance(outcome, np.ndarray) and (outcome == outcome[0]).all():
-        outcome = int(outcome[0])
     if qubit in state.fixed:
-        if isinstance(outcome, int):
-            p = _weight(state, qubit, outcome)
-        else:
-            p = np.where(outcome == 1, _weight(state, qubit, 1), _weight(state, qubit, 0))
+        p = _compact(np.where(outcome == 1, _weight(state, qubit, 1), _weight(state, qubit, 0)))
         _require_possible(p, outcome, qubit)
         return MeasurementRecord(qubit, outcome, p)
     # the weights per row of the qubit's block: every other block has norm 1
     block = _block_of(state, qubit)
+    k = bisect_left(block.qubits, qubit)
+    halves = block.amps.reshape(block.amps.shape[:-1] + (2**k, 2, -1))
     if isinstance(outcome, int):
         p = _block_weight(block, qubit, outcome)
+        _require_possible(p, outcome, qubit)
+        kept = halves[..., outcome, :] / np.sqrt(p)[..., None, None]
     else:
-        _widen(state, block)
         p = np.where(outcome == 1, _block_weight(block, qubit, 1), _block_weight(block, qubit, 0))
-    _require_possible(p, outcome, qubit)
-    k = bisect_left(block.qubits, qubit)
-    halves = block.amps.reshape(block.rows, 2**k, 2, -1)
-    if isinstance(outcome, int):
-        kept = halves[:, :, outcome, :] / np.sqrt(p)[:, None, None]
-    else:
-        kept = np.where((outcome == 1)[:, None, None], halves[:, :, 1, :], halves[:, :, 0, :])
-        kept /= np.sqrt(p)[:, None, None]
-    _drop(state, block, qubit, kept.reshape(block.rows, -1), outcome)
-    return MeasurementRecord(qubit, outcome, _stretch(p, state.rows) if split else float(p[0]))
+        _require_possible(p, outcome, qubit)
+        kept = np.where((outcome == 1)[..., None, None], halves[..., 1, :], halves[..., 0, :])
+        kept /= np.sqrt(p)[..., None, None]
+    kept = np.ascontiguousarray(kept)
+    _drop(state, block, qubit, kept.reshape(kept.shape[:-2] + (-1,)), outcome)
+    _note(state)  # the outcome's rows may have widened the block
+    return MeasurementRecord(qubit, outcome, _compact(p))
 
 
 def _require_possible(p: float | np.ndarray, outcome: int | np.ndarray, qubit: int) -> None:
@@ -764,49 +812,44 @@ def _require_possible(p: float | np.ndarray, outcome: int | np.ndarray, qubit: i
         raise ImpossibleBranchError(f"outcome {outcome} on qubit {qubit} has probability {least:.3e}")
 
 
-def measure_split(state: StateVector, qubit: int) -> tuple[StateVector, MeasurementRecord]:
-    """Z-measure `qubit` on every row and keep both outcomes.
+def measure_split(state: StateVector, qubit: int) -> MeasurementRecord:
+    """Z-measure `qubit` on every row and keep both outcomes, overwriting
+    the state in place.
 
-    Row r of the input becomes row 2r (outcome 0) and row 2r+1 (outcome 1)
-    of a new state. The qubit's block takes the input's rows, then splits
-    each into its two outcome halves, each renormalized by its own weight,
-    and the qubit becomes fixed at the row's outcome, so the block keeps
-    its size per row; every other block keeps its rows. The record holds
-    the per-row outcomes and probabilities. Any branch of probability below
-    1e-12 raises ImpossibleBranchError. The input state is left untouched.
+    Row r becomes rows 2r (outcome 0) and 2r + 1 (outcome 1): the grid
+    gains a new first axis, and of the blocks only the qubit's own varies
+    along it, each of its stored rows split into its two outcome halves,
+    each renormalized by its own weight. The qubit becomes fixed at the
+    row's outcome, and every other block and bit is left as it is. The
+    record holds the per-row outcomes and probabilities. Any branch of
+    probability below 1e-12 raises ImpossibleBranchError and leaves the
+    state unchanged.
     """
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    rows = state.rows
-    p = np.stack(
-        [np.atleast_1d(_weight(state, qubit, 0)), np.atleast_1d(_weight(state, qubit, 1))], axis=1
-    ).reshape(-1)
+    if qubit in state.fixed:  # one of its outcomes has probability 0
+        raise ImpossibleBranchError(f"a branch of the split on qubit {qubit} has probability 0.000e+00")
+    block = _block_of(state, qubit)
+    lead = (1,) * (len(state.grid) + 1 - block.amps.ndim) + block.amps.shape[:-1]
+    p = np.stack([_block_weight(block, qubit, b).reshape(lead) for b in (0, 1)])
     if (p < ZERO_CUTOFF).any():
-        raise ImpossibleBranchError(
-            f"a branch of the split on qubit {qubit} has probability {p.min():.3e}"
-        )
-    old = _block_of(state, qubit)
-    k = bisect_left(old.qubits, qubit)
-    src = _stretch(old.amps, rows).reshape(rows, 2**k, 2, -1)
-    new = np.ascontiguousarray(src.swapaxes(1, 2)).reshape(2 * rows, -1)
-    new /= np.sqrt(p)[:, None]
-    block = Block(new, list(old.qubits))
-    out = StateVector.__new__(StateVector)
-    out.num_qubits, out.rows = n, 2 * rows
-    out.blocks = [block if b is old else Block(b.amps.copy(), list(b.qubits)) for b in state.blocks]
-    out.fixed = {q: np.repeat(b, 2) if isinstance(b, np.ndarray) else b for q, b in state.fixed.items()}
-    out.high_water, out.largest_block = state.high_water, state.largest_block
-    _drop(out, block, qubit, new, np.tile(np.array([0, 1], dtype=np.int64), rows))
-    _note(out)
-    return out, MeasurementRecord(qubit, out.fixed[qubit], p)
+        raise ImpossibleBranchError(f"a branch of the split on qubit {qubit} has probability {p.min():.3e}")
+    k = bisect_left(block.qubits, qubit)
+    new = np.moveaxis(block.amps.reshape(lead + (2**k, 2, -1)), -2, 0).copy()
+    new /= np.sqrt(p)[..., None, None]
+    state.grid = (2,) + state.grid
+    outcome = np.arange(2).reshape((2,) + (1,) * len(lead))
+    _drop(state, block, qubit, new.reshape(p.shape + (-1,)), outcome)
+    _note(state)
+    return MeasurementRecord(qubit, outcome, p)
 
 
 def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarray):
     """True when `qubit` is |expected> with probability 1 within 1e-10.
 
-    A split state gives one answer per row, and `expected` may then hold
-    one bit per row. On a fixed qubit this compares bits.
+    A split state gives a per-row answer, and `expected` may then be a
+    per-row value. On a fixed qubit this compares bits.
     """
     expected = _bits(expected, "expected bit")
     if not 0 <= qubit < state.num_qubits:
@@ -815,13 +858,13 @@ def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarr
         wrong = np.where(expected == 1, _weight(state, qubit, 0), _weight(state, qubit, 1))
     else:
         wrong = _weight(state, qubit, 1 - expected)
-    return wrong <= ATOL
+    return _compact(wrong <= ATOL)
 
 
 def bipartition(state: StateVector, keep: Sequence[int]) -> np.ndarray:
-    """The amplitudes as a (rows, 2^len(keep), rest) array: the listed
-    qubits (first listed = MSB) index the middle axis and the other
-    qubits of their merged block the last, one entry per row of the state.
+    """The amplitudes as a (rows..., 2^len(keep), rest) array: the listed
+    qubits (first listed = MSB) index the second-to-last axis and the other
+    qubits of their merged block the last, after the block's row axes.
 
     Every block that holds no listed qubit, and every fixed qubit not
     listed, is a factor of norm 1, so it is left out; `rest` is then
@@ -829,20 +872,20 @@ def bipartition(state: StateVector, keep: Sequence[int]) -> np.ndarray:
     """
     keep = _check_targets(state, keep, len(keep))
     block = _merged(state, *_locate(state, keep))
-    psi = _qubit_view(_stretch(block.amps, state.rows), len(block.qubits))
-    psi = np.moveaxis(psi, [bisect_left(block.qubits, k) + 1 for k in keep], range(1, len(keep) + 1))
-    return psi.reshape(len(psi), 2 ** len(keep), -1)
+    lead = block.amps.ndim - 1
+    psi = _qubit_view(block.amps, len(block.qubits))
+    psi = np.moveaxis(psi, [lead + bisect_left(block.qubits, k) for k in keep], range(lead, lead + len(keep)))
+    return psi.reshape(block.amps.shape[:-1] + (2 ** len(keep), -1))
 
 
 def overlap(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    """tr(rho_a rho_e) for every row of `actual`, one value per row.
+    """tr(rho_a rho_e) for every row, a per-row value.
 
-    Both arguments are bipartition() blocks over the same kept qubits and
-    rho_x = x x^dagger is the kept qubits' reduced state. The trace equals
-    ||e^dagger a||^2 (Frobenius), so neither density matrix is formed.
-    `expected` may have fewer rows: each stands for the consecutive block of
-    rows of `actual` that descends from it.
+    Both arguments are bipartition() arrays over the same kept qubits, of
+    states whose grids end alike (an earlier state of the same run, say),
+    and rho_x = x x^dagger is the kept qubits' reduced state. Their row
+    axes broadcast against each other. The trace equals ||e^dagger a||^2
+    (Frobenius), so neither density matrix is formed.
     """
-    a = actual.reshape(len(expected), -1, *actual.shape[1:])
-    m = expected.conj().swapaxes(-1, -2)[:, None] @ a
-    return (np.square(m.real) + np.square(m.imag)).sum(axis=(-1, -2)).reshape(-1)
+    m = np.conj(expected).swapaxes(-1, -2) @ actual
+    return (np.square(m.real) + np.square(m.imag)).sum(axis=(-1, -2))

@@ -8,13 +8,15 @@ CHUNK_AMPLITUDES amplitudes: a run forces a prefix of one input's outcomes
 and splits the rest into branch rows (Network.split_outcomes), or carries
 several whole inputs as rows (a stack for Network.inject_state) and splits
 every outcome. Runs are sized for throughput: a run pays a few ms of
-per-op overhead and a row a few us, so the 4,096 branches of the amortized
-4-qubit, 2-machine transform are one run. A case of more than
-MAX_POSITIONS positions is refused before any run. A sampled sweep makes
-unsplit runs that draw every outcome from the RNG, one per input and
-sample. Each row is checked against the ideal and for its |0> qubits, each
-input for branch probabilities summing to one, and each section for one
-ledger in every run.
+per-op overhead, and the rows that the protocols' corrections make equal
+are stored once, so the 4,096 branches of the amortized 4-qubit,
+2-machine transform are one run at about the cost of one branch. A case
+of more than MAX_POSITIONS positions is refused before any run. A sampled
+sweep makes unsplit runs that draw every outcome from the RNG, one per
+input and sample. Each stored row is checked against the ideal and for
+its |0> qubits, and a failure is reported under the label of each row it
+stands for; each input is checked for branch probabilities summing to
+one, and each section for one ledger in every run.
 
 The ideal shares no code with the simulator's gate application: gates are
 embedded by explicit basis-index arithmetic (_embed) and applied to the
@@ -63,7 +65,11 @@ PROB_TOL = 1e-9
 # resident memory. Measured on a 2-core box, budgets of 2^14, 2^16, 2^18
 # and 2^20 take the 65,536-branch 4/2 sweep to 68, 20, 8 and 5 runs,
 # 0.82, 0.45, 0.35 and 0.31 s, and 38, 42, 57 and 65 MB peak RSS; only
-# 2^20 makes the amortized 4/2 sweep one run.
+# 2^20 makes the amortized 4/2 sweep one run. The budget bounds what the
+# blocks would hold with a row per branch (StateVector.high_water); rows
+# that corrections make bitwise equal are stored once, so that run now
+# stores at most 2^8 amplitudes at a time, and its 65,536-branch sibling
+# peaks at 39 MB RSS as a CLI command.
 CHUNK_AMPLITUDES = 2**20
 
 # The most input x branch positions an exhaustive sweep walks: 256 times
@@ -118,8 +124,14 @@ def _channels(spec: Sequence[tuple[str, int, int]]) -> list[QubitAddress]:
     return sorted(_chan(node, s) for node, _, channels in spec for s in range(channels))
 
 
+def _random_vector(qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """The normalized vector qstate.random_state draws, without the state."""
+    v = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
+    return v / np.linalg.norm(v)
+
+
 def _inputs(rng: np.random.Generator, qubits: int, count: int, seed: int, prefix: str = "input") -> list:
-    return [(f"{prefix}{i}", seed + i, qstate.random_state(qubits, rng).amplitudes) for i in range(count)]
+    return [(f"{prefix}{i}", seed + i, _random_vector(qubits, rng)) for i in range(count)]
 
 
 def _bits(value: int, width: int) -> tuple[int, ...]:
@@ -241,8 +253,12 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     input's outcomes and splits s measurements; with s > M it carries
     2^(s-M) whole inputs as rows and splits all M. Row r is position start
     + r. The first run holds 2^_split(case) positions, each later one as
-    many as the previous run's high_water (the most amplitudes its blocks
-    held at once) leaves room for within CHUNK_AMPLITUDES. The blocks are
+    many as the previous run's high_water leaves room for within
+    CHUNK_AMPLITUDES. high_water counts what the blocks would hold with a
+    row per position, however many rows coincide and are stored once, so
+    a protocol whose branches never coincide stays within the budget too.
+    The checks against the ideal and for |0> qubits run once per stored
+    row; only a run with a failure lays them out one per row. The blocks are
     the same for every run: which qubits a gate leaves live, and which
     blocks it merges, depends only on which of its targets are fixed, never
     on their bits (qstate._fixed_rule), and the protocols' classically
@@ -286,23 +302,26 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
         leftover = net.pending_outcomes
         sweep.require(rows == stop - start and not leftover, run_label, rows=rows, unconsumed_forced_bits=leftover)
         sweep.require(len(inputs) == 1 or net._rng is None, run_label, drew_outcomes=True)
-        # 1 - <e|rho|e> on the logical qubits, per row: e is pure, so the
-        # overlap is ||e^dagger A||^2 and no density matrix is formed
+        # 1 - <e|rho|e> on the logical qubits, per stored row: e is pure, so
+        # the overlap is ||e^dagger A||^2 and no density matrix is formed
         expected = case.ideal if amps is None else np.stack([case.ideal @ a for a in amps])
         block = qstate.bipartition(net.state, [net.global_index(a) for a in case.logical])
         infidelity = np.maximum(0.0, 1.0 - qstate.overlap(block, expected.reshape(len(inputs), -1, 1)))
         sweep.max_infidelity = max(sweep.max_infidelity, float(infidelity.max()))
-        clean = {
-            str(a): np.atleast_1d(qstate.partial_state_check(net.state, net.global_index(a), 0))
-            for a in case.zero
-        }
-        # only rows with a failure pay for a label
-        for r in np.flatnonzero(~np.logical_and.reduce([infidelity <= ATOL, *clean.values()])):
-            label = _row_label(sweep, case, per, exhaustive, start + int(r))
-            sweep.require(infidelity[r] <= ATOL, label, infidelity=float(infidelity[r]))
-            for a, ok in clean.items():
-                sweep.require(bool(ok[r]), label, not_reset=a)
-        weights = np.broadcast_to(net.branch_probability, rows)
+        clean = {str(a): qstate.partial_state_check(net.state, net.global_index(a), 0) for a in case.zero}
+        passed = infidelity <= ATOL
+        for ok in clean.values():
+            passed = passed & ok
+        # only rows with a failure are laid out one per row and pay for a label
+        if not np.all(passed):
+            per_row = net.state.per_row
+            infidelity, clean = per_row(infidelity), {a: per_row(ok) for a, ok in clean.items()}
+            for r in np.flatnonzero(~per_row(passed)):
+                label = _row_label(sweep, case, per, exhaustive, start + int(r))
+                sweep.require(infidelity[r] <= ATOL, label, infidelity=float(infidelity[r]))
+                for a, ok in clean.items():
+                    sweep.require(bool(ok[r]), label, not_reset=a)
+        weights = net.state.per_row(net.branch_probability)
         total_p += np.bincount((start + np.arange(rows)) // per, weights, len(total_p))
         start = stop
         if exhaustive and start < count:
@@ -388,7 +407,7 @@ def verify_teleport(*, seed: int = 0, branches: str = "exhaustive", samples: int
 def verify_cat_roundtrip(*, seed: int = 0, branches: str = "exhaustive", samples: int = 60) -> ProtocolReport:
     """Criterion: entangle then disentangle restores the control on any member."""
     rng = np.random.default_rng(seed)
-    amps = [qstate.random_state(1, rng).amplitudes for _ in range(5)]
+    amps = [_random_vector(1, rng) for _ in range(5)]
     cases, expect = [], {}
     for size in (2, 3, 4):
         spec = [("N0", 1, 1)] + [(f"N{j}", 0, 1) for j in range(1, size)]
@@ -593,7 +612,7 @@ def verify_qft(
     ]
     for label, actual, want in counts:
         sweep.require(actual == want, label, actual=actual)
-    amps = qstate.random_state(n, np.random.default_rng(seed)).amplitudes
+    amps = _random_vector(n, np.random.default_rng(seed))
     ebits = plan.amortized_distributions if amortized else plan.nonlocal_controlled
     num_bits = 2 * ebits + 4 * plan.cross_swaps
     spec = [(f"M{i}", k, 2) for i in range(m)]

@@ -27,24 +27,17 @@ from catnet.qft import build_qft_plan, qft_distributed
 TOL = 1e-12
 
 
-def at_row(value, rows, r):
-    """A record or probability value as it reads on row r of `rows` rows."""
-    if isinstance(value, np.ndarray):
-        return np.repeat(value, rows // len(value))[r]
-    return value
-
-
 def assert_row_matches(batched, single, r):
     """Row r of a batched run equals a per-branch run: state, probability, records."""
-    rows = batched.rows
+    at_row = batched.state.per_row
     assert single.rows == 1
     assert np.max(np.abs(batched.state.amplitudes[r] - single.state.amplitudes)) < TOL
-    assert abs(batched.branch_probability[r] - single.branch_probability) < TOL
+    assert abs(at_row(batched.branch_probability)[r] - single.branch_probability) < TOL
     assert len(batched.records) == len(single.records)
     for rb, rs in zip(batched.records, single.records):
         assert rb.address == rs.address
-        assert at_row(rb.outcome, rows, r) == rs.outcome
-        assert abs(at_row(rb.probability, rows, r) - rs.probability) < TOL
+        assert at_row(rb.outcome)[r] == rs.outcome
+        assert abs(at_row(rb.probability)[r] - rs.probability) < TOL
 
 
 def branch_bits(prefix, split, r):
@@ -105,7 +98,7 @@ def test_split_protocols_match_forced_branches(protocol, spec, measurements):
     rep = protocol(batched)
     assert batched.rows == 2**measurements
     assert rep.verified and rep.max_infidelity < 1e-10
-    assert abs(np.sum(batched.branch_probability) - 1.0) < 1e-12
+    assert abs(np.sum(batched.state.per_row(batched.branch_probability)) - 1.0) < 1e-12
     for r in range(batched.rows):
         single = Network(spec, seed=0)
         single.force_outcomes(branch_bits((), measurements, r))
@@ -122,8 +115,8 @@ def split_plus(spec=(("A", 2, 1), ("B", 1, 1))):
     net.split_outcomes(1)
     rec = net.measure(net.reg("A"))
     assert net.rows == 2
-    assert np.array_equal(rec.outcome, [0, 1])
-    assert np.allclose(rec.probability, [0.5, 0.5])
+    assert np.array_equal(net.row_bits(rec.outcome), [0, 1])
+    assert np.allclose(net.state.per_row(rec.probability), [0.5, 0.5])
     return net, rec
 
 
@@ -167,7 +160,7 @@ def test_divergent_reset_precondition_raises():
 def test_controlled_apply_fires_per_row():
     net, rec = split_plus()
     fired = net.classically_controlled_apply(rec, X, net.reg("A", 1))
-    assert np.array_equal(fired, [False, True])
+    assert np.array_equal(net.row_bits(fired), [False, True])
     assert net.qubit_is(net.reg("A", 1), rec.outcome)
     reset_channel_qubits(net, [rec])
     assert net.qubit_is(net.reg("A"), 0)
@@ -180,7 +173,7 @@ def test_later_splits_repeat_earlier_bits():
     second = net.measure(net.reg("A", 1))
     assert net.rows == 4
     assert np.array_equal(net.row_bits(first.outcome), [0, 0, 1, 1])
-    assert np.array_equal(second.outcome, [0, 1, 0, 1])
+    assert np.array_equal(net.row_bits(second.outcome), [0, 1, 0, 1])
     assert np.allclose(net.branch_probability, 0.25)
 
 
@@ -192,7 +185,7 @@ def test_forced_queue_comes_before_the_split():
     net.split_outcomes(1)
     assert net.measure(net.reg("A", 0)).outcome == 1
     assert net.rows == 1
-    assert np.array_equal(net.measure(net.reg("A", 1)).outcome, [0, 1])
+    assert np.array_equal(net.row_bits(net.measure(net.reg("A", 1)).outcome), [0, 1])
     assert net.pending_outcomes == 0
 
 
@@ -334,6 +327,49 @@ def test_sweep_memory_stays_within_the_chunk_budget(monkeypatch):
     assert all(size <= verify.CHUNK_AMPLITUDES for _, size in runs)
 
 
+def test_corrected_branches_are_stored_once(monkeypatch):
+    """Every correction of the amortized 4/2 transform makes its branches'
+    rows bitwise equal, so each run stores about one unsplit network (256
+    amplitudes) while it stands for 4,096 rows, and its logical high_water
+    (a row of each block per row) stays what runs are sized by."""
+    peaks = []
+    runs = record_runs(monkeypatch, lambda case, net, prefix, seed: peaks.append(net.state.stored_peak))
+    rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
+    assert rep.verified and runs == [(4096, 2**16)]
+    assert peaks[0] <= 2**8
+    runs.clear()
+    peaks.clear()
+    rep = verify.verify_qft(n=4, m=2, branches="exhaustive")
+    assert rep.verified and [rows for rows, _ in runs] == [4096, 4096, 8192, 16384, 32768]
+    assert max(peaks) <= 2**8
+
+
+def test_dropped_correction_fails_its_row_alone(monkeypatch):
+    """A correction dropped on one branch row keeps that row apart from the
+    rows it would have matched, and the sweep reports exactly its label."""
+    apply, dropped = qstate.apply_gate, []
+
+    def dropping(state, gate, targets, rows=None):
+        # the first masked gate once all 12 measurements are split (12 branch axes and the input axis)
+        if rows is not None and len(state.grid) == 13 and not dropped:
+            fire = np.flatnonzero(state.per_row(rows))
+            dropped.append(int(fire[len(fire) // 2]))
+            keep = np.ones(state.rows, dtype=bool)
+            keep[dropped[0]] = False
+            rows = rows & keep.reshape(state.grid[::-1]).T
+            apply(state, gate, targets, rows)
+            dropped.append(max(b.rows for b in state.blocks))
+            return
+        apply(state, gate, targets, rows)
+
+    monkeypatch.setattr(qstate, "apply_gate", dropping)
+    rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
+    row, stored = dropped
+    assert stored == 4096  # no axis along which the dropped row's block halves agree
+    assert rep.verified is False
+    assert [f["case"] for f in rep.details["failures"]] == [f"branch{row:012b}"]
+
+
 def test_ghz_sweep_compares_depths_up_to_sixteen_nodes(monkeypatch):
     """After the enumerated sections, one unsplit run per shape at m = 8, 12 and 16."""
     runs = []
@@ -343,25 +379,34 @@ def test_ghz_sweep_compares_depths_up_to_sixteen_nodes(monkeypatch):
     assert runs[-6:] == [(8, 1), (8, 1), (12, 1), (12, 1), (16, 1), (16, 1)]
 
 
+def roll_row(net, addr, r):
+    """Roll row r's amplitudes in the block of the qubit at `addr`, after
+    giving that block a stored row per row of the state."""
+    state = net.state
+    block = next(b for b in state.blocks if net.global_index(addr) in b.qubits)
+    block.amps = np.broadcast_to(block.amps, state.grid + block.amps.shape[-1:]).copy()
+    at = np.unravel_index(r, state.grid[::-1])[::-1]
+    block.amps[at] = np.roll(block.amps[at], 1)
+
+
 def test_sweep_reports_failing_rows_by_branch(monkeypatch):
     """A wrong row is reported under the label the per-branch sweep used."""
 
     def corrupting(case, net, prefix, seed):
         # the row of the amortized qft sweep's 12 measurements that holds
         # position (1 << 6) + 5, in whichever run holds it
-        block = next(b for b in net.state.blocks if net.global_index(case.logical[0]) in b.qubits)
         if case.measurements == 12:
             start = int("".join(map(str, prefix)), 2) << (12 - len(prefix)) if prefix else 0
             r = (1 << 6) + 5 - start
             if 0 <= r < net.rows:
-                block.amps[r] = np.roll(block.amps[r], 1)
+                roll_row(net, case.logical[0], r)
         # distributed-swap's exhaustive sweep is one run of its five inputs
         # as 5 x 16 rows: row 3 * 16 + 5 is input3's branch 0101
         if net.rows == 5 * 16 and not prefix:
-            block.amps[3 * 16 + 5] = np.roll(block.amps[3 * 16 + 5], 1)
+            roll_row(net, case.logical[0], 3 * 16 + 5)
         # the unsplit run of sample 5 of distributed-swap's input3 in a sampled sweep
         if net.rows == 1 and seed == 3 + 7919 * 5 + 13:
-            block.amps[0] = np.roll(block.amps[0], 1)
+            roll_row(net, case.logical[0], 0)
 
     record_runs(monkeypatch, corrupting)
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
@@ -381,8 +426,9 @@ def test_probability_failure_names_its_input_only(monkeypatch):
     reports a wrong sum under the one input whose rows carry it."""
 
     def inflating(case, net, prefix, seed):
+        # the inputs are the last row axis: double input3's probabilities
         if net.rows == 5 * 16:
-            net.branch_probability[3 * 16 : 4 * 16] *= 2
+            net.branch_probability = net.branch_probability * np.where(np.arange(5) == 3, 2, 1)
 
     record_runs(monkeypatch, inflating)
     rep = verify.verify_distributed_swap(seed=0, branches="exhaustive")
@@ -422,8 +468,8 @@ def test_message_log_is_row_zero_of_the_first_run():
 def test_channels_checked_per_row():
     net, rec = split_plus()
     clean = qstate.partial_state_check(net.state, net.global_index(net.chan("A")), 0)
-    assert np.array_equal(clean, [True, True])
+    assert np.array_equal(net.state.per_row(clean), [True, True])
     net.classically_controlled_apply(rec, X, net.chan("A"))
     clean = qstate.partial_state_check(net.state, net.global_index(net.chan("A")), 0)
-    assert np.array_equal(clean, [True, False])
+    assert np.array_equal(net.state.per_row(clean), [True, False])
     assert net.addresses(pool=CHANNEL) == [net.chan("A"), net.chan("B")]

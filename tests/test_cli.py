@@ -270,3 +270,17 @@ def test_parser_is_built_once_and_reused(capsys):
     assert build_parser() is build_parser()
     fresh = subprocess.run([sys.executable, "-m", "catnet.cli", *argv], capture_output=True, text=True, timeout=120)
     assert fresh.returncode == 0 and fresh.stdout == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "ghz"], ["verify", "teleport"], ["demo", "teleport"], ["qft"], ["report"]],
+    ids=" ".join,
+)
+def test_negative_seed_exits_2(argv, capsys):
+    """Every command refuses a negative seed before any run, naming the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--seed must be non-negative, got -1" in err

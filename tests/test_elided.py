@@ -2,10 +2,11 @@
 
 A state built from basis_state starts with every qubit fixed and runs each
 kernel on whichever path its qubits call for: bit updates, phase scaling,
-re-inserted axes, merged blocks, repeated rows or the slab kernels. The
-reference is the same state kept dense: it is rebuilt as one block of
-every qubit before each operation, so every operation on it runs the slab
-kernels over all 2^n amplitudes.
+re-inserted axes, merged blocks, widened or shared rows or the slab
+kernels. The reference is the same state kept dense: it is rebuilt as one
+block of every qubit and one stored row per row before each operation, so
+every operation on it runs the slab kernels over all 2^n amplitudes of
+every row.
 """
 
 import numpy as np
@@ -21,11 +22,11 @@ from reference import reduced_density_matrix
 
 N = 5
 TOL = 1e-12
-MAX_ROWS = 8
+MAX_ROWS = 16
 # weighted toward splits and masked gates, so most sequences reach per-row bits
 OPS = [
     "gate", "masked", "masked", "permutation", "permutation", "forced", "forced", "rng", "split", "split", "probe",
-    "pair", "span",
+    "pair", "span", "entangle", "entangle",
 ]
 
 
@@ -43,8 +44,21 @@ GATES = {
 
 
 def dense(state: StateVector) -> StateVector:
-    """The same state with every qubit live."""
+    """The same state with every qubit live and a stored row per row."""
     return StateVector(state.num_qubits, state.amplitudes)
+
+
+def flip(state: StateVector, qubit: int, rows) -> None:
+    """X on `qubit` on the rows the per-row bool `rows` marks."""
+    if np.all(rows):
+        apply_gate(state, X, [qubit])
+    elif np.any(rows):
+        apply_gate(state, X, [qubit], rows=rows)
+
+
+def grid_form(state: StateVector, flat) -> np.ndarray:
+    """One value per row, in row order, as a per-row value of `state`."""
+    return np.reshape(flat, state.grid[::-1]).T
 
 
 def agree(a, b) -> bool:
@@ -119,18 +133,24 @@ def block_targets(data, state: StateVector, arity: int) -> list[int]:
 
 
 def check_blocks(state: StateVector) -> None:
-    """The product structure: disjoint ascending blocks whose rows divide
-    the state's, each row of norm 1, a block without qubits only when it
-    is the only block, and high-water marks that cover what is held."""
+    """The product structure: disjoint ascending blocks whose stored rows
+    broadcast to the state's rows, each row of norm 1, a block without
+    qubits only when it is the only block, per-row bits that broadcast the
+    same way, and high-water marks that cover what is held."""
     qubits = [q for b in state.blocks for q in b.qubits]
     assert sorted(qubits + list(state.fixed)) == list(range(N))
+    assert state.rows == np.prod(state.grid)
     for b in state.blocks:
-        assert b.qubits == sorted(b.qubits) and b.amps.shape[1] == 2 ** len(b.qubits)
+        assert b.qubits == sorted(b.qubits) and b.amps.shape[-1] == 2 ** len(b.qubits)
+        assert np.broadcast_shapes(b.amps.shape[:-1], state.grid) == state.grid
         assert state.rows % b.rows == 0 and b.amps.flags.c_contiguous
-        assert np.allclose(np.linalg.norm(b.amps, axis=1), 1.0, atol=TOL)
+        assert np.allclose(np.linalg.norm(b.amps, axis=-1), 1.0, atol=TOL)
+    for bit in state.fixed.values():
+        assert np.broadcast_shapes(np.shape(bit), state.grid) == state.grid
     assert all(b.qubits for b in state.blocks) or len(state.blocks) == 1
-    sizes = [b.amps.size for b in state.blocks]
-    assert state.high_water >= sum(sizes) and state.largest_block >= max(sizes)
+    widths = [b.amps.shape[-1] for b in state.blocks]
+    assert state.high_water >= state.rows * sum(widths) and state.largest_block >= state.rows * max(widths)
+    assert state.stored_peak >= sum(b.amps.size for b in state.blocks)
 
 
 def check_probes(data, elided: StateVector, ref: StateVector) -> None:
@@ -140,15 +160,16 @@ def check_probes(data, elided: StateVector, ref: StateVector) -> None:
     rho = np.reshape(reduced_density_matrix(ref, keep), (ref.rows, 2 ** len(keep), 2 ** len(keep)))
     purity = np.trace(rho @ rho, axis1=1, axis2=2).real
     mine, dense_keep = qstate.bipartition(elided, keep), qstate.bipartition(ref, keep)
-    assert len(mine) == elided.rows
-    assert agree(qstate.overlap(mine, mine), purity)
-    assert agree(qstate.overlap(mine, dense_keep), purity)
+    assert agree(elided.per_row(qstate.overlap(mine, mine)), purity)
+    assert agree(qstate.overlap(qstate._flat_rows(elided.grid, mine, 2), dense_keep), purity)
     probs = np.abs(ref.amplitudes.reshape(ref.rows, -1)) ** 2
     index = np.arange(2**N)
+    # the slabs' rows are the stored rows of the listed qubits' merged block
+    lead = qstate._merged(elided, *qstate._locate(elided, keep)).amps.shape[:-1]
     for pattern, slab in enumerate(qstate.pattern_slabs(elided, keep)):
         bits = [(pattern >> (len(keep) - 1 - j)) & 1 for j in range(len(keep))]
         reads = np.all([(index >> (N - 1 - q)) & 1 == bit for q, bit in zip(keep, bits)], axis=0)
-        weight = np.repeat(qstate.row_weights(slab), ref.rows // len(slab))
+        weight = elided.per_row(qstate.row_weights(slab).reshape(lead))
         assert agree(weight, probs[:, reads].sum(axis=1))
 
 
@@ -200,37 +221,38 @@ def test_elided_state_matches_dense_copy(data):
             if op in ("masked", "permutation") and elided.rows > 1 and data.draw(st.booleans()):
                 rows = np.array(data.draw(st.lists(st.booleans(), min_size=elided.rows, max_size=elided.rows)))
             for state in (elided, ref, other):
-                apply_gate(state, gate, qubits[:arity], rows=rows)
+                apply_gate(state, gate, qubits[:arity], rows=None if rows is None else grid_form(state, rows))
         elif op in ("forced", "rng"):
             seed = data.draw(st.integers(0, 2**16))
             forced = data.draw(st.integers(0, 1))
             if elided.rows > 1 and data.draw(st.booleans()):
                 forced = np.array(data.draw(st.lists(st.integers(0, 1), min_size=elided.rows, max_size=elided.rows)))
                 if isinstance(elided.fixed.get(qubits[0]), np.ndarray) and data.draw(st.booleans()):
-                    forced = elided.fixed[qubits[0]].copy()  # the recorded bits: every row possible
+                    forced = elided.per_row(elided.fixed[qubits[0]])  # the recorded bits: every row possible
 
             def measure_one(state):
                 if op == "forced":
-                    return measure(state, qubits[0], forced=forced)
+                    return measure(state, qubits[0], forced=grid_form(state, forced) if np.ndim(forced) else forced)
                 return measure(state, qubits[0], rng=np.random.default_rng(seed))
 
             before = elided.amplitudes.reshape(elided.rows, -1)
             recs = both(measure_one, elided, ref)
             if recs[0] is not ImpossibleBranchError:
-                assert np.array_equal(recs[0].outcome, recs[1].outcome)
-                assert agree(recs[0].probability, recs[1].probability)
-                assert agree(elided.amplitudes.reshape(elided.rows, -1), projected(before, qubits[0], recs[0].outcome))
+                outcome = elided.per_row(recs[0].outcome)
+                assert np.array_equal(outcome, ref.per_row(recs[1].outcome))
+                assert agree(elided.per_row(recs[0].probability), ref.per_row(recs[1].probability))
+                assert agree(elided.amplitudes.reshape(elided.rows, -1), projected(before, qubits[0], outcome))
                 measure(other, qubits[0], rng=np.random.default_rng(seed))  # an outcome it can take
         elif op == "split":
             if elided.rows * 2 > MAX_ROWS:
                 continue
             measured = block_holding(elided, qubits[0]) or elided.blocks[0]
             untouched = [(list(b.qubits), b.amps.copy()) for b in elided.blocks if b is not measured]
-            out = both(lambda s: measure_split(s, qubits[0]), elided, ref)
-            if out[0] is ImpossibleBranchError:
+            recs = both(lambda s: measure_split(s, qubits[0]), elided, ref)
+            if recs[0] is ImpossibleBranchError:
                 continue
-            (elided, rec), (ref, ref_rec) = out
-            assert np.array_equal(rec.outcome, ref_rec.outcome) and agree(rec.probability, ref_rec.probability)
+            assert np.array_equal(elided.per_row(recs[0].outcome), ref.per_row(recs[1].outcome))
+            assert agree(elided.per_row(recs[0].probability), ref.per_row(recs[1].probability))
             # only the measured block takes the new rows; the others keep
             # theirs (unless the measured block, left empty, joined one)
             if len(measured.qubits) > 1:
@@ -239,13 +261,46 @@ def test_elided_state_matches_dense_copy(data):
                     (q, a.tolist()) for q, a in untouched
                 ]
             try:
-                other, _ = measure_split(other, qubits[0])
+                measure_split(other, qubits[0])
             except ImpossibleBranchError:  # its amplitudes may differ; its blocks may not
                 other = elided
+        elif op == "entangle":
+            # the cat-entangler: a pair reset to |00> (measured, then
+            # flipped where it read 1) and shared, a control spliced in, a
+            # split and its correction. The correction makes the new rows
+            # equal, and the block stores them once when they come out
+            # bitwise equal, never when one amplitude of one row was moved
+            # by one ulp first
+            if elided.rows * 2 > MAX_ROWS:
+                continue
+            control, *pair = data.draw(st.permutations(range(N)))[:3]
+            seeds = [data.draw(st.integers(0, 2**16)) for _ in pair]
+            nudge = data.draw(st.booleans())
+            for state in (elided, ref, other):
+                for q, seed in zip(pair, seeds):
+                    flip(state, q, measure(state, q, rng=np.random.default_rng(seed)).outcome == 1)
+                apply_gate(state, H, [pair[0]])
+                apply_gate(state, CNOT, pair)
+                apply_gate(state, CNOT, [control, pair[0]])
+            stored = block_holding(elided, pair[1]).rows
+            fire = [measure_split(state, pair[0]).outcome == 1 for state in (elided, ref, other)]
+            if nudge:  # the first amplitude of the block's last stored row that is not 0
+                block = block_holding(elided, pair[1])
+                flat = block.amps.reshape(-1, block.amps.shape[-1])
+                j = np.flatnonzero(flat[-1])[0]
+                flat[-1, j] = np.nextafter(flat[-1, j].real, np.inf) + 1j * flat[-1, j].imag
+                ref, fire[1] = dense(elided), elided.per_row(fire[0])
+            for state, rows in zip((elided, ref, other), fire):
+                apply_gate(state, X, [pair[1]], rows=rows)
+            block = block_holding(elided, pair[1])
+            if block.rows == 2 * stored:  # kept apart, which only halves that differ in some bit are
+                assert not np.array_equal(block.amps[0], block.amps[1])
+            else:
+                assert block.rows == stored and not nudge
         else:
             bit = data.draw(st.integers(0, 1))
             got, want = (qstate.partial_state_check(s, qubits[0], bit) for s in (elided, ref))
-            assert np.array_equal(got, want)
+            assert np.array_equal(elided.per_row(got), ref.per_row(want))
             check_probes(data, elided, ref)
         assert elided.rows == ref.rows
         assert agree(elided.amplitudes, ref.amplitudes)

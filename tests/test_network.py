@@ -406,12 +406,13 @@ def test_split_rows_descend_from_their_input():
     first, second = net.measure(net.reg("A", 0)), net.measure(net.reg("A", 1))
     assert net.rows == 12
     assert np.array_equal(net.row_bits(first.outcome), np.tile([0, 0, 1, 1], 3))
-    assert np.array_equal(second.outcome, np.tile([0, 1], 6))
+    assert np.array_equal(net.row_bits(second.outcome), np.tile([0, 1], 6))
     # each row holds its input's basis state at its branch, with that state's weight
-    assert np.allclose(net.branch_probability, [0.25] * 8 + [1 / 30, 4 / 30, 9 / 30, 16 / 30])
+    probability = net.state.per_row(net.branch_probability)
+    assert np.allclose(probability, [0.25] * 8 + [1 / 30, 4 / 30, 9 / 30, 16 / 30])
     # both qubits measured: one block without qubits keeps each row's phase
     [block] = net.state.blocks
-    assert block.qubits == [] and np.allclose(np.abs(block.amps[:, 0]), 1.0)
+    assert block.qubits == [] and np.allclose(np.abs(block.amps[..., 0]), 1.0)
 
 
 # ---- the state buffer -------------------------------------------------------------

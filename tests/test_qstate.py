@@ -340,8 +340,9 @@ def test_reduced_density_matrix_keeps_order():
 
 @pytest.mark.parametrize("keep", [[0, 1, 2, 3, 4], [3, 1], [4], [2, 0, 4]])
 def test_overlap_matches_density_matrix_trace(keep):
-    """tr(rho_a rho_e) without density matrices, per row of a split state whose
-    ancestor stands in for each pair of rows."""
+    """tr(rho_a rho_e) without density matrices, per row of a stack of
+    states against one state that stands in for every row, and per row of a
+    split state against the two inputs its rows descend from."""
     rng = np.random.default_rng(11)
     ancestor = random_state(5, rng)
     split = StateVector(5, np.stack([random_state(5, rng).amplitudes for _ in range(4)]))
@@ -350,8 +351,13 @@ def test_overlap_matches_density_matrix_trace(keep):
     want = [np.trace(rho_a @ rho_e).real for rho_a in reduced_density_matrix(split, keep)]
     assert got.shape == (4,)
     assert np.allclose(got, want, atol=1e-12)
+    # the four rows as a grid of 2 inputs by one split, newest axis first:
+    # row r = 2 * input + branch sits at [branch, input]
     half = StateVector(5, np.stack([random_state(5, rng).amplitudes for _ in range(2)]))
-    got = qstate.overlap(qstate.bipartition(split, keep), qstate.bipartition(half, keep))
+    rows = qstate.bipartition(split, keep)
+    grid = rows.reshape((2, 2) + rows.shape[1:]).swapaxes(0, 1)
+    got = qstate.overlap(grid, qstate.bipartition(half, keep))
     rho_half = reduced_density_matrix(half, keep)
     want = [np.trace(rho_a @ rho_half[r // 2]).real for r, rho_a in enumerate(reduced_density_matrix(split, keep))]
-    assert np.allclose(got, want, atol=1e-12)
+    assert got.shape == (2, 2)
+    assert np.allclose(got.T.reshape(-1), want, atol=1e-12)
