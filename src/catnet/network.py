@@ -22,6 +22,7 @@ answer alike on every row or raise BranchDivergenceError.
 from __future__ import annotations
 
 import collections
+import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
@@ -174,7 +175,7 @@ class Network:
         self.message_log: list[ClassicalMessage] = []
         self.records: list[MeasurementRecord] = []
         self._seed = seed
-        self._rng: np.random.Generator | None = None
+        self._rng: random.Random | None = None
         # a float, or a per-row value once the state is split
         self.branch_probability: float | np.ndarray = 1.0
         self._forced: collections.deque[int] = collections.deque()
@@ -185,11 +186,11 @@ class Network:
         self._round_touched: set[int] = set()
 
     @property
-    def rng(self) -> np.random.Generator:
-        """The generator of sampled outcomes, made on the first draw, so a
-        run whose outcomes are all forced or split never loads numpy.random."""
+    def rng(self) -> random.Random:
+        """The generator of sampled outcomes, made on the first draw: `_rng`
+        stays None in a run whose outcomes are all forced or split."""
         if self._rng is None:
-            self._rng = np.random.default_rng(self._seed)
+            self._rng = random.Random(self._seed)
         return self._rng
 
     # ---- addressing -----------------------------------------------------
@@ -354,13 +355,6 @@ class Network:
     def pending_outcomes(self) -> int:
         """Forced outcomes queued but not yet consumed."""
         return len(self._forced)
-
-    def row_bits(self, bits: int | np.ndarray) -> np.ndarray:
-        """A bit, or per-row bits (an outcome, a message bit, a fired
-        mask), recorded at any earlier point of the run, as one bit per
-        current row in row order: every later split repeats a row's bit on
-        both of its children."""
-        return self.state.per_row(bits)
 
     # ---- classical communication ------------------------------------------
 

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -281,10 +282,19 @@ def basis_state(num_qubits: int, index: int = 0) -> StateVector:
     return StateVector(num_qubits, np.ones(1, dtype=complex), bits)
 
 
-def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
-    """Haar-ish random pure state (normalized complex Gaussian)."""
-    v = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
-    return StateVector(num_qubits, v / np.linalg.norm(v))
+def random_vector(num_qubits: int, rng: random.Random) -> np.ndarray:
+    """A normalized complex Gaussian (Haar-random) vector of 2^num_qubits
+    amplitudes: Box-Muller on 2^(num_qubits + 1) `rng.random()` draws, the
+    first half radii and the second half angles."""
+    dim = 2**num_qubits
+    radius, turn = np.array([rng.random() for _ in range(2 * dim)]).reshape(2, dim)
+    v = np.sqrt(-2.0 * np.log1p(-radius)) * np.exp(2j * np.pi * turn)
+    return v / np.linalg.norm(v)
+
+
+def random_state(num_qubits: int, rng: random.Random) -> StateVector:
+    """A Haar-random pure state: random_vector as a state."""
+    return StateVector(num_qubits, random_vector(num_qubits, rng))
 
 
 def _check_targets(state: StateVector, targets: Sequence[int], arity: int) -> tuple:
@@ -755,7 +765,7 @@ def measure(
     state: StateVector,
     qubit: int,
     *,
-    rng: np.random.Generator | None = None,
+    rng: random.Random | None = None,
     forced: int | np.ndarray | None = None,
 ) -> MeasurementRecord:
     """Projective Z measurement of one qubit, collapsing the state in place.
@@ -780,7 +790,8 @@ def measure(
     # kept slice's weight leaves the state with unit norm exactly, whereas
     # 1 - p_other would let rounding drift compound over many measurements
     if forced is None:
-        forced = rng.random(state.grid[::-1]).T < _weight(state, qubit, 1)
+        draws = np.array([rng.random() for _ in range(state.rows)])
+        forced = draws.reshape(state.grid[::-1]).T < _weight(state, qubit, 1)
     outcome = _bits(forced, "forced outcome")
     if qubit in state.fixed:
         p = _compact(np.where(outcome == 1, _weight(state, qubit, 1), _weight(state, qubit, 0)))

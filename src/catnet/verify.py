@@ -26,6 +26,7 @@ route, folded in through their reports.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
@@ -80,9 +81,9 @@ MAX_POSITIONS = 2**24
 # ---- shared machinery ----------------------------------------------------
 
 
-def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(mat)
+def _random_unitary(dim: int, rng: random.Random) -> np.ndarray:
+    """Haar-random: Q of a complex Gaussian matrix (any scale), R's phases taken out."""
+    q, r = np.linalg.qr(qstate.random_vector(2 * (dim.bit_length() - 1), rng).reshape(dim, dim))
     d = np.diag(r)
     return q * (d / np.abs(d))
 
@@ -124,14 +125,8 @@ def _channels(spec: Sequence[tuple[str, int, int]]) -> list[QubitAddress]:
     return sorted(_chan(node, s) for node, _, channels in spec for s in range(channels))
 
 
-def _random_vector(qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """The normalized vector qstate.random_state draws, without the state."""
-    v = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
-    return v / np.linalg.norm(v)
-
-
-def _inputs(rng: np.random.Generator, qubits: int, count: int, seed: int, prefix: str = "input") -> list:
-    return [(f"{prefix}{i}", seed + i, _random_vector(qubits, rng)) for i in range(count)]
+def _inputs(rng: random.Random, qubits: int, count: int, seed: int, prefix: str = "input") -> list:
+    return [(f"{prefix}{i}", seed + i, qstate.random_vector(qubits, rng)) for i in range(count)]
 
 
 def _bits(value: int, width: int) -> tuple[int, ...]:
@@ -364,7 +359,7 @@ _WIDE_PAIR = [("A", 1, 2), ("B", 1, 2)]
 
 def verify_nonlocal_cnot(*, seed: int = 0, branches: str = "exhaustive", samples: int = 40) -> ProtocolReport:
     """Criterion: CNOT across nodes matches the plain gate, costing (1, 2)."""
-    inputs = _inputs(np.random.default_rng(seed), 2, 10, seed)
+    inputs = _inputs(random.Random(seed), 2, 10, seed)
     chans = _channels(_PAIR)
 
     def run(net: Network) -> list:
@@ -380,7 +375,7 @@ def verify_nonlocal_cnot(*, seed: int = 0, branches: str = "exhaustive", samples
 
 def verify_teleport(*, seed: int = 0, branches: str = "exhaustive", samples: int = 40) -> ProtocolReport:
     """Criterion: delivery fidelity 1, source freed, ping-pong reuses slots."""
-    inputs = _inputs(np.random.default_rng(seed), 1, 10, seed)
+    inputs = _inputs(random.Random(seed), 1, 10, seed)
     src, dst = _reg("A"), _reg("B")
     there, back = (_chan("A"), _chan("B")), (_chan("B"), _chan("A"))
 
@@ -406,8 +401,8 @@ def verify_teleport(*, seed: int = 0, branches: str = "exhaustive", samples: int
 
 def verify_cat_roundtrip(*, seed: int = 0, branches: str = "exhaustive", samples: int = 60) -> ProtocolReport:
     """Criterion: entangle then disentangle restores the control on any member."""
-    rng = np.random.default_rng(seed)
-    amps = [_random_vector(1, rng) for _ in range(5)]
+    rng = random.Random(seed)
+    amps = [qstate.random_vector(1, rng) for _ in range(5)]
     cases, expect = [], {}
     for size in (2, 3, 4):
         spec = [("N0", 1, 1)] + [(f"N{j}", 0, 1) for j in range(1, size)]
@@ -460,7 +455,7 @@ def verify_ghz(*, seed: int = 0, branches: str = "exhaustive", samples: int = 64
 
 def verify_refresh(*, seed: int = 0, branches: str = "exhaustive", samples: int = 32) -> ProtocolReport:
     """Criterion: establish, use, reset, re-establish, use again."""
-    inputs = _inputs(np.random.default_rng(seed), 2, 2, seed)
+    inputs = _inputs(random.Random(seed), 2, 2, seed)
     a, b = _reg("A"), _reg("B")
     channels = _channels(_WIDE_PAIR)
 
@@ -487,7 +482,7 @@ def verify_refresh(*, seed: int = 0, branches: str = "exhaustive", samples: int 
 
 def verify_distributed_swap(*, seed: int = 0, branches: str = "exhaustive", samples: int = 32) -> ProtocolReport:
     """Criterion: states exchanged over 16 branches at (2 ebits, 4 cbits)."""
-    inputs = _inputs(np.random.default_rng(seed), 2, 5, seed)
+    inputs = _inputs(random.Random(seed), 2, 5, seed)
     a, b = _reg("A"), _reg("B")
     case = Case(
         _WIDE_PAIR, 4, inputs, lambda net: [("", distributed_swap(net, a, b))], [a, b], SWAP.matrix,
@@ -499,7 +494,7 @@ def verify_distributed_swap(*, seed: int = 0, branches: str = "exhaustive", samp
 
 def verify_multi_control(*, seed: int = 0, branches: str = "exhaustive", samples: int = 32) -> ProtocolReport:
     """Criterion: Toffoli with both controls remote costs (2, 4)."""
-    inputs = _inputs(np.random.default_rng(seed), 3, 5, seed)
+    inputs = _inputs(random.Random(seed), 3, 5, seed)
     spec = [("C1", 1, 1), ("C2", 1, 1), ("T", 3, 1)]
     c1, c2, t = _reg("C1"), _reg("C2"), _reg("T", 0)
     ancillas = [_reg("T", 1), _reg("T", 2)]
@@ -526,7 +521,7 @@ def verify_decompose_c4x(*, seed: int = 0, branches: str = "exhaustive", samples
     spec = [("TOP", 3, 1), ("BOT", 3, 1)]
     order = [_reg("TOP", 0), _reg("TOP", 1), _reg("BOT", 0), _reg("BOT", 1), _reg("TOP", 2), _reg("BOT", 2)]
     inputs = [(f"distributed:basis{b:06b}", seed + b, basis[b]) for b in range(64)]
-    inputs += _inputs(np.random.default_rng(seed), 6, 3, seed + 1000, "distributed:random")
+    inputs += _inputs(random.Random(seed), 6, 3, seed + 1000, "distributed:random")
 
     def run(section: str, qubits: list[QubitAddress]) -> Callable[[Network], list]:
         return lambda net: [(section, decompose_multi_control_x(net, qubits[:4], *qubits[4:]))]
@@ -542,7 +537,7 @@ def verify_decompose_c4x(*, seed: int = 0, branches: str = "exhaustive", samples
 
 def verify_amortized(*, seed: int = 0, branches: str = "exhaustive", samples: int = 16) -> ProtocolReport:
     """Criterion: a k-gate controlled run costs (1, 2) for k in {1, 2, 5, 10}."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     singles = [H, make_rk(2), X, Z]
     ctrl, b0, b1 = _reg("A"), _reg("B", 0), _reg("B", 1)
     cases, expect = [], {}
@@ -570,10 +565,8 @@ def verify_amortized(*, seed: int = 0, branches: str = "exhaustive", samples: in
 
 def verify_parallel_control(*, seed: int = 0, branches: str = "exhaustive", samples: int = 16) -> ProtocolReport:
     """Criterion: a three-part controlled gate runs its parts in one round."""
-    rng = np.random.default_rng(seed)
-    u1 = _random_unitary(4, rng)
-    u2 = _random_unitary(8, rng)
-    u3 = _random_unitary(4, rng)
+    rng = random.Random(seed)
+    u1, u2, u3 = (_random_unitary(dim, rng) for dim in (4, 8, 4))
     inputs = _inputs(rng, 8, 3, seed)
     ctrl = _reg("C")
     t1 = [_reg("P1", j) for j in range(2)]
@@ -612,7 +605,7 @@ def verify_qft(
     ]
     for label, actual, want in counts:
         sweep.require(actual == want, label, actual=actual)
-    amps = _random_vector(n, np.random.default_rng(seed))
+    amps = qstate.random_vector(n, random.Random(seed))
     ebits = plan.amortized_distributions if amortized else plan.nonlocal_controlled
     num_bits = 2 * ebits + 4 * plan.cross_swaps
     spec = [(f"M{i}", k, 2) for i in range(m)]

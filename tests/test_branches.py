@@ -115,7 +115,7 @@ def split_plus(spec=(("A", 2, 1), ("B", 1, 1))):
     net.split_outcomes(1)
     rec = net.measure(net.reg("A"))
     assert net.rows == 2
-    assert np.array_equal(net.row_bits(rec.outcome), [0, 1])
+    assert np.array_equal(net.state.per_row(rec.outcome), [0, 1])
     assert np.allclose(net.state.per_row(rec.probability), [0.5, 0.5])
     return net, rec
 
@@ -160,7 +160,7 @@ def test_divergent_reset_precondition_raises():
 def test_controlled_apply_fires_per_row():
     net, rec = split_plus()
     fired = net.classically_controlled_apply(rec, X, net.reg("A", 1))
-    assert np.array_equal(net.row_bits(fired), [False, True])
+    assert np.array_equal(net.state.per_row(fired), [False, True])
     assert net.qubit_is(net.reg("A", 1), rec.outcome)
     reset_channel_qubits(net, [rec])
     assert net.qubit_is(net.reg("A"), 0)
@@ -172,8 +172,8 @@ def test_later_splits_repeat_earlier_bits():
     net.split_outcomes(1)
     second = net.measure(net.reg("A", 1))
     assert net.rows == 4
-    assert np.array_equal(net.row_bits(first.outcome), [0, 0, 1, 1])
-    assert np.array_equal(net.row_bits(second.outcome), [0, 1, 0, 1])
+    assert np.array_equal(net.state.per_row(first.outcome), [0, 0, 1, 1])
+    assert np.array_equal(net.state.per_row(second.outcome), [0, 1, 0, 1])
     assert np.allclose(net.branch_probability, 0.25)
 
 
@@ -185,7 +185,7 @@ def test_forced_queue_comes_before_the_split():
     net.split_outcomes(1)
     assert net.measure(net.reg("A", 0)).outcome == 1
     assert net.rows == 1
-    assert np.array_equal(net.row_bits(net.measure(net.reg("A", 1)).outcome), [0, 1])
+    assert np.array_equal(net.state.per_row(net.measure(net.reg("A", 1)).outcome), [0, 1])
     assert net.pending_outcomes == 0
 
 

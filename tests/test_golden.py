@@ -1,5 +1,8 @@
-"""Golden CLI output: the JSON of every small verifier and of both exhaustive
-QFT sweeps, checked in from an earlier release and compared byte for byte.
+"""Golden CLI output: the JSON of every small verifier, of both exhaustive
+QFT sweeps and of two sampled sweeps (the default `verify qft` and a
+sampled `verify teleport`), checked in from earlier releases and compared
+byte for byte. The sampled files pin the seed's inputs and the outcomes
+drawn from random.Random(seed), message bits included.
 
 Only `max_infidelity` may move, and by at most 1e-12: it is a rounding-level
 maximum over many rows, so a kernel that reorders floating-point work may
@@ -26,6 +29,9 @@ COMMANDS = {
 }
 COMMANDS["verify-qft-exhaustive.json"] = ["verify", "qft", "--branches", "exhaustive"]
 COMMANDS["verify-qft-amortized-exhaustive.json"] = ["verify", "qft", "--amortized", "--branches", "exhaustive"]
+# sampled sweeps: these pin which inputs and outcomes a seed draws
+COMMANDS["verify-qft-sampled.json"] = ["verify", "qft"]
+COMMANDS["verify-teleport-sampled.json"] = ["verify", "teleport", "--branches", "sampled"]
 
 
 @pytest.mark.parametrize("filename", sorted(COMMANDS))

@@ -15,6 +15,7 @@ from catnet.errors import (
 )
 from catnet.gates import CNOT, H, X, Z
 from catnet.network import CHANNEL, REGISTER, ClassicalMessage, Network, QubitAddress
+from catnet.verify import VERIFIERS
 
 SQRT2_INV = 1 / np.sqrt(2)
 
@@ -159,20 +160,32 @@ def test_seeded_runs_are_reproducible():
 
 
 def test_forced_run_never_loads_numpy_random():
-    """The sampling generator is made on the first unforced draw only."""
+    """No run loads numpy.random: a forced run makes no generator, and every
+    seeded input and sampled outcome of a CLI command comes from the
+    standard library's random.Random."""
+    commands = [["verify", name] for name in VERIFIERS] + [
+        ["verify", "qft", "--amortized", "--branches", "exhaustive"],
+        ["verify", "ghz", "--branches", "sampled"],
+        ["demo", "teleport"],
+        ["qft"],
+    ]
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
+        "from catnet.cli import main\n"
         "from catnet.gates import H\n"
         "from catnet.network import Network\n"
         "net = Network([('A', 2, 0)], seed=5)\n"
         "net.local_apply(H, [net.reg('A')])\n"
         "net.force_outcomes([1])\n"
         "net.measure(net.reg('A'))\n"
-        "print('numpy.random' in sys.modules)\n"
+        "assert net._rng is None\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == f"{[0] * len(commands)} False"
 
 
 def test_measure_x_is_one_round():
@@ -405,8 +418,8 @@ def test_split_rows_descend_from_their_input():
     net.split_outcomes(2)
     first, second = net.measure(net.reg("A", 0)), net.measure(net.reg("A", 1))
     assert net.rows == 12
-    assert np.array_equal(net.row_bits(first.outcome), np.tile([0, 0, 1, 1], 3))
-    assert np.array_equal(net.row_bits(second.outcome), np.tile([0, 1], 6))
+    assert np.array_equal(net.state.per_row(first.outcome), np.tile([0, 0, 1, 1], 3))
+    assert np.array_equal(net.state.per_row(second.outcome), np.tile([0, 1], 6))
     # each row holds its input's basis state at its branch, with that state's weight
     probability = net.state.per_row(net.branch_probability)
     assert np.allclose(probability, [0.25] * 8 + [1 / 30, 4 / 30, 9 / 30, 16 / 30])

@@ -5,6 +5,8 @@ kron product plus an explicit basis-relabeling permutation, sharing no code
 with the slab kernels or their tensor contraction.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,8 +162,7 @@ def test_apply_gate_bad_targets():
 ])
 def test_apply_matches_kron_oracle(gate, targets, n):
     """Every kernel kind agrees with the kron oracle."""
-    rng = np.random.default_rng(17)
-    state = random_state(n, rng)
+    state = random_state(n, random.Random(17))
     want = embed_oracle(gate.matrix, n, targets) @ state.amplitudes
     apply_gate(state, gate, targets)
     assert np.max(np.abs(state.amplitudes - want)) < 1e-12
@@ -184,8 +185,7 @@ def test_random_unitary_matches_oracle(seed, n):
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_unitaries_preserve_norm(seed):
-    rng = np.random.default_rng(seed)
-    state = random_state(3, rng)
+    state = random_state(3, random.Random(seed))
     for gate, t in [(H, [0]), (CNOT, [1, 2]), (TOFFOLI, [0, 1, 2]), (make_rk(4), [2])]:
         apply_gate(state, gate, t)
     assert abs(state.norm() - 1.0) < 1e-12
@@ -207,7 +207,7 @@ def test_measure_inplace_collapses_own_buffer():
 
 
 def test_pattern_slabs_are_ordered_views():
-    state = random_state(3, np.random.default_rng(29))
+    state = random_state(3, random.Random(29))
     slabs = pattern_slabs(state, [2, 0])
     # entry 0b10 is qubit 2 = 1, qubit 0 = 0: basis indices 0b001 and 0b011,
     # after the block's one row
@@ -264,11 +264,54 @@ def test_measure_impossible_branch():
 def test_measure_needs_exactly_one_source():
     plus = basis_state(1)
     apply_gate(plus, H, [0])
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         measure(plus, 0)
     with pytest.raises(ValueError):
-        measure(plus, 0, rng=rng, forced=0)
+        measure(plus, 0, rng=random.Random(0), forced=0)
+
+
+def test_random_vector_is_seeded():
+    """Equal seeds give bitwise-equal vectors, other seeds other vectors."""
+    v = qstate.random_vector(5, random.Random(7))
+    assert np.array_equal(v, qstate.random_vector(5, random.Random(7)))
+    assert not np.array_equal(v, qstate.random_vector(5, random.Random(8)))
+    assert np.array_equal(random_state(5, random.Random(7)).amplitudes, v)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+def test_random_vectors_have_unit_norm(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        v = qstate.random_vector(n, rng)
+        assert v.shape == (2**n,) and abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+def test_random_vector_parts_are_standard_normals():
+    """The 2^14 real and imaginary parts of a 2^13-amplitude vector, scaled
+    back to a mean square of 1: the norm fixes only that total, so each
+    part must have mean 0 and variance 1 on its own, be uncorrelated with
+    the other, and put a normal's 68.3% within one standard deviation."""
+    v = qstate.random_vector(13, random.Random(2024)) * np.sqrt(2**14)
+    for part in (v.real, v.imag):
+        assert abs(part.mean()) < 0.05 and abs(part.var() - 1.0) < 0.05
+        assert abs(np.mean(np.abs(part) < 1.0) - 0.6827) < 0.02
+    assert abs(np.corrcoef(v.real, v.imag)[0, 1]) < 0.05
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampled_outcomes_draw_once_per_row_in_row_order(seed):
+    """On a split state, row r keeps outcome 1 exactly when the r-th draw
+    of the generator falls below the row's weight of 1."""
+    inputs = [random_state(3, random.Random(100 * seed + i)).amplitudes for i in range(3)]
+    state = StateVector(3, np.stack(inputs))
+    qstate.measure_split(state, 0)
+    assert state.rows == 6
+    p1 = np.sum(np.abs(state.amplitudes[:, 0b001::2]) ** 2, axis=1)
+    draws = random.Random(seed)
+    want = np.array([draws.random() for _ in range(state.rows)]) < p1
+    rec = measure(state, 2, rng=random.Random(seed))
+    assert np.array_equal(state.per_row(rec.outcome), want)
+    assert np.allclose(state.per_row(rec.probability), np.where(want, p1, 1 - p1))
 
 
 def test_measure_collapses_entanglement():
@@ -292,8 +335,7 @@ def test_norm_stable_over_many_measurements():
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_branch_probabilities_sum_to_one(seed):
-    rng = np.random.default_rng(seed)
-    state = random_state(3, rng)
+    state = random_state(3, random.Random(seed))
     rec0 = measure(copy_of(state), 1, forced=0)
     rec1 = measure(copy_of(state), 1, forced=1)
     assert abs(rec0.probability + rec1.probability - 1.0) < 1e-12
@@ -343,7 +385,7 @@ def test_overlap_matches_density_matrix_trace(keep):
     """tr(rho_a rho_e) without density matrices, per row of a stack of
     states against one state that stands in for every row, and per row of a
     split state against the two inputs its rows descend from."""
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     ancestor = random_state(5, rng)
     split = StateVector(5, np.stack([random_state(5, rng).amplitudes for _ in range(4)]))
     got = qstate.overlap(qstate.bipartition(split, keep), qstate.bipartition(ancestor, keep))
