@@ -44,17 +44,19 @@ REGISTER = "register"
 CHANNEL = "channel"
 
 
-@dataclass(frozen=True, order=True)
-class QubitAddress:
-    """Where a qubit lives: node id, pool kind, slot index."""
+class QubitAddress(collections.namedtuple("QubitAddress", "node pool slot")):
+    """Where a qubit lives: node id, pool kind, slot index.
 
-    node: str
-    pool: str
-    slot: int
+    A tuple, so hashing and comparing (ordered by node, pool, slot) run in C:
+    the network looks addresses up on every operation.
+    """
 
-    def __post_init__(self) -> None:
-        if self.pool not in (REGISTER, CHANNEL):
-            raise ValueError(f"pool must be {REGISTER!r} or {CHANNEL!r}, got {self.pool!r}")
+    __slots__ = ()
+
+    def __new__(cls, node: str, pool: str, slot: int) -> "QubitAddress":
+        if pool not in (REGISTER, CHANNEL):
+            raise ValueError(f"pool must be {REGISTER!r} or {CHANNEL!r}, got {pool!r}")
+        return super().__new__(cls, node, pool, slot)
 
     def __str__(self) -> str:
         return f"{self.node}.{self.pool}[{self.slot}]"
@@ -126,14 +128,15 @@ def _one_answer(answer: bool | np.ndarray, what: str, addrs: Sequence[object] = 
     """
     if not isinstance(answer, np.ndarray):
         return bool(answer)
-    if answer.all():
+    hits = np.count_nonzero(answer)
+    if hits == answer.size:
         return True
-    if not answer.any():
+    if not hits:
         return False
     if addrs:
         what = f"{what} {[str(a) for a in addrs]}"
     raise BranchDivergenceError(
-        f"{what} holds on {int(answer.sum())} of {answer.size} branch rows; "
+        f"{what} holds on {hits} of {answer.size} branch rows; "
         f"protocol structure must not depend on measurement outcomes"
     )
 
@@ -424,13 +427,14 @@ class Network:
         idx = [self.global_index(t) for t in targets]
         self._account_round(idx)
         fire = bit == 1
-        if not isinstance(fire, np.ndarray):
-            if fire:
+        if isinstance(fire, np.ndarray):
+            hits = np.count_nonzero(fire)  # every row fires, some do, or none
+            if 0 < hits < fire.size:
+                qstate.apply_gate(self.state, gate, idx, rows=fire)
+            elif hits:
                 qstate.apply_gate(self.state, gate, idx)
-        elif fire.all():
+        elif fire:
             qstate.apply_gate(self.state, gate, idx)
-        elif fire.any():
-            qstate.apply_gate(self.state, gate, idx, rows=fire)
         return fire
 
     # ---- qubit movement ----------------------------------------------------
@@ -524,10 +528,12 @@ class Network:
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate addresses in input preparation")
         k = len(idx)
-        amps = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
+        amps = np.ascontiguousarray(np.atleast_2d(amplitudes), dtype=complex)
         if amps.ndim != 2 or amps.shape[1] != 2**k:
             raise ValueError(f"expected {2**k} amplitudes (per input) for {k} qubits, got shape {amps.shape}")
-        norm = np.array([np.linalg.norm(a) for a in amps])  # as one input alone, to the last bit
+        # one reduction per row, so each input's norm is the one it has alone
+        f = amps.view(np.float64)
+        norm = np.sqrt(np.einsum("ri,ri->r", f, f))
         if norm.min() < qstate.ZERO_CUTOFF:
             raise ValueError("cannot inject the zero vector")
         # a block's axes run in ascending global index; reorder the

@@ -40,28 +40,30 @@ class CatGroup:
 
 def _require_correlated(
     net: Network, addrs: Sequence[QubitAddress], what: str
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Check the qubits only ever read all-0 or all-1 together.
 
-    Returns the amplitude slabs for every bit pattern of the qubits (first
-    address = most significant bit), as views of the network's state. On a
+    Returns their amplitudes by bit pattern (first address = most
+    significant bit), the (rows, 2^k, rest) array of
+    qstate.pattern_weights, whose pattern weights make the check. On a
     split state the check is made per row, and rows that disagree raise
     BranchDivergenceError.
     """
-    slabs = qstate.pattern_slabs(net.state, [net.global_index(a) for a in addrs])
-    mixed = np.sqrt(sum(qstate.row_weights(slab) for slab in slabs[1:-1]))
+    psi, weights = qstate.pattern_weights(net.state, [net.global_index(a) for a in addrs])
+    mixed = np.sqrt(weights[:, 1:-1].sum(axis=1))
     if _one_answer(mixed > ATOL, "a mix of patterns on", addrs):
         raise EntanglementError(
             f"{what} requires qubits {[str(a) for a in addrs]} to agree in the "
             f"classical basis; mixed patterns carry weight {mixed.max():.3e}"
         )
-    return slabs
+    return psi
 
 
 def _require_fresh_cat(net: Network, addrs: Sequence[QubitAddress]) -> None:
     """Check the qubits hold (|0..0> + |1..1>)/sqrt(2), nothing else attached."""
-    slabs = _require_correlated(net, addrs, "the entangler")
-    differ = np.sqrt(qstate.row_weights(slabs[0] - slabs[-1])) > ATOL
+    psi = _require_correlated(net, addrs, "the entangler")
+    diff = (psi[:, 0] - psi[:, -1]).view(np.float64)
+    differ = np.sqrt(np.einsum("ri,ri->r", diff, diff)) > ATOL
     if _one_answer(differ, "a broken cat state on", addrs):
         raise EntanglementError(
             f"qubits {[str(a) for a in addrs]} are not in a fresh shared cat state "

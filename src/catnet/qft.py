@@ -237,7 +237,7 @@ def qft_distributed(
 
     report = scope.report(
         "distributed-qft",
-        [(_qft_gate(plan.n), addr)],
+        [(_qft_gate(plan.n), addr)] if check else [],  # the oracle's gate, built only when read
         details={
             "plan": plan.to_dict(),
             "amortized": amortized,

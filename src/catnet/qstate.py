@@ -38,8 +38,9 @@ copies the slabs it moves, a diagonal gate scales the slabs whose phase is
 not 1, and a one-qubit gate mixes its two slabs; wider general gates
 contract through tensordot. apply_gate and measure overwrite the state's
 own blocks (a Network owns its global state and changes it in place); a
-caller that needs the earlier state copies it first. pattern_slabs hands
-the same slabs out as views, for checks that read amplitudes by pattern.
+caller that needs the earlier state copies it first. pattern_weights lays
+out a block's amplitudes by the bit pattern of some of its qubits, with
+every pattern's weight, for checks that read amplitudes by pattern.
 
 A state may carry R branch rows: one normalized vector per measurement
 branch, which is the deferred-measurement picture with the branch bits as
@@ -82,11 +83,12 @@ ZERO_CUTOFF = 1e-12
 class GateMatrix:
     """A unitary acting on a fixed number of qubits.
 
-    The matrix is validated (square, power-of-two dimension, unitary within
-    1e-10) and frozen at construction. Instances are classified once as
-    permutation / diagonal / general, and what the kernels need for that
-    kind is precomputed: the (destination, source) row pairs a permutation
-    moves and the row each source row goes to, the (row, phase) pairs of a
+    The matrix is validated (square, power-of-two dimension, unitary: no
+    entry of m^dagger m - I above 1e-10 in absolute value) and frozen at
+    construction. Instances are classified once as permutation / diagonal /
+    general, and what the kernels need for that kind is precomputed: the
+    (destination, source) row pairs a permutation moves and the row each
+    source row goes to (a tuple of ints), the (row, phase) pairs of a
     diagonal whose phase is not 1 and its whole diagonal, and the (2,)*2a
     tensor of the matrix. `rules` memoizes a permutation's fixed rules
     (_fixed_rule), one per set of fixed wire positions.
@@ -102,7 +104,7 @@ class GateMatrix:
         arity = dim.bit_length() - 1
         if 2**arity != dim or arity < 1:
             raise ValueError(f"gate dimension must be a power of two >= 2, got {dim}")
-        if not np.allclose(m.conj().T @ m, np.eye(dim), atol=ATOL):
+        if np.abs(m.conj().T @ m - np.eye(dim)).max() > ATOL:
             raise ValueError("gate matrix is not unitary within 1e-10")
         m.setflags(write=False)
         self.matrix = m
@@ -113,24 +115,21 @@ class GateMatrix:
 
     def _classify(self) -> None:
         m = self.matrix
-        dim = m.shape[0]
         self.moves: tuple[tuple[int, int], ...] = ()
         self.phases: tuple[tuple[int, complex], ...] = ()
         self.image = self.diagonal = None
-        nonzero_rows = m.nonzero()[0]
-        if len(nonzero_rows) == dim and np.all((m == 0) | (m == 1)):
-            # exactly one 1 per column: out[row] <- in[col]
-            rows, cols = m.nonzero()
+        rows, cols = m.nonzero()
+        # a unitary has a nonzero in every column, so one per column is all
+        if len(rows) == len(m) and (m[rows, cols] == 1).all():
+            # out[row] <- in[col]
             self.kind = "permutation"
-            self.moves = tuple((int(r), int(c)) for r, c in zip(rows, cols) if r != c)
-            self.image = np.empty(dim, dtype=np.int64)
-            self.image[cols] = rows
-        elif np.count_nonzero(m - np.diag(np.diagonal(m))) == 0:
+            rows, cols = rows.tolist(), cols.tolist()
+            self.moves = tuple((r, c) for r, c in zip(rows, cols) if r != c)
+            self.image = tuple(r for _, r in sorted(zip(cols, rows)))
+        elif (rows == cols).all():
             self.kind = "diagonal"
             self.diagonal = np.diagonal(m)
-            self.phases = tuple(
-                (row, complex(phase)) for row, phase in enumerate(self.diagonal) if phase != 1
-            )
+            self.phases = tuple((row, phase) for row, phase in enumerate(self.diagonal.tolist()) if phase != 1)
         else:
             self.kind = "general"
 
@@ -338,7 +337,7 @@ def _cut(a: np.ndarray, axes) -> np.ndarray:
     for ax in axes:
         if a.shape[ax] > 1:
             first = a[(slice(None),) * ax + (slice(0, 1),)]
-            if (a == first).all():
+            if not np.count_nonzero(a != first):
                 a = first
     return a
 
@@ -359,10 +358,18 @@ def _note(state: StateVector) -> None:
 def _on_rows(state: StateVector, block: Block, rows: np.ndarray, kernel) -> None:
     """Run `kernel` in place on the block's amplitudes of the rows that the
     per-row mask `rows` selects, first giving the block a stored row per
-    combination of the axes either varies along. Along each axis of the
-    mask, the block is then cut to one slice where its slices came out
-    bitwise equal, as they do once a correction makes branches agree."""
-    lead = np.broadcast_shapes(block.amps.shape[:-1], rows.shape)
+    combination of the axes either varies along.
+
+    The kernel runs once per entry the mask marks, on the basic-index slice
+    of the rows that entry stands for: a view, written in place when it is
+    C-contiguous; any other slice is copied, run and assigned back, since a
+    kernel's reshape of it would copy and drop its writes. Along each axis
+    of the mask, the block is then cut to one slice where its slices came
+    out bitwise equal, as they do once a correction makes branches agree.
+    """
+    have = (1,) * (rows.ndim + 1 - block.amps.ndim) + block.amps.shape[:-1]
+    whole = (slice(None),) * (len(have) - rows.ndim)
+    lead = have[: len(whole)] + tuple(map(max, have[len(whole) :], rows.shape))
     shape = lead + block.amps.shape[-1:]
     if math.prod(lead) == block.rows:
         amps = block.amps.reshape(shape)
@@ -370,11 +377,16 @@ def _on_rows(state: StateVector, block: Block, rows: np.ndarray, kernel) -> None
         amps = np.broadcast_to(block.amps, shape).copy()
         block.amps = amps
         _note(state)
-    hit = np.broadcast_to(rows, lead)
-    sub = amps[hit]
-    kernel(sub)
-    amps[hit] = sub
-    axes = [len(lead) - rows.ndim + ax for ax, size in enumerate(rows.shape) if size > 1]
+    for hit in zip(*(ix.tolist() for ix in np.nonzero(rows))):
+        key = whole + tuple(i if size > 1 else slice(None) for i, size in zip(hit, rows.shape))
+        sub = amps[key]
+        if sub.flags.c_contiguous:
+            kernel(sub)
+        else:
+            sub = sub.copy()
+            kernel(sub)
+            amps[key] = sub
+    axes = [len(whole) + ax for ax, size in enumerate(rows.shape) if size > 1]
     block.amps = np.ascontiguousarray(_cut(amps, axes))
 
 
@@ -564,24 +576,33 @@ def _fixed_rule(gate: GateMatrix, fpos: tuple) -> tuple | None:
     (destination, source) slab moves that take the live input wires onto
     the remaining output wires, both in ascending wire order. The rule
     depends on which wires are fixed only, never on their bits. It is
-    derived once per `fpos` and kept on the gate: at most 2^arity entries.
+    derived once per `fpos`, in plain ints from the gate's image, and kept
+    on the gate: at most 2^arity entries.
     """
     if fpos in gate.rules:
         return gate.rules[fpos]
     a = gate.arity
     lpos = [j for j in range(a) if j not in fpos]
-    # every input index, by (pattern, live value)
-    index = np.arange(2**a).reshape((2,) * a).transpose([*fpos, *lpos]).reshape(2 ** len(fpos), -1)
-    out = (gate.image[index][..., None] >> np.arange(a - 1, -1, -1)) & 1  # (pattern, live value, wire)
-    constant = (out == out[:, :1]).all(axis=1)
+
+    def bit(index: int, wire: int) -> int:
+        return (index >> (a - 1 - wire)) & 1
+
+    def spread(value: int, wires) -> int:  # value's bits, first = MSB, on those wires
+        return sum(((value >> (len(wires) - 1 - k)) & 1) << (a - 1 - w) for k, w in enumerate(wires))
+
+    live = [spread(v, lpos) for v in range(2 ** len(lpos))]
+    # the output index of every input, by (pattern, live value)
+    outs = [[gate.image[spread(p, fpos) | x] for x in live] for p in range(2 ** len(fpos))]
+    constant = {tuple(w for w in range(a) if len({bit(o, w) for o in row}) == 1) for row in outs}
     rule = None
-    if (constant == constant[0]).all() and constant[0].sum() == len(fpos):
-        const = tuple(int(w) for w in np.flatnonzero(constant[0]))
+    if len(constant) == 1 and len(const := constant.pop()) == len(fpos):
         rest = [w for w in range(a) if w not in const]
-        weights = 1 << np.arange(len(rest) - 1, -1, -1, dtype=np.int64)
-        image = out[:, :, rest] @ weights  # live output value per (pattern, live value)
-        moves = tuple(tuple((int(d), s) for s, d in enumerate(row) if d != s) for row in image)
-        rule = (const, out[:, 0, list(const)], moves)
+        moves = []
+        for row in outs:  # the live output value of each live input value
+            image = [sum(bit(o, w) << (len(rest) - 1 - k) for k, w in enumerate(rest)) for o in row]
+            moves.append(tuple((d, s) for s, d in enumerate(image) if d != s))
+        bits = np.array([[bit(row[0], w) for w in const] for row in outs], dtype=np.int64)
+        rule = (const, bits, tuple(moves))
     gate.rules[fpos] = rule
     return rule
 
@@ -680,29 +701,20 @@ def apply_gate(
         _on_rows(state, block, rows, lambda sub: _apply(sub, len(block.qubits), gate, axes))
 
 
-def pattern_slabs(state: StateVector, qubits: Sequence[int]) -> list[np.ndarray]:
-    """The amplitudes grouped by the bit pattern of `qubits`.
+def pattern_weights(state: StateVector, qubits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes by bit pattern of `qubits`, and each pattern's weight.
 
-    Entry b is the slab where the listed qubits read the bits of b (first
-    listed qubit = most significant bit), over the other qubits of the
-    merged block of the listed ones; every other block is a factor of norm
-    1 and left out. Each slab has one leading axis over that block's stored
-    rows, each of which stands for every state row it broadcasts to. Slabs
-    are views of the state's block when the listed qubits are all live in
-    one block.
+    The first is bipartition(state, qubits) laid out C-contiguously with the
+    merged block's row axes flattened: a (rows, 2^k, rest) array whose entry
+    [r, b] holds stored row r's amplitudes where the listed qubits read the
+    bits of b (first listed qubit = most significant bit). Each stored row
+    stands for every state row it broadcasts to. The second is the (rows,
+    2^k) squared norm of every entry, from one einsum over the float64 view.
     """
-    qubits = _check_targets(state, qubits, len(qubits))
-    block = _merged(state, *_locate(state, qubits))
-    axes = tuple(bisect_left(block.qubits, q) for q in qubits)
-    psi = _qubit_view(block.amps.reshape(-1, block.amps.shape[-1]), len(block.qubits))
-    return [psi[idx] for idx in _slabs(len(block.qubits), axes)]
-
-
-def row_weights(slab: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of `slab` (a pattern_slabs slab, the row
-    axis first)."""
-    flat = np.ascontiguousarray(slab).view(np.float64).reshape(len(slab), -1)
-    return np.einsum("ri,ri->r", flat, flat)
+    psi = np.ascontiguousarray(_by_pattern(state, qubits))
+    psi = psi.reshape((-1,) + psi.shape[-2:])
+    f = psi.view(np.float64)
+    return psi, np.einsum("rpi,rpi->rp", f, f)
 
 
 def _block_weight(block: Block, qubit: int, bit: int) -> np.ndarray:
@@ -740,8 +752,9 @@ def _bits(value, what: str) -> int | np.ndarray:
     """A bit as an int, or per-row bits as a compact int64 array (see
     _compact); anything else raises."""
     if isinstance(value, np.ndarray):
-        bits = value.astype(np.int64)
-        if not ((bits == 0) | (bits == 1)).all() or not np.array_equal(bits, value):
+        # outcomes and their XORs are int64 already: only other types convert
+        bits = value if value.dtype == np.int64 else value.astype(np.int64)
+        if np.count_nonzero(bits >> 1) or (bits is not value and not np.array_equal(bits, value)):
             raise ValueError(f"{what} must be 0 or 1, got {value}")
         return _compact(bits)
     if value not in (0, 1):
@@ -843,12 +856,13 @@ def measure_split(state: StateVector, qubit: int) -> MeasurementRecord:
         raise ImpossibleBranchError(f"a branch of the split on qubit {qubit} has probability 0.000e+00")
     block = _block_of(state, qubit)
     lead = (1,) * (len(state.grid) + 1 - block.amps.ndim) + block.amps.shape[:-1]
-    p = np.stack([_block_weight(block, qubit, b).reshape(lead) for b in (0, 1)])
-    if (p < ZERO_CUTOFF).any():
+    p = np.array([_block_weight(block, qubit, b).reshape(lead) for b in (0, 1)])
+    if np.count_nonzero(p < ZERO_CUTOFF):
         raise ImpossibleBranchError(f"a branch of the split on qubit {qubit} has probability {p.min():.3e}")
-    k = bisect_left(block.qubits, qubit)
-    new = np.moveaxis(block.amps.reshape(lead + (2**k, 2, -1)), -2, 0).copy()
-    new /= np.sqrt(p)[..., None, None]
+    k, r = bisect_left(block.qubits, qubit), len(lead)
+    # both halves in one pass, the outcome axis first
+    halves = block.amps.reshape(lead + (2**k, 2, -1)).transpose(r + 1, *range(r + 1), r + 2)
+    new = np.divide(halves, np.sqrt(p)[..., None, None], order="C")
     state.grid = (2,) + state.grid
     outcome = np.arange(2).reshape((2,) + (1,) * len(lead))
     _drop(state, block, qubit, new.reshape(p.shape + (-1,)), outcome)
@@ -881,11 +895,17 @@ def bipartition(state: StateVector, keep: Sequence[int]) -> np.ndarray:
     listed, is a factor of norm 1, so it is left out; `rest` is then
     smaller than 2^(n - len(keep)).
     """
+    return _by_pattern(state, keep)
+
+
+def _by_pattern(state: StateVector, keep: Sequence[int]) -> np.ndarray:
+    """bipartition's array, for the probes in this module."""
     keep = _check_targets(state, keep, len(keep))
     block = _merged(state, *_locate(state, keep))
     lead = block.amps.ndim - 1
-    psi = _qubit_view(block.amps, len(block.qubits))
-    psi = np.moveaxis(psi, [lead + bisect_left(block.qubits, k) for k in keep], range(lead, lead + len(keep)))
+    axes = [bisect_left(block.qubits, k) for k in keep]
+    axes += [a for a in range(len(block.qubits)) if a not in axes]
+    psi = _qubit_view(block.amps, len(block.qubits)).transpose(*range(lead), *(lead + a for a in axes))
     return psi.reshape(block.amps.shape[:-1] + (2 ** len(keep), -1))
 
 

@@ -9,6 +9,8 @@ every operation on it runs the slab kernels over all 2^n amplitudes of
 every row.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,7 +156,7 @@ def check_blocks(state: StateVector) -> None:
 
 
 def check_probes(data, elided: StateVector, ref: StateVector) -> None:
-    """bipartition/overlap and pattern_slabs on a drawn set of qubits,
+    """bipartition/overlap and pattern_weights on a drawn set of qubits,
     against the dense reference."""
     keep = data.draw(st.permutations(range(N)))[: data.draw(st.integers(1, N))]
     rho = np.reshape(reduced_density_matrix(ref, keep), (ref.rows, 2 ** len(keep), 2 ** len(keep)))
@@ -164,13 +166,15 @@ def check_probes(data, elided: StateVector, ref: StateVector) -> None:
     assert agree(qstate.overlap(qstate._flat_rows(elided.grid, mine, 2), dense_keep), purity)
     probs = np.abs(ref.amplitudes.reshape(ref.rows, -1)) ** 2
     index = np.arange(2**N)
-    # the slabs' rows are the stored rows of the listed qubits' merged block
+    # the rows are the stored rows of the listed qubits' merged block
     lead = qstate._merged(elided, *qstate._locate(elided, keep)).amps.shape[:-1]
-    for pattern, slab in enumerate(qstate.pattern_slabs(elided, keep)):
+    psi, weights = qstate.pattern_weights(elided, keep)
+    for pattern in range(2 ** len(keep)):
         bits = [(pattern >> (len(keep) - 1 - j)) & 1 for j in range(len(keep))]
         reads = np.all([(index >> (N - 1 - q)) & 1 == bit for q, bit in zip(keep, bits)], axis=0)
-        weight = elided.per_row(qstate.row_weights(slab).reshape(lead))
+        weight = elided.per_row(weights[:, pattern].reshape(lead))
         assert agree(weight, probs[:, reads].sum(axis=1))
+        assert agree(weight, elided.per_row(np.sum(np.abs(psi[:, pattern]) ** 2, axis=1).reshape(lead)))
 
 
 @given(st.data())
@@ -307,6 +311,71 @@ def test_elided_state_matches_dense_copy(data):
         assert np.allclose(elided.norm(), 1.0, atol=TOL)
         check_blocks(elided)
         assert [b.qubits for b in other.blocks] == [b.qubits for b in elided.blocks]
+
+
+@pytest.mark.parametrize("per_outcome", [False, True])
+@pytest.mark.parametrize("gate", [Z, X], ids=["Z", "X"])
+@pytest.mark.parametrize("dropped", [1, 2, 3])
+def test_parity_corrections_run_on_row_slices(dropped, gate, per_outcome):
+    """A correction controlled by the XOR of 1-3 split outcomes: the Z of a
+    cat_shrink that drops `dropped` members (each X-measured), or an X on a
+    target that the members' bits were added onto (each Z-measured). It
+    runs once on the XOR or once per outcome, oldest first: then its mask
+    varies along a row axis that is not the block's first, so the slices
+    it picks are not contiguous. Every correction agrees with the dense
+    copy and makes the rows along its mask's axes bitwise equal, so the
+    block stores them once; at the end it stores one row."""
+    keep, members, target = 0, list(range(1, dropped + 1)), N - 1
+    state = basis_state(N)
+    apply_gate(state, _unitary(2, 7), [keep])
+    if gate is Z:
+        fixes = keep
+        for m in members:
+            apply_gate(state, CNOT, [keep, m])
+        for m in members:
+            apply_gate(state, H, [m])
+    else:
+        fixes = target
+        apply_gate(state, CNOT, [keep, target])
+        for m in members:
+            apply_gate(state, H, [m])
+            apply_gate(state, CNOT, [m, target])
+    outcomes = [measure_split(state, m).outcome for m in members]
+    masks = outcomes if per_outcome else [functools.reduce(np.bitwise_xor, outcomes)]
+    for j, mask in enumerate(masks):
+        block = block_holding(state, fixes)
+        if per_outcome:  # the grid runs newest split first, so outcome j's axis is dropped - 1 - j
+            assert block.amps[(slice(None),) * (dropped - 1 - j) + (1,)].flags.c_contiguous == (j == dropped - 1)
+        ref = dense(state)
+        flat = state.per_row(mask == 1)
+        apply_gate(state, gate, [fixes], rows=mask == 1)
+        apply_gate(ref, gate, [fixes], rows=grid_form(ref, flat))
+        assert agree(state.amplitudes, ref.amplitudes)
+        check_blocks(state)
+        block = block_holding(state, fixes)
+        lead = block.amps.shape[:-1]
+        assert all(lead[len(lead) - mask.ndim + ax] == 1 for ax, size in enumerate(mask.shape) if size > 1)
+    assert state.rows == 2**dropped and block_holding(state, fixes).rows == 1
+
+
+@pytest.mark.parametrize("targets", [[4], [2], [4, 2]])
+def test_general_gates_on_row_slices_that_are_not_contiguous(targets):
+    """The general kernels reshape their rows into one axis, which copies a
+    slice that is not contiguous: the slice path runs them on a copy and
+    assigns it back. The mask is the first of two splits' outcomes, so it
+    picks every other stored row of the block."""
+    state = qstate.random_state(N, np.random.default_rng(11))
+    first = measure_split(state, 0).outcome
+    measure_split(state, 1)
+    block = block_holding(state, targets[0])
+    assert block.amps.shape[:-1] == (2, 2, 1) and not block.amps[:, 1].flags.c_contiguous
+    gate = H if len(targets) == 1 else _unitary(4, 5)
+    ref = dense(state)
+    flat = state.per_row(first == 1)
+    apply_gate(state, gate, targets, rows=first == 1)
+    apply_gate(ref, gate, targets, rows=grid_form(ref, flat))
+    assert agree(state.amplitudes, ref.amplitudes)
+    check_blocks(state)
 
 
 def test_amplitudes_are_a_read_only_snapshot():

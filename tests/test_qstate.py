@@ -5,6 +5,7 @@ kron product plus an explicit basis-relabeling permutation, sharing no code
 with the slab kernels or their tensor contraction.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -22,7 +23,7 @@ from catnet.qstate import (
     basis_state,
     measure,
     partial_state_check,
-    pattern_slabs,
+    pattern_weights,
     random_state,
 )
 from reference import reduced_density_matrix
@@ -119,12 +120,85 @@ def test_gate_matrix_rejects_non_unitary():
         GateMatrix(np.eye(3))  # not a power-of-two dimension
 
 
+def test_gate_matrix_bound_is_absolute():
+    """Every entry of m^dagger m - I must be within 1e-10: a relative
+    tolerance would let a column norm^2 off by 8e-6 through."""
+    for eps in (1e-6, 4e-6):
+        with pytest.raises(ValueError, match="unitary"):
+            GateMatrix(np.diag([1 + eps, 1]))
+    GateMatrix(np.diag([1 + 1e-12, 1]))
+
+
+def _built_gates() -> list[GateMatrix]:
+    """The fixed gates, the rotations and the controlled gates that the
+    protocols and the QFT build."""
+    from catnet import protocols, qft
+
+    built = [g for mod in (gates, protocols) for g in vars(mod).values() if isinstance(g, GateMatrix)]
+    built += [make_rk(k) for k in range(1, 9)]
+    built += [qft.controlled_rk(k) for k in range(1, 9)] + [qft._controlled_rk_inv(k) for k in range(1, 9)]
+    built += [qft._qft_gate(n) for n in range(1, 7)]
+    bases = [X, Z, H, make_rk(2), make_rk(3)]
+    built += [make_controlled(ControlledSpec(c, b)) for c in range(1, 5) for b in bases]
+    return built
+
+
+def test_gate_matrix_accepts_every_built_gate():
+    from catnet.verify import _random_unitary
+
+    haar = [_random_unitary(2**q, random.Random(seed)) for q in (1, 2, 3) for seed in range(10)]
+    for m in [g.matrix for g in _built_gates()] + haar:
+        GateMatrix(m)
+
+
 def test_gate_kind_classification():
     assert X.kind == "permutation"
     assert CNOT.kind == "permutation"
     assert Z.kind == "diagonal"
     assert make_rk(3).kind == "diagonal"
     assert H.kind == "general"
+
+
+def _brute_fixed_rule(gate: GateMatrix, fpos: tuple):
+    """_fixed_rule by sending every basis state through the matrix and
+    reading the output wires as strings of bits."""
+    a = gate.arity
+    lpos = [j for j in range(a) if j not in fpos]
+    outs = []
+    for p in range(2 ** len(fpos)):
+        row = []
+        for v in range(2 ** len(lpos)):
+            bits = dict(zip(fpos, format(p, f"0{len(fpos)}b"))) | dict(zip(lpos, format(v, f"0{len(lpos)}b")))
+            column = gate.matrix[:, int("".join(bits[w] for w in range(a)), 2)]
+            row.append(format(int(np.flatnonzero(column)[0]), f"0{a}b"))
+        outs.append(row)
+    consts = {tuple(w for w in range(a) if len({o[w] for o in row}) == 1) for row in outs}
+    if len(consts) != 1:
+        return None
+    (const,) = consts
+    if len(const) != len(fpos):
+        return None
+    rest = [w for w in range(a) if w not in const]
+    bits = [[int(row[0][w]) for w in const] for row in outs]
+    images = [[int("".join(o[w] for w in rest) or "0", 2) for o in row] for row in outs]
+    moves = tuple(tuple((d, s) for s, d in enumerate(image) if d != s) for image in images)
+    return const, bits, moves
+
+
+@pytest.mark.parametrize("name", ["X", "CNOT", "SWAP", "TOFFOLI", "C3X", "C4X", "CYCLE3"])
+def test_fixed_rules_match_brute_force(name):
+    from catnet.protocols import C3X
+
+    gate = {"X": X, "CNOT": CNOT, "SWAP": SWAP, "TOFFOLI": TOFFOLI, "C3X": C3X, "C4X": C4X, "CYCLE3": CYCLE3}[name]
+    for size in range(1, gate.arity + 1):
+        for fpos in itertools.combinations(range(gate.arity), size):
+            want, got = _brute_fixed_rule(gate, fpos), qstate._fixed_rule(gate, fpos)
+            if want is None:
+                assert got is None, fpos
+            else:
+                const, bits, moves = got
+                assert const == want[0] and moves == want[2], fpos
+                assert bits.shape == (2**size, size) and bits.tolist() == want[1], fpos
 
 
 def test_apply_gate_bad_targets():
@@ -206,14 +280,17 @@ def test_measure_inplace_collapses_own_buffer():
     assert np.allclose(bell.amplitudes, basis_state(2, 0b11).amplitudes)
 
 
-def test_pattern_slabs_are_ordered_views():
+def test_pattern_weights_are_ordered():
     state = random_state(3, random.Random(29))
-    slabs = pattern_slabs(state, [2, 0])
+    psi, weights = pattern_weights(state, [2, 0])
     # entry 0b10 is qubit 2 = 1, qubit 0 = 0: basis indices 0b001 and 0b011,
     # after the block's one row
-    assert np.array_equal(slabs[0b10], state.amplitudes[None, [0b001, 0b011]])
-    slabs[0b10][...] = 0
-    assert state.amplitudes[0b001] == 0 and state.amplitudes[0b011] == 0
+    assert psi.shape == (1, 4, 2) and psi.flags.c_contiguous
+    assert np.array_equal(psi[:, 0b10], state.amplitudes[None, [0b001, 0b011]])
+    # each pattern's weight is the probability that the qubits read it
+    probs = np.abs(state.amplitudes) ** 2
+    want = [probs[[i for i in range(8) if (i & 1, i >> 2) == (b >> 1, b & 1)]].sum() for b in range(4)]
+    assert weights.shape == (1, 4) and np.allclose(weights[0], want, atol=1e-15)
 
 
 def _memo_sizes() -> dict[str, int]:
