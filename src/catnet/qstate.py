@@ -52,11 +52,13 @@ rows of a block, a fixed bit, an outcome, a weight, a row mask) is an array
 over the grid's trailing axes with size 1 along every axis it does not
 vary along, so numpy broadcasting lines up a value made before a split
 with the rows after it, and one that varies along no axis is a scalar. A
-split adds an axis to the measured block only, and a row-masked gate cuts
-the block to one slice along each axis of the mask whose slices come out
-bitwise equal, so the rows a protocol's corrections make equal are stored
-once. Every kernel acts on all stored rows at once (apply_gate can be
-limited to a subset of rows), measure_split turns each row into its two
+split adds an axis to the measured block only. A row-masked gate runs its
+kernel once per entry the mask marks, on the basic-index slice of the
+block's rows under it (a view: no rows are gathered or scattered), then
+cuts the block to one slice along each axis of the mask whose slices come
+out bitwise equal, so the rows a protocol's corrections make equal are
+stored once. Every kernel acts on all stored rows at once (apply_gate can
+be limited to a subset of rows), measure_split turns each row into its two
 outcome rows, and the probes answer once per stored row;
 StateVector.per_row lays a value out with one entry per row. An unsplit
 state (R = 1) gives scalar answers.
@@ -104,7 +106,7 @@ class GateMatrix:
         arity = dim.bit_length() - 1
         if 2**arity != dim or arity < 1:
             raise ValueError(f"gate dimension must be a power of two >= 2, got {dim}")
-        if np.abs(m.conj().T @ m - np.eye(dim)).max() > ATOL:
+        if not np.abs(m.conj().T @ m - np.eye(dim)).max() <= ATOL:  # NaN fails too
             raise ValueError("gate matrix is not unitary within 1e-10")
         m.setflags(write=False)
         self.matrix = m
@@ -621,12 +623,15 @@ def _relabel(state: StateVector, targets: tuple, fpos: tuple, rule: tuple, rows:
     old = [t for j, t in enumerate(targets) if j not in fpos]
     block = _gather(state, old) if old else None
     for p, live_map in enumerate(moves):
+        if not live_map:
+            continue
         # a bool, or a mask of the rows whose pattern is p
         hit = pattern == p if rows is None else (pattern == p) & rows
-        if not live_map or not np.any(hit):
+        hits = np.count_nonzero(hit)
+        if not hits:
             continue
         axes = tuple(bisect_left(block.qubits, t) for t in old)
-        if hit is True or hit.all():
+        if hits == np.size(hit):
             _move(block.amps, len(block.qubits), live_map, axes)
         else:
             _on_rows(state, block, hit, lambda sub: _move(sub, len(block.qubits), live_map, axes))
@@ -661,7 +666,7 @@ def _scale_fixed(state: StateVector, gate: GateMatrix, targets: tuple, rows: np.
     for t in targets:
         pattern = (pattern << 1) | state.fixed[t]
     phase = np.atleast_1d(gate.diagonal[pattern] if rows is None else np.where(rows, gate.diagonal[pattern], 1))
-    if (phase != 1).any():
+    if np.count_nonzero(phase != 1):
         _absorb(state, Block(phase[..., None].astype(complex), []))
 
 
@@ -752,9 +757,9 @@ def _bits(value, what: str) -> int | np.ndarray:
     """A bit as an int, or per-row bits as a compact int64 array (see
     _compact); anything else raises."""
     if isinstance(value, np.ndarray):
-        # outcomes and their XORs are int64 already: only other types convert
-        bits = value if value.dtype == np.int64 else value.astype(np.int64)
-        if np.count_nonzero(bits >> 1) or (bits is not value and not np.array_equal(bits, value)):
+        bits = value.astype(np.int64)  # a copy: the caller may change its array
+        # outcomes and their XORs are int64 already; only other types can lose a value
+        if np.count_nonzero(bits >> 1) or (value.dtype != np.int64 and not np.array_equal(bits, value)):
             raise ValueError(f"{what} must be 0 or 1, got {value}")
         return _compact(bits)
     if value not in (0, 1):
