@@ -121,7 +121,7 @@ class GateMatrix:
         self.phases: tuple[tuple[int, complex], ...] = ()
         self.image = self.diagonal = None
         rows, cols = m.nonzero()
-        # a unitary has a nonzero in every column, so one per column is all
+        # a unitary has a nonzero in every column: dim of them means one per column
         if len(rows) == len(m) and (m[rows, cols] == 1).all():
             # out[row] <- in[col]
             self.kind = "permutation"
@@ -369,9 +369,8 @@ def _on_rows(state: StateVector, block: Block, rows: np.ndarray, kernel) -> None
     of the mask, the block is then cut to one slice where its slices came
     out bitwise equal, as they do once a correction makes branches agree.
     """
-    have = (1,) * (rows.ndim + 1 - block.amps.ndim) + block.amps.shape[:-1]
-    whole = (slice(None),) * (len(have) - rows.ndim)
-    lead = have[: len(whole)] + tuple(map(max, have[len(whole) :], rows.shape))
+    lead = np.broadcast_shapes(block.amps.shape[:-1], rows.shape)
+    whole = (slice(None),) * (len(lead) - rows.ndim)
     shape = lead + block.amps.shape[-1:]
     if math.prod(lead) == block.rows:
         amps = block.amps.reshape(shape)

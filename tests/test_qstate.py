@@ -123,9 +123,9 @@ def test_gate_matrix_rejects_non_unitary():
 def test_gate_matrix_bound_is_absolute():
     """Every entry of m^dagger m - I must be within 1e-10: a relative
     tolerance would let a column norm^2 off by 8e-6 through."""
-    for eps in (1e-6, 4e-6):
+    for m in (np.diag([1 + 1e-6, 1]), np.diag([1 + 4e-6, 1]), np.diag([np.nan, 1])):
         with pytest.raises(ValueError, match="unitary"):
-            GateMatrix(np.diag([1 + eps, 1]))
+            GateMatrix(m)
     GateMatrix(np.diag([1 + 1e-12, 1]))
 
 
