@@ -54,10 +54,9 @@ vary along, so numpy broadcasting lines up a value made before a split
 with the rows after it, and one that varies along no axis is a scalar. A
 split adds an axis to the measured block only. A row-masked gate runs its
 kernel once per entry the mask marks, on the basic-index slice of the
-block's rows under it (a view: no rows are gathered or scattered), then
-cuts the block to one slice along each axis of the mask whose slices come
-out bitwise equal, so the rows a protocol's corrections make equal are
-stored once. Every kernel acts on all stored rows at once (apply_gate can
+block's rows under it (no boolean gather or scatter), then cuts the block
+to one slice along each axis of the mask whose slices come out bitwise
+equal, so the rows a protocol's corrections make equal are stored once. Every kernel acts on all stored rows at once (apply_gate can
 be limited to a subset of rows), measure_split turns each row into its two
 outcome rows, and the probes answer once per stored row;
 StateVector.per_row lays a value out with one entry per row. An unsplit
