@@ -358,7 +358,7 @@ def test_parity_corrections_run_on_row_slices(dropped, gate, per_outcome):
     assert state.rows == 2**dropped and block_holding(state, fixes).rows == 1
 
 
-@pytest.mark.parametrize("targets", [[4], [2], [4, 2]])
+@pytest.mark.parametrize("targets", [[4], [2], [4, 2]], ids=["last", "middle", "pair"])
 def test_general_gates_on_row_slices_that_are_not_contiguous(targets):
     """The general kernels reshape their rows into one axis, which copies a
     slice that is not contiguous: the slice path runs them on a copy and
