@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--samples",
                 type=int,
                 default=None,
-                help="runs per case in sampled mode, at least 1 (default: each protocol's own count)",
+                help="sampled runs in all, at least 1, spread over a protocol's inputs and cases with at"
+                " least one run each (default: each protocol's own count)",
             )
             p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")

@@ -368,13 +368,14 @@ def _on_rows(state: StateVector, block: Block, rows: np.ndarray, kernel) -> None
     of the mask, the block is then cut to one slice where its slices came
     out bitwise equal, as they do once a correction makes branches agree.
     """
-    lead = np.broadcast_shapes(block.amps.shape[:-1], rows.shape)
+    lead = np.broadcast(block.amps[..., 0], rows).shape
     whole = (slice(None),) * (len(lead) - rows.ndim)
     shape = lead + block.amps.shape[-1:]
     if math.prod(lead) == block.rows:
         amps = block.amps.reshape(shape)
     else:
-        amps = np.broadcast_to(block.amps, shape).copy()
+        amps = np.empty(shape, dtype=complex)
+        amps[...] = block.amps
         block.amps = amps
         _note(state)
     for hit in zip(*(ix.tolist() for ix in np.nonzero(rows))):

@@ -19,22 +19,27 @@ stands for; each input is checked for branch probabilities summing to
 one, and each section for one ledger in every run.
 
 The ideal shares no code with the simulator's gate application: gates are
-embedded by explicit basis-index arithmetic (_embed) and applied to the
-input as plain matrix products. The protocols' own oracles are a second
+embedded by explicit basis-index arithmetic (_embed), vectorized over the
+basis columns, and applied to the inputs as plain matrix products. A case
+stacks its inputs once and forms every expected vector in one product;
+each run slices both, and its checks take a fixed handful of numpy calls,
+whatever its inputs and rows. The protocols' own oracles are a second
 route, folded in through their reports.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import qstate
 from .gates import CNOT, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
-from .network import CHANNEL, REGISTER, Network, QubitAddress
+from .network import CHANNEL, REGISTER, ClassicalMessage, Network, QubitAddress
 from .primitives import cat_entangler, cat_shrink
 from .protocols import (
     C4X,
@@ -91,26 +96,22 @@ def _random_unitary(dim: int, rng: random.Random) -> np.ndarray:
 def _embed(matrix: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarray:
     """Expand a gate to n qubits by explicit basis-index arithmetic.
 
+    Column c's target bits, read as a gate index (first target = most
+    significant bit), pick the gate column; row p of the gate lands in the
+    row that is c with its target bits set to p's. Index arrays for every
+    column and gate row at once, then one assignment writes each entry.
     Deliberately shares no code with the simulator's gate application so
     the two can vouch for each other.
     """
-    dim = 2**n
-    arity = len(targets)
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        sub = 0
-        for t in targets:
-            sub = (sub << 1) | ((col >> (n - 1 - t)) & 1)
-        for sub_out in range(2**arity):
-            amp = matrix[sub_out, sub]
-            if amp == 0:
-                continue
-            row = col
-            for j, t in enumerate(targets):
-                bit = (sub_out >> (arity - 1 - j)) & 1
-                row = (row & ~(1 << (n - 1 - t))) | (bit << (n - 1 - t))
-            out[row, col] += amp
-    return out
+    dim, shifts = 2**n, n - 1 - np.array(targets)
+    bits = np.arange(len(targets) - 1, -1, -1)  # each target's place in a gate index
+    cols = np.arange(dim)
+    sub = ((cols[:, None] >> shifts) & 1) @ (1 << bits)
+    rest = cols & ~sum(1 << (n - 1 - t) for t in targets)
+    rows = rest | ((np.arange(len(matrix))[:, None] >> bits) & 1) @ (1 << shifts)[:, None]
+    out = np.zeros(dim * dim, dtype=complex)
+    out[rows * dim + cols] = matrix[:, sub]
+    return out.reshape(dim, dim)
 
 
 def _reg(node: str, slot: int = 0) -> QubitAddress:
@@ -170,7 +171,7 @@ class _Sweep:
         if first.ledger != report.ledger or first.rounds != report.rounds:
             self.fail(label, ledger=report.ledger.as_dict(), first_seen=first.ledger.as_dict())
         if first is report and not self.messages:
-            self.messages = [replace(m, bit=int(np.ravel(m.bit)[0])) for m in report.messages]
+            self.messages = [ClassicalMessage(m.sender, m.to, int(np.ravel(m.bit)[0]), m.tag) for m in report.messages]
 
 
 # ---- the case table and its driver ----------------------------------------
@@ -252,8 +253,11 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     CHUNK_AMPLITUDES. high_water counts what the blocks would hold with a
     row per position, however many rows coincide and are stored once, so
     a protocol whose branches never coincide stays within the budget too.
-    The checks against the ideal and for |0> qubits run once per stored
-    row; only a run with a failure lays them out one per row. The blocks are
+    The inputs are stacked, and the expected vectors formed by one product
+    with the ideal, once per case; a run injects and compares its slice of
+    both. The checks against the ideal and for |0> qubits run once per
+    stored row; only a run with a failure lays them out one per row and
+    builds their labels. The blocks are
     the same for every run: which qubits a gate leaves live, and which
     blocks it merges, depends only on which of its targets are fixed, never
     on their bits (qstate._fixed_rule), and the protocols' classically
@@ -276,16 +280,19 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
             f"an exhaustive sweep of {count} input x branch positions exceeds {MAX_POSITIONS};"
             " use branches='sampled' (--branches sampled)"
         )
+    # inputs and their ideal results stacked once per case, sliced per run
+    stack = None if case.inputs[0][2] is None else np.array([a for _, _, a in case.inputs])
+    wants = (case.ideal[None] if stack is None else stack @ case.ideal.T)[..., None]
     total_p = np.zeros(len(case.inputs))
     start, size = 0, _split(case) if exhaustive else 0
     while start < count:
         stop, split = min(start + 2**size, count), min(size, m)
-        inputs = case.inputs[start // per : (stop - 1) // per + 1]
+        first_input, end_input = start // per, (stop - 1) // per + 1
         if exhaustive:
-            prefix, seed = _bits(start % per >> split, m - split), inputs[0][1]
+            prefix, seed = _bits(start % per >> split, m - split), case.inputs[first_input][1]
         else:
-            prefix, seed = (), inputs[0][1] + (7919 * (start % per) + 13 if m else 0)
-        amps = None if inputs[0][2] is None else np.stack([a for _, _, a in inputs])
+            prefix, seed = (), case.inputs[first_input][1] + (7919 * (start % per) + 13 if m else 0)
+        amps = None if stack is None else stack[first_input:end_input]
         net, pairs = _run(case, amps, prefix, split, seed)
         rows = net.rows
         first, last = (_row_label(sweep, case, per, exhaustive, start + r) for r in (0, rows - 1))
@@ -296,36 +303,35 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
                 sweep.require(rep.details[key] == want, run_label, **{key: rep.details[key]})
         leftover = net.pending_outcomes
         sweep.require(rows == stop - start and not leftover, run_label, rows=rows, unconsumed_forced_bits=leftover)
-        sweep.require(len(inputs) == 1 or net._rng is None, run_label, drew_outcomes=True)
+        sweep.require(end_input - first_input == 1 or net._rng is None, run_label, drew_outcomes=True)
         # 1 - <e|rho|e> on the logical qubits, per stored row: e is pure, so
         # the overlap is ||e^dagger A||^2 and no density matrix is formed
-        expected = case.ideal if amps is None else np.stack([case.ideal @ a for a in amps])
         block = qstate.bipartition(net.state, [net.global_index(a) for a in case.logical])
-        infidelity = np.maximum(0.0, 1.0 - qstate.overlap(block, expected.reshape(len(inputs), -1, 1)))
+        infidelity = np.maximum(0.0, 1.0 - qstate.overlap(block, wants[first_input:end_input]))
         sweep.max_infidelity = max(sweep.max_infidelity, float(infidelity.max()))
-        clean = {str(a): qstate.partial_state_check(net.state, net.global_index(a), 0) for a in case.zero}
-        passed = infidelity <= ATOL
-        for ok in clean.values():
-            passed = passed & ok
+        clean = [qstate.partial_state_check(net.state, net.global_index(a), 0) for a in case.zero]
+        passed = functools.reduce(np.logical_and, clean, infidelity <= ATOL)
         # only rows with a failure are laid out one per row and pay for a label
-        if not np.all(passed):
+        if np.count_nonzero(passed) < np.size(passed):
             per_row = net.state.per_row
-            infidelity, clean = per_row(infidelity), {a: per_row(ok) for a, ok in clean.items()}
+            infidelity, clean = per_row(infidelity), [per_row(ok) for ok in clean]
             for r in np.flatnonzero(~per_row(passed)):
                 label = _row_label(sweep, case, per, exhaustive, start + int(r))
                 sweep.require(infidelity[r] <= ATOL, label, infidelity=float(infidelity[r]))
-                for a, ok in clean.items():
-                    sweep.require(bool(ok[r]), label, not_reset=a)
-        weights = net.state.per_row(net.branch_probability)
-        total_p += np.bincount((start + np.arange(rows)) // per, weights, len(total_p))
+                for a, ok in zip(case.zero, clean):
+                    sweep.require(bool(ok[r]), label, not_reset=str(a))
+        if exhaustive and m:
+            # a run holds part of one input's branches or whole inputs, in row order
+            weights = net.state.per_row(net.branch_probability)
+            total_p[first_input:end_input] += weights.reshape(end_input - first_input, -1).sum(axis=1)
         start = stop
         if exhaustive and start < count:
             # each split or input doubles the rows, so at most doubles what the blocks hold
-            room = int(np.floor(np.log2(CHUNK_AMPLITUDES / net.state.high_water)))
+            room = math.floor(math.log2(CHUNK_AMPLITUDES / net.state.high_water))
             size = max(0, min(size + room, (start & -start).bit_length() - 1))
     if exhaustive and m:
-        for (label, _, _), p in zip(case.inputs, total_p):
-            sweep.require(abs(p - 1.0) <= PROB_TOL, label, probability_sum=float(p))
+        for i in np.flatnonzero(~(np.abs(total_p - 1.0) <= PROB_TOL)):  # NaN fails too
+            sweep.fail(case.inputs[i][0], probability_sum=float(total_p[i]))
 
 
 def _verify(
@@ -540,18 +546,17 @@ def verify_amortized(*, seed: int = 0, branches: str = "exhaustive", samples: in
     rng = random.Random(seed)
     singles = [H, make_rk(2), X, Z]
     ctrl, b0, b1 = _reg("A"), _reg("B", 0), _reg("B", 1)
+    index = {ctrl: 0, b0: 1, b1: 2}
+    # every run is a prefix of one sequence; the independent route embeds
+    # each controlled constituent explicitly, ideals[k] the first k
+    sequence = [(CNOT, [b0, b1]) if j % 3 == 2 else (singles[j % 4], [b0 if j % 2 == 0 else b1]) for j in range(10)]
+    ideals = [np.eye(8, dtype=complex)]
+    for g, tg in sequence:
+        embedded = _embed(make_controlled(ControlledSpec(1, g)).matrix, 3, [0] + [index[t] for t in tg])
+        ideals.append(embedded @ ideals[-1])
     cases, expect = [], {}
     for k in (1, 2, 5, 10):
-        gates = [
-            (CNOT, [b0, b1]) if j % 3 == 2 else (singles[j % len(singles)], [b0 if j % 2 == 0 else b1])
-            for j in range(k)
-        ]
-        # independent route: embed each controlled constituent explicitly
-        ideal = np.eye(8, dtype=complex)
-        index = {ctrl: 0, b0: 1, b1: 2}
-        for g, tg in gates:
-            cg = make_controlled(ControlledSpec(1, g))
-            ideal = _embed(cg.matrix, 3, [0] + [index[t] for t in tg]) @ ideal
+        gates, ideal = sequence[:k], ideals[k]
 
         def run(net: Network, gates=gates, k=k) -> list:
             return [(f"k{k}", nonlocal_controlled_sequence(net, ctrl, gates))]
@@ -573,8 +578,9 @@ def verify_parallel_control(*, seed: int = 0, branches: str = "exhaustive", samp
     t2 = [_reg("P2", j) for j in range(3)]
     t3 = [_reg("P3", j) for j in range(2)]
     parts = [(f"P{j + 1}", qstate.GateMatrix(u), t) for j, (u, t) in enumerate([(u1, t1), (u2, t2), (u3, t3)])]
-    on = np.diag([0.0, 1.0])
-    controlled_ideal = np.kron(np.eye(2) - on, np.eye(128)) + np.kron(on, np.kron(np.kron(u1, u2), u3))
+    # [[I, 0], [0, U1 (x) U2 (x) U3]]: the parts act where the control reads 1
+    controlled_ideal = np.eye(256, dtype=complex)
+    controlled_ideal[128:, 128:] = np.kron(np.kron(u1, u2), u3)
     case = Case(
         [("C", 1, 1), ("P1", 2, 1), ("P2", 3, 1), ("P3", 2, 1)], 4, inputs,
         lambda net: [("", parallel_distributed_control(net, ctrl, parts))],
@@ -582,6 +588,14 @@ def verify_parallel_control(*, seed: int = 0, branches: str = "exhaustive", samp
     )
     expect = {"": {"ebits": 3, "cbits": 6}}
     return _verify(_Sweep("parallel-control"), [case], branches, expect, details={"parts": 3, "split": [2, 3, 2]})
+
+
+def _require_dense_oracle_fits(n: int) -> None:
+    """Refuse an n-qubit transform whose dense oracle would hold more than
+    CHUNK_AMPLITUDES entries (n > 10), before any input or oracle is built."""
+    if 2 * n > CHUNK_AMPLITUDES.bit_length() - 1:
+        limit = (CHUNK_AMPLITUDES.bit_length() - 1) // 2
+        raise ValueError(f"a {n}-qubit transform's dense oracle exceeds {CHUNK_AMPLITUDES} entries; use --n <= {limit}")
 
 
 def verify_qft(
@@ -595,6 +609,7 @@ def verify_qft(
     gate count (or to the distribution count in amortized mode). Rows are
     labelled by their outcome bits, branch000001000101 say.
     """
+    _require_dense_oracle_fits(n)
     plan = build_qft_plan(n, m)
     sweep = _Sweep("qft")
     k = n // m
@@ -664,6 +679,7 @@ def verify_all(
     `samples`, when given, sets every verifier's sample count; by default
     each keeps its own.
     """
+    _require_dense_oracle_fits(n)
     common: dict[str, Any] = {"seed": seed, "branches": branches}
     if samples is not None:
         common["samples"] = samples

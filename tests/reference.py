@@ -1,8 +1,11 @@
 """Reference helpers the tests share.
 
-They read a state only through its dense amplitudes, so they share no code
-with the kernels and views they check.
+They read a state only through its dense amplitudes, and build an embedded
+gate from Kronecker products, so they share no code with the kernels,
+views and basis-index arithmetic they check.
 """
+
+import numpy as np
 
 
 def reduced_density_matrix(state, keep):
@@ -18,3 +21,14 @@ def reduced_density_matrix(state, keep):
     psi = psi.reshape(len(psi), 2 ** len(keep), -1)
     rho = psi @ psi.conj().swapaxes(-1, -2)
     return rho if amps.ndim == 2 else rho[0]
+
+
+def embed(matrix, n, targets):
+    """`matrix` on the listed qubits (first listed = MSB) of n, identity on
+    the rest: the Kronecker product with an identity over the listed qubits
+    first, then its axes permuted into qubit order."""
+    k = len(targets)
+    order = [*targets, *(q for q in range(n) if q not in targets)]
+    full = np.kron(matrix, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
+    axis = np.argsort(order)
+    return full.transpose([*axis, *(n + axis)]).reshape(2**n, 2**n)

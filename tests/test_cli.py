@@ -71,6 +71,38 @@ def test_exhaustive_sweep_too_wide_exits_2(capsys, monkeypatch):
     assert "--branches sampled" in err
 
 
+@pytest.mark.parametrize("command", [["verify", "qft"], ["demo", "qft"], ["qft"], ["report"]])
+def test_transform_above_dense_bound_exits_2(command, capsys, monkeypatch):
+    """Regression: a large --n drew its input and built its dense oracle
+    (1.5 GiB at n = 13) before any check. Each reach of either fails fast."""
+    import catnet.verify as verify
+    from catnet import qstate
+
+    def guarded(build):
+        def call(n, *args):
+            assert n <= 10, f"built a {n}-qubit input or oracle"
+            return build(n, *args)
+
+        return call
+
+    monkeypatch.setattr(qstate, "random_vector", guarded(qstate.random_vector))
+    monkeypatch.setattr(verify, "qft_matrix", guarded(verify.qft_matrix))
+    code, out, err = run_main([*command, "--n", "12", "--m", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "dense oracle" in err
+
+
+@pytest.mark.parametrize("samples, branches", [(5, 10), (45, 40)])
+def test_samples_are_spread_over_inputs(samples, branches, capsys):
+    """--samples N is a total: nonlocal-cnot gives each of its 10 inputs
+    N // 10 runs, and at least one."""
+    argv = ["verify", "nonlocal-cnot", "--branches", "sampled", "--samples", str(samples)]
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0
+    assert json.loads(out)[0]["branches_tested"] == branches
+
+
 def test_unknown_protocol_rejected_by_parser():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
