@@ -330,8 +330,9 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
             room = math.floor(math.log2(CHUNK_AMPLITUDES / net.state.high_water))
             size = max(0, min(size + room, (start & -start).bit_length() - 1))
     if exhaustive and m:
-        for i in np.flatnonzero(~(np.abs(total_p - 1.0) <= PROB_TOL)):  # NaN fails too
-            sweep.fail(case.inputs[i][0], probability_sum=float(total_p[i]))
+        for (label, _, _), p in zip(case.inputs, total_p.tolist()):
+            if not abs(p - 1.0) <= PROB_TOL:  # NaN fails too
+                sweep.fail(label, probability_sum=p)
 
 
 def _verify(

@@ -1,6 +1,6 @@
 """The verifier layer's own machinery: the gate embedding its ideals are
-built from, the block-diagonal ideal of parallel control, and the size
-refusal of the transform sweep."""
+built from, the block-diagonal ideal of parallel control, the per-row |0>
+check, and the size refusal of the transform sweep."""
 
 import itertools
 import random
@@ -10,6 +10,7 @@ import pytest
 
 from catnet import qstate, verify
 from catnet.gates import CNOT, H, X, Z, ControlledSpec, make_controlled, make_rk
+from catnet.network import CHANNEL, REGISTER, QubitAddress
 from catnet.protocols import C4X
 from reference import embed
 
@@ -67,3 +68,19 @@ def test_transform_above_dense_bound_is_refused(no_dense_transform):
         verify.verify_all(n=12, m=2)
     report = verify.verify_protocol("qft", n=10, m=2, branches="sampled", samples=1)
     assert report.verified
+
+
+def test_qubit_left_set_is_reported_on_its_row_only():
+    """Two basis inputs ride one run as rows; a CNOT onto the channel sets
+    it on input1's row alone, which fails its |0> check by name."""
+    reg, chan = QubitAddress("A", REGISTER, 0), QubitAddress("A", CHANNEL, 0)
+
+    def run(net):
+        net.local_apply(CNOT, [reg, chan])
+        return []
+
+    inputs = [("input0", 0, np.array([1.0, 0.0])), ("input1", 1, np.array([0.0, 1.0]))]
+    sweep = verify._Sweep("reset")
+    verify._drive(sweep, verify.Case([("A", 1, 1)], 0, inputs, run, [reg], np.eye(2), zero=[chan]), "exhaustive")
+    assert sweep.max_infidelity <= 1e-12  # the register kept each input
+    assert sweep.failures == [{"case": "input1", "not_reset": "A.channel[0]"}]
