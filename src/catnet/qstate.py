@@ -286,10 +286,16 @@ def random_vector(num_qubits: int, rng: random.Random) -> np.ndarray:
     """A normalized complex Gaussian (Haar-random) vector of 2^num_qubits
     amplitudes: Box-Muller on 2^(num_qubits + 1) `rng.random()` draws, the
     first half radii and the second half angles."""
+    return random_vectors(num_qubits, 1, rng)[0]
+
+
+def random_vectors(num_qubits: int, count: int, rng: random.Random) -> np.ndarray:
+    """`count` random_vector draws in a row as a (count, 2^num_qubits) array,
+    bit for bit: each row is normalized by the sum np.linalg.norm forms."""
     dim = 2**num_qubits
-    radius, turn = np.array([rng.random() for _ in range(2 * dim)]).reshape(2, dim)
-    v = np.sqrt(-2.0 * np.log1p(-radius)) * np.exp(2j * np.pi * turn)
-    return v / np.linalg.norm(v)
+    draws = np.array([rng.random() for _ in range(2 * dim * count)]).reshape(count, 2, dim)
+    v = np.sqrt(-2.0 * np.log1p(-draws[:, 0])) * np.exp(2j * np.pi * draws[:, 1])
+    return v / np.array([[math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))] for x in v])
 
 
 def random_state(num_qubits: int, rng: random.Random) -> StateVector:

@@ -19,12 +19,10 @@ stands for; each input is checked for branch probabilities summing to
 one, and each section for one ledger in every run.
 
 The ideal shares no code with the simulator's gate application: gates are
-embedded by explicit basis-index arithmetic (_embed), vectorized over the
-basis columns, and applied to the inputs as plain matrix products. A case
-stacks its inputs once and forms every expected vector in one product;
-each run slices both, and its checks take a fixed handful of numpy calls,
-whatever its inputs and rows. The protocols' own oracles are a second
-route, folded in through their reports.
+embedded by explicit basis-index arithmetic on whole index arrays (_embed)
+and applied to a case's stacked inputs as one matrix product; a run's
+checks take a fixed handful of numpy calls. The protocols' own oracles are
+a second route, folded in through their reports.
 """
 
 from __future__ import annotations
@@ -127,7 +125,7 @@ def _channels(spec: Sequence[tuple[str, int, int]]) -> list[QubitAddress]:
 
 
 def _inputs(rng: random.Random, qubits: int, count: int, seed: int, prefix: str = "input") -> list:
-    return [(f"{prefix}{i}", seed + i, qstate.random_vector(qubits, rng)) for i in range(count)]
+    return [(f"{prefix}{i}", seed + i, a) for i, a in enumerate(qstate.random_vectors(qubits, count, rng))]
 
 
 def _bits(value: int, width: int) -> tuple[int, ...]:
@@ -253,11 +251,10 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     CHUNK_AMPLITUDES. high_water counts what the blocks would hold with a
     row per position, however many rows coincide and are stored once, so
     a protocol whose branches never coincide stays within the budget too.
-    The inputs are stacked, and the expected vectors formed by one product
-    with the ideal, once per case; a run injects and compares its slice of
-    both. The checks against the ideal and for |0> qubits run once per
-    stored row; only a run with a failure lays them out one per row and
-    builds their labels. The blocks are
+    A run injects and compares its slice of the case's input stack and
+    expected vectors. The checks against the ideal and for |0> qubits run
+    once per stored row; only a run with a failure lays them out one per
+    row and labels them. The blocks are
     the same for every run: which qubits a gate leaves live, and which
     blocks it merges, depends only on which of its targets are fixed, never
     on their bits (qstate._fixed_rule), and the protocols' classically
@@ -280,7 +277,6 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
             f"an exhaustive sweep of {count} input x branch positions exceeds {MAX_POSITIONS};"
             " use branches='sampled' (--branches sampled)"
         )
-    # inputs and their ideal results stacked once per case, sliced per run
     stack = None if case.inputs[0][2] is None else np.array([a for _, _, a in case.inputs])
     wants = (case.ideal[None] if stack is None else stack @ case.ideal.T)[..., None]
     total_p = np.zeros(len(case.inputs))
@@ -409,7 +405,7 @@ def verify_teleport(*, seed: int = 0, branches: str = "exhaustive", samples: int
 def verify_cat_roundtrip(*, seed: int = 0, branches: str = "exhaustive", samples: int = 60) -> ProtocolReport:
     """Criterion: entangle then disentangle restores the control on any member."""
     rng = random.Random(seed)
-    amps = [qstate.random_vector(1, rng) for _ in range(5)]
+    amps = qstate.random_vectors(1, 5, rng)
     cases, expect = [], {}
     for size in (2, 3, 4):
         spec = [("N0", 1, 1)] + [(f"N{j}", 0, 1) for j in range(1, size)]
@@ -595,8 +591,7 @@ def _require_dense_oracle_fits(n: int) -> None:
     """Refuse an n-qubit transform whose dense oracle would hold more than
     CHUNK_AMPLITUDES entries (n > 10), before any input or oracle is built."""
     if 2 * n > CHUNK_AMPLITUDES.bit_length() - 1:
-        limit = (CHUNK_AMPLITUDES.bit_length() - 1) // 2
-        raise ValueError(f"a {n}-qubit transform's dense oracle exceeds {CHUNK_AMPLITUDES} entries; use --n <= {limit}")
+        raise ValueError(f"a {n}-qubit transform's dense oracle exceeds {CHUNK_AMPLITUDES} entries; use a smaller --n")
 
 
 def verify_qft(

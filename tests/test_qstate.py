@@ -363,6 +363,18 @@ def test_random_vectors_have_unit_norm(n):
         assert v.shape == (2**n,) and abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+def test_random_vectors_are_consecutive_draws(n):
+    """A batch is the same vectors, bit for bit, as that many single draws
+    in a row, from random.Random or a numpy Generator alike, and leaves the
+    generator at the same point."""
+    for single, batch in [(random.Random(n), random.Random(n)), (np.random.default_rng(n), np.random.default_rng(n))]:
+        want = [qstate.random_vector(n, single) for _ in range(5)]
+        got = qstate.random_vectors(n, 5, batch)
+        assert got.shape == (5, 2**n) and all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert single.random() == batch.random()
+
+
 def test_random_vector_parts_are_standard_normals():
     """The 2^14 real and imaginary parts of a 2^13-amplitude vector, scaled
     back to a mean square of 1: the norm fixes only that total, so each
