@@ -254,12 +254,12 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     A run injects and compares its slice of the case's input stack and
     expected vectors. The checks against the ideal and for |0> qubits run
     once per stored row; only a run with a failure lays them out one per
-    row and labels them. The blocks are
-    the same for every run: which qubits a gate leaves live, and which
-    blocks it merges, depends only on which of its targets are fixed, never
-    on their bits (qstate._fixed_rule), and the protocols' classically
-    controlled corrections are Pauli gates, which keep fixed qubits fixed,
-    so the live qubits depend on neither outcome nor input. A sampled sweep
+    row and labels them. The blocks are the same for every run: which
+    qubits a gate leaves live, and which blocks it merges, depends only on
+    which of its targets are fixed, never on their bits
+    (qstate._fixed_rule), and the protocols' classically controlled
+    corrections are Pauli gates, which keep fixed qubits fixed, so the live
+    qubits depend on neither outcome nor input. A sampled sweep
     makes one unsplit run per input and sample; only a run of one input may
     draw outcomes from the RNG. An exhaustive case of more than
     MAX_POSITIONS positions raises ValueError before any run.
