@@ -44,11 +44,6 @@ def qft_matrix(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _qft_gate(n: int) -> GateMatrix:
-    return GateMatrix(qft_matrix(n))
-
-
-@lru_cache(maxsize=None)
 def controlled_rk(order: int) -> GateMatrix:
     """Controlled phase rotation: phase e^(2*pi*i/2^order) when both qubits are 1."""
     return make_controlled(ControlledSpec(1, make_rk(order)))
@@ -57,6 +52,21 @@ def controlled_rk(order: int) -> GateMatrix:
 @lru_cache(maxsize=None)
 def _controlled_rk_inv(order: int) -> GateMatrix:
     return GateMatrix(controlled_rk(order).matrix.conj().T)
+
+
+def _circuit(n: int) -> list[tuple[GateMatrix, GateMatrix, list[int]]]:
+    """The transform's gates on positions 0..n-1 (0 the most significant),
+    in order. Each entry carries its own adjoint, so the inverse circuit is
+    the reversed list with the roles flipped."""
+    ops: list[tuple[GateMatrix, GateMatrix, list[int]]] = []
+    for i in range(n):
+        ops.append((H, H, [i]))
+        for c in range(i + 1, n):
+            order = c - i + 1
+            ops.append((controlled_rk(order), _controlled_rk_inv(order), [c, i]))
+    for i in range(n // 2):
+        ops.append((SWAP, SWAP, [i, n - 1 - i]))
+    return ops
 
 
 def qft_local(state: StateVector, qubits: Sequence[int], *, inverse: bool = False) -> StateVector:
@@ -69,22 +79,12 @@ def qft_local(state: StateVector, qubits: Sequence[int], *, inverse: bool = Fals
     qubits = [int(q) for q in qubits]
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubits in {qubits}")
-    n = len(qubits)
-    # each entry carries its own adjoint so the inverse run is just the
-    # reversed list with the roles flipped
-    ops: list[tuple[GateMatrix, GateMatrix, list[int]]] = []
-    for i in range(n):
-        ops.append((H, H, [qubits[i]]))
-        for c in range(i + 1, n):
-            order = c - i + 1
-            ops.append((controlled_rk(order), _controlled_rk_inv(order), [qubits[c], qubits[i]]))
-    for i in range(n // 2):
-        ops.append((SWAP, SWAP, [qubits[i], qubits[n - 1 - i]]))
+    ops = _circuit(len(qubits))
     if inverse:
         ops = [(adj, gate, targets) for gate, adj, targets in reversed(ops)]
     out = state.copy()
     for gate, _, targets in ops:
-        qstate.apply_gate(out, gate, targets)
+        qstate.apply_gate(out, gate, [qubits[t] for t in targets])
     return out
 
 
@@ -172,6 +172,10 @@ def qft_distributed(
     is an identity rewrite). The report's ledger covers the rotation stage
     only; the reversal swaps are tallied separately under
     details["swap_ledger"]. Machine i runs on the network's i-th node.
+
+    With `check`, the report compares the result with the transform's
+    circuit (the gate list qft_local runs) applied to a copy of the state
+    the run started from, so no 2^n x 2^n matrix is built.
     """
     node_list = list(net.nodes)
     if len(node_list) != plan.m:
@@ -237,7 +241,7 @@ def qft_distributed(
 
     report = scope.report(
         "distributed-qft",
-        [(_qft_gate(plan.n), addr)] if check else [],  # the oracle's gate, built only when read
+        [(gate, [addr[t] for t in targets]) for gate, _, targets in _circuit(plan.n)] if check else [],
         details={
             "plan": plan.to_dict(),
             "amortized": amortized,

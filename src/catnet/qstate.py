@@ -65,6 +65,7 @@ state (R = 1) gives scalar answers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import random
@@ -293,7 +294,8 @@ def random_vectors(num_qubits: int, count: int, rng: random.Random) -> np.ndarra
     """`count` random_vector draws in a row as a (count, 2^num_qubits) array,
     bit for bit: each row is normalized by the sum np.linalg.norm forms."""
     dim = 2**num_qubits
-    draws = np.array([rng.random() for _ in range(2 * dim * count)]).reshape(count, 2, dim)
+    k = 2 * dim * count
+    draws = np.fromiter(itertools.starmap(rng.random, itertools.repeat((), k)), float, k).reshape(count, 2, dim)
     v = np.sqrt(-2.0 * np.log1p(-draws[:, 0])) * np.exp(2j * np.pi * draws[:, 1])
     return v / np.array([[math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))] for x in v])
 

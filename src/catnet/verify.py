@@ -16,13 +16,20 @@ sweep makes unsplit runs that draw every outcome from the RNG, one per
 input and sample. Each stored row is checked against the ideal and for
 its |0> qubits, and a failure is reported under the label of each row it
 stands for; each input is checked for branch probabilities summing to
-one, and each section for one ledger in every run.
+one, and each section for one ledger in every run. A run that breaks a
+model rule (raises CatnetError) is a failure of the positions it held, and
+the sweep goes on with the next run.
 
-The ideal shares no code with the simulator's gate application: gates are
-embedded by explicit basis-index arithmetic on whole index arrays (_embed)
-and applied to a case's stacked inputs as one matrix product; a run's
-checks take a fixed handful of numpy calls. The protocols' own oracles are
-a second route, folded in through their reports.
+A case's ideal is a function from its stacked inputs to their expected
+vectors, called once per case, so no verifier builds a 2^n x 2^n operator.
+The small verifiers embed their gates by explicit basis-index arithmetic
+on whole index arrays (_embed) and apply them as one matrix product;
+parallel control applies its three parts to the control-1 half of the
+stack with one einsum; the transform's ideal is a radix-2 DFT in n stages
+(_transform), which bounds the transform only by its input: 2^n at most
+CHUNK_AMPLITUDES, n <= 20. None of them shares code with the simulator's
+gate application. A run's checks take a fixed handful of numpy calls. The
+protocols' own oracles are a second route, folded in through their reports.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ import numpy as np
 
 from . import qstate
 from .gates import CNOT, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
-from .network import CHANNEL, REGISTER, ClassicalMessage, Network, QubitAddress
+from .errors import CatnetError
+from .network import CHANNEL, REGISTER, ClassicalMessage, Network, QubitAddress, ResourceLedger
 from .primitives import cat_entangler, cat_shrink
 from .protocols import (
     C4X,
@@ -55,7 +63,7 @@ from .protocols import (
     teleport_with_reset,
 )
 from .qstate import ATOL
-from .qft import build_qft_plan, qft_distributed, qft_matrix
+from .qft import build_qft_plan, qft_distributed
 
 PROB_TOL = 1e-9
 
@@ -110,6 +118,31 @@ def _embed(matrix: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarray:
     out = np.zeros(dim * dim, dtype=complex)
     out[rows * dim + cols] = matrix[:, sub]
     return out.reshape(dim, dim)
+
+
+def _apply(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """An ideal that applies `matrix` to every input of a stack."""
+    return lambda stack: stack @ matrix.T
+
+
+def _transform(stack: np.ndarray) -> np.ndarray:
+    """The defining transform (qft_matrix(n)) applied to every row of a
+    (rows, 2^n) stack without forming it: a radix-2 DFT in n stages.
+
+    Before each stage out[r, k, j] is entry k of the size-L transform of
+    row r's amplitudes j, j + C, j + 2C, ... (out is (rows, L, C)); a stage
+    merges the sequences j and j + C/2 into one of stride C/2 with the
+    twiddles e^(i pi k / L). O(n 2^n) per row, and no code shared with the
+    simulator or with qft_matrix.
+    """
+    rows, dim = stack.shape
+    out = stack.reshape(rows, 1, dim)
+    while out.shape[2] > 1:
+        size, half = out.shape[1], out.shape[2] // 2
+        even = out[..., :half]
+        odd = out[..., half:] * np.exp(1j * np.pi * np.arange(size) / size)[:, None]
+        out = np.concatenate([even + odd, even - odd], axis=1)
+    return out.reshape(rows, dim) / math.sqrt(dim)
 
 
 def _reg(node: str, slot: int = 0) -> QubitAddress:
@@ -182,9 +215,10 @@ class Case:
     Each input is (label, seed, amplitudes): the amplitudes go onto
     `inject` (default: `logical`), or None starts from |0...0>. `run`
     performs the protocol on the prepared network and returns its
-    (section, report) pairs. `ideal` is a matrix over the logical qubits,
-    applied to each input, or, for inputs without amplitudes, the expected
-    vector. `measurements` is how many outcomes a sweep enumerates; a case
+    (section, report) pairs. `ideal` maps the (inputs, 2^logical) stack of
+    the case's inputs (None for inputs without amplitudes) to the vectors
+    the logical qubits must end in, one row per input (a single row for
+    None). `measurements` is how many outcomes a sweep enumerates; a case
     with none has one position per input, and a run of one such input
     draws any outcomes from the RNG. `samples` is the runs per input in
     sampled mode, and `details` lists report details that must hold the
@@ -196,7 +230,7 @@ class Case:
     inputs: list[tuple[str, int, np.ndarray | None]]
     run: Callable[[Network], list[tuple[str, ProtocolReport]]]
     logical: list[QubitAddress]
-    ideal: np.ndarray
+    ideal: Callable[[np.ndarray | None], np.ndarray]
     samples: int = 1
     inject: list[QubitAddress] | None = None
     zero: list[QubitAddress] = field(default_factory=list)
@@ -252,7 +286,8 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     row per position, however many rows coincide and are stored once, so
     a protocol whose branches never coincide stays within the budget too.
     A run injects and compares its slice of the case's input stack and
-    expected vectors. The checks against the ideal and for |0> qubits run
+    expected vectors; case.ideal forms the expected vectors of the whole
+    stack in one call. The checks against the ideal and for |0> qubits run
     once per stored row; only a run with a failure lays them out one per
     row and labels them. The blocks are the same for every run: which
     qubits a gate leaves live, and which blocks it merges, depends only on
@@ -261,8 +296,11 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     corrections are Pauli gates, which keep fixed qubits fixed, so the live
     qubits depend on neither outcome nor input. A sampled sweep
     makes one unsplit run per input and sample; only a run of one input may
-    draw outcomes from the RNG. An exhaustive case of more than
-    MAX_POSITIONS positions raises ValueError before any run.
+    draw outcomes from the RNG. A run that raises CatnetError fails under
+    its label range (first..last) with the error's class and message, and
+    its inputs skip the probability-sum check; the sweep goes on with the
+    next run, and any other exception propagates. An exhaustive case of
+    more than MAX_POSITIONS positions raises ValueError before any run.
     """
     exhaustive, m = branches == "exhaustive", case.measurements
     if exhaustive:
@@ -278,8 +316,8 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
             " use branches='sampled' (--branches sampled)"
         )
     stack = None if case.inputs[0][2] is None else np.array([a for _, _, a in case.inputs])
-    wants = (case.ideal[None] if stack is None else stack @ case.ideal.T)[..., None]
-    total_p = np.zeros(len(case.inputs))
+    wants = case.ideal(stack)[..., None]
+    total_p, raised = np.zeros(len(case.inputs)), set()
     start, size = 0, _split(case) if exhaustive else 0
     while start < count:
         stop, split = min(start + 2**size, count), min(size, m)
@@ -289,10 +327,18 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
         else:
             prefix, seed = (), case.inputs[first_input][1] + (7919 * (start % per) + 13 if m else 0)
         amps = None if stack is None else stack[first_input:end_input]
-        net, pairs = _run(case, amps, prefix, split, seed)
+        first, last = (_row_label(sweep, case, per, exhaustive, p) for p in (start, stop - 1))
+        run_label = first if stop - start == 1 else f"{first}..{last}"
+        try:
+            net, pairs = _run(case, amps, prefix, split, seed)
+        except CatnetError as exc:
+            # a run that breaks a model rule fails its positions; the sweep goes on
+            sweep.branches += stop - start
+            sweep.fail(run_label, error=type(exc).__name__, message=str(exc))
+            raised.update(range(first_input, end_input))
+            start = stop
+            continue
         rows = net.rows
-        first, last = (_row_label(sweep, case, per, exhaustive, start + r) for r in (0, rows - 1))
-        run_label = first if rows == 1 else f"{first}..{last}"
         for section, rep in pairs:
             sweep.add(rep, section=section, label=run_label, rows=rows)
             for key, want in case.details.items():
@@ -326,8 +372,8 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
             room = math.floor(math.log2(CHUNK_AMPLITUDES / net.state.high_water))
             size = max(0, min(size + room, (start & -start).bit_length() - 1))
     if exhaustive and m:
-        for (label, _, _), p in zip(case.inputs, total_p.tolist()):
-            if not abs(p - 1.0) <= PROB_TOL:  # NaN fails too
+        for i, ((label, _, _), p) in enumerate(zip(case.inputs, total_p.tolist())):
+            if i not in raised and not abs(p - 1.0) <= PROB_TOL:  # NaN fails too
                 sweep.fail(label, probability_sum=p)
 
 
@@ -347,7 +393,8 @@ def _verify(
         actual = {**first.ledger.as_dict(), "rounds": first.rounds}
         for key, want in fields.items():
             sweep.require(actual[key] == want, sec, field=key, actual=actual[key], expected=want)
-    first = sweep.sections[section]
+    # a section whose every run raised has no report: an empty ledger stands in
+    first = sweep.sections.get(section) or ProtocolReport(sweep.name, ResourceLedger(), 0)
     return ProtocolReport(
         sweep.name, first.ledger, first.rounds, sweep.branches, sweep.ok, sweep.max_infidelity,
         {"failures": sweep.failures, **details}, sweep.messages,
@@ -371,7 +418,7 @@ def verify_nonlocal_cnot(*, seed: int = 0, branches: str = "exhaustive", samples
         return [("", rep)]
 
     per_input = max(1, samples // len(inputs))
-    case = Case(_PAIR, 2, inputs, run, [_reg("A"), _reg("B")], CNOT.matrix, per_input, zero=chans)
+    case = Case(_PAIR, 2, inputs, run, [_reg("A"), _reg("B")], _apply(CNOT.matrix), per_input, zero=chans)
     expect = {"": {"ebits": 1, "cbits": 2, "qubits_transported": 0}}
     return _verify(_Sweep("nonlocal-cnot"), [case], branches, expect, details={"inputs": len(inputs)})
 
@@ -392,11 +439,11 @@ def verify_teleport(*, seed: int = 0, branches: str = "exhaustive", samples: int
         net.preshare_epr(*back)
         return [("pong", teleport_with_reset(net, dst, back, src))]
 
-    per_input = max(1, samples // len(inputs))
+    per_input, unchanged = max(1, samples // len(inputs)), _apply(np.eye(2))
     pong = [("ping-pong", seed + 101, inputs[0][2])]
     cases = [
-        Case(_PAIR, 2, inputs, one_way, [dst], np.eye(2), per_input, inject=[src], zero=[src, *there]),
-        Case(_PAIR, 4, pong, ping_pong, [src], np.eye(2), per_input, zero=[dst, *there]),
+        Case(_PAIR, 2, inputs, one_way, [dst], unchanged, per_input, inject=[src], zero=[src, *there]),
+        Case(_PAIR, 4, pong, ping_pong, [src], unchanged, per_input, zero=[dst, *there]),
     ]
     details = {"inputs": len(inputs), "ping_pong_branches": 16}
     return _verify(_Sweep("teleport"), cases, branches, {"": {"ebits": 1, "cbits": 2}}, details=details)
@@ -406,7 +453,7 @@ def verify_cat_roundtrip(*, seed: int = 0, branches: str = "exhaustive", samples
     """Criterion: entangle then disentangle restores the control on any member."""
     rng = random.Random(seed)
     amps = qstate.random_vectors(1, 5, rng)
-    cases, expect = [], {}
+    cases, expect, unchanged = [], {}, _apply(np.eye(2))
     for size in (2, 3, 4):
         spec = [("N0", 1, 1)] + [(f"N{j}", 0, 1) for j in range(1, size)]
         members = [_reg("N0")] + [_chan(f"N{j}") for j in range(1, size)]
@@ -423,7 +470,7 @@ def verify_cat_roundtrip(*, seed: int = 0, branches: str = "exhaustive", samples
                 return [(f"m{size}", ProtocolReport("roundtrip", delta, delta.rounds))]
 
             inputs = [(f"m{size}:keep{keep}:input{i}", seed + i, a) for i, a in enumerate(amps)]
-            cases.append(Case(spec, size, inputs, run, [members[keep]], np.eye(2), per_case, inject=[_reg("N0")]))
+            cases.append(Case(spec, size, inputs, run, [members[keep]], unchanged, per_case, inject=[_reg("N0")]))
         expect[f"m{size}"] = {"ebits": size - 1, "cbits": 2 * (size - 1)}
     details = {"cat_sizes": [2, 3, 4]}
     return _verify(_Sweep("cat-roundtrip"), cases, branches, expect, section="m2", details=details)
@@ -441,8 +488,8 @@ def verify_ghz(*, seed: int = 0, branches: str = "exhaustive", samples: int = 64
         spec = [(f"N{i}", 1, max(1, r)) for i, r in enumerate(em_channel_requirements(m, shape))]
         names = [node for node, _, _ in spec]
         section = f"{shape}:m{m}" if m < 8 else f"m{m}:{shape}"
-        cat = np.zeros(2**m, dtype=complex)
-        cat[0] = cat[-1] = 1 / np.sqrt(2)
+        cat = np.zeros((1, 2**m), dtype=complex)  # the ideal's one row: the input carries no amplitudes
+        cat[0, 0] = cat[0, -1] = 1 / np.sqrt(2)
 
         def run(net: Network, names=names, shape=shape, section=section) -> list:
             return [(section, distributed_em(net, names, shape))]
@@ -450,7 +497,8 @@ def verify_ghz(*, seed: int = 0, branches: str = "exhaustive", samples: int = 64
         inputs = [(section, seed + (m if m < 8 else 997), None)]
         measurements = 2 * (m - 1) if m < 8 else 0
         regs = [_reg(n) for n in names]
-        cases.append(Case(spec, measurements, inputs, run, regs, cat, max(1, samples // 8), zero=_channels(spec)))
+        ideal, per_case = (lambda _, cat=cat: cat), max(1, samples // 8)
+        cases.append(Case(spec, measurements, inputs, run, regs, ideal, per_case, zero=_channels(spec)))
         rounds = m - 1 if shape == "linear" else int(np.ceil(np.log2(m)))
         expect[section] = {"ebits": m - 1, "qubits_transported": 0, "rounds": rounds}
     return _verify(_Sweep("ghz"), cases, branches, expect, section="linear:m2", details={"shapes": list(shapes)})
@@ -474,7 +522,7 @@ def verify_refresh(*, seed: int = 0, branches: str = "exhaustive", samples: int 
             reset_channel_qubits(net, [net.last_record(ch) for ch in channels])
         return out
 
-    four_cnots = np.linalg.matrix_power(CNOT.matrix, 4)
+    four_cnots = _apply(np.linalg.matrix_power(CNOT.matrix, 4))
     per_input = max(1, samples // len(inputs))
     case = Case(_WIDE_PAIR, 8, inputs, run, [a, b], four_cnots, per_input, zero=channels)
     expect = {"gate": {"ebits": 1, "cbits": 2, "qubits_transported": 0}}
@@ -488,7 +536,7 @@ def verify_distributed_swap(*, seed: int = 0, branches: str = "exhaustive", samp
     inputs = _inputs(random.Random(seed), 2, 5, seed)
     a, b = _reg("A"), _reg("B")
     case = Case(
-        _WIDE_PAIR, 4, inputs, lambda net: [("", distributed_swap(net, a, b))], [a, b], SWAP.matrix,
+        _WIDE_PAIR, 4, inputs, lambda net: [("", distributed_swap(net, a, b))], [a, b], _apply(SWAP.matrix),
         max(1, samples // len(inputs)), zero=_channels(_WIDE_PAIR), details={"register_buffers_used": 0},
     )
     expect = {"": {"ebits": 2, "cbits": 4, "qubits_transported": 0}}
@@ -503,7 +551,7 @@ def verify_multi_control(*, seed: int = 0, branches: str = "exhaustive", samples
     ancillas = [_reg("T", 1), _reg("T", 2)]
     case = Case(
         spec, 4, inputs, lambda net: [("", nonlocal_multi_control(net, [c1, c2], X, t))], [c1, c2, t],
-        TOFFOLI.matrix, max(1, samples // len(inputs)), zero=[*ancillas, *_channels(spec)],
+        _apply(TOFFOLI.matrix), max(1, samples // len(inputs)), zero=[*ancillas, *_channels(spec)],
     )
     expect = {"": {"ebits": 2, "cbits": 4}}
     return _verify(_Sweep("multi-control"), [case], branches, expect, details={"inputs": len(inputs)})
@@ -516,7 +564,7 @@ def verify_decompose_c4x(*, seed: int = 0, branches: str = "exhaustive", samples
     rows of one run.
     """
     # qubit order everywhere: c1 c2 c3 c4 ancilla target
-    c4x = _embed(C4X.matrix, 6, [0, 1, 2, 3, 5])
+    c4x = _apply(_embed(C4X.matrix, 6, [0, 1, 2, 3, 5]))
     basis = np.eye(64)
     mono = [_reg("M", j) for j in range(6)]
     mono_inputs = [(f"monolithic:basis{b:06b}", seed, basis[b]) for b in range(64)]
@@ -553,7 +601,7 @@ def verify_amortized(*, seed: int = 0, branches: str = "exhaustive", samples: in
         ideals.append(embedded @ ideals[-1])
     cases, expect = [], {}
     for k in (1, 2, 5, 10):
-        gates, ideal = sequence[:k], ideals[k]
+        gates, ideal = sequence[:k], _apply(ideals[k])
 
         def run(net: Network, gates=gates, k=k) -> list:
             return [(f"k{k}", nonlocal_controlled_sequence(net, ctrl, gates))]
@@ -575,9 +623,12 @@ def verify_parallel_control(*, seed: int = 0, branches: str = "exhaustive", samp
     t2 = [_reg("P2", j) for j in range(3)]
     t3 = [_reg("P3", j) for j in range(2)]
     parts = [(f"P{j + 1}", qstate.GateMatrix(u), t) for j, (u, t) in enumerate([(u1, t1), (u2, t2), (u3, t3)])]
-    # [[I, 0], [0, U1 (x) U2 (x) U3]]: the parts act where the control reads 1
-    controlled_ideal = np.eye(256, dtype=complex)
-    controlled_ideal[128:, 128:] = np.kron(np.kron(u1, u2), u3)
+
+    def controlled_ideal(stack: np.ndarray) -> np.ndarray:
+        # [[I, 0], [0, U1 (x) U2 (x) U3]]: the parts act on the half where the control reads 1
+        on = np.einsum("ai,bj,ck,rijk->rabc", u1, u2, u3, stack[:, 128:].reshape(-1, 4, 8, 4))
+        return np.concatenate([stack[:, :128], on.reshape(-1, 128)], axis=1)
+
     case = Case(
         [("C", 1, 1), ("P1", 2, 1), ("P2", 3, 1), ("P3", 2, 1)], 4, inputs,
         lambda net: [("", parallel_distributed_control(net, ctrl, parts))],
@@ -587,11 +638,11 @@ def verify_parallel_control(*, seed: int = 0, branches: str = "exhaustive", samp
     return _verify(_Sweep("parallel-control"), [case], branches, expect, details={"parts": 3, "split": [2, 3, 2]})
 
 
-def _require_dense_oracle_fits(n: int) -> None:
-    """Refuse an n-qubit transform whose dense oracle would hold more than
-    CHUNK_AMPLITUDES entries (n > 10), before any input or oracle is built."""
-    if 2 * n > CHUNK_AMPLITUDES.bit_length() - 1:
-        raise ValueError(f"a {n}-qubit transform's dense oracle exceeds {CHUNK_AMPLITUDES} entries; use a smaller --n")
+def _require_input_fits(n: int) -> None:
+    """Refuse an n-qubit transform whose input would hold more than
+    CHUNK_AMPLITUDES amplitudes (n > 20), before any input is drawn."""
+    if n > CHUNK_AMPLITUDES.bit_length() - 1:
+        raise ValueError(f"a {n}-qubit transform's input of 2^{n} amplitudes exceeds {CHUNK_AMPLITUDES}; use a smaller --n")
 
 
 def verify_qft(
@@ -605,7 +656,7 @@ def verify_qft(
     gate count (or to the distribution count in amortized mode). Rows are
     labelled by their outcome bits, branch000001000101 say.
     """
-    _require_dense_oracle_fits(n)
+    _require_input_fits(n)
     plan = build_qft_plan(n, m)
     sweep = _Sweep("qft")
     k = n // m
@@ -627,7 +678,7 @@ def verify_qft(
         return [("", qft_distributed(net, plan, amortized=amortized, check=False))]
 
     inputs = [("branch-probabilities", seed, amps)]
-    case = Case(spec, num_bits, inputs, run, regs, qft_matrix(n), samples, zero=_channels(spec))
+    case = Case(spec, num_bits, inputs, run, regs, _transform, samples, zero=_channels(spec))
     expect = {"": {"ebits": ebits, "cbits": 2 * ebits, "qubits_transported": 0}}
     details = {"plan": plan.to_dict(), "amortized": amortized, "measurements_per_branch": num_bits}
     return _verify(sweep, [case], branches, expect, details=details)
@@ -675,7 +726,7 @@ def verify_all(
     `samples`, when given, sets every verifier's sample count; by default
     each keeps its own.
     """
-    _require_dense_oracle_fits(n)
+    _require_input_fits(n)
     common: dict[str, Any] = {"seed": seed, "branches": branches}
     if samples is not None:
         common["samples"] = samples

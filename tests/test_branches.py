@@ -446,7 +446,7 @@ def test_run_of_several_inputs_must_not_draw():
         return []
 
     inputs = [("input0", 0, np.array([1.0, 0.0])), ("input1", 1, np.array([0.0, 1.0]))]
-    case = verify.Case([("A", 1, 0)], 0, inputs, run, [QubitAddress("A", REGISTER, 0)], np.eye(2))
+    case = verify.Case([("A", 1, 0)], 0, inputs, run, [QubitAddress("A", REGISTER, 0)], verify._apply(np.eye(2)))
     sweep = verify._Sweep("draws")
     verify._drive(sweep, case, "exhaustive")
     assert sweep.failures == [{"case": "input0..input1", "drew_outcomes": True}]

@@ -73,24 +73,40 @@ def test_exhaustive_sweep_too_wide_exits_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", [["verify", "qft"], ["demo", "qft"], ["qft"], ["report"]])
 def test_transform_above_dense_bound_exits_2(command, capsys, monkeypatch):
-    """Regression: a large --n drew its input and built its dense oracle
-    (1.5 GiB at n = 13) before any check. Each reach of either fails fast."""
-    import catnet.verify as verify
+    """A transform whose input would exceed CHUNK_AMPLITUDES (n = 21) is
+    refused before its input is drawn: each draw fails fast if reached."""
     from catnet import qstate
 
-    def guarded(build):
+    def guarded(draw):
         def call(n, *args):
-            assert n <= 10, f"built a {n}-qubit input or oracle"
-            return build(n, *args)
+            assert n <= 20, f"drew a {n}-qubit input"
+            return draw(n, *args)
 
         return call
 
-    monkeypatch.setattr(qstate, "random_vector", guarded(qstate.random_vector))
-    monkeypatch.setattr(verify, "qft_matrix", guarded(verify.qft_matrix))
-    code, out, err = run_main([*command, "--n", "12", "--m", "2"], capsys)
+    for name in ("random_vector", "random_vectors"):
+        monkeypatch.setattr(qstate, name, guarded(getattr(qstate, name)))
+    code, out, err = run_main([*command, "--n", "21", "--m", "3"], capsys)
     assert code == 2
     assert out == ""
-    assert "dense oracle" in err
+    assert "2^21 amplitudes exceeds" in err
+
+
+def test_run_that_raises_is_a_labelled_failure(capsys, monkeypatch):
+    """With the entangler's X corrections dropped, runs break the model's
+    rules (divergent probes, a cat that is not one); each such run is a
+    failure under its label range, and every report is still emitted."""
+    from catnet import primitives
+    from catnet.gates import IDENTITY
+
+    monkeypatch.setattr(primitives, "X", IDENTITY)
+    code, out, _ = run_main(["verify", "all"], capsys)
+    reports = json.loads(out)
+    assert code == 1
+    assert len(reports) == 11
+    raised = [f for r in reports for f in r["details"]["failures"] if "error" in f]
+    assert raised and all(f["error"] and f["message"] for f in raised)
+    assert any(".." in f["case"] for f in raised)
 
 
 @pytest.mark.parametrize("samples, branches", [(5, 10), (45, 40)])

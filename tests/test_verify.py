@@ -1,6 +1,6 @@
 """The verifier layer's own machinery: the gate embedding its ideals are
-built from, the block-diagonal ideal of parallel control, the per-row |0>
-check, and the size refusal of the transform sweep."""
+built from, the matrix-free ideals of parallel control and the transform,
+the per-row |0> check, and the size refusal of the transform sweep."""
 
 import itertools
 import random
@@ -12,7 +12,9 @@ from catnet import qstate, verify
 from catnet.gates import CNOT, H, X, Z, ControlledSpec, make_controlled, make_rk
 from catnet.network import CHANNEL, REGISTER, QubitAddress
 from catnet.protocols import C4X
+from catnet.qft import qft_matrix
 from reference import embed
+from test_qft import dft_sum_oracle
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -33,7 +35,8 @@ def test_embed_matches_kron_reference_on_the_verifiers_gates():
 
 
 def test_parallel_control_ideal_is_the_controlled_product(monkeypatch):
-    """The block-diagonal ideal is, bit for bit, |0><0| (x) I + |1><1| (x) U1 (x) U2 (x) U3."""
+    """The matrix-free ideal maps a stack as the dense block diagonal
+    |0><0| (x) I + |1><1| (x) U1 (x) U2 (x) U3 does."""
     seen = []
     monkeypatch.setattr(verify, "_verify", lambda sweep, cases, *a, **k: seen.extend(cases))
     verify.verify_parallel_control(seed=3)
@@ -41,33 +44,48 @@ def test_parallel_control_ideal_is_the_controlled_product(monkeypatch):
     u1, u2, u3 = (verify._random_unitary(dim, rng) for dim in (4, 8, 4))
     on = np.diag([0.0, 1.0])
     want = np.kron(np.eye(2) - on, np.eye(128)) + np.kron(on, np.kron(np.kron(u1, u2), u3))
-    assert seen[0].ideal.tobytes() == want.tobytes()
+    stack = np.array([a for _, _, a in seen[0].inputs] + list(qstate.random_vectors(8, 5, random.Random(4))))
+    got = seen[0].ideal(stack)
+    assert got.shape == stack.shape
+    assert np.allclose(got, stack @ want.T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_transform_ideal_is_the_defining_matrix(n):
+    stack = qstate.random_vectors(n, 3, random.Random(n))
+    got = verify._transform(stack)
+    assert np.allclose(got, stack @ qft_matrix(n).T, rtol=0, atol=1e-12)
+    if n <= 6:
+        assert np.allclose(got, stack @ dft_sum_oracle(n).T, rtol=0, atol=1e-12)
+
+
+def test_transform_sweep_verifies_past_ten_qubits():
+    report = verify.verify_protocol("qft", n=12, m=3, samples=2, branches="sampled")
+    assert report.verified and report.branches_tested == 2
+    assert report.max_infidelity <= 1e-10
 
 
 @pytest.fixture
 def no_dense_transform(monkeypatch):
     """Fail fast, instead of allocating, if a transform above the bound gets
-    as far as drawing its input or building its dense oracle."""
-    draw, oracle = qstate.random_vector, verify.qft_matrix
+    as far as drawing its input."""
 
-    def guarded(build):
+    def guarded(draw):
         def call(n, *args):
-            assert n <= 10, f"built a {n}-qubit input or oracle"
-            return build(n, *args)
+            assert n <= 20, f"drew a {n}-qubit input"
+            return draw(n, *args)
 
         return call
 
-    monkeypatch.setattr(qstate, "random_vector", guarded(draw))
-    monkeypatch.setattr(verify, "qft_matrix", guarded(oracle))
+    for name in ("random_vector", "random_vectors"):
+        monkeypatch.setattr(qstate, name, guarded(getattr(qstate, name)))
 
 
 def test_transform_above_dense_bound_is_refused(no_dense_transform):
-    with pytest.raises(ValueError, match="dense oracle"):
-        verify.verify_protocol("qft", n=11, m=1)
-    with pytest.raises(ValueError, match="dense oracle"):
-        verify.verify_all(n=12, m=2)
-    report = verify.verify_protocol("qft", n=10, m=2, branches="sampled", samples=1)
-    assert report.verified
+    with pytest.raises(ValueError, match=r"2\^21 amplitudes exceeds"):
+        verify.verify_protocol("qft", n=21, m=1)
+    with pytest.raises(ValueError, match=r"2\^21 amplitudes exceeds"):
+        verify.verify_all(n=21, m=3)
 
 
 def test_qubit_left_set_is_reported_on_its_row_only():
@@ -81,6 +99,6 @@ def test_qubit_left_set_is_reported_on_its_row_only():
 
     inputs = [("input0", 0, np.array([1.0, 0.0])), ("input1", 1, np.array([0.0, 1.0]))]
     sweep = verify._Sweep("reset")
-    verify._drive(sweep, verify.Case([("A", 1, 1)], 0, inputs, run, [reg], np.eye(2), zero=[chan]), "exhaustive")
+    verify._drive(sweep, verify.Case([("A", 1, 1)], 0, inputs, run, [reg], verify._apply(np.eye(2)), zero=[chan]), "exhaustive")
     assert sweep.max_infidelity <= 1e-12  # the register kept each input
     assert sweep.failures == [{"case": "input1", "not_reset": "A.channel[0]"}]
