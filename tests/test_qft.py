@@ -2,11 +2,12 @@
 distributed execution."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from catnet import qstate
+from catnet import qft, qstate
 from catnet.errors import CapacityError
 from catnet.network import Network
 from catnet.qft import build_qft_plan, qft_distributed, qft_local, qft_matrix
@@ -197,6 +198,21 @@ def test_distributed_6_over_3_ledger():
     assert rep.verified
     led = rep.ledger.as_dict()
     assert (led["ebits"], led["cbits"]) == (12, 24)
+
+
+def test_distributed_check_applies_the_circuit_past_ten_qubits(monkeypatch):
+    """The protocol's own check holds at n = 12, where no dense transform
+    is built, and catches a reversal stage that never ran."""
+
+    def run():
+        net = qft_net(3, 4, seed=6)
+        net.inject_state([net.reg(f"M{i // 4}", i % 4) for i in range(12)], qstate.random_vector(12, random.Random(6)))
+        return qft_distributed(net, build_qft_plan(12, 3), amortized=True)
+
+    rep = run()
+    assert rep.verified and rep.max_infidelity <= 1e-10
+    monkeypatch.setattr(qft, "distributed_swap", lambda *args, **kwargs: None)
+    assert run().verified is False
 
 
 def test_distributed_wrong_node_count():
