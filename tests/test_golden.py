@@ -1,7 +1,7 @@
 """Golden CLI output: the JSON of every small verifier, of both exhaustive
-QFT sweeps and of two sampled sweeps (the default `verify qft` and a
-sampled `verify teleport`), checked in from earlier releases and compared
-byte for byte. The sampled files pin the seed's inputs and the outcomes
+QFT sweeps and of four sampled sweeps (the default `verify qft`, the 6/2
+and 6/3 transforms and a sampled `verify teleport`), checked in from earlier
+releases and compared byte for byte. The sampled files pin the seed's inputs and the outcomes
 drawn from random.Random(seed), message bits included.
 
 Only `max_infidelity` may move, and by at most 1e-12: it is a rounding-level
@@ -32,6 +32,8 @@ COMMANDS["verify-qft-amortized-exhaustive.json"] = ["verify", "qft", "--amortize
 # sampled sweeps: these pin which inputs and outcomes a seed draws
 COMMANDS["verify-qft-sampled.json"] = ["verify", "qft"]
 COMMANDS["verify-teleport-sampled.json"] = ["verify", "teleport", "--branches", "sampled"]
+COMMANDS["verify-qft-6-2-sampled.json"] = ["verify", "qft", "--n", "6", "--m", "2"]
+COMMANDS["verify-qft-6-3-sampled.json"] = ["verify", "qft", "--n", "6", "--m", "3"]
 
 
 @pytest.mark.parametrize("filename", sorted(COMMANDS))
