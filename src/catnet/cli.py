@@ -208,11 +208,11 @@ def emit_report(reports: Sequence[ProtocolReport], format: str = "json") -> str:
 def _demo_trace(report: ProtocolReport) -> str:
     lines = _text_table([report])
     lines.append("messages:")
-    if not report.messages:
+    log = report.as_dict()["message_log"]
+    if not log:
         lines.append("  (none)")
-    for msg in report.messages:
-        to = ",".join(msg.to)
-        lines.append(f"  {msg.sender} -> {to}: {msg.bit}  [{msg.tag}]")
+    for msg in log:
+        lines.append(f"  {msg['from']} -> {','.join(msg['to'])}: {msg['bit']}  [{msg['tag']}]")
     return "\n".join(lines)
 
 

@@ -30,6 +30,11 @@ class ImpossibleBranchError(CatnetError):
     """A forced measurement outcome has (near-)zero probability."""
 
 
+class UnforcedOutcomeError(CatnetError):
+    """A measurement had no forced outcome, no split left and no generator
+    per row to draw one from."""
+
+
 class BranchDivergenceError(CatnetError):
     """A probe of a state split into branch rows gave different answers on
     different rows.

@@ -11,12 +11,14 @@ transports, rounds) are maintained by the operations themselves.
 Each node owns a register pool (long-lived data qubits) and a channel pool
 (communication qubits). All slots start occupied by |0> qubits.
 
-One run can carry many measurement branches as rows of the state (see
-split_outcomes). Gates, ledger and rounds are shared by every row; outcomes,
-message bits and branch probabilities become per-row values (arrays over
-the state's row axes, see qstate), a classically controlled gate fires only
-on the rows whose control bits XOR to 1, and a probe of the state must
-answer alike on every row or raise BranchDivergenceError.
+A run carries one or more rows of the state: measurement branches (see
+split_outcomes), inputs of a stack, or sampled runs that each draw from a
+generator of their own (see rngs). Gates, ledger and rounds are shared by
+every row; outcomes, message bits and branch probabilities are per-row
+values (arrays over the state's row axes, see qstate), a classically
+controlled gate fires only on the rows whose control bits XOR to 1, and a
+probe of the state must answer alike on every row or raise
+BranchDivergenceError.
 """
 
 from __future__ import annotations
@@ -66,12 +68,12 @@ class QubitAddress(collections.namedtuple("QubitAddress", "node pool slot")):
 class ClassicalMessage:
     """A classical bit in flight: sender, recipients, payload, label.
 
-    On a network split into branch rows the payload may be a per-row value.
+    The payload is a per-row value of bits; an int is one bit for every row.
     """
 
     sender: str
     to: tuple[str, ...]
-    bit: int | np.ndarray
+    bit: np.ndarray
     tag: str
 
     def __post_init__(self) -> None:
@@ -121,13 +123,11 @@ class NodeSpec:
 ControlToken = MeasurementRecord | ClassicalMessage
 
 
-def _one_answer(answer: bool | np.ndarray, what: str, addrs: Sequence[object] = ()) -> bool:
-    """The answer of a probe: a bool, or per-row answers that must all agree.
+def _one_answer(answer: np.ndarray, what: str, addrs: Sequence[object] = ()) -> bool:
+    """The answer of a probe: per-row answers that must all agree.
 
     The error names `what` (followed by `addrs`, if given) when they do not.
     """
-    if not isinstance(answer, np.ndarray):
-        return bool(answer)
     hits = np.count_nonzero(answer)
     if hits == answer.size:
         return True
@@ -148,6 +148,14 @@ class Network:
     measurements and setup helpers all change that one state in place, so
     a caller that needs the state as it was must copy it; a split
     measurement doubles its rows.
+
+    `rngs` holds one generator per row, in row order, and a measurement
+    that no forced outcome or split covers draws each row's outcome from
+    the row's own generator (qstate.measure): a row of a sampled sweep draws
+    exactly what a run of that row alone would. It starts as the one
+    generator random.Random(seed); a sweep that gives the network more rows
+    sets one per row, or none where every outcome must be forced or split,
+    so that a draw raises UnforcedOutcomeError.
     """
 
     def __init__(
@@ -177,24 +185,15 @@ class Network:
         self.ledger = ResourceLedger()
         self.message_log: list[ClassicalMessage] = []
         self.records: list[MeasurementRecord] = []
-        self._seed = seed
-        self._rng: random.Random | None = None
-        # a float, or a per-row value once the state is split
-        self.branch_probability: float | np.ndarray = 1.0
+        self.rngs: list[random.Random] = [random.Random(seed)]
+        # the product of every outcome's probability, a per-row value
+        self.branch_probability: np.ndarray = np.ones(1)
         self._forced: collections.deque[int] = collections.deque()
         self._splits = 0
         # ids of the records and messages made here, for causality checks
         self._token_ids: set[int] = set()
         self._in_round = False
         self._round_touched: set[int] = set()
-
-    @property
-    def rng(self) -> random.Random:
-        """The generator of sampled outcomes, made on the first draw: `_rng`
-        stays None in a run whose outcomes are all forced or split."""
-        if self._rng is None:
-            self._rng = random.Random(self._seed)
-        return self._rng
 
     # ---- addressing -----------------------------------------------------
 
@@ -298,7 +297,8 @@ class Network:
         """Measure one qubit in the Z basis.
 
         Outcomes come from, in priority order: the `forced` argument, the
-        queue loaded by force_outcomes(), or the network RNG.
+        queue loaded by force_outcomes(), a split (split_outcomes()), or a
+        draw from each row's generator (rngs).
         """
         return self._measure(addr, forced, x_basis=False)
 
@@ -318,8 +318,8 @@ class Network:
             rec = qstate.measure_split(self.state, gidx)
             self._splits -= 1
         else:
-            rng = self.rng if forced is None else None
-            rec = qstate.measure(self.state, gidx, rng=rng, forced=forced)
+            rngs = self.rngs if forced is None else None
+            rec = qstate.measure(self.state, gidx, rngs=rngs, forced=forced)
         self.branch_probability = self.branch_probability * rec.probability
         record = MeasurementRecord(addr, rec.outcome, rec.probability)
         self.records.append(record)
@@ -378,7 +378,7 @@ class Network:
         """True when the record or message was made by this network."""
         return id(token) in self._token_ids
 
-    def _token_bit_at(self, token: ControlToken, node: str) -> int | np.ndarray:
+    def _token_bit_at(self, token: ControlToken, node: str) -> np.ndarray:
         if isinstance(token, MeasurementRecord):
             if not self.knows(token):
                 raise CausalityError("measurement record does not belong to this network")
@@ -402,15 +402,14 @@ class Network:
         controls: ControlToken | Sequence[ControlToken],
         gate: GateMatrix,
         targets: QubitAddress | Sequence[QubitAddress],
-    ) -> bool | np.ndarray:
-        """Apply `gate` iff the XOR of the control bits is 1.
+    ) -> np.ndarray:
+        """Apply `gate` on the rows where the XOR of the control bits is 1.
 
         Every control bit must be available at the target node: measured
         there, or delivered there by a logged message. The scheduling round
         is charged whether or not the gate fires, so costs do not depend on
-        measurement outcomes. Returns True when the gate was applied; with
-        per-row control bits, the gate fires on the rows whose XOR is 1 and
-        the return value is that per-row mask.
+        measurement outcomes. Returns the per-row mask of the rows it fired
+        on.
         """
         if isinstance(targets, QubitAddress):
             targets = [targets]
@@ -427,13 +426,10 @@ class Network:
         idx = [self.global_index(t) for t in targets]
         self._account_round(idx)
         fire = bit == 1
-        if isinstance(fire, np.ndarray):
-            hits = np.count_nonzero(fire)  # every row fires, some do, or none
-            if 0 < hits < fire.size:
-                qstate.apply_gate(self.state, gate, idx, rows=fire)
-            elif hits:
-                qstate.apply_gate(self.state, gate, idx)
-        elif fire:
+        hits = np.count_nonzero(fire)  # every row fires, some do, or none
+        if 0 < hits < fire.size:
+            qstate.apply_gate(self.state, gate, idx, rows=fire)
+        elif hits:
             qstate.apply_gate(self.state, gate, idx)
         return fire
 
@@ -465,8 +461,8 @@ class Network:
     def qubit_is(self, addr: QubitAddress, bit: int | np.ndarray) -> bool:
         """True when the qubit at addr reads `bit` with probability 1.
 
-        `bit` may be per-row bits (a measurement outcome, say). On a split
-        state every row must give the same answer, or the probe raises
+        `bit` may be per-row bits (a measurement outcome, say). Every row
+        must give the same answer, or the probe raises
         BranchDivergenceError.
         """
         answer = qstate.partial_state_check(self.state, self.global_index(addr), bit)
@@ -517,9 +513,9 @@ class Network:
         is fixed at |0>. Normalizes. The network must be unsplit: its rows'
         probabilities and records would not describe the new state.
 
-        A (R, 2^k) stack of R > 1 inputs makes row i hold input i,
-        normalized on its own; after s splits input i's branches are rows
-        i * 2^s to (i + 1) * 2^s - 1.
+        A (R, 2^k) stack makes row i hold row i of the stack, normalized on
+        its own, and rows that are bitwise equal are stored once; after s
+        splits row i's branches are rows i * 2^s to (i + 1) * 2^s - 1.
         """
         if self.rows > 1:
             raise ValueError("inject_state needs an unsplit network")
@@ -540,9 +536,5 @@ class Network:
         # input's to match (one row per input of a stack)
         axes = (0, *(1 + np.argsort(idx)))
         block = np.transpose((amps / norm[:, None]).reshape((-1,) + (2,) * k), axes).reshape(len(amps), -1)
-        if len(block) == 1:
-            block = block[0]
-        else:
-            self.branch_probability = np.ones(len(block))
-        zeros = {q: 0 for q in range(self.num_qubits) if q not in idx}
-        self.state = StateVector(self.num_qubits, block, zeros)
+        zero = np.zeros(1, dtype=np.int64)
+        self.state = StateVector(self.num_qubits, block, {q: zero for q in range(self.num_qubits) if q not in idx})

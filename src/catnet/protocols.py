@@ -74,6 +74,7 @@ class ProtocolReport:
     messages: list[ClassicalMessage] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, Any]:
+        """The report as plain data; the message log shows row 0's bits."""
         return {
             "protocol": self.name,
             "branches_tested": self.branches_tested,
@@ -84,7 +85,7 @@ class ProtocolReport:
             "max_infidelity": self.max_infidelity,
             "verified": self.verified,
             "message_log": [
-                {"from": m.sender, "to": list(m.to), "bit": m.bit, "tag": m.tag}
+                {"from": m.sender, "to": list(m.to), "bit": int(m.bit.flat[0]), "tag": m.tag}
                 for m in self.messages
             ],
             "details": self.details,

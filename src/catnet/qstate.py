@@ -48,19 +48,22 @@ extra leading qubits that no gate touches. The rows form a grid, one axis
 per split (the newest first) and a last axis over the inputs of a stack,
 and row r is the C-order position in (input, b1, ..., bk), the first
 split's outcome b1 the most significant branch bit. A per-row value (the
-rows of a block, a fixed bit, an outcome, a weight, a row mask) is an array
-over the grid's trailing axes with size 1 along every axis it does not
-vary along, so numpy broadcasting lines up a value made before a split
-with the rows after it, and one that varies along no axis is a scalar. A
-split adds an axis to the measured block only. A row-masked gate runs its
-kernel once per entry the mask marks, on the basic-index slice of the
-block's rows under it (no boolean gather or scatter), then cuts the block
-to one slice along each axis of the mask whose slices come out bitwise
-equal, so the rows a protocol's corrections make equal are stored once. Every kernel acts on all stored rows at once (apply_gate can
-be limited to a subset of rows), measure_split turns each row into its two
-outcome rows, and the probes answer once per stored row;
-StateVector.per_row lays a value out with one entry per row. An unsplit
-state (R = 1) gives scalar answers.
+rows of a block, a fixed bit, an outcome, a weight, a probe's answer, a
+row mask) is an array over the grid's trailing axes with size 1 along
+every axis it does not vary along, so numpy broadcasting lines up a value
+made before a split with the rows after it. Rows are the one shape: an
+unsplit state is a grid of one row, and its values are arrays of one
+entry. A split adds an axis to the measured block only. A row-masked gate
+runs its kernel once per entry the mask marks, on the basic-index slice of
+the block's rows under it (no boolean gather or scatter), then cuts the
+block to one slice along each axis of the mask whose slices come out
+bitwise equal, so the rows a protocol's corrections make equal are stored
+once; the rows of a stack that are bitwise equal are stored once from the
+start. Every kernel acts on all stored rows at once (apply_gate can be
+limited to a subset of rows), measure_split turns each row into its two
+outcome rows, measure draws each row's outcome from that row's own
+generator, and the probes answer once per stored row; StateVector.per_row
+lays a value out with one entry per row.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ImpossibleBranchError
+from .errors import ImpossibleBranchError, UnforcedOutcomeError
 
 ATOL = 1e-10
 ZERO_CUTOFF = 1e-12
@@ -170,10 +173,11 @@ class StateVector:
     `blocks` are the factors (see Block); no qubit lies in two. A block
     without qubits carries a phase per row, and exists only while no other
     block is left to carry it. `fixed` maps each qubit in no block to its
-    bit: an int, or an int64 per-row value. `grid` holds the sizes of the
-    row axes, newest split first, and `rows` is R, their product: 1 for an
-    unsplit state. StateVector(n, amplitudes) wraps a dense vector, or a
-    (rows, 2^L) stack of inputs, as one block of every qubit not in `fixed`.
+    bits, an int64 per-row value. `grid` holds the sizes of the row axes,
+    newest split first, and `rows` is R, their product: 1 for an unsplit
+    state. StateVector(n, amplitudes) wraps a dense vector, or a (rows,
+    2^L) stack of inputs, as one block of every qubit not in `fixed`; a
+    stack whose rows are bitwise equal is stored as one row.
 
     `high_water` is the most amplitudes the blocks would have held at one
     time with a row of each per state row, summed over blocks: the memory a
@@ -195,10 +199,11 @@ class StateVector:
         if amps.shape != (dim,) and not (amps.ndim == 2 and amps.shape[1] == dim and len(amps)):
             raise ValueError(f"expected {dim} amplitudes (per row), got shape {amps.shape}")
         self.num_qubits = n
-        self.grid = (1 if amps.ndim == 1 else len(amps),)
-        self.blocks = [Block(amps.reshape(self.grid[0], dim), qubits)]
+        self.grid = (amps.size // dim,)
+        self.blocks = [Block(_cut(amps.reshape(self.grid[0], dim), [0]), qubits)]
         self.fixed = fixed
-        self.high_water = self.largest_block = self._stored_peak = amps.size
+        self.high_water = self.largest_block = amps.size
+        self._stored_peak = self.blocks[0].amps.size
 
     @property
     def rows(self) -> int:
@@ -245,17 +250,16 @@ class StateVector:
         out.setflags(write=False)
         return out
 
-    def norm(self):
-        """The norm: a float, or one per row for a split state."""
-        norms = np.prod([self.per_row(np.linalg.norm(b.amps, axis=-1)) for b in self.blocks], axis=0)
-        return float(norms[0]) if self.rows == 1 else norms
+    def norm(self) -> np.ndarray:
+        """The norm of every row, in row order."""
+        return np.prod([self.per_row(np.linalg.norm(b.amps, axis=-1)) for b in self.blocks], axis=0)
 
     def copy(self) -> "StateVector":
         """An independent state equal to this one."""
         out = StateVector.__new__(StateVector)
         out.num_qubits, out.grid = self.num_qubits, self.grid
         out.blocks = [Block(b.amps.copy(), list(b.qubits)) for b in self.blocks]
-        out.fixed = {q: b.copy() if isinstance(b, np.ndarray) else b for q, b in self.fixed.items()}
+        out.fixed = dict(self.fixed)  # per-row bits are replaced, never written in place
         out.high_water = out.largest_block = out._stored_peak = 0
         _note(out)
         return out
@@ -270,8 +274,8 @@ class MeasurementRecord:
     """
 
     address: object
-    outcome: int | np.ndarray
-    probability: float | np.ndarray
+    outcome: np.ndarray
+    probability: np.ndarray
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
@@ -279,8 +283,8 @@ def basis_state(num_qubits: int, index: int = 0) -> StateVector:
     qubit fixed, so the one block holds no qubit and the amplitude 1."""
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    bits = {q: (index >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)}
-    return StateVector(num_qubits, np.ones(1, dtype=complex), bits)
+    bits = np.array([[(index >> (num_qubits - 1 - q)) & 1] for q in range(num_qubits)], dtype=np.int64)
+    return StateVector(num_qubits, np.ones(1, dtype=complex), dict(enumerate(bits)))
 
 
 def random_vector(num_qubits: int, rng: random.Random) -> np.ndarray:
@@ -331,13 +335,11 @@ def _flat_rows(grid: tuple, value, tail: int = 0) -> np.ndarray:
     return full.transpose(order).reshape((-1,) + full.shape[len(grid) :])
 
 
-def _compact(value):
-    """A per-row value cut to one slice along each row axis it does not
-    vary along, and a Python scalar once it varies along none."""
+def _compact(value) -> np.ndarray:
+    """A per-row value as an array cut to one slice along each row axis it
+    does not vary along."""
     value = np.asarray(value)
-    if value.size > 1:
-        value = _cut(value, range(value.ndim))
-    return value.item() if value.size == 1 else value
+    return _cut(value, range(value.ndim))
 
 
 def _cut(a: np.ndarray, axes) -> np.ndarray:
@@ -438,11 +440,7 @@ def _insert(block: Block, qubit: int, bit) -> Block:
     rows broadcast against a per-row bit)."""
     k = bisect_left(block.qubits, qubit)
     src = block.amps.reshape(block.amps.shape[:-1] + (2**k, 1, -1))
-    if isinstance(bit, np.ndarray):
-        new = np.ascontiguousarray(np.where(np.arange(2)[:, None] == bit[..., None, None, None], src, 0))
-    else:
-        new = np.zeros(src.shape[:-2] + (2, src.shape[-1]), dtype=complex)
-        new[..., bit, :] = src[..., 0, :]
+    new = np.ascontiguousarray(np.where(np.arange(2)[:, None] == bit[..., None, None, None], src, 0))
     return Block(new.reshape(new.shape[:-3] + (-1,)), [*block.qubits[:k], qubit, *block.qubits[k:]])
 
 
@@ -632,13 +630,13 @@ def _relabel(state: StateVector, targets: tuple, fpos: tuple, rule: tuple, rows:
     for p, live_map in enumerate(moves):
         if not live_map:
             continue
-        # a bool, or a mask of the rows whose pattern is p
+        # the rows whose pattern is p
         hit = pattern == p if rows is None else (pattern == p) & rows
         hits = np.count_nonzero(hit)
         if not hits:
             continue
         axes = tuple(bisect_left(block.qubits, t) for t in old)
-        if hits == np.size(hit):
+        if hits == hit.size:
             _move(block.amps, len(block.qubits), live_map, axes)
         else:
             _on_rows(state, block, hit, lambda sub: _move(sub, len(block.qubits), live_map, axes))
@@ -672,7 +670,7 @@ def _scale_fixed(state: StateVector, gate: GateMatrix, targets: tuple, rows: np.
     pattern = 0
     for t in targets:
         pattern = (pattern << 1) | state.fixed[t]
-    phase = np.atleast_1d(gate.diagonal[pattern] if rows is None else np.where(rows, gate.diagonal[pattern], 1))
+    phase = gate.diagonal[pattern] if rows is None else np.where(rows, gate.diagonal[pattern], 1)
     if np.count_nonzero(phase != 1):
         _absorb(state, Block(phase[..., None].astype(complex), []))
 
@@ -760,21 +758,16 @@ def _weight(state: StateVector, qubit: int, bit: int) -> np.ndarray:
     return _block_weight(_block_of(state, qubit), qubit, bit)
 
 
-def _bits(value, what: str) -> int | np.ndarray:
-    """A bit as an int, or per-row bits as a compact int64 array (see
+def _bits(value, what: str) -> np.ndarray:
+    """A bit, or per-row bits, as a compact int64 per-row value (see
     _compact); anything else raises."""
-    if isinstance(value, np.ndarray):
-        bits = value.astype(np.int64)  # a copy: the caller may change its array
-        # outcomes and their XORs are int64 already; only other types can lose a value
-        if np.count_nonzero(bits >> 1) or (value.dtype != np.int64 and not np.array_equal(bits, value)):
-            raise ValueError(f"{what} must be 0 or 1, got {value}")
-        return _compact(bits)
-    if value not in (0, 1):
+    bits = np.array(value, dtype=np.int64, ndmin=1)  # a copy: the caller may change its array
+    if np.count_nonzero(bits >> 1) or np.count_nonzero(bits != value):
         raise ValueError(f"{what} must be 0 or 1, got {value}")
-    return int(value)
+    return _compact(bits)
 
 
-def _drop(state: StateVector, block: Block, qubit: int, amps: np.ndarray, outcome: int | np.ndarray) -> None:
+def _drop(state: StateVector, block: Block, qubit: int, amps: np.ndarray, outcome: np.ndarray) -> None:
     """Give `block` the amplitudes `amps`, which no longer have `qubit`'s
     axis, and record the qubit as fixed at `outcome`. A block left without
     qubits is multiplied into another, if there is one."""
@@ -790,32 +783,39 @@ def measure(
     state: StateVector,
     qubit: int,
     *,
-    rng: random.Random | None = None,
+    rngs: Sequence | None = None,
     forced: int | np.ndarray | None = None,
 ) -> MeasurementRecord:
     """Projective Z measurement of one qubit, collapsing the state in place.
 
-    Exactly one of `rng` / `forced` must be given: sampled outcomes come from
-    the generator, forced outcomes select a branch for deterministic
+    Exactly one of `rngs` / `forced` must be given: sampled outcomes come
+    from the generators, forced outcomes select a branch for deterministic
     enumeration. The kept half of the qubit's block, rescaled, replaces the
     block and the qubit becomes fixed at its outcome. Forcing an outcome
     whose probability is below 1e-12 raises ImpossibleBranchError and
     leaves the state unchanged.
 
-    On a split state the outcome and its probability are per-row values: a
-    forced outcome may be one bit for every row or a per-row value, and the
-    generator draws once per row, in row order.
+    The outcome and its probability are per-row values. A forced outcome
+    may be one bit for every row or a per-row value. `rngs` holds one
+    generator per row, in row order, and each draws once: its row reads 1
+    when the draw falls below the row's probability of 1. Any other number
+    of generators raises UnforcedOutcomeError.
     """
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    if (rng is None) == (forced is None):
-        raise ValueError("supply exactly one of rng= or forced=")
+    if (rngs is None) == (forced is None):
+        raise ValueError("supply exactly one of rngs= or forced=")
     # per-outcome weights summed from their own slices: renormalizing by the
     # kept slice's weight leaves the state with unit norm exactly, whereas
     # 1 - p_other would let rounding drift compound over many measurements
     if forced is None:
-        draws = np.array([rng.random() for _ in range(state.rows)])
+        if len(rngs) != state.rows:
+            raise UnforcedOutcomeError(
+                f"qubit {qubit} is measured on {state.rows} rows with {len(rngs)} generators;"
+                " an outcome needs a forced bit, a split or a generator per row"
+            )
+        draws = np.array([g.random() for g in rngs])
         forced = draws.reshape(state.grid[::-1]).T < _weight(state, qubit, 1)
     outcome = _bits(forced, "forced outcome")
     if qubit in state.fixed:
@@ -826,22 +826,17 @@ def measure(
     block = _block_of(state, qubit)
     k = bisect_left(block.qubits, qubit)
     halves = block.amps.reshape(block.amps.shape[:-1] + (2**k, 2, -1))
-    if isinstance(outcome, int):
-        p = _block_weight(block, qubit, outcome)
-        _require_possible(p, outcome, qubit)
-        kept = halves[..., outcome, :] / np.sqrt(p)[..., None, None]
-    else:
-        p = np.where(outcome == 1, _block_weight(block, qubit, 1), _block_weight(block, qubit, 0))
-        _require_possible(p, outcome, qubit)
-        kept = np.where((outcome == 1)[..., None, None], halves[..., 1, :], halves[..., 0, :])
-        kept /= np.sqrt(p)[..., None, None]
-    kept = np.ascontiguousarray(kept)
+    one = outcome == 1
+    p = np.where(one, _block_weight(block, qubit, 1), _block_weight(block, qubit, 0))
+    _require_possible(p, outcome, qubit)
+    kept = np.ascontiguousarray(np.where(one[..., None, None], halves[..., 1, :], halves[..., 0, :]))
+    kept /= np.sqrt(p)[..., None, None]
     _drop(state, block, qubit, kept.reshape(kept.shape[:-2] + (-1,)), outcome)
     _note(state)  # the outcome's rows may have widened the block
     return MeasurementRecord(qubit, outcome, _compact(p))
 
 
-def _require_possible(p: float | np.ndarray, outcome: int | np.ndarray, qubit: int) -> None:
+def _require_possible(p: np.ndarray, outcome: np.ndarray, qubit: int) -> None:
     """Refuse an outcome whose probability (on some row) is below 1e-12."""
     least = np.min(p)
     if least < ZERO_CUTOFF:
@@ -882,19 +877,15 @@ def measure_split(state: StateVector, qubit: int) -> MeasurementRecord:
     return MeasurementRecord(qubit, outcome, p)
 
 
-def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarray):
-    """True when `qubit` is |expected> with probability 1 within 1e-10.
-
-    A split state gives a per-row answer, and `expected` may then be a
+def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarray) -> np.ndarray:
+    """Whether `qubit` is |expected> with probability 1 within 1e-10, a
+    per-row value of bools. `expected` may be one bit for every row or a
     per-row value. On a fixed qubit this compares bits.
     """
     expected = _bits(expected, "expected bit")
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    if isinstance(expected, np.ndarray):
-        wrong = np.where(expected == 1, _weight(state, qubit, 0), _weight(state, qubit, 1))
-    else:
-        wrong = _weight(state, qubit, 1 - expected)
+    wrong = np.where(expected == 1, _weight(state, qubit, 0), _weight(state, qubit, 1))
     return _compact(wrong <= ATOL)
 
 

@@ -2,23 +2,26 @@
 
 Every verifier is a table of Case records run by one driver. A case holds a
 node layout, measurement count, inputs, protocol call, the ideal over the
-logical qubits and the qubits that must end in |0>. An exhaustive sweep
-walks the case's input x branch positions in order, in runs of at most
-CHUNK_AMPLITUDES amplitudes: a run forces a prefix of one input's outcomes
-and splits the rest into branch rows (Network.split_outcomes), or carries
+logical qubits and the qubits that must end in |0>. A sweep walks the
+case's positions in order, in runs of at most CHUNK_AMPLITUDES amplitudes,
+and every position is a row of some run. An exhaustive sweep's positions
+are input x branch: a run forces a prefix of one input's outcomes and
+splits the rest into branch rows (Network.split_outcomes), or carries
 several whole inputs as rows (a stack for Network.inject_state) and splits
-every outcome. Runs are sized for throughput: a run pays a few ms of
+every outcome. A sampled sweep's positions are input x sample: a run
+carries a row per position, and each row draws its outcomes from a
+generator of its own, the one a run of that row alone would use, so a row
+is its own one-row run. Both are sized by one rule: a run pays a few ms of
 per-op overhead, and the rows that the protocols' corrections make equal
-are stored once, so the 4,096 branches of the amortized 4-qubit,
-2-machine transform are one run at about the cost of one branch. A case
-of more than MAX_POSITIONS positions is refused before any run. A sampled
-sweep makes unsplit runs that draw every outcome from the RNG, one per
-input and sample. Each stored row is checked against the ideal and for
-its |0> qubits, and a failure is reported under the label of each row it
-stands for; each input is checked for branch probabilities summing to
-one, and each section for one ledger in every run. A run that breaks a
-model rule (raises CatnetError) is a failure of the positions it held, and
-the sweep goes on with the next run.
+are stored once, so the 4,096 branches of the amortized 4-qubit, 2-machine
+transform, or 200 samples of the 6-qubit one, are one run at about the
+cost of one. An exhaustive case of more than MAX_POSITIONS positions is
+refused before any run. Each stored row is checked against the ideal and
+for its |0> qubits, and a failure is reported under the label of each row
+it stands for; each input of an exhaustive sweep is checked for branch
+probabilities summing to one, and each section for one ledger in every
+run. A run that breaks a model rule (raises CatnetError) is a failure of
+the positions it held, and the sweep goes on with the next run.
 
 A case's ideal is a function from its stacked inputs to their expected
 vectors, called once per case, so no verifier builds a 2^n x 2^n operator.
@@ -45,7 +48,7 @@ import numpy as np
 from . import qstate
 from .gates import CNOT, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
 from .errors import CatnetError
-from .network import CHANNEL, REGISTER, ClassicalMessage, Network, QubitAddress, ResourceLedger
+from .network import CHANNEL, REGISTER, Network, QubitAddress, ResourceLedger
 from .primitives import cat_entangler, cat_shrink
 from .protocols import (
     C4X,
@@ -190,8 +193,8 @@ class _Sweep:
         """Fold in one report of a run that carried `rows` branches.
 
         The first report of a section sets the ledger and rounds every later
-        one must repeat. The merged message log is row 0 of the first run
-        that logged messages, its bits as ints.
+        one must repeat. The merged message log is that of the first run
+        that logged messages, which the report shows at row 0.
         """
         self.branches += rows
         if report.max_infidelity is not None:
@@ -202,7 +205,7 @@ class _Sweep:
         if first.ledger != report.ledger or first.rounds != report.rounds:
             self.fail(label, ledger=report.ledger.as_dict(), first_seen=first.ledger.as_dict())
         if first is report and not self.messages:
-            self.messages = [ClassicalMessage(m.sender, m.to, int(np.ravel(m.bit)[0]), m.tag) for m in report.messages]
+            self.messages = report.messages
 
 
 # ---- the case table and its driver ----------------------------------------
@@ -219,10 +222,10 @@ class Case:
     the case's inputs (None for inputs without amplitudes) to the vectors
     the logical qubits must end in, one row per input (a single row for
     None). `measurements` is how many outcomes a sweep enumerates; a case
-    with none has one position per input, and a run of one such input
-    draws any outcomes from the RNG. `samples` is the runs per input in
-    sampled mode, and `details` lists report details that must hold the
-    given values.
+    with none has one position per input, whose row draws any outcomes
+    from a generator seeded with the input's seed. `samples` is the
+    positions per input in sampled mode, and `details` lists report
+    details that must hold the given values.
     """
 
     spec: list[tuple[str, int, int]]
@@ -251,56 +254,66 @@ def _row_label(sweep: _Sweep, case: Case, per: int, exhaustive: bool, p: int) ->
     return f"{label}:branch{bits}" if exhaustive else f"{label}:sample{b}"
 
 
-def _split(case: Case) -> int:
-    """log2 of the positions the first exhaustive run holds: as many of the
-    case's input x branch positions as CHUNK_AMPLITUDES leaves room for
-    with every qubit live."""
+def _split(case: Case, count: int) -> int:
+    """log2 of the positions the first run holds: as many of the case's
+    `count` positions as CHUNK_AMPLITUDES leaves room for with every qubit
+    live."""
     qubits = sum(r + c for _, r, c in case.spec)
-    positions = case.measurements + (len(case.inputs) - 1).bit_length()
-    return min(positions, max(0, CHUNK_AMPLITUDES.bit_length() - 1 - qubits))
+    return min((count - 1).bit_length(), max(0, CHUNK_AMPLITUDES.bit_length() - 1 - qubits))
 
 
-def _run(case: Case, amps: np.ndarray | None, prefix: Sequence[int], split: int, seed: int) -> tuple[Network, list]:
+def _run(case: Case, amps: np.ndarray, seeds: Sequence[int], prefix: Sequence[int], split: int) -> tuple[Network, list]:
     """One run of a case: inject `amps` (one input, or a stack of inputs
-    that become rows), force `prefix`, split the next `split` measurements
-    into branch rows, and draw any others from the RNG."""
-    net = Network(case.spec, seed=seed)
-    if amps is not None:
-        net.inject_state(case.logical if case.inject is None else case.inject, amps)
+    that become rows; [1] on no qubits for an input without amplitudes),
+    give row r a generator seeded seeds[r] (none at all for an empty list),
+    force `prefix` and split the next `split` measurements into branch
+    rows."""
+    net = Network(case.spec)
+    where = [] if case.inputs[0][2] is None else case.logical if case.inject is None else case.inject
+    net.inject_state(where, amps)
+    net.rngs = [random.Random(s) for s in seeds]
     net.force_outcomes(prefix)
     net.split_outcomes(split)
     return net, case.run(net)
 
 
 def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
-    """Run every input of `case` through its branches into `sweep`.
+    """Run every input of `case` through its branches or samples into `sweep`.
 
-    The runs walk the positions input * 2^M + branch (M measurements) in
-    order, each a block of 2^s positions that starts at a multiple of its
-    size; the last may hold fewer. With s <= M a run forces a prefix of one
-    input's outcomes and splits s measurements; with s > M it carries
-    2^(s-M) whole inputs as rows and splits all M. Row r is position start
-    + r. The first run holds 2^_split(case) positions, each later one as
-    many as the previous run's high_water leaves room for within
-    CHUNK_AMPLITUDES. high_water counts what the blocks would hold with a
-    row per position, however many rows coincide and are stored once, so
-    a protocol whose branches never coincide stays within the budget too.
-    A run injects and compares its slice of the case's input stack and
-    expected vectors; case.ideal forms the expected vectors of the whole
-    stack in one call. The checks against the ideal and for |0> qubits run
-    once per stored row; only a run with a failure lays them out one per
-    row and labels them. The blocks are the same for every run: which
-    qubits a gate leaves live, and which blocks it merges, depends only on
-    which of its targets are fixed, never on their bits
-    (qstate._fixed_rule), and the protocols' classically controlled
+    The runs walk the positions input * per + j in order: j is the branch
+    (per = 2^M for M measurements) of an exhaustive sweep and the sample (per
+    = case.samples, or 1 for a case of no measurements) of a sampled one.
+    Both are sized by one rule: each run is a block of 2^s positions that
+    starts at a multiple of its size (the last may hold fewer), the first
+    holds 2^_split positions, and each later one as many as the previous
+    run's high_water leaves room for within CHUNK_AMPLITUDES. high_water
+    counts what the blocks would hold with a row per position, however many
+    rows coincide and are stored once, so a protocol whose rows never
+    coincide stays within the budget too. An exhaustive run with s <= M
+    forces a prefix of one input's outcomes and splits s measurements;
+    with s > M it carries 2^(s-M) whole inputs as rows and splits all M. A
+    sampled run carries a row per position, and row (input i, sample c)
+    draws its outcomes from random.Random(seed_i + 7919 c + 13), or
+    seed_i's own generator for a case of no measurements, which is what a
+    run of that row alone would draw; an exhaustive run of a case of no
+    measurements draws from seed_i's generator too, and one of a case with
+    measurements has no generators, so a measurement beyond the M it
+    enumerates raises UnforcedOutcomeError. Row r is position start + r.
+    A run injects and compares the rows of the case's input stack and
+    expected vectors that its rows start from; case.ideal forms the
+    expected vectors of the whole stack in one call. The checks against the
+    ideal and for |0> qubits run once per stored row; only a run with a
+    failure lays them out one per row and labels them. The blocks are the
+    same for every run: which qubits a gate leaves live, and which blocks it
+    merges, depends only on which of its targets are fixed, never on their
+    bits (qstate._fixed_rule), and the protocols' classically controlled
     corrections are Pauli gates, which keep fixed qubits fixed, so the live
-    qubits depend on neither outcome nor input. A sampled sweep
-    makes one unsplit run per input and sample; only a run of one input may
-    draw outcomes from the RNG. A run that raises CatnetError fails under
-    its label range (first..last) with the error's class and message, and
-    its inputs skip the probability-sum check; the sweep goes on with the
-    next run, and any other exception propagates. An exhaustive case of
-    more than MAX_POSITIONS positions raises ValueError before any run.
+    qubits depend on neither outcome nor input. A run that raises
+    CatnetError fails under its label range (first..last) with the error's
+    class and message, and its inputs skip the probability-sum check; the
+    sweep goes on with the next run, and any other exception propagates.
+    An exhaustive case of more than MAX_POSITIONS positions raises
+    ValueError before any run.
     """
     exhaustive, m = branches == "exhaustive", case.measurements
     if exhaustive:
@@ -317,20 +330,22 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
         )
     stack = None if case.inputs[0][2] is None else np.array([a for _, _, a in case.inputs])
     wants = case.ideal(stack)[..., None]
+    stack = np.ones((1, 1)) if stack is None else stack  # an input without amplitudes: |0...0>
     total_p, raised = np.zeros(len(case.inputs)), set()
-    start, size = 0, _split(case) if exhaustive else 0
+    start, size = 0, _split(case, count)
     while start < count:
-        stop, split = min(start + 2**size, count), min(size, m)
+        stop = min(start + 2**size, count)
+        split = min(size, m) if exhaustive else 0
+        prefix = _bits(start % per >> split, m - split) if exhaustive else ()
         first_input, end_input = start // per, (stop - 1) // per + 1
-        if exhaustive:
-            prefix, seed = _bits(start % per >> split, m - split), case.inputs[first_input][1]
-        else:
-            prefix, seed = (), case.inputs[first_input][1] + (7919 * (start % per) + 13 if m else 0)
-        amps = None if stack is None else stack[first_input:end_input]
+        seeds = [] if exhaustive and m else [
+            case.inputs[p // per][1] + (7919 * (p % per) + 13 if m else 0) for p in range(start, stop)
+        ]
+        inputs = np.arange(start, stop, 2**split) // per  # the input of each row before the splits
         first, last = (_row_label(sweep, case, per, exhaustive, p) for p in (start, stop - 1))
         run_label = first if stop - start == 1 else f"{first}..{last}"
         try:
-            net, pairs = _run(case, amps, prefix, split, seed)
+            net, pairs = _run(case, stack[inputs], seeds, prefix, split)
         except CatnetError as exc:
             # a run that breaks a model rule fails its positions; the sweep goes on
             sweep.branches += stop - start
@@ -345,11 +360,10 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
                 sweep.require(rep.details[key] == want, run_label, **{key: rep.details[key]})
         leftover = net.pending_outcomes
         sweep.require(rows == stop - start and not leftover, run_label, rows=rows, unconsumed_forced_bits=leftover)
-        sweep.require(end_input - first_input == 1 or net._rng is None, run_label, drew_outcomes=True)
         # 1 - <e|rho|e> on the logical qubits, per stored row: e is pure, so
         # the overlap is ||e^dagger A||^2 and no density matrix is formed
         block = qstate.bipartition(net.state, [net.global_index(a) for a in case.logical])
-        infidelity = np.maximum(0.0, 1.0 - qstate.overlap(block, wants[first_input:end_input]))
+        infidelity = np.maximum(0.0, 1.0 - qstate.overlap(block, wants[inputs]))
         sweep.max_infidelity = max(sweep.max_infidelity, float(infidelity.max()))
         clean = [qstate.partial_state_check(net.state, net.global_index(a), 0) for a in case.zero]
         passed = functools.reduce(np.logical_and, clean, infidelity <= ATOL)
@@ -367,8 +381,8 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
             weights = net.state.per_row(net.branch_probability)
             total_p[first_input:end_input] += weights.reshape(end_input - first_input, -1).sum(axis=1)
         start = stop
-        if exhaustive and start < count:
-            # each split or input doubles the rows, so at most doubles what the blocks hold
+        if start < count:
+            # each split, input or sample doubles the rows, so at most doubles what the blocks hold
             room = math.floor(math.log2(CHUNK_AMPLITUDES / net.state.high_water))
             size = max(0, min(size + room, (start & -start).bit_length() - 1))
     if exhaustive and m:
@@ -386,13 +400,13 @@ def _verify(
     for case in cases:
         _drive(sweep, case, branches)
     for sec, fields in expect.items():
-        first = sweep.sections.get(sec)
+        first, label = sweep.sections.get(sec), sec or sweep.name  # a verifier's main section may be unnamed
         if first is None:
-            sweep.fail(sec, missing_section=sec)
+            sweep.fail(label, missing_section=sec)
             continue
         actual = {**first.ledger.as_dict(), "rounds": first.rounds}
         for key, want in fields.items():
-            sweep.require(actual[key] == want, sec, field=key, actual=actual[key], expected=want)
+            sweep.require(actual[key] == want, label, field=key, actual=actual[key], expected=want)
     # a section whose every run raised has no report: an empty ledger stands in
     first = sweep.sections.get(section) or ProtocolReport(sweep.name, ResourceLedger(), 0)
     return ProtocolReport(

@@ -150,7 +150,7 @@ def test_divergent_cat_check_raises():
 def test_divergent_reset_precondition_raises():
     net, rec = split_plus()
     net.local_apply(X, [net.reg("A", 1)])
-    flip = net.measure(net.reg("A", 1))  # reads 1 on every row
+    flip = net.measure(net.reg("A", 1), forced=1)  # reads 1 on every row
     # rec XOR flip is 1 on row 0 only, so A[0] leaves its recorded |0> there alone
     net.classically_controlled_apply([rec, flip], X, net.reg("A"))
     with pytest.raises(BranchDivergenceError):
@@ -197,14 +197,18 @@ def test_impossible_split_branch_raises():
     assert net.rows == 1
 
 
-def test_unsplit_surface_is_scalar():
+def test_unsplit_surface_is_one_row():
+    """An unsplit network has the shape of a split one: per-row values of
+    one entry. Its dense amplitudes stay one vector, and a probe collapses
+    to a bool."""
     net = Network([("A", 1, 1), ("B", 1, 1)], seed=3)
     rep = nonlocal_cnot(net, net.reg("A"), net.reg("B"))
     assert net.state.amplitudes.shape == (16,)
-    assert isinstance(net.branch_probability, float)
-    assert all(isinstance(r.outcome, int) and isinstance(r.probability, float) for r in net.records)
-    assert all(isinstance(m.bit, int) for m in rep.messages)
-    assert isinstance(net.qubit_is(net.reg("B"), 0), bool)
+    values = [net.branch_probability, *(v for r in net.records for v in (r.outcome, r.probability))]
+    values += [m.bit for m in rep.messages]
+    assert all(type(v) is np.ndarray and v.size == 1 for v in values)
+    assert type(net.qubit_is(net.reg("B"), 0)) is bool
+    assert [m["bit"] for m in rep.as_dict()["message_log"]] == [int(m.bit[0]) for m in rep.messages]
 
 
 def verifier_tables():
@@ -229,11 +233,16 @@ SPLIT_CASES = [
 ]
 
 
+def case_amps(amps):
+    """A case input's amplitudes as a run injects them: [1] for none."""
+    return np.ones(1) if amps is None else amps
+
+
 def assert_rows_match_forced_runs(case, batched, pairs, singles):
     """Each row r of a sweep run equals the single-input run singles[r]
     with every outcome forced: state, probability, records, ledger."""
     for r, (amps, bits, seed) in singles.items():
-        single, single_pairs = verify._run(case, amps, bits, 0, seed)
+        single, single_pairs = verify._run(case, case_amps(amps), [seed], bits, 0)
         assert_row_matches(batched, single, r)
         assert single.ledger == batched.ledger
         assert [(s, p.ledger, p.rounds) for s, p in single_pairs] == [(s, p.ledger, p.rounds) for s, p in pairs]
@@ -247,29 +256,29 @@ def test_every_case_splits_like_forced_branches(case):
     measurement split, so input i's branch b is row i * 2^M + b."""
     m = case.measurements
     _, seed, amps = case.inputs[-1]
-    split = min(verify._split(case), m)
+    split = min(verify._split(case, 2**m * len(case.inputs)), m)
     prefix = tuple(i % 2 for i in range(m - split))
-    batched, pairs = verify._run(case, amps, prefix, split, seed)
+    batched, pairs = verify._run(case, case_amps(amps), [], prefix, split)
     assert split > 0 and batched.rows == 2**split and batched.pending_outcomes == 0
     rows = sorted({0, 1, batched.rows // 2, batched.rows - 1})
     assert_rows_match_forced_runs(case, batched, pairs, {r: (amps, branch_bits(prefix, split, r), seed) for r in rows})
     stack = case.inputs[-3:]
     if len(stack) > 1:
-        batched, pairs = verify._run(case, np.stack([a for _, _, a in stack]), (), m, stack[0][1])
+        batched, pairs = verify._run(case, np.stack([a for _, _, a in stack]), [], (), m)
         assert batched.rows == len(stack) * 2**m and batched.pending_outcomes == 0
         rows = [i * 2**m + b for i in range(len(stack)) for b in sorted({0, 1, 2**m - 1})]
         singles = {r: (stack[r >> m][2], branch_bits((), m, r % 2**m), stack[r >> m][1]) for r in rows}
         assert_rows_match_forced_runs(case, batched, pairs, singles)
 
 
-def record_runs(monkeypatch, edit=lambda case, net, prefix, seed: None):
+def record_runs(monkeypatch, edit=lambda case, net, prefix, seeds: None):
     """Make verify._run log (rows, most amplitudes held at once) of every run, after `edit`."""
     runs = []
     run = verify._run
 
-    def recording(case, amps, prefix, split, seed):
-        net, pairs = run(case, amps, prefix, split, seed)
-        edit(case, net, prefix, seed)
+    def recording(case, amps, seeds, prefix, split):
+        net, pairs = run(case, amps, seeds, prefix, split)
+        edit(case, net, prefix, seeds)
         runs.append((net.rows, net.state.high_water))
         return net, pairs
 
@@ -333,7 +342,7 @@ def test_corrected_branches_are_stored_once(monkeypatch):
     amplitudes) while it stands for 4,096 rows, and its logical high_water
     (a row of each block per row) stays what runs are sized by."""
     peaks = []
-    runs = record_runs(monkeypatch, lambda case, net, prefix, seed: peaks.append(net.state.stored_peak))
+    runs = record_runs(monkeypatch, lambda case, net, prefix, seeds: peaks.append(net.state.stored_peak))
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
     assert rep.verified and runs == [(4096, 2**16)]
     assert peaks[0] <= 2**8
@@ -373,7 +382,7 @@ def test_dropped_correction_fails_its_row_alone(monkeypatch):
 def test_ghz_sweep_compares_depths_up_to_sixteen_nodes(monkeypatch):
     """After the enumerated sections, one unsplit run per shape at m = 8, 12 and 16."""
     runs = []
-    record_runs(monkeypatch, lambda case, net, prefix, seed: runs.append((len(net.nodes), net.rows)))
+    record_runs(monkeypatch, lambda case, net, prefix, seeds: runs.append((len(net.nodes), net.rows)))
     rep = verify.verify_ghz(seed=0, branches="exhaustive")
     assert rep.verified and rep.branches_tested == 682 + 4
     assert runs[-6:] == [(8, 1), (8, 1), (12, 1), (12, 1), (16, 1), (16, 1)]
@@ -392,7 +401,7 @@ def roll_row(net, addr, r):
 def test_sweep_reports_failing_rows_by_branch(monkeypatch):
     """A wrong row is reported under the label the per-branch sweep used."""
 
-    def corrupting(case, net, prefix, seed):
+    def corrupting(case, net, prefix, seeds):
         # the row of the amortized qft sweep's 12 measurements that holds
         # position (1 << 6) + 5, in whichever run holds it
         if case.measurements == 12:
@@ -404,9 +413,10 @@ def test_sweep_reports_failing_rows_by_branch(monkeypatch):
         # as 5 x 16 rows: row 3 * 16 + 5 is input3's branch 0101
         if net.rows == 5 * 16 and not prefix:
             roll_row(net, case.logical[0], 3 * 16 + 5)
-        # the unsplit run of sample 5 of distributed-swap's input3 in a sampled sweep
-        if net.rows == 1 and seed == 3 + 7919 * 5 + 13:
-            roll_row(net, case.logical[0], 0)
+        # the row of sample 5 of distributed-swap's input3 in a sampled
+        # sweep, found by the seed of its generator
+        if 3 + 7919 * 5 + 13 in seeds:
+            roll_row(net, case.logical[0], seeds.index(3 + 7919 * 5 + 13))
 
     record_runs(monkeypatch, corrupting)
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
@@ -425,7 +435,7 @@ def test_probability_failure_names_its_input_only(monkeypatch):
     """Probabilities are summed per input, so a run of several inputs
     reports a wrong sum under the one input whose rows carry it."""
 
-    def inflating(case, net, prefix, seed):
+    def inflating(case, net, prefix, seeds):
         # the inputs are the last row axis: double input3's probabilities
         if net.rows == 5 * 16:
             net.branch_probability = net.branch_probability * np.where(np.arange(5) == 3, 2, 1)
@@ -438,21 +448,29 @@ def test_probability_failure_names_its_input_only(monkeypatch):
 
 
 def test_run_of_several_inputs_must_not_draw():
-    """Inputs that share a run share its RNG, so a drawn outcome there is
-    reported: here a case declares no measurements but makes one."""
+    """An exhaustive run enumerates every outcome its case declares and
+    has no generator to draw any other, so a protocol that measures more
+    than its case declares is a labelled failure of the run; here a case
+    declares one measurement and makes two. A sampled sweep draws both,
+    each row from its own generator, and passes."""
 
     def run(net):
-        net.measure(net.reg("A"))
+        net.local_apply(H, [net.reg("A", 1)])
+        net.measure(net.reg("A", 1))
+        net.measure(net.reg("A", 1))
         return []
 
     inputs = [("input0", 0, np.array([1.0, 0.0])), ("input1", 1, np.array([0.0, 1.0]))]
-    case = verify.Case([("A", 1, 0)], 0, inputs, run, [QubitAddress("A", REGISTER, 0)], verify._apply(np.eye(2)))
+    case = verify.Case([("A", 2, 0)], 1, inputs, run, [QubitAddress("A", REGISTER, 0)], verify._apply(np.eye(2)))
     sweep = verify._Sweep("draws")
     verify._drive(sweep, case, "exhaustive")
-    assert sweep.failures == [{"case": "input0..input1", "drew_outcomes": True}]
+    (failure,) = sweep.failures
+    assert failure["case"] == "input0:branch(0,)..input1:branch(1,)"
+    assert failure["error"] == "UnforcedOutcomeError"
+    assert sweep.branches == 4 and not sweep.ok
     sweep = verify._Sweep("draws")
     verify._drive(sweep, case, "sampled")
-    assert sweep.ok  # one run per input, each with its own seed
+    assert sweep.ok
 
 
 def test_message_log_is_row_zero_of_the_first_run():
@@ -460,9 +478,10 @@ def test_message_log_is_row_zero_of_the_first_run():
     single = Network([("M0", 2, 2), ("M1", 2, 2)], seed=0)
     single.force_outcomes([0] * 12)
     zero_branch = qft_distributed(single, build_qft_plan(4, 2), amortized=True, check=False)
-    assert rep.messages and all(type(m.bit) is int for m in rep.messages)
-    assert [(m.tag, m.bit) for m in rep.messages] == [(m.tag, m.bit) for m in zero_branch.messages]
-    assert json.loads(emit_report([rep]))[0]["message_log"][0]["bit"] == 0
+    log = rep.as_dict()["message_log"]
+    assert log and all(type(m["bit"]) is int for m in log)
+    assert log == zero_branch.as_dict()["message_log"]
+    assert json.loads(emit_report([rep]))[0]["message_log"] == log
 
 
 def test_channels_checked_per_row():

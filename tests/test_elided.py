@@ -50,6 +50,11 @@ def dense(state: StateVector) -> StateVector:
     return StateVector(state.num_qubits, state.amplitudes)
 
 
+def generators(seed: int, rows: int) -> list:
+    """A generator per row, the same for equal seeds."""
+    return [np.random.default_rng([seed, r]) for r in range(rows)]
+
+
 def flip(state: StateVector, qubit: int, rows) -> None:
     """X on `qubit` on the rows the per-row bool `rows` marks."""
     if np.all(rows):
@@ -107,7 +112,7 @@ def mixed_targets(data, state: StateVector, arity: int) -> list[int]:
     """`arity` distinct qubits, one fixed (per-row bits preferred) and one
     live among them when the state has both, in a drawn order."""
     fixed, live = sorted(state.fixed), list(state.live)
-    per_row = [q for q in fixed if isinstance(state.fixed[q], np.ndarray)]
+    per_row = [q for q in fixed if state.fixed[q].size > 1]
     if per_row and data.draw(st.integers(0, 3)):
         fixed = per_row
     first = [data.draw(st.sampled_from(fixed)), data.draw(st.sampled_from(live))] if fixed and live else []
@@ -200,7 +205,7 @@ def test_elided_state_matches_dense_copy(data):
         if op == "pair":
             # a pair or cat written onto fixed qubits (at |0> when there are
             # two): a block of its own, on one row unless a bit is per row
-            zeros = [q for q, b in elided.fixed.items() if isinstance(b, int) and b == 0]
+            zeros = [q for q, b in elided.fixed.items() if not b.any()]
             pool = zeros if len(zeros) > 1 else sorted(elided.fixed)
             if len(pool) < 2:
                 continue
@@ -231,13 +236,13 @@ def test_elided_state_matches_dense_copy(data):
             forced = data.draw(st.integers(0, 1))
             if elided.rows > 1 and data.draw(st.booleans()):
                 forced = np.array(data.draw(st.lists(st.integers(0, 1), min_size=elided.rows, max_size=elided.rows)))
-                if isinstance(elided.fixed.get(qubits[0]), np.ndarray) and data.draw(st.booleans()):
+                if qubits[0] in elided.fixed and elided.fixed[qubits[0]].size > 1 and data.draw(st.booleans()):
                     forced = elided.per_row(elided.fixed[qubits[0]])  # the recorded bits: every row possible
 
             def measure_one(state):
                 if op == "forced":
                     return measure(state, qubits[0], forced=grid_form(state, forced) if np.ndim(forced) else forced)
-                return measure(state, qubits[0], rng=np.random.default_rng(seed))
+                return measure(state, qubits[0], rngs=generators(seed, state.rows))
 
             before = elided.amplitudes.reshape(elided.rows, -1)
             recs = both(measure_one, elided, ref)
@@ -246,7 +251,7 @@ def test_elided_state_matches_dense_copy(data):
                 assert np.array_equal(outcome, ref.per_row(recs[1].outcome))
                 assert agree(elided.per_row(recs[0].probability), ref.per_row(recs[1].probability))
                 assert agree(elided.amplitudes.reshape(elided.rows, -1), projected(before, qubits[0], outcome))
-                measure(other, qubits[0], rng=np.random.default_rng(seed))  # an outcome it can take
+                measure(other, qubits[0], rngs=generators(seed, other.rows))  # an outcome it can take
         elif op == "split":
             if elided.rows * 2 > MAX_ROWS:
                 continue
@@ -282,7 +287,7 @@ def test_elided_state_matches_dense_copy(data):
             nudge = data.draw(st.booleans())
             for state in (elided, ref, other):
                 for q, seed in zip(pair, seeds):
-                    flip(state, q, measure(state, q, rng=np.random.default_rng(seed)).outcome == 1)
+                    flip(state, q, measure(state, q, rngs=generators(seed, state.rows)).outcome == 1)
                 apply_gate(state, H, [pair[0]])
                 apply_gate(state, CNOT, pair)
                 apply_gate(state, CNOT, [control, pair[0]])

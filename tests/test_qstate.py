@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catnet import gates, qstate
-from catnet.errors import ImpossibleBranchError
+from catnet.errors import ImpossibleBranchError, UnforcedOutcomeError
 from catnet.gates import CNOT, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
 from catnet.qstate import (
     GateMatrix,
@@ -344,7 +344,7 @@ def test_measure_needs_exactly_one_source():
     with pytest.raises(ValueError):
         measure(plus, 0)
     with pytest.raises(ValueError):
-        measure(plus, 0, rng=random.Random(0), forced=0)
+        measure(plus, 0, rngs=[random.Random(0)], forced=0)
 
 
 def test_random_vector_is_seeded():
@@ -389,16 +389,18 @@ def test_random_vector_parts_are_standard_normals():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sampled_outcomes_draw_once_per_row_in_row_order(seed):
-    """On a split state, row r keeps outcome 1 exactly when the r-th draw
-    of the generator falls below the row's weight of 1."""
+    """On a split state, row r keeps outcome 1 exactly when the draw of
+    row r's own generator falls below the row's weight of 1, and any other
+    number of generators than one per row is refused."""
     inputs = [random_state(3, random.Random(100 * seed + i)).amplitudes for i in range(3)]
     state = StateVector(3, np.stack(inputs))
     qstate.measure_split(state, 0)
     assert state.rows == 6
     p1 = np.sum(np.abs(state.amplitudes[:, 0b001::2]) ** 2, axis=1)
-    draws = random.Random(seed)
-    want = np.array([draws.random() for _ in range(state.rows)]) < p1
-    rec = measure(state, 2, rng=random.Random(seed))
+    want = np.array([random.Random(seed + r).random() for r in range(state.rows)]) < p1
+    with pytest.raises(UnforcedOutcomeError):
+        measure(state, 2, rngs=[random.Random(seed)])
+    rec = measure(state, 2, rngs=[random.Random(seed + r) for r in range(state.rows)])
     assert np.array_equal(state.per_row(rec.outcome), want)
     assert np.allclose(state.per_row(rec.probability), np.where(want, p1, 1 - p1))
 
