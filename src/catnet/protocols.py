@@ -98,12 +98,15 @@ class _Scope:
 
     The network overwrites its state in place, so the state baseline is a
     copy, and it is taken only when `check` says the oracle will read it.
+    The oracle applies the ideal gates to that copy itself, so a scope
+    reports once: a second report raises rather than read a spent baseline.
     """
 
     def __init__(self, net: Network, check: bool) -> None:
         self.net = net
         self.snap = net.ledger.snapshot()
         self.msg_start = len(net.message_log)
+        self.check = check
         self.pre_state = net.state.copy() if check else None
 
     def report(
@@ -123,7 +126,7 @@ class _Scope:
         `verified` and `max_infidelity`; otherwise both stay None.
         """
         delta = self.net.ledger.delta_since(self.snap)
-        infid = None if self.pre_state is None else self.oracle_infidelity(ideal, exclude)
+        infid = self.oracle_infidelity(ideal, exclude) if self.check else None
         return ProtocolReport(
             name=name,
             ledger=delta,
@@ -147,10 +150,12 @@ class _Scope:
         it descends from, and the worst row counts. The overlap
         tr(rho_actual rho_ideal) is computed as ||E^dagger A||^2 from the
         states reshaped to (kept, excluded) matrices, without forming either
-        density matrix.
+        density matrix. The ideal gates run on the scope's baseline itself,
+        which this spends: a second call raises RuntimeError.
         """
-        net = self.net
-        expected = self.pre_state.copy()
+        net, expected, self.pre_state = self.net, self.pre_state, None
+        if expected is None:
+            raise RuntimeError("the scope's baseline was spent by an earlier report")
         for gate, addrs in ideal:
             qstate.apply_gate(expected, gate, [net.global_index(a) for a in addrs])
         skip = {net.global_index(a) for a in exclude}

@@ -473,6 +473,42 @@ def test_run_of_several_inputs_must_not_draw():
     assert sweep.ok
 
 
+def test_sampled_rows_are_their_own_one_row_runs(monkeypatch):
+    """Each row of a sampled sweep equals the one-row run of its sample,
+    seeded seed_i + 7919 c + 13: amplitudes, probability, outcomes,
+    message bits and label. Checked on nonlocal-cnot (10 inputs of 4
+    samples in one run) and the input-less ghz sections of m <= 5 (8 rows
+    of |0...0> stored once)."""
+    runs, run = [], verify._run
+
+    def recording(case, amps, seeds, prefix, split):
+        net, pairs = run(case, amps, seeds, prefix, split)
+        runs.append((case, net, pairs, seeds))
+        return net, pairs
+
+    monkeypatch.setattr(verify, "_run", recording)
+    for name in ("nonlocal-cnot", "ghz"):
+        runs.clear()
+        sweep_rep = verify.VERIFIERS[name](seed=3, branches="sampled")
+        assert sweep_rep.verified
+        sweep = verify._Sweep(name)
+        for case, net, pairs, seeds in [r for r in runs if r[0].measurements]:
+            per = case.samples
+            assert net.rows == len(seeds) == per * len(case.inputs) > 1
+            for r, seed in enumerate(seeds):
+                label, base, amps = case.inputs[r // per]
+                assert seed == base + 7919 * (r % per) + 13
+                single = Network(case.spec, seed=seed)
+                if amps is not None:
+                    single.inject_state(case.logical, amps)
+                single_pairs = case.run(single)
+                assert_row_matches(net, single, r)
+                for (_, rep), (_, one) in zip(pairs, single_pairs, strict=True):
+                    bits = [net.state.per_row(m.bit)[r] for m in rep.messages]
+                    assert bits == [m.bit.item() for m in one.messages]
+                assert verify._row_label(sweep, case, per, False, r) == f"{label}:sample{r % per}"
+
+
 def test_message_log_is_row_zero_of_the_first_run():
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
     single = Network([("M0", 2, 2), ("M1", 2, 2)], seed=0)

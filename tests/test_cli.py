@@ -109,6 +109,23 @@ def test_run_that_raises_is_a_labelled_failure(capsys, monkeypatch):
     assert any(".." in f["case"] for f in raised)
 
 
+def test_missing_unnamed_section_is_labelled_by_its_verifier(capsys, monkeypatch):
+    """A verifier whose main section is unnamed and never reported (every
+    run raised) names the failure after itself, so no failure of `verify
+    all` has an empty label."""
+    from catnet import primitives
+    from catnet.gates import IDENTITY
+
+    monkeypatch.setattr(primitives, "X", IDENTITY)
+    code, out, _ = run_main(["verify", "all"], capsys)
+    reports = json.loads(out)
+    assert code == 1
+    failures = {r["protocol"]: r["details"]["failures"] for r in reports}
+    assert all(f["case"] for fs in failures.values() for f in fs)
+    missing = {name for name, fs in failures.items() if {"case": name, "missing_section": ""} in fs}
+    assert missing >= {"nonlocal-cnot", "teleport", "distributed-swap", "multi-control", "parallel-control"}
+
+
 @pytest.mark.parametrize("samples, branches", [(5, 10), (45, 40)])
 def test_samples_are_spread_over_inputs(samples, branches, capsys):
     """--samples N is a total: nonlocal-cnot gives each of its 10 inputs

@@ -465,7 +465,23 @@ def test_scope_snapshot_only_when_checking():
     assert np.array_equal(checked.pre_state.amplitudes, start)
     ideal = [(CNOT, [net.reg("A", 0), net.reg("A", 1)]), (Z, [net.reg("A", 1)])]
     assert checked.oracle_infidelity(ideal) < 1e-12
-    assert np.array_equal(checked.pre_state.amplitudes, start)
+
+
+def test_a_scope_reports_once():
+    """The oracle applies the ideal gates to the scope's own baseline, so a
+    second report would read a spent baseline, and raises instead."""
+    from catnet.protocols import _Scope
+
+    net = Network([("A", 2, 0)])
+    scope = _Scope(net, True)
+    net.local_apply(H, [net.reg("A", 0)])
+    ideal = [(H, [net.reg("A", 0)])]
+    assert scope.report("h", ideal, details={}).verified
+    with pytest.raises(RuntimeError, match="spent"):
+        scope.report("h", ideal, details={})
+    unchecked = _Scope(net, False)
+    assert unchecked.report("h", ideal, details={}).verified is None
+    assert unchecked.report("h", ideal, details={}).verified is None
 
 
 # ---- ledger ---------------------------------------------------------------------
