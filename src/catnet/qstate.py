@@ -749,20 +749,24 @@ def _block_weight(block: Block, qubit: int, bit: int) -> np.ndarray:
     return w.reshape(block.amps.shape[:-1])
 
 
-def _weight(state: StateVector, qubit: int, bit: int) -> np.ndarray:
-    """Probability that `qubit` reads `bit`, per row. A fixed qubit reads
-    its own bit with probability exactly 1; a live one is read from its
-    block alone, since every other block has norm 1."""
+def _weight(state: StateVector, qubit: int, bit: int | np.ndarray) -> np.ndarray:
+    """Probability that `qubit` reads `bit` (one bit for every row, or a
+    per-row value), per row. A fixed qubit reads its own bit with
+    probability exactly 1; a live one is read from its block alone, since
+    every other block has norm 1, each outcome's weight summed from its own
+    slice."""
     if qubit in state.fixed:
         return np.asarray(state.fixed[qubit] == bit, dtype=np.float64)
-    return _block_weight(_block_of(state, qubit), qubit, bit)
+    block = _block_of(state, qubit)
+    return np.where(np.equal(bit, 1), _block_weight(block, qubit, 1), _block_weight(block, qubit, 0))
 
 
 def _bits(value, what: str) -> np.ndarray:
     """A bit, or per-row bits, as a compact int64 per-row value (see
     _compact); anything else raises."""
     bits = np.array(value, dtype=np.int64, ndmin=1)  # a copy: the caller may change its array
-    if np.count_nonzero(bits >> 1) or np.count_nonzero(bits != value):
+    # only a value of another kind than bool or int can lose a digit on the way
+    if np.count_nonzero(bits >> 1) or (np.result_type(value).kind not in "biu" and np.count_nonzero(bits != value)):
         raise ValueError(f"{what} must be 0 or 1, got {value}")
     return _compact(bits)
 
@@ -818,22 +822,18 @@ def measure(
         draws = np.array([g.random() for g in rngs])
         forced = draws.reshape(state.grid[::-1]).T < _weight(state, qubit, 1)
     outcome = _bits(forced, "forced outcome")
+    p = _compact(_weight(state, qubit, outcome))
+    _require_possible(p, outcome, qubit)
     if qubit in state.fixed:
-        p = _compact(np.where(outcome == 1, _weight(state, qubit, 1), _weight(state, qubit, 0)))
-        _require_possible(p, outcome, qubit)
         return MeasurementRecord(qubit, outcome, p)
-    # the weights per row of the qubit's block: every other block has norm 1
     block = _block_of(state, qubit)
     k = bisect_left(block.qubits, qubit)
     halves = block.amps.reshape(block.amps.shape[:-1] + (2**k, 2, -1))
-    one = outcome == 1
-    p = np.where(one, _block_weight(block, qubit, 1), _block_weight(block, qubit, 0))
-    _require_possible(p, outcome, qubit)
-    kept = np.ascontiguousarray(np.where(one[..., None, None], halves[..., 1, :], halves[..., 0, :]))
+    kept = np.ascontiguousarray(np.where((outcome == 1)[..., None, None], halves[..., 1, :], halves[..., 0, :]))
     kept /= np.sqrt(p)[..., None, None]
     _drop(state, block, qubit, kept.reshape(kept.shape[:-2] + (-1,)), outcome)
     _note(state)  # the outcome's rows may have widened the block
-    return MeasurementRecord(qubit, outcome, _compact(p))
+    return MeasurementRecord(qubit, outcome, p)
 
 
 def _require_possible(p: np.ndarray, outcome: np.ndarray, qubit: int) -> None:
@@ -885,8 +885,9 @@ def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarr
     expected = _bits(expected, "expected bit")
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    wrong = np.where(expected == 1, _weight(state, qubit, 0), _weight(state, qubit, 1))
-    return _compact(wrong <= ATOL)
+    if qubit in state.fixed:
+        return _compact(state.fixed[qubit] == expected)
+    return _compact(_weight(state, qubit, 1 - expected) <= ATOL)
 
 
 def bipartition(state: StateVector, keep: Sequence[int]) -> np.ndarray:
