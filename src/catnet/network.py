@@ -24,6 +24,8 @@ BranchDivergenceError.
 from __future__ import annotations
 
 import collections
+import functools
+import operator
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -408,8 +410,8 @@ class Network:
         Every control bit must be available at the target node: measured
         there, or delivered there by a logged message. The scheduling round
         is charged whether or not the gate fires, so costs do not depend on
-        measurement outcomes. Returns the per-row mask of the rows it fired
-        on.
+        measurement outcomes. Returns the XOR of the control bits, a per-row
+        value that is 1 on the rows the gate fired on.
         """
         if isinstance(targets, QubitAddress):
             targets = [targets]
@@ -420,18 +422,15 @@ class Network:
         node = targets[0].node
         if isinstance(controls, (MeasurementRecord, ClassicalMessage)):
             controls = [controls]
-        bit = 0
-        for token in controls:
-            bit = bit ^ self._token_bit_at(token, node)
+        bit = functools.reduce(operator.xor, [self._token_bit_at(token, node) for token in controls])
         idx = [self.global_index(t) for t in targets]
         self._account_round(idx)
-        fire = bit == 1
-        hits = np.count_nonzero(fire)  # every row fires, some do, or none
-        if 0 < hits < fire.size:
-            qstate.apply_gate(self.state, gate, idx, rows=fire)
+        hits = np.count_nonzero(bit)  # every row fires, some do, or none
+        if 0 < hits < bit.size:
+            qstate.apply_gate(self.state, gate, idx, rows=bit == 1)
         elif hits:
             qstate.apply_gate(self.state, gate, idx)
-        return fire
+        return bit
 
     # ---- qubit movement ----------------------------------------------------
 

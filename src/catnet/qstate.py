@@ -339,7 +339,7 @@ def _compact(value) -> np.ndarray:
     """A per-row value as an array cut to one slice along each row axis it
     does not vary along."""
     value = np.asarray(value)
-    return _cut(value, range(value.ndim))
+    return value if value.size == 1 else _cut(value, range(value.ndim))
 
 
 def _cut(a: np.ndarray, axes) -> np.ndarray:
@@ -434,13 +434,16 @@ def _product(blocks: Sequence[Block]) -> Block:
     return Block(amps, sorted(qubits))
 
 
+_OUTCOMES = np.arange(2)[:, None]  # a qubit's two bits, on the axis before a block's last
+
+
 def _insert(block: Block, qubit: int, bit) -> Block:
     """`block` times the fixed `qubit` at its bit: a new block with an axis
     for the qubit, each row's amplitudes in the slot of that row's bit (the
     rows broadcast against a per-row bit)."""
     k = bisect_left(block.qubits, qubit)
     src = block.amps.reshape(block.amps.shape[:-1] + (2**k, 1, -1))
-    new = np.ascontiguousarray(np.where(np.arange(2)[:, None] == bit[..., None, None, None], src, 0))
+    new = np.ascontiguousarray(np.where(_OUTCOMES == bit[..., None, None, None], src, 0))
     return Block(new.reshape(new.shape[:-3] + (-1,)), [*block.qubits[:k], qubit, *block.qubits[k:]])
 
 
@@ -758,6 +761,11 @@ def _weight(state: StateVector, qubit: int, bit: int | np.ndarray) -> np.ndarray
     if qubit in state.fixed:
         return np.asarray(state.fixed[qubit] == bit, dtype=np.float64)
     block = _block_of(state, qubit)
+    ones = np.count_nonzero(bit)  # each outcome's weight only where some row reads it
+    if ones == np.size(bit):
+        return _block_weight(block, qubit, 1)
+    if not ones:
+        return _block_weight(block, qubit, 0)
     return np.where(np.equal(bit, 1), _block_weight(block, qubit, 1), _block_weight(block, qubit, 0))
 
 
@@ -880,14 +888,14 @@ def measure_split(state: StateVector, qubit: int) -> MeasurementRecord:
 def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarray) -> np.ndarray:
     """Whether `qubit` is |expected> with probability 1 within 1e-10, a
     per-row value of bools. `expected` may be one bit for every row or a
-    per-row value. On a fixed qubit this compares bits.
+    per-row value. On a fixed qubit this compares bits, so anything but the
+    qubit's own bit reads False; on a live one `expected` must be bits.
     """
-    expected = _bits(expected, "expected bit")
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
     if qubit in state.fixed:
         return _compact(state.fixed[qubit] == expected)
-    return _compact(_weight(state, qubit, 1 - expected) <= ATOL)
+    return _compact(_weight(state, qubit, 1 - _bits(expected, "expected bit")) <= ATOL)
 
 
 def bipartition(state: StateVector, keep: Sequence[int]) -> np.ndarray:

@@ -234,7 +234,7 @@ def test_controlled_apply_uses_local_record():
     net.local_apply(X, [net.reg("A", 0)])
     rec = net.measure(net.reg("A", 0))
     applied = net.classically_controlled_apply([rec], X, [net.reg("A", 1)])
-    assert applied.tolist() == [True]
+    assert applied.tolist() == [1]
     assert net.qubit_is(net.reg("A", 1), 1)
 
 
@@ -259,7 +259,7 @@ def test_controlled_apply_xors_controls():
     r0 = net.measure(net.reg("A", 0))
     r1 = net.measure(net.reg("A", 1))
     applied = net.classically_controlled_apply([r0, r1], X, [net.reg("A", 2)])
-    assert applied.tolist() == [False]  # 1 xor 1
+    assert applied.tolist() == [0]  # 1 xor 1
     assert net.qubit_is(net.reg("A", 2), 0)
 
 
