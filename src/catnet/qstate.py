@@ -846,7 +846,7 @@ def measure(
 
 def _require_possible(p: np.ndarray, outcome: np.ndarray, qubit: int) -> None:
     """Refuse an outcome whose probability (on some row) is below 1e-12."""
-    least = np.min(p)
+    least = p.min()
     if least < ZERO_CUTOFF:
         raise ImpossibleBranchError(f"outcome {outcome} on qubit {qubit} has probability {least:.3e}")
 
