@@ -2,12 +2,12 @@
 
 The circuit form is the usual cascade: for each qubit (most significant
 first) a Hadamard followed by controlled phase rotations from every later
-qubit, then a final order-reversing swap layer. build_qft_plan splits the
-qubit line across machines, classifies every controlled rotation as local
-or cross-node, and carries the closed-form gate counts; qft_distributed
-executes the plan on a network, spending one EPR pair per cross-node
-rotation (or per control/node group in amortized mode) and swapping
-cross-node pairs in the reversal via distributed_swap.
+qubit, then a final order-reversing swap layer. _steps lays the cascade out
+on machines of adjacent qubits and groups the cross-node rotations that
+share one distribution of their control; build_qft_plan counts from those
+steps, and qft_distributed runs them on a network, spending one EPR pair
+per distribution and swapping cross-node pairs in the reversal via
+distributed_swap.
 """
 
 from __future__ import annotations
@@ -54,19 +54,48 @@ def _controlled_rk_inv(order: int) -> GateMatrix:
     return GateMatrix(controlled_rk(order).matrix.conj().T)
 
 
+def _cascade(n: int) -> list[tuple[int, int]]:
+    """The transform's Hadamards and rotations on positions 0..n-1 (0 the
+    most significant), in circuit order, as (control, target) pairs: (t, t)
+    is the Hadamard on t, and (c, t) with c > t the rotation of order
+    c - t + 1 that c controls on t."""
+    return [(c, t) for t in range(n) for c in range(t, n)]
+
+
 def _circuit(n: int) -> list[tuple[GateMatrix, GateMatrix, list[int]]]:
-    """The transform's gates on positions 0..n-1 (0 the most significant),
-    in order. Each entry carries its own adjoint, so the inverse circuit is
-    the reversed list with the roles flipped."""
-    ops: list[tuple[GateMatrix, GateMatrix, list[int]]] = []
-    for i in range(n):
-        ops.append((H, H, [i]))
-        for c in range(i + 1, n):
-            order = c - i + 1
-            ops.append((controlled_rk(order), _controlled_rk_inv(order), [c, i]))
-    for i in range(n // 2):
-        ops.append((SWAP, SWAP, [i, n - 1 - i]))
-    return ops
+    """The transform's gates on positions 0..n-1, in order: the cascade,
+    then the reversal swaps. Each entry carries its own adjoint, so the
+    inverse circuit is the reversed list with the roles flipped."""
+    ops = [
+        (H, H, [t]) if c == t else (controlled_rk(c - t + 1), _controlled_rk_inv(c - t + 1), [c, t])
+        for c, t in _cascade(n)
+    ]
+    return ops + [(SWAP, SWAP, [i, n - 1 - i]) for i in range(n // 2)]
+
+
+def _steps(n: int, k: int, amortized: bool) -> list[tuple[int, list[int]]]:
+    """The cascade on machines of k adjacent qubits, as (c, targets) steps:
+    the Hadamard on c when targets is [c], and otherwise rotations that c
+    controls on targets of one machine, a local gate when that machine is
+    c's and one distribution of c when it is not.
+
+    Amortized, each rotation moves to just before its control's Hadamard,
+    local rotations first and then machine by machine (the phase gates
+    commute, so this is an identity rewrite). Adjacent cross-machine
+    rotations that share a control and a target machine then merge into one
+    step. In the plain order no two such rotations are adjacent, so each
+    takes a distribution of its own.
+    """
+    order = _cascade(n)
+    if amortized:
+        order.sort(key=lambda g: (g[0], g[0] == g[1], g[1] // k != g[0] // k, g[1] // k))
+    steps: list[tuple[int, list[int]]] = []
+    for c, t in order:
+        if t // k != c // k and steps and steps[-1][0] == c and steps[-1][1][0] // k == t // k:
+            steps[-1][1].append(t)
+        else:
+            steps.append((c, [t]))
+    return steps
 
 
 def qft_local(state: StateVector, qubits: Sequence[int], *, inverse: bool = False) -> StateVector:
@@ -90,12 +119,13 @@ def qft_local(state: StateVector, qubits: Sequence[int], *, inverse: bool = Fals
 
 @dataclass(frozen=True)
 class QftPlan:
-    """Gate placements for a transform on n qubits split over m machines."""
+    """A transform on n qubits split over m machines of k adjacent qubits,
+    with its gate counts: the nonlocal and amortized counts are the
+    distributions of _steps in the plain and the amortized order."""
 
     n: int
     m: int
     k: int
-    schedule: tuple[tuple, ...]
     swaps: tuple[tuple[int, int], ...]
     total_controlled: int
     local_controlled: int
@@ -118,7 +148,7 @@ class QftPlan:
                 "amortized_distributions": self.amortized_distributions,
             },
             "cross_node_swaps": self.cross_swaps,
-            "schedule_length": len(self.schedule),
+            "schedule_length": self.n + self.total_controlled,
         }
 
 
@@ -129,17 +159,7 @@ def build_qft_plan(n: int, m: int) -> QftPlan:
     if m < 1 or n % m != 0:
         raise ValueError(f"machine count {m} must divide the qubit count {n}")
     k = n // m
-    schedule: list[tuple] = []
-    local = 0
-    distributions: set[tuple[int, int]] = set()
-    for i in range(n):
-        schedule.append(("h", i))
-        for c in range(i + 1, n):
-            schedule.append(("cr", c, i, c - i + 1))
-            if c // k == i // k:
-                local += 1
-            else:
-                distributions.add((c, i // k))
+    plain, amortized = (sum(c // k != ts[0] // k for c, ts in _steps(n, k, a)) for a in (False, True))
     total = n * (n - 1) // 2
     swaps = tuple((i, n - 1 - i) for i in range(n // 2))
     cross = sum(1 for i, j in swaps if i // k != j // k)
@@ -147,12 +167,11 @@ def build_qft_plan(n: int, m: int) -> QftPlan:
         n=n,
         m=m,
         k=k,
-        schedule=tuple(schedule),
         swaps=swaps,
         total_controlled=total,
-        local_controlled=local,
-        nonlocal_controlled=total - local,
-        amortized_distributions=len(distributions),
+        local_controlled=total - plain,
+        nonlocal_controlled=plain,
+        amortized_distributions=amortized,
         cross_swaps=cross,
     )
 
@@ -166,10 +185,10 @@ def qft_distributed(
 ) -> ProtocolReport:
     """Run the planned transform on a network, one node per machine.
 
-    Cross-node rotations consume a fresh EPR pair each; in amortized mode
-    rotations sharing a control and a remote node ride one distribution
-    instead (the phase gates commute, so regrouping them control by control
-    is an identity rewrite). The report's ledger covers the rotation stage
+    The cascade runs as _steps lays it out: each distribution of a control
+    to a remote node consumes a fresh EPR pair, and in amortized mode the
+    rotations that share a control and a remote node ride one distribution
+    instead of one each. The report's ledger covers the rotation stage
     only; the reversal swaps are tallied separately under
     details["swap_ledger"]. Machine i runs on the network's i-th node.
 
@@ -189,46 +208,24 @@ def qft_distributed(
 
     scope = _Scope(net, check)
     distributions_used = 0
-
-    def run_remote(control_q: int, gates: list[tuple[int, int]]) -> None:
-        nonlocal distributions_used
-        ctrl = addr[control_q]
-        target_node = addr[gates[0][1]].node
-        e_c, e_t = _fresh_cat(net, [ctrl.node, target_node])
-        nonlocal_controlled_sequence(
-            net,
-            ctrl,
-            [(make_rk(order), addr[t]) for order, t in gates],
-            epr=(e_c, e_t),
-            check=False,
-            tag=f"qft:c{control_q}",
-        )
-        reset_channel_qubits(net, [net.last_record(e_c), net.last_record(e_t)])
-        distributions_used += 1
-
-    if not amortized:
-        for op in plan.schedule:
-            if op[0] == "h":
-                net.local_apply(H, [addr[op[1]]])
-            else:
-                _, c, t, order = op
-                if addr[c].node == addr[t].node:
-                    net.local_apply(controlled_rk(order), [addr[c], addr[t]])
-                else:
-                    run_remote(c, [(order, t)])
-    else:
-        net.local_apply(H, [addr[0]])
-        for c in range(1, plan.n):
-            remote_groups: dict[str, list[tuple[int, int]]] = {}
-            for t in range(c):
-                order = c - t + 1
-                if addr[c].node == addr[t].node:
-                    net.local_apply(controlled_rk(order), [addr[c], addr[t]])
-                else:
-                    remote_groups.setdefault(addr[t].node, []).append((order, t))
-            for gates in remote_groups.values():
-                run_remote(c, gates)
-            net.local_apply(H, [addr[c]])
+    for c, targets in _steps(plan.n, plan.k, amortized):
+        ctrl, target = addr[c], addr[targets[0]]
+        if c == targets[0]:
+            net.local_apply(H, [ctrl])
+        elif ctrl.node == target.node:
+            net.local_apply(controlled_rk(c - targets[0] + 1), [ctrl, target])
+        else:
+            e_c, e_t = _fresh_cat(net, [ctrl.node, target.node])
+            nonlocal_controlled_sequence(
+                net,
+                ctrl,
+                [(make_rk(c - t + 1), addr[t]) for t in targets],
+                epr=(e_c, e_t),
+                check=False,
+                tag=f"qft:c{c}",
+            )
+            reset_channel_qubits(net, [net.last_record(e_c), net.last_record(e_t)])
+            distributions_used += 1
 
     gate_ledger = net.ledger.delta_since(scope.snap)
     swap_start = net.ledger.snapshot()

@@ -53,17 +53,18 @@ row mask) is an array over the grid's trailing axes with size 1 along
 every axis it does not vary along, so numpy broadcasting lines up a value
 made before a split with the rows after it. Rows are the one shape: an
 unsplit state is a grid of one row, and its values are arrays of one
-entry. A split adds an axis to the measured block only. A row-masked gate
-runs its kernel once per entry the mask marks, on the basic-index slice of
-the block's rows under it (no boolean gather or scatter), then cuts the
-block to one slice along each axis of the mask whose slices come out
-bitwise equal, so the rows a protocol's corrections make equal are stored
-once; the rows of a stack that are bitwise equal are stored once from the
-start. Every kernel acts on all stored rows at once (apply_gate can be
-limited to a subset of rows), measure_split turns each row into its two
-outcome rows, measure draws each row's outcome from that row's own
-generator, and the probes answer once per stored row; StateVector.per_row
-lays a value out with one entry per row.
+entry. A split adds an axis to the measured block only. A gate masked to
+some rows runs its kernel once, on a copy of the block with a row per
+combination of the axes the block and the mask vary along; one np.where
+keeps the result on the rows the mask marks, and the block is then cut to
+one slice along each axis of the mask whose slices come out bitwise equal,
+so the rows a protocol's corrections make equal are stored once; the rows
+of a stack that are bitwise equal are stored once from the start. Every
+kernel acts on all stored rows at once (apply_gate can be limited to a
+subset of rows), measure_split turns each row into its two outcome rows,
+measure draws each row's outcome from that row's own generator, and the
+probes answer once per stored row; StateVector.per_row lays a value out
+with one entry per row.
 """
 
 from __future__ import annotations
@@ -304,11 +305,6 @@ def random_vectors(num_qubits: int, count: int, rng: random.Random) -> np.ndarra
     return v / np.array([[math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))] for x in v])
 
 
-def random_state(num_qubits: int, rng: random.Random) -> StateVector:
-    """A Haar-random pure state: random_vector as a state."""
-    return StateVector(num_qubits, random_vector(num_qubits, rng))
-
-
 def _check_targets(state: StateVector, targets: Sequence[int], arity: int) -> tuple:
     targets = tuple(map(int, targets))
     if len(targets) != arity:
@@ -368,37 +364,27 @@ def _note(state: StateVector) -> None:
 
 def _on_rows(state: StateVector, block: Block, rows: np.ndarray, kernel) -> None:
     """Run `kernel` in place on the block's amplitudes of the rows that the
-    per-row mask `rows` selects, first giving the block a stored row per
-    combination of the axes either varies along.
+    per-row mask `rows` marks, and leave the others as they are.
 
-    The kernel runs once per entry the mask marks, on the basic-index slice
-    of the rows that entry stands for: a view, written in place when it is
-    C-contiguous; any other slice is copied, run and assigned back, since a
-    kernel's reshape of it would copy and drop its writes. Along each axis
-    of the mask, the block is then cut to one slice where its slices came
-    out bitwise equal, as they do once a correction makes branches agree.
+    A mask that marks no row runs nothing, and one that marks every row
+    runs the kernel once on the block itself. Otherwise the kernel runs
+    once on a copy that holds a row per combination of the axes the block
+    and the mask vary along, one np.where keeps its result where the mask
+    reads True, and along each axis of the mask the block is cut to one
+    slice where its slices came out bitwise equal, as they do once a
+    correction makes branches agree.
     """
-    lead = np.broadcast(block.amps[..., 0], rows).shape
-    whole = (slice(None),) * (len(lead) - rows.ndim)
-    shape = lead + block.amps.shape[-1:]
-    if math.prod(lead) == block.rows:
-        amps = block.amps.reshape(shape)
-    else:
-        amps = np.empty(shape, dtype=complex)
-        amps[...] = block.amps
-        block.amps = amps
+    hits = np.count_nonzero(rows)
+    if hits == rows.size:
+        kernel(block.amps)
+    elif hits:
+        old = block.amps
+        lead = np.broadcast(old[..., 0], rows).shape
+        block.amps = np.broadcast_to(old, lead + old.shape[-1:]).copy()
         _note(state)
-    for hit in zip(*(ix.tolist() for ix in np.nonzero(rows))):
-        key = whole + tuple(i if size > 1 else slice(None) for i, size in zip(hit, rows.shape))
-        sub = amps[key]
-        if sub.flags.c_contiguous:
-            kernel(sub)
-        else:
-            sub = sub.copy()
-            kernel(sub)
-            amps[key] = sub
-    axes = [len(whole) + ax for ax, size in enumerate(rows.shape) if size > 1]
-    block.amps = np.ascontiguousarray(_cut(amps, axes))
+        kernel(block.amps)
+        axes = [len(lead) - rows.ndim + ax for ax, size in enumerate(rows.shape) if size > 1]
+        block.amps = np.ascontiguousarray(_cut(np.where(rows[..., None], block.amps, old), axes))
 
 
 def _block_of(state: StateVector, qubit: int) -> Block:
@@ -631,18 +617,11 @@ def _relabel(state: StateVector, targets: tuple, fpos: tuple, rule: tuple, rows:
     old = [t for j, t in enumerate(targets) if j not in fpos]
     block = _gather(state, old) if old else None
     for p, live_map in enumerate(moves):
-        if not live_map:
-            continue
-        # the rows whose pattern is p
-        hit = pattern == p if rows is None else (pattern == p) & rows
-        hits = np.count_nonzero(hit)
-        if not hits:
-            continue
-        axes = tuple(bisect_left(block.qubits, t) for t in old)
-        if hits == hit.size:
-            _move(block.amps, len(block.qubits), live_map, axes)
-        else:
-            _on_rows(state, block, hit, lambda sub: _move(sub, len(block.qubits), live_map, axes))
+        if live_map:
+            # the rows whose pattern is p
+            hit = pattern == p if rows is None else (pattern == p) & rows
+            axes = tuple(bisect_left(block.qubits, t) for t in old)
+            _on_rows(state, block, hit, lambda amps: _move(amps, len(block.qubits), live_map, axes))
     new_bits = bits[pattern]
     for k, j in enumerate(const):
         bit = new_bits[..., k]
@@ -711,7 +690,7 @@ def apply_gate(
     if rows is None:
         _apply(block.amps, len(block.qubits), gate, axes)
     else:
-        _on_rows(state, block, rows, lambda sub: _apply(sub, len(block.qubits), gate, axes))
+        _on_rows(state, block, rows, lambda amps: _apply(amps, len(block.qubits), gate, axes))
 
 
 def pattern_weights(state: StateVector, qubits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

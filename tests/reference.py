@@ -2,10 +2,18 @@
 
 They read a state only through its dense amplitudes, and build an embedded
 gate from Kronecker products, so they share no code with the kernels,
-views and basis-index arithmetic they check.
+views and basis-index arithmetic they check. random_state builds the
+random inputs the tests start from.
 """
 
 import numpy as np
+
+from catnet.qstate import StateVector, random_vector
+
+
+def random_state(num_qubits, rng):
+    """A Haar-random pure state: random_vector's amplitudes as one block."""
+    return StateVector(num_qubits, random_vector(num_qubits, rng))
 
 
 def reduced_density_matrix(state, keep):

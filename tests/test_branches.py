@@ -23,6 +23,7 @@ from catnet.protocols import (
     teleport_with_reset,
 )
 from catnet.qft import build_qft_plan, qft_distributed
+from reference import random_state
 
 TOL = 1e-12
 
@@ -55,7 +56,7 @@ def run_qft(prefix, split, amps):
 
 
 def test_batched_qft_rows_match_forced_branches():
-    amps = qstate.random_state(4, np.random.default_rng(5)).amplitudes
+    amps = random_state(4, np.random.default_rng(5)).amplitudes
     prefix = (1, 0, 0, 1, 0, 1)
     batched, rep = run_qft(prefix, 6, amps)
     assert batched.rows == 64 and batched.state.amplitudes.shape == (64, 256)

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catnet import network, protocols, qstate
+from catnet import network, protocols, qstate, verify
 from catnet.errors import ImpossibleBranchError
 from catnet.gates import CNOT, CZ, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
 from catnet.qstate import GateMatrix, StateVector, apply_gate, basis_state, measure, measure_split
-from reference import reduced_density_matrix
+from reference import random_state, reduced_density_matrix
 
 N = 5
 TOL = 1e-12
@@ -187,7 +187,7 @@ def check_probes(data, elided: StateVector, ref: StateVector) -> None:
 def test_elided_state_matches_dense_copy(data):
     start = data.draw(st.sampled_from(["basis", "dense", "blocks"]))
     if start == "dense":  # every qubit live, so splits and measurements fix them per row
-        elided = qstate.random_state(N, np.random.default_rng(data.draw(st.integers(0, 2**16))))
+        elided = random_state(N, np.random.default_rng(data.draw(st.integers(0, 2**16))))
     else:
         elided = basis_state(N, data.draw(st.integers(0, 2**N - 1)))
     if start == "blocks":  # a random unitary on each group of a partition: one block per group
@@ -326,8 +326,9 @@ def test_parity_corrections_run_on_row_slices(dropped, gate, per_outcome):
     cat_shrink that drops `dropped` members (each X-measured), or an X on a
     target that the members' bits were added onto (each Z-measured). It
     runs once on the XOR or once per outcome, oldest first: then its mask
-    varies along a row axis that is not the block's first, so the slices
-    it picks are not contiguous. Every correction agrees with the dense
+    varies along a row axis that is not the block's first, so the rows it
+    marks are not contiguous in the block, and the blend keeps the kernel's
+    result on those rows alone. Every correction agrees with the dense
     copy and makes the rows along its mask's axes bitwise equal, so the
     block stores them once; at the end it stores one row."""
     keep, members, target = 0, list(range(1, dropped + 1)), N - 1
@@ -365,11 +366,11 @@ def test_parity_corrections_run_on_row_slices(dropped, gate, per_outcome):
 
 @pytest.mark.parametrize("targets", [[4], [2], [4, 2]], ids=["last", "middle", "pair"])
 def test_general_gates_on_row_slices_that_are_not_contiguous(targets):
-    """The general kernels reshape their rows into one axis, which copies a
-    slice that is not contiguous: the slice path runs them on a copy and
-    assigns it back. The mask is the first of two splits' outcomes, so it
-    picks every other stored row of the block."""
-    state = qstate.random_state(N, np.random.default_rng(11))
+    """The general kernels reshape their rows into one axis. The mask is the
+    first of two splits' outcomes, so it marks every other stored row of
+    the block, rows that no contiguous slice holds: the kernel runs on a
+    copy of every row, and the blend keeps its result on the marked rows."""
+    state = random_state(N, np.random.default_rng(11))
     first = measure_split(state, 0).outcome
     measure_split(state, 1)
     block = block_holding(state, targets[0])
@@ -381,6 +382,32 @@ def test_general_gates_on_row_slices_that_are_not_contiguous(targets):
     apply_gate(ref, gate, targets, rows=grid_form(ref, flat))
     assert agree(state.amplitudes, ref.amplitudes)
     check_blocks(state)
+
+
+def test_masked_gates_run_their_kernel_once(monkeypatch):
+    """A gate masked to some rows but not all runs its kernel once, however
+    many entries the mask marks: the 200 samples of the 6/3 transform mask
+    32 corrections, which mark 3,227 entries between them. A mask that
+    marks every row runs the kernel once and one that marks none not at
+    all."""
+    on_rows, runs = qstate._on_rows, []
+
+    def counted(state, block, rows, kernel):
+        calls = 0
+
+        def counted_kernel(amps):
+            nonlocal calls
+            calls += 1
+            kernel(amps)
+
+        on_rows(state, block, rows, counted_kernel)
+        runs.append((np.count_nonzero(rows), rows.size, calls))
+
+    monkeypatch.setattr(qstate, "_on_rows", counted)
+    assert verify.verify_qft(n=6, m=3, branches="sampled").verified
+    masked = [(hits, calls) for hits, size, calls in runs if 0 < hits < size]
+    assert len(masked) == 32 and sum(hits for hits, _ in masked) == 3227
+    assert all(calls == min(hits, 1) for hits, _, calls in runs)
 
 
 def test_amplitudes_are_a_read_only_snapshot():
@@ -495,7 +522,7 @@ def test_distributed_swap_leaves_its_channels_fixed(layout):
     register) are fixed at 0 on every branch row, never live."""
     net = network.Network(layout, seed=0)
     a, b = net.reg("A"), net.reg("B")
-    net.inject_state([a, b], qstate.random_state(2, np.random.default_rng(1)).amplitudes)
+    net.inject_state([a, b], random_state(2, np.random.default_rng(1)).amplitudes)
     net.split_outcomes(4)
     rep = protocols.distributed_swap(net, a, b)
     assert rep.verified and net.rows == 16

@@ -30,7 +30,7 @@ from catnet.protocols import (
     teleport_with_reset,
 )
 from catnet.verify import verify_protocol
-from reference import reduced_density_matrix
+from reference import random_state, reduced_density_matrix
 
 SQRT2_INV = 1 / np.sqrt(2)
 
@@ -221,7 +221,7 @@ def test_controlled_sequence_matches_product_oracle():
     for branch in range(4):
         net = Network([("A", 1, 1), ("B", 2, 1)])
         ctrl, b0, b1 = net.reg("A"), net.reg("B", 0), net.reg("B", 1)
-        amps = qstate.random_state(3, rng).amplitudes
+        amps = random_state(3, rng).amplitudes
         net.inject_state([ctrl, b0, b1], amps)
         net.force_outcomes([(branch >> 1) & 1, branch & 1])
         rep = nonlocal_controlled_sequence(
@@ -274,7 +274,7 @@ def test_amortized_cost_is_flat(k):
             gates.append((CNOT, [b0, b1]))
         else:
             gates.append((make_rk(2 + j % 3), [b0 if j % 2 == 0 else b1]))
-    net.inject_state([ctrl, b0, b1], qstate.random_state(3, rng).amplitudes)
+    net.inject_state([ctrl, b0, b1], random_state(3, rng).amplitudes)
     rep = nonlocal_controlled_sequence(net, ctrl, gates)
     assert rep.verified
     led = rep.ledger.as_dict()
@@ -292,7 +292,7 @@ def test_parallel_control_three_parts():
     t1 = [net.reg("P1", j) for j in range(2)]
     t2 = [net.reg("P2", j) for j in range(3)]
     t3 = [net.reg("P3", j) for j in range(2)]
-    amps = qstate.random_state(8, rng).amplitudes
+    amps = random_state(8, rng).amplitudes
     net.inject_state([ctrl, *t1, *t2, *t3], amps)
     rep = parallel_distributed_control(
         net,
@@ -433,7 +433,7 @@ def test_teleport_with_reset_requires_remote_register():
 def test_distributed_swap_random_pairs():
     rng = np.random.default_rng(31)
     for trial in range(3):
-        amps = qstate.random_state(2, rng).amplitudes
+        amps = random_state(2, rng).amplitudes
         net = Network([("A", 1, 2), ("B", 1, 2)], seed=trial)
         a, b = net.reg("A"), net.reg("B")
         net.inject_state([a, b], amps)
@@ -493,7 +493,7 @@ def test_distributed_swap_capacity_error():
 
 def test_multi_control_matches_toffoli():
     rng = np.random.default_rng(13)
-    amps = qstate.random_state(3, rng).amplitudes
+    amps = random_state(3, rng).amplitudes
     net = Network([("C1", 1, 1), ("C2", 1, 1), ("T", 3, 1)], seed=0)
     c1, c2, t = net.reg("C1"), net.reg("C2"), net.reg("T", 0)
     net.inject_state([c1, c2, t], amps)
@@ -520,7 +520,7 @@ def test_multi_control_all_ones_applies_base():
 def two_controls_on_one_node(channels):
     net = Network([("C", 2, channels), ("T", 3, 1)], seed=0)
     controls = [net.reg("C", 0), net.reg("C", 1)]
-    net.inject_state([*controls, net.reg("T")], qstate.random_state(3, np.random.default_rng(3)).amplitudes)
+    net.inject_state([*controls, net.reg("T")], random_state(3, np.random.default_rng(3)).amplitudes)
     return net, controls
 
 
@@ -572,7 +572,7 @@ def test_multi_control_capacity_suggests_decomposition():
 
 def test_c4x_monolithic_random_state():
     rng = np.random.default_rng(40)
-    amps = qstate.random_state(6, rng).amplitudes
+    amps = random_state(6, rng).amplitudes
     net = Network([("M", 6, 0)])
     qs = [net.reg("M", j) for j in range(6)]
     net.inject_state(qs, amps)
@@ -626,7 +626,7 @@ def test_shared_qubit_travels_by_teleport():
     rng = np.random.default_rng(77)
     v1 = random_unitary(4, rng)
     v2 = random_unitary(4, rng)
-    amps = qstate.random_state(3, rng).amplitudes  # on (x, s, y)
+    amps = random_state(3, rng).amplitudes  # on (x, s, y)
     for branch in range(16):
         bits = [(branch >> (3 - i)) & 1 for i in range(4)]
         net = Network([("A", 2, 1), ("B", 2, 1)])

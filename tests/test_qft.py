@@ -1,8 +1,10 @@
 """Transform correctness against the defining sum, plan arithmetic, and
 distributed execution."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from catnet import qft, qstate
 from catnet.errors import CapacityError
 from catnet.network import Network
 from catnet.qft import build_qft_plan, qft_distributed, qft_local, qft_matrix
-from reference import reduced_density_matrix
+from reference import random_state, reduced_density_matrix
 
 
 def dft_sum_oracle(n):
@@ -70,14 +72,14 @@ def test_basis_state_phases_frozen():
 def test_circuit_matches_matrix_on_random_states(n):
     rng = np.random.default_rng(n)
     for _ in range(3):
-        state = qstate.random_state(n, rng)
+        state = random_state(n, rng)
         out = qft_local(state, list(range(n)))
         assert np.allclose(out.amplitudes, dft_sum_oracle(n) @ state.amplitudes, atol=1e-10)
 
 
 def test_circuit_on_a_subset_of_qubits():
     rng = np.random.default_rng(9)
-    state = qstate.random_state(4, rng)
+    state = random_state(4, rng)
     out = qft_local(state, [1, 3])
     want = embed(qft_matrix(2), 4, [1, 3]) @ state.amplitudes
     assert np.allclose(out.amplitudes, want, atol=1e-10)
@@ -85,7 +87,7 @@ def test_circuit_on_a_subset_of_qubits():
 
 def test_inverse_circuit_round_trips():
     rng = np.random.default_rng(2)
-    state = qstate.random_state(4, rng)
+    state = random_state(4, rng)
     back = qft_local(qft_local(state, [0, 1, 2, 3]), [0, 1, 2, 3], inverse=True)
     assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-10)
 
@@ -149,7 +151,7 @@ def test_distributed_4_over_2_matches_matrix():
     plan = build_qft_plan(4, 2)
     net = qft_net(2, 2, seed=0)
     addrs = [net.reg(f"M{i // 2}", i % 2) for i in range(4)]
-    amps = qstate.random_state(4, rng).amplitudes
+    amps = random_state(4, rng).amplitudes
     net.inject_state(addrs, amps)
     rep = qft_distributed(net, plan)
     assert rep.verified
@@ -170,6 +172,25 @@ def test_distributed_amortized_uses_fewer_pairs():
     assert raw.ledger.ebits_consumed == 4
     assert amortized.ledger.ebits_consumed == 2
     assert amortized.details["distributions_used"] == 2
+
+
+# The messages of each transform below, in order, as "sender->recipients
+# tag", recorded before the plain and amortized walks became one walk over
+# qft._steps: they pin which control each distribution carries, to which
+# machine, and in what order, in both modes.
+MESSAGE_ORDER = json.loads((Path(__file__).parent / "qft_message_order.json").read_text())
+
+
+@pytest.mark.parametrize("amortized", [False, True], ids=["plain", "amortized"])
+@pytest.mark.parametrize("n,m", [(4, 1), (4, 2), (6, 2), (6, 3), (8, 4)])
+def test_distributed_follows_the_plan(n, m, amortized):
+    plan = build_qft_plan(n, m)
+    rep = qft_distributed(qft_net(m, n // m, seed=0), plan, amortized=amortized)
+    assert rep.verified
+    want = plan.amortized_distributions if amortized else plan.nonlocal_controlled
+    assert rep.details["distributions_used"] == rep.ledger.ebits_consumed == want
+    sent = [f"{msg.sender}->{','.join(msg.to)} {msg.tag}" for msg in rep.messages]
+    assert sent == MESSAGE_ORDER[f"{n}/{m} {'amortized' if amortized else 'plain'}"]
 
 
 def test_distributed_swap_stage_tallied_separately():

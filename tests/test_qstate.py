@@ -24,9 +24,8 @@ from catnet.qstate import (
     measure,
     partial_state_check,
     pattern_weights,
-    random_state,
 )
-from reference import reduced_density_matrix
+from reference import random_state, reduced_density_matrix
 
 SQRT2_INV = 1 / np.sqrt(2)
 
