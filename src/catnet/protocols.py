@@ -10,12 +10,21 @@ pre-protocol state, through the overlap tr(rho_actual rho_ideal) of their
 reduced states. Consumed helper qubits (measured channel qubits, released
 ancillas) are excluded from that comparison.
 
+Non-local control is one routine, _share_control: the cat-entangler
+shares a control qubit over a cat state, each cat member drives controlled
+gates on its own node, and the cat-disentangler reclaims the share onto
+the control. The non-local CNOT, the controlled sequence, parallel control
+and every edge of the GHZ build (distributed_em) run through it; each of
+them keeps its own validation, scope and report.
+
 Entanglement policy: protocols consume pre-established EPR pairs. The
 non-local CNOT and the controlled sequence take a pair from the caller;
 without one they, like parallel control, multi-control and the C4X
 decomposition, write a fresh pair (or cat) onto the first |0> channel
 qubit of each node that Network.free_qubits finds, as a stand-in for
-earlier distribution, charging nothing until consumption.
+earlier distribution, charging nothing until consumption; the protocols
+that run through _share_control never write it onto their control or a
+target.
 establish_epr_exchange is the in-model establishment that actually ships
 qubits.
 """
@@ -167,9 +176,10 @@ class _Scope:
 
 
 def _resolve_epr(
-    net: Network, node_a: str, node_b: str, epr: tuple[QubitAddress, QubitAddress] | None
+    net: Network, node_a: str, node_b: str, epr: tuple[QubitAddress, QubitAddress] | None,
+    exclude: Sequence[QubitAddress],
 ) -> tuple[QubitAddress, QubitAddress]:
-    e_a, e_b = _fresh_cat(net, [node_a, node_b]) if epr is None else epr
+    e_a, e_b = _fresh_cat(net, [node_a, node_b], exclude) if epr is None else epr
     if e_a.node != node_a or e_b.node != node_b:
         raise ValueError(f"EPR pair ({e_a}, {e_b}) does not span nodes {node_a} and {node_b}")
     return e_a, e_b
@@ -266,6 +276,34 @@ def reset_channel_qubits(
 # ---- non-local gates --------------------------------------------------------
 
 
+def _share_control(
+    net: Network,
+    control: QubitAddress,
+    cat: Sequence[QubitAddress],
+    layers: Sequence[Sequence[tuple[int, Any, list[QubitAddress]]]],
+    *,
+    tag: str,
+) -> tuple[list[tuple[Any, list[QubitAddress]]], list[MeasurementRecord], int]:
+    """Share `control` over `cat`, run controlled gates off the share, and
+    reclaim it.
+
+    Each layer is one round of (member, controlled gate, targets) parts,
+    the gate driven by cat[member] on the targets' node. Returns the ideal
+    (the same gates controlled by `control` itself), the entangler's and
+    the shrink's measurement records, and the rounds the layers took.
+    """
+    group = cat_entangler(net, control, cat, tag=tag)
+    ideal: list[tuple[Any, list[QubitAddress]]] = []
+    start = net.ledger.rounds
+    for layer in layers:
+        with net.parallel_round():
+            for member, gate, targets in layer:
+                net.local_apply(gate, [cat[member], *targets])
+                ideal.append((gate, [control, *targets]))
+    rounds = net.ledger.rounds - start
+    return ideal, [group.record, *cat_shrink(net, group.members, control, tag=tag)], rounds
+
+
 def nonlocal_cnot(
     net: Network,
     control: QubitAddress,
@@ -284,18 +322,10 @@ def nonlocal_cnot(
     """
     if control.node == target.node:
         raise ValueError(f"{control} and {target} share a node; apply a local CNOT")
-    e_c, e_t = _resolve_epr(net, control.node, target.node, epr)
+    pair = _resolve_epr(net, control.node, target.node, epr, [control, target])
     scope = _Scope(net, check)
-    group = cat_entangler(net, control, (e_c, e_t), tag="nl-cnot")
-    member = group.members[1]
-    net.local_apply(CNOT, [member, target])
-    shrink_recs = cat_shrink(net, group.members, control, tag="nl-cnot")
-    return scope.report(
-        "nonlocal-cnot",
-        [(CNOT, [control, target])],
-        [e_c, e_t],
-        details={"outcome_bits": [group.record.outcome, shrink_recs[0].outcome]},
-    )
+    ideal, records, _ = _share_control(net, control, pair, [[(1, CNOT, [target])]], tag="nl-cnot")
+    return scope.report("nonlocal-cnot", ideal, pair, details={"outcome_bits": [r.outcome for r in records]})
 
 
 def nonlocal_controlled_sequence(
@@ -313,35 +343,23 @@ def nonlocal_controlled_sequence(
     remote node. The control is distributed once and reclaimed once, so the
     whole run costs 1 ebit and 2 cbits no matter how many gates it contains.
     """
-    seq: list[tuple[Any, list[QubitAddress]]] = []
-    for gate, tgts in gates:
-        tg = [tgts] if isinstance(tgts, QubitAddress) else list(tgts)
-        seq.append((gate, tg))
+    seq = [(gate, [tgts] if isinstance(tgts, QubitAddress) else list(tgts)) for gate, tgts in gates]
     if not seq:
         raise ValueError("empty controlled-gate sequence")
-    nodes = {t.node for _, tg in seq for t in tg}
+    targets = [t for _, tg in seq for t in tg]
+    nodes = {t.node for t in targets}
     if len(nodes) != 1:
         raise LocalityError(f"sequence targets must share one node, got {sorted(nodes)}")
     remote = nodes.pop()
     if remote == control.node:
         raise ValueError("targets sit with the control; apply the controlled gates directly")
-    e_c, e_t = _resolve_epr(net, control.node, remote, epr)
-    for _, tg in seq:
-        if e_t in tg:
-            raise ValueError(f"{e_t} is reserved as the shared control line")
+    pair = _resolve_epr(net, control.node, remote, epr, [control, *targets])
+    if pair[1] in targets:
+        raise ValueError(f"{pair[1]} is reserved as the shared control line")
     scope = _Scope(net, check)
-    group = cat_entangler(net, control, (e_c, e_t), tag=tag)
-    member = group.members[1]
-    controlled = [(make_controlled(ControlledSpec(1, g)), tg) for g, tg in seq]
-    for cg, tg in controlled:
-        net.local_apply(cg, [member, *tg])
-    cat_shrink(net, group.members, control, tag=tag)
-    return scope.report(
-        "nonlocal-controlled-sequence",
-        [(cg, [control, *tg]) for cg, tg in controlled],
-        [e_c, e_t],
-        details={"gate_count": len(seq)},
-    )
+    layers = [[(1, make_controlled(ControlledSpec(1, g)), tg)] for g, tg in seq]
+    ideal, _, _ = _share_control(net, control, pair, layers, tag=tag)
+    return scope.report("nonlocal-controlled-sequence", ideal, pair, details={"gate_count": len(seq)})
 
 
 def parallel_distributed_control(
@@ -353,16 +371,19 @@ def parallel_distributed_control(
 ) -> ProtocolReport:
     """One control qubit drives gates on several nodes in a single round.
 
-    `parts` lists (node, gate, local targets); the gates must act on
-    disjoint qubits since they run simultaneously. The control is shared
-    through one multi-party cat state, written onto the first free |0>
-    channel qubit of the control's node and of every part node, each node
-    applies its controlled part locally, and the share is reclaimed. The
-    report's details give the rounds the controlled parts took.
+    `parts` lists (node, gate, local targets), each on a node other than
+    the control's; the gates must act on disjoint qubits since they run
+    simultaneously. The control is shared through one multi-party cat
+    state, written onto the first free |0> channel qubit of the control's
+    node and of every part node, each node applies its controlled part
+    locally, and the share is reclaimed. The report's details give the
+    rounds the controlled parts took.
     """
     norm: list[tuple[str, Any, list[QubitAddress]]] = []
     for node, gate, tgts in parts:
         tg = [tgts] if isinstance(tgts, QubitAddress) else list(tgts)
+        if node == control.node:
+            raise ValueError(f"part on {node} sits with the control; apply its controlled gate directly")
         for t in tg:
             if t.node != node:
                 raise ValueError(f"part on {node} lists target {t} from another node")
@@ -373,25 +394,12 @@ def parallel_distributed_control(
     if len(set(part_nodes)) != len(part_nodes):
         raise ValueError("each part must sit on its own node (merge same-node parts)")
 
-    cat = _fresh_cat(net, [control.node, *part_nodes])
+    cat = _fresh_cat(net, [control.node, *part_nodes], [control, *(t for _, _, tg in norm for t in tg)])
     scope = _Scope(net, check)
-    group = cat_entangler(net, control, cat, tag="par-ctrl")
-    members = group.members[1:]
-    controlled = [
-        (make_controlled(ControlledSpec(1, g)), tg) for _, g, tg in norm
-    ]
-    rounds_before = net.ledger.rounds
-    with net.parallel_round():
-        for member, (cg, tg) in zip(members, controlled):
-            net.local_apply(cg, [member, *tg])
-    controlled_rounds = net.ledger.rounds - rounds_before
-    cat_shrink(net, group.members, control, tag="par-ctrl")
-    return scope.report(
-        "parallel-distributed-control",
-        [(cg, [control, *tg]) for cg, tg in controlled],
-        [group.measured, *members],
-        details={"parts": len(norm), "controlled_rounds": controlled_rounds},
-    )
+    layer = [(i, make_controlled(ControlledSpec(1, g)), tg) for i, (_, g, tg) in enumerate(norm, 1)]
+    ideal, _, controlled_rounds = _share_control(net, control, cat, [layer], tag="par-ctrl")
+    details = {"parts": len(norm), "controlled_rounds": controlled_rounds}
+    return scope.report("parallel-distributed-control", ideal, cat, details=details)
 
 
 # ---- multi-node cat construction ---------------------------------------------
@@ -439,32 +447,23 @@ def distributed_em(
             )
 
     scope = _Scope(net, check)  # before the pairs: the oracle's baseline holds them as |0>
-    next_slot = {n: 0 for n in nodes}
-    pair_for: dict[tuple[int, int], tuple[QubitAddress, QubitAddress]] = {}
-    for stage in schedule:
-        for c, t in stage:
-            a = net.chan(nodes[c], next_slot[nodes[c]])
-            next_slot[nodes[c]] += 1
-            b = net.chan(nodes[t], next_slot[nodes[t]])
-            next_slot[nodes[t]] += 1
-            net.preshare_epr(a, b)
-            pair_for[(c, t)] = (a, b)
+    edges = [edge for stage in schedule for edge in stage]
+    pairs, taken = [], collections.Counter()
+    for c, t in edges:  # each node's channel qubits in slot order
+        pairs.append((net.chan(nodes[c], taken[c]), net.chan(nodes[t], taken[t])))
+        taken.update((c, t))
+        net.preshare_epr(*pairs[-1])
 
     net.local_apply(H, [regs[0]])
-    for stage in schedule:
-        for c, t in stage:
-            a, b = pair_for[(c, t)]
-            group = cat_entangler(net, regs[c], (a, b), tag=f"em:{c}-{t}")
-            net.local_apply(CNOT, [group.members[1], regs[t]])
-            cat_shrink(net, group.members, regs[c], tag=f"em:{c}-{t}")
-            reset_channel_qubits(net, [net.last_record(a), net.last_record(b)])
     ideal = [(H, [regs[0]])]
-    for stage in schedule:
-        ideal.extend((CNOT, [regs[c], regs[t]]) for c, t in stage)
+    for (c, t), pair in zip(edges, pairs):
+        cnot, records, _ = _share_control(net, regs[c], pair, [[(1, CNOT, [regs[t]])]], tag=f"em:{c}-{t}")
+        ideal += cnot
+        reset_channel_qubits(net, records)
     return scope.report(
         "distributed-em",
         ideal,
-        [q for pair in pair_for.values() for q in pair],
+        [q for pair in pairs for q in pair],
         rounds=len(schedule),
         details={
             "shape": shape,
@@ -524,61 +523,49 @@ def distributed_swap(
 ) -> ProtocolReport:
     """Exchange the states of two qubits on different nodes.
 
-    Two teleportations, one per direction, each over its own EPR pair.
-    With two free channel qubits per node the second channel qubit doubles
-    as the swap buffer and no register qubit is touched; with a single
-    channel qubit per node one |0> register qubit on a's node buffers
-    instead (it is returned to |0>). Entanglement for the second hop is
-    assumed distributed between the hops. Costs 2 ebits and 4 cbits.
+    Two teleportations, b to a and then a to b, each over its own EPR
+    pair. b's state waits on a's node between the hops: on a's second
+    channel qubit when both nodes have two free ones, and otherwise on a
+    |0> register qubit there, which ends back in |0>. The second pair is
+    shared after the first hop: its entanglement is assumed distributed
+    between the hops. Costs 2 ebits and 4 cbits.
     """
     if a.node == b.node:
         raise ValueError(f"{a} and {b} share a node; apply a local swap")
     chans_a = net.free_qubits(a.node, CHANNEL, 2, [a])
     chans_b = net.free_qubits(b.node, CHANNEL, 2, [b])
-    scope = _Scope(net, check)
+    if not (chans_a and chans_b):
+        raise CapacityError(
+            f"distributed swap needs free channel qubits on both {a.node} and {b.node}"
+        )
     if len(chans_a) == len(chans_b) == 2:
-        ea0, ea1 = chans_a
-        eb0, eb1 = chans_b
-        net.preshare_epr(eb1, ea1)
-        net.preshare_epr(ea0, eb0)
-        r1b, r2b = teleport(net, b, (eb1, ea1), tag=f"{tag}:b-to-a")
-        reset_channel_qubits(net, [r1b, r2b])
-        r1a, r2a = teleport(net, a, (ea0, eb0), tag=f"{tag}:a-to-b")
-        reset_channel_qubits(net, [r1a, r2a])
-        with net.parallel_round():
-            net.local_apply(SWAP, [ea1, a])
-            net.local_apply(SWAP, [eb0, b])
-        buffers_used = 0
-        exclude = [ea0, ea1, eb0, eb1]
-    elif chans_a and chans_b:
+        wait = chans_a[1]  # b's state waits on a's second channel qubit
+    else:
+        chans_a, chans_b = chans_a[:1], chans_b[:1]
         found = net.free_qubits(a.node, REGISTER, 1, [a])
         if not found:
             raise CapacityError(
                 f"distributed swap needs 2 free channel qubits per node, or 1 per "
                 f"node plus an empty register qubit on {a.node}"
             )
-        buffer, ea, eb = found[0], chans_a[0], chans_b[0]
-        net.preshare_epr(eb, ea)
-        r1b, r2b = teleport(net, b, (eb, ea), tag=f"{tag}:b-to-a")
-        reset_channel_qubits(net, [r1b, r2b])
-        net.local_apply(SWAP, [ea, buffer])
-        net.preshare_epr(ea, eb)
-        r1a, r2a = teleport(net, a, (ea, eb), tag=f"{tag}:a-to-b")
-        reset_channel_qubits(net, [r1a, r2a])
-        with net.parallel_round():
-            net.local_apply(SWAP, [eb, b])
-            net.local_apply(SWAP, [buffer, a])
-        buffers_used = 1
-        exclude = [ea, eb]
-    else:
-        raise CapacityError(
-            f"distributed swap needs free channel qubits on both {a.node} and {b.node}"
-        )
+        wait = found[0]
+    scope = _Scope(net, check)
+    ea, eb = chans_a[-1], chans_b[-1]
+    net.preshare_epr(eb, ea)
+    reset_channel_qubits(net, teleport(net, b, (eb, ea), tag=f"{tag}:b-to-a"))
+    if wait != ea:
+        net.local_apply(SWAP, [ea, wait])
+    ea, eb = chans_a[0], chans_b[0]
+    net.preshare_epr(ea, eb)
+    reset_channel_qubits(net, teleport(net, a, (ea, eb), tag=f"{tag}:a-to-b"))
+    with net.parallel_round():
+        net.local_apply(SWAP, [wait, a])
+        net.local_apply(SWAP, [eb, b])
     return scope.report(
         "distributed-swap",
         [(SWAP, [a, b])],
-        exclude,
-        details={"register_buffers_used": buffers_used},
+        [*chans_a, *chans_b],
+        details={"register_buffers_used": int(wait.pool == REGISTER)},
     )
 
 

@@ -349,6 +349,62 @@ def test_parallel_control_rejects_duplicate_nodes():
         )
 
 
+def test_parallel_control_refuses_a_part_on_the_control_node():
+    """Such a part once cost an ebit and a cbit for a local gate, or raised
+    ResourceError with one channel qubit on the control's node. It is
+    refused before any qubit is touched."""
+    for chans in (2, 1):
+        net = Network([("C", 2, chans), ("P1", 1, 1)], seed=0)
+        parts = [("C", X, [net.reg("C", 1)]), ("P1", X, [net.reg("P1")])]
+        with pytest.raises(ValueError, match="sits with the control"):
+            parallel_distributed_control(net, net.reg("C", 0), parts)
+        assert (net.ledger.ebits_consumed, net.ledger.cbits_sent, net.ledger.rounds) == (0, 0, 0)
+        assert all(net.qubit_is(q, 0) for q in net.addresses(pool=CHANNEL))
+
+
+# one controlled X from C onto P1, over a fresh pair
+FRESH_PAIR_RUNS = {
+    "cnot": lambda net, ctrl, tgt: nonlocal_cnot(net, ctrl, tgt),
+    "sequence": lambda net, ctrl, tgt: nonlocal_controlled_sequence(net, ctrl, [(X, [tgt])]),
+    "parallel": lambda net, ctrl, tgt: parallel_distributed_control(net, ctrl, [("P1", X, [tgt])]),
+}
+
+
+@pytest.mark.parametrize("run", FRESH_PAIR_RUNS.values(), ids=FRESH_PAIR_RUNS)
+def test_fresh_pair_avoids_a_targeted_channel_qubit(run):
+    """A gate on P1.channel[0] leaves the fresh pair to P1.channel[1]; the
+    pair once landed on the target itself."""
+    net = Network([("C", 1, 1), ("P1", 1, 2)], seed=0)
+    ctrl, tgt = net.reg("C"), net.chan("P1", 0)
+    net.local_apply(X, [ctrl])
+    rep = run(net, ctrl, tgt)
+    assert rep.verified
+    assert (rep.ledger.ebits_consumed, rep.ledger.cbits_sent) == (1, 2)
+    assert net.qubit_is(tgt, 1)
+
+
+@pytest.mark.parametrize("run", FRESH_PAIR_RUNS.values(), ids=FRESH_PAIR_RUNS)
+def test_fresh_pair_avoids_a_control_on_a_channel_qubit(run):
+    """A control on C.channel[0] in |0> leaves the fresh pair to
+    C.channel[1]; the pair was once written over the control, which the
+    entangler then refused."""
+    net = Network([("C", 1, 2), ("P1", 1, 1)], seed=0)
+    ctrl, tgt = net.chan("C", 0), net.reg("P1")
+    rep = run(net, ctrl, tgt)
+    assert rep.verified
+    assert (rep.ledger.ebits_consumed, rep.ledger.cbits_sent) == (1, 2)
+    assert net.qubit_is(ctrl, 0) and net.qubit_is(tgt, 0)
+
+
+def test_sequence_refuses_a_given_pair_on_its_target():
+    net = Network([("C", 1, 1), ("P1", 1, 2)], seed=0)
+    pair = (net.chan("C"), net.chan("P1", 0))
+    net.preshare_epr(*pair)
+    with pytest.raises(ValueError, match="reserved"):
+        nonlocal_controlled_sequence(net, net.reg("C"), [(X, [pair[1]])], epr=pair)
+    assert net.ledger.rounds == 0
+
+
 # ---- distributed_em -----------------------------------------------------------
 
 
@@ -480,6 +536,34 @@ def test_distributed_swap_takes_only_the_channels_it_needs():
     assert rep.verified and rep.details["register_buffers_used"] == 0
     assert (rep.ledger.ebits_consumed, rep.ledger.cbits_sent) == (2, 4)
     assert net.qubit_is(net.chan("A", 2), spare.outcome)
+
+
+# A/B channel counts -> (layout, register buffers used); A holds a second
+# register qubit wherever a buffer is needed
+SWAP_LAYOUTS = {
+    "2/2": ([("A", 1, 2), ("B", 1, 2)], 0),
+    "2/1": ([("A", 2, 2), ("B", 1, 1)], 1),
+    "1/2": ([("A", 2, 1), ("B", 1, 2)], 1),
+    "1/1": ([("A", 2, 1), ("B", 1, 1)], 1),
+}
+
+
+@pytest.mark.parametrize("layout,buffers", SWAP_LAYOUTS.values(), ids=SWAP_LAYOUTS)
+def test_distributed_swap_sweeps_every_layout(layout, buffers):
+    """All 16 branches of the four measurements, one row each."""
+    amps = random_state(2, np.random.default_rng(23)).amplitudes
+    net = Network(layout, seed=0)
+    a, b = net.reg("A"), net.reg("B")
+    net.inject_state([a, b], amps)
+    net.split_outcomes(4)
+    rep = distributed_swap(net, a, b)
+    assert net.rows == 16 and rep.verified
+    rho = reduced_density_matrix(net.state, [net.global_index(a), net.global_index(b)])
+    swapped = amps[[0, 2, 1, 3]]
+    assert np.all(np.einsum("i,rij,j->r", swapped.conj(), rho, swapped).real > 1 - 1e-10)
+    assert (rep.ledger.ebits_consumed, rep.ledger.cbits_sent) == (2, 4)
+    assert rep.details["register_buffers_used"] == buffers
+    assert all(net.qubit_is(q, 0) for q in net.addresses() if q not in (a, b))
 
 
 def test_distributed_swap_capacity_error():
