@@ -43,7 +43,7 @@ from .protocols import (
     reset_channel_qubits,
     teleport_with_reset,
 )
-from .qft import QftPlan, build_qft_plan, qft_distributed, qft_local, qft_matrix
+from .qft import QftPlan, build_qft_plan, qft_distributed, qft_local
 from .qstate import ATOL, GateMatrix, MeasurementRecord, StateVector
 from .verify import VERIFIERS, verify_all, verify_protocol
 
@@ -100,7 +100,6 @@ __all__ = [
     "parallel_distributed_control",
     "qft_distributed",
     "qft_local",
-    "qft_matrix",
     "reset_channel_qubits",
     "teleport",
     "teleport_with_reset",

@@ -18,13 +18,13 @@ and every edge of the GHZ build (distributed_em) run through it; each of
 them keeps its own validation, scope and report.
 
 Entanglement policy: protocols consume pre-established EPR pairs. The
-non-local CNOT and the controlled sequence take a pair from the caller;
-without one they, like parallel control, multi-control and the C4X
-decomposition, write a fresh pair (or cat) onto the first |0> channel
-qubit of each node that Network.free_qubits finds, as a stand-in for
-earlier distribution, charging nothing until consumption; the protocols
-that run through _share_control never write it onto their control or a
-target.
+non-local CNOT and the controlled sequence may take a pair from the
+caller; otherwise _fresh_cat writes a fresh pair (or cat) onto the first
+|0> channel qubit of each node, a stand-in for earlier distribution that
+charges nothing until consumption. distributed_em and distributed_swap
+pick their channel slots by their own schedules. The rule for every
+protocol: a call never writes or accepts a pair on a qubit it acts on,
+and it refuses a given pair there before any gate runs.
 establish_epr_exchange is the in-model establishment that actually ships
 qubits.
 """
@@ -175,24 +175,23 @@ class _Scope:
         return max(0.0, 1.0 - overlap)
 
 
-def _resolve_epr(
-    net: Network, node_a: str, node_b: str, epr: tuple[QubitAddress, QubitAddress] | None,
-    exclude: Sequence[QubitAddress],
-) -> tuple[QubitAddress, QubitAddress]:
-    e_a, e_b = _fresh_cat(net, [node_a, node_b], exclude) if epr is None else epr
-    if e_a.node != node_a or e_b.node != node_b:
-        raise ValueError(f"EPR pair ({e_a}, {e_b}) does not span nodes {node_a} and {node_b}")
-    return e_a, e_b
-
-
 def _fresh_cat(
-    net: Network, nodes: Sequence[str], exclude: Sequence[QubitAddress] = ()
+    net: Network, nodes: Sequence[str], own: Sequence[QubitAddress], given: Sequence[QubitAddress] | None = None
 ) -> list[QubitAddress]:
-    """Write a cat state (an EPR pair for two nodes) onto the first |0>
-    channel qubit of each node outside `exclude`."""
+    """The pair (a cat for more nodes) a call on the qubits `own` runs over,
+    one qubit per node of `nodes`: `given` once it is checked to span them
+    and to hold none of `own`, or else a fresh cat written onto the first
+    |0> channel qubit of each node outside `own`."""
+    if given is not None:
+        if [q.node for q in given] != list(nodes):
+            raise ValueError(f"pair ({', '.join(map(str, given))}) does not span nodes {', '.join(nodes)}")
+        for q in given:
+            if q in own:
+                raise ValueError(f"{q} is reserved as the shared control line, so the call cannot act on it")
+        return list(given)
     cat: list[QubitAddress] = []
     for node in nodes:
-        found = net.free_qubits(node, CHANNEL, 1, [*exclude, *cat])
+        found = net.free_qubits(node, CHANNEL, 1, [*own, *cat])
         if not found:
             raise ResourceError(f"no |0> channel qubit available on {node}")
         cat += found
@@ -322,7 +321,7 @@ def nonlocal_cnot(
     """
     if control.node == target.node:
         raise ValueError(f"{control} and {target} share a node; apply a local CNOT")
-    pair = _resolve_epr(net, control.node, target.node, epr, [control, target])
+    pair = _fresh_cat(net, [control.node, target.node], [control, target], epr)
     scope = _Scope(net, check)
     ideal, records, _ = _share_control(net, control, pair, [[(1, CNOT, [target])]], tag="nl-cnot")
     return scope.report("nonlocal-cnot", ideal, pair, details={"outcome_bits": [r.outcome for r in records]})
@@ -353,9 +352,7 @@ def nonlocal_controlled_sequence(
     remote = nodes.pop()
     if remote == control.node:
         raise ValueError("targets sit with the control; apply the controlled gates directly")
-    pair = _resolve_epr(net, control.node, remote, epr, [control, *targets])
-    if pair[1] in targets:
-        raise ValueError(f"{pair[1]} is reserved as the shared control line")
+    pair = _fresh_cat(net, [control.node, remote], [control, *targets], epr)
     scope = _Scope(net, check)
     layers = [[(1, make_controlled(ControlledSpec(1, g)), tg)] for g, tg in seq]
     ideal, _, _ = _share_control(net, control, pair, layers, tag=tag)
@@ -607,12 +604,13 @@ def nonlocal_multi_control(
             f"{len(remote)} distributed controls need one each; decompose "
             f"the gate instead (see decompose_multi_control_x)"
         )
+    own = [*controls, target, *ancillas]
     # one channel qubit per remote control on its node, one on the target's
     need = collections.Counter(c.node for c in remote)
     if remote:
         need[t_node] += 1
     for node, count in need.items():
-        free = len(net.free_qubits(node, CHANNEL, count))
+        free = len(net.free_qubits(node, CHANNEL, count, own))
         if free < count:
             raise ResourceError(f"{count} |0> channel qubits needed on {node} for the shares, {free} available")
 
@@ -620,7 +618,7 @@ def nonlocal_multi_control(
     line_for: dict[QubitAddress, QubitAddress] = {c: c for c in controls}
     shares: list[tuple[QubitAddress, QubitAddress, QubitAddress]] = []
     for ctrl, anc in zip(remote, ancillas):
-        e_c, e_t = _fresh_cat(net, [ctrl.node, t_node], [e_c for _, _, e_c in shares])
+        e_c, e_t = _fresh_cat(net, [ctrl.node, t_node], [*own, *(e for _, _, e in shares)])
         cat_entangler(net, ctrl, (e_c, e_t), tag=f"mctrl:{ctrl.node}")
         net.local_apply(SWAP, [e_t, anc])
         line_for[ctrl] = anc
@@ -660,10 +658,10 @@ def decompose_multi_control_x(
     controls[2], controls[3], target on the other): the AND of the first
     two controls is written onto one EPR half and announced onto the other,
     the receiving node runs its triple-controlled X locally, and releasing
-    the shared line costs one X-basis measurement plus a conditional
-    CZ back on the first two controls. The EPR pair is written onto the
-    first free |0> channel qubit of each node. One ebit, two cbits, the
-    ancilla is not touched at all, and both channel qubits end reset.
+    the shared line costs one X-basis measurement plus a conditional CZ
+    back on the first two controls. The EPR pair is written onto the first
+    |0> channel qubit of each node outside the six qubits. One ebit, two
+    cbits, the ancilla is not touched at all, and both channels end reset.
     """
     controls = list(controls)
     if len(controls) != 4:
@@ -688,7 +686,7 @@ def decompose_multi_control_x(
         and c3.node == c4.node == target.node
     ):
         top, bottom = c1.node, target.node
-        e_top, e_bot = _fresh_cat(net, [top, bottom])
+        e_top, e_bot = _fresh_cat(net, [top, bottom], six)
         scope = _Scope(net, check)
         net.local_apply(TOFFOLI, [c1, c2, e_top])
         r1 = net.measure(e_top)

@@ -12,12 +12,9 @@ distributed_swap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Sequence
-
-import numpy as np
 
 from . import qstate
 from .errors import CapacityError
@@ -32,15 +29,6 @@ from .protocols import (
     reset_channel_qubits,
 )
 from .qstate import GateMatrix, StateVector
-
-
-def qft_matrix(n: int) -> np.ndarray:
-    """The defining transform: entry (row, col) = e^(2*pi*i*row*col/2^n)/sqrt(2^n)."""
-    if n < 1:
-        raise ValueError(f"need at least 1 qubit, got {n}")
-    dim = 2**n
-    grid = np.outer(np.arange(dim), np.arange(dim))
-    return np.exp(2j * np.pi * grid / dim) / math.sqrt(dim)
 
 
 @lru_cache(maxsize=None)
@@ -133,9 +121,6 @@ class QftPlan:
     amortized_distributions: int
     cross_swaps: int
 
-    def machine(self, qubit: int) -> int:
-        return qubit // self.k
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "n": self.n,
@@ -215,7 +200,7 @@ def qft_distributed(
         elif ctrl.node == target.node:
             net.local_apply(controlled_rk(c - targets[0] + 1), [ctrl, target])
         else:
-            e_c, e_t = _fresh_cat(net, [ctrl.node, target.node])
+            e_c, e_t = _fresh_cat(net, [ctrl.node, target.node], addr)
             nonlocal_controlled_sequence(
                 net,
                 ctrl,

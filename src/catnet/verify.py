@@ -129,14 +129,15 @@ def _apply(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _transform(stack: np.ndarray) -> np.ndarray:
-    """The defining transform (qft_matrix(n)) applied to every row of a
-    (rows, 2^n) stack without forming it: a radix-2 DFT in n stages.
+    """The defining transform, entry (row, col) = e^(2 pi i row col/2^n) /
+    sqrt(2^n), applied to every row of a (rows, 2^n) stack without forming
+    it: a radix-2 DFT in n stages.
 
     Before each stage out[r, k, j] is entry k of the size-L transform of
     row r's amplitudes j, j + C, j + 2C, ... (out is (rows, L, C)); a stage
     merges the sequences j and j + C/2 into one of stride C/2 with the
     twiddles e^(i pi k / L). O(n 2^n) per row, and no code shared with the
-    simulator or with qft_matrix.
+    simulator or with the dense matrix the tests build (reference.qft_matrix).
     """
     rows, dim = stack.shape
     out = stack.reshape(rows, 1, dim)

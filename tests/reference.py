@@ -3,7 +3,8 @@
 They read a state only through its dense amplitudes, and build an embedded
 gate from Kronecker products, so they share no code with the kernels,
 views and basis-index arithmetic they check. random_state builds the
-random inputs the tests start from.
+random inputs the tests start from, and qft_matrix the transform's dense
+matrix.
 """
 
 import numpy as np
@@ -40,3 +41,12 @@ def embed(matrix, n, targets):
     full = np.kron(matrix, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
     axis = np.argsort(order)
     return full.transpose([*axis, *(n + axis)]).reshape(2**n, 2**n)
+
+
+def qft_matrix(n):
+    """The defining transform: entry (row, col) = e^(2*pi*i*row*col/2^n)/sqrt(2^n)."""
+    if n < 1:
+        raise ValueError(f"need at least 1 qubit, got {n}")
+    dim = 2**n
+    grid = np.outer(np.arange(dim), np.arange(dim))
+    return np.exp(2j * np.pi * grid / dim) / np.sqrt(dim)

@@ -367,11 +367,26 @@ FRESH_PAIR_RUNS = {
     "cnot": lambda net, ctrl, tgt: nonlocal_cnot(net, ctrl, tgt),
     "sequence": lambda net, ctrl, tgt: nonlocal_controlled_sequence(net, ctrl, [(X, [tgt])]),
     "parallel": lambda net, ctrl, tgt: parallel_distributed_control(net, ctrl, [("P1", X, [tgt])]),
+    "multi-control": lambda net, ctrl, tgt: nonlocal_multi_control(net, [ctrl], X, tgt),
 }
 
 
+@pytest.fixture
+def written(monkeypatch):
+    """Every qubit a pair or cat is written onto while the test runs."""
+    qubits = []
+    preshare = Network.preshare_cat
+
+    def spy(net, addrs):
+        qubits.extend(addrs)
+        preshare(net, addrs)
+
+    monkeypatch.setattr(Network, "preshare_cat", spy)
+    return qubits
+
+
 @pytest.mark.parametrize("run", FRESH_PAIR_RUNS.values(), ids=FRESH_PAIR_RUNS)
-def test_fresh_pair_avoids_a_targeted_channel_qubit(run):
+def test_fresh_pair_avoids_a_targeted_channel_qubit(run, written):
     """A gate on P1.channel[0] leaves the fresh pair to P1.channel[1]; the
     pair once landed on the target itself."""
     net = Network([("C", 1, 1), ("P1", 1, 2)], seed=0)
@@ -381,28 +396,42 @@ def test_fresh_pair_avoids_a_targeted_channel_qubit(run):
     assert rep.verified
     assert (rep.ledger.ebits_consumed, rep.ledger.cbits_sent) == (1, 2)
     assert net.qubit_is(tgt, 1)
+    assert written == [net.chan("C"), net.chan("P1", 1)]
 
 
 @pytest.mark.parametrize("run", FRESH_PAIR_RUNS.values(), ids=FRESH_PAIR_RUNS)
-def test_fresh_pair_avoids_a_control_on_a_channel_qubit(run):
+def test_fresh_pair_avoids_a_control_on_a_channel_qubit(run, written):
     """A control on C.channel[0] in |0> leaves the fresh pair to
     C.channel[1]; the pair was once written over the control, which the
-    entangler then refused."""
-    net = Network([("C", 1, 2), ("P1", 1, 1)], seed=0)
+    entangler then refused. P1's second register is multi-control's
+    ancilla."""
+    net = Network([("C", 1, 2), ("P1", 2, 1)], seed=0)
     ctrl, tgt = net.chan("C", 0), net.reg("P1")
     rep = run(net, ctrl, tgt)
     assert rep.verified
     assert (rep.ledger.ebits_consumed, rep.ledger.cbits_sent) == (1, 2)
     assert net.qubit_is(ctrl, 0) and net.qubit_is(tgt, 0)
+    assert written == [net.chan("C", 1), net.chan("P1")]
 
 
-def test_sequence_refuses_a_given_pair_on_its_target():
+GIVEN_PAIR_RUNS = {
+    "sequence": lambda net, ctrl, tgt, pair: nonlocal_controlled_sequence(net, ctrl, [(X, [tgt])], epr=pair),
+    "cnot": lambda net, ctrl, tgt, pair: nonlocal_cnot(net, ctrl, tgt, epr=pair),
+}
+
+
+@pytest.mark.parametrize("run", GIVEN_PAIR_RUNS.values(), ids=GIVEN_PAIR_RUNS)
+def test_given_pair_on_the_target_is_refused(run):
+    """A given pair with a half on the target is refused before any round;
+    the non-local CNOT once spent an ebit and a cbit on it and then failed
+    on a gate with the same qubit twice."""
     net = Network([("C", 1, 1), ("P1", 1, 2)], seed=0)
     pair = (net.chan("C"), net.chan("P1", 0))
     net.preshare_epr(*pair)
     with pytest.raises(ValueError, match="reserved"):
-        nonlocal_controlled_sequence(net, net.reg("C"), [(X, [pair[1]])], epr=pair)
-    assert net.ledger.rounds == 0
+        run(net, net.reg("C"), pair[1], pair)
+    assert net.ledger.as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
+    assert net.records == [] and net.message_log == []
 
 
 # ---- distributed_em -----------------------------------------------------------
@@ -678,15 +707,23 @@ def test_c4x_all_controls_on():
 
 
 def test_c4x_distributed_ledger():
-    net = Network([("TOP", 3, 1), ("BOT", 3, 1)], seed=0)
-    c1, c2, anc = net.reg("TOP", 0), net.reg("TOP", 1), net.reg("TOP", 2)
-    c3, c4, tgt = net.reg("BOT", 0), net.reg("BOT", 1), net.reg("BOT", 2)
-    rep = decompose_multi_control_x(net, [c1, c2, c3, c4], anc, tgt)
-    assert rep.details["variant"] == "distributed"
-    led = rep.ledger.as_dict()
-    assert (led["ebits"], led["cbits"]) == (1, 2)
-    for addr in net.addresses(pool=CHANNEL):
-        assert net.qubit_is(addr, 0)
+    """The split layout spends one pair and leaves every channel in |0>,
+    with its ancilla on a register or on TOP.channel[0]. There the pair
+    goes to TOP.channel[1]; its TOP half was once written onto the ancilla,
+    which was then measured."""
+    for regs, chans in ((3, 1), (2, 2)):
+        net = Network([("TOP", regs, chans), ("BOT", 3, 1)], seed=0)
+        c1, c2 = net.reg("TOP", 0), net.reg("TOP", 1)
+        anc = net.reg("TOP", 2) if regs == 3 else net.chan("TOP", 0)
+        c3, c4, tgt = net.reg("BOT", 0), net.reg("BOT", 1), net.reg("BOT", 2)
+        net.inject_state([c1, c2, c3, c4, tgt], random_state(5, np.random.default_rng(41)).amplitudes)
+        rep = decompose_multi_control_x(net, [c1, c2, c3, c4], anc, tgt)
+        assert rep.verified and rep.details["variant"] == "distributed"
+        led = rep.ledger.as_dict()
+        assert (led["ebits"], led["cbits"]) == (1, 2)
+        assert net.records and all(r.address != anc for r in net.records)
+        for addr in net.addresses(pool=CHANNEL):
+            assert net.qubit_is(addr, 0)
 
 
 def test_c4x_rejects_unknown_layout():

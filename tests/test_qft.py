@@ -12,8 +12,8 @@ import pytest
 from catnet import qft, qstate
 from catnet.errors import CapacityError
 from catnet.network import Network
-from catnet.qft import build_qft_plan, qft_distributed, qft_local, qft_matrix
-from reference import random_state, reduced_density_matrix
+from catnet.qft import build_qft_plan, qft_distributed, qft_local
+from reference import qft_matrix, random_state, reduced_density_matrix
 
 
 def dft_sum_oracle(n):
@@ -119,11 +119,6 @@ def test_plan_count_invariants(n, m):
     assert plan.local_controlled == m * (plan.k * (plan.k - 1) // 2)
     assert len(plan.swaps) == n // 2
     assert plan.amortized_distributions <= plan.nonlocal_controlled
-
-
-def test_plan_machine_assignment():
-    plan = build_qft_plan(6, 3)
-    assert [plan.machine(q) for q in range(6)] == [0, 0, 1, 1, 2, 2]
 
 
 def test_plan_rejects_uneven_split():

@@ -25,7 +25,7 @@ from catnet.qstate import (
     partial_state_check,
     pattern_weights,
 )
-from reference import random_state, reduced_density_matrix
+from reference import qft_matrix, random_state, reduced_density_matrix
 
 SQRT2_INV = 1 / np.sqrt(2)
 
@@ -136,7 +136,7 @@ def _built_gates() -> list[GateMatrix]:
     built = [g for mod in (gates, protocols) for g in vars(mod).values() if isinstance(g, GateMatrix)]
     built += [make_rk(k) for k in range(1, 9)]
     built += [qft.controlled_rk(k) for k in range(1, 9)] + [qft._controlled_rk_inv(k) for k in range(1, 9)]
-    built += [GateMatrix(qft.qft_matrix(n)) for n in range(1, 7)]
+    built += [GateMatrix(qft_matrix(n)) for n in range(1, 7)]
     bases = [X, Z, H, make_rk(2), make_rk(3)]
     built += [make_controlled(ControlledSpec(c, b)) for c in range(1, 5) for b in bases]
     return built

@@ -12,8 +12,7 @@ from catnet import qstate, verify
 from catnet.gates import CNOT, H, X, Z, ControlledSpec, make_controlled, make_rk
 from catnet.network import CHANNEL, REGISTER, QubitAddress
 from catnet.protocols import C4X
-from catnet.qft import qft_matrix
-from reference import embed
+from reference import embed, qft_matrix
 from test_qft import dft_sum_oracle
 
 
