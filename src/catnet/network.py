@@ -291,31 +291,26 @@ class Network:
         self._account_round(idx)
         qstate.apply_gate(self.state, gate, idx)
 
-    def measure(
-        self,
-        addr: QubitAddress,
-        forced: int | None = None,
-    ) -> MeasurementRecord:
+    def measure(self, addr: QubitAddress) -> MeasurementRecord:
         """Measure one qubit in the Z basis.
 
-        Outcomes come from, in priority order: the `forced` argument, the
-        queue loaded by force_outcomes(), a split (split_outcomes()), or a
-        draw from each row's generator (rngs).
+        Outcomes come from, in priority order: the queue loaded by
+        force_outcomes(), a split (split_outcomes()), or a draw from each
+        row's generator (rngs).
         """
-        return self._measure(addr, forced, x_basis=False)
+        return self._measure(addr, x_basis=False)
 
-    def measure_x(self, addr: QubitAddress, forced: int | None = None) -> MeasurementRecord:
+    def measure_x(self, addr: QubitAddress) -> MeasurementRecord:
         """X-basis measurement (H then Z-measure) as one scheduling step."""
-        return self._measure(addr, forced, x_basis=True)
+        return self._measure(addr, x_basis=True)
 
-    def _measure(self, addr: QubitAddress, forced: int | None, x_basis: bool) -> MeasurementRecord:
+    def _measure(self, addr: QubitAddress, x_basis: bool) -> MeasurementRecord:
         addr = self._checked_address(addr)
         gidx = self.global_index(addr)
         self._account_round([gidx])
         if x_basis:
             qstate.apply_gate(self.state, H, [gidx])
-        if forced is None and self._forced:
-            forced = self._forced.popleft()
+        forced = self._forced.popleft() if self._forced else None
         if forced is None and self._splits:
             rec = qstate.measure_split(self.state, gidx)
             self._splits -= 1

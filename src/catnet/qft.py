@@ -37,11 +37,6 @@ def controlled_rk(order: int) -> GateMatrix:
     return make_controlled(ControlledSpec(1, make_rk(order)))
 
 
-@lru_cache(maxsize=None)
-def _controlled_rk_inv(order: int) -> GateMatrix:
-    return GateMatrix(controlled_rk(order).matrix.conj().T)
-
-
 def _cascade(n: int) -> list[tuple[int, int]]:
     """The transform's Hadamards and rotations on positions 0..n-1 (0 the
     most significant), in circuit order, as (control, target) pairs: (t, t)
@@ -50,15 +45,11 @@ def _cascade(n: int) -> list[tuple[int, int]]:
     return [(c, t) for t in range(n) for c in range(t, n)]
 
 
-def _circuit(n: int) -> list[tuple[GateMatrix, GateMatrix, list[int]]]:
+def _circuit(n: int) -> list[tuple[GateMatrix, list[int]]]:
     """The transform's gates on positions 0..n-1, in order: the cascade,
-    then the reversal swaps. Each entry carries its own adjoint, so the
-    inverse circuit is the reversed list with the roles flipped."""
-    ops = [
-        (H, H, [t]) if c == t else (controlled_rk(c - t + 1), _controlled_rk_inv(c - t + 1), [c, t])
-        for c, t in _cascade(n)
-    ]
-    return ops + [(SWAP, SWAP, [i, n - 1 - i]) for i in range(n // 2)]
+    then the reversal swaps."""
+    ops = [(H, [t]) if c == t else (controlled_rk(c - t + 1), [c, t]) for c, t in _cascade(n)]
+    return ops + [(SWAP, [i, n - 1 - i]) for i in range(n // 2)]
 
 
 def _steps(n: int, k: int, amortized: bool) -> list[tuple[int, list[int]]]:
@@ -86,21 +77,17 @@ def _steps(n: int, k: int, amortized: bool) -> list[tuple[int, list[int]]]:
     return steps
 
 
-def qft_local(state: StateVector, qubits: Sequence[int], *, inverse: bool = False) -> StateVector:
+def qft_local(state: StateVector, qubits: Sequence[int]) -> StateVector:
     """The transform circuit applied to the listed qubits of an n-qubit state.
 
     qubits[0] is the most significant position of the transformed value.
-    With inverse=True the adjoint circuit runs instead. Returns a new state
-    and leaves the input alone.
+    Returns a new state and leaves the input alone.
     """
     qubits = [int(q) for q in qubits]
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubits in {qubits}")
-    ops = _circuit(len(qubits))
-    if inverse:
-        ops = [(adj, gate, targets) for gate, adj, targets in reversed(ops)]
     out = state.copy()
-    for gate, _, targets in ops:
+    for gate, targets in _circuit(len(qubits)):
         qstate.apply_gate(out, gate, [qubits[t] for t in targets])
     return out
 
@@ -223,7 +210,7 @@ def qft_distributed(
 
     report = scope.report(
         "distributed-qft",
-        [(gate, [addr[t] for t in targets]) for gate, _, targets in _circuit(plan.n)] if check else [],
+        [(gate, [addr[t] for t in targets]) for gate, targets in _circuit(plan.n)] if check else [],
         details={
             "plan": plan.to_dict(),
             "amortized": amortized,

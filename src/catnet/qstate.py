@@ -16,20 +16,19 @@ and every qubit in no block is fixed: it sits in a computational-basis
 state, recorded as one bit. Qubits enter a block only through a gate and
 leave it only through a measurement, which keeps the outcome's half,
 renormalized, and drops the qubit's axis; basis_state starts every qubit
-fixed. A gate whose targets lie in several blocks first merges them by an
-outer product, and a fixed target it cannot keep fixed joins the merged
-block at its recorded bit; a gate on fixed qubits alone starts a block of
-its own. A diagonal gate on fixed qubits only scales a block by a phase. A
-permutation gate keeps as many of its targets fixed as it has fixed
-targets whenever the gate itself says which output wires stay constant
-(_fixed_rule): a SWAP of a live and a fixed qubit renames an axis, a CNOT
-with a fixed control is an X on the rows whose control reads 1, and a
-permutation on fixed qubits only rewrites their bits. Which qubits are live
-and how they group into blocks thus depends on which qubits are fixed,
-never on their bits or on any amplitude, so the gate path runs no
-separability test and no decomposition. Probes of a fixed qubit compare
-bits, and probes of live qubits read the merged block of the qubits they
-name: every other block is a factor of norm 1.
+fixed. A gate with fixed targets takes one of two paths. It relabels when
+it is a permutation that keeps as many output wires constant as it has
+fixed targets and carries its live inputs unmoved onto the other outputs
+(_fixed_rule): a permutation on fixed qubits only rewrites their bits, and
+a SWAP of a live and a fixed qubit renames an axis. Every other gate
+merges: the blocks its targets lie in are multiplied out into one, which
+its fixed targets join at their recorded bits, and a gate on fixed qubits
+alone starts a block of its own. Which qubits are live and how they
+group into blocks thus depends on which qubits are fixed, never on their
+bits or on any amplitude, so the gate path runs no separability test and
+no decomposition. Probes of a fixed qubit compare bits, and probes of
+live qubits read the merged block of the qubits they name: every other
+block is a factor of norm 1.
 
 Kernels work on the (2,)*L view of a block, one axis per live qubit in
 ascending qubit order, after its row axis. Fixing the target axes to the
@@ -95,12 +94,13 @@ class GateMatrix:
     general, and what the kernels need for that kind is precomputed: the
     (destination, source) row pairs a permutation moves and the row each
     source row goes to (a tuple of ints), the (row, phase) pairs of a
-    diagonal whose phase is not 1 and its whole diagonal, and the (2,)*2a
-    tensor of the matrix. `rules` memoizes a permutation's fixed rules
-    (_fixed_rule), one per set of fixed wire positions.
+    diagonal whose phase is not 1, and the (2,)*2a tensor of the matrix.
+    `rules` memoizes a permutation's fixed rules (_fixed_rule), one per set
+    of fixed wire positions: whether the gate relabels fixed qubits or
+    merges them.
     """
 
-    __slots__ = ("matrix", "arity", "kind", "tensor", "moves", "image", "phases", "diagonal", "rules")
+    __slots__ = ("matrix", "arity", "kind", "tensor", "moves", "image", "phases", "rules")
 
     def __init__(self, matrix) -> None:
         m = np.array(matrix, dtype=complex)
@@ -123,7 +123,7 @@ class GateMatrix:
         m = self.matrix
         self.moves: tuple[tuple[int, int], ...] = ()
         self.phases: tuple[tuple[int, complex], ...] = ()
-        self.image = self.diagonal = None
+        self.image = None
         rows, cols = m.nonzero()
         # a unitary has a nonzero in every column: dim of them means one per column
         if len(rows) == len(m) and (m[rows, cols] == 1).all():
@@ -134,8 +134,7 @@ class GateMatrix:
             self.image = tuple(r for _, r in sorted(zip(cols, rows)))
         elif (rows == cols).all():
             self.kind = "diagonal"
-            self.diagonal = np.diagonal(m)
-            self.phases = tuple((row, phase) for row, phase in enumerate(self.diagonal.tolist()) if phase != 1)
+            self.phases = tuple((row, phase) for row, phase in enumerate(np.diagonal(m).tolist()) if phase != 1)
         else:
             self.kind = "general"
 
@@ -173,12 +172,14 @@ class StateVector:
 
     `blocks` are the factors (see Block); no qubit lies in two. A block
     without qubits carries a phase per row, and exists only while no other
-    block is left to carry it. `fixed` maps each qubit in no block to its
-    bits, an int64 per-row value. `grid` holds the sizes of the row axes,
-    newest split first, and `rows` is R, their product: 1 for an unsplit
-    state. StateVector(n, amplitudes) wraps a dense vector, or a (rows,
-    2^L) stack of inputs, as one block of every qubit not in `fixed`; a
-    stack whose rows are bitwise equal is stored as one row.
+    block is left to carry it: a measurement that empties a block multiplies
+    it into the first block left. `fixed` maps each qubit in no block to its
+    bits, an int64 per-row value; a gate relabels or merges fixed qubits
+    (see apply_gate). `grid` holds the sizes of the row axes, newest split
+    first, and `rows` is R, their product: 1 for an unsplit state.
+    StateVector(n, amplitudes) wraps a dense vector, or a (rows, 2^L) stack
+    of inputs, as one block of every qubit not in `fixed`; a stack whose
+    rows are bitwise equal is stored as one row.
 
     `high_water` is the most amplitudes the blocks would have held at one
     time with a row of each per state row, summed over blocks: the memory a
@@ -481,20 +482,6 @@ def _gather(state: StateVector, qubits: Sequence[int]) -> Block:
     return block
 
 
-def _absorb(state: StateVector, factor: Block) -> None:
-    """Multiply a block without qubits (a phase per row) into the smallest
-    block whose stored rows it does not add to, or else into the smallest
-    block. The phase is first cut along the axes it does not vary along."""
-    factor = Block(_cut(factor.amps, range(factor.amps.ndim - 1)), [])
-
-    def grows(b: Block) -> bool:
-        return math.prod(np.broadcast_shapes(b.amps.shape[:-1], factor.amps.shape[:-1])) > b.rows
-
-    host = min(state.blocks, key=lambda b: (grows(b), b.amps.size))
-    state.blocks[state.blocks.index(host)] = _product([host, factor])
-    _note(state)
-
-
 # Keyed by (n, targets) only, so a sweep that repeats the same gate placements
 # on fresh networks reuses its entries instead of adding new ones.
 @lru_cache(maxsize=4096)
@@ -536,44 +523,35 @@ def _apply(amps: np.ndarray, n: int, gate: GateMatrix, targets: tuple) -> None:
             split = amps.reshape(-1, 2, 2 ** (n - 1 - targets[0]))
             split[...] = gate.matrix @ split
         return
-    if gate.kind == "permutation":
-        _move(amps, n, gate.moves, targets)
-        return
     psi = _qubit_view(amps, n)
     slab = _slabs(n, targets)
+    if gate.kind == "permutation":
+        # every source is saved before any destination is written, so cycles
+        # of any length come out right
+        saved = [psi[slab[src]].copy() for _, src in gate.moves]
+        for (dst, _), block in zip(gate.moves, saved):
+            psi[slab[dst]] = block
+        return
     for row, phase in gate.phases:
         block = psi[slab[row]]
         block *= phase
 
 
-def _move(amps: np.ndarray, n: int, moves: tuple, targets: tuple) -> None:
-    """Copy the slab of each (destination, source) gate row pair of a
-    permutation within the n-axis block `amps`; `targets` are axis
-    positions."""
-    psi = _qubit_view(amps, n)
-    slab = _slabs(n, targets)
-    # every source is saved before any destination is written, so cycles
-    # of any length come out right
-    saved = [psi[slab[src]].copy() for _, src in moves]
-    for (dst, _), block in zip(moves, saved):
-        psi[slab[dst]] = block
-
-
 def _fixed_rule(gate: GateMatrix, fpos: tuple) -> tuple | None:
     """How a permutation gate whose wires at positions `fpos` are fixed
-    keeps as many qubits fixed, or None when it cannot.
+    keeps as many qubits fixed by relabelling alone, or None when it
+    cannot.
 
     For each pattern of bits on the fixed wires, the gate maps the inputs
-    that vary the other (live) wires onto outputs, and some output wires
-    read the same bit on all of them. When those constant wires are the
-    same for every pattern and as many as `fpos`, the rule is (const, bits,
-    moves): the constant wires, their bits per pattern (a (2^f, f) array,
-    patterns read first wire = most significant bit), and per pattern the
-    (destination, source) slab moves that take the live input wires onto
-    the remaining output wires, both in ascending wire order. The rule
-    depends on which wires are fixed only, never on their bits. It is
-    derived once per `fpos`, in plain ints from the gate's image, and kept
-    on the gate: at most 2^arity entries.
+    that vary the other (live) wires onto outputs. The rule is (const,
+    bits) when, for every pattern, the same output wires, as many as
+    `fpos`, read a constant bit and the live input wires land unmoved on
+    the remaining output wires, both in ascending wire order: the constant
+    wires, and their bits per pattern (a (2^f, f) array, patterns read
+    first wire = most significant bit). The rule depends on which wires are
+    fixed only, never on their bits. It is derived once per `fpos`, in
+    plain ints from the gate's image, and kept on the gate: at most
+    2^arity entries.
     """
     if fpos in gate.rules:
         return gate.rules[fpos]
@@ -593,43 +571,34 @@ def _fixed_rule(gate: GateMatrix, fpos: tuple) -> tuple | None:
     rule = None
     if len(constant) == 1 and len(const := constant.pop()) == len(fpos):
         rest = [w for w in range(a) if w not in const]
-        moves = []
-        for row in outs:  # the live output value of each live input value
-            image = [sum(bit(o, w) << (len(rest) - 1 - k) for k, w in enumerate(rest)) for o in row]
-            moves.append(tuple((d, s) for s, d in enumerate(image) if d != s))
-        bits = np.array([[bit(row[0], w) for w in const] for row in outs], dtype=np.int64)
-        rule = (const, bits, tuple(moves))
+        # each live input value must come out as the same value on the rest
+        images = [[sum(bit(o, w) << (len(rest) - 1 - k) for k, w in enumerate(rest)) for o in row] for row in outs]
+        if all(image == list(range(len(live))) for image in images):
+            rule = (const, np.array([[bit(row[0], w) for w in const] for row in outs], dtype=np.int64))
     gate.rules[fpos] = rule
     return rule
 
 
 def _relabel(state: StateVector, targets: tuple, fpos: tuple, rule: tuple, rows: np.ndarray | None) -> None:
-    """A permutation gate by its fixed rule: each row's pattern of fixed
-    bits moves the live target slabs by that pattern's live map (in the
-    one block the live targets are merged into), the constant wires' qubits
-    take their bits, and the live target axes are renamed to the other
-    targets' qubits, then put back in qubit order."""
-    const, bits, moves = rule
+    """A permutation gate by its fixed rule: the constant wires' qubits
+    take their bits (each row's by its pattern of fixed bits), and the
+    live target axes are renamed to the other targets' qubits, in the one
+    block the live targets are merged into, then put back in qubit order."""
+    const, bits = rule
     fixed = state.fixed
     pattern = 0
     for j in fpos:
         pattern = (pattern << 1) | fixed[targets[j]]
     old = [t for j, t in enumerate(targets) if j not in fpos]
-    block = _gather(state, old) if old else None
-    for p, live_map in enumerate(moves):
-        if live_map:
-            # the rows whose pattern is p
-            hit = pattern == p if rows is None else (pattern == p) & rows
-            axes = tuple(bisect_left(block.qubits, t) for t in old)
-            _on_rows(state, block, hit, lambda amps: _move(amps, len(block.qubits), live_map, axes))
+    new = [t for j, t in enumerate(targets) if j not in const]
+    block = _gather(state, old) if new != old else None
     new_bits = bits[pattern]
     for k, j in enumerate(const):
         bit = new_bits[..., k]
         if rows is not None:
             bit = np.where(rows, bit, fixed[targets[j]])
         fixed[targets[j]] = _compact(bit)
-    new = [t for j, t in enumerate(targets) if j not in const]
-    if new == old:
+    if block is None:
         return
     for j in fpos:
         if j not in const:
@@ -646,17 +615,6 @@ def _relabel(state: StateVector, targets: tuple, fpos: tuple, rule: tuple, rows:
     block.qubits = order
 
 
-def _scale_fixed(state: StateVector, gate: GateMatrix, targets: tuple, rows: np.ndarray | None) -> None:
-    """A diagonal gate whose targets are all fixed: the targets' bits (per
-    row where they differ) pick the phase that scales a block."""
-    pattern = 0
-    for t in targets:
-        pattern = (pattern << 1) | state.fixed[t]
-    phase = gate.diagonal[pattern] if rows is None else np.where(rows, gate.diagonal[pattern], 1)
-    if np.count_nonzero(phase != 1):
-        _absorb(state, Block(phase[..., None].astype(complex), []))
-
-
 def apply_gate(
     state: StateVector,
     gate: GateMatrix,
@@ -667,19 +625,16 @@ def apply_gate(
 
     The first listed target is the gate's most significant wire. `rows`, a
     boolean per-row value of a split state, limits the gate to the rows it
-    marks; the others are left as they are. A diagonal gate on fixed qubits
-    only scales a block. A permutation gate with fixed targets keeps as
-    many qubits fixed when its fixed rule allows (see _fixed_rule; under a
-    `rows` mask only when the same qubits stay fixed): a SWAP of a live and
-    a fixed qubit renames an axis, a CNOT with a fixed control is an X on
-    the rows where the control reads 1. Any other gate merges the blocks
-    of its targets into one, which its fixed targets join.
+    marks; the others are left as they are. A gate with fixed targets
+    takes one of two paths. A permutation whose fixed rule allows it (see
+    _fixed_rule; under a `rows` mask only when the same qubits stay fixed)
+    relabels: it rewrites the fixed bits and renames axes, so an X on a
+    fixed qubit rewrites its bit and a SWAP of a live and a fixed qubit
+    renames an axis. Any other gate merges the blocks of its targets into
+    one, which its fixed targets join.
     """
     targets = _check_targets(state, targets, gate.arity)
     fpos = tuple(j for j, t in enumerate(targets) if t in state.fixed)
-    if fpos and gate.kind == "diagonal" and len(fpos) == len(targets):
-        _scale_fixed(state, gate, targets, rows)
-        return
     if fpos and gate.kind == "permutation":
         rule = _fixed_rule(gate, fpos)
         if rule is not None and (rows is None or rule[0] == fpos):
@@ -761,13 +716,14 @@ def _bits(value, what: str) -> np.ndarray:
 def _drop(state: StateVector, block: Block, qubit: int, amps: np.ndarray, outcome: np.ndarray) -> None:
     """Give `block` the amplitudes `amps`, which no longer have `qubit`'s
     axis, and record the qubit as fixed at `outcome`. A block left without
-    qubits is multiplied into another, if there is one."""
+    qubits (a phase per row) is multiplied into the first other block, if
+    there is one."""
     block.amps = amps
     block.qubits.remove(qubit)
     state.fixed[qubit] = outcome
     if not block.qubits and len(state.blocks) > 1:
         state.blocks.remove(block)
-        _absorb(state, block)
+        state.blocks[0] = _product([state.blocks[0], block])
 
 
 def measure(

@@ -307,9 +307,9 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     failure lays them out one per row and labels them. The blocks are the
     same for every run: which qubits a gate leaves live, and which blocks it
     merges, depends only on which of its targets are fixed, never on their
-    bits (qstate._fixed_rule), and the protocols' classically controlled
-    corrections are Pauli gates, which keep fixed qubits fixed, so the live
-    qubits depend on neither outcome nor input. A run that raises
+    bits (qstate._fixed_rule), and a classically controlled correction
+    takes the same path on the rows it fires on and the rows it skips, so
+    the live qubits depend on neither outcome nor input. A run that raises
     CatnetError fails under its label range (first..last) with the error's
     class and message, and its inputs skip the probability-sum check; the
     sweep goes on with the next run, and any other exception propagates.
@@ -572,7 +572,7 @@ def verify_multi_control(*, seed: int = 0, branches: str = "exhaustive", samples
     return _verify(_Sweep("multi-control"), [case], branches, expect, details={"inputs": len(inputs)})
 
 
-def verify_decompose_c4x(*, seed: int = 0, branches: str = "exhaustive", samples: int = 16) -> ProtocolReport:
+def verify_decompose_c4x(*, seed: int = 0, branches: str = "exhaustive", samples: int = 268) -> ProtocolReport:
     """Criterion: 64-state equality with the direct 4-control X, both layouts.
 
     The monolithic layout measures nothing, so its 64 basis states are the
@@ -592,16 +592,17 @@ def verify_decompose_c4x(*, seed: int = 0, branches: str = "exhaustive", samples
     def run(section: str, qubits: list[QubitAddress]) -> Callable[[Network], list]:
         return lambda net: [(section, decompose_multi_control_x(net, qubits[:4], *qubits[4:]))]
 
+    per_input = max(1, samples // len(inputs))
     cases = [
         Case([("M", 6, 0)], 0, mono_inputs, run("monolithic", mono), mono, c4x),
-        Case(spec, 2, inputs, run("distributed", order), order, c4x, max(1, samples // 4), zero=_channels(spec)),
+        Case(spec, 2, inputs, run("distributed", order), order, c4x, per_input, zero=_channels(spec)),
     ]
     expect = {"monolithic": {"ebits": 0, "cbits": 0}, "distributed": {"ebits": 1, "cbits": 2}}
     details = {"basis_states": 64}
     return _verify(_Sweep("decompose-c4x"), cases, branches, expect, section="distributed", details=details)
 
 
-def verify_amortized(*, seed: int = 0, branches: str = "exhaustive", samples: int = 16) -> ProtocolReport:
+def verify_amortized(*, seed: int = 0, branches: str = "exhaustive", samples: int = 48) -> ProtocolReport:
     """Criterion: a k-gate controlled run costs (1, 2) for k in {1, 2, 5, 10}."""
     rng = random.Random(seed)
     singles = [H, make_rk(2), X, Z]
@@ -614,17 +615,18 @@ def verify_amortized(*, seed: int = 0, branches: str = "exhaustive", samples: in
     for g, tg in sequence:
         embedded = _embed(make_controlled(ControlledSpec(1, g)).matrix, 3, [0] + [index[t] for t in tg])
         ideals.append(embedded @ ideals[-1])
-    cases, expect = [], {}
-    for k in (1, 2, 5, 10):
+    cases, expect, gate_counts = [], {}, (1, 2, 5, 10)
+    for k in gate_counts:
         gates, ideal = sequence[:k], _apply(ideals[k])
 
         def run(net: Network, gates=gates, k=k) -> list:
             return [(f"k{k}", nonlocal_controlled_sequence(net, ctrl, gates))]
 
         inputs = _inputs(rng, 3, 3, seed + k * 31, f"k{k}:input")
-        cases.append(Case([("A", 1, 1), ("B", 2, 1)], 2, inputs, run, [ctrl, b0, b1], ideal, max(1, samples // 4)))
+        per_input = max(1, samples // (len(gate_counts) * len(inputs)))
+        cases.append(Case([("A", 1, 1), ("B", 2, 1)], 2, inputs, run, [ctrl, b0, b1], ideal, per_input))
         expect[f"k{k}"] = {"ebits": 1, "cbits": 2}
-    details = {"gate_counts": [1, 2, 5, 10]}
+    details = {"gate_counts": list(gate_counts)}
     return _verify(_Sweep("amortized"), cases, branches, expect, section="k10", details=details)
 
 

@@ -151,7 +151,8 @@ def test_divergent_cat_check_raises():
 def test_divergent_reset_precondition_raises():
     net, rec = split_plus()
     net.local_apply(X, [net.reg("A", 1)])
-    flip = net.measure(net.reg("A", 1), forced=1)  # reads 1 on every row
+    net.force_outcomes([1])
+    flip = net.measure(net.reg("A", 1))  # reads 1 on every row
     # rec XOR flip is 1 on row 0 only, so A[0] leaves its recorded |0> there alone
     net.classically_controlled_apply([rec, flip], X, net.reg("A"))
     with pytest.raises(BranchDivergenceError):

@@ -126,11 +126,17 @@ def test_missing_unnamed_section_is_labelled_by_its_verifier(capsys, monkeypatch
     assert missing >= {"nonlocal-cnot", "teleport", "distributed-swap", "multi-control", "parallel-control"}
 
 
-@pytest.mark.parametrize("samples, branches", [(5, 10), (45, 40)])
-def test_samples_are_spread_over_inputs(samples, branches, capsys):
-    """--samples N is a total: nonlocal-cnot gives each of its 10 inputs
-    N // 10 runs, and at least one."""
-    argv = ["verify", "nonlocal-cnot", "--branches", "sampled", "--samples", str(samples)]
+@pytest.mark.parametrize(
+    "protocol, samples, branches",
+    [("nonlocal-cnot", 5, 10), ("nonlocal-cnot", 45, 40), ("decompose-c4x", 100, 131), ("amortized", 100, 96)],
+    ids=["5-10", "45-40", "decompose-c4x", "amortized"],
+)
+def test_samples_are_spread_over_inputs(protocol, samples, branches, capsys):
+    """--samples N is a total: a protocol gives each of its inputs N //
+    inputs runs, and at least one. nonlocal-cnot has 10 inputs,
+    decompose-c4x 67 distributed ones (its 64 monolithic basis states
+    measure nothing and run once each), and amortized 12 over its 4 cases."""
+    argv = ["verify", protocol, "--branches", "sampled", "--samples", str(samples)]
     code, out, _ = run_main(argv, capsys)
     assert code == 0
     assert json.loads(out)[0]["branches_tested"] == branches

@@ -1,12 +1,12 @@
 """The factored state: live qubits in blocks, every other qubit fixed.
 
 A state built from basis_state starts with every qubit fixed and runs each
-kernel on whichever path its qubits call for: bit updates, phase scaling,
-re-inserted axes, merged blocks, widened or shared rows or the slab
-kernels. The reference is the same state kept dense: it is rebuilt as one
-block of every qubit and one stored row per row before each operation, so
-every operation on it runs the slab kernels over all 2^n amplitudes of
-every row.
+kernel on whichever path its qubits call for: bit updates and renamed
+axes, merged blocks with re-inserted axes, widened or shared rows or the
+slab kernels. The reference is the same state kept dense: it is rebuilt as
+one block of every qubit and one stored row per row before each
+operation, so every operation on it runs the slab kernels over all 2^n
+amplitudes of every row.
 """
 
 import functools
@@ -423,10 +423,11 @@ def test_amplitudes_are_a_read_only_snapshot():
 def test_fixed_qubits_change_only_their_bits():
     state = basis_state(3, 0b100)
     apply_gate(state, CNOT, [0, 2])
-    apply_gate(state, Z, [2])
-    # one block without qubits carries the phase
     assert [b.qubits for b in state.blocks] == [[]] and state.fixed == {0: 1, 1: 0, 2: 1}
-    assert np.allclose(state.blocks[0].amps, [[-1]])
+    # a diagonal gate on a fixed qubit merges it into the block without qubits
+    apply_gate(state, Z, [2])
+    assert [b.qubits for b in state.blocks] == [[2]] and state.fixed == {0: 1, 1: 0}
+    assert np.allclose(state.amplitudes, -np.eye(8)[0b101])
     assert qstate.partial_state_check(state, 2, 1)
 
 

@@ -124,7 +124,8 @@ def test_messages_charge_rounds():
 def test_measure_forced_and_queued():
     net = Network([("A", 1, 0)], seed=0)
     net.local_apply(H, [net.reg("A")])
-    rec = net.measure(net.reg("A"), forced=1)
+    net.force_outcomes([1])
+    rec = net.measure(net.reg("A"))
     assert rec.outcome == 1
     assert rec.address == net.reg("A")
     assert abs(rec.probability - 0.5) < 1e-12
@@ -145,8 +146,9 @@ def test_force_outcomes_queue():
 
 def test_measure_impossible_branch():
     net = Network([("A", 1, 0)])
+    net.force_outcomes([1])
     with pytest.raises(ImpossibleBranchError):
-        net.measure(net.reg("A"), forced=1)
+        net.measure(net.reg("A"))
 
 
 def test_seeded_runs_are_reproducible():
@@ -191,7 +193,8 @@ def test_forced_run_never_loads_numpy_random():
 def test_measure_x_is_one_round():
     net = Network([("A", 1, 0)])
     net.local_apply(H, [net.reg("A")])  # |+> is the X-basis 0 state
-    rec = net.measure_x(net.reg("A"), forced=0)
+    net.force_outcomes([0])
+    rec = net.measure_x(net.reg("A"))
     assert rec.outcome == 0
     assert abs(rec.probability - 1.0) < 1e-10
     assert net.ledger.rounds == 2  # the H prep and the one measurement step
@@ -201,7 +204,8 @@ def test_last_record():
     net = Network([("A", 1, 0)], seed=0)
     assert net.last_record(net.reg("A")) is None
     net.local_apply(H, [net.reg("A")])
-    rec = net.measure(net.reg("A"), forced=0)
+    net.force_outcomes([0])
+    rec = net.measure(net.reg("A"))
     assert net.last_record(net.reg("A")) is rec
 
 
@@ -245,7 +249,8 @@ def test_controlled_apply_charges_round_even_when_idle():
     for outcome in (0, 1):
         net = Network([("A", 1, 0), ("B", 1, 0)], seed=0)
         net.local_apply(H, [net.reg("A")])
-        rec = net.measure(net.reg("A"), forced=outcome)
+        net.force_outcomes([outcome])
+        rec = net.measure(net.reg("A"))
         msg = net.send_cbit(ClassicalMessage("A", "B", rec.outcome, "ctl"))
         net.classically_controlled_apply([msg], X, [net.reg("B")])
         rounds.append(net.ledger.rounds)
@@ -266,7 +271,8 @@ def test_controlled_apply_xors_controls():
 def test_controlled_apply_needs_the_bit_delivered():
     net = two_nodes(seed=0)
     net.local_apply(H, [net.reg("A")])
-    rec = net.measure(net.reg("A"), forced=1)
+    net.force_outcomes([1])
+    rec = net.measure(net.reg("A"))
     # B never received the outcome: using A's record at B is acausal
     with pytest.raises(CausalityError):
         net.classically_controlled_apply([rec], X, [net.reg("B")])
@@ -278,7 +284,8 @@ def test_controlled_apply_needs_the_bit_delivered():
 def test_controlled_apply_rejects_foreign_message():
     net = Network([("A", 1, 0), ("B", 1, 0), ("C", 1, 0)], seed=0)
     net.local_apply(H, [net.reg("A")])
-    rec = net.measure(net.reg("A"), forced=1)
+    net.force_outcomes([1])
+    rec = net.measure(net.reg("A"))
     msg = net.send_cbit(ClassicalMessage("A", "B", rec.outcome, "fix"))
     with pytest.raises(CausalityError):
         net.classically_controlled_apply([msg], X, [net.reg("C")])
@@ -331,7 +338,8 @@ def test_preshare_epr_makes_a_bell_pair_uncharged():
     net = two_nodes()
     net.preshare_epr(net.chan("A"), net.chan("B"))
     assert net.ledger.as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
-    rec = net.measure(net.chan("A"), forced=1)
+    net.force_outcomes([1])
+    rec = net.measure(net.chan("A"))
     assert abs(rec.probability - 0.5) < 1e-12
     assert net.qubit_is(net.chan("B"), 1)
 
@@ -442,9 +450,10 @@ def test_operations_write_into_one_buffer():
     net.local_apply(H, [net.reg("A", 1)])
     net.preshare_epr(net.chan("A"), net.chan("B"))
     assert [b.qubits for b in state.blocks] == [[0], [1], [2, 4]]
-    rec = net.measure(net.chan("A"), forced=1)
+    net.force_outcomes([1, 0])
+    rec = net.measure(net.chan("A"))
     net.classically_controlled_apply(rec, X, net.chan("A"))
-    net.measure_x(net.reg("A", 1), forced=0)
+    net.measure_x(net.reg("A", 1))
     assert net.state is state
     # A's channel and second register are fixed; B's channel is |1> but live
     assert [b.qubits for b in state.blocks] == [[0], [4]] and state.fixed == {1: 0, 2: 0, 3: 0}

@@ -138,7 +138,8 @@ def test_reset_rejects_stale_record():
     erased by bookkeeping."""
     net = Network([("A", 1, 1)], seed=0)
     net.local_apply(H, [net.chan("A")])
-    rec = net.measure(net.chan("A"), forced=0)
+    net.force_outcomes([0])
+    rec = net.measure(net.chan("A"))
     net.local_apply(H, [net.chan("A")])  # now |+>, not the recorded |0>
     with pytest.raises(CannotResetError):
         reset_channel_qubits(net, [rec])

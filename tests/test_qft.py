@@ -85,13 +85,6 @@ def test_circuit_on_a_subset_of_qubits():
     assert np.allclose(out.amplitudes, want, atol=1e-10)
 
 
-def test_inverse_circuit_round_trips():
-    rng = np.random.default_rng(2)
-    state = random_state(4, rng)
-    back = qft_local(qft_local(state, [0, 1, 2, 3]), [0, 1, 2, 3], inverse=True)
-    assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-10)
-
-
 # ---- plan arithmetic -------------------------------------------------------------
 
 
