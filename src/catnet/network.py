@@ -455,10 +455,13 @@ class Network:
     def qubit_is(self, addr: QubitAddress, bit: int | np.ndarray) -> bool:
         """True when the qubit at addr reads `bit` with probability 1.
 
-        `bit` may be per-row bits (a measurement outcome, say). Every row
-        must give the same answer, or the probe raises
+        `bit` may be per-row bits (a measurement outcome, say); any value
+        but 0 or 1 raises ValueError, whether the qubit is fixed or live.
+        Every row must give the same answer, or the probe raises
         BranchDivergenceError.
         """
+        if isinstance(bit, np.ndarray) or bit not in (0, 1):
+            bit = qstate._bits(bit, "expected bit")
         answer = qstate.partial_state_check(self.state, self.global_index(addr), bit)
         return _one_answer(answer, "the expected bit on", [addr])
 

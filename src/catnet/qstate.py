@@ -16,19 +16,18 @@ and every qubit in no block is fixed: it sits in a computational-basis
 state, recorded as one bit. Qubits enter a block only through a gate and
 leave it only through a measurement, which keeps the outcome's half,
 renormalized, and drops the qubit's axis; basis_state starts every qubit
-fixed. A gate with fixed targets takes one of two paths. It relabels when
-it is a permutation that keeps as many output wires constant as it has
-fixed targets and carries its live inputs unmoved onto the other outputs
-(_fixed_rule): a permutation on fixed qubits only rewrites their bits, and
-a SWAP of a live and a fixed qubit renames an axis. Every other gate
-merges: the blocks its targets lie in are multiplied out into one, which
-its fixed targets join at their recorded bits, and a gate on fixed qubits
-alone starts a block of its own. Which qubits are live and how they
-group into blocks thus depends on which qubits are fixed, never on their
-bits or on any amplitude, so the gate path runs no separability test and
-no decomposition. Probes of a fixed qubit compare bits, and probes of
-live qubits read the merged block of the qubits they name: every other
-block is a factor of norm 1.
+fixed. A gate with fixed targets takes one of two paths. Two gates
+relabel (_relabel): an X on a fixed qubit flips its bit, on the rows a
+mask marks, and an unmasked SWAP of a live and a fixed qubit moves the bit
+onto the live qubit and renames the live axis after the fixed qubit.
+Every other gate merges: the blocks its targets lie in are multiplied out
+into one, which its fixed targets join at their recorded bits, and a gate
+on fixed qubits alone starts a block of its own. Which qubits are live
+and how they group into blocks thus depends on which qubits are fixed,
+never on their bits or on any amplitude, so the gate path runs no
+separability test and no decomposition. Probes of a fixed qubit compare
+bits, and probes of live qubits read the merged block of the qubits they
+name: every other block is a factor of norm 1.
 
 Kernels work on the (2,)*L view of a block, one axis per live qubit in
 ascending qubit order, after its row axis. Fixing the target axes to the
@@ -95,12 +94,11 @@ class GateMatrix:
     (destination, source) row pairs a permutation moves and the row each
     source row goes to (a tuple of ints), the (row, phase) pairs of a
     diagonal whose phase is not 1, and the (2,)*2a tensor of the matrix.
-    `rules` memoizes a permutation's fixed rules (_fixed_rule), one per set
-    of fixed wire positions: whether the gate relabels fixed qubits or
-    merges them.
+    A permutation whose image is X's or SWAP's relabels fixed qubits
+    (_relabel); every other gate merges them.
     """
 
-    __slots__ = ("matrix", "arity", "kind", "tensor", "moves", "image", "phases", "rules")
+    __slots__ = ("matrix", "arity", "kind", "tensor", "moves", "image", "phases")
 
     def __init__(self, matrix) -> None:
         m = np.array(matrix, dtype=complex)
@@ -116,7 +114,6 @@ class GateMatrix:
         self.matrix = m
         self.arity = arity
         self.tensor = m.reshape((2,) * (2 * arity))
-        self.rules: dict[tuple, tuple | None] = {}
         self._classify()
 
     def _classify(self) -> None:
@@ -367,25 +364,19 @@ def _on_rows(state: StateVector, block: Block, rows: np.ndarray, kernel) -> None
     """Run `kernel` in place on the block's amplitudes of the rows that the
     per-row mask `rows` marks, and leave the others as they are.
 
-    A mask that marks no row runs nothing, and one that marks every row
-    runs the kernel once on the block itself. Otherwise the kernel runs
-    once on a copy that holds a row per combination of the axes the block
-    and the mask vary along, one np.where keeps its result where the mask
-    reads True, and along each axis of the mask the block is cut to one
-    slice where its slices came out bitwise equal, as they do once a
-    correction makes branches agree.
+    The kernel runs once on a copy that holds a row per combination of the
+    axes the block and the mask vary along, one np.where keeps its result
+    where the mask reads True, and along each axis of the mask the block is
+    cut to one slice where its slices came out bitwise equal, as they do
+    once a correction makes branches agree.
     """
-    hits = np.count_nonzero(rows)
-    if hits == rows.size:
-        kernel(block.amps)
-    elif hits:
-        old = block.amps
-        lead = np.broadcast(old[..., 0], rows).shape
-        block.amps = np.broadcast_to(old, lead + old.shape[-1:]).copy()
-        _note(state)
-        kernel(block.amps)
-        axes = [len(lead) - rows.ndim + ax for ax, size in enumerate(rows.shape) if size > 1]
-        block.amps = np.ascontiguousarray(_cut(np.where(rows[..., None], block.amps, old), axes))
+    old = block.amps
+    lead = np.broadcast(old[..., 0], rows).shape
+    block.amps = np.broadcast_to(old, lead + old.shape[-1:]).copy()
+    _note(state)
+    kernel(block.amps)
+    axes = [len(lead) - rows.ndim + ax for ax, size in enumerate(rows.shape) if size > 1]
+    block.amps = np.ascontiguousarray(_cut(np.where(rows[..., None], block.amps, old), axes))
 
 
 def _block_of(state: StateVector, qubit: int) -> Block:
@@ -413,12 +404,19 @@ def _product(blocks: Sequence[Block]) -> Block:
         amps = np.multiply(amps[..., :, None], b.amps[..., None, :], order="C")
         amps = amps.reshape(amps.shape[:-2] + (-1,))
         qubits += b.qubits
+    return Block(*_in_qubit_order(amps, qubits))
+
+
+def _in_qubit_order(amps: np.ndarray, qubits: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Amplitudes whose axes belong to `qubits`, in that order, with the axes
+    put in ascending qubit order (a copy only when they were not), and the
+    sorted qubits."""
     if qubits != sorted(qubits):
         lead = amps.ndim - 1
         order = sorted(range(len(qubits)), key=qubits.__getitem__)
         psi = np.transpose(_qubit_view(amps, len(qubits)), [*range(lead), *(lead + k for k in order)])
         amps = np.ascontiguousarray(psi).reshape(amps.shape)
-    return Block(amps, sorted(qubits))
+    return amps, sorted(qubits)
 
 
 _OUTCOMES = np.arange(2)[:, None]  # a qubit's two bits, on the axis before a block's last
@@ -537,82 +535,31 @@ def _apply(amps: np.ndarray, n: int, gate: GateMatrix, targets: tuple) -> None:
         block *= phase
 
 
-def _fixed_rule(gate: GateMatrix, fpos: tuple) -> tuple | None:
-    """How a permutation gate whose wires at positions `fpos` are fixed
-    keeps as many qubits fixed by relabelling alone, or None when it
-    cannot.
+def _relabel(state: StateVector, gate: GateMatrix, targets: tuple, rows: np.ndarray | None) -> bool:
+    """Apply a permutation gate by relabelling fixed qubits, if it is one of
+    the two gates that can; return whether it was.
 
-    For each pattern of bits on the fixed wires, the gate maps the inputs
-    that vary the other (live) wires onto outputs. The rule is (const,
-    bits) when, for every pattern, the same output wires, as many as
-    `fpos`, read a constant bit and the live input wires land unmoved on
-    the remaining output wires, both in ascending wire order: the constant
-    wires, and their bits per pattern (a (2^f, f) array, patterns read
-    first wire = most significant bit). The rule depends on which wires are
-    fixed only, never on their bits. It is derived once per `fpos`, in
-    plain ints from the gate's image, and kept on the gate: at most
-    2^arity entries.
+    An X on a fixed qubit flips its bit, on the rows the mask `rows` marks.
+    An unmasked SWAP of a live and a fixed qubit moves the bit onto the
+    live qubit and renames the live axis after the fixed qubit, then puts
+    the block's axes back in qubit order. A gate is recognised by its
+    image, so one built equal to X or SWAP counts too.
     """
-    if fpos in gate.rules:
-        return gate.rules[fpos]
-    a = gate.arity
-    lpos = [j for j in range(a) if j not in fpos]
-
-    def bit(index: int, wire: int) -> int:
-        return (index >> (a - 1 - wire)) & 1
-
-    def spread(value: int, wires) -> int:  # value's bits, first = MSB, on those wires
-        return sum(((value >> (len(wires) - 1 - k)) & 1) << (a - 1 - w) for k, w in enumerate(wires))
-
-    live = [spread(v, lpos) for v in range(2 ** len(lpos))]
-    # the output index of every input, by (pattern, live value)
-    outs = [[gate.image[spread(p, fpos) | x] for x in live] for p in range(2 ** len(fpos))]
-    constant = {tuple(w for w in range(a) if len({bit(o, w) for o in row}) == 1) for row in outs}
-    rule = None
-    if len(constant) == 1 and len(const := constant.pop()) == len(fpos):
-        rest = [w for w in range(a) if w not in const]
-        # each live input value must come out as the same value on the rest
-        images = [[sum(bit(o, w) << (len(rest) - 1 - k) for k, w in enumerate(rest)) for o in row] for row in outs]
-        if all(image == list(range(len(live))) for image in images):
-            rule = (const, np.array([[bit(row[0], w) for w in const] for row in outs], dtype=np.int64))
-    gate.rules[fpos] = rule
-    return rule
-
-
-def _relabel(state: StateVector, targets: tuple, fpos: tuple, rule: tuple, rows: np.ndarray | None) -> None:
-    """A permutation gate by its fixed rule: the constant wires' qubits
-    take their bits (each row's by its pattern of fixed bits), and the
-    live target axes are renamed to the other targets' qubits, in the one
-    block the live targets are merged into, then put back in qubit order."""
-    const, bits = rule
     fixed = state.fixed
-    pattern = 0
-    for j in fpos:
-        pattern = (pattern << 1) | fixed[targets[j]]
-    old = [t for j, t in enumerate(targets) if j not in fpos]
-    new = [t for j, t in enumerate(targets) if j not in const]
-    block = _gather(state, old) if new != old else None
-    new_bits = bits[pattern]
-    for k, j in enumerate(const):
-        bit = new_bits[..., k]
-        if rows is not None:
-            bit = np.where(rows, bit, fixed[targets[j]])
-        fixed[targets[j]] = _compact(bit)
-    if block is None:
-        return
-    for j in fpos:
-        if j not in const:
-            del fixed[targets[j]]
-    axis = {q: k for k, q in enumerate(block.qubits)}
-    moved = [axis.pop(t) for t in old]
-    axis.update(zip(new, moved))
-    order = sorted(axis)
-    source = [axis[q] for q in order]
-    if source != sorted(source):
-        lead = block.amps.ndim - 1
-        psi = np.transpose(_qubit_view(block.amps, len(order)), [*range(lead), *(lead + k for k in source)])
-        block.amps = np.ascontiguousarray(psi).reshape(block.amps.shape)
-    block.qubits = order
+    if gate.image == (1, 0):
+        (t,) = targets
+        if t not in fixed:
+            return False
+        bit = 1 - fixed[t]
+        fixed[t] = bit if rows is None else _compact(np.where(rows, bit, fixed[t]))
+        return True
+    if gate.image != (0, 2, 1, 3) or rows is not None or (targets[0] in fixed) == (targets[1] in fixed):
+        return False
+    live, gone = targets if targets[1] in fixed else targets[::-1]
+    block = _block_of(state, live)
+    fixed[live] = fixed.pop(gone)
+    block.amps, block.qubits = _in_qubit_order(block.amps, [gone if q == live else q for q in block.qubits])
+    return True
 
 
 def apply_gate(
@@ -626,20 +573,14 @@ def apply_gate(
     The first listed target is the gate's most significant wire. `rows`, a
     boolean per-row value of a split state, limits the gate to the rows it
     marks; the others are left as they are. A gate with fixed targets
-    takes one of two paths. A permutation whose fixed rule allows it (see
-    _fixed_rule; under a `rows` mask only when the same qubits stay fixed)
-    relabels: it rewrites the fixed bits and renames axes, so an X on a
-    fixed qubit rewrites its bit and a SWAP of a live and a fixed qubit
-    renames an axis. Any other gate merges the blocks of its targets into
-    one, which its fixed targets join.
+    takes one of two paths. An X on a fixed qubit (masked or not) and an
+    unmasked SWAP of a live and a fixed qubit relabel (_relabel): the X
+    flips the bit and the SWAP renames an axis. Every other gate merges the
+    blocks of its targets into one, which its fixed targets join.
     """
     targets = _check_targets(state, targets, gate.arity)
-    fpos = tuple(j for j, t in enumerate(targets) if t in state.fixed)
-    if fpos and gate.kind == "permutation":
-        rule = _fixed_rule(gate, fpos)
-        if rule is not None and (rows is None or rule[0] == fpos):
-            _relabel(state, targets, fpos, rule, rows)
-            return
+    if gate.kind == "permutation" and _relabel(state, gate, targets, rows):
+        return
     block = _gather(state, targets)
     axes = tuple(bisect_left(block.qubits, t) for t in targets)
     if rows is None:
@@ -822,15 +763,14 @@ def measure_split(state: StateVector, qubit: int) -> MeasurementRecord:
 
 def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarray) -> np.ndarray:
     """Whether `qubit` is |expected> with probability 1 within 1e-10, a
-    per-row value of bools. `expected` may be one bit for every row or a
-    per-row value. On a fixed qubit this compares bits, so anything but the
-    qubit's own bit reads False; on a live one `expected` must be bits.
+    per-row value of bools. `expected` is one bit for every row or per-row
+    bits, validated by the caller. On a fixed qubit this compares bits.
     """
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
     if qubit in state.fixed:
         return _compact(state.fixed[qubit] == expected)
-    return _compact(_weight(state, qubit, 1 - _bits(expected, "expected bit")) <= ATOL)
+    return _compact(_weight(state, qubit, 1 - expected) <= ATOL)
 
 
 def bipartition(state: StateVector, keep: Sequence[int]) -> np.ndarray:

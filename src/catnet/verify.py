@@ -307,7 +307,7 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
     failure lays them out one per row and labels them. The blocks are the
     same for every run: which qubits a gate leaves live, and which blocks it
     merges, depends only on which of its targets are fixed, never on their
-    bits (qstate._fixed_rule), and a classically controlled correction
+    bits (qstate._relabel), and a classically controlled correction
     takes the same path on the rows it fires on and the rows it skips, so
     the live qubits depend on neither outcome nor input. A run that raises
     CatnetError fails under its label range (first..last) with the error's

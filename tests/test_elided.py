@@ -387,9 +387,8 @@ def test_general_gates_on_row_slices_that_are_not_contiguous(targets):
 def test_masked_gates_run_their_kernel_once(monkeypatch):
     """A gate masked to some rows but not all runs its kernel once, however
     many entries the mask marks: the 200 samples of the 6/3 transform mask
-    32 corrections, which mark 3,227 entries between them. A mask that
-    marks every row runs the kernel once and one that marks none not at
-    all."""
+    32 corrections, which mark 3,227 entries between them. The network
+    masks a correction only when some rows fire but not all."""
     on_rows, runs = qstate._on_rows, []
 
     def counted(state, block, rows, kernel):
@@ -405,9 +404,8 @@ def test_masked_gates_run_their_kernel_once(monkeypatch):
 
     monkeypatch.setattr(qstate, "_on_rows", counted)
     assert verify.verify_qft(n=6, m=3, branches="sampled").verified
-    masked = [(hits, calls) for hits, size, calls in runs if 0 < hits < size]
-    assert len(masked) == 32 and sum(hits for hits, _ in masked) == 3227
-    assert all(calls == min(hits, 1) for hits, _, calls in runs)
+    assert all(0 < hits < size and calls == 1 for hits, size, calls in runs)
+    assert len(runs) == 32 and sum(hits for hits, _, _ in runs) == 3227
 
 
 def test_amplitudes_are_a_read_only_snapshot():
@@ -421,14 +419,22 @@ def test_amplitudes_are_a_read_only_snapshot():
 
 
 def test_fixed_qubits_change_only_their_bits():
+    """An X on a fixed qubit and a SWAP of a live and a fixed qubit change
+    only bits and axis names; a CNOT on two fixed qubits merges them."""
     state = basis_state(3, 0b100)
-    apply_gate(state, CNOT, [0, 2])
+    apply_gate(state, X, [2])
     assert [b.qubits for b in state.blocks] == [[]] and state.fixed == {0: 1, 1: 0, 2: 1}
-    # a diagonal gate on a fixed qubit merges it into the block without qubits
-    apply_gate(state, Z, [2])
-    assert [b.qubits for b in state.blocks] == [[2]] and state.fixed == {0: 1, 1: 0}
-    assert np.allclose(state.amplitudes, -np.eye(8)[0b101])
-    assert qstate.partial_state_check(state, 2, 1)
+    # an H on a fixed qubit merges it into the block without qubits
+    apply_gate(state, H, [1])
+    amps = state.blocks[0].amps.copy()
+    apply_gate(state, SWAP, [2, 1])
+    assert [b.qubits for b in state.blocks] == [[2]] and state.fixed == {0: 1, 1: 1}
+    assert np.array_equal(state.blocks[0].amps, amps)
+    # both fixed and no block without qubits left, so a block of their own
+    apply_gate(state, CNOT, [0, 1])
+    assert [b.qubits for b in state.blocks] == [[2], [0, 1]] and state.fixed == {}
+    assert np.allclose(state.amplitudes, (np.eye(8)[0b100] + np.eye(8)[0b101]) / np.sqrt(2))
+    assert qstate.partial_state_check(state, 1, 0)
 
 
 @pytest.mark.parametrize("shape", ["linear", "binary-tree"])

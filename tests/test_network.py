@@ -230,6 +230,20 @@ def test_message_to_is_normalized():
         ClassicalMessage("A", "B", 2, "t")
 
 
+@pytest.mark.parametrize("live", [False, True], ids=["fixed", "live"])
+def test_qubit_is_refuses_a_bit_that_is_not_0_or_1(live):
+    """The expected bit is checked where it enters, so what the probe
+    accepts does not depend on whether the qubit is fixed or live."""
+    net = Network([("A", 2, 1)])
+    if live:
+        net.local_apply(H, [net.reg("A", 1)])
+    addr = net.reg("A", int(live))
+    for bad in (2, -1, 0.5, [0, 2], np.array([1, 2])):
+        with pytest.raises(ValueError, match="expected bit must be 0 or 1"):
+            net.qubit_is(addr, bad)
+    assert net.qubit_is(addr, 0) is not live and net.qubit_is(addr, np.array([0])) is not live
+
+
 # ---- classically controlled gates ---------------------------------------------
 
 

@@ -22,6 +22,7 @@ from catnet.qstate import (
     apply_gate,
     basis_state,
     measure,
+    measure_split,
     partial_state_check,
     pattern_weights,
 )
@@ -158,46 +159,59 @@ def test_gate_kind_classification():
     assert H.kind == "general"
 
 
-def _brute_fixed_rule(gate: GateMatrix, fpos: tuple):
-    """_fixed_rule by sending every basis state through the matrix and
-    reading the output wires as strings of bits."""
-    a = gate.arity
-    lpos = [j for j in range(a) if j not in fpos]
-    outs = []
-    for p in range(2 ** len(fpos)):
-        row = []
-        for v in range(2 ** len(lpos)):
-            bits = dict(zip(fpos, format(p, f"0{len(fpos)}b"))) | dict(zip(lpos, format(v, f"0{len(lpos)}b")))
-            column = gate.matrix[:, int("".join(bits[w] for w in range(a)), 2)]
-            row.append(format(int(np.flatnonzero(column)[0]), f"0{a}b"))
-        outs.append(row)
-    consts = {tuple(w for w in range(a) if len({o[w] for o in row}) == 1) for row in outs}
-    if len(consts) != 1:
-        return None
-    (const,) = consts
-    if len(const) != len(fpos):
-        return None
-    rest = [w for w in range(a) if w not in const]
-    images = [[int("".join(o[w] for w in rest) or "0", 2) for o in row] for row in outs]
-    if any(d != s for image in images for s, d in enumerate(image)):
-        return None  # a live slab moves: the gate merges instead
-    return const, [[int(row[0][w]) for w in const] for row in outs]
+RELABELS = {"X": X, "CNOT": CNOT, "SWAP": SWAP, "TOFFOLI": TOFFOLI, "CYCLE3": CYCLE3}
 
 
-@pytest.mark.parametrize("name", ["X", "CNOT", "SWAP", "TOFFOLI", "C3X", "C4X", "CYCLE3"])
-def test_fixed_rules_match_brute_force(name):
-    from catnet.protocols import C3X
+def _relabel_cases():
+    """Every gate of RELABELS with every nonempty set of fixed target
+    positions, unmasked; X and SWAP masked as well."""
+    for name, gate in RELABELS.items():
+        for size in range(1, gate.arity + 1):
+            for fpos in itertools.combinations(range(gate.arity), size):
+                for masked in (False, True) if name in ("X", "SWAP") else (False,):
+                    label = f"{name}-fixed{''.join(map(str, fpos))}{'-masked' if masked else ''}"
+                    yield pytest.param(name, fpos, masked, id=label)
 
-    gate = {"X": X, "CNOT": CNOT, "SWAP": SWAP, "TOFFOLI": TOFFOLI, "C3X": C3X, "C4X": C4X, "CYCLE3": CYCLE3}[name]
-    for size in range(1, gate.arity + 1):
-        for fpos in itertools.combinations(range(gate.arity), size):
-            want, got = _brute_fixed_rule(gate, fpos), qstate._fixed_rule(gate, fpos)
-            if want is None:
-                assert got is None, fpos
-            else:
-                const, bits = got
-                assert const == want[0], fpos
-                assert bits.shape == (2**size, size) and bits.tolist() == want[1], fpos
+
+@pytest.mark.parametrize("name,fpos,masked", _relabel_cases())
+def test_only_x_and_swap_relabel_fixed_qubits(name, fpos, masked):
+    """An X on a fixed qubit, masked or not, keeps it fixed and flips its
+    bit; an unmasked SWAP of a live and a fixed qubit leaves the other
+    target fixed; every other gate merges its fixed targets into a block.
+    The fixed targets read per-row bits, split off a random state, and the
+    mask is another split's outcome. Either way the amplitudes are those of
+    the same gate on a dense copy."""
+    gate = RELABELS[name]
+    targets = [2, 0, 3][: gate.arity]
+    state = random_state(4, random.Random(23))
+    rows = measure_split(state, 1).outcome == 1 if masked else None
+    for j in fpos:
+        measure_split(state, targets[j])
+    ref = StateVector(4, state.amplitudes.reshape(state.rows, -1))
+    apply_gate(state, gate, targets, rows=rows)
+    apply_gate(ref, gate, targets, rows=None if rows is None else state.per_row(rows))
+    assert np.max(np.abs(state.amplitudes - ref.amplitudes)) < 1e-12
+    if name == "X":
+        stay = {targets[0]}
+    elif name == "SWAP" and len(fpos) == 1 and not masked:
+        stay = {targets[1 - fpos[0]]}
+    else:
+        stay = set()
+    assert {t for t in targets if t in state.fixed} == stay
+
+
+@pytest.mark.parametrize("fire", [True, False])
+def test_a_mask_of_every_row_or_none_blends_like_any_other(fire):
+    """The masked path has no case of its own for a mask that marks every
+    row or none: the blend gives the unmasked gate's amplitudes for the
+    first and leaves them as they were for the second."""
+    state = random_state(3, random.Random(5))
+    measure_split(state, 0)
+    want = state.copy()
+    if fire:
+        apply_gate(want, H, [2])
+    apply_gate(state, H, [2], rows=np.full(state.grid, fire))
+    assert np.max(np.abs(state.amplitudes - want.amplitudes)) < 1e-12
 
 
 def test_apply_gate_bad_targets():
@@ -299,11 +313,6 @@ def _memo_sizes() -> dict[str, int]:
             sizes[name] = obj.cache_info().currsize
         elif isinstance(obj, (dict, list, set)) and not name.startswith("__"):
             sizes[name] = len(obj)
-    # the fixed rules live on each gate, one per set of fixed wire positions
-    for name, obj in vars(gates).items():
-        if isinstance(obj, GateMatrix):
-            assert len(obj.rules) < 2**obj.arity
-            sizes[f"{name}.rules"] = len(obj.rules)
     return sizes
 
 
