@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
 from .protocols import ProtocolReport
 from .verify import VERIFIERS, verify_all, verify_protocol
 
@@ -52,15 +50,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, sweep: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, branches: str | None) -> None:
+        """The shared flags; the sweep flags too unless `branches`, the
+        text that names the default enumeration mode, is None."""
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        if sweep:
+        if branches is not None:
             p.add_argument(
                 "--branches",
                 choices=["exhaustive", "sampled"],
                 default=None,
-                help="forced-branch enumeration mode (default: exhaustive, "
-                "except the qft sweep which defaults to sampled)",
+                help=f"forced-branch enumeration mode (default: {branches})",
             )
             p.add_argument(
                 "--samples",
@@ -77,25 +76,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None, help="qubits (qft only, default 4)")
     p_verify.add_argument("--m", type=int, default=None, help="machines (qft only, default 2)")
     p_verify.add_argument("--amortized", action="store_true", help="qft only")
-    common(p_verify)
+    common(p_verify, "exhaustive, but sampled for verify qft")
 
     p_demo = sub.add_parser("demo", help="one random-branch run with its message trace")
     p_demo.add_argument("protocol", choices=PROTOCOLS)
     p_demo.add_argument("--n", type=int, default=None, help="qubits (qft only, default 4)")
     p_demo.add_argument("--m", type=int, default=None, help="machines (qft only, default 2)")
     p_demo.add_argument("--amortized", action="store_true", help="qft only")
-    common(p_demo, sweep=False)
+    common(p_demo, None)
 
     p_qft = sub.add_parser("qft", help="distributed Fourier transform sweep")
     p_qft.add_argument("--n", type=int, default=4, help="total qubits (multiple of --m)")
     p_qft.add_argument("--m", type=int, default=2, help="number of machines")
     p_qft.add_argument("--amortized", action="store_true", help="regroup repeated control lines")
-    common(p_qft)
+    common(p_qft, "sampled")
 
     p_report = sub.add_parser("report", help="verify every protocol, emit one document")
     p_report.add_argument("--n", type=int, default=4)
     p_report.add_argument("--m", type=int, default=2)
-    common(p_report)
+    common(p_report, "exhaustive")
 
     return parser
 
@@ -151,14 +150,6 @@ def run_verify(config: RunConfig) -> tuple[int, list[ProtocolReport]]:
     return status, reports
 
 
-def _json_default(obj: Any) -> Any:
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 _TEXT_COLUMNS = [
     ("protocol", "{:<18}"),
     ("branches", "{:>10}"),
@@ -194,14 +185,12 @@ def _text_table(reports: Sequence[ProtocolReport]) -> list[str]:
 def emit_report(reports: Sequence[ProtocolReport], format: str = "json") -> str:
     """Serialize reports; identical inputs give byte-identical output."""
     if format == "json":
-        return json.dumps(
-            [r.as_dict() for r in reports], indent=2, sort_keys=True, default=_json_default
-        )
+        return json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True)
     lines = _text_table(reports)
     for r in reports:
         failures = r.details.get("failures", [])
         for f in failures:
-            lines.append(f"  [FAIL] {r.name}: {json.dumps(f, sort_keys=True, default=_json_default)}")
+            lines.append(f"  [FAIL] {r.name}: {json.dumps(f, sort_keys=True)}")
     return "\n".join(lines)
 
 

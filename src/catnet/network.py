@@ -305,18 +305,19 @@ class Network:
         return self._measure(addr, x_basis=True)
 
     def _measure(self, addr: QubitAddress, x_basis: bool) -> MeasurementRecord:
+        """One call of qstate.measure, the one collapse kernel, with the
+        outcome source measure() names: a forced bit, no source for a split,
+        or the rows' generators."""
         addr = self._checked_address(addr)
         gidx = self.global_index(addr)
         self._account_round([gidx])
         if x_basis:
             qstate.apply_gate(self.state, H, [gidx])
         forced = self._forced.popleft() if self._forced else None
-        if forced is None and self._splits:
-            rec = qstate.measure_split(self.state, gidx)
-            self._splits -= 1
-        else:
-            rngs = self.rngs if forced is None else None
-            rec = qstate.measure(self.state, gidx, rngs=rngs, forced=forced)
+        split = forced is None and self._splits > 0
+        rngs = self.rngs if forced is None and not split else None
+        rec = qstate.measure(self.state, gidx, rngs=rngs, forced=forced)
+        self._splits -= split
         self.branch_probability = self.branch_probability * rec.probability
         record = MeasurementRecord(addr, rec.outcome, rec.probability)
         self.records.append(record)
@@ -334,13 +335,14 @@ class Network:
         """Let the next `count` measurements that the forced queue does not
         cover take both outcomes.
 
-        Each such measurement turns row r of the state into rows 2r
-        (outcome 0) and 2r+1 (outcome 1), so after k splits the rows are
-        the 2^k branches in order, the first split outcome the most
-        significant bit of the row index. The rows are stored as a grid
-        with one axis per split (see qstate): only the measured block gains
-        the new axis, and a correction that makes a block's two outcome
-        halves bitwise equal stores them once again.
+        Each such measurement is qstate.measure given no outcome source,
+        which turns row r of the state into rows 2r (outcome 0) and 2r+1
+        (outcome 1), so after k splits the rows are the 2^k branches in
+        order, the first split outcome the most significant bit of the row
+        index. The rows are stored as a grid with one axis per split (see
+        qstate): only the measured block gains the new axis, and a
+        correction that makes a block's two outcome halves bitwise equal
+        stores them once again.
         """
         if count < 0:
             raise ValueError(f"split count must be >= 0, got {count}")
@@ -359,17 +361,31 @@ class Network:
     # ---- classical communication ------------------------------------------
 
     def send_cbit(self, msg: ClassicalMessage) -> ClassicalMessage:
-        """Send one classical bit; each remote recipient costs one cbit."""
+        """Send one classical bit; each remote recipient costs one cbit.
+
+        Per-row bits that do not fit the state's rows raise ValueError
+        before anything is charged or logged.
+        """
         if msg.sender not in self.nodes:
             raise ValueError(f"unknown sender {msg.sender!r}")
         for dest in msg.to:
             if dest not in self.nodes:
                 raise ValueError(f"unknown recipient {dest!r}")
+        self._check_rows(msg.bit, "message bit")
         self._account_round([])
         self.message_log.append(msg)
         self._token_ids.add(id(msg))
         self.ledger.cbits_sent += sum(1 for dest in msg.to if dest != msg.sender)
         return msg
+
+    def _check_rows(self, bits: np.ndarray, what: str) -> None:
+        """Refuse per-row bits that are not a per-row value of the state: an
+        array over the grid's trailing axes, of size 1 or the axis's size
+        along each. An array whose entries are all equal is compacted to one
+        bit for every row before it gets here (qstate._bits)."""
+        grid = self.state.grid
+        if bits.ndim > len(grid) or any(b not in (1, g) for b, g in zip(bits.shape[::-1], grid[::-1])):
+            raise ValueError(f"{what} of shape {bits.shape} does not fit the state's rows (grid {grid})")
 
     def knows(self, token: ControlToken) -> bool:
         """True when the record or message was made by this network."""
@@ -456,12 +472,13 @@ class Network:
         """True when the qubit at addr reads `bit` with probability 1.
 
         `bit` may be per-row bits (a measurement outcome, say); any value
-        but 0 or 1 raises ValueError, whether the qubit is fixed or live.
-        Every row must give the same answer, or the probe raises
-        BranchDivergenceError.
+        but 0 or 1, or per-row bits that do not fit the state's rows, raises
+        ValueError, whether the qubit is fixed or live. Every row must give
+        the same answer, or the probe raises BranchDivergenceError.
         """
         if isinstance(bit, np.ndarray) or bit not in (0, 1):
             bit = qstate._bits(bit, "expected bit")
+            self._check_rows(bit, "expected bit")
         answer = qstate.partial_state_check(self.state, self.global_index(addr), bit)
         return _one_answer(answer, "the expected bit on", [addr])
 

@@ -10,24 +10,24 @@ Conventions used everywhere in this package:
   amplitudes below 1e-12 count as exactly zero when validating forced
   measurement outcomes.
 
-A state is a product of blocks. Each block holds the amplitudes of its
-own live qubits (axes in ascending qubit order) with a leading row axis,
-and every qubit in no block is fixed: it sits in a computational-basis
-state, recorded as one bit. Qubits enter a block only through a gate and
-leave it only through a measurement, which keeps the outcome's half,
-renormalized, and drops the qubit's axis; basis_state starts every qubit
-fixed. A gate with fixed targets takes one of two paths. Two gates
+A state is a product of blocks. Each block holds the amplitudes of its own
+live qubits (axes in ascending qubit order) with a leading row axis, and
+every qubit in no block is fixed: it sits in a computational-basis state,
+recorded as one bit. Qubits enter a block only through a gate and leave it
+only through measure, the one collapse kernel, which keeps the outcome's
+half, renormalized, and drops the qubit's axis; basis_state starts every
+qubit fixed. A gate with fixed targets takes one of two paths. Two gates
 relabel (_relabel): an X on a fixed qubit flips its bit, on the rows a
 mask marks, and an unmasked SWAP of a live and a fixed qubit moves the bit
-onto the live qubit and renames the live axis after the fixed qubit.
-Every other gate merges: the blocks its targets lie in are multiplied out
-into one, which its fixed targets join at their recorded bits, and a gate
-on fixed qubits alone starts a block of its own. Which qubits are live
-and how they group into blocks thus depends on which qubits are fixed,
-never on their bits or on any amplitude, so the gate path runs no
-separability test and no decomposition. Probes of a fixed qubit compare
-bits, and probes of live qubits read the merged block of the qubits they
-name: every other block is a factor of norm 1.
+onto the live qubit and renames the live axis after the fixed qubit. Every
+other gate merges: the blocks its targets lie in are multiplied out into
+one, which its fixed targets join at their recorded bits, and a gate on
+fixed qubits alone starts a block of its own. Which qubits are live and
+how they group into blocks thus depends on which qubits are fixed, never
+on their bits or on any amplitude, so the gate path runs no separability
+test and no decomposition. Probes of a fixed qubit compare bits, and
+probes of live qubits read the merged block of the qubits they name: every
+other block is a factor of norm 1.
 
 Kernels work on the (2,)*L view of a block, one axis per live qubit in
 ascending qubit order, after its row axis. Fixing the target axes to the
@@ -59,10 +59,11 @@ one slice along each axis of the mask whose slices come out bitwise equal,
 so the rows a protocol's corrections make equal are stored once; the rows
 of a stack that are bitwise equal are stored once from the start. Every
 kernel acts on all stored rows at once (apply_gate can be limited to a
-subset of rows), measure_split turns each row into its two outcome rows,
-measure draws each row's outcome from that row's own generator, and the
-probes answer once per stored row; StateVector.per_row lays a value out
-with one entry per row.
+subset of rows). measure takes its outcomes from one of three sources: a
+forced bit, a draw from each row's own generator, or, given neither, both
+outcomes, turning each row into its two outcome rows. The probes answer
+once per stored row; StateVector.per_row lays a value out with one entry
+per row.
 """
 
 from __future__ import annotations
@@ -627,23 +628,6 @@ def _block_weight(block: Block, qubit: int, bit: int) -> np.ndarray:
     return w.reshape(block.amps.shape[:-1])
 
 
-def _weight(state: StateVector, qubit: int, bit: int | np.ndarray) -> np.ndarray:
-    """Probability that `qubit` reads `bit` (one bit for every row, or a
-    per-row value), per row. A fixed qubit reads its own bit with
-    probability exactly 1; a live one is read from its block alone, since
-    every other block has norm 1, each outcome's weight summed from its own
-    slice."""
-    if qubit in state.fixed:
-        return np.asarray(state.fixed[qubit] == bit, dtype=np.float64)
-    block = _block_of(state, qubit)
-    ones = np.count_nonzero(bit)  # each outcome's weight only where some row reads it
-    if ones == np.size(bit):
-        return _block_weight(block, qubit, 1)
-    if not ones:
-        return _block_weight(block, qubit, 0)
-    return np.where(np.equal(bit, 1), _block_weight(block, qubit, 1), _block_weight(block, qubit, 0))
-
-
 def _bits(value, what: str) -> np.ndarray:
     """A bit, or per-row bits, as a compact int64 per-row value (see
     _compact); anything else raises."""
@@ -674,90 +658,77 @@ def measure(
     rngs: Sequence | None = None,
     forced: int | np.ndarray | None = None,
 ) -> MeasurementRecord:
-    """Projective Z measurement of one qubit, collapsing the state in place.
+    """Projective Z measurement of one qubit, collapsing the state in place:
+    the one collapse kernel, whatever the outcomes come from.
 
-    Exactly one of `rngs` / `forced` must be given: sampled outcomes come
-    from the generators, forced outcomes select a branch for deterministic
-    enumeration. The kept half of the qubit's block, rescaled, replaces the
-    block and the qubit becomes fixed at its outcome. Forcing an outcome
-    whose probability is below 1e-12 raises ImpossibleBranchError and
-    leaves the state unchanged.
+    A forced outcome is one bit for every row or a per-row value. `rngs`
+    holds one generator per row, in row order, and each draws once: its
+    row reads 1 when the draw falls below the row's probability of 1. Any
+    other number of generators raises UnforcedOutcomeError, and giving both
+    sources raises ValueError. The kept half of the qubit's block, rescaled,
+    replaces the block and the qubit becomes fixed at its outcome.
 
-    The outcome and its probability are per-row values. A forced outcome
-    may be one bit for every row or a per-row value. `rngs` holds one
-    generator per row, in row order, and each draws once: its row reads 1
-    when the draw falls below the row's probability of 1. Any other number
-    of generators raises UnforcedOutcomeError.
+    Given neither source, both outcomes are kept. Row r becomes rows 2r
+    (outcome 0) and 2r + 1 (outcome 1): the grid gains a new first axis,
+    and of the blocks only the qubit's own varies along it, each of its
+    stored rows split into its two outcome halves in one pass.
+
+    Each half is renormalized by its own weight, summed from its own slice
+    (_block_weight): the kept state then has unit norm exactly, where 1 -
+    p_other would let rounding drift compound over many measurements, and
+    halves that a correction makes equal come out bitwise equal. A fixed
+    qubit reads its own bit with probability exactly 1, so it is left as
+    it is, and cannot be split. The record holds the per-row outcomes and
+    probabilities. An outcome or a branch of probability below 1e-12 raises
+    ImpossibleBranchError and leaves the state unchanged.
     """
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    if (rngs is None) == (forced is None):
-        raise ValueError("supply exactly one of rngs= or forced=")
-    # per-outcome weights summed from their own slices: renormalizing by the
-    # kept slice's weight leaves the state with unit norm exactly, whereas
-    # 1 - p_other would let rounding drift compound over many measurements
-    if forced is None:
+    if rngs is not None and forced is not None:
+        raise ValueError("supply rngs= or forced=, not both")
+    if qubit in state.fixed:
+        weight = lambda bit: np.asarray(state.fixed[qubit] == bit, dtype=np.float64)
+    else:
+        block = _block_of(state, qubit)
+        weight = lambda bit: _block_weight(block, qubit, bit)
+    if rngs is not None:
         if len(rngs) != state.rows:
             raise UnforcedOutcomeError(
                 f"qubit {qubit} is measured on {state.rows} rows with {len(rngs)} generators;"
                 " an outcome needs a forced bit, a split or a generator per row"
             )
         draws = np.array([g.random() for g in rngs])
-        forced = draws.reshape(state.grid[::-1]).T < _weight(state, qubit, 1)
-    outcome = _bits(forced, "forced outcome")
-    p = _compact(_weight(state, qubit, outcome))
-    _require_possible(p, outcome, qubit)
-    if qubit in state.fixed:
-        return MeasurementRecord(qubit, outcome, p)
-    block = _block_of(state, qubit)
-    k = bisect_left(block.qubits, qubit)
-    halves = block.amps.reshape(block.amps.shape[:-1] + (2**k, 2, -1))
-    kept = np.ascontiguousarray(np.where((outcome == 1)[..., None, None], halves[..., 1, :], halves[..., 0, :]))
-    kept /= np.sqrt(p)[..., None, None]
-    _drop(state, block, qubit, kept.reshape(kept.shape[:-2] + (-1,)), outcome)
-    _note(state)  # the outcome's rows may have widened the block
-    return MeasurementRecord(qubit, outcome, p)
-
-
-def _require_possible(p: np.ndarray, outcome: np.ndarray, qubit: int) -> None:
-    """Refuse an outcome whose probability (on some row) is below 1e-12."""
+        forced = draws.reshape(state.grid[::-1]).T < weight(1)
+    if forced is None:
+        w = weight(0), weight(1)
+        lead = (1,) * (len(state.grid) - w[0].ndim) + w[0].shape
+        p = np.array([half.reshape(lead) for half in w])
+        outcome = np.arange(2).reshape((2,) + (1,) * len(lead))
+    else:
+        outcome = _bits(forced, "forced outcome")
+        ones = np.count_nonzero(outcome)  # each outcome's weight only where some row reads it
+        p = weight(1) if ones == outcome.size else weight(0) if not ones else np.where(outcome == 1, weight(1), weight(0))
+        p = _compact(p)
     least = p.min()
     if least < ZERO_CUTOFF:
-        raise ImpossibleBranchError(f"outcome {outcome} on qubit {qubit} has probability {least:.3e}")
-
-
-def measure_split(state: StateVector, qubit: int) -> MeasurementRecord:
-    """Z-measure `qubit` on every row and keep both outcomes, overwriting
-    the state in place.
-
-    Row r becomes rows 2r (outcome 0) and 2r + 1 (outcome 1): the grid
-    gains a new first axis, and of the blocks only the qubit's own varies
-    along it, each of its stored rows split into its two outcome halves,
-    each renormalized by its own weight. The qubit becomes fixed at the
-    row's outcome, and every other block and bit is left as it is. The
-    record holds the per-row outcomes and probabilities. Any branch of
-    probability below 1e-12 raises ImpossibleBranchError and leaves the
-    state unchanged.
-    """
-    n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    if qubit in state.fixed:  # one of its outcomes has probability 0
-        raise ImpossibleBranchError(f"a branch of the split on qubit {qubit} has probability 0.000e+00")
-    block = _block_of(state, qubit)
-    lead = (1,) * (len(state.grid) + 1 - block.amps.ndim) + block.amps.shape[:-1]
-    p = np.array([_block_weight(block, qubit, b).reshape(lead) for b in (0, 1)])
-    if np.count_nonzero(p < ZERO_CUTOFF):
-        raise ImpossibleBranchError(f"a branch of the split on qubit {qubit} has probability {p.min():.3e}")
-    k, r = bisect_left(block.qubits, qubit), len(lead)
-    # both halves in one pass, the outcome axis first
-    halves = block.amps.reshape(lead + (2**k, 2, -1)).transpose(r + 1, *range(r + 1), r + 2)
-    new = np.divide(halves, np.sqrt(p)[..., None, None], order="C")
-    state.grid = (2,) + state.grid
-    outcome = np.arange(2).reshape((2,) + (1,) * len(lead))
-    _drop(state, block, qubit, new.reshape(p.shape + (-1,)), outcome)
-    _note(state)
+        what = "a branch of the split" if forced is None else f"outcome {outcome}"
+        raise ImpossibleBranchError(f"{what} on qubit {qubit} has probability {least:.3e}")
+    if qubit in state.fixed:
+        return MeasurementRecord(qubit, outcome, p)
+    k = bisect_left(block.qubits, qubit)
+    if forced is None:
+        # both halves in one pass, the outcome axis first
+        r = len(lead)
+        halves = block.amps.reshape(lead + (2**k, 2, -1)).transpose(r + 1, *range(r + 1), r + 2)
+        amps = np.divide(halves, np.sqrt(p)[..., None, None], order="C")
+        state.grid = (2,) + state.grid
+    else:
+        halves = block.amps.reshape(block.amps.shape[:-1] + (2**k, 2, -1))
+        amps = np.ascontiguousarray(np.where((outcome == 1)[..., None, None], halves[..., 1, :], halves[..., 0, :]))
+        amps /= np.sqrt(p)[..., None, None]
+    _drop(state, block, qubit, amps.reshape(amps.shape[:-2] + (-1,)), outcome)
+    _note(state)  # the outcome's rows may have widened the block
     return MeasurementRecord(qubit, outcome, p)
 
 
@@ -770,7 +741,9 @@ def partial_state_check(state: StateVector, qubit: int, expected: int | np.ndarr
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
     if qubit in state.fixed:
         return _compact(state.fixed[qubit] == expected)
-    return _compact(_weight(state, qubit, 1 - expected) <= ATOL)
+    block = _block_of(state, qubit)
+    other = np.where(np.equal(expected, 1), _block_weight(block, qubit, 0), _block_weight(block, qubit, 1))
+    return _compact(other <= ATOL)
 
 
 def bipartition(state: StateVector, keep: Sequence[int]) -> np.ndarray:

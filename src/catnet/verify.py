@@ -11,17 +11,20 @@ several whole inputs as rows (a stack for Network.inject_state) and splits
 every outcome. A sampled sweep's positions are input x sample: a run
 carries a row per position, and each row draws its outcomes from a
 generator of its own, the one a run of that row alone would use, so a row
-is its own one-row run. Both are sized by one rule: a run pays a few ms of
-per-op overhead, and the rows that the protocols' corrections make equal
-are stored once, so the 4,096 branches of the amortized 4-qubit, 2-machine
-transform, or 200 samples of the 6-qubit one, are one run at about the
-cost of one. An exhaustive case of more than MAX_POSITIONS positions is
-refused before any run. Each stored row is checked against the ideal and
-for its |0> qubits, and a failure is reported under the label of each row
-it stands for; each input of an exhaustive sweep is checked for branch
-probabilities summing to one, and each section for one ledger in every
-run. A run that breaks a model rule (raises CatnetError) is a failure of
-the positions it held, and the sweep goes on with the next run.
+is its own one-row run. A forced, split or drawn outcome is taken by the
+one collapse kernel (qstate.measure), so the runs differ only in the
+outcome source they give it. Both sweeps are sized by one rule: a run pays
+a few ms of per-op overhead, and the rows that the protocols' corrections
+make equal are stored once, so the 4,096 branches of the amortized
+4-qubit, 2-machine transform, or 200 samples of the 6-qubit one, are one
+run at about the cost of one. An exhaustive case of more than
+MAX_POSITIONS positions is refused before any run. Each stored row is
+checked against the ideal and for its |0> qubits, and a failure is
+reported under the label of each row it stands for; each input of an
+exhaustive sweep is checked for branch probabilities summing to one, and
+each section for one ledger in every run. A run that breaks a model rule
+(raises CatnetError) is a failure of the positions it held, and the sweep
+goes on with the next run.
 
 A case's ideal is a function from its stacked inputs to their expected
 vectors, called once per case, so no verifier builds a 2^n x 2^n operator.

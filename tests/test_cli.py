@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -180,7 +182,16 @@ def test_emit_report_empty_list_is_stable():
     assert emit_report([], "json") == "[]"
 
 
+def _branches_help(parser, command):
+    """The --branches help text of a subcommand."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return next(a.help for a in sub._actions if a.dest == "branches")
+
+
 def test_branches_default_depends_on_command():
+    """The default mode differs by command, and each command's --branches
+    help names it: "default: M" or "default: M, but N for C" names the mode
+    that config_from_args picks for every invocation checked here."""
     parser = build_parser()
     assert config_from_args(parser.parse_args(["verify", "teleport"])).branches == "exhaustive"
     assert config_from_args(parser.parse_args(["verify", "qft"])).branches == "sampled"
@@ -188,6 +199,13 @@ def test_branches_default_depends_on_command():
     assert config_from_args(parser.parse_args(["report"])).branches == "exhaustive"
     args = parser.parse_args(["qft", "--branches", "exhaustive"])
     assert config_from_args(args).branches == "exhaustive"
+    for argv in (["verify", "qft"], ["verify", "all"], ["verify", "teleport"], ["qft"], ["report"]):
+        text = _branches_help(parser, argv[0])
+        named = re.fullmatch(r"forced-branch enumeration mode \(default: (\w+)(?:, but (\w+) for ([\w -]+))?\)", text)
+        assert named, text
+        default, other, where = named.groups()
+        said = other if where == " ".join(argv) else default
+        assert said == config_from_args(parser.parse_args(argv)).branches, (argv, text)
 
 
 def test_run_verify_unknown_protocol_raises():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from catnet import network, protocols, qstate, verify
 from catnet.errors import ImpossibleBranchError
 from catnet.gates import CNOT, CZ, H, SWAP, TOFFOLI, X, Z, ControlledSpec, make_controlled, make_rk
-from catnet.qstate import GateMatrix, StateVector, apply_gate, basis_state, measure, measure_split
+from catnet.qstate import GateMatrix, StateVector, apply_gate, basis_state, measure
 from reference import random_state, reduced_density_matrix
 
 N = 5
@@ -257,7 +257,7 @@ def test_elided_state_matches_dense_copy(data):
                 continue
             measured = block_holding(elided, qubits[0]) or elided.blocks[0]
             untouched = [(list(b.qubits), b.amps.copy()) for b in elided.blocks if b is not measured]
-            recs = both(lambda s: measure_split(s, qubits[0]), elided, ref)
+            recs = both(lambda s: measure(s, qubits[0]), elided, ref)
             if recs[0] is ImpossibleBranchError:
                 continue
             assert np.array_equal(elided.per_row(recs[0].outcome), ref.per_row(recs[1].outcome))
@@ -270,7 +270,7 @@ def test_elided_state_matches_dense_copy(data):
                     (q, a.tolist()) for q, a in untouched
                 ]
             try:
-                measure_split(other, qubits[0])
+                measure(other, qubits[0])
             except ImpossibleBranchError:  # its amplitudes may differ; its blocks may not
                 other = elided
         elif op == "entangle":
@@ -292,7 +292,7 @@ def test_elided_state_matches_dense_copy(data):
                 apply_gate(state, CNOT, pair)
                 apply_gate(state, CNOT, [control, pair[0]])
             stored = block_holding(elided, pair[1]).rows
-            fire = [measure_split(state, pair[0]).outcome == 1 for state in (elided, ref, other)]
+            fire = [measure(state, pair[0]).outcome == 1 for state in (elided, ref, other)]
             if nudge:  # the first amplitude of the block's last stored row that is not 0
                 block = block_holding(elided, pair[1])
                 flat = block.amps.reshape(-1, block.amps.shape[-1])
@@ -346,7 +346,7 @@ def test_parity_corrections_run_on_row_slices(dropped, gate, per_outcome):
         for m in members:
             apply_gate(state, H, [m])
             apply_gate(state, CNOT, [m, target])
-    outcomes = [measure_split(state, m).outcome for m in members]
+    outcomes = [measure(state, m).outcome for m in members]
     masks = outcomes if per_outcome else [functools.reduce(np.bitwise_xor, outcomes)]
     for j, mask in enumerate(masks):
         block = block_holding(state, fixes)
@@ -371,8 +371,8 @@ def test_general_gates_on_row_slices_that_are_not_contiguous(targets):
     the block, rows that no contiguous slice holds: the kernel runs on a
     copy of every row, and the blend keeps its result on the marked rows."""
     state = random_state(N, np.random.default_rng(11))
-    first = measure_split(state, 0).outcome
-    measure_split(state, 1)
+    first = measure(state, 0).outcome
+    measure(state, 1)
     block = block_holding(state, targets[0])
     assert block.amps.shape[:-1] == (2, 2, 1) and not block.amps[:, 1].flags.c_contiguous
     gate = H if len(targets) == 1 else _unitary(4, 5)

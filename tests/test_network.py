@@ -244,6 +244,40 @@ def test_qubit_is_refuses_a_bit_that_is_not_0_or_1(live):
     assert net.qubit_is(addr, 0) is not live and net.qubit_is(addr, np.array([0])) is not live
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["one-row", "split"])
+def test_per_row_bits_must_fit_the_rows(split):
+    """Per-row bits are checked against the state's grid where they enter:
+    a message is refused before it is charged or logged, so no correction
+    can write a fixed bit or a block with more rows than the state has,
+    and a probe raises ValueError rather than BranchDivergenceError. A
+    value over the grid's trailing axes fits, whatever its size-1 axes."""
+    net = two_nodes()
+    if split:
+        net.local_apply(H, [net.reg("A")])
+        net.split_outcomes(1)
+        net.measure(net.reg("A"))
+    assert net.state.grid == ((2, 1) if split else (1,))
+    bad = [np.array([0, 1, 1]), np.array([[0, 1], [1, 0]]), np.array([[[0, 1]]])]
+    if split:
+        bad.append(np.array([0, 1]))  # laid along the input axis, not the split's
+    before = net.ledger.snapshot()
+    for bits in bad:
+        with pytest.raises(ValueError, match="does not fit the state's rows"):
+            net.send_cbit(ClassicalMessage("A", ("B",), bits, "t"))
+        for addr in (net.reg("A"), net.reg("B")):
+            with pytest.raises(ValueError, match="does not fit the state's rows"):
+                net.qubit_is(addr, bits)
+    assert net.ledger.delta_since(before).as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
+    assert net.message_log == []
+    good = np.array([[0], [1]]) if split else np.array([1])
+    msg = net.send_cbit(ClassicalMessage("A", ("B",), good, "t"))
+    net.local_apply(H, [net.reg("B")])
+    net.classically_controlled_apply(msg, Z, net.reg("B"))
+    assert net.state.rows == net.rows == (2 if split else 1)
+    assert all(b.rows <= net.rows for b in net.state.blocks)
+    assert net.qubit_is(net.reg("A"), good) is split
+
+
 # ---- classically controlled gates ---------------------------------------------
 
 

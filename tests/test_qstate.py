@@ -22,7 +22,6 @@ from catnet.qstate import (
     apply_gate,
     basis_state,
     measure,
-    measure_split,
     partial_state_check,
     pattern_weights,
 )
@@ -184,9 +183,9 @@ def test_only_x_and_swap_relabel_fixed_qubits(name, fpos, masked):
     gate = RELABELS[name]
     targets = [2, 0, 3][: gate.arity]
     state = random_state(4, random.Random(23))
-    rows = measure_split(state, 1).outcome == 1 if masked else None
+    rows = measure(state, 1).outcome == 1 if masked else None
     for j in fpos:
-        measure_split(state, targets[j])
+        measure(state, targets[j])
     ref = StateVector(4, state.amplitudes.reshape(state.rows, -1))
     apply_gate(state, gate, targets, rows=rows)
     apply_gate(ref, gate, targets, rows=None if rows is None else state.per_row(rows))
@@ -206,7 +205,7 @@ def test_a_mask_of_every_row_or_none_blends_like_any_other(fire):
     row or none: the blend gives the unmasked gate's amplitudes for the
     first and leaves them as they were for the second."""
     state = random_state(3, random.Random(5))
-    measure_split(state, 0)
+    measure(state, 0)
     want = state.copy()
     if fire:
         apply_gate(want, H, [2])
@@ -346,13 +345,18 @@ def test_measure_impossible_branch():
         measure(basis_state(1, 0), 0, forced=1)
 
 
-def test_measure_needs_exactly_one_source():
+def test_measure_takes_at_most_one_source():
+    """Given neither source, measure keeps both outcomes as two rows; given
+    both, it raises and leaves the state as it was."""
     plus = basis_state(1)
     apply_gate(plus, H, [0])
     with pytest.raises(ValueError):
-        measure(plus, 0)
-    with pytest.raises(ValueError):
         measure(plus, 0, rngs=[random.Random(0)], forced=0)
+    assert plus.rows == 1 and 0 not in plus.fixed
+    rec = measure(plus, 0)
+    assert plus.grid == (2, 1) and np.array_equal(plus.per_row(rec.outcome), [0, 1])
+    assert np.allclose(plus.per_row(rec.probability), [0.5, 0.5])
+    assert np.allclose(plus.amplitudes, np.eye(2))
 
 
 def test_random_vector_is_seeded():
@@ -402,7 +406,7 @@ def test_sampled_outcomes_draw_once_per_row_in_row_order(seed):
     number of generators than one per row is refused."""
     inputs = [random_state(3, random.Random(100 * seed + i)).amplitudes for i in range(3)]
     state = StateVector(3, np.stack(inputs))
-    qstate.measure_split(state, 0)
+    qstate.measure(state, 0)
     assert state.rows == 6
     p1 = np.sum(np.abs(state.amplitudes[:, 0b001::2]) ** 2, axis=1)
     want = np.array([random.Random(seed + r).random() for r in range(state.rows)]) < p1
@@ -411,6 +415,39 @@ def test_sampled_outcomes_draw_once_per_row_in_row_order(seed):
     rec = measure(state, 2, rngs=[random.Random(seed + r) for r in range(state.rows)])
     assert np.array_equal(state.per_row(rec.outcome), want)
     assert np.allclose(state.per_row(rec.probability), np.where(want, p1, 1 - p1))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_a_forced_outcome_keeps_the_half_a_split_keeps(seed):
+    """measure is one kernel for every outcome source. On a random stack of
+    inputs, after earlier splits and corrections masked to their outcomes,
+    forcing outcome b keeps bitwise what the rows of outcome b of a split
+    hold, at a bitwise equal probability. A split of a fixed qubit and a
+    call with both sources raise and leave the state as it was."""
+    rng = random.Random(seed)
+    n = 5
+    state = StateVector(n, np.stack([random_state(n, rng).amplitudes for _ in range(rng.randint(1, 3))]))
+    live = list(range(n))
+    for _ in range(rng.randint(1, 2)):
+        q = live.pop(rng.randrange(len(live)))
+        fire = measure(state, q).outcome == 1
+        apply_gate(state, X, [q], rows=fire)  # the outcome's reset: fixed at 0 on every row again
+        apply_gate(state, rng.choice([X, Z, H]), [rng.choice(live)], rows=fire)
+    before = state.amplitudes.tobytes()
+    with pytest.raises(ImpossibleBranchError, match="a branch of the split"):
+        measure(state, q)
+    with pytest.raises(ValueError, match="not both"):
+        measure(state, live[0], rngs=[random.Random(0)] * state.rows, forced=0)
+    assert q in state.fixed and state.amplitudes.tobytes() == before
+    q = rng.choice(live)
+    split = state.copy()
+    rec = measure(split, q)
+    assert split.rows == 2 * state.rows
+    for b in (0, 1):
+        kept = state.copy()
+        one = measure(kept, q, forced=b)
+        assert split.per_row(rec.probability)[b::2].tobytes() == kept.per_row(one.probability).tobytes()
+        assert split.amplitudes[b::2].tobytes() == kept.amplitudes.reshape(kept.rows, -1).tobytes()
 
 
 def test_measure_collapses_entanglement():
