@@ -19,7 +19,8 @@ class PoolError(CatnetError):
 
 
 class CapacityError(CatnetError):
-    """A node ran out of register or channel slots."""
+    """A node ran out of register or channel slots: the one shortfall error,
+    raised by the allocator every protocol takes its qubits through."""
 
 
 class CausalityError(CatnetError):
@@ -54,7 +55,8 @@ class EntanglementError(PreconditionError):
 
 
 class ResourceError(CatnetError):
-    """An entangled resource was required but not available."""
+    """An entangled resource was required but not available. Raised nowhere
+    yet; kept for checks that a shared pair is spent only once."""
 
 
 class CannotResetError(PreconditionError):

@@ -28,7 +28,7 @@ import functools
 import operator
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
@@ -71,16 +71,19 @@ class ClassicalMessage:
     """A classical bit in flight: sender, recipients, payload, label.
 
     The payload is a per-row value of bits; an int is one bit for every row.
+    `shape` is the payload's shape as given, for send_cbit's row check.
     """
 
     sender: str
     to: tuple[str, ...]
     bit: np.ndarray
     tag: str
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         to = (self.to,) if isinstance(self.to, str) else tuple(self.to)
         object.__setattr__(self, "to", to)
+        object.__setattr__(self, "shape", np.shape(self.bit))
         object.__setattr__(self, "bit", qstate._bits(self.bit, "message bit"))
 
 
@@ -371,21 +374,21 @@ class Network:
         for dest in msg.to:
             if dest not in self.nodes:
                 raise ValueError(f"unknown recipient {dest!r}")
-        self._check_rows(msg.bit, "message bit")
+        self._check_rows(msg.shape, "message bit")
         self._account_round([])
         self.message_log.append(msg)
         self._token_ids.add(id(msg))
         self.ledger.cbits_sent += sum(1 for dest in msg.to if dest != msg.sender)
         return msg
 
-    def _check_rows(self, bits: np.ndarray, what: str) -> None:
-        """Refuse per-row bits that are not a per-row value of the state: an
-        array over the grid's trailing axes, of size 1 or the axis's size
-        along each. An array whose entries are all equal is compacted to one
-        bit for every row before it gets here (qstate._bits)."""
+    def _check_rows(self, shape: tuple[int, ...], what: str) -> None:
+        """Refuse per-row bits whose shape, as given and before qstate._bits
+        compacts them, is not that of a per-row value of the state: an array
+        over the grid's trailing axes, of size 1 or the axis's size along
+        each."""
         grid = self.state.grid
-        if bits.ndim > len(grid) or any(b not in (1, g) for b, g in zip(bits.shape[::-1], grid[::-1])):
-            raise ValueError(f"{what} of shape {bits.shape} does not fit the state's rows (grid {grid})")
+        if len(shape) > len(grid) or any(b not in (1, g) for b, g in zip(shape[::-1], grid[::-1])):
+            raise ValueError(f"{what} of shape {shape} does not fit the state's rows (grid {grid})")
 
     def knows(self, token: ControlToken) -> bool:
         """True when the record or message was made by this network."""
@@ -477,8 +480,8 @@ class Network:
         the same answer, or the probe raises BranchDivergenceError.
         """
         if isinstance(bit, np.ndarray) or bit not in (0, 1):
-            bit = qstate._bits(bit, "expected bit")
-            self._check_rows(bit, "expected bit")
+            shape, bit = np.shape(bit), qstate._bits(bit, "expected bit")
+            self._check_rows(shape, "expected bit")
         answer = qstate.partial_state_check(self.state, self.global_index(addr), bit)
         return _one_answer(answer, "the expected bit on", [addr])
 
@@ -509,12 +512,17 @@ class Network:
         addrs = [self._checked_address(a) for a in addrs]
         if len(addrs) < 2:
             raise ValueError("a shared cat state needs at least 2 qubits")
-        idx = [self.global_index(a) for a in addrs]
-        if len(set(idx)) != len(idx):
+        if len(set(addrs)) != len(addrs):
             raise ValueError("duplicate addresses in cat preparation")
         for a in addrs:
             if not self.qubit_is(a, 0):
                 raise PreconditionError(f"{a} must hold |0> before entanglement setup")
+        self._write_cat(addrs)
+
+    def _write_cat(self, addrs: Sequence[QubitAddress]) -> None:
+        """The one cat writer: H on the first qubit and a CNOT from it onto
+        each other one, with no probe; the caller has found them all at |0>."""
+        idx = [self.global_index(a) for a in addrs]
         qstate.apply_gate(self.state, H, [idx[0]])
         for other in idx[1:]:
             qstate.apply_gate(self.state, CNOT, [idx[0], other])

@@ -13,36 +13,36 @@ ancillas) are excluded from that comparison.
 Non-local control is one routine, _share_control: the cat-entangler
 shares a control qubit over a cat state, each cat member drives controlled
 gates on its own node, and the cat-disentangler reclaims the share onto
-the control. The non-local CNOT, the controlled sequence, parallel control
-and every edge of the GHZ build (distributed_em) run through it; each of
-them keeps its own validation, scope and report.
+the control. The non-local CNOT, the controlled sequence, parallel control,
+every edge of the GHZ build (distributed_em) and every distribution of
+the transform (qft.qft_distributed) run through it; each protocol keeps
+its own validation, scope and report.
 
-Entanglement policy: protocols consume pre-established EPR pairs. The
-non-local CNOT and the controlled sequence may take a pair from the
-caller; otherwise _fresh_cat writes a fresh pair (or cat) onto the first
-|0> channel qubit of each node, a stand-in for earlier distribution that
-charges nothing until consumption. distributed_em and distributed_swap
-pick their channel slots by their own schedules. The rule for every
-protocol: a call never writes or accepts a pair on a qubit it acts on,
-and it refuses a given pair there before any gate runs.
-establish_epr_exchange is the in-model establishment that actually ships
-qubits.
+Entanglement policy: protocols consume pre-established EPR pairs. Every
+helper qubit a protocol takes (a pair or cat member, an ancilla, a
+register to wait in, a channel qubit to establish over) comes from one
+allocator, _claim: idle |0> qubits of one node's pool in slot order,
+probed once each, never one of the call's own qubits, and a shortfall
+raises CapacityError. distributed_swap alone first asks how many channel
+qubits are idle (Network.free_qubits), to pick its layout. The non-local
+CNOT and the controlled sequence may take a pair from the caller;
+otherwise _fresh_cat claims one channel qubit on each node and writes a
+fresh pair (or cat) there, a stand-in for earlier distribution that
+charges nothing until consumption; distributed_em takes each edge's pair
+from it. The rule for every protocol: a call never writes or accepts a
+pair on a qubit it acts on, and it refuses a given pair there before any
+gate runs. establish_epr_exchange is the in-model establishment that
+actually ships qubits.
 """
 
 from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 from . import qstate
-from .errors import (
-    CannotResetError,
-    CapacityError,
-    LocalityError,
-    PreconditionError,
-    ResourceError,
-)
+from .errors import CannotResetError, CapacityError, LocalityError, PreconditionError
 from .gates import (
     CNOT,
     CZ,
@@ -175,13 +175,23 @@ class _Scope:
         return max(0.0, 1.0 - overlap)
 
 
+def _claim(net: Network, node: str, pool: str, count: int, own: Collection[QubitAddress]) -> list[QubitAddress]:
+    """The one allocator of helper qubits: `count` qubits of the node's pool
+    that sit idle in |0>, in slot order, with the qubits in `own` skipped
+    without a probe (Network.free_qubits). A shortfall raises CapacityError."""
+    found = net.free_qubits(node, pool, count, own)
+    if len(found) < count:
+        raise CapacityError(f"{count} idle |0> {pool} qubits needed on {node}, {len(found)} available")
+    return found
+
+
 def _fresh_cat(
     net: Network, nodes: Sequence[str], own: Sequence[QubitAddress], given: Sequence[QubitAddress] | None = None
 ) -> list[QubitAddress]:
     """The pair (a cat for more nodes) a call on the qubits `own` runs over,
     one qubit per node of `nodes`: `given` once it is checked to span them
-    and to hold none of `own`, or else a fresh cat written onto the first
-    |0> channel qubit of each node outside `own`."""
+    and to hold none of `own`, or else a fresh cat written onto the channel
+    qubit _claim takes on each node outside `own`, which it probes once."""
     if given is not None:
         if [q.node for q in given] != list(nodes):
             raise ValueError(f"pair ({', '.join(map(str, given))}) does not span nodes {', '.join(nodes)}")
@@ -191,11 +201,8 @@ def _fresh_cat(
         return list(given)
     cat: list[QubitAddress] = []
     for node in nodes:
-        found = net.free_qubits(node, CHANNEL, 1, [*own, *cat])
-        if not found:
-            raise ResourceError(f"no |0> channel qubit available on {node}")
-        cat += found
-    net.preshare_cat(cat)
+        cat += _claim(net, node, CHANNEL, 1, [*own, *cat])
+    net._write_cat(cat)
     return cat
 
 
@@ -214,17 +221,12 @@ def establish_epr_exchange(
     Each node entangles a stay-home channel qubit with a traveler, then the
     travelers trade places: two qubits shipped, two shared pairs gained.
     Returns the pairs as (qubit at node_a, qubit at node_b) address tuples.
-    Each node uses its first two channel qubits in |0>; a node with fewer
-    raises PreconditionError.
+    Each node uses the first two channel qubits _claim finds in |0>; a node
+    with fewer raises CapacityError.
     """
     if node_a == node_b:
         raise ValueError("entanglement establishment needs two distinct nodes")
-    found = []
-    for node in (node_a, node_b):
-        found.append(net.free_qubits(node, CHANNEL, 2))
-        if len(found[-1]) < 2:
-            raise PreconditionError(f"entangling needs two |0> channel qubits per node; {node} has fewer")
-    (keep_a, move_a), (keep_b, move_b) = found
+    (keep_a, move_a), (keep_b, move_b) = [_claim(net, node, CHANNEL, 2, ()) for node in (node_a, node_b)]
     scope = _Scope(net, check)
     with net.parallel_round():
         net.local_apply(H, [keep_a])
@@ -423,11 +425,12 @@ def distributed_em(
 
     Follows the chosen schedule shape, replacing every CNOT of the local
     cat-construction circuit with its non-local counterpart over a
-    pre-established EPR pair. All pairs are held simultaneously, so each
-    node needs em_channel_requirements-many free channel qubits; the pairs
-    are consumed stage by stage (m-1 ebits total) and the channel qubits
-    are reset as they are released. The reported round count is the number
-    of schedule stages.
+    pre-established EPR pair, each from _fresh_cat. All pairs are held
+    simultaneously, so each node needs em_channel_requirements-many free
+    channel qubits, and it takes them in slot order; the pairs are consumed
+    stage by stage (m-1 ebits total) and the channel qubits are reset as
+    they are released. The reported round count is the number of schedule
+    stages.
     """
     nodes = [str(n) for n in nodes]
     m = len(nodes)
@@ -445,11 +448,11 @@ def distributed_em(
 
     scope = _Scope(net, check)  # before the pairs: the oracle's baseline holds them as |0>
     edges = [edge for stage in schedule for edge in stage]
-    pairs, taken = [], collections.Counter()
-    for c, t in edges:  # each node's channel qubits in slot order
-        pairs.append((net.chan(nodes[c], taken[c]), net.chan(nodes[t], taken[t])))
-        taken.update((c, t))
-        net.preshare_epr(*pairs[-1])
+    held: list[QubitAddress] = []  # every pair is held until its edge runs
+    pairs = []
+    for c, t in edges:
+        pairs.append(_fresh_cat(net, [nodes[c], nodes[t]], [*regs, *held]))
+        held += pairs[-1]
 
     net.local_apply(H, [regs[0]])
     ideal = [(H, [regs[0]])]
@@ -460,7 +463,7 @@ def distributed_em(
     return scope.report(
         "distributed-em",
         ideal,
-        [q for pair in pairs for q in pair],
+        held,
         rounds=len(schedule),
         details={
             "shape": shape,
@@ -539,13 +542,7 @@ def distributed_swap(
         wait = chans_a[1]  # b's state waits on a's second channel qubit
     else:
         chans_a, chans_b = chans_a[:1], chans_b[:1]
-        found = net.free_qubits(a.node, REGISTER, 1, [a])
-        if not found:
-            raise CapacityError(
-                f"distributed swap needs 2 free channel qubits per node, or 1 per "
-                f"node plus an empty register qubit on {a.node}"
-            )
-        wait = found[0]
+        (wait,) = _claim(net, a.node, REGISTER, 1, [a])
     scope = _Scope(net, check)
     ea, eb = chans_a[-1], chans_b[-1]
     net.preshare_epr(eb, ea)
@@ -597,45 +594,43 @@ def nonlocal_multi_control(
     t_node = target.node
     remote = [c for c in controls if c.node != t_node]
 
-    ancillas = net.free_qubits(t_node, REGISTER, len(remote), {target, *controls})
-    if len(ancillas) < len(remote):
+    try:
+        ancillas = _claim(net, t_node, REGISTER, len(remote), {target, *controls})
+    except CapacityError as exc:
         raise CapacityError(
-            f"{t_node} has {len(ancillas)} spare |0> register qubits but "
-            f"{len(remote)} distributed controls need one each; decompose "
-            f"the gate instead (see decompose_multi_control_x)"
-        )
+            f"{exc}, one per distributed control; decompose the gate instead (see decompose_multi_control_x)"
+        ) from None
     own = [*controls, target, *ancillas]
     # one channel qubit per remote control on its node, one on the target's
     need = collections.Counter(c.node for c in remote)
     if remote:
         need[t_node] += 1
     for node, count in need.items():
-        free = len(net.free_qubits(node, CHANNEL, count, own))
-        if free < count:
-            raise ResourceError(f"{count} |0> channel qubits needed on {node} for the shares, {free} available")
+        _claim(net, node, CHANNEL, count, own)
 
     scope = _Scope(net, check)
     line_for: dict[QubitAddress, QubitAddress] = {c: c for c in controls}
-    shares: list[tuple[QubitAddress, QubitAddress, QubitAddress]] = []
+    # each share's control, ancilla and the record of its consumed channel qubit
+    shares: list[tuple[QubitAddress, QubitAddress, MeasurementRecord]] = []
     for ctrl, anc in zip(remote, ancillas):
-        e_c, e_t = _fresh_cat(net, [ctrl.node, t_node], [*own, *(e for _, _, e in shares)])
-        cat_entangler(net, ctrl, (e_c, e_t), tag=f"mctrl:{ctrl.node}")
+        e_c, e_t = _fresh_cat(net, [ctrl.node, t_node], [*own, *(rec.address for _, _, rec in shares)])
+        group = cat_entangler(net, ctrl, (e_c, e_t), tag=f"mctrl:{ctrl.node}")
         net.local_apply(SWAP, [e_t, anc])
         line_for[ctrl] = anc
-        shares.append((ctrl, anc, e_c))
+        shares.append((ctrl, anc, group.record))
 
     lines = [line_for[c] for c in controls]
     gate = make_controlled(ControlledSpec(len(controls), base))
     net.local_apply(gate, [*lines, target])
 
-    for ctrl, anc, e_c in shares:
+    for ctrl, anc, rec in shares:
         recs = cat_shrink(net, (ctrl, anc), ctrl, tag=f"mctrl:{ctrl.node}")
-        reset_channel_qubits(net, [recs[0], net.last_record(e_c)])
+        reset_channel_qubits(net, [recs[0], rec])
 
     return scope.report(
         "nonlocal-multi-control",
         [(gate, [*controls, target])],
-        [e_c for _, _, e_c in shares],
+        [rec.address for _, _, rec in shares],
         details={"remote_controls": len(remote)},
     )
 

@@ -20,14 +20,7 @@ from . import qstate
 from .errors import CapacityError
 from .gates import H, SWAP, ControlledSpec, make_controlled, make_rk
 from .network import Network
-from .protocols import (
-    ProtocolReport,
-    _fresh_cat,
-    _Scope,
-    distributed_swap,
-    nonlocal_controlled_sequence,
-    reset_channel_qubits,
-)
+from .protocols import ProtocolReport, _fresh_cat, _Scope, _share_control, distributed_swap, reset_channel_qubits
 from .qstate import GateMatrix, StateVector
 
 
@@ -187,16 +180,10 @@ def qft_distributed(
         elif ctrl.node == target.node:
             net.local_apply(controlled_rk(c - targets[0] + 1), [ctrl, target])
         else:
-            e_c, e_t = _fresh_cat(net, [ctrl.node, target.node], addr)
-            nonlocal_controlled_sequence(
-                net,
-                ctrl,
-                [(make_rk(c - t + 1), addr[t]) for t in targets],
-                epr=(e_c, e_t),
-                check=False,
-                tag=f"qft:c{c}",
-            )
-            reset_channel_qubits(net, [net.last_record(e_c), net.last_record(e_t)])
+            pair = _fresh_cat(net, [ctrl.node, target.node], addr)
+            layers = [[(1, controlled_rk(c - t + 1), [addr[t]])] for t in targets]
+            _, records, _ = _share_control(net, ctrl, pair, layers, tag=f"qft:c{c}")
+            reset_channel_qubits(net, records)
             distributions_used += 1
 
     gate_ledger = net.ledger.delta_since(scope.snap)

@@ -220,24 +220,24 @@ class Case:
     """Runs of a sweep that share a node layout and a protocol call.
 
     Each input is (label, seed, amplitudes): the amplitudes go onto
-    `inject` (default: `logical`), or None starts from |0...0>. `run`
-    performs the protocol on the prepared network and returns its
-    (section, report) pairs. `ideal` maps the (inputs, 2^logical) stack of
-    the case's inputs (None for inputs without amplitudes) to the vectors
-    the logical qubits must end in, one row per input (a single row for
-    None). `measurements` is how many outcomes a sweep enumerates; a case
-    with none has one position per input, whose row draws any outcomes
-    from a generator seeded with the input's seed. `samples` is the
-    positions per input in sampled mode, and `details` lists report
-    details that must hold the given values.
+    `inject` (default: `logical`), and np.ones(1) onto inject=[] starts
+    from |0...0>. `run` performs the protocol on the prepared network and
+    returns its (section, report) pairs. `ideal` maps the stack of the
+    case's inputs, a row each, to the vectors the logical qubits must end
+    in, one row per input or one row for all of them. `measurements` is
+    how many outcomes a sweep enumerates; a case with none has one
+    position per input, whose row draws any outcomes from a generator
+    seeded with the input's seed. `samples` is the positions per input in
+    sampled mode, and `details` lists report details that must hold the
+    given values.
     """
 
     spec: list[tuple[str, int, int]]
     measurements: int
-    inputs: list[tuple[str, int, np.ndarray | None]]
+    inputs: list[tuple[str, int, np.ndarray]]
     run: Callable[[Network], list[tuple[str, ProtocolReport]]]
     logical: list[QubitAddress]
-    ideal: Callable[[np.ndarray | None], np.ndarray]
+    ideal: Callable[[np.ndarray], np.ndarray]
     samples: int = 1
     inject: list[QubitAddress] | None = None
     zero: list[QubitAddress] = field(default_factory=list)
@@ -268,13 +268,11 @@ def _split(case: Case, count: int) -> int:
 
 def _run(case: Case, amps: np.ndarray, seeds: Sequence[int], prefix: Sequence[int], split: int) -> tuple[Network, list]:
     """One run of a case: inject `amps` (one input, or a stack of inputs
-    that become rows; [1] on no qubits for an input without amplitudes),
-    give row r a generator seeded seeds[r] (none at all for an empty list),
-    force `prefix` and split the next `split` measurements into branch
-    rows."""
+    that become rows), give row r a generator seeded seeds[r] (none at all
+    for an empty list), force `prefix` and split the next `split`
+    measurements into branch rows."""
     net = Network(case.spec)
-    where = [] if case.inputs[0][2] is None else case.logical if case.inject is None else case.inject
-    net.inject_state(where, amps)
+    net.inject_state(case.logical if case.inject is None else case.inject, amps)
     net.rngs = [random.Random(s) for s in seeds]
     net.force_outcomes(prefix)
     net.split_outcomes(split)
@@ -332,9 +330,8 @@ def _drive(sweep: _Sweep, case: Case, branches: str) -> None:
             f"an exhaustive sweep of {count} input x branch positions exceeds {MAX_POSITIONS};"
             " use branches='sampled' (--branches sampled)"
         )
-    stack = None if case.inputs[0][2] is None else np.array([a for _, _, a in case.inputs])
+    stack = np.array([a for _, _, a in case.inputs])
     wants = case.ideal(stack)[..., None]
-    stack = np.ones((1, 1)) if stack is None else stack  # an input without amplitudes: |0...0>
     total_p, raised = np.zeros(len(case.inputs)), set()
     start, size = 0, _split(case, count)
     while start < count:
@@ -506,17 +503,17 @@ def verify_ghz(*, seed: int = 0, branches: str = "exhaustive", samples: int = 64
         spec = [(f"N{i}", 1, max(1, r)) for i, r in enumerate(em_channel_requirements(m, shape))]
         names = [node for node, _, _ in spec]
         section = f"{shape}:m{m}" if m < 8 else f"m{m}:{shape}"
-        cat = np.zeros((1, 2**m), dtype=complex)  # the ideal's one row: the input carries no amplitudes
+        cat = np.zeros((1, 2**m), dtype=complex)  # the ideal's one row: the input is |0...0>
         cat[0, 0] = cat[0, -1] = 1 / np.sqrt(2)
 
         def run(net: Network, names=names, shape=shape, section=section) -> list:
             return [(section, distributed_em(net, names, shape))]
 
-        inputs = [(section, seed + (m if m < 8 else 997), None)]
+        inputs = [(section, seed + (m if m < 8 else 997), np.ones(1))]
         measurements = 2 * (m - 1) if m < 8 else 0
         regs = [_reg(n) for n in names]
         ideal, per_case = (lambda _, cat=cat: cat), max(1, samples // 8)
-        cases.append(Case(spec, measurements, inputs, run, regs, ideal, per_case, zero=_channels(spec)))
+        cases.append(Case(spec, measurements, inputs, run, regs, ideal, per_case, inject=[], zero=_channels(spec)))
         rounds = m - 1 if shape == "linear" else int(np.ceil(np.log2(m)))
         expect[section] = {"ebits": m - 1, "qubits_transported": 0, "rounds": rounds}
     return _verify(_Sweep("ghz"), cases, branches, expect, section="linear:m2", details={"shapes": list(shapes)})

@@ -479,8 +479,8 @@ def test_sampled_rows_are_their_own_one_row_runs(monkeypatch):
     """Each row of a sampled sweep equals the one-row run of its sample,
     seeded seed_i + 7919 c + 13: amplitudes, probability, outcomes,
     message bits and label. Checked on nonlocal-cnot (10 inputs of 4
-    samples in one run) and the input-less ghz sections of m <= 5 (8 rows
-    of |0...0> stored once)."""
+    samples in one run) and the ghz sections of m <= 5, whose one input
+    is |0...0> (8 rows stored once)."""
     runs, run = [], verify._run
 
     def recording(case, amps, seeds, prefix, split):
@@ -501,8 +501,7 @@ def test_sampled_rows_are_their_own_one_row_runs(monkeypatch):
                 label, base, amps = case.inputs[r // per]
                 assert seed == base + 7919 * (r % per) + 13
                 single = Network(case.spec, seed=seed)
-                if amps is not None:
-                    single.inject_state(case.logical, amps)
+                single.inject_state(case.logical if case.inject is None else case.inject, amps)
                 single_pairs = case.run(single)
                 assert_row_matches(net, single, r)
                 for (_, rep), (_, one) in zip(pairs, single_pairs, strict=True):

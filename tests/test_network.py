@@ -278,6 +278,32 @@ def test_per_row_bits_must_fit_the_rows(split):
     assert net.qubit_is(net.reg("A"), good) is split
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["one-row", "split"])
+def test_per_row_bits_of_the_wrong_shape_are_refused_when_they_agree(split):
+    """The shape of per-row bits is checked as given, before they are
+    compacted to one bit for every row: an array whose entries all agree
+    is refused like any other that does not fit, and nothing is charged or
+    logged. Such arrays were once accepted as one bit."""
+    net = two_nodes()
+    if split:
+        net.local_apply(H, [net.reg("A")])
+        net.split_outcomes(1)
+        net.measure(net.reg("A"))
+    bad = [np.array([1, 1, 1]), np.array([0, 0, 0])]
+    if split:
+        bad += [np.array([0, 0]), np.ones((3, 2), dtype=int)]
+    before = net.ledger.snapshot()
+    for bits in bad:
+        with pytest.raises(ValueError, match="does not fit the state's rows"):
+            net.send_cbit(ClassicalMessage("A", ("B",), bits, "t"))
+        for addr in (net.reg("A"), net.reg("B")):
+            with pytest.raises(ValueError, match="does not fit the state's rows"):
+                net.qubit_is(addr, bits)
+    assert net.ledger.delta_since(before).as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
+    assert net.message_log == []
+    assert net.qubit_is(net.reg("B"), np.array([[0], [0]]) if split else np.array([0]))
+
+
 # ---- classically controlled gates ---------------------------------------------
 
 

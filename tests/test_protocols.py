@@ -1,22 +1,21 @@
 """Composite protocol contracts: ledgers, oracles, hygiene, integration."""
 
+import collections
+import random
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from catnet import qstate
-from catnet.errors import (
-    CannotResetError,
-    CapacityError,
-    LocalityError,
-    PreconditionError,
-    ResourceError,
-)
-from catnet.gates import CNOT, H, TOFFOLI, X, ControlledSpec, make_controlled, make_rk
-from catnet.network import CHANNEL, Network
+from catnet.errors import CannotResetError, CapacityError, LocalityError, PreconditionError
+from catnet.gates import CNOT, H, TOFFOLI, X, ControlledSpec, em_schedule, make_controlled, make_rk
+from catnet.network import CHANNEL, REGISTER, Network
+from catnet.primitives import _require_fresh_cat
 from catnet.protocols import (
     C4X,
+    _claim,
+    _fresh_cat,
     decompose_multi_control_x,
     distributed_em,
     distributed_swap,
@@ -98,7 +97,7 @@ def test_establish_rate_one_pair_per_transport():
 def test_establish_requires_clean_channels():
     net = Network([("A", 1, 2), ("B", 1, 2)])
     net.local_apply(X, [net.chan("A", 1)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(CapacityError, match="on A"):
         establish_epr_exchange(net, "A", "B")
 
 
@@ -200,7 +199,7 @@ def test_nonlocal_cnot_needs_entanglement():
     node; a node whose channel qubit is busy has none to give."""
     net = Network([("A", 1, 1), ("B", 1, 1)])
     net.local_apply(X, [net.chan("B")])
-    with pytest.raises(ResourceError, match="on B"):
+    with pytest.raises(CapacityError, match="on B"):
         nonlocal_cnot(net, net.reg("A"), net.reg("B"))
 
 
@@ -376,13 +375,13 @@ FRESH_PAIR_RUNS = {
 def written(monkeypatch):
     """Every qubit a pair or cat is written onto while the test runs."""
     qubits = []
-    preshare = Network.preshare_cat
+    write = Network._write_cat
 
     def spy(net, addrs):
         qubits.extend(addrs)
-        preshare(net, addrs)
+        write(net, addrs)
 
-    monkeypatch.setattr(Network, "preshare_cat", spy)
+    monkeypatch.setattr(Network, "_write_cat", spy)
     return qubits
 
 
@@ -435,6 +434,53 @@ def test_given_pair_on_the_target_is_refused(run):
     assert net.records == [] and net.message_log == []
 
 
+# ---- the one allocator ------------------------------------------------------------
+
+
+@pytest.fixture
+def probed(monkeypatch):
+    """Every qubit a probe reads while the test runs."""
+    qubits = []
+    qubit_is = Network.qubit_is
+
+    def spy(net, addr, bit):
+        qubits.append(addr)
+        return qubit_is(net, addr, bit)
+
+    monkeypatch.setattr(Network, "qubit_is", spy)
+    return qubits
+
+
+def test_claim_takes_idle_qubits_in_slot_order_and_skips_its_own_unprobed(probed):
+    net = Network([("A", 1, 4), ("B", 2, 1)], seed=0)
+    net.local_apply(X, [net.chan("A", 1)])
+    assert _claim(net, "A", CHANNEL, 2, [net.chan("A", 0)]) == [net.chan("A", 2), net.chan("A", 3)]
+    assert probed == [net.chan("A", 1), net.chan("A", 2), net.chan("A", 3)]
+    assert _claim(net, "B", REGISTER, 1, [net.reg("B", 0)]) == [net.reg("B", 1)]
+
+
+def test_claim_shortfall_is_a_capacity_error_that_changes_nothing():
+    net = Network([("A", 1, 2)], seed=0)
+    net.local_apply(X, [net.chan("A", 1)])
+    with pytest.raises(CapacityError, match=r"2 idle \|0> channel qubits needed on A, 1 available"):
+        _claim(net, "A", CHANNEL, 2, ())
+    assert net.qubit_is(net.chan("A", 0), 0) and net.qubit_is(net.chan("A", 1), 1)
+    assert net.ledger.rounds == 1 and net.records == []
+
+
+def test_fresh_cat_probes_each_claimed_qubit_once(probed, written):
+    """The cat goes onto the qubits the probes claimed, with no second probe
+    before it is written; a busy qubit is probed and passed over, one of the
+    call's own qubits is passed over unprobed."""
+    net = Network([("A", 1, 3), ("B", 1, 1), ("C", 1, 2)], seed=0)
+    net.local_apply(X, [net.chan("A", 1)])
+    cat = _fresh_cat(net, ["A", "B", "C"], [net.reg("A"), net.chan("A", 0)])
+    assert cat == [net.chan("A", 2), net.chan("B"), net.chan("C")]
+    assert written == cat
+    assert probed == [net.chan("A", 1), *cat]
+    _require_fresh_cat(net, cat)
+
+
 # ---- distributed_em -----------------------------------------------------------
 
 
@@ -471,6 +517,48 @@ def test_distributed_em_rejects_single_node():
     net = Network([("N0", 1, 2)])
     with pytest.raises(ValueError):
         distributed_em(net, ["N0"])
+
+
+def ghz_wide_outcomes(seed):
+    """The benchmark's ghz-wide outcomes for `seed`: a (Z, X) pair per edge
+    of the 8-node binary tree, two edges of each kind reading 1, disjoint,
+    the two X edges on distinct control nodes."""
+    edges = [edge for stage in em_schedule(8, "binary-tree") for edge in stage]
+    rng = random.Random(seed)
+    z_edges = rng.sample(range(len(edges)), 2)
+    while True:
+        x_edges = rng.sample([e for e in range(len(edges)) if e not in z_edges], 2)
+        if edges[x_edges[0]][0] != edges[x_edges[1]][0]:
+            break
+    return [int(e in chosen) for e in range(len(edges)) for chosen in (z_edges, x_edges)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ghz_wide_build_state_traffic(seed, monkeypatch):
+    """The 8-node binary-tree build makes 28 probes, one per pair qubit as
+    _fresh_cat claims it and one per reset, and 44 gate applications (27
+    permutation, 2 diagonal, 15 general): its share of the per-branch
+    counts the benchmark's traced ghz-wide run pins, whose other 14 probes
+    are the channel checks after the build."""
+    counts = collections.Counter()
+    apply_gate, partial_state_check = qstate.apply_gate, qstate.partial_state_check
+
+    def counted_gate(state, gate, *args, **kwargs):
+        counts[gate.kind] += 1
+        return apply_gate(state, gate, *args, **kwargs)
+
+    def counted_probe(*args, **kwargs):
+        counts["probe"] += 1
+        return partial_state_check(*args, **kwargs)
+
+    spec = [(f"N{i}", 1, max(1, r)) for i, r in enumerate(em_channel_requirements(8, "binary-tree"))]
+    net = Network(spec, seed=0)
+    net.force_outcomes(ghz_wide_outcomes(seed))
+    monkeypatch.setattr(qstate, "apply_gate", counted_gate)
+    monkeypatch.setattr(qstate, "partial_state_check", counted_probe)
+    rep = distributed_em(net, [name for name, _, _ in spec], "binary-tree", check=False)
+    assert counts == {"permutation": 27, "diagonal": 2, "general": 15, "probe": 28}
+    assert rep.ledger.ebits_consumed == 7 and net.pending_outcomes == 0
 
 
 def test_distributed_em_channels_reset_after():
@@ -660,7 +748,7 @@ def test_multi_control_needs_a_channel_per_share(outcomes):
         net.split_outcomes(4)
     else:
         net.force_outcomes(outcomes)
-    with pytest.raises(ResourceError, match="on C"):
+    with pytest.raises(CapacityError, match="on C"):
         nonlocal_multi_control(net, controls, X, net.reg("T"))
 
 
@@ -669,7 +757,7 @@ def test_multi_control_short_of_channels_fails_before_any_gate():
     found before the first share is written, so nothing is charged or
     measured."""
     net, controls = two_controls_on_one_node(1)
-    with pytest.raises(ResourceError, match="on C"):
+    with pytest.raises(CapacityError, match="on C"):
         nonlocal_multi_control(net, controls, X, net.reg("T"))
     assert net.ledger.as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
     assert net.records == [] and net.message_log == []
