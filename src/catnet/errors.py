@@ -19,8 +19,10 @@ class PoolError(CatnetError):
 
 
 class CapacityError(CatnetError):
-    """A node ran out of register or channel slots: the one shortfall error,
-    raised by the allocator every protocol takes its qubits through."""
+    """A node ran out of idle register or channel qubits: the one shortfall
+    error, raised by the allocator every protocol takes its qubits through.
+    A protocol claims its qubits before its first gate, so the error leaves
+    the network unchanged."""
 
 
 class CausalityError(CatnetError):

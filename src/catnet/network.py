@@ -29,7 +29,7 @@ import operator
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -128,6 +128,14 @@ class NodeSpec:
 ControlToken = MeasurementRecord | ClassicalMessage
 
 
+def _count(value: object, what: str) -> int:
+    """`value` as a count: anything but an integer >= 0 (1.5, 2.0, nan, -1)
+    raises ValueError rather than be truncated."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def _one_answer(answer: np.ndarray, what: str, addrs: Sequence[object] = ()) -> bool:
     """The answer of a probe: per-row answers that must all agree.
 
@@ -168,12 +176,12 @@ class Network:
         nodes: Sequence[tuple[str, int, int]],
         seed: int | None = None,
     ) -> None:
-        specs = [NodeSpec(str(n), int(r), int(c)) for n, r, c in nodes]
+        specs = [NodeSpec(str(n), _count(r, "register count"), _count(c, "channel count")) for n, r, c in nodes]
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate node names: {names}")
         for s in specs:
-            if s.registers < 0 or s.channels < 0 or s.registers + s.channels == 0:
+            if s.registers + s.channels == 0:
                 raise ValueError(f"node {s.name} needs at least one qubit slot")
         self.nodes: dict[str, NodeSpec] = {s.name: s for s in specs}
         self.ownership: dict[QubitAddress, int] = {}
@@ -230,22 +238,6 @@ class Network:
             if (node is None or a.node == node) and (pool is None or a.pool == pool)
         ]
         return sorted(out)
-
-    def free_qubits(
-        self, node: str, pool: str, count: int, exclude: Collection[QubitAddress] = ()
-    ) -> list[QubitAddress]:
-        """Up to `count` qubits of the pool that sit idle in |0>, in slot order.
-
-        Addresses in `exclude` are skipped without a probe, and the search
-        stops probing once `count` are found. Every probe is a qubit_is, so
-        on a split state a qubit that is |0> on some rows only raises
-        BranchDivergenceError.
-        """
-        found: list[QubitAddress] = []
-        for addr in self.addresses(node, pool):
-            if len(found) < count and addr not in exclude and self.qubit_is(addr, 0):
-                found.append(addr)
-        return found
 
     # ---- round accounting ------------------------------------------------
 
@@ -347,9 +339,7 @@ class Network:
         correction that makes a block's two outcome halves bitwise equal
         stores them once again.
         """
-        if count < 0:
-            raise ValueError(f"split count must be >= 0, got {count}")
-        self._splits += int(count)
+        self._splits += _count(count, "split count")
 
     @property
     def rows(self) -> int:
@@ -532,8 +522,10 @@ class Network:
 
         The listed qubits receive the given joint amplitudes (first address
         = most significant bit) as the state's one block; every other qubit
-        is fixed at |0>. Normalizes. The network must be unsplit: its rows'
-        probabilities and records would not describe the new state.
+        is fixed at |0>. Normalizes: a zero, nan or infinite input, or one
+        whose norm overflows, raises ValueError. The network must be
+        unsplit: its rows' probabilities and records would not describe the
+        new state.
 
         A (R, 2^k) stack makes row i hold row i of the stack, normalized on
         its own, and rows that are bitwise equal are stored once; after s
@@ -552,8 +544,8 @@ class Network:
         # one reduction per row, so each input's norm is the one it has alone
         f = amps.view(np.float64)
         norm = np.sqrt(np.einsum("ri,ri->r", f, f))
-        if norm.min() < qstate.ZERO_CUTOFF:
-            raise ValueError("cannot inject the zero vector")
+        if not np.all((norm >= qstate.ZERO_CUTOFF) & (norm < np.inf)):  # a nan fails both
+            raise ValueError("cannot inject the zero vector, or amplitudes that are not finite or whose norm overflows")
         # a block's axes run in ascending global index; reorder the
         # input's to match (one row per input of a stack)
         axes = (0, *(1 + np.argsort(idx)))

@@ -19,20 +19,21 @@ the transform (qft.qft_distributed) run through it; each protocol keeps
 its own validation, scope and report.
 
 Entanglement policy: protocols consume pre-established EPR pairs. Every
-helper qubit a protocol takes (a pair or cat member, an ancilla, a
+helper qubit a protocol holds (a pair or cat member, an ancilla, a
 register to wait in, a channel qubit to establish over) comes from one
 allocator, _claim: idle |0> qubits of one node's pool in slot order,
-probed once each, never one of the call's own qubits, and a shortfall
-raises CapacityError. distributed_swap alone first asks how many channel
-qubits are idle (Network.free_qubits), to pick its layout. The non-local
-CNOT and the controlled sequence may take a pair from the caller;
-otherwise _fresh_cat claims one channel qubit on each node and writes a
-fresh pair (or cat) there, a stand-in for earlier distribution that
-charges nothing until consumption; distributed_em takes each edge's pair
-from it. The rule for every protocol: a call never writes or accepts a
-pair on a qubit it acts on, and it refuses a given pair there before any
-gate runs. establish_epr_exchange is the in-model establishment that
-actually ships qubits.
+probed once each, never one of the call's own qubits. A protocol claims
+them all before its first gate (a distributed_swap nested in the transform
+claims its own when it starts), so a shortfall raises CapacityError with
+the network unchanged. Network._write_cat writes a pair onto claimed
+qubits without probing them again, a stand-in for earlier distribution
+that charges nothing until consumption. The non-local CNOT and the
+controlled sequence may take a pair from the caller; otherwise _fresh_cat
+claims one channel qubit on each node and writes a fresh pair (or cat)
+there. The rule for every protocol: a call never writes or accepts a pair
+on a qubit it acts on, and it refuses a given pair there before any gate
+runs. establish_epr_exchange is the in-model establishment that actually
+ships qubits.
 """
 
 from __future__ import annotations
@@ -176,10 +177,14 @@ class _Scope:
 
 
 def _claim(net: Network, node: str, pool: str, count: int, own: Collection[QubitAddress]) -> list[QubitAddress]:
-    """The one allocator of helper qubits: `count` qubits of the node's pool
-    that sit idle in |0>, in slot order, with the qubits in `own` skipped
-    without a probe (Network.free_qubits). A shortfall raises CapacityError."""
-    found = net.free_qubits(node, pool, count, own)
+    """The one allocator of helper qubits and the one probe for them: `count`
+    qubits of the node's pool that sit idle in |0>, in slot order, with the
+    qubits in `own` skipped unprobed. A shortfall raises CapacityError and
+    changes nothing."""
+    found: list[QubitAddress] = []
+    for addr in net.addresses(node, pool):
+        if len(found) < count and addr not in own and net.qubit_is(addr, 0):
+            found.append(addr)
     if len(found) < count:
         raise CapacityError(f"{count} idle |0> {pool} qubits needed on {node}, {len(found)} available")
     return found
@@ -191,7 +196,7 @@ def _fresh_cat(
     """The pair (a cat for more nodes) a call on the qubits `own` runs over,
     one qubit per node of `nodes`: `given` once it is checked to span them
     and to hold none of `own`, or else a fresh cat written onto the channel
-    qubit _claim takes on each node outside `own`, which it probes once."""
+    qubit _claim takes on each node outside `own`, all claimed first."""
     if given is not None:
         if [q.node for q in given] != list(nodes):
             raise ValueError(f"pair ({', '.join(map(str, given))}) does not span nodes {', '.join(nodes)}")
@@ -425,12 +430,13 @@ def distributed_em(
 
     Follows the chosen schedule shape, replacing every CNOT of the local
     cat-construction circuit with its non-local counterpart over a
-    pre-established EPR pair, each from _fresh_cat. All pairs are held
-    simultaneously, so each node needs em_channel_requirements-many free
-    channel qubits, and it takes them in slot order; the pairs are consumed
-    stage by stage (m-1 ebits total) and the channel qubits are reset as
-    they are released. The reported round count is the number of schedule
-    stages.
+    pre-established EPR pair. All pairs are held simultaneously, so each
+    node needs em_channel_requirements-many idle channel qubits: every
+    edge's pair is claimed (_claim, in slot order) before the first pair is
+    written, so a shortfall raises CapacityError with nothing changed. The
+    pairs are consumed stage by stage (m-1 ebits total) and the channel
+    qubits are reset as they are released. The reported round count is the
+    number of schedule stages.
     """
     nodes = [str(n) for n in nodes]
     m = len(nodes)
@@ -438,22 +444,15 @@ def distributed_em(
     if len(set(nodes)) != m:
         raise ValueError("node list repeats a node")
     regs = [net.reg(n, 0) for n in nodes]
-    req = em_channel_requirements(m, shape)
-    for name, need in zip(nodes, req):
-        if net.nodes[name].channels < need:
-            raise CapacityError(
-                f"{name} must hold {need} channel qubits at once for shape "
-                f"{shape!r} but has {net.nodes[name].channels}"
-            )
-
-    scope = _Scope(net, check)  # before the pairs: the oracle's baseline holds them as |0>
     edges = [edge for stage in schedule for edge in stage]
     held: list[QubitAddress] = []  # every pair is held until its edge runs
-    pairs = []
-    for c, t in edges:
-        pairs.append(_fresh_cat(net, [nodes[c], nodes[t]], [*regs, *held]))
-        held += pairs[-1]
+    for node in [nodes[i] for edge in edges for i in edge]:
+        held += _claim(net, node, CHANNEL, 1, [*regs, *held])
+    pairs = list(zip(held[::2], held[1::2]))
 
+    scope = _Scope(net, check)  # before the pairs: the oracle's baseline holds them as |0>
+    for pair in pairs:
+        net._write_cat(pair)
     net.local_apply(H, [regs[0]])
     ideal = [(H, [regs[0]])]
     for (c, t), pair in zip(edges, pairs):
@@ -525,32 +524,31 @@ def distributed_swap(
 
     Two teleportations, b to a and then a to b, each over its own EPR
     pair. b's state waits on a's node between the hops: on a's second
-    channel qubit when both nodes have two free ones, and otherwise on a
-    |0> register qubit there, which ends back in |0>. The second pair is
-    shared after the first hop: its entanglement is assumed distributed
-    between the hops. Costs 2 ebits and 4 cbits.
+    channel qubit when both nodes have a second idle one, and otherwise on
+    a |0> register qubit there, which ends back in |0>. Every qubit is
+    claimed before the first gate, and each is probed at most once. The
+    second pair is written after the first hop: its entanglement is assumed
+    distributed between the hops. Costs 2 ebits and 4 cbits.
     """
     if a.node == b.node:
         raise ValueError(f"{a} and {b} share a node; apply a local swap")
-    chans_a = net.free_qubits(a.node, CHANNEL, 2, [a])
-    chans_b = net.free_qubits(b.node, CHANNEL, 2, [b])
-    if not (chans_a and chans_b):
-        raise CapacityError(
-            f"distributed swap needs free channel qubits on both {a.node} and {b.node}"
-        )
-    if len(chans_a) == len(chans_b) == 2:
-        wait = chans_a[1]  # b's state waits on a's second channel qubit
-    else:
-        chans_a, chans_b = chans_a[:1], chans_b[:1]
-        (wait,) = _claim(net, a.node, REGISTER, 1, [a])
+    chans_a, chans_b = (_claim(net, q.node, CHANNEL, 1, [q]) for q in (a, b))
+    try:
+        # a second channel qubit on each node, probed from past the first
+        for q, chans in ((a, chans_a), (b, chans_b)):
+            chans += _claim(net, q.node, CHANNEL, 1, [q, *net.addresses(q.node, CHANNEL)[: chans[0].slot + 1]])
+    except CapacityError:
+        del chans_a[1:]
+    # b's state waits on a's second channel qubit, or else in a register qubit there
+    (wait,) = chans_a[1:] or _claim(net, a.node, REGISTER, 1, [a])
     scope = _Scope(net, check)
     ea, eb = chans_a[-1], chans_b[-1]
-    net.preshare_epr(eb, ea)
+    net._write_cat([eb, ea])
     reset_channel_qubits(net, teleport(net, b, (eb, ea), tag=f"{tag}:b-to-a"))
     if wait != ea:
         net.local_apply(SWAP, [ea, wait])
     ea, eb = chans_a[0], chans_b[0]
-    net.preshare_epr(ea, eb)
+    net._write_cat([ea, eb])
     reset_channel_qubits(net, teleport(net, a, (ea, eb), tag=f"{tag}:a-to-b"))
     with net.parallel_round():
         net.local_apply(SWAP, [wait, a])
@@ -581,10 +579,11 @@ def nonlocal_multi_control(
     register qubit so one channel slot on the target node serves all of
     them. On a control's node the consumed channel qubit stays held until
     its reset, so two remote controls there need two channel qubits. Both
-    the ancillas and these channel qubits are counted before any gate
-    runs. The multi-controlled gate runs locally, the shares are
-    reclaimed, and ancillas and channel qubits are reset. Costs 1 ebit + 2
-    cbits per remote control.
+    the ancillas and these channel qubits are claimed before any gate
+    runs, and each share's pair is written onto its claimed channels. The
+    multi-controlled gate runs locally, the shares are reclaimed, and
+    ancillas and channel qubits are reset. Costs 1 ebit + 2 cbits per
+    remote control.
     """
     controls = list(controls)
     if not controls:
@@ -602,18 +601,16 @@ def nonlocal_multi_control(
         ) from None
     own = [*controls, target, *ancillas]
     # one channel qubit per remote control on its node, one on the target's
-    need = collections.Counter(c.node for c in remote)
-    if remote:
-        need[t_node] += 1
-    for node, count in need.items():
-        _claim(net, node, CHANNEL, count, own)
+    need = collections.Counter([c.node for c in remote] + ([t_node] if remote else []))
+    chans = {node: _claim(net, node, CHANNEL, count, own) for node, count in need.items()}
 
     scope = _Scope(net, check)
     line_for: dict[QubitAddress, QubitAddress] = {c: c for c in controls}
     # each share's control, ancilla and the record of its consumed channel qubit
     shares: list[tuple[QubitAddress, QubitAddress, MeasurementRecord]] = []
     for ctrl, anc in zip(remote, ancillas):
-        e_c, e_t = _fresh_cat(net, [ctrl.node, t_node], [*own, *(rec.address for _, _, rec in shares)])
+        e_c, e_t = chans[ctrl.node].pop(0), chans[t_node][0]
+        net._write_cat([e_c, e_t])
         group = cat_entangler(net, ctrl, (e_c, e_t), tag=f"mctrl:{ctrl.node}")
         net.local_apply(SWAP, [e_t, anc])
         line_for[ctrl] = anc

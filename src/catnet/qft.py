@@ -19,8 +19,8 @@ from typing import Any, Sequence
 from . import qstate
 from .errors import CapacityError
 from .gates import H, SWAP, ControlledSpec, make_controlled, make_rk
-from .network import Network
-from .protocols import ProtocolReport, _fresh_cat, _Scope, _share_control, distributed_swap, reset_channel_qubits
+from .network import CHANNEL, Network
+from .protocols import ProtocolReport, _claim, _Scope, _share_control, distributed_swap, reset_channel_qubits
 from .qstate import GateMatrix, StateVector
 
 
@@ -153,8 +153,11 @@ def qft_distributed(
     The cascade runs as _steps lays it out: each distribution of a control
     to a remote node consumes a fresh EPR pair, and in amortized mode the
     rotations that share a control and a remote node ride one distribution
-    instead of one each. The report's ledger covers the rotation stage
-    only; the reversal swaps are tallied separately under
+    instead of one each. Every pair is written onto the one channel qubit
+    of each node that the run claims before its first gate, and reset after
+    its distribution. The cross-node reversal swaps (distributed_swap)
+    claim their own qubits when they start. The report's ledger covers the
+    rotation stage only; the reversal swaps are tallied separately under
     details["swap_ledger"]. Machine i runs on the network's i-th node.
 
     With `check`, the report compares the result with the transform's
@@ -170,6 +173,9 @@ def qft_distributed(
         if net.nodes[name].channels < 2:
             raise CapacityError(f"{name} needs 2 channel qubits (rotation + swap buffers)")
     addr = [net.reg(node_list[i // plan.k], i % plan.k) for i in range(plan.n)]
+    # each node runs every distribution over one channel qubit, reset after
+    # each; on more than one machine every node takes part in one
+    chan = {node: _claim(net, node, CHANNEL, 1, ())[0] for node in node_list} if plan.m > 1 else {}
 
     scope = _Scope(net, check)
     distributions_used = 0
@@ -180,7 +186,8 @@ def qft_distributed(
         elif ctrl.node == target.node:
             net.local_apply(controlled_rk(c - targets[0] + 1), [ctrl, target])
         else:
-            pair = _fresh_cat(net, [ctrl.node, target.node], addr)
+            pair = [chan[ctrl.node], chan[target.node]]
+            net._write_cat(pair)
             layers = [[(1, controlled_rk(c - t + 1), [addr[t]])] for t in targets]
             _, records, _ = _share_control(net, ctrl, pair, layers, tag=f"qft:c{c}")
             reset_channel_qubits(net, records)

@@ -17,6 +17,7 @@ from catnet.gates import CNOT, H, X
 from catnet.network import CHANNEL, REGISTER, Network, QubitAddress
 from catnet.primitives import _require_fresh_cat, cat_entangler
 from catnet.protocols import (
+    _claim,
     distributed_swap,
     nonlocal_cnot,
     reset_channel_qubits,
@@ -125,9 +126,9 @@ def test_probes_answer_once_for_all_rows():
     net, rec = split_plus()
     assert net.qubit_is(net.reg("A", 1), 0) is True
     assert net.qubit_is(net.reg("A"), rec.outcome) is True
-    assert net.free_qubits("B", CHANNEL, 2) == [net.chan("B")]
+    assert _claim(net, "B", CHANNEL, 1, ()) == [net.chan("B")]
     # an excluded qubit is skipped before it is probed
-    assert net.free_qubits("A", REGISTER, 1, [net.reg("A")]) == [net.reg("A", 1)]
+    assert _claim(net, "A", REGISTER, 1, [net.reg("A")]) == [net.reg("A", 1)]
 
 
 def test_divergent_probe_raises():
@@ -135,7 +136,7 @@ def test_divergent_probe_raises():
     with pytest.raises(BranchDivergenceError):
         net.qubit_is(net.reg("A"), 0)
     with pytest.raises(BranchDivergenceError):
-        net.free_qubits("A", REGISTER, 1)
+        _claim(net, "A", REGISTER, 1, ())
 
 
 def test_divergent_cat_check_raises():

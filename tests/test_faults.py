@@ -3,11 +3,15 @@ one as a labelled failure: `verified` false and an entry that names the
 failing positions, in exhaustive and in sampled mode, with no traceback,
 and the CLI exits 1."""
 
+import json
+
 import pytest
 
-from catnet import qft
+from catnet import primitives, qft
 from catnet.cli import main
-from catnet.verify import verify_qft
+from catnet.gates import IDENTITY
+from catnet.network import Network
+from catnet.verify import VERIFIERS, verify_qft
 
 DIVERGES = "BranchDivergenceError"
 
@@ -36,3 +40,35 @@ def test_transform_without_channel_resets_exits_1(no_reset_after_distribution, c
     assert main(["verify", "qft"]) == 1
     out, err = capsys.readouterr()
     assert DIVERGES in out and "Traceback" not in out + err
+
+
+def no_entangler_x(monkeypatch):
+    """The cat-entangler's X corrections are dropped: a member whose control
+    copy was measured as 1 is never flipped to match. The split C4X runs
+    no entangler, so it alone still verifies."""
+    monkeypatch.setattr(primitives, "X", IDENTITY)
+    return [name for name in VERIFIERS if name != "decompose-c4x"]
+
+
+def x_measurement_in_z(monkeypatch):
+    """Every X-basis measurement (the disentangler's, the split C4X's) is
+    made in the Z basis instead: no phase repair can follow."""
+    monkeypatch.setattr(Network, "measure_x", Network.measure)
+    return list(VERIFIERS)
+
+
+@pytest.mark.parametrize("fault", [no_entangler_x, x_measurement_in_z])
+def test_verify_all_reports_every_fault_as_a_labelled_failure(fault, monkeypatch, capsys):
+    """With the fault in, `catnet verify all` exits 1 and prints all eleven
+    reports, each broken one unverified with labelled failures, and writes
+    nothing to stderr."""
+    broken = fault(monkeypatch)
+    assert main(["verify", "all"]) == 1
+    out, err = capsys.readouterr()
+    reports = json.loads(out)
+    assert len(reports) == 11 and [r["protocol"] for r in reports] == list(VERIFIERS)
+    assert [r["protocol"] for r in reports if r["verified"] is not True] == broken
+    for r in reports:
+        if r["protocol"] in broken:
+            assert r["details"]["failures"] and all(f["case"] for f in r["details"]["failures"])
+    assert err == "" and "Traceback" not in out

@@ -480,6 +480,46 @@ def test_inject_state_stack_makes_one_row_per_input():
         net.inject_state([net.reg("A"), net.reg("B")], [[1, 0, 0, 0], [0, 0, 0, 0]])
 
 
+@pytest.mark.parametrize(
+    "amps",
+    [[np.nan, 1], [np.inf, 1], [1, complex(0, -np.inf)], [1e200, 1e200]],
+    ids=["nan", "inf", "imaginary-inf", "overflow"],
+)
+def test_inject_state_refuses_amplitudes_that_are_not_finite(amps):
+    """A nan or an infinite amplitude, or a norm that overflows, raises
+    before the state changes; they once made a nan state (with only a numpy
+    warning) or, for the overflow, an all-zero one."""
+    net = Network([("A", 1, 1)])
+    net.inject_state([net.reg("A")], [0.6, 0.8])
+    before = net.state.amplitudes.copy()
+    with pytest.raises(ValueError, match="not finite"):
+        net.inject_state([net.reg("A")], amps)
+    assert np.array_equal(net.state.amplitudes, before)
+
+
+@pytest.mark.parametrize("count", [1.5, 2.0, np.nan, -1, "2"])
+def test_slot_counts_must_be_whole_numbers(count):
+    """A register or channel count that is not an integer >= 0 is refused;
+    1.5 once built a node of 1 register."""
+    with pytest.raises(ValueError, match="register count must be an integer"):
+        Network([("A", count, 1)])
+    with pytest.raises(ValueError, match="channel count must be an integer"):
+        Network([("A", 1, count)])
+
+
+def test_split_count_must_be_a_whole_number():
+    """split_outcomes(1.7) once split one measurement; a count that is not
+    an integer >= 0 raises before anything is queued."""
+    net = Network([("A", 1, 0)])
+    for count in (1.7, 1.0, -1):
+        with pytest.raises(ValueError, match="split count must be an integer"):
+            net.split_outcomes(count)
+    net.split_outcomes(np.int64(1))
+    net.local_apply(H, [net.reg("A")])
+    net.measure(net.reg("A"))
+    assert net.rows == 2
+
+
 def test_inject_state_needs_an_unsplit_network():
     """One input injected after a split would keep the split's stale branch
     probabilities and per-row records, so it is refused like a stack."""

@@ -10,7 +10,7 @@ import pytest
 from catnet import qstate
 from catnet.errors import CannotResetError, CapacityError, LocalityError, PreconditionError
 from catnet.gates import CNOT, H, TOFFOLI, X, ControlledSpec, em_schedule, make_controlled, make_rk
-from catnet.network import CHANNEL, REGISTER, Network
+from catnet.network import CHANNEL, REGISTER, Network, QubitAddress
 from catnet.primitives import _require_fresh_cat
 from catnet.protocols import (
     C4X,
@@ -28,6 +28,7 @@ from catnet.protocols import (
     reset_channel_qubits,
     teleport_with_reset,
 )
+from catnet.qft import build_qft_plan, qft_distributed
 from catnet.verify import verify_protocol
 from reference import random_state, reduced_density_matrix
 
@@ -439,12 +440,15 @@ def test_given_pair_on_the_target_is_refused(run):
 
 @pytest.fixture
 def probed(monkeypatch):
-    """Every qubit a probe reads while the test runs."""
+    """Every qubit probed for |0> while the test runs: the allocator's
+    probes. A reset probes its qubit for a record's outcome instead, which
+    is left out."""
     qubits = []
     qubit_is = Network.qubit_is
 
     def spy(net, addr, bit):
-        qubits.append(addr)
+        if isinstance(bit, int) and bit == 0:
+            qubits.append(addr)
         return qubit_is(net, addr, bit)
 
     monkeypatch.setattr(Network, "qubit_is", spy)
@@ -479,6 +483,168 @@ def test_fresh_cat_probes_each_claimed_qubit_once(probed, written):
     assert written == cat
     assert probed == [net.chan("A", 1), *cat]
     _require_fresh_cat(net, cat)
+
+
+def at(name):
+    """The qubit a short name gives: "A.r1" is A's register 1, "A.c0" its
+    channel 0."""
+    node, q = name.split(".")
+    return QubitAddress(node, REGISTER if q[0] == "r" else CHANNEL, int(q[1:]))
+
+
+def observed(net):
+    """What a protocol run could change: the amplitudes, and then the live
+    qubits, the fixed bits, the ledger, the records and the message log."""
+    st = net.state
+    fixed = {q: st.per_row(bit).tolist() for q, bit in sorted(st.fixed.items())}
+    return st.amplitudes.copy(), (st.live, fixed, net.ledger.as_dict(), list(net.records), list(net.message_log))
+
+
+EM_NODES = ["N0", "N1", "N2", "N3"]
+
+
+def swap_ab(net):
+    return distributed_swap(net, at("A.r0"), at("B.r0"))
+
+
+# (node layout, the qubits that get a random input, the busy qubits, the
+# call): one shortfall per protocol that claims helper qubits
+SHORTFALLS = {
+    "em-linear": (
+        [("N0", 1, 1), ("N1", 1, 2), ("N2", 1, 2), ("N3", 1, 1)],
+        ["N0.r0", "N1.r0", "N2.r0", "N3.r0"],
+        ["N2.c1"],
+        lambda net: distributed_em(net, EM_NODES, "linear"),
+    ),
+    "em-tree": (
+        [("N0", 1, 2), ("N1", 1, 2), ("N2", 1, 1), ("N3", 1, 1)],
+        ["N0.r0", "N1.r0", "N2.r0", "N3.r0"],
+        ["N3.c0"],
+        lambda net: distributed_em(net, EM_NODES, "binary-tree"),
+    ),
+    "multi-control-channel": (
+        [("C1", 1, 1), ("C2", 1, 1), ("T", 3, 1)],
+        ["C1.r0", "C2.r0", "T.r0"],
+        ["C2.c0"],
+        lambda net: nonlocal_multi_control(net, [at("C1.r0"), at("C2.r0")], X, at("T.r0")),
+    ),
+    "multi-control-ancilla": (
+        [("C1", 1, 1), ("C2", 1, 1), ("T", 3, 1)],
+        ["C1.r0", "C2.r0", "T.r0"],
+        ["T.r2"],
+        lambda net: nonlocal_multi_control(net, [at("C1.r0"), at("C2.r0")], X, at("T.r0")),
+    ),
+    # the four layouts of test_distributed_swap_sweeps_every_layout
+    "swap-2/2": ([("A", 1, 2), ("B", 1, 2)], ["A.r0", "B.r0"], ["A.c1"], swap_ab),
+    "swap-2/1": ([("A", 2, 2), ("B", 1, 1)], ["A.r0", "B.r0"], ["A.r1"], swap_ab),
+    "swap-1/2": ([("A", 2, 1), ("B", 1, 2)], ["A.r0", "B.r0"], ["A.r1"], swap_ab),
+    "swap-1/1": ([("A", 2, 1), ("B", 1, 1)], ["A.r0", "B.r0"], ["B.c0"], swap_ab),
+    "establish": (
+        [("A", 1, 2), ("B", 1, 2)],
+        ["A.r0", "B.r0"],
+        ["B.c1"],
+        lambda net: establish_epr_exchange(net, "A", "B"),
+    ),
+    "nonlocal-cnot": (
+        [("A", 1, 1), ("B", 1, 1)],
+        ["A.r0", "B.r0"],
+        ["B.c0"],
+        lambda net: nonlocal_cnot(net, at("A.r0"), at("B.r0")),
+    ),
+    "sequence": (
+        [("A", 1, 1), ("B", 1, 1)],
+        ["A.r0", "B.r0"],
+        ["A.c0"],
+        lambda net: nonlocal_controlled_sequence(net, at("A.r0"), [(X, at("B.r0"))]),
+    ),
+    "parallel-control": (
+        [("C", 1, 1), ("P1", 1, 1), ("P2", 1, 1)],
+        ["C.r0", "P1.r0", "P2.r0"],
+        ["P2.c0"],
+        lambda net: parallel_distributed_control(net, at("C.r0"), [("P1", X, at("P1.r0")), ("P2", X, at("P2.r0"))]),
+    ),
+    "c4x-split": (
+        [("TOP", 3, 1), ("BOT", 3, 1)],
+        ["TOP.r0", "TOP.r1", "TOP.r2", "BOT.r0", "BOT.r1", "BOT.r2"],
+        ["BOT.c0"],
+        lambda net: decompose_multi_control_x(
+            net, [at("TOP.r0"), at("TOP.r1"), at("BOT.r0"), at("BOT.r1")], at("TOP.r2"), at("BOT.r2")
+        ),
+    ),
+    # every channel of M1: with one left, the run would claim it and fail
+    # only in the reversal, inside the distributed_swap that claims its own
+    "transform": (
+        [("M0", 2, 2), ("M1", 2, 2)],
+        ["M0.r0", "M0.r1", "M1.r0", "M1.r1"],
+        ["M1.c0", "M1.c1"],
+        lambda net: qft_distributed(net, build_qft_plan(4, 2), amortized=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("spec,data,busy,run", SHORTFALLS.values(), ids=SHORTFALLS)
+def test_a_shortfall_raises_before_the_first_gate_and_changes_nothing(spec, data, busy, run):
+    """Every helper qubit is claimed before the first gate, so a busy one
+    (left at |1>) or a missing one raises CapacityError with the network as
+    it was. The GHZ build once wrote the pairs it had claimed so far, and
+    the transform ran its first rounds of gates."""
+    net = Network(spec, seed=0)
+    data = [at(q) for q in data]
+    net.inject_state(data, random_state(len(data), np.random.default_rng(5)).amplitudes)
+    for q in busy:
+        net.local_apply(X, [at(q)])
+    amps, rest = observed(net)
+    with pytest.raises(CapacityError, match="idle"):
+        run(net)
+    amps_after, rest_after = observed(net)
+    assert np.array_equal(amps_after, amps) and rest_after == rest
+
+
+# A/B layout, busy qubits -> the qubits probed for |0>, in order, and the
+# pairs written
+SWAP_CLAIMS = {
+    "2/2": ([("A", 1, 2), ("B", 1, 2)], [], ["A.c0", "B.c0", "A.c1", "B.c1"], ["B.c1", "A.c1", "A.c0", "B.c0"]),
+    "2/1": ([("A", 2, 2), ("B", 1, 1)], [], ["A.c0", "B.c0", "A.c1", "A.r1"], ["B.c0", "A.c0", "A.c0", "B.c0"]),
+    "1/2": ([("A", 2, 1), ("B", 1, 2)], [], ["A.c0", "B.c0", "A.r1"], ["B.c0", "A.c0", "A.c0", "B.c0"]),
+    "1/1": ([("A", 2, 1), ("B", 1, 1)], [], ["A.c0", "B.c0", "A.r1"], ["B.c0", "A.c0", "A.c0", "B.c0"]),
+    "busy-first-channel": (
+        [("A", 1, 3), ("B", 1, 2)],
+        ["A.c0"],
+        ["A.c0", "A.c1", "B.c0", "A.c2", "B.c1"],
+        ["B.c1", "A.c2", "A.c1", "B.c0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("spec,busy,probes,pairs", SWAP_CLAIMS.values(), ids=SWAP_CLAIMS)
+def test_distributed_swap_probes_each_qubit_once(spec, busy, probes, pairs, probed, written):
+    """Each qubit the swap claims is probed once, a busy or unused one at
+    most once, and both pairs are written with no second probe; the swap
+    once probed every pair qubit again as it wrote the pair."""
+    net = Network(spec, seed=0)
+    for q in busy:
+        net.local_apply(X, [at(q)])
+    rep = swap_ab(net)
+    assert rep.verified
+    assert probed == [at(q) for q in probes]
+    assert written == [at(q) for q in pairs]
+
+
+@pytest.mark.parametrize(
+    "spec", [[("C1", 1, 1), ("C2", 1, 1), ("T", 3, 1)], [("C", 2, 2), ("T", 3, 1)]], ids=["two-nodes", "one-node"]
+)
+def test_multi_control_probes_each_claimed_qubit_once(spec, probed, written):
+    """Two remote controls: the two ancillas, a channel qubit per control and
+    the target node's one channel qubit are each probed once, before the
+    first gate, and each share's pair goes onto its claimed channel qubits;
+    each share once probed its pair again."""
+    net = Network(spec, seed=0)
+    controls = [QubitAddress(node, REGISTER, slot) for node, regs, _ in spec[:-1] for slot in range(regs)]
+    rep = nonlocal_multi_control(net, controls, X, at("T.r0"))
+    assert rep.verified
+    chans = [QubitAddress(c.node, CHANNEL, c.slot) for c in controls]
+    assert probed == [at("T.r1"), at("T.r2"), *chans, at("T.c0")]
+    assert written == [chans[0], at("T.c0"), chans[1], at("T.c0")]
 
 
 # ---- distributed_em -----------------------------------------------------------
@@ -536,7 +702,7 @@ def ghz_wide_outcomes(seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_ghz_wide_build_state_traffic(seed, monkeypatch):
     """The 8-node binary-tree build makes 28 probes, one per pair qubit as
-    _fresh_cat claims it and one per reset, and 44 gate applications (27
+    _claim takes it up front and one per reset, and 44 gate applications (27
     permutation, 2 diagonal, 15 general): its share of the per-branch
     counts the benchmark's traced ghz-wide run pins, whose other 14 probes
     are the channel checks after the build."""

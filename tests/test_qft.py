@@ -1,6 +1,7 @@
 """Transform correctness against the defining sum, plan arithmetic, and
 distributed execution."""
 
+import collections
 import json
 import math
 import random
@@ -222,6 +223,41 @@ def test_distributed_check_applies_the_circuit_past_ten_qubits(monkeypatch):
     assert rep.verified and rep.max_infidelity <= 1e-10
     monkeypatch.setattr(qft, "distributed_swap", lambda *args, **kwargs: None)
     assert run().verified is False
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["forced-ones", "split"])
+def test_amortized_4_over_2_state_traffic(split, monkeypatch):
+    """One amortized 4/2 run makes 62 gate applications (34 permutation, 12
+    diagonal, 16 general) and 22 probes inside qft_distributed: 2 as it
+    claims a channel qubit per node, 4 as the distributions' pairs are
+    reset, and 8 per reversal swap. Every correction fires: on every row
+    with all twelve outcomes forced to 1, on some rows with all twelve
+    split. This is the run the benchmark's traced qft-sweep counts per
+    branch, whose probe count adds the verifier's 4 channel checks."""
+    counts = collections.Counter()
+    apply_gate, partial_state_check = qstate.apply_gate, qstate.partial_state_check
+
+    def counted_gate(state, gate, *args, **kwargs):
+        counts[gate.kind] += 1
+        return apply_gate(state, gate, *args, **kwargs)
+
+    def counted_probe(*args, **kwargs):
+        counts["probe"] += 1
+        return partial_state_check(*args, **kwargs)
+
+    net = qft_net(2, 2, seed=0)
+    addrs = [net.reg(f"M{i // 2}", i % 2) for i in range(4)]
+    net.inject_state(addrs, random_state(4, np.random.default_rng(9)).amplitudes)
+    if split:
+        net.split_outcomes(12)
+    else:
+        net.force_outcomes([1] * 12)
+    monkeypatch.setattr(qstate, "apply_gate", counted_gate)
+    monkeypatch.setattr(qstate, "partial_state_check", counted_probe)
+    rep = qft_distributed(net, build_qft_plan(4, 2), amortized=True, check=False)
+    assert counts == {"permutation": 34, "diagonal": 12, "general": 16, "probe": 22}
+    assert net.rows == (4096 if split else 1) and net.pending_outcomes == 0
+    assert rep.ledger.ebits_consumed == 2 and rep.details["swap_ledger"]["ebits"] == 4
 
 
 def test_distributed_wrong_node_count():
