@@ -415,17 +415,20 @@ class Network:
         there, or delivered there by a logged message. The scheduling round
         is charged whether or not the gate fires, so costs do not depend on
         measurement outcomes. Returns the XOR of the control bits, a per-row
-        value that is 1 on the rows the gate fired on.
+        value that is 1 on the rows the gate fired on. No targets or no
+        controls raise ValueError before the round is charged.
         """
         if isinstance(targets, QubitAddress):
             targets = [targets]
         targets = [self._checked_address(t) for t in targets]
+        if isinstance(controls, (MeasurementRecord, ClassicalMessage)):
+            controls = [controls]
+        if not targets or not controls:
+            raise ValueError("no target qubits given" if controls else "no control bits given")
         nodes = {t.node for t in targets}
         if len(nodes) > 1:
             raise LocalityError(f"controlled correction spans nodes {sorted(nodes)}")
         node = targets[0].node
-        if isinstance(controls, (MeasurementRecord, ClassicalMessage)):
-            controls = [controls]
         bit = functools.reduce(operator.xor, [self._token_bit_at(token, node) for token in controls])
         idx = [self.global_index(t) for t in targets]
         self._account_round(idx)

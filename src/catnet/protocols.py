@@ -23,8 +23,7 @@ helper qubit a protocol holds (a pair or cat member, an ancilla, a
 register to wait in, a channel qubit to establish over) comes from one
 allocator, _claim: idle |0> qubits of one node's pool in slot order,
 probed once each, never one of the call's own qubits. A protocol claims
-them all before its first gate (a distributed_swap nested in the transform
-claims its own when it starts), so a shortfall raises CapacityError with
+them all before its first gate, so a shortfall raises CapacityError with
 the network unchanged. Network._write_cat writes a pair onto claimed
 qubits without probing them again, a stand-in for earlier distribution
 that charges nothing until consumption. The non-local CNOT and the
@@ -341,7 +340,6 @@ def nonlocal_controlled_sequence(
     *,
     epr: tuple[QubitAddress, QubitAddress] | None = None,
     check: bool = True,
-    tag: str = "nl-seq",
 ) -> ProtocolReport:
     """Run several controlled gates off one distributed control line.
 
@@ -362,7 +360,7 @@ def nonlocal_controlled_sequence(
     pair = _fresh_cat(net, [control.node, remote], [control, *targets], epr)
     scope = _Scope(net, check)
     layers = [[(1, make_controlled(ControlledSpec(1, g)), tg)] for g, tg in seq]
-    ideal, _, _ = _share_control(net, control, pair, layers, tag=tag)
+    ideal, _, _ = _share_control(net, control, pair, layers, tag="nl-seq")
     return scope.report("nonlocal-controlled-sequence", ideal, pair, details={"gate_count": len(seq)})
 
 
@@ -512,13 +510,32 @@ def teleport_with_reset(
     )
 
 
+def _swap_over(
+    net: Network, a: QubitAddress, b: QubitAddress, chans_a: Sequence[QubitAddress], chans_b: Sequence[QubitAddress],
+    wait: QubitAddress, tag: str,
+) -> None:
+    """distributed_swap's gates on claimed qubits: b hops to a's node over
+    the pair on the last of chans_a and chans_b, waits on `wait`, and a hops
+    to b's node over the pair on the first of each."""
+    ea, eb = chans_a[-1], chans_b[-1]
+    net._write_cat([eb, ea])
+    reset_channel_qubits(net, teleport(net, b, (eb, ea), tag=f"{tag}:b-to-a"))
+    if wait != ea:
+        net.local_apply(SWAP, [ea, wait])
+    ea, eb = chans_a[0], chans_b[0]
+    net._write_cat([ea, eb])
+    reset_channel_qubits(net, teleport(net, a, (ea, eb), tag=f"{tag}:a-to-b"))
+    with net.parallel_round():
+        net.local_apply(SWAP, [wait, a])
+        net.local_apply(SWAP, [eb, b])
+
+
 def distributed_swap(
     net: Network,
     a: QubitAddress,
     b: QubitAddress,
     *,
     check: bool = True,
-    tag: str = "dswap",
 ) -> ProtocolReport:
     """Exchange the states of two qubits on different nodes.
 
@@ -528,7 +545,9 @@ def distributed_swap(
     a |0> register qubit there, which ends back in |0>. Every qubit is
     claimed before the first gate, and each is probed at most once. The
     second pair is written after the first hop: its entanglement is assumed
-    distributed between the hops. Costs 2 ebits and 4 cbits.
+    distributed between the hops. Costs 2 ebits and 4 cbits. The transform
+    runs its cross-node reversal swaps through the same gates (_swap_over),
+    on the two channel qubits per node it claims up front.
     """
     if a.node == b.node:
         raise ValueError(f"{a} and {b} share a node; apply a local swap")
@@ -542,17 +561,7 @@ def distributed_swap(
     # b's state waits on a's second channel qubit, or else in a register qubit there
     (wait,) = chans_a[1:] or _claim(net, a.node, REGISTER, 1, [a])
     scope = _Scope(net, check)
-    ea, eb = chans_a[-1], chans_b[-1]
-    net._write_cat([eb, ea])
-    reset_channel_qubits(net, teleport(net, b, (eb, ea), tag=f"{tag}:b-to-a"))
-    if wait != ea:
-        net.local_apply(SWAP, [ea, wait])
-    ea, eb = chans_a[0], chans_b[0]
-    net._write_cat([ea, eb])
-    reset_channel_qubits(net, teleport(net, a, (ea, eb), tag=f"{tag}:a-to-b"))
-    with net.parallel_round():
-        net.local_apply(SWAP, [wait, a])
-        net.local_apply(SWAP, [eb, b])
+    _swap_over(net, a, b, chans_a, chans_b, wait, "dswap")
     return scope.report(
         "distributed-swap",
         [(SWAP, [a, b])],

@@ -6,8 +6,10 @@ qubit, then a final order-reversing swap layer. _steps lays the cascade out
 on machines of adjacent qubits and groups the cross-node rotations that
 share one distribution of their control; build_qft_plan counts from those
 steps, and qft_distributed runs them on a network, spending one EPR pair
-per distribution and swapping cross-node pairs in the reversal via
-distributed_swap.
+per distribution and swapping cross-node pairs in the reversal with
+distributed_swap's gates. The run claims two idle channel qubits per node
+before its first gate, and every distribution and reversal swap runs over
+them.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from functools import lru_cache
 from typing import Any, Sequence
 
 from . import qstate
-from .errors import CapacityError
 from .gates import H, SWAP, ControlledSpec, make_controlled, make_rk
 from .network import CHANNEL, Network
-from .protocols import ProtocolReport, _claim, _Scope, _share_control, distributed_swap, reset_channel_qubits
+from .protocols import ProtocolReport, _claim, _Scope, _share_control, _swap_over, reset_channel_qubits
 from .qstate import GateMatrix, StateVector
 
 
@@ -153,12 +154,15 @@ def qft_distributed(
     The cascade runs as _steps lays it out: each distribution of a control
     to a remote node consumes a fresh EPR pair, and in amortized mode the
     rotations that share a control and a remote node ride one distribution
-    instead of one each. Every pair is written onto the one channel qubit
-    of each node that the run claims before its first gate, and reset after
-    its distribution. The cross-node reversal swaps (distributed_swap)
-    claim their own qubits when they start. The report's ledger covers the
-    rotation stage only; the reversal swaps are tallied separately under
-    details["swap_ledger"]. Machine i runs on the network's i-th node.
+    instead of one each. Before its first gate the run claims two idle
+    channel qubits on every node (_claim); a shortfall raises CapacityError
+    with the network unchanged. Every pair is written onto the first
+    claimed channel qubit of each node and reset after its distribution.
+    Each cross-node reversal swap runs distributed_swap's gates on the two
+    claimed channel qubits of its two nodes, b's state waiting on a's
+    second one. The report's ledger covers the rotation stage only; the
+    reversal swaps are tallied separately under details["swap_ledger"].
+    Machine i runs on the network's i-th node.
 
     With `check`, the report compares the result with the transform's
     circuit (the gate list qft_local runs) applied to a copy of the state
@@ -170,12 +174,10 @@ def qft_distributed(
     for name in node_list:
         if net.nodes[name].registers < plan.k:
             raise ValueError(f"{name} needs {plan.k} register qubits for this plan")
-        if net.nodes[name].channels < 2:
-            raise CapacityError(f"{name} needs 2 channel qubits (rotation + swap buffers)")
     addr = [net.reg(node_list[i // plan.k], i % plan.k) for i in range(plan.n)]
-    # each node runs every distribution over one channel qubit, reset after
-    # each; on more than one machine every node takes part in one
-    chan = {node: _claim(net, node, CHANNEL, 1, ())[0] for node in node_list} if plan.m > 1 else {}
+    # every distribution and reversal swap on a node runs over these two,
+    # reset after each
+    chans = {node: _claim(net, node, CHANNEL, 2, ()) for node in node_list}
 
     scope = _Scope(net, check)
     distributions_used = 0
@@ -186,20 +188,20 @@ def qft_distributed(
         elif ctrl.node == target.node:
             net.local_apply(controlled_rk(c - targets[0] + 1), [ctrl, target])
         else:
-            pair = [chan[ctrl.node], chan[target.node]]
+            pair = [chans[ctrl.node][0], chans[target.node][0]]
             net._write_cat(pair)
             layers = [[(1, controlled_rk(c - t + 1), [addr[t]])] for t in targets]
             _, records, _ = _share_control(net, ctrl, pair, layers, tag=f"qft:c{c}")
             reset_channel_qubits(net, records)
             distributions_used += 1
 
-    gate_ledger = net.ledger.delta_since(scope.snap)
     swap_start = net.ledger.snapshot()
     for i, j in plan.swaps:
         if addr[i].node == addr[j].node:
             net.local_apply(SWAP, [addr[i], addr[j]])
         else:
-            distributed_swap(net, addr[i], addr[j], check=False, tag=f"qft:swap{i}-{j}")
+            ci, cj = chans[addr[i].node], chans[addr[j].node]
+            _swap_over(net, addr[i], addr[j], ci, cj, ci[1], f"qft:swap{i}-{j}")
     swap_ledger = net.ledger.delta_since(swap_start)
 
     report = scope.report(
@@ -215,5 +217,5 @@ def qft_distributed(
     # the scope's ledger covers the whole run: it becomes the total, and the
     # report's own ledger is the rotation stage
     report.details["total_ledger"] = report.ledger.as_dict()
-    report.ledger = gate_ledger
+    report.ledger = swap_start.delta_since(scope.snap)
     return report

@@ -375,6 +375,21 @@ def test_controlled_apply_rejects_foreign_record():
         nets[0].classically_controlled_apply(recs[1], X, [nets[0].reg("A", 1)])
 
 
+@pytest.mark.parametrize("empty", ["controls", "targets"])
+def test_controlled_apply_refuses_empty_inputs_before_the_round(empty):
+    """No control bits, or no targets, raise ValueError before the round
+    is charged, as local_apply refuses no targets. An empty control list
+    once failed inside reduce with a TypeError, and no targets with an
+    IndexError."""
+    net = Network([("A", 2, 0)], seed=0)
+    rec = net.measure(net.reg("A", 0))
+    before = net.ledger.as_dict()
+    controls, targets = ([], [net.reg("A", 1)]) if empty == "controls" else ([rec], [])
+    with pytest.raises(ValueError, match=f"no {'control bits' if empty == 'controls' else 'target qubits'} given"):
+        net.classically_controlled_apply(controls, X, targets)
+    assert net.ledger.as_dict() == before and net.qubit_is(net.reg("A", 1), 0)
+
+
 def test_controlled_apply_rejects_unlogged_message():
     net = two_nodes(seed=0)
     fake = ClassicalMessage("A", "B", 1, "forged")

@@ -571,12 +571,18 @@ SHORTFALLS = {
             net, [at("TOP.r0"), at("TOP.r1"), at("BOT.r0"), at("BOT.r1")], at("TOP.r2"), at("BOT.r2")
         ),
     ),
-    # every channel of M1: with one left, the run would claim it and fail
-    # only in the reversal, inside the distributed_swap that claims its own
+    # the transform claims two channel qubits per node: every channel of M1
+    # busy, or one of them
     "transform": (
         [("M0", 2, 2), ("M1", 2, 2)],
         ["M0.r0", "M0.r1", "M1.r0", "M1.r1"],
         ["M1.c0", "M1.c1"],
+        lambda net: qft_distributed(net, build_qft_plan(4, 2), amortized=True),
+    ),
+    "transform-one-busy-channel": (
+        [("M0", 2, 2), ("M1", 2, 2)],
+        ["M0.r0", "M0.r1", "M1.r0", "M1.r1"],
+        ["M1.c0"],
         lambda net: qft_distributed(net, build_qft_plan(4, 2), amortized=True),
     ),
 }
@@ -645,6 +651,16 @@ def test_multi_control_probes_each_claimed_qubit_once(spec, probed, written):
     chans = [QubitAddress(c.node, CHANNEL, c.slot) for c in controls]
     assert probed == [at("T.r1"), at("T.r2"), *chans, at("T.c0")]
     assert written == [chans[0], at("T.c0"), chans[1], at("T.c0")]
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (6, 3)])
+def test_transform_probes_each_channel_once(n, m, probed):
+    """The transform claims two channel qubits on every node before its
+    first gate, probing each once, and runs every distribution and reversal
+    swap over them with no further probe for |0>."""
+    net = Network([(f"M{i}", n // m, 2) for i in range(m)], seed=0)
+    assert qft_distributed(net, build_qft_plan(n, m), amortized=True).verified
+    assert probed == [at(f"M{i}.c{c}") for i in range(m) for c in (0, 1)]
 
 
 # ---- distributed_em -----------------------------------------------------------

@@ -221,19 +221,20 @@ def test_distributed_check_applies_the_circuit_past_ten_qubits(monkeypatch):
 
     rep = run()
     assert rep.verified and rep.max_infidelity <= 1e-10
-    monkeypatch.setattr(qft, "distributed_swap", lambda *args, **kwargs: None)
+    monkeypatch.setattr(qft, "_swap_over", lambda *args, **kwargs: None)
     assert run().verified is False
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["forced-ones", "split"])
 def test_amortized_4_over_2_state_traffic(split, monkeypatch):
     """One amortized 4/2 run makes 62 gate applications (34 permutation, 12
-    diagonal, 16 general) and 22 probes inside qft_distributed: 2 as it
-    claims a channel qubit per node, 4 as the distributions' pairs are
-    reset, and 8 per reversal swap. Every correction fires: on every row
-    with all twelve outcomes forced to 1, on some rows with all twelve
-    split. This is the run the benchmark's traced qft-sweep counts per
-    branch, whose probe count adds the verifier's 4 channel checks."""
+    diagonal, 16 general) and 16 probes inside qft_distributed: 4 as it
+    claims two channel qubits per node, 4 as the distributions' pairs are
+    reset, and 4 as each reversal swap's pairs are. Every correction
+    fires: on every row with all twelve outcomes forced to 1, on some rows
+    with all twelve split. This is the run the benchmark's traced qft-sweep
+    counts per branch, whose probe count adds the verifier's 4 channel
+    checks."""
     counts = collections.Counter()
     apply_gate, partial_state_check = qstate.apply_gate, qstate.partial_state_check
 
@@ -255,7 +256,7 @@ def test_amortized_4_over_2_state_traffic(split, monkeypatch):
     monkeypatch.setattr(qstate, "apply_gate", counted_gate)
     monkeypatch.setattr(qstate, "partial_state_check", counted_probe)
     rep = qft_distributed(net, build_qft_plan(4, 2), amortized=True, check=False)
-    assert counts == {"permutation": 34, "diagonal": 12, "general": 16, "probe": 22}
+    assert counts == {"permutation": 34, "diagonal": 12, "general": 16, "probe": 16}
     assert net.rows == (4096 if split else 1) and net.pending_outcomes == 0
     assert rep.ledger.ebits_consumed == 2 and rep.details["swap_ledger"]["ebits"] == 4
 
