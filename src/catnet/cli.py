@@ -108,7 +108,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if branches is None:
         # the 4-qubit transform already has 2^16 forced branches; keep the
         # default invocation quick and leave the full sweep opt-in
-        branches = "sampled" if protocol == "qft" and args.command != "report" else "exhaustive"
+        branches = "sampled" if protocol == "qft" else "exhaustive"
     samples = getattr(args, "samples", None)
     if samples is not None and samples < 1:
         raise ValueError(f"--samples must be at least 1, got {samples}")
@@ -140,7 +140,7 @@ def run_verify(config: RunConfig) -> tuple[int, list[ProtocolReport]]:
     if config.command == "demo":
         kwargs.update(branches="sampled", samples=1)
     qft_options = {"n": config.n, "m": config.m, "amortized": config.amortized}
-    if config.command == "report" or config.protocol == "all":
+    if config.protocol == "all":
         reports = verify_all(**kwargs, **qft_options)
     elif config.protocol == "qft":
         reports = [verify_protocol("qft", **kwargs, **qft_options)]

@@ -9,7 +9,13 @@ measured there or received in a message. Resource counters (ebits, cbits,
 transports, rounds) are maintained by the operations themselves.
 
 Each node owns a register pool (long-lived data qubits) and a channel pool
-(communication qubits). All slots start occupied by |0> qubits.
+(communication qubits). All slots start occupied by |0> qubits. One table,
+`ownership`, records them: it maps each slot's address to the global index
+of the qubit held there. Its keys are fixed when the network is built, and
+an exchange only swaps two of its values. global_index is the one lookup,
+so an address outside the table raises the same error at every entry
+point, and each operation resolves every address it is given once and
+charges the round with the global indices it touches.
 
 A run carries one or more rows of the state: measurement branches (see
 split_outcomes), inputs of a stack, or sampled runs that each draw from a
@@ -118,13 +124,6 @@ class ResourceLedger:
         }
 
 
-@dataclass(frozen=True)
-class NodeSpec:
-    name: str
-    registers: int
-    channels: int
-
-
 ControlToken = MeasurementRecord | ClassicalMessage
 
 
@@ -176,25 +175,21 @@ class Network:
         nodes: Sequence[tuple[str, int, int]],
         seed: int | None = None,
     ) -> None:
-        specs = [NodeSpec(str(n), _count(r, "register count"), _count(c, "channel count")) for n, r, c in nodes]
-        names = [s.name for s in specs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate node names: {names}")
-        for s in specs:
-            if s.registers + s.channels == 0:
-                raise ValueError(f"node {s.name} needs at least one qubit slot")
-        self.nodes: dict[str, NodeSpec] = {s.name: s for s in specs}
+        specs = [(str(n), _count(r, "register count"), _count(c, "channel count")) for n, r, c in nodes]
+        self.nodes: tuple[str, ...] = tuple(name for name, _, _ in specs)
+        if len(set(self.nodes)) != len(self.nodes):
+            raise ValueError(f"duplicate node names: {list(self.nodes)}")
+        # the one record of the qubits: address -> global index, in node order
+        # and, within a node, registers before channels
         self.ownership: dict[QubitAddress, int] = {}
-        gidx = 0
-        for s in specs:
-            for slot in range(s.registers):
-                self.ownership[QubitAddress(s.name, REGISTER, slot)] = gidx
-                gidx += 1
-            for slot in range(s.channels):
-                self.ownership[QubitAddress(s.name, CHANNEL, slot)] = gidx
-                gidx += 1
-        self.num_qubits = gidx
-        self.state: StateVector = qstate.basis_state(gidx, 0)
+        for name, registers, channels in specs:
+            if registers + channels == 0:
+                raise ValueError(f"node {name} needs at least one qubit slot")
+            for pool, count in ((REGISTER, registers), (CHANNEL, channels)):
+                for slot in range(count):
+                    self.ownership[QubitAddress(name, pool, slot)] = len(self.ownership)
+        self.num_qubits = len(self.ownership)
+        self.state: StateVector = qstate.basis_state(self.num_qubits, 0)
         self.ledger = ResourceLedger()
         self.message_log: list[ClassicalMessage] = []
         self.records: list[MeasurementRecord] = []
@@ -211,25 +206,23 @@ class Network:
     # ---- addressing -----------------------------------------------------
 
     def reg(self, node: str, slot: int = 0) -> QubitAddress:
-        return self._checked_address(QubitAddress(node, REGISTER, slot))
+        self.global_index(addr := QubitAddress(node, REGISTER, slot))
+        return addr
 
     def chan(self, node: str, slot: int = 0) -> QubitAddress:
-        return self._checked_address(QubitAddress(node, CHANNEL, slot))
-
-    def _checked_address(self, addr: QubitAddress) -> QubitAddress:
-        if addr.node not in self.nodes:
-            raise ValueError(f"unknown node {addr.node!r}")
-        spec = self.nodes[addr.node]
-        cap = spec.registers if addr.pool == REGISTER else spec.channels
-        if not 0 <= addr.slot < cap:
-            raise ValueError(f"slot out of range for {addr}")
+        self.global_index(addr := QubitAddress(node, CHANNEL, slot))
         return addr
 
     def global_index(self, addr: QubitAddress) -> int:
+        """The global index of the qubit held at `addr`: the one address
+        lookup. An address outside the table raises ValueError naming an
+        unknown node or a slot out of range."""
         try:
             return self.ownership[addr]
         except KeyError:
-            raise ValueError(f"no qubit currently held at {addr}") from None
+            if addr.node not in self.nodes:
+                raise ValueError(f"unknown node {addr.node!r}") from None
+            raise ValueError(f"slot out of range for {addr}") from None
 
     def addresses(self, node: str | None = None, pool: str | None = None) -> list[QubitAddress]:
         out = [
@@ -274,15 +267,15 @@ class Network:
 
     def local_apply(self, gate: GateMatrix, targets: Sequence[QubitAddress]) -> None:
         """Apply a gate whose targets all sit on one node."""
-        targets = [self._checked_address(t) for t in targets]
-        if not targets:
+        targets = list(targets)  # read twice: resolved, then their nodes
+        idx = [self.global_index(t) for t in targets]
+        if not idx:
             raise ValueError("no target qubits given")
         nodes = {t.node for t in targets}
         if len(nodes) > 1:
             raise LocalityError(
                 f"gate targets span nodes {sorted(nodes)}; gates are node-local"
             )
-        idx = [self.global_index(t) for t in targets]
         self._account_round(idx)
         qstate.apply_gate(self.state, gate, idx)
 
@@ -303,7 +296,6 @@ class Network:
         """One call of qstate.measure, the one collapse kernel, with the
         outcome source measure() names: a forced bit, no source for a split,
         or the rows' generators."""
-        addr = self._checked_address(addr)
         gidx = self.global_index(addr)
         self._account_round([gidx])
         if x_basis:
@@ -418,19 +410,17 @@ class Network:
         value that is 1 on the rows the gate fired on. No targets or no
         controls raise ValueError before the round is charged.
         """
-        if isinstance(targets, QubitAddress):
-            targets = [targets]
-        targets = [self._checked_address(t) for t in targets]
+        targets = [targets] if isinstance(targets, QubitAddress) else list(targets)
+        idx = [self.global_index(t) for t in targets]
         if isinstance(controls, (MeasurementRecord, ClassicalMessage)):
             controls = [controls]
-        if not targets or not controls:
+        if not idx or not controls:
             raise ValueError("no target qubits given" if controls else "no control bits given")
         nodes = {t.node for t in targets}
         if len(nodes) > 1:
             raise LocalityError(f"controlled correction spans nodes {sorted(nodes)}")
         node = targets[0].node
         bit = functools.reduce(operator.xor, [self._token_bit_at(token, node) for token in controls])
-        idx = [self.global_index(t) for t in targets]
         self._account_round(idx)
         hits = np.count_nonzero(bit)  # every row fires, some do, or none
         if 0 < hits < bit.size:
@@ -446,20 +436,19 @@ class Network:
     ) -> tuple[QubitAddress, QubitAddress]:
         """Two nodes swap one channel qubit each, as one crossing shipment.
 
-        Counts two transports and one round. Returns the new addresses of
-        the qubits formerly at addr_a and addr_b (they trade slots, so no
-        free capacity is needed).
+        Counts two transports and one round; inside a parallel round it
+        touches the two qubits it ships, like any other operation. Returns
+        the new addresses of the qubits formerly at addr_a and addr_b (they
+        trade slots, so no free capacity is needed).
         """
-        addr_a = self._checked_address(addr_a)
-        addr_b = self._checked_address(addr_b)
+        ga, gb = self.global_index(addr_a), self.global_index(addr_b)
         if addr_a.pool != CHANNEL or addr_b.pool != CHANNEL:
             raise PoolError("only channel qubits travel")
         if addr_a.node == addr_b.node:
             raise ValueError("exchange requires two different nodes")
-        ga, gb = self.global_index(addr_a), self.global_index(addr_b)
+        self._account_round([ga, gb])
         self.ownership[addr_a], self.ownership[addr_b] = gb, ga
         self.ledger.qubits_transported += 2
-        self._account_round([])
         return addr_b, addr_a
 
     # ---- state inspection ---------------------------------------------------
@@ -475,7 +464,11 @@ class Network:
         if isinstance(bit, np.ndarray) or bit not in (0, 1):
             shape, bit = np.shape(bit), qstate._bits(bit, "expected bit")
             self._check_rows(shape, "expected bit")
-        answer = qstate.partial_state_check(self.state, self.global_index(addr), bit)
+        return self._holds(addr, self.global_index(addr), bit)
+
+    def _holds(self, addr: QubitAddress, gidx: int, bit: int | np.ndarray) -> bool:
+        """qubit_is on an address already resolved to `gidx`."""
+        answer = qstate.partial_state_check(self.state, gidx, bit)
         return _one_answer(answer, "the expected bit on", [addr])
 
     def last_record(self, addr: QubitAddress) -> MeasurementRecord | None:
@@ -502,20 +495,24 @@ class Network:
         a block of their own, apart from the rest of the state until a
         gate joins them to it.
         """
-        addrs = [self._checked_address(a) for a in addrs]
-        if len(addrs) < 2:
+        addrs = list(addrs)  # read twice: resolved, then named by the probe
+        idx = [self.global_index(a) for a in addrs]
+        if len(idx) < 2:
             raise ValueError("a shared cat state needs at least 2 qubits")
-        if len(set(addrs)) != len(addrs):
+        if len(set(idx)) != len(idx):
             raise ValueError("duplicate addresses in cat preparation")
-        for a in addrs:
-            if not self.qubit_is(a, 0):
+        for a, i in zip(addrs, idx):
+            if not self._holds(a, i, 0):
                 raise PreconditionError(f"{a} must hold |0> before entanglement setup")
-        self._write_cat(addrs)
+        self._cat_at(idx)
 
     def _write_cat(self, addrs: Sequence[QubitAddress]) -> None:
+        """Write a cat onto qubits the caller has found at |0>, with no probe."""
+        self._cat_at([self.global_index(a) for a in addrs])
+
+    def _cat_at(self, idx: Sequence[int]) -> None:
         """The one cat writer: H on the first qubit and a CNOT from it onto
-        each other one, with no probe; the caller has found them all at |0>."""
-        idx = [self.global_index(a) for a in addrs]
+        each other one."""
         qstate.apply_gate(self.state, H, [idx[0]])
         for other in idx[1:]:
             qstate.apply_gate(self.state, CNOT, [idx[0], other])
@@ -536,7 +533,6 @@ class Network:
         """
         if self.rows > 1:
             raise ValueError("inject_state needs an unsplit network")
-        addrs = [self._checked_address(a) for a in addrs]
         idx = [self.global_index(a) for a in addrs]
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate addresses in input preparation")

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 from . import qstate
 from .gates import H, SWAP, ControlledSpec, make_controlled, make_rk
-from .network import CHANNEL, Network
+from .network import CHANNEL, REGISTER, Network
 from .protocols import ProtocolReport, _claim, _Scope, _share_control, _swap_over, reset_channel_qubits
 from .qstate import GateMatrix, StateVector
 
@@ -168,16 +168,15 @@ def qft_distributed(
     circuit (the gate list qft_local runs) applied to a copy of the state
     the run started from, so no 2^n x 2^n matrix is built.
     """
-    node_list = list(net.nodes)
-    if len(node_list) != plan.m:
-        raise ValueError(f"plan wants {plan.m} machines, got {len(node_list)} nodes")
-    for name in node_list:
-        if net.nodes[name].registers < plan.k:
+    if len(net.nodes) != plan.m:
+        raise ValueError(f"plan wants {plan.m} machines, got {len(net.nodes)} nodes")
+    for name in net.nodes:
+        if len(net.addresses(name, REGISTER)) < plan.k:
             raise ValueError(f"{name} needs {plan.k} register qubits for this plan")
-    addr = [net.reg(node_list[i // plan.k], i % plan.k) for i in range(plan.n)]
+    addr = [net.reg(net.nodes[i // plan.k], i % plan.k) for i in range(plan.n)]
     # every distribution and reversal swap on a node runs over these two,
     # reset after each
-    chans = {node: _claim(net, node, CHANNEL, 2, ()) for node in node_list}
+    chans = {node: _claim(net, node, CHANNEL, 2, ()) for node in net.nodes}
 
     scope = _Scope(net, check)
     distributions_used = 0

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import argparse
+import collections
 import json
 import re
 import subprocess
@@ -293,6 +294,50 @@ def test_sweep_of_everything_keeps_each_sample_count(command, monkeypatch, capsy
     assert set(seen) == set(verify.VERIFIERS)
     assert all("samples" not in kwargs for kwargs in seen.values())
     assert seen["teleport"] == {"seed": 0, "branches": "sampled"}
+
+
+# the nine small exhaustive verifiers the benchmark's protocol-suite runs
+SUITE = [
+    "nonlocal-cnot",
+    "teleport",
+    "cat-roundtrip",
+    "refresh",
+    "distributed-swap",
+    "multi-control",
+    "decompose-c4x",
+    "amortized",
+    "parallel-control",
+]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_protocol_suite_traffic(seed, tmp_path, monkeypatch):
+    """The nine small verifiers through the CLI's JSON path, as the
+    benchmark's protocol-suite runs them, make 307 gate applications (177
+    permutation, 41 diagonal, 89 general), 120 probes and 67 measurements
+    on 22 networks, whatever the seed."""
+    from catnet import qstate
+    from catnet.network import Network
+
+    counts = collections.Counter()
+    apply_gate, probe, measure, init = qstate.apply_gate, qstate.partial_state_check, qstate.measure, Network.__init__
+
+    def counted(fn, name=None):
+        """fn, counting each call under `name`, or a gate's kind if None."""
+
+        def call(*args, **kwargs):
+            counts[name or args[1].kind] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(qstate, "apply_gate", counted(apply_gate))
+    monkeypatch.setattr(qstate, "partial_state_check", counted(probe, "probe"))
+    monkeypatch.setattr(qstate, "measure", counted(measure, "measure"))
+    monkeypatch.setattr(Network, "__init__", counted(init, "network"))
+    codes = [main(["verify", name, "--seed", str(seed), "--output", str(tmp_path / f"{name}.json")]) for name in SUITE]
+    assert codes == [0] * len(SUITE)
+    assert counts == {"permutation": 177, "diagonal": 41, "general": 89, "probe": 120, "measure": 67, "network": 22}
 
 
 def test_workers_flag_is_rejected(capsys):

@@ -1,5 +1,6 @@
 """Execution-model contracts: locality, rounds, messages, transport."""
 
+import re
 import subprocess
 import sys
 
@@ -50,6 +51,48 @@ def test_address_validation():
         Network([("A", 0, 0)])
 
 
+BAD_ADDRESSES = {
+    "unknown-node": ("Z", 0, "unknown node 'Z'"),
+    "bad-slot": ("A", 3, "slot out of range for A.{pool}[3]"),
+}
+
+
+# every entry point that takes an address, with the pool it is given and a
+# call on the bad address; `msg` is a message from B to A, sent beforehand
+ADDRESS_ENTRY_POINTS = {
+    "reg": (REGISTER, lambda net, bad, msg: net.reg(bad.node, bad.slot)),
+    "chan": (CHANNEL, lambda net, bad, msg: net.chan(bad.node, bad.slot)),
+    "global_index": (REGISTER, lambda net, bad, msg: net.global_index(bad)),
+    "local_apply": (REGISTER, lambda net, bad, msg: net.local_apply(H, [bad])),
+    "measure": (REGISTER, lambda net, bad, msg: net.measure(bad)),
+    "measure_x": (REGISTER, lambda net, bad, msg: net.measure_x(bad)),
+    "classically_controlled_apply": (REGISTER, lambda net, bad, msg: net.classically_controlled_apply(msg, X, [bad])),
+    "exchange_channel_qubits": (CHANNEL, lambda net, bad, msg: net.exchange_channel_qubits(bad, net.chan("B"))),
+    "qubit_is": (REGISTER, lambda net, bad, msg: net.qubit_is(bad, 0)),
+    "preshare_cat": (REGISTER, lambda net, bad, msg: net.preshare_cat([net.chan("B"), bad])),
+    "inject_state": (REGISTER, lambda net, bad, msg: net.inject_state([bad], [1, 0])),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_ADDRESSES)
+@pytest.mark.parametrize("entry", ADDRESS_ENTRY_POINTS)
+def test_every_entry_point_refuses_a_bad_address_alike(entry, kind):
+    """An address outside the network raises the same error wherever it is
+    given, before anything is charged or moved."""
+    pool, call = ADDRESS_ENTRY_POINTS[entry]
+    node, slot, text = BAD_ADDRESSES[kind]
+    net = two_nodes(seed=0)
+    msg = net.send_cbit(ClassicalMessage("B", "A", 1, "bit"))
+    ledger, ownership = net.ledger.as_dict(), dict(net.ownership)
+    with pytest.raises(ValueError, match=re.escape(text.format(pool=pool))):
+        call(net, QubitAddress(node, pool, slot), msg)
+    assert net.ledger.as_dict() == ledger and net.ownership == ownership
+
+
+def test_nodes_are_names_in_construction_order():
+    assert Network([("B", 1, 0), ("A", 0, 1)]).nodes == ("B", "A")
+
+
 def test_addresses_filtering():
     net = Network([("A", 2, 1), ("B", 0, 2)])
     assert len(net.addresses()) == 5
@@ -68,6 +111,20 @@ def test_local_apply_spanning_nodes_rejected():
     net = two_nodes()
     with pytest.raises(LocalityError):
         net.local_apply(CNOT, [net.reg("A"), net.reg("B")])
+
+
+def test_addresses_given_as_an_iterator_are_checked_like_a_list():
+    """An operation reads its addresses more than once (resolved, then their
+    nodes or names), so a one-shot iterator must not skip the second read."""
+    net = two_nodes()
+    with pytest.raises(LocalityError):
+        net.local_apply(CNOT, iter([net.reg("A"), net.reg("B")]))
+    net.local_apply(X, iter([net.chan("A")]))
+    with pytest.raises(PreconditionError):
+        net.preshare_cat(iter([net.chan("B"), net.chan("A")]))
+    msg = net.send_cbit(ClassicalMessage("B", "A", 1, "bit"))
+    net.classically_controlled_apply(msg, X, iter([net.chan("A")]))
+    assert net.qubit_is(net.chan("A"), 0)
 
 
 def test_local_apply_within_node():
@@ -418,6 +475,32 @@ def test_exchange_rejects_registers():
     with pytest.raises(PoolError):
         net.exchange_channel_qubits(net.chan("A"), net.reg("B"))
     assert net.ledger.qubits_transported == 0
+
+
+@pytest.mark.parametrize("exchange_first", [True, False], ids=["exchange-then-gate", "gate-then-exchange"])
+def test_exchange_in_a_round_touches_the_qubits_it_ships(exchange_first):
+    """Inside a parallel round an exchange conflicts with any other
+    operation on the two qubits it ships; a refused exchange moves nothing."""
+    net = two_nodes()
+    ops = [
+        lambda: net.exchange_channel_qubits(net.chan("A"), net.chan("B")),
+        lambda: net.local_apply(H, [net.chan("A")]),
+    ]
+    with pytest.raises(ValueError, match="disjoint"):
+        with net.parallel_round():
+            for op in ops if exchange_first else ops[::-1]:
+                op()
+    assert net.ledger.qubits_transported == (2 if exchange_first else 0)
+    assert net.global_index(net.chan("A")) == (3 if exchange_first else 1)
+
+
+def test_exchanges_on_disjoint_pairs_share_a_round():
+    net = Network([("A", 0, 2), ("B", 0, 2)])
+    with net.parallel_round():
+        net.exchange_channel_qubits(net.chan("A", 0), net.chan("B", 0))
+        net.exchange_channel_qubits(net.chan("A", 1), net.chan("B", 1))
+    assert net.ledger.as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 4, "rounds": 1}
+    assert [net.global_index(a) for a in net.addresses()] == [2, 3, 0, 1]
 
 
 # ---- bootstrap helpers ----------------------------------------------------------
