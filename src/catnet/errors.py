@@ -57,8 +57,9 @@ class EntanglementError(PreconditionError):
 
 
 class ResourceError(CatnetError):
-    """An entangled resource was required but not available. Raised nowhere
-    yet; kept for checks that a shared pair is spent only once."""
+    """A pair or cat was written onto a qubit that still holds an unspent
+    share of another: the Network spends each shared resource once, at the
+    first measurement of one of its shares."""
 
 
 class CannotResetError(PreconditionError):

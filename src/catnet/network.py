@@ -12,10 +12,18 @@ Each node owns a register pool (long-lived data qubits) and a channel pool
 (communication qubits). All slots start occupied by |0> qubits. One table,
 `ownership`, records them: it maps each slot's address to the global index
 of the qubit held there. Its keys are fixed when the network is built, and
-an exchange only swaps two of its values. global_index is the one lookup,
-so an address outside the table raises the same error at every entry
-point, and each operation resolves every address it is given once and
-charges the round with the global indices it touches.
+a qubit changes slots only as two of its values swap: across nodes in an
+exchange, and within a node in a SWAP gate, which moves no amplitude.
+global_index is the one lookup, so an address outside the table raises the
+same error at every entry point, and each operation resolves every address
+it is given once and charges the round with the global indices it touches.
+
+Shared pairs and cats are resources spent once. The network keeps one
+table of unspent shares, keyed by global index, so a share follows its
+qubit through exchanges and SWAPs: writing a pair or cat registers its
+qubits, the first measurement of any share charges the resource's ebits
+(one fewer than its shares) and spends it, and writing a pair onto a qubit
+that still holds an unspent share raises ResourceError before any gate.
 
 A run carries one or more rows of the state: measurement branches (see
 split_outcomes), inputs of a stack, or sampled runs that each draw from a
@@ -46,8 +54,9 @@ from .errors import (
     LocalityError,
     PoolError,
     PreconditionError,
+    ResourceError,
 )
-from .gates import CNOT, H
+from .gates import CNOT, SWAP, H
 from .qstate import GateMatrix, MeasurementRecord, StateVector
 
 REGISTER = "register"
@@ -202,6 +211,8 @@ class Network:
         self._token_ids: set[int] = set()
         self._in_round = False
         self._round_touched: set[int] = set()
+        # global index -> the shares of the unspent resource it belongs to
+        self._shares: dict[int, tuple[int, ...]] = {}
 
     # ---- addressing -----------------------------------------------------
 
@@ -266,7 +277,12 @@ class Network:
     # ---- quantum operations ----------------------------------------------
 
     def local_apply(self, gate: GateMatrix, targets: Sequence[QubitAddress]) -> None:
-        """Apply a gate whose targets all sit on one node."""
+        """Apply a gate whose targets all sit on one node.
+
+        A SWAP of two qubits (any gate whose image is SWAP's) trades their
+        slots in `ownership`, as an exchange does across nodes, and leaves
+        the state as it is.
+        """
         targets = list(targets)  # read twice: resolved, then their nodes
         idx = [self.global_index(t) for t in targets]
         if not idx:
@@ -277,7 +293,11 @@ class Network:
                 f"gate targets span nodes {sorted(nodes)}; gates are node-local"
             )
         self._account_round(idx)
-        qstate.apply_gate(self.state, gate, idx)
+        if gate.image == SWAP.image and len(set(idx)) == len(idx) == 2:
+            a, b = targets
+            self.ownership[a], self.ownership[b] = idx[1], idx[0]
+        else:
+            qstate.apply_gate(self.state, gate, idx)
 
     def measure(self, addr: QubitAddress) -> MeasurementRecord:
         """Measure one qubit in the Z basis.
@@ -295,7 +315,8 @@ class Network:
     def _measure(self, addr: QubitAddress, x_basis: bool) -> MeasurementRecord:
         """One call of qstate.measure, the one collapse kernel, with the
         outcome source measure() names: a forced bit, no source for a split,
-        or the rows' generators."""
+        or the rows' generators. The first measurement of a share spends its
+        resource."""
         gidx = self.global_index(addr)
         self._account_round([gidx])
         if x_basis:
@@ -306,6 +327,11 @@ class Network:
         rec = qstate.measure(self.state, gidx, rngs=rngs, forced=forced)
         self._splits -= split
         self.branch_probability = self.branch_probability * rec.probability
+        spent = self._shares.get(gidx)
+        if spent:
+            self.ledger.ebits_consumed += len(spent) - 1
+            for share in spent:
+                del self._shares[share]
         record = MeasurementRecord(addr, rec.outcome, rec.probability)
         self.records.append(record)
         self._token_ids.add(id(record))
@@ -348,11 +374,14 @@ class Network:
     def send_cbit(self, msg: ClassicalMessage) -> ClassicalMessage:
         """Send one classical bit; each remote recipient costs one cbit.
 
-        Per-row bits that do not fit the state's rows raise ValueError
-        before anything is charged or logged.
+        No recipient, a recipient named twice, or per-row bits that do not
+        fit the state's rows raise ValueError before anything is charged or
+        logged.
         """
         if msg.sender not in self.nodes:
             raise ValueError(f"unknown sender {msg.sender!r}")
+        if not msg.to or len(set(msg.to)) != len(msg.to):
+            raise ValueError(f"a message needs distinct recipients, got {list(msg.to)}")
         for dest in msg.to:
             if dest not in self.nodes:
                 raise ValueError(f"unknown recipient {dest!r}")
@@ -483,8 +512,10 @@ class Network:
         """Write (|00> + |11>)/sqrt(2) onto two |0> qubits directly.
 
         Setup-only shortcut standing in for entanglement distributed before
-        the protocol under study begins; it bypasses locality on purpose and
-        charges nothing. The in-model path is establish_epr_exchange.
+        the protocol under study begins; it bypasses locality on purpose.
+        Writing charges nothing: the first measurement of either half spends
+        the pair and charges its ebit. The in-model path is
+        establish_epr_exchange.
         """
         self.preshare_cat([addr_a, addr_b])
 
@@ -507,15 +538,31 @@ class Network:
         self._cat_at(idx)
 
     def _write_cat(self, addrs: Sequence[QubitAddress]) -> None:
-        """Write a cat onto qubits the caller has found at |0>, with no probe."""
+        """Write a cat onto qubits the caller has found at |0>, with no probe.
+        A qubit that still holds an unspent share raises ResourceError with
+        the network unchanged."""
         self._cat_at([self.global_index(a) for a in addrs])
 
     def _cat_at(self, idx: Sequence[int]) -> None:
-        """The one cat writer: H on the first qubit and a CNOT from it onto
-        each other one."""
+        """The one cat writer: registers the qubits as one resource's shares
+        (_share), then H on the first qubit and a CNOT from it onto each
+        other one."""
+        self._share(idx)
         qstate.apply_gate(self.state, H, [idx[0]])
         for other in idx[1:]:
             qstate.apply_gate(self.state, CNOT, [idx[0], other])
+
+    def _share(self, *resources: Sequence[int]) -> None:
+        """Register each of `resources` (the global indices of a pair or a
+        cat) as one unspent resource, which the first measurement of any of
+        its shares spends. A qubit that still holds an unspent share raises
+        ResourceError before anything is registered."""
+        held = [i for res in resources for i in res if i in self._shares]
+        if held:
+            names = [str(a) for a, i in self.ownership.items() if i in held]
+            raise ResourceError(f"{names} still hold an unspent share of a pair or cat")
+        for res in resources:
+            self._shares.update(dict.fromkeys(res, tuple(res)))
 
     def inject_state(self, addrs: Sequence[QubitAddress], amplitudes) -> None:
         """Overwrite the global state with a chosen input (setup only).
@@ -524,15 +571,16 @@ class Network:
         = most significant bit) as the state's one block; every other qubit
         is fixed at |0>. Normalizes: a zero, nan or infinite input, or one
         whose norm overflows, raises ValueError. The network must be
-        unsplit: its rows' probabilities and records would not describe the
-        new state.
+        unsplit and hold no measurement record and no unspent share: its
+        rows' probabilities, records and shares would not describe the new
+        state.
 
         A (R, 2^k) stack makes row i hold row i of the stack, normalized on
         its own, and rows that are bitwise equal are stored once; after s
         splits row i's branches are rows i * 2^s to (i + 1) * 2^s - 1.
         """
-        if self.rows > 1:
-            raise ValueError("inject_state needs an unsplit network")
+        if self.rows > 1 or self.records or self._shares:
+            raise ValueError("inject_state needs an unsplit network with no measurement record or unspent share")
         idx = [self.global_index(a) for a in addrs]
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate addresses in input preparation")

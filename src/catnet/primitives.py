@@ -86,7 +86,8 @@ def cat_entangler(
     and cat[1:] form one correlated group carrying the control's amplitudes,
     and cat[0] is left in the announced classical state.
 
-    Costs len(cat)-1 ebits and one cbit per distinct remote member node.
+    Costs one cbit per distinct remote member node, and measuring cat[0]
+    spends the shared cat: the Network charges its len(cat)-1 ebits.
     """
     cat = list(cat)
     if len(cat) < 2:
@@ -103,7 +104,6 @@ def cat_entangler(
 
     net.local_apply(CNOT, [control, cat[0]])
     rec = net.measure(cat[0])
-    net.ledger.ebits_consumed += len(cat) - 1
 
     member_nodes: list[str] = []
     for a in cat[1:]:

@@ -25,8 +25,8 @@ allocator, _claim: idle |0> qubits of one node's pool in slot order,
 probed once each, never one of the call's own qubits. A protocol claims
 them all before its first gate, so a shortfall raises CapacityError with
 the network unchanged. Network._write_cat writes a pair onto claimed
-qubits without probing them again, a stand-in for earlier distribution
-that charges nothing until consumption. The non-local CNOT and the
+qubits without probing them again, a stand-in for earlier distribution;
+the first measurement of a share charges it. The non-local CNOT and the
 controlled sequence may take a pair from the caller; otherwise _fresh_cat
 claims one channel qubit on each node and writes a fresh pair (or cat)
 there. The rule for every protocol: a call never writes or accepts a pair
@@ -106,9 +106,11 @@ class _Scope:
     and reports the run against them.
 
     The network overwrites its state in place, so the state baseline is a
-    copy, and it is taken only when `check` says the oracle will read it.
-    The oracle applies the ideal gates to that copy itself, so a scope
-    reports once: a second report raises rather than read a spent baseline.
+    copy, and it is taken only when `check` says the oracle will read it,
+    together with a copy of `ownership`: the slots the baseline's qubits
+    sat in, since exchanges and SWAPs move qubits between slots. The
+    oracle applies the ideal gates to that copy itself, so a scope reports
+    once: a second report raises rather than read a spent baseline.
     """
 
     def __init__(self, net: Network, check: bool) -> None:
@@ -117,6 +119,7 @@ class _Scope:
         self.msg_start = len(net.message_log)
         self.check = check
         self.pre_state = net.state.copy() if check else None
+        self.pre_slots = dict(net.ownership) if check else None
 
     def report(
         self,
@@ -156,22 +159,24 @@ class _Scope:
         Excluded qubits are the protocol's consumables; everything else must
         carry exactly the state the ideal gates would have produced. On a
         split network each row is compared with the ideal result of the row
-        it descends from, and the worst row counts. The overlap
-        tr(rho_actual rho_ideal) is computed as ||E^dagger A||^2 from the
-        states reshaped to (kept, excluded) matrices, without forming either
-        density matrix. The ideal gates run on the scope's baseline itself,
-        which this spends: a second call raises RuntimeError.
+        it descends from, and the worst row counts. The ideal gates address
+        the baseline through the slots its qubits sat in when the scope
+        opened, and each kept slot is read through each state's own table.
+        The overlap tr(rho_actual rho_ideal) is computed as ||E^dagger A||^2
+        from the states reshaped to (kept, excluded) matrices, without
+        forming either density matrix. The ideal gates run on the scope's
+        baseline itself, which this spends: a second call raises
+        RuntimeError.
         """
-        net, expected, self.pre_state = self.net, self.pre_state, None
+        net, expected, slots, self.pre_state = self.net, self.pre_state, self.pre_slots, None
         if expected is None:
             raise RuntimeError("the scope's baseline was spent by an earlier report")
         for gate, addrs in ideal:
-            qstate.apply_gate(expected, gate, [net.global_index(a) for a in addrs])
-        skip = {net.global_index(a) for a in exclude}
-        keep = [i for i in range(net.num_qubits) if i not in skip]
-        overlap = float(
-            qstate.overlap(qstate.bipartition(net.state, keep), qstate.bipartition(expected, keep)).min()
-        )
+            qstate.apply_gate(expected, gate, [slots[a] for a in addrs])
+        skip = set(exclude)
+        keep = [a for a in net.ownership if a not in skip]
+        actual = qstate.bipartition(net.state, [net.ownership[a] for a in keep])
+        overlap = float(qstate.overlap(actual, qstate.bipartition(expected, [slots[a] for a in keep])).min())
         return max(0.0, 1.0 - overlap)
 
 
@@ -224,13 +229,16 @@ def establish_epr_exchange(
 
     Each node entangles a stay-home channel qubit with a traveler, then the
     travelers trade places: two qubits shipped, two shared pairs gained.
-    Returns the pairs as (qubit at node_a, qubit at node_b) address tuples.
-    Each node uses the first two channel qubits _claim finds in |0>; a node
-    with fewer raises CapacityError.
+    Returns the pairs as address tuples, each led by its stay-home qubit,
+    node_a's pair first. Each node uses the first two channel qubits _claim
+    finds in |0>; a node with fewer raises CapacityError. The pairs are
+    registered as unspent before the first gate, and each charges its ebit
+    when one of its halves is first measured.
     """
     if node_a == node_b:
         raise ValueError("entanglement establishment needs two distinct nodes")
     (keep_a, move_a), (keep_b, move_b) = [_claim(net, node, CHANNEL, 2, ()) for node in (node_a, node_b)]
+    net._share(*[[net.global_index(q) for q in pair] for pair in ((keep_a, move_a), (keep_b, move_b))])
     scope = _Scope(net, check)
     with net.parallel_round():
         net.local_apply(H, [keep_a])
@@ -239,12 +247,10 @@ def establish_epr_exchange(
         net.local_apply(CNOT, [keep_a, move_a])
         net.local_apply(CNOT, [keep_b, move_b])
     net.exchange_channel_qubits(move_a, move_b)
-    # ownership swapped in place: node_a's traveler is now addressed by
-    # move_b's slot and vice versa
     pairs = [(keep_a, move_b), (keep_b, move_a)]
     return pairs, scope.report(
         "establish-epr",
-        [gate for keep, far in pairs for gate in ((H, [keep]), (CNOT, [keep, far]))],
+        [(H, [keep_a]), (CNOT, [keep_a, move_a]), (H, [keep_b]), (CNOT, [keep_b, move_b]), (SWAP, [move_a, move_b])],
         details={"pairs": [[str(p), str(q)] for p, q in pairs]},
     )
 
@@ -690,8 +696,7 @@ def decompose_multi_control_x(
         e_top, e_bot = _fresh_cat(net, [top, bottom], six)
         scope = _Scope(net, check)
         net.local_apply(TOFFOLI, [c1, c2, e_top])
-        r1 = net.measure(e_top)
-        net.ledger.ebits_consumed += 1  # the pair is used up carrying the AND value
+        r1 = net.measure(e_top)  # spends the pair carrying the AND value
         msg1 = net.send_cbit(ClassicalMessage(top, (bottom,), r1.outcome, "c4x:and"))
         net.classically_controlled_apply(msg1, X, e_bot)
         net.local_apply(C3X, [c3, c4, e_bot, target])

@@ -16,13 +16,13 @@ every qubit in no block is fixed: it sits in a computational-basis state,
 recorded as one bit. Qubits enter a block only through a gate and leave it
 only through measure, the one collapse kernel, which keeps the outcome's
 half, renormalized, and drops the qubit's axis; basis_state starts every
-qubit fixed. A gate with fixed targets takes one of two paths. Two gates
-relabel (_relabel): an X on a fixed qubit flips its bit, on the rows a
-mask marks, and an unmasked SWAP of a live and a fixed qubit moves the bit
-onto the live qubit and renames the live axis after the fixed qubit. Every
-other gate merges: the blocks its targets lie in are multiplied out into
-one, which its fixed targets join at their recorded bits, and a gate on
-fixed qubits alone starts a block of its own. Which qubits are live and
+qubit fixed. A gate with fixed targets takes one of two paths. An X on a
+fixed qubit relabels it (_relabel): it flips the qubit's bit, on the rows
+a mask marks. Every other gate merges: the blocks its targets lie in are
+multiplied out into one, which its fixed targets join at their recorded
+bits, and a gate on fixed qubits alone starts a block of its own. (A SWAP
+moves no amplitude at all where a Network runs it: the network trades the
+two qubits' slots in its address table.) Which qubits are live and
 how they group into blocks thus depends on which qubits are fixed, never
 on their bits or on any amplitude, so the gate path runs no separability
 test and no decomposition. Probes of a fixed qubit compare bits, and
@@ -95,8 +95,8 @@ class GateMatrix:
     (destination, source) row pairs a permutation moves and the row each
     source row goes to (a tuple of ints), the (row, phase) pairs of a
     diagonal whose phase is not 1, and the (2,)*2a tensor of the matrix.
-    A permutation whose image is X's or SWAP's relabels fixed qubits
-    (_relabel); every other gate merges them.
+    A permutation whose image is X's relabels a fixed qubit (_relabel);
+    every other gate merges them.
     """
 
     __slots__ = ("matrix", "arity", "kind", "tensor", "moves", "image", "phases")
@@ -537,29 +537,15 @@ def _apply(amps: np.ndarray, n: int, gate: GateMatrix, targets: tuple) -> None:
 
 
 def _relabel(state: StateVector, gate: GateMatrix, targets: tuple, rows: np.ndarray | None) -> bool:
-    """Apply a permutation gate by relabelling fixed qubits, if it is one of
-    the two gates that can; return whether it was.
-
-    An X on a fixed qubit flips its bit, on the rows the mask `rows` marks.
-    An unmasked SWAP of a live and a fixed qubit moves the bit onto the
-    live qubit and renames the live axis after the fixed qubit, then puts
-    the block's axes back in qubit order. A gate is recognised by its
-    image, so one built equal to X or SWAP counts too.
+    """Apply an X to a fixed qubit by flipping its bit, on the rows the mask
+    `rows` marks; return whether the gate was one. A gate is recognised by
+    its image, so one built equal to X counts too.
     """
-    fixed = state.fixed
-    if gate.image == (1, 0):
-        (t,) = targets
-        if t not in fixed:
-            return False
-        bit = 1 - fixed[t]
-        fixed[t] = bit if rows is None else _compact(np.where(rows, bit, fixed[t]))
-        return True
-    if gate.image != (0, 2, 1, 3) or rows is not None or (targets[0] in fixed) == (targets[1] in fixed):
+    fixed, t = state.fixed, targets[0]
+    if gate.image != (1, 0) or t not in fixed:
         return False
-    live, gone = targets if targets[1] in fixed else targets[::-1]
-    block = _block_of(state, live)
-    fixed[live] = fixed.pop(gone)
-    block.amps, block.qubits = _in_qubit_order(block.amps, [gone if q == live else q for q in block.qubits])
+    bit = 1 - fixed[t]
+    fixed[t] = bit if rows is None else _compact(np.where(rows, bit, fixed[t]))
     return True
 
 
@@ -574,10 +560,9 @@ def apply_gate(
     The first listed target is the gate's most significant wire. `rows`, a
     boolean per-row value of a split state, limits the gate to the rows it
     marks; the others are left as they are. A gate with fixed targets
-    takes one of two paths. An X on a fixed qubit (masked or not) and an
-    unmasked SWAP of a live and a fixed qubit relabel (_relabel): the X
-    flips the bit and the SWAP renames an axis. Every other gate merges the
-    blocks of its targets into one, which its fixed targets join.
+    takes one of two paths. An X on a fixed qubit (masked or not) relabels
+    it (_relabel): it flips the bit. Every other gate merges the blocks of
+    its targets into one, which its fixed targets join.
     """
     targets = _check_targets(state, targets, gate.arity)
     if gate.kind == "permutation" and _relabel(state, gate, targets, rows):

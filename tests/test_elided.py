@@ -419,22 +419,21 @@ def test_amplitudes_are_a_read_only_snapshot():
 
 
 def test_fixed_qubits_change_only_their_bits():
-    """An X on a fixed qubit and a SWAP of a live and a fixed qubit change
-    only bits and axis names; a CNOT on two fixed qubits merges them."""
-    state = basis_state(3, 0b100)
+    """Only an X on a fixed qubit changes just its bit. Any other gate
+    merges its fixed targets, a SWAP of a live and a fixed qubit too, and a
+    CNOT on two fixed qubits starts a block of their own."""
+    state = basis_state(4, 0b1000)
     apply_gate(state, X, [2])
-    assert [b.qubits for b in state.blocks] == [[]] and state.fixed == {0: 1, 1: 0, 2: 1}
+    assert [b.qubits for b in state.blocks] == [[]] and state.fixed == {0: 1, 1: 0, 2: 1, 3: 0}
     # an H on a fixed qubit merges it into the block without qubits
     apply_gate(state, H, [1])
-    amps = state.blocks[0].amps.copy()
     apply_gate(state, SWAP, [2, 1])
-    assert [b.qubits for b in state.blocks] == [[2]] and state.fixed == {0: 1, 1: 1}
-    assert np.array_equal(state.blocks[0].amps, amps)
+    assert [b.qubits for b in state.blocks] == [[1, 2]] and state.fixed == {0: 1, 3: 0}
     # both fixed and no block without qubits left, so a block of their own
-    apply_gate(state, CNOT, [0, 1])
-    assert [b.qubits for b in state.blocks] == [[2], [0, 1]] and state.fixed == {}
-    assert np.allclose(state.amplitudes, (np.eye(8)[0b100] + np.eye(8)[0b101]) / np.sqrt(2))
-    assert qstate.partial_state_check(state, 1, 0)
+    apply_gate(state, CNOT, [0, 3])
+    assert [b.qubits for b in state.blocks] == [[1, 2], [0, 3]] and state.fixed == {}
+    assert np.allclose(state.amplitudes, (np.eye(16)[0b1101] + np.eye(16)[0b1111]) / np.sqrt(2))
+    assert qstate.partial_state_check(state, 1, 1)
 
 
 @pytest.mark.parametrize("shape", ["linear", "binary-tree"])

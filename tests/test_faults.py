@@ -1,7 +1,7 @@
-"""Faults put into the protocols on purpose. A verifier must report each
-one as a labelled failure: `verified` false and an entry that names the
-failing positions, in exhaustive and in sampled mode, with no traceback,
-and the CLI exits 1."""
+"""Faults put into the protocols and the network on purpose. A verifier
+must report each one as a labelled failure: `verified` false and an entry
+that names the failing positions, in exhaustive and in sampled mode, with
+no traceback, and the CLI exits 1."""
 
 import json
 
@@ -10,7 +10,7 @@ import pytest
 from catnet import primitives, qft
 from catnet.cli import main
 from catnet.gates import IDENTITY
-from catnet.network import Network
+from catnet.network import ClassicalMessage, Network
 from catnet.verify import VERIFIERS, verify_qft
 
 DIVERGES = "BranchDivergenceError"
@@ -57,7 +57,54 @@ def x_measurement_in_z(monkeypatch):
     return list(VERIFIERS)
 
 
-@pytest.mark.parametrize("fault", [no_entangler_x, x_measurement_in_z])
+def no_disentangler_z(monkeypatch):
+    """The cat-disentangler's Z correction is dropped: the sign that an
+    X-basis outcome of 1 leaves on the survivor is never repaired. The
+    split C4X runs no disentangler, so it alone still verifies."""
+    monkeypatch.setattr(primitives, "Z", IDENTITY)
+    return [name for name in VERIFIERS if name != "decompose-c4x"]
+
+
+def flipped_broadcast_bit(monkeypatch):
+    """The cat-entangler broadcasts the opposite of its measured bit, so
+    every member's X correction fires on exactly the rows it should not."""
+
+    def message(sender, to, bit, tag):
+        return ClassicalMessage(sender, to, bit ^ 1 if tag.endswith(":broadcast") else bit, tag)
+
+    monkeypatch.setattr(primitives, "ClassicalMessage", message)
+    return [name for name in VERIFIERS if name != "decompose-c4x"]
+
+
+def skipped_parity_message(monkeypatch):
+    """The disentangler's parity message is never sent: the Z correction
+    that reads it raises CausalityError. Every protocol but the split C4X
+    shrinks a share across nodes."""
+    send = Network.send_cbit
+    monkeypatch.setattr(Network, "send_cbit", lambda net, msg: msg if msg.tag.endswith(":parity") else send(net, msg))
+    return [name for name in VERIFIERS if name != "decompose-c4x"]
+
+
+def one_ebit_short(monkeypatch):
+    """The Network charges each spent pair or cat one ebit too few. Every
+    verifier prices at least one section in ebits, so all eleven fail."""
+    measure = Network._measure
+
+    def short(net, addr, x_basis):
+        ebits = net.ledger.ebits_consumed
+        record = measure(net, addr, x_basis)
+        if net.ledger.ebits_consumed > ebits:
+            net.ledger.ebits_consumed -= 1
+        return record
+
+    monkeypatch.setattr(Network, "_measure", short)
+    return list(VERIFIERS)
+
+
+FAULTS = [no_entangler_x, x_measurement_in_z, no_disentangler_z, flipped_broadcast_bit, skipped_parity_message, one_ebit_short]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
 def test_verify_all_reports_every_fault_as_a_labelled_failure(fault, monkeypatch, capsys):
     """With the fault in, `catnet verify all` exits 1 and prints all eleven
     reports, each broken one unverified with labelled failures, and writes

@@ -13,8 +13,10 @@ from catnet.errors import (
     LocalityError,
     PoolError,
     PreconditionError,
+    ResourceError,
 )
-from catnet.gates import CNOT, H, X, Z
+from catnet import qstate
+from catnet.gates import CNOT, SWAP, H, X, Z
 from catnet.network import CHANNEL, REGISTER, ClassicalMessage, Network, QubitAddress
 from catnet.verify import VERIFIERS
 
@@ -280,6 +282,18 @@ def test_cbits_count_remote_recipients_only():
         net.send_cbit(ClassicalMessage("A", "Z", 0, "bad"))
 
 
+@pytest.mark.parametrize("to", [("B", "B"), ()], ids=["repeated", "empty"])
+def test_a_message_needs_distinct_recipients(to):
+    """A recipient named twice would be charged twice for one delivery, and
+    a message to no one would charge a round for nothing: both are refused
+    before anything is charged or logged."""
+    net = two_nodes()
+    with pytest.raises(ValueError, match="distinct recipients"):
+        net.send_cbit(ClassicalMessage("A", to, 1, "dup"))
+    assert net.ledger.as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
+    assert net.message_log == []
+
+
 def test_message_to_is_normalized():
     msg = ClassicalMessage("A", "B", 1, "t")
     assert msg.to == ("B",)
@@ -503,10 +517,87 @@ def test_exchanges_on_disjoint_pairs_share_a_round():
     assert [net.global_index(a) for a in net.addresses()] == [2, 3, 0, 1]
 
 
+# ---- local SWAP -------------------------------------------------------------------
+
+
+def test_a_local_swap_trades_slots_and_moves_no_amplitude(monkeypatch):
+    """A SWAP on one node swaps the two slots' entries of `ownership`, as an
+    exchange does across nodes, and charges one round; no qstate kernel
+    runs, so the state's blocks and fixed bits stay as they were."""
+    net = Network([("A", 1, 1)])
+    net.local_apply(H, [net.reg("A")])
+    blocks, fixed = [(b.qubits, b.amps.copy()) for b in net.state.blocks], dict(net.state.fixed)
+    monkeypatch.setattr(qstate, "apply_gate", None)
+    net.local_apply(SWAP, [net.reg("A"), net.chan("A")])
+    assert [b.qubits for b in net.state.blocks] == [q for q, _ in blocks]
+    assert all(np.array_equal(b.amps, amps) for b, (_, amps) in zip(net.state.blocks, blocks))
+    assert net.state.fixed == fixed
+    assert net.ownership == {net.reg("A"): 1, net.chan("A"): 0}
+    assert net.ledger.rounds == 2
+    assert net.qubit_is(net.reg("A"), 0)
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_a_swap_in_a_round_touches_both_slots(slot):
+    net = Network([("A", 2, 0)])
+    with pytest.raises(ValueError, match="disjoint"):
+        with net.parallel_round():
+            net.local_apply(SWAP, [net.reg("A", 0), net.reg("A", 1)])
+            net.local_apply(H, [net.reg("A", slot)])
+
+
+# ---- shared resources --------------------------------------------------------------
+
+
+def test_the_first_measurement_of_a_share_spends_its_cat():
+    """Measuring one member of a 3-member cat charges its 2 ebits; the other
+    members' measurements charge nothing."""
+    net = Network([(name, 0, 1) for name in "ABC"])
+    cat = [net.chan(name) for name in "ABC"]
+    net.preshare_cat(cat)
+    net.force_outcomes([1, 1, 1])
+    net.measure(cat[1])
+    assert net.ledger.ebits_consumed == 2
+    net.measure(cat[0])
+    net.measure_x(cat[2])
+    assert net.ledger.ebits_consumed == 2
+
+
+def test_a_share_follows_its_qubit_through_swaps_and_exchanges():
+    net = Network([("A", 1, 2), ("B", 0, 2)], seed=0)
+    net.preshare_epr(net.chan("A", 0), net.chan("B", 0))
+    net.local_apply(SWAP, [net.chan("A", 0), net.reg("A")])
+    net.exchange_channel_qubits(net.chan("A", 1), net.chan("B", 0))
+    for idle in (net.chan("A", 0), net.chan("B", 0)):  # |0> qubits now
+        net.measure(idle)
+    assert net.ledger.ebits_consumed == 0
+    net.measure(net.chan("A", 1))  # B's half, shipped to A
+    net.measure(net.reg("A"))  # A's half, swapped into the register
+    assert net.ledger.ebits_consumed == 1
+
+
+def test_a_pair_over_an_unspent_share_is_refused_unchanged():
+    """Writing a pair onto a qubit that holds an unspent share raises
+    ResourceError before any gate: ledger, ownership and state stay as they
+    were, and the share is still spent once."""
+    net = Network([("A", 0, 2), ("B", 0, 2)], seed=0)
+    net.preshare_epr(net.chan("A", 0), net.chan("B", 0))
+    ledger, ownership, state = net.ledger.as_dict(), dict(net.ownership), net.state.copy()
+    with pytest.raises(ResourceError, match=re.escape("['A.channel[0]']")):
+        net._write_cat([net.chan("A", 0), net.chan("B", 1)])
+    assert net.ledger.as_dict() == ledger and net.ownership == ownership
+    assert net.state.fixed == state.fixed and np.array_equal(net.state.amplitudes, state.amplitudes)
+    net.measure(net.chan("B", 1))
+    net.measure(net.chan("A", 0))
+    assert net.ledger.ebits_consumed == 1
+
+
 # ---- bootstrap helpers ----------------------------------------------------------
 
 
 def test_preshare_epr_makes_a_bell_pair_uncharged():
+    """Writing the pair charges nothing; its first measurement charges its
+    one ebit."""
     net = two_nodes()
     net.preshare_epr(net.chan("A"), net.chan("B"))
     assert net.ledger.as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
@@ -514,6 +605,7 @@ def test_preshare_epr_makes_a_bell_pair_uncharged():
     rec = net.measure(net.chan("A"))
     assert abs(rec.probability - 0.5) < 1e-12
     assert net.qubit_is(net.chan("B"), 1)
+    assert net.ledger.ebits_consumed == 1
 
 
 def test_preshare_requires_fresh_qubits():
@@ -629,6 +721,22 @@ def test_inject_state_needs_an_unsplit_network():
     with pytest.raises(ValueError, match="unsplit"):
         net.inject_state([net.reg("A")], [0.6, 0.8])
     assert net.rows == 2 and np.allclose(net.branch_probability, 0.5)
+
+
+@pytest.mark.parametrize("measured", [True, False], ids=["record", "unspent-share"])
+def test_inject_state_needs_no_record_and_no_unspent_share(measured):
+    """A record would describe a qubit the input resets to |0>, with its
+    branch probability still charged, and an unspent share would be a pair
+    the input overwrote: either is refused, with the network unchanged."""
+    net = two_nodes(seed=0)
+    net.preshare_epr(net.chan("A"), net.chan("B"))
+    if measured:
+        net.measure(net.chan("A"))
+    records = list(net.records)
+    with pytest.raises(ValueError, match="measurement record or unspent share"):
+        net.inject_state([net.reg("A")], [0.6, 0.8])
+    assert net.records == records
+    assert np.allclose(net.branch_probability, 0.5 if measured else 1)
 
 
 def test_split_rows_descend_from_their_input():

@@ -84,6 +84,18 @@ def test_establish_creates_two_pairs():
     assert report.verified
 
 
+def test_each_established_pair_charges_its_ebit_when_used():
+    """Establishing charges no ebit; each pair charges one when nonlocal_cnot
+    spends it, wherever the exchange moved its halves."""
+    net = Network([("A", 1, 2), ("B", 1, 2)], seed=0)
+    pairs, report = establish_epr_exchange(net, "A", "B")
+    a, b = net.reg("A"), net.reg("B")
+    first = nonlocal_cnot(net, a, b, epr=pairs[0])
+    second = nonlocal_cnot(net, a, b, epr=(pairs[1][1], pairs[1][0]))
+    assert [rep.ledger.ebits_consumed for rep in (report, first, second)] == [0, 1, 1]
+    assert net.ledger.ebits_consumed == 2 and first.verified and second.verified
+
+
 def test_establish_rate_one_pair_per_transport():
     """Repeating over fresh slots: 2k pairs for 2k transports."""
     net = Network([("A", 0, 4), ("B", 0, 4)], seed=0)

@@ -227,7 +227,7 @@ def test_distributed_check_applies_the_circuit_past_ten_qubits(monkeypatch):
 
 @pytest.mark.parametrize("split", [False, True], ids=["forced-ones", "split"])
 def test_amortized_4_over_2_state_traffic(split, monkeypatch):
-    """One amortized 4/2 run makes 62 gate applications (34 permutation, 12
+    """One amortized 4/2 run makes 58 gate applications (30 permutation, 12
     diagonal, 16 general) and 16 probes inside qft_distributed: 4 as it
     claims two channel qubits per node, 4 as the distributions' pairs are
     reset, and 4 as each reversal swap's pairs are. Every correction
@@ -256,7 +256,7 @@ def test_amortized_4_over_2_state_traffic(split, monkeypatch):
     monkeypatch.setattr(qstate, "apply_gate", counted_gate)
     monkeypatch.setattr(qstate, "partial_state_check", counted_probe)
     rep = qft_distributed(net, build_qft_plan(4, 2), amortized=True, check=False)
-    assert counts == {"permutation": 34, "diagonal": 12, "general": 16, "probe": 16}
+    assert counts == {"permutation": 30, "diagonal": 12, "general": 16, "probe": 16}
     assert net.rows == (4096 if split else 1) and net.pending_outcomes == 0
     assert rep.ledger.ebits_consumed == 2 and rep.details["swap_ledger"]["ebits"] == 4
 

@@ -174,12 +174,13 @@ def _relabel_cases():
 
 @pytest.mark.parametrize("name,fpos,masked", _relabel_cases())
 def test_only_x_and_swap_relabel_fixed_qubits(name, fpos, masked):
-    """An X on a fixed qubit, masked or not, keeps it fixed and flips its
-    bit; an unmasked SWAP of a live and a fixed qubit leaves the other
-    target fixed; every other gate merges its fixed targets into a block.
-    The fixed targets read per-row bits, split off a random state, and the
-    mask is another split's outcome. Either way the amplitudes are those of
-    the same gate on a dense copy."""
+    """Only an X relabels: on a fixed qubit, masked or not, it keeps the
+    qubit fixed and flips its bit. Every other gate merges its fixed
+    targets into a block, a SWAP masked or not among them (a Network runs
+    an unmasked SWAP by trading slots, so no kernel sees it). The fixed
+    targets read per-row bits, split off a random state, and the mask is
+    another split's outcome. Either way the amplitudes are those of the same
+    gate on a dense copy."""
     gate = RELABELS[name]
     targets = [2, 0, 3][: gate.arity]
     state = random_state(4, random.Random(23))
@@ -190,13 +191,7 @@ def test_only_x_and_swap_relabel_fixed_qubits(name, fpos, masked):
     apply_gate(state, gate, targets, rows=rows)
     apply_gate(ref, gate, targets, rows=None if rows is None else state.per_row(rows))
     assert np.max(np.abs(state.amplitudes - ref.amplitudes)) < 1e-12
-    if name == "X":
-        stay = {targets[0]}
-    elif name == "SWAP" and len(fpos) == 1 and not masked:
-        stay = {targets[1 - fpos[0]]}
-    else:
-        stay = set()
-    assert {t for t in targets if t in state.fixed} == stay
+    assert {t for t in targets if t in state.fixed} == ({targets[0]} if name == "X" else set())
 
 
 @pytest.mark.parametrize("fire", [True, False])
