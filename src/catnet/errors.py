@@ -26,7 +26,8 @@ class CapacityError(CatnetError):
 
 
 class CausalityError(CatnetError):
-    """A classically controlled gate used a bit its node never received."""
+    """A classically controlled gate used a bit its node never received, or
+    a message named a bit its sender never held."""
 
 
 class ImpossibleBranchError(CatnetError):
@@ -58,8 +59,10 @@ class EntanglementError(PreconditionError):
 
 class ResourceError(CatnetError):
     """A pair or cat was written onto a qubit that still holds an unspent
-    share of another: the Network spends each shared resource once, at the
-    first measurement of one of its shares."""
+    share of another, or the entangler was given qubits that are not the
+    shares of one unspent pair or cat: the Network spends each shared
+    resource it registered once, at the first measurement of one of its
+    shares."""
 
 
 class CannotResetError(PreconditionError):

@@ -5,8 +5,11 @@ product of independent blocks, see qstate), but the operation surface only
 permits what distributed hardware could do: gates act on qubits of a
 single node, qubits move between nodes only as channel qubits traded in
 an exchange, and classical bits are usable at a node only after being
-measured there or received in a message. Resource counters (ebits, cbits,
-transports, rounds) are maintained by the operations themselves.
+measured there or received in a message. A message names the records and
+messages whose XOR it carries, its sources, and its sender must hold each
+one, so the network derives every bit it delivers. Resource counters
+(ebits, cbits, transports, rounds) are maintained by the operations
+themselves.
 
 Each node owns a register pool (long-lived data qubits) and a channel pool
 (communication qubits). All slots start occupied by |0> qubits. One table,
@@ -28,11 +31,11 @@ that still holds an unspent share raises ResourceError before any gate.
 A run carries one or more rows of the state: measurement branches (see
 split_outcomes), inputs of a stack, or sampled runs that each draw from a
 generator of their own (see rngs). Gates, ledger and rounds are shared by
-every row; outcomes, message bits and branch probabilities are per-row
-values (arrays over the state's row axes, see qstate), a classically
-controlled gate fires only on the rows whose control bits XOR to 1, and a
-probe of the state must answer alike on every row or raise
-BranchDivergenceError.
+every row; outcomes, the bits messages derive from them and branch
+probabilities are per-row values (arrays over the state's row axes, see
+qstate), a classically controlled gate fires only on the rows whose
+control bits XOR to 1, and a probe of the state must answer alike on
+every row or raise BranchDivergenceError.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import functools
 import operator
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,23 +86,29 @@ class QubitAddress(collections.namedtuple("QubitAddress", "node pool slot")):
 
 @dataclass(frozen=True)
 class ClassicalMessage:
-    """A classical bit in flight: sender, recipients, payload, label.
+    """A classical bit in flight: sender, recipients, sources, label.
 
-    The payload is a per-row value of bits; an int is one bit for every row.
-    `shape` is the payload's shape as given, for send_cbit's row check.
+    `sources` are the measurement records and messages whose XOR the
+    message carries; send_cbit checks that the sender holds each of them.
+    `bit` is derived from them, a per-row value, so no caller hands in a
+    payload of its own.
     """
 
     sender: str
     to: tuple[str, ...]
-    bit: np.ndarray
+    sources: tuple[ControlToken, ...]
     tag: str
-    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         to = (self.to,) if isinstance(self.to, str) else tuple(self.to)
         object.__setattr__(self, "to", to)
-        object.__setattr__(self, "shape", np.shape(self.bit))
-        object.__setattr__(self, "bit", qstate._bits(self.bit, "message bit"))
+        object.__setattr__(self, "sources", tuple(self.sources))
+
+    @property
+    def bit(self) -> np.ndarray:
+        """The XOR of the sources' outcomes and bits."""
+        bits = [s.outcome if isinstance(s, MeasurementRecord) else s.bit for s in self.sources]
+        return functools.reduce(operator.xor, bits)
 
 
 @dataclass
@@ -372,11 +381,14 @@ class Network:
     # ---- classical communication ------------------------------------------
 
     def send_cbit(self, msg: ClassicalMessage) -> ClassicalMessage:
-        """Send one classical bit; each remote recipient costs one cbit.
+        """Send one classical bit, the XOR of the message's sources; each
+        remote recipient costs one cbit.
 
-        No recipient, a recipient named twice, or per-row bits that do not
-        fit the state's rows raise ValueError before anything is charged or
-        logged.
+        The sender must hold every source: a record of a measurement made
+        at the sender, or a message sent to it. A source it does not hold
+        raises CausalityError; no sources, no recipient or a recipient
+        named twice raise ValueError. Both are raised before anything is
+        charged or logged.
         """
         if msg.sender not in self.nodes:
             raise ValueError(f"unknown sender {msg.sender!r}")
@@ -385,21 +397,15 @@ class Network:
         for dest in msg.to:
             if dest not in self.nodes:
                 raise ValueError(f"unknown recipient {dest!r}")
-        self._check_rows(msg.shape, "message bit")
+        if not msg.sources:
+            raise ValueError(f"message {msg.tag!r} names no source bits")
+        for source in msg.sources:
+            self._token_bit_at(source, msg.sender)
         self._account_round([])
         self.message_log.append(msg)
         self._token_ids.add(id(msg))
         self.ledger.cbits_sent += sum(1 for dest in msg.to if dest != msg.sender)
         return msg
-
-    def _check_rows(self, shape: tuple[int, ...], what: str) -> None:
-        """Refuse per-row bits whose shape, as given and before qstate._bits
-        compacts them, is not that of a per-row value of the state: an array
-        over the grid's trailing axes, of size 1 or the axis's size along
-        each."""
-        grid = self.state.grid
-        if len(shape) > len(grid) or any(b not in (1, g) for b, g in zip(shape[::-1], grid[::-1])):
-            raise ValueError(f"{what} of shape {shape} does not fit the state's rows (grid {grid})")
 
     def knows(self, token: ControlToken) -> bool:
         """True when the record or message was made by this network."""
@@ -491,8 +497,11 @@ class Network:
         the same answer, or the probe raises BranchDivergenceError.
         """
         if isinstance(bit, np.ndarray) or bit not in (0, 1):
-            shape, bit = np.shape(bit), qstate._bits(bit, "expected bit")
-            self._check_rows(shape, "expected bit")
+            # the shape as given, before _bits compacts it: an array over
+            # the grid's trailing axes, of size 1 or the axis's size on each
+            shape, grid, bit = np.shape(bit), self.state.grid, qstate._bits(bit, "expected bit")
+            if len(shape) > len(grid) or any(b not in (1, g) for b, g in zip(shape[::-1], grid[::-1])):
+                raise ValueError(f"expected bit of shape {shape} does not fit the state's rows (grid {grid})")
         return self._holds(addr, self.global_index(addr), bit)
 
     def _holds(self, addr: QubitAddress, gidx: int, bit: int | np.ndarray) -> bool:

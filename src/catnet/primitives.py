@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qstate
-from .errors import EntanglementError
+from .errors import EntanglementError, ResourceError
 from .gates import CNOT, X, Z
 from .network import ClassicalMessage, Network, QubitAddress, _one_answer
 from .qstate import ATOL, MeasurementRecord
@@ -81,13 +81,18 @@ def cat_entangler(
     """Splice `control` into a shared cat state held at `cat`.
 
     cat[0] must sit on the control's node and is consumed: a CNOT copies the
-    control onto it, it is measured, and the outcome is broadcast so every
-    other member can flip itself to match the control. Afterwards control
-    and cat[1:] form one correlated group carrying the control's amplitudes,
-    and cat[0] is left in the announced classical state.
+    control onto it, it is measured, and a message whose source is that
+    record is broadcast so every other member can flip itself to match the
+    control. Afterwards control and cat[1:] form one correlated group
+    carrying the control's amplitudes, and cat[0] is left in the announced
+    classical state.
 
-    Costs one cbit per distinct remote member node, and measuring cat[0]
-    spends the shared cat: the Network charges its len(cat)-1 ebits.
+    `cat` must be exactly the shares of one unspent pair or cat that the
+    Network registered, so that spending it charges its ebits; other
+    qubits in a cat state, built by hand say, raise ResourceError before
+    any gate. Costs one cbit per distinct remote member node, and
+    measuring cat[0] spends the shared cat: the Network charges its
+    len(cat)-1 ebits.
     """
     cat = list(cat)
     if len(cat) < 2:
@@ -101,6 +106,9 @@ def cat_entangler(
             f"got {cat[0]} instead"
         )
     _require_fresh_cat(net, cat)
+    shares = [net.global_index(a) for a in cat]
+    if set(net._shares.get(shares[0], ())) != set(shares):
+        raise ResourceError(f"qubits {[str(a) for a in cat]} are not the shares of one unspent pair or cat")
 
     net.local_apply(CNOT, [control, cat[0]])
     rec = net.measure(cat[0])
@@ -109,9 +117,7 @@ def cat_entangler(
     for a in cat[1:]:
         if a.node not in member_nodes:
             member_nodes.append(a.node)
-    msg = net.send_cbit(
-        ClassicalMessage(cat[0].node, tuple(member_nodes), rec.outcome, f"{tag}:broadcast")
-    )
+    msg = net.send_cbit(ClassicalMessage(cat[0].node, tuple(member_nodes), [rec], f"{tag}:broadcast"))
     with net.parallel_round():
         for member in cat[1:]:
             net.classically_controlled_apply(msg, X, member)
@@ -131,11 +137,12 @@ def cat_shrink(
 
     cat_shrink(net, group.members, control) undoes cat_entangler's fan-out;
     any member, or several, may survive instead. The dropped qubits are
-    measured in the X basis in one round; each node that measured sends
-    the parity of its outcomes to the survivor's node, and a single
-    conditional Z there repairs the sign. Only classical-basis
-    agreement across `members` is needed, so this works even while the
-    group is entangled with outside qubits.
+    measured in the X basis in one round; each other node that measured
+    sends the survivor's node a message naming its own records, which
+    carries their parity, and a single conditional Z there, controlled by
+    those messages and the survivor node's own records, repairs the sign.
+    Only classical-basis agreement across `members` is needed, so this
+    works even while the group is entangled with outside qubits.
 
     Costs one cbit per distinct remote measuring node. Dropped qubits end
     in |+> or |-> collapsed form, i.e. classical states after the H.
@@ -160,23 +167,14 @@ def cat_shrink(
     with net.parallel_round():
         records = [net.measure_x(d) for d in dropped]
 
-    node_parity: dict[str, int | np.ndarray] = {}
+    by_node: dict[str, list[MeasurementRecord]] = {}
     for rec in records:
-        node = rec.address.node
-        node_parity[node] = node_parity.get(node, 0) ^ rec.outcome
-
-    controls: list[ClassicalMessage | MeasurementRecord] = [
-        rec for rec in records if rec.address.node == fix.node
-    ]
-    remote = [n for n in node_parity if n != fix.node]
-    if remote:
+        by_node.setdefault(rec.address.node, []).append(rec)
+    controls: list[ClassicalMessage | MeasurementRecord] = by_node.pop(fix.node, [])
+    if by_node:
         with net.parallel_round():
-            for node in remote:
-                controls.append(
-                    net.send_cbit(
-                        ClassicalMessage(node, (fix.node,), node_parity[node], f"{tag}:parity")
-                    )
-                )
+            for node, recs in by_node.items():
+                controls.append(net.send_cbit(ClassicalMessage(node, (fix.node,), recs, f"{tag}:parity")))
     net.classically_controlled_apply(controls, Z, fix)
     return records
 

@@ -697,11 +697,11 @@ def decompose_multi_control_x(
         scope = _Scope(net, check)
         net.local_apply(TOFFOLI, [c1, c2, e_top])
         r1 = net.measure(e_top)  # spends the pair carrying the AND value
-        msg1 = net.send_cbit(ClassicalMessage(top, (bottom,), r1.outcome, "c4x:and"))
+        msg1 = net.send_cbit(ClassicalMessage(top, (bottom,), [r1], "c4x:and"))
         net.classically_controlled_apply(msg1, X, e_bot)
         net.local_apply(C3X, [c3, c4, e_bot, target])
         r2 = net.measure_x(e_bot)
-        msg2 = net.send_cbit(ClassicalMessage(bottom, (top,), r2.outcome, "c4x:phase"))
+        msg2 = net.send_cbit(ClassicalMessage(bottom, (top,), [r2], "c4x:phase"))
         net.classically_controlled_apply(msg2, CZ, [c1, c2])
         reset_channel_qubits(net, [r1, r2])
         variant = "distributed"

@@ -668,10 +668,11 @@ def verify_qft(
 ) -> ProtocolReport:
     """Criterion: the distributed transform matches the defining matrix.
 
-    Checks the closed-form gate counts, sweeps branches (exhaustively or by
-    seeded sampling), and pins the rotation-stage ledger to the non-local
-    gate count (or to the distribution count in amortized mode). Rows are
-    labelled by their outcome bits, branch000001000101 say.
+    Checks the plan's gate, distribution and swap counts against closed
+    forms, sweeps branches (exhaustively or by seeded sampling), and pins
+    the rotation-stage ledger to the non-local gate count (or to the
+    distribution count in amortized mode). Rows are labelled by their
+    outcome bits, branch000001000101 say.
     """
     _require_input_fits(n)
     plan = build_qft_plan(n, m)
@@ -681,6 +682,8 @@ def verify_qft(
         ("counts:total", plan.total_controlled, n * (n - 1) // 2),
         ("counts:local", plan.local_controlled, m * k * (k - 1) // 2),
         ("counts:nonlocal", plan.nonlocal_controlled, n * (n - 1) // 2 - (k - 1) * n // 2),
+        ("counts:amortized", plan.amortized_distributions, n * (m - 1) // 2),
+        ("counts:cross_swaps", plan.cross_swaps, n // 2 - (m % 2) * (k // 2)),
     ]
     for label, actual, want in counts:
         sweep.require(actual == want, label, actual=actual)

@@ -4,6 +4,7 @@ that names the failing positions, in exhaustive and in sampled mode, with
 no traceback, and the CLI exits 1."""
 
 import json
+import re
 
 import pytest
 
@@ -66,13 +67,10 @@ def no_disentangler_z(monkeypatch):
 
 
 def flipped_broadcast_bit(monkeypatch):
-    """The cat-entangler broadcasts the opposite of its measured bit, so
+    """Every broadcast delivers the opposite of the bit its sources carry, so
     every member's X correction fires on exactly the rows it should not."""
-
-    def message(sender, to, bit, tag):
-        return ClassicalMessage(sender, to, bit ^ 1 if tag.endswith(":broadcast") else bit, tag)
-
-    monkeypatch.setattr(primitives, "ClassicalMessage", message)
+    bit = ClassicalMessage.bit.fget
+    monkeypatch.setattr(ClassicalMessage, "bit", property(lambda msg: bit(msg) ^ msg.tag.endswith(":broadcast")))
     return [name for name in VERIFIERS if name != "decompose-c4x"]
 
 
@@ -101,7 +99,54 @@ def one_ebit_short(monkeypatch):
     return list(VERIFIERS)
 
 
-FAULTS = [no_entangler_x, x_measurement_in_z, no_disentangler_z, flipped_broadcast_bit, skipped_parity_message, one_ebit_short]
+def forged_parity_sources(monkeypatch):
+    """Each of the disentangler's parity messages names every record the
+    shrink dropped, not only its sender's: the Network refuses a source its
+    sender never held with CausalityError. That shows only where a shrink
+    drops records on more than one node, which only the shrinks over three
+    or more nodes do: the cat round trip's and the parallel control's."""
+    measure_x, send = Network.measure_x, Network.send_cbit
+    # id of each X-basis record -> the record, kept so that no later record
+    # takes its id, and the round it was measured in
+    stamps = {}
+
+    def stamped(net, addr):
+        rec = measure_x(net, addr)
+        stamps[id(rec)] = (rec, net.ledger.rounds)
+        return rec
+
+    def forged(net, msg):
+        if msg.tag.endswith(":parity"):
+            _, shrink_round = stamps[id(msg.sources[0])]
+            dropped = [r for r in net.records if stamps.get(id(r), (r, None))[1] == shrink_round]
+            msg = ClassicalMessage(msg.sender, msg.to, dropped, msg.tag)
+        return send(net, msg)
+
+    monkeypatch.setattr(Network, "measure_x", stamped)
+    monkeypatch.setattr(Network, "send_cbit", forged)
+    return ["cat-roundtrip", "parallel-control"]
+
+
+def amortization_off(monkeypatch):
+    """The transform's schedule ignores `amortized`: every rotation takes a
+    distribution of its own. The ledger still matches the plan, which counts
+    from the same schedule, so only the closed form of the amortized count
+    catches it."""
+    steps = qft._steps
+    monkeypatch.setattr(qft, "_steps", lambda n, k, amortized: steps(n, k, False))
+    return ["qft"]
+
+
+FAULTS = [
+    no_entangler_x,
+    x_measurement_in_z,
+    no_disentangler_z,
+    flipped_broadcast_bit,
+    skipped_parity_message,
+    one_ebit_short,
+    forged_parity_sources,
+    amortization_off,
+]
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -119,3 +164,26 @@ def test_verify_all_reports_every_fault_as_a_labelled_failure(fault, monkeypatch
         if r["protocol"] in broken:
             assert r["details"]["failures"] and all(f["case"] for f in r["details"]["failures"])
     assert err == "" and "Traceback" not in out
+
+
+@pytest.mark.parametrize("branches", ["exhaustive", "sampled"])
+def test_verify_qft_amortized_catches_a_schedule_without_amortization(branches, monkeypatch, capsys):
+    """`catnet verify qft --amortized` checks the plan's amortized count
+    against its closed form n(m - 1)/2, not against the schedule that also
+    runs the transform, so a schedule that ignores `amortized` fails there."""
+    amortization_off(monkeypatch)
+    assert main(["verify", "qft", "--amortized", "--branches", branches]) == 1
+    out, err = capsys.readouterr()
+    [report] = json.loads(out)
+    assert report["verified"] is False and err == ""
+    assert report["details"]["failures"] == [{"case": "counts:amortized", "actual": 4}]
+
+
+def test_forged_parity_sources_fail_as_causality_errors(monkeypatch):
+    """A parity message that names another node's record is refused by the
+    Network at send_cbit, and the sweep labels every such failure."""
+    forged_parity_sources(monkeypatch)
+    for name in ("cat-roundtrip", "parallel-control"):
+        errors = [f for f in VERIFIERS[name]().details["failures"] if "error" in f]
+        assert errors and all(f["error"] == "CausalityError" for f in errors)
+        assert all(re.fullmatch(r"bit measured at \w+ was never sent to \w+", f["message"]) for f in errors)

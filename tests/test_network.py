@@ -27,6 +27,14 @@ def two_nodes(**kwargs):
     return Network([("A", 1, 1), ("B", 1, 1)], **kwargs)
 
 
+def measured(net, addr, bit=0):
+    """The record of measuring `addr`, a |0> qubit that an X first sets to
+    `bit`: a source for a message that carries `bit`."""
+    if bit:
+        net.local_apply(X, [addr])
+    return net.measure(addr)
+
+
 # ---- addressing and ownership ---------------------------------------------
 
 
@@ -61,6 +69,8 @@ BAD_ADDRESSES = {
 
 # every entry point that takes an address, with the pool it is given and a
 # call on the bad address; `msg` is a message from B to A, sent beforehand
+# for the one call that reads it (a network that holds a measurement record
+# refuses inject_state before it reads an address)
 ADDRESS_ENTRY_POINTS = {
     "reg": (REGISTER, lambda net, bad, msg: net.reg(bad.node, bad.slot)),
     "chan": (CHANNEL, lambda net, bad, msg: net.chan(bad.node, bad.slot)),
@@ -84,7 +94,9 @@ def test_every_entry_point_refuses_a_bad_address_alike(entry, kind):
     pool, call = ADDRESS_ENTRY_POINTS[entry]
     node, slot, text = BAD_ADDRESSES[kind]
     net = two_nodes(seed=0)
-    msg = net.send_cbit(ClassicalMessage("B", "A", 1, "bit"))
+    msg = None
+    if entry == "classically_controlled_apply":
+        msg = net.send_cbit(ClassicalMessage("B", "A", [net.measure(net.reg("B"))], "bit"))
     ledger, ownership = net.ledger.as_dict(), dict(net.ownership)
     with pytest.raises(ValueError, match=re.escape(text.format(pool=pool))):
         call(net, QubitAddress(node, pool, slot), msg)
@@ -124,7 +136,7 @@ def test_addresses_given_as_an_iterator_are_checked_like_a_list():
     net.local_apply(X, iter([net.chan("A")]))
     with pytest.raises(PreconditionError):
         net.preshare_cat(iter([net.chan("B"), net.chan("A")]))
-    msg = net.send_cbit(ClassicalMessage("B", "A", 1, "bit"))
+    msg = net.send_cbit(ClassicalMessage("B", "A", [measured(net, net.reg("B"), 1)], "bit"))
     net.classically_controlled_apply(msg, X, iter([net.chan("A")]))
     assert net.qubit_is(net.chan("A"), 0)
 
@@ -173,8 +185,8 @@ def test_parallel_round_no_nesting():
 
 def test_messages_charge_rounds():
     net = two_nodes()
-    net.send_cbit(ClassicalMessage("A", "B", 1, "ping"))
-    assert net.ledger.rounds == 1
+    net.send_cbit(ClassicalMessage("A", "B", [measured(net, net.reg("A"), 1)], "ping"))
+    assert net.ledger.rounds == 3  # the X, the measurement and the message
 
 
 # ---- measurement and branch control -----------------------------------------
@@ -273,13 +285,14 @@ def test_last_record():
 
 def test_cbits_count_remote_recipients_only():
     net = Network([("A", 1, 0), ("B", 1, 0), ("C", 1, 0)])
-    net.send_cbit(ClassicalMessage("A", ("B", "C"), 1, "fan-out"))
+    rec = measured(net, net.reg("A"), 1)
+    net.send_cbit(ClassicalMessage("A", ("B", "C"), [rec], "fan-out"))
     assert net.ledger.cbits_sent == 2
-    net.send_cbit(ClassicalMessage("A", ("A", "B"), 0, "self-and-remote"))
+    net.send_cbit(ClassicalMessage("A", ("A", "B"), [rec], "self-and-remote"))
     assert net.ledger.cbits_sent == 3
     assert len(net.message_log) == 2
     with pytest.raises(ValueError):
-        net.send_cbit(ClassicalMessage("A", "Z", 0, "bad"))
+        net.send_cbit(ClassicalMessage("A", "Z", [rec], "bad"))
 
 
 @pytest.mark.parametrize("to", [("B", "B"), ()], ids=["repeated", "empty"])
@@ -288,17 +301,68 @@ def test_a_message_needs_distinct_recipients(to):
     a message to no one would charge a round for nothing: both are refused
     before anything is charged or logged."""
     net = two_nodes()
+    rec = measured(net, net.reg("A"), 1)
     with pytest.raises(ValueError, match="distinct recipients"):
-        net.send_cbit(ClassicalMessage("A", to, 1, "dup"))
-    assert net.ledger.as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
+        net.send_cbit(ClassicalMessage("A", to, [rec], "dup"))
+    assert net.ledger.as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 2}
     assert net.message_log == []
 
 
 def test_message_to_is_normalized():
-    msg = ClassicalMessage("A", "B", 1, "t")
-    assert msg.to == ("B",)
-    with pytest.raises(ValueError):
-        ClassicalMessage("A", "B", 2, "t")
+    net = two_nodes()
+    rec = measured(net, net.reg("A"))
+    msg = ClassicalMessage("A", "B", [rec], "t")
+    assert msg.to == ("B",) and msg.sources == (rec,)
+
+
+def test_a_node_cannot_send_a_bit_it_never_held():
+    """A message carries the bits its sources name, and its sender must hold
+    each one. Node A naming B's outcome as the source of a message to itself
+    is refused at send_cbit, before any cbit, round or log entry, so no
+    correction at A can read it. A message once carried any bit its caller
+    handed in: this one was accepted with 0 cbits charged, and an X at A
+    controlled by it fired on B's outcome."""
+    net = Network([("A", 1, 0), ("B", 1, 0)], seed=0)
+    net.local_apply(H, [net.reg("B")])
+    rec = net.measure(net.reg("B"))
+    ledger = net.ledger.as_dict()
+    with pytest.raises(CausalityError, match=re.escape("bit measured at B was never sent to A")):
+        net.send_cbit(ClassicalMessage("A", ("A",), [rec], "leak"))
+    assert net.ledger.as_dict() == ledger and net.message_log == []
+
+
+def test_a_message_needs_sources_this_network_made():
+    """No sources raise ValueError, and a record made by another network
+    raises CausalityError, both before anything is charged or logged."""
+    net = two_nodes()
+    foreign = measured(two_nodes(), QubitAddress("A", REGISTER, 0), 1)
+    with pytest.raises(ValueError, match="names no source bits"):
+        net.send_cbit(ClassicalMessage("A", "B", [], "empty"))
+    with pytest.raises(CausalityError, match="does not belong to this network"):
+        net.send_cbit(ClassicalMessage("A", "B", [foreign], "foreign"))
+    assert net.ledger.as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
+    assert net.message_log == []
+
+
+def test_a_node_relays_a_message_it_was_sent():
+    """A message may name a message its sender received: A's outcome
+    reaches C through B, and C's correction fires on the rows where A read
+    1. A message can be relayed only by a node it was sent to."""
+    net = Network([(name, 1, 0) for name in "ABC"])
+    net.local_apply(H, [net.reg("A")])
+    net.split_outcomes(1)
+    rec = net.measure(net.reg("A"))
+    to_b = net.send_cbit(ClassicalMessage("A", "B", [rec], "hop"))
+    relayed = net.send_cbit(ClassicalMessage("B", "C", [to_b], "relay"))
+    fired = net.classically_controlled_apply(relayed, X, net.reg("C"))
+    assert net.state.per_row(fired).tolist() == net.state.per_row(rec.outcome).tolist() == [0, 1]
+    assert net.qubit_is(net.reg("C"), rec.outcome)
+    to_c = net.send_cbit(ClassicalMessage("A", "C", [rec], "direct"))
+    ledger = net.ledger.as_dict()
+    with pytest.raises(CausalityError, match="message 'direct' from A was not addressed to B"):
+        net.send_cbit(ClassicalMessage("B", "A", [to_c], "stolen"))
+    assert net.ledger.as_dict() == ledger and ledger["cbits"] == 3
+    assert [m.tag for m in net.message_log] == ["hop", "relay", "direct"]
 
 
 @pytest.mark.parametrize("live", [False, True], ids=["fixed", "live"])
@@ -317,11 +381,10 @@ def test_qubit_is_refuses_a_bit_that_is_not_0_or_1(live):
 
 @pytest.mark.parametrize("split", [False, True], ids=["one-row", "split"])
 def test_per_row_bits_must_fit_the_rows(split):
-    """Per-row bits are checked against the state's grid where they enter:
-    a message is refused before it is charged or logged, so no correction
-    can write a fixed bit or a block with more rows than the state has,
-    and a probe raises ValueError rather than BranchDivergenceError. A
-    value over the grid's trailing axes fits, whatever its size-1 axes."""
+    """Per-row bits are checked against the state's grid where they enter
+    a probe, which raises ValueError rather than BranchDivergenceError and
+    charges nothing. A value over the grid's trailing axes fits, whatever
+    its size-1 axes."""
     net = two_nodes()
     if split:
         net.local_apply(H, [net.reg("A")])
@@ -333,19 +396,11 @@ def test_per_row_bits_must_fit_the_rows(split):
         bad.append(np.array([0, 1]))  # laid along the input axis, not the split's
     before = net.ledger.snapshot()
     for bits in bad:
-        with pytest.raises(ValueError, match="does not fit the state's rows"):
-            net.send_cbit(ClassicalMessage("A", ("B",), bits, "t"))
         for addr in (net.reg("A"), net.reg("B")):
             with pytest.raises(ValueError, match="does not fit the state's rows"):
                 net.qubit_is(addr, bits)
     assert net.ledger.delta_since(before).as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
-    assert net.message_log == []
     good = np.array([[0], [1]]) if split else np.array([1])
-    msg = net.send_cbit(ClassicalMessage("A", ("B",), good, "t"))
-    net.local_apply(H, [net.reg("B")])
-    net.classically_controlled_apply(msg, Z, net.reg("B"))
-    assert net.state.rows == net.rows == (2 if split else 1)
-    assert all(b.rows <= net.rows for b in net.state.blocks)
     assert net.qubit_is(net.reg("A"), good) is split
 
 
@@ -353,8 +408,8 @@ def test_per_row_bits_must_fit_the_rows(split):
 def test_per_row_bits_of_the_wrong_shape_are_refused_when_they_agree(split):
     """The shape of per-row bits is checked as given, before they are
     compacted to one bit for every row: an array whose entries all agree
-    is refused like any other that does not fit, and nothing is charged or
-    logged. Such arrays were once accepted as one bit."""
+    is refused like any other that does not fit, and nothing is charged.
+    Such arrays were once accepted as one bit."""
     net = two_nodes()
     if split:
         net.local_apply(H, [net.reg("A")])
@@ -365,13 +420,10 @@ def test_per_row_bits_of_the_wrong_shape_are_refused_when_they_agree(split):
         bad += [np.array([0, 0]), np.ones((3, 2), dtype=int)]
     before = net.ledger.snapshot()
     for bits in bad:
-        with pytest.raises(ValueError, match="does not fit the state's rows"):
-            net.send_cbit(ClassicalMessage("A", ("B",), bits, "t"))
         for addr in (net.reg("A"), net.reg("B")):
             with pytest.raises(ValueError, match="does not fit the state's rows"):
                 net.qubit_is(addr, bits)
     assert net.ledger.delta_since(before).as_dict() == {"ebits": 0, "cbits": 0, "qubits_transported": 0, "rounds": 0}
-    assert net.message_log == []
     assert net.qubit_is(net.reg("B"), np.array([[0], [0]]) if split else np.array([0]))
 
 
@@ -396,7 +448,7 @@ def test_controlled_apply_charges_round_even_when_idle():
         net.local_apply(H, [net.reg("A")])
         net.force_outcomes([outcome])
         rec = net.measure(net.reg("A"))
-        msg = net.send_cbit(ClassicalMessage("A", "B", rec.outcome, "ctl"))
+        msg = net.send_cbit(ClassicalMessage("A", "B", [rec], "ctl"))
         net.classically_controlled_apply([msg], X, [net.reg("B")])
         rounds.append(net.ledger.rounds)
     assert rounds[0] == rounds[1]
@@ -421,7 +473,7 @@ def test_controlled_apply_needs_the_bit_delivered():
     # B never received the outcome: using A's record at B is acausal
     with pytest.raises(CausalityError):
         net.classically_controlled_apply([rec], X, [net.reg("B")])
-    msg = net.send_cbit(ClassicalMessage("A", "B", rec.outcome, "fix"))
+    msg = net.send_cbit(ClassicalMessage("A", "B", [rec], "fix"))
     net.classically_controlled_apply([msg], X, [net.reg("B")])
     assert net.qubit_is(net.reg("B"), 1)
 
@@ -431,7 +483,7 @@ def test_controlled_apply_rejects_foreign_message():
     net.local_apply(H, [net.reg("A")])
     net.force_outcomes([1])
     rec = net.measure(net.reg("A"))
-    msg = net.send_cbit(ClassicalMessage("A", "B", rec.outcome, "fix"))
+    msg = net.send_cbit(ClassicalMessage("A", "B", [rec], "fix"))
     with pytest.raises(CausalityError):
         net.classically_controlled_apply([msg], X, [net.reg("C")])
 
@@ -463,7 +515,7 @@ def test_controlled_apply_refuses_empty_inputs_before_the_round(empty):
 
 def test_controlled_apply_rejects_unlogged_message():
     net = two_nodes(seed=0)
-    fake = ClassicalMessage("A", "B", 1, "forged")
+    fake = ClassicalMessage("A", "B", [measured(net, net.reg("A"), 1)], "forged")
     with pytest.raises(CausalityError):
         net.classically_controlled_apply([fake], X, [net.reg("B")])
 
@@ -818,8 +870,9 @@ def test_a_scope_reports_once():
 
 def test_ledger_snapshot_delta():
     net = two_nodes()
+    rec = measured(net, net.reg("B"))
     net.local_apply(H, [net.reg("A")])
     snap = net.ledger.snapshot()
-    net.send_cbit(ClassicalMessage("A", "B", 0, "t"))
+    net.send_cbit(ClassicalMessage("B", "A", [rec], "t"))
     delta = net.ledger.delta_since(snap)
     assert delta.as_dict() == {"ebits": 0, "cbits": 1, "qubits_transported": 0, "rounds": 1}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from catnet import qstate
-from catnet.errors import CannotResetError, CapacityError, LocalityError, PreconditionError
+from catnet.errors import CannotResetError, CapacityError, LocalityError, PreconditionError, ResourceError
 from catnet.gates import CNOT, H, TOFFOLI, X, ControlledSpec, em_schedule, make_controlled, make_rk
 from catnet.network import CHANNEL, REGISTER, Network, QubitAddress
 from catnet.primitives import _require_fresh_cat
@@ -221,6 +221,22 @@ def test_nonlocal_cnot_rejects_mismatched_pair():
     net.preshare_epr(net.chan("A"), net.chan("C"))
     with pytest.raises(ValueError):
         nonlocal_cnot(net, net.reg("A"), net.reg("B"), epr=(net.chan("A"), net.chan("C")))
+
+
+def test_nonlocal_cnot_refuses_a_pair_the_network_never_registered():
+    """A pair made with gates and an exchange is not a resource the network
+    holds, so it has no ebit to charge: the entangler refuses it with
+    ResourceError before any gate, and ledger, records and ownership stay
+    as they were. Such a pair was once spent for free, reported as 0 ebits,
+    2 cbits and verified."""
+    net = Network([("A", 1, 2), ("B", 1, 1)], seed=0)
+    net.local_apply(H, [net.chan("A", 0)])
+    net.local_apply(CNOT, [net.chan("A", 0), net.chan("A", 1)])
+    net.exchange_channel_qubits(net.chan("A", 1), net.chan("B", 0))
+    ledger, ownership = net.ledger.as_dict(), dict(net.ownership)
+    with pytest.raises(ResourceError, match="not the shares of one unspent pair or cat"):
+        nonlocal_cnot(net, net.reg("A"), net.reg("B"), epr=(net.chan("A", 0), net.chan("B", 0)))
+    assert net.ledger.as_dict() == ledger and net.records == [] and net.ownership == ownership
 
 
 # ---- nonlocal_controlled_sequence ------------------------------------------------
