@@ -3,7 +3,8 @@
 Four commands:
 
   verify <protocol|all>   run a protocol's branch sweep, exit 0 iff verified
-  demo <protocol>         one random-branch run with its message trace
+  demo <protocol>         a sampled sweep, one run per input and case, with
+                          the messages of the first run that sent any
   qft                     distributed Fourier transform sweep (--n, --m)
   report                  run everything and emit one merged document
 
@@ -78,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--amortized", action="store_true", help="qft only")
     common(p_verify, "exhaustive, but sampled for verify qft")
 
-    p_demo = sub.add_parser("demo", help="one random-branch run with its message trace")
+    p_demo = sub.add_parser(
+        "demo", help="a sampled sweep, one run per input and case, with the messages of the first run that sent any"
+    )
     p_demo.add_argument("protocol", choices=PROTOCOLS)
     p_demo.add_argument("--n", type=int, default=None, help="qubits (qft only, default 4)")
     p_demo.add_argument("--m", type=int, default=None, help="machines (qft only, default 2)")

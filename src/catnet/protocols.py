@@ -3,12 +3,14 @@
 Every operation here mutates the network in place and returns a
 ProtocolReport carrying the resource delta (ebits, cbits, transports,
 rounds). Every protocol reports through one _Scope, opened before its body
-runs: with check=True the scope keeps the pre-protocol state and, at report
-time, runs an independent oracle comparison. The protocol's effect on the
-surviving qubits is compared with the ideal gates applied to the
-pre-protocol state, through the overlap tr(rho_actual rho_ideal) of their
+runs. A protocol checks itself only when its caller passes check=True:
+then the scope keeps the pre-protocol state and, at report time, compares
+the protocol's effect on the surviving qubits with the ideal gates applied
+to that state, through the overlap tr(rho_actual rho_ideal) of their
 reduced states. Consumed helper qubits (measured channel qubits, released
-ancillas) are excluded from that comparison.
+ancillas) are excluded from that comparison. By default nothing is copied
+or replayed, and the report's verified and max_infidelity stay None; the
+verifiers' sweeps judge every run by their Case alone (verify.py).
 
 Non-local control is one routine, _share_control: the cat-entangler
 shares a control qubit over a cat state, each cat member drives controlled
@@ -106,11 +108,12 @@ class _Scope:
     and reports the run against them.
 
     The network overwrites its state in place, so the state baseline is a
-    copy, and it is taken only when `check` says the oracle will read it,
-    together with a copy of `ownership`: the slots the baseline's qubits
-    sat in, since exchanges and SWAPs move qubits between slots. The
-    oracle applies the ideal gates to that copy itself, so a scope reports
-    once: a second report raises rather than read a spent baseline.
+    copy, and it is taken only when `check` says the oracle will read it:
+    when the protocol's caller passed check=True, which no verifier does.
+    A copy of `ownership` goes with it: the slots the baseline's qubits sat
+    in, since exchanges and SWAPs move qubits between slots. The oracle
+    applies the ideal gates to that copy itself, so a scope reports once: a
+    second report raises rather than read a spent baseline.
     """
 
     def __init__(self, net: Network, check: bool) -> None:
@@ -223,7 +226,7 @@ def establish_epr_exchange(
     node_a: str,
     node_b: str,
     *,
-    check: bool = True,
+    check: bool = False,
 ) -> tuple[list[tuple[QubitAddress, QubitAddress]], ProtocolReport]:
     """Create two EPR pairs between two nodes with one crossing shipment.
 
@@ -321,7 +324,7 @@ def nonlocal_cnot(
     target: QubitAddress,
     *,
     epr: tuple[QubitAddress, QubitAddress] | None = None,
-    check: bool = True,
+    check: bool = False,
 ) -> ProtocolReport:
     """CNOT between qubits on different nodes over one shared EPR pair.
 
@@ -345,7 +348,7 @@ def nonlocal_controlled_sequence(
     gates: Sequence[tuple[Any, QubitAddress | Sequence[QubitAddress]]],
     *,
     epr: tuple[QubitAddress, QubitAddress] | None = None,
-    check: bool = True,
+    check: bool = False,
 ) -> ProtocolReport:
     """Run several controlled gates off one distributed control line.
 
@@ -375,7 +378,7 @@ def parallel_distributed_control(
     control: QubitAddress,
     parts: Sequence[tuple[str, Any, QubitAddress | Sequence[QubitAddress]]],
     *,
-    check: bool = True,
+    check: bool = False,
 ) -> ProtocolReport:
     """One control qubit drives gates on several nodes in a single round.
 
@@ -428,7 +431,7 @@ def distributed_em(
     nodes: Sequence[str],
     shape: str = "linear",
     *,
-    check: bool = True,
+    check: bool = False,
 ) -> ProtocolReport:
     """Grow the shared cat state over register slot 0 of every node.
 
@@ -485,7 +488,7 @@ def teleport_with_reset(
     epr: tuple[QubitAddress, QubitAddress],
     empty: QubitAddress,
     *,
-    check: bool = True,
+    check: bool = False,
 ) -> ProtocolReport:
     """Teleport into a register slot and leave every helper qubit in |0>.
 
@@ -541,7 +544,7 @@ def distributed_swap(
     a: QubitAddress,
     b: QubitAddress,
     *,
-    check: bool = True,
+    check: bool = False,
 ) -> ProtocolReport:
     """Exchange the states of two qubits on different nodes.
 
@@ -585,7 +588,7 @@ def nonlocal_multi_control(
     base: Any,
     target: QubitAddress,
     *,
-    check: bool = True,
+    check: bool = False,
 ) -> ProtocolReport:
     """Apply base on `target` controlled on qubits spread across nodes.
 
@@ -653,7 +656,7 @@ def decompose_multi_control_x(
     ancilla: QubitAddress,
     target: QubitAddress,
     *,
-    check: bool = True,
+    check: bool = False,
 ) -> ProtocolReport:
     """Four-fold controlled X on six qubits without a wide controlled gate.
 

@@ -115,7 +115,6 @@ def _controlled_section_rounds():
         net,
         net.reg("C"),
         [(f"P{i}", X, [net.reg(f"P{i}")]) for i in (1, 2, 3)],
-        check=False,
     )
     parallel_total = net.ledger.rounds - before
 

@@ -52,7 +52,7 @@ def run_qft(prefix, split, amps):
     net.inject_state([net.reg("M0", 0), net.reg("M0", 1), net.reg("M1", 0), net.reg("M1", 1)], amps)
     net.force_outcomes(prefix)
     net.split_outcomes(split)
-    rep = qft_distributed(net, plan, amortized=True)
+    rep = qft_distributed(net, plan, amortized=True, check=True)
     return net, rep
 
 
@@ -70,18 +70,18 @@ def test_batched_qft_rows_match_forced_branches():
 
 def _cnot(net):
     net.inject_state([net.reg("A"), net.reg("B")], [0.1, 0.7j, 0.5, -0.5])
-    return nonlocal_cnot(net, net.reg("A"), net.reg("B"))
+    return nonlocal_cnot(net, net.reg("A"), net.reg("B"), check=True)
 
 
 def _teleport(net):
     net.inject_state([net.reg("A")], [0.6, 0.8j])
     net.preshare_epr(net.chan("A"), net.chan("B"))
-    return teleport_with_reset(net, net.reg("A"), (net.chan("A"), net.chan("B")), net.reg("B"))
+    return teleport_with_reset(net, net.reg("A"), (net.chan("A"), net.chan("B")), net.reg("B"), check=True)
 
 
 def _swap(net):
     net.inject_state([net.reg("A"), net.reg("B")], [0.1, 0.7j, 0.5, -0.5])
-    return distributed_swap(net, net.reg("A"), net.reg("B"))
+    return distributed_swap(net, net.reg("A"), net.reg("B"), check=True)
 
 
 @pytest.mark.parametrize(
@@ -515,7 +515,7 @@ def test_message_log_is_row_zero_of_the_first_run():
     rep = verify.verify_qft(n=4, m=2, amortized=True, branches="exhaustive")
     single = Network([("M0", 2, 2), ("M1", 2, 2)], seed=0)
     single.force_outcomes([0] * 12)
-    zero_branch = qft_distributed(single, build_qft_plan(4, 2), amortized=True, check=False)
+    zero_branch = qft_distributed(single, build_qft_plan(4, 2), amortized=True)
     log = rep.as_dict()["message_log"]
     assert log and all(type(m["bit"]) is int for m in log)
     assert log == zero_branch.as_dict()["message_log"]

@@ -453,7 +453,7 @@ def test_ghz_build_peaks_at_15_live_qubits(shape, monkeypatch):
     names = [f"N{i}" for i in range(8)]
     req = protocols.em_channel_requirements(8, shape)
     net = network.Network([(name, 1, r) for name, r in zip(names, req)], seed=3)
-    protocols.distributed_em(net, names, shape, check=False)
+    protocols.distributed_em(net, names, shape)
     assert net.num_qubits == 22
     assert max(peak) <= 15
     assert net.state.largest_block <= 2**10
@@ -530,7 +530,7 @@ def test_distributed_swap_leaves_its_channels_fixed(layout):
     a, b = net.reg("A"), net.reg("B")
     net.inject_state([a, b], random_state(2, np.random.default_rng(1)).amplitudes)
     net.split_outcomes(4)
-    rep = protocols.distributed_swap(net, a, b)
+    rep = protocols.distributed_swap(net, a, b, check=True)
     assert rep.verified and net.rows == 16
     assert net.state.live == sorted([net.global_index(a), net.global_index(b)])
     idle = [q for q in net.addresses() if q not in (a, b)]
@@ -544,7 +544,7 @@ def test_teleport_with_reset_leaves_its_channels_fixed():
     net.inject_state([src], [0.6, 0.8j])
     net.preshare_epr(net.chan("A"), net.chan("B"))
     net.split_outcomes(2)
-    rep = protocols.teleport_with_reset(net, src, (net.chan("A"), net.chan("B")), dst)
+    rep = protocols.teleport_with_reset(net, src, (net.chan("A"), net.chan("B")), dst, check=True)
     assert rep.verified and net.rows == 4
     assert net.state.live == [net.global_index(dst)]
     assert _fixed_at_zero(net, [src, net.chan("A"), net.chan("B")])

@@ -74,7 +74,7 @@ def random_unitary(dim, rng):
 
 def test_establish_creates_two_pairs():
     net = Network([("A", 1, 2), ("B", 1, 2)], seed=0)
-    pairs, report = establish_epr_exchange(net, "A", "B")
+    pairs, report = establish_epr_exchange(net, "A", "B", check=True)
     assert len(pairs) == 2
     for qa, qb in pairs:
         assert {qa.node, qb.node} == {"A", "B"}
@@ -90,8 +90,8 @@ def test_each_established_pair_charges_its_ebit_when_used():
     net = Network([("A", 1, 2), ("B", 1, 2)], seed=0)
     pairs, report = establish_epr_exchange(net, "A", "B")
     a, b = net.reg("A"), net.reg("B")
-    first = nonlocal_cnot(net, a, b, epr=pairs[0])
-    second = nonlocal_cnot(net, a, b, epr=(pairs[1][1], pairs[1][0]))
+    first = nonlocal_cnot(net, a, b, epr=pairs[0], check=True)
+    second = nonlocal_cnot(net, a, b, epr=(pairs[1][1], pairs[1][0]), check=True)
     assert [rep.ledger.ebits_consumed for rep in (report, first, second)] == [0, 1, 1]
     assert net.ledger.ebits_consumed == 2 and first.verified and second.verified
 
@@ -169,9 +169,9 @@ def test_channel_hygiene_cycle():
     reset_channel_qubits(net, [net.last_record(c) for c in channels])
     for c in channels:
         assert net.qubit_is(c, 0)
-    pairs, report = establish_epr_exchange(net, "A", "B")
+    pairs, report = establish_epr_exchange(net, "A", "B", check=True)
     assert report.verified
-    rep = nonlocal_cnot(net, a, b, epr=pairs[0])
+    rep = nonlocal_cnot(net, a, b, epr=pairs[0], check=True)
     assert rep.verified
 
 
@@ -185,7 +185,7 @@ def test_nonlocal_cnot_frozen_amplitudes():
         ctrl, tgt = net.reg("A"), net.reg("B")
         net.inject_state([ctrl], np.array([0.6, 0.8]))
         net.force_outcomes([(branch >> 1) & 1, branch & 1])
-        rep = nonlocal_cnot(net, ctrl, tgt)
+        rep = nonlocal_cnot(net, ctrl, tgt, check=True)
         assert rep.verified
         assert marginal_fidelity(net, [ctrl, tgt], [0.6, 0, 0, 0.8]) > 1 - 1e-10
 
@@ -257,6 +257,7 @@ def test_controlled_sequence_matches_product_oracle():
             net,
             ctrl,
             [(u1, [b0]), (u2, [b1]), (CNOT, [b0, b1])],
+            check=True,
         )
         assert rep.verified
         assert rep.details["gate_count"] == 3
@@ -304,7 +305,7 @@ def test_amortized_cost_is_flat(k):
         else:
             gates.append((make_rk(2 + j % 3), [b0 if j % 2 == 0 else b1]))
     net.inject_state([ctrl, b0, b1], random_state(3, rng).amplitudes)
-    rep = nonlocal_controlled_sequence(net, ctrl, gates)
+    rep = nonlocal_controlled_sequence(net, ctrl, gates, check=True)
     assert rep.verified
     led = rep.ledger.as_dict()
     assert (led["ebits"], led["cbits"]) == (1, 2)
@@ -331,6 +332,7 @@ def test_parallel_control_three_parts():
             ("P2", qstate.GateMatrix(u2), t2),
             ("P3", qstate.GateMatrix(u3), t3),
         ],
+        check=True,
     )
     assert rep.verified
     assert rep.details["controlled_rounds"] == 1
@@ -346,6 +348,7 @@ def test_parallel_control_idle_when_control_zero():
         net,
         net.reg("C"),
         [("P1", X, [net.reg("P1")]), ("P2", X, [net.reg("P2")])],
+        check=True,
     )
     assert rep.verified
     assert net.qubit_is(net.reg("P1"), 0)
@@ -393,10 +396,10 @@ def test_parallel_control_refuses_a_part_on_the_control_node():
 
 # one controlled X from C onto P1, over a fresh pair
 FRESH_PAIR_RUNS = {
-    "cnot": lambda net, ctrl, tgt: nonlocal_cnot(net, ctrl, tgt),
-    "sequence": lambda net, ctrl, tgt: nonlocal_controlled_sequence(net, ctrl, [(X, [tgt])]),
-    "parallel": lambda net, ctrl, tgt: parallel_distributed_control(net, ctrl, [("P1", X, [tgt])]),
-    "multi-control": lambda net, ctrl, tgt: nonlocal_multi_control(net, [ctrl], X, tgt),
+    "cnot": lambda net, ctrl, tgt: nonlocal_cnot(net, ctrl, tgt, check=True),
+    "sequence": lambda net, ctrl, tgt: nonlocal_controlled_sequence(net, ctrl, [(X, [tgt])], check=True),
+    "parallel": lambda net, ctrl, tgt: parallel_distributed_control(net, ctrl, [("P1", X, [tgt])], check=True),
+    "multi-control": lambda net, ctrl, tgt: nonlocal_multi_control(net, [ctrl], X, tgt, check=True),
 }
 
 
@@ -532,7 +535,7 @@ EM_NODES = ["N0", "N1", "N2", "N3"]
 
 
 def swap_ab(net):
-    return distributed_swap(net, at("A.r0"), at("B.r0"))
+    return distributed_swap(net, at("A.r0"), at("B.r0"), check=True)
 
 
 # (node layout, the qubits that get a random input, the busy qubits, the
@@ -674,7 +677,7 @@ def test_multi_control_probes_each_claimed_qubit_once(spec, probed, written):
     each share once probed its pair again."""
     net = Network(spec, seed=0)
     controls = [QubitAddress(node, REGISTER, slot) for node, regs, _ in spec[:-1] for slot in range(regs)]
-    rep = nonlocal_multi_control(net, controls, X, at("T.r0"))
+    rep = nonlocal_multi_control(net, controls, X, at("T.r0"), check=True)
     assert rep.verified
     chans = [QubitAddress(c.node, CHANNEL, c.slot) for c in controls]
     assert probed == [at("T.r1"), at("T.r2"), *chans, at("T.c0")]
@@ -687,7 +690,7 @@ def test_transform_probes_each_channel_once(n, m, probed):
     first gate, probing each once, and runs every distribution and reversal
     swap over them with no further probe for |0>."""
     net = Network([(f"M{i}", n // m, 2) for i in range(m)], seed=0)
-    assert qft_distributed(net, build_qft_plan(n, m), amortized=True).verified
+    assert qft_distributed(net, build_qft_plan(n, m), amortized=True, check=True).verified
     assert probed == [at(f"M{i}.c{c}") for i in range(m) for c in (0, 1)]
 
 
@@ -702,7 +705,7 @@ def test_em_channel_requirements_table():
 
 def test_distributed_em_linear_m3():
     net = Network([("N0", 1, 1), ("N1", 1, 2), ("N2", 1, 1)], seed=0)
-    rep = distributed_em(net, ["N0", "N1", "N2"], "linear")
+    rep = distributed_em(net, ["N0", "N1", "N2"], "linear", check=True)
     assert rep.verified
     assert rep.ledger.ebits_consumed == 2
     regs = [net.reg(f"N{i}") for i in range(3)]
@@ -711,7 +714,7 @@ def test_distributed_em_linear_m3():
 
 def test_distributed_em_tree_m4_round_count():
     net = Network([("N0", 1, 2), ("N1", 1, 2), ("N2", 1, 1), ("N3", 1, 1)], seed=0)
-    rep = distributed_em(net, ["N0", "N1", "N2", "N3"], "binary-tree")
+    rep = distributed_em(net, ["N0", "N1", "N2", "N3"], "binary-tree", check=True)
     assert rep.verified
     assert rep.ledger.ebits_consumed == 3
     assert rep.rounds == 2  # two stages of non-local CNOTs
@@ -766,7 +769,7 @@ def test_ghz_wide_build_state_traffic(seed, monkeypatch):
     net.force_outcomes(ghz_wide_outcomes(seed))
     monkeypatch.setattr(qstate, "apply_gate", counted_gate)
     monkeypatch.setattr(qstate, "partial_state_check", counted_probe)
-    rep = distributed_em(net, [name for name, _, _ in spec], "binary-tree", check=False)
+    rep = distributed_em(net, [name for name, _, _ in spec], "binary-tree")
     assert counts == {"permutation": 27, "diagonal": 2, "general": 15, "probe": 28}
     assert rep.ledger.ebits_consumed == 7 and net.pending_outcomes == 0
 
@@ -788,7 +791,7 @@ def test_teleport_with_reset_frozen():
         net.inject_state([src], np.array([0.6, 0.8]))
         net.preshare_epr(net.chan("A"), net.chan("B"))
         net.force_outcomes([(branch >> 1) & 1, branch & 1])
-        rep = teleport_with_reset(net, src, (net.chan("A"), net.chan("B")), dst)
+        rep = teleport_with_reset(net, src, (net.chan("A"), net.chan("B")), dst, check=True)
         assert rep.verified
         assert marginal_fidelity(net, [dst], [0.6, 0.8]) > 1 - 1e-10
         assert net.qubit_is(src, 0)
@@ -821,7 +824,7 @@ def test_distributed_swap_random_pairs():
         net = Network([("A", 1, 2), ("B", 1, 2)], seed=trial)
         a, b = net.reg("A"), net.reg("B")
         net.inject_state([a, b], amps)
-        rep = distributed_swap(net, a, b)
+        rep = distributed_swap(net, a, b, check=True)
         assert rep.verified
         swapped = embed(np.eye(4)[[0, 2, 1, 3]], 2, [0, 1]) @ amps
         assert marginal_fidelity(net, [a, b], swapped) > 1 - 1e-10
@@ -843,7 +846,7 @@ def test_distributed_swap_fallback_uses_register_buffer():
     net = Network([("A", 2, 1), ("B", 1, 1)], seed=0)
     a, b = net.reg("A", 0), net.reg("B")
     net.local_apply(X, [a])
-    rep = distributed_swap(net, a, b)
+    rep = distributed_swap(net, a, b, check=True)
     assert rep.verified
     assert rep.details["register_buffers_used"] == 1
     assert net.qubit_is(a, 0)
@@ -859,7 +862,7 @@ def test_distributed_swap_takes_only_the_channels_it_needs():
     net.local_apply(H, [net.chan("A", 2)])
     net.split_outcomes(5)
     spare = net.measure(net.chan("A", 2))
-    rep = distributed_swap(net, a, b)
+    rep = distributed_swap(net, a, b, check=True)
     assert net.rows == 32
     assert rep.verified and rep.details["register_buffers_used"] == 0
     assert (rep.ledger.ebits_consumed, rep.ledger.cbits_sent) == (2, 4)
@@ -884,7 +887,7 @@ def test_distributed_swap_sweeps_every_layout(layout, buffers):
     a, b = net.reg("A"), net.reg("B")
     net.inject_state([a, b], amps)
     net.split_outcomes(4)
-    rep = distributed_swap(net, a, b)
+    rep = distributed_swap(net, a, b, check=True)
     assert net.rows == 16 and rep.verified
     rho = reduced_density_matrix(net.state, [net.global_index(a), net.global_index(b)])
     swapped = amps[[0, 2, 1, 3]]
@@ -909,7 +912,7 @@ def test_multi_control_matches_toffoli():
     net = Network([("C1", 1, 1), ("C2", 1, 1), ("T", 3, 1)], seed=0)
     c1, c2, t = net.reg("C1"), net.reg("C2"), net.reg("T", 0)
     net.inject_state([c1, c2, t], amps)
-    rep = nonlocal_multi_control(net, [c1, c2], X, t)
+    rep = nonlocal_multi_control(net, [c1, c2], X, t, check=True)
     assert rep.verified
     led = rep.ledger.as_dict()
     assert (led["ebits"], led["cbits"]) == (2, 4)
@@ -941,7 +944,7 @@ def test_multi_control_gives_each_share_its_own_channel():
     the channel qubit the first consumed, whatever that qubit read."""
     net, controls = two_controls_on_one_node(2)
     net.split_outcomes(4)
-    rep = nonlocal_multi_control(net, controls, X, net.reg("T"))
+    rep = nonlocal_multi_control(net, controls, X, net.reg("T"), check=True)
     assert net.rows == 16
     assert rep.verified
     assert (rep.ledger.ebits_consumed, rep.ledger.cbits_sent) == (2, 4)
@@ -988,7 +991,7 @@ def test_c4x_monolithic_random_state():
     net = Network([("M", 6, 0)])
     qs = [net.reg("M", j) for j in range(6)]
     net.inject_state(qs, amps)
-    rep = decompose_multi_control_x(net, qs[:4], qs[4], qs[5])
+    rep = decompose_multi_control_x(net, qs[:4], qs[4], qs[5], check=True)
     assert rep.verified
     assert rep.details["variant"] == "monolithic"
     want = embed(C4X.matrix, 6, [0, 1, 2, 3, 5]) @ amps
@@ -1016,7 +1019,7 @@ def test_c4x_distributed_ledger():
         anc = net.reg("TOP", 2) if regs == 3 else net.chan("TOP", 0)
         c3, c4, tgt = net.reg("BOT", 0), net.reg("BOT", 1), net.reg("BOT", 2)
         net.inject_state([c1, c2, c3, c4, tgt], random_state(5, np.random.default_rng(41)).amplitudes)
-        rep = decompose_multi_control_x(net, [c1, c2, c3, c4], anc, tgt)
+        rep = decompose_multi_control_x(net, [c1, c2, c3, c4], anc, tgt, check=True)
         assert rep.verified and rep.details["variant"] == "distributed"
         led = rep.ledger.as_dict()
         assert (led["ebits"], led["cbits"]) == (1, 2)

@@ -142,7 +142,7 @@ def test_distributed_4_over_2_matches_matrix():
     addrs = [net.reg(f"M{i // 2}", i % 2) for i in range(4)]
     amps = random_state(4, rng).amplitudes
     net.inject_state(addrs, amps)
-    rep = qft_distributed(net, plan)
+    rep = qft_distributed(net, plan, check=True)
     assert rep.verified
     assert rep.max_infidelity <= 1e-10
     led = rep.ledger.as_dict()
@@ -155,8 +155,8 @@ def test_distributed_4_over_2_matches_matrix():
 
 def test_distributed_amortized_uses_fewer_pairs():
     plan = build_qft_plan(4, 2)
-    raw = qft_distributed(qft_net(2, 2, seed=1), plan)
-    amortized = qft_distributed(qft_net(2, 2, seed=1), plan, amortized=True)
+    raw = qft_distributed(qft_net(2, 2, seed=1), plan, check=True)
+    amortized = qft_distributed(qft_net(2, 2, seed=1), plan, amortized=True, check=True)
     assert raw.verified and amortized.verified
     assert raw.ledger.ebits_consumed == 4
     assert amortized.ledger.ebits_consumed == 2
@@ -174,7 +174,7 @@ MESSAGE_ORDER = json.loads((Path(__file__).parent / "qft_message_order.json").re
 @pytest.mark.parametrize("n,m", [(4, 1), (4, 2), (6, 2), (6, 3), (8, 4)])
 def test_distributed_follows_the_plan(n, m, amortized):
     plan = build_qft_plan(n, m)
-    rep = qft_distributed(qft_net(m, n // m, seed=0), plan, amortized=amortized)
+    rep = qft_distributed(qft_net(m, n // m, seed=0), plan, amortized=amortized, check=True)
     assert rep.verified
     want = plan.amortized_distributions if amortized else plan.nonlocal_controlled
     assert rep.details["distributions_used"] == rep.ledger.ebits_consumed == want
@@ -204,7 +204,7 @@ def test_distributed_basis_state_phases():
 
 def test_distributed_6_over_3_ledger():
     plan = build_qft_plan(6, 3)
-    rep = qft_distributed(qft_net(3, 2, seed=5), plan)
+    rep = qft_distributed(qft_net(3, 2, seed=5), plan, check=True)
     assert rep.verified
     led = rep.ledger.as_dict()
     assert (led["ebits"], led["cbits"]) == (12, 24)
@@ -217,7 +217,7 @@ def test_distributed_check_applies_the_circuit_past_ten_qubits(monkeypatch):
     def run():
         net = qft_net(3, 4, seed=6)
         net.inject_state([net.reg(f"M{i // 4}", i % 4) for i in range(12)], qstate.random_vector(12, random.Random(6)))
-        return qft_distributed(net, build_qft_plan(12, 3), amortized=True)
+        return qft_distributed(net, build_qft_plan(12, 3), amortized=True, check=True)
 
     rep = run()
     assert rep.verified and rep.max_infidelity <= 1e-10
@@ -255,7 +255,7 @@ def test_amortized_4_over_2_state_traffic(split, monkeypatch):
         net.force_outcomes([1] * 12)
     monkeypatch.setattr(qstate, "apply_gate", counted_gate)
     monkeypatch.setattr(qstate, "partial_state_check", counted_probe)
-    rep = qft_distributed(net, build_qft_plan(4, 2), amortized=True, check=False)
+    rep = qft_distributed(net, build_qft_plan(4, 2), amortized=True)
     assert counts == {"permutation": 30, "diagonal": 12, "general": 16, "probe": 16}
     assert net.rows == (4096 if split else 1) and net.pending_outcomes == 0
     assert rep.ledger.ebits_consumed == 2 and rep.details["swap_ledger"]["ebits"] == 4

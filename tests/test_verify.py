@@ -1,18 +1,22 @@
 """The verifier layer's own machinery: the gate embedding its ideals are
 built from, the matrix-free ideals of parallel control and the transform,
-the per-row |0> check, and the size refusal of the transform sweep."""
+the per-row |0> check, the size refusal of the transform sweep, and that
+a sweep's verdict comes from its Case alone, never from a protocol's own
+oracle."""
 
+import collections
 import itertools
 import random
 
 import numpy as np
 import pytest
 
-from catnet import qstate, verify
+from catnet import protocols, qstate, verify
 from catnet.gates import CNOT, H, X, Z, ControlledSpec, make_controlled, make_rk
 from catnet.network import CHANNEL, REGISTER, QubitAddress
 from catnet.protocols import C4X
 from reference import embed, qft_matrix
+from test_cli import SUITE
 from test_qft import dft_sum_oracle
 
 
@@ -101,3 +105,59 @@ def test_qubit_left_set_is_reported_on_its_row_only():
     verify._drive(sweep, verify.Case([("A", 1, 1)], 0, inputs, run, [reg], verify._apply(np.eye(2)), zero=[chan]), "exhaustive")
     assert sweep.max_infidelity <= 1e-12  # the register kept each input
     assert sweep.failures == [{"case": "input1", "not_reset": "A.channel[0]"}]
+
+
+def test_no_sweep_runs_a_protocol_oracle(monkeypatch):
+    """A sweep judges each run by its Case alone: neither every verifier in
+    sampled mode nor the nine small ones in exhaustive mode run a
+    protocol's own oracle, or copy a state for one to replay."""
+    calls = collections.Counter()
+
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(protocols._Scope, "oracle_infidelity", counted(protocols._Scope.oracle_infidelity, "oracle"))
+    monkeypatch.setattr(qstate.StateVector, "copy", counted(qstate.StateVector.copy, "copy"))
+    reports = verify.verify_all(branches="sampled") + [verify.VERIFIERS[name](branches="exhaustive") for name in SUITE]
+    assert all(rep.verified for rep in reports)
+    assert calls == {}
+
+
+def test_every_qubit_a_protocol_would_compare_is_in_its_case(monkeypatch):
+    """Nothing a protocol's own oracle would compare goes unchecked by the
+    sweep: every address a report leaves outside its `exclude` lies in the
+    logical or zero list of the case that ran it. cat-roundtrip runs the
+    primitives themselves, and its reports carry no ideal."""
+    compared, running = [], []
+    drive, report = verify._drive, protocols._Scope.report
+
+    def driving(sweep, case, branches):
+        running[:] = [sweep.name, case]
+        return drive(sweep, case, branches)
+
+    def reporting(self, name, ideal, exclude=(), **kwargs):
+        skip = set(exclude)
+        compared.append((*running, name, {a for a in self.net.ownership if a not in skip}))
+        return report(self, name, ideal, exclude, **kwargs)
+
+    monkeypatch.setattr(verify, "_drive", driving)
+    monkeypatch.setattr(protocols._Scope, "report", reporting)
+    verify.verify_all(branches="sampled")
+    checked = set()
+    for verifier, case, protocol, kept in compared:
+        if verifier != "cat-roundtrip":
+            checked.add(verifier)
+            assert kept <= {*case.logical, *case.zero}, (verifier, protocol, sorted(map(str, kept)))
+    assert checked == set(verify.VERIFIERS) - {"cat-roundtrip"}
+
+
+@pytest.mark.parametrize("branches", ["exhaustive", "sampled"])
+def test_every_report_logs_messages_exactly_when_it_sends_cbits(branches):
+    """A verifier's message log is empty exactly when its ledger charges no
+    cbits; the cat round trip once charged 2 cbits and logged none."""
+    for rep in verify.verify_all(branches=branches):
+        assert (rep.as_dict()["message_log"] == []) == (rep.ledger.cbits_sent == 0), rep.name
